@@ -132,27 +132,62 @@ pub(crate) fn fault_to_error(fault: SyncFault, barrier: &dyn BarrierShared) -> E
     }
 }
 
+/// Polls of the warm handoff's spin phase: enough for a peer that is
+/// already running, with no clock read and no trip into the scheduler.
+const WARM_SPIN_POLLS: u32 = 64;
+
+/// How long the warm handoff polls (spin, then yield) before it parks.
+/// About two park/wake round trips as `runtime.wait_us` measures them
+/// (≈ 55 µs each on the reference host) — the competitive-spinning bound:
+/// polling for what sleeping would have cost wastes at most 2× the optimum
+/// however long the wait turns out to be. It is a time, not a poll count,
+/// because a yield costs microseconds on an oversubscribed core: a
+/// 4096-yield budget let idle sibling pools tax a parked 8-on-2 grid.
+const WARM_SPIN_BOUND: Duration = Duration::from_micros(100);
+
+/// The spinning and yielding states of the warm handoff (DESIGN.md §10):
+/// poll `ready` [`WARM_SPIN_POLLS`] times, then yield between polls until
+/// [`WARM_SPIN_BOUND`] has passed. Decides nothing: whatever it saw, the
+/// caller re-checks under its lock, and parks there if the wait goes on.
+pub(crate) fn spin_then_yield(ready: impl Fn() -> bool) {
+    for _ in 0..WARM_SPIN_POLLS {
+        if ready() {
+            return;
+        }
+        std::hint::spin_loop();
+    }
+    let start = Instant::now();
+    while !ready() && start.elapsed() < WARM_SPIN_BOUND {
+        std::thread::yield_now();
+    }
+}
+
+/// One back-off step of a gate wait (the scoped [`StartGate`], the pooled
+/// assembly gate): yield while the wait is fresh — peers arrive within
+/// microseconds and a sleep would inflate `t_O` — then short sleeps: on an
+/// oversubscribed host the last peers cannot even be scheduled until
+/// earlier arrivals stop burning their timeslices.
+pub(crate) fn gate_backoff(polls: &mut u32) {
+    *polls = polls.saturating_add(1);
+    if *polls < 4096 {
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(Duration::from_micros(50));
+    }
+}
+
 /// One-shot launch gate for persistent strategies: every block thread
 /// checks in and waits until all peers exist. This pins down the "kernel
 /// launch" boundary — time before the gate opens is thread-spawn overhead
 /// (`t_O`), time after is round time — so round-0 sync no longer absorbs
 /// the stagger of late-spawned threads. One `fetch_add` per thread per
-/// *launch*, well off the barrier hot path.
-///
-/// The wait is spin-budgeted, not unbounded: on an oversubscribed host
-/// (more blocks than cores) the last peers cannot even be scheduled until
-/// earlier arrivals stop burning their timeslices, so after a yield burst
-/// the wait backs off to short sleeps — the same discipline as the
-/// assembly gate in `runtime.rs` and `SpinStrategy::Park`.
+/// *launch*, well off the barrier hot path. The wait is [`gate_backoff`].
 pub(crate) struct StartGate {
     arrived: AtomicUsize,
     n: usize,
 }
 
 impl StartGate {
-    /// Yield-only polls before backing off to sleeps.
-    const SPIN_BUDGET: u32 = 4096;
-
     pub(crate) fn new(n: usize) -> Self {
         StartGate {
             arrived: AtomicUsize::new(0),
@@ -164,12 +199,7 @@ impl StartGate {
         self.arrived.fetch_add(1, Ordering::AcqRel);
         let mut polls = 0u32;
         while self.arrived.load(Ordering::Acquire) < self.n {
-            polls = polls.saturating_add(1);
-            if polls < Self::SPIN_BUDGET {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
+            gate_backoff(&mut polls);
         }
     }
 }

@@ -49,8 +49,8 @@
 //! the scoped executor's contract.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -59,7 +59,9 @@ use crate::barrier::PoisonCause;
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{GridConfig, RoundKernel};
 use crate::fault::{effective_backstop, FaultKind, FaultPhase};
-use crate::launch::{collect_block_results, drive_block, LaunchPlan, LaunchSetup};
+use crate::launch::{
+    collect_block_results, drive_block, gate_backoff, spin_then_yield, LaunchPlan, LaunchSetup,
+};
 use crate::method::SyncMethod;
 use crate::obs::{LaunchRecord, Observer};
 use crate::stats::{BlockTimes, KernelStats};
@@ -186,7 +188,9 @@ struct LaunchDone {
     /// When the first failed block reported, starting the abandonment
     /// grace clock.
     first_failure: Option<Instant>,
-    abandoned: bool,
+    /// Whether the launch's waiter is asleep on `done_cv` (written only
+    /// under this lock): `record_result` notifies only then.
+    waiter_parked: bool,
 }
 
 /// One entry of the launch log: the engine's per-launch state
@@ -199,7 +203,7 @@ struct Launch {
     queue_depth: usize,
     submitted: Instant,
     /// When the first worker picked this launch up (end of queueing).
-    activated: Mutex<Option<Instant>>,
+    activated: OnceLock<Instant>,
     /// Assembly gate: workers check in and spin until all peers of *this
     /// launch* exist, pinning the warm-launch boundary exactly like the
     /// scoped engine's start gate — with an abort escape, since a pinned
@@ -219,11 +223,19 @@ struct Launch {
     checked_in: Vec<AtomicBool>,
     done: Mutex<LaunchDone>,
     done_cv: Condvar,
+    /// Mirror of `LaunchDone::finished`, stored (`Release`) under the
+    /// `done` lock so the waiter's spin phase, `is_done` and `queue_depth`
+    /// read completion (`Acquire`) without it.
+    finished: AtomicUsize,
+    /// Set by `abandon`; workers step over an abandoned launch.
+    abandoned: AtomicBool,
 }
 
 impl Launch {
-    fn is_abandoned(&self) -> bool {
-        self.done.lock().abandoned
+    fn is_done(&self) -> bool {
+        // Acquire pairs with the Release store under the `done` lock: a
+        // reader that sees `n` also sees every block's result slot.
+        self.finished.load(Ordering::Acquire) >= self.setup.n
     }
 
     /// Assembly-phase progress snapshot: 1 for blocks that checked in at
@@ -277,7 +289,12 @@ impl Launch {
         }
         g.results[block] = Some(res);
         g.finished += 1;
-        self.done_cv.notify_all();
+        self.finished.store(g.finished, Ordering::Release);
+        let wake = g.waiter_parked;
+        drop(g);
+        if wake {
+            self.done_cv.notify_all();
+        }
     }
 }
 
@@ -285,6 +302,9 @@ impl Launch {
 struct Shared {
     state: Mutex<PoolState>,
     cv: Condvar,
+    /// Mirror of `PoolState::next_seq`, stored (`Release`) under the state
+    /// lock: what an idle worker polls (`Acquire`) before it parks on `cv`.
+    next_seq: AtomicU64,
     /// Cross-launch observability plane, fed once per completed launch by
     /// the *host* thread resolving it (never by workers — spin loops stay
     /// free of registry traffic).
@@ -309,6 +329,9 @@ struct PoolState {
     /// execute).
     cursors: Vec<u64>,
     shutdown: bool,
+    /// Workers asleep on `Shared::cv` (written only under this lock, so a
+    /// notifier holding it knows whether anyone needs a wake).
+    parked: usize,
 }
 
 fn spawn_worker(shared: Arc<Shared>, block: usize, gen: u64, cursor: u64) {
@@ -320,6 +343,10 @@ fn spawn_worker(shared: Arc<Shared>, block: usize, gen: u64, cursor: u64) {
 
 fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
     loop {
+        // Warm handoff: poll the published sequence number before taking
+        // the lock; shutdown and the generation are read only under it, so
+        // a drop or a replacement is noticed one spin bound later at most.
+        spin_then_yield(|| shared.next_seq.load(Ordering::Acquire) > cursor);
         let launch = {
             let mut st = shared.state.lock();
             loop {
@@ -330,12 +357,16 @@ fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
                     let idx = (cursor - st.first_seq) as usize;
                     break Arc::clone(&st.queue[idx]);
                 }
+                st.parked += 1;
                 shared.cv.wait(&mut st);
+                st.parked -= 1;
             }
         };
         // A launch the host already gave up on: its results were
-        // synthesized, so just step over it.
-        if !launch.is_abandoned() {
+        // synthesized, so just step over it. Acquire pairs with the
+        // Release in `abandon`; a worker that misses the flag fails fast
+        // on the poisoned barrier and its late report is dropped.
+        if !launch.abandoned.load(Ordering::Acquire) {
             run_launch(&launch, block);
         }
         cursor += 1;
@@ -361,10 +392,7 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
     // Borrowed refs are alive per the `GridRuntime::run` completion
     // protocol (see `KernelRef`).
     let kernel = unsafe { launch.kernel.get() };
-    {
-        let mut a = launch.activated.lock();
-        a.get_or_insert_with(Instant::now);
-    }
+    let base = *launch.activated.get_or_init(Instant::now);
     launch.entered.fetch_add(1, Ordering::AcqRel);
     // Scheduled assembly-phase fault: misbehave *before* checking in at
     // the gate, so peers observe this block as never-assembled.
@@ -442,7 +470,6 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
         if launch.setup.abort.is_aborted() {
             break;
         }
-        polls += 1;
         match launch.setup.policy.timeout {
             // The deadline only runs while every worker has entered this
             // launch's assembly phase: a peer still draining an earlier
@@ -469,32 +496,11 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
                     launch.setup.abort.abort();
                     break;
                 }
-                // Same spin budget as the no-timeout arm: bare yields are
-                // bounded, then back off to sleeps — a timeout may be
-                // seconds long, and burning a core for its whole span is
-                // exactly the busy-wait the parking discipline forbids.
-                if polls < 4096 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
             }
-            _ => {
-                stuck_since = None;
-                // Yield while assembly is fresh (the clean-launch fast
-                // path: peers arrive within microseconds, and sleeping
-                // here would inflate the warm t_O); after a long burst,
-                // back off to sleeps rather than burn a core while an
-                // earlier pipelined launch settles.
-                if polls < 4096 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
+            _ => stuck_since = None,
         }
+        gate_backoff(&mut polls);
     }
-    let base = (*launch.activated.lock()).expect("activation is stamped before the gate");
     let mut t = BlockTimes {
         // Warm t_O: dispatch (first pickup) -> this worker assembled.
         launch: Instant::now().saturating_duration_since(base),
@@ -526,7 +532,7 @@ impl LaunchHandle {
 
     /// Whether every block has reported (or the launch was abandoned).
     pub fn is_done(&self) -> bool {
-        self.launch.done.lock().finished >= self.launch.setup.n
+        self.launch.is_done()
     }
 
     /// Block until the launch completes and return its stats.
@@ -554,8 +560,12 @@ fn wait_launch(
     let n = launch.setup.n;
     let mut replaced: Vec<usize> = Vec::new();
     let results: Vec<Result<BlockTimes, ExecError>> = {
+        // Warm handoff, caller side: poll the completion mirror, then
+        // park on `done_cv` for whatever the bound did not cover.
+        spin_then_yield(|| launch.is_done());
         let mut g = launch.done.lock();
         while g.finished < n {
+            g.waiter_parked = true;
             match launch.setup.policy.timeout.filter(|_| allow_abandon) {
                 None => launch.done_cv.wait(&mut g),
                 Some(timeout) => {
@@ -586,7 +596,7 @@ fn wait_launch(
         replace_workers(shared, &replaced, launch.seq);
     }
     let wall = launch.submitted.elapsed();
-    let activated = (*launch.activated.lock()).unwrap_or(launch.submitted);
+    let activated = *launch.activated.get().unwrap_or(&launch.submitted);
     let queued = activated.saturating_duration_since(launch.submitted);
     match collect_block_results(results) {
         Ok(per_block) => {
@@ -654,7 +664,7 @@ fn recent_events(launch: &Launch) -> Vec<String> {
 /// [`crate::BarrierShared::poison`] hook so barriers whose waiters sleep
 /// (the CPU-implicit condvar rendezvous) are woken, not just flagged.
 fn abandon(launch: &Launch, g: &mut LaunchDone, timeout: Duration, replaced: &mut Vec<usize>) {
-    g.abandoned = true;
+    launch.abandoned.store(true, Ordering::Release);
     launch.setup.abort.abort();
     let (arrivals, departures) = match launch.setup.barrier.as_deref() {
         Some(sh) => sh.control().progress(),
@@ -708,6 +718,7 @@ fn abandon(launch: &Launch, g: &mut LaunchDone, timeout: Duration, replaced: &mu
         g.finished += 1;
         replaced.push(b);
     }
+    launch.finished.store(g.finished, Ordering::Release);
 }
 
 /// Retire the stuck workers and spawn fresh ones starting after the
@@ -791,8 +802,10 @@ impl GridRuntime {
                 gens: vec![0; n],
                 cursors: vec![0; n],
                 shutdown: false,
+                parked: 0,
             }),
             cv: Condvar::new(),
+            next_seq: AtomicU64::new(0),
             obs,
             shard_label: Mutex::new(None),
         });
@@ -837,10 +850,15 @@ impl GridRuntime {
     /// launch's results.
     pub fn queue_depth(&self) -> usize {
         let st = self.shared.state.lock();
-        st.queue
-            .iter()
-            .filter(|l| l.done.lock().finished < l.setup.n)
-            .count()
+        st.queue.iter().filter(|l| !l.is_done()).count()
+    }
+
+    /// Workers currently asleep on the pool's condvar (diagnostic, like
+    /// [`crate::BarrierControl::parked_waiters`]): an idle pool reaches
+    /// `n_blocks` one spin bound after its last launch and burns no CPU
+    /// from then on.
+    pub fn parked_workers(&self) -> usize {
+        self.shared.state.lock().parked
     }
 
     /// Total launches submitted to this pool.
@@ -923,7 +941,7 @@ impl GridRuntime {
             kernel,
             queue_depth: (st.next_seq - min) as usize,
             submitted: Instant::now(),
-            activated: Mutex::new(None),
+            activated: OnceLock::new(),
             gate: AtomicUsize::new(0),
             entered: AtomicUsize::new(0),
             checked_in: (0..setup.n).map(|_| AtomicBool::new(false)).collect(),
@@ -931,15 +949,24 @@ impl GridRuntime {
                 results: vec![None; setup.n],
                 finished: 0,
                 first_failure: None,
-                abandoned: false,
+                waiter_parked: false,
             }),
             done_cv: Condvar::new(),
+            finished: AtomicUsize::new(0),
+            abandoned: AtomicBool::new(false),
             setup,
         });
         st.queue.push_back(Arc::clone(&launch));
         st.next_seq += 1;
+        self.shared.next_seq.store(st.next_seq, Ordering::Release);
+        // Read after publishing, under the lock a worker holds from its
+        // last check of `next_seq` until it is inside `cv.wait`: zero
+        // means nobody can miss this entry, so the wake is skipped.
+        let wake = st.parked > 0;
         drop(st);
-        self.shared.cv.notify_all();
+        if wake {
+            self.shared.cv.notify_all();
+        }
         Ok(launch)
     }
 }
@@ -983,6 +1010,19 @@ mod tests {
 
     fn pool(n: usize, method: SyncMethod) -> GridRuntime {
         GridRuntime::new(GridConfig::new(n, 64), method).unwrap()
+    }
+
+    /// A one-round kernel whose blocks hold until `gate` is raised. The
+    /// gate is held across assertions, so a bare yield loop would
+    /// busy-burn a core.
+    fn held_until(gate: &Arc<AtomicBool>) -> Arc<dyn RoundKernel + Send + Sync> {
+        let gate = Arc::clone(gate);
+        Arc::new((1usize, move |_: &BlockCtx, _: usize| {
+            let mut polls = 0u32;
+            while !gate.load(Ordering::Acquire) {
+                gate_backoff(&mut polls);
+            }
+        }))
     }
 
     #[test]
@@ -1136,6 +1176,34 @@ mod tests {
     }
 
     #[test]
+    fn is_done_and_wait_agree() {
+        // One thread polls the `finished` mirror, one waits under the
+        // `done` lock (spinning, yielding or parked, as the gate's hold
+        // time falls): neither may see completion the other cannot.
+        let rt = pool(2, SyncMethod::GpuLockFree);
+        for hold_us in [0u64, 20, 150, 2_000].repeat(25) {
+            let gate = Arc::new(AtomicBool::new(false));
+            let waiter = rt.submit_dyn(held_until(&gate)).unwrap();
+            let poller = LaunchHandle {
+                shared: Arc::clone(&waiter.shared),
+                launch: Arc::clone(&waiter.launch),
+            };
+            std::thread::scope(|s| {
+                let waited = s.spawn(move || waiter.wait());
+                std::thread::sleep(Duration::from_micros(hold_us));
+                assert!(!poller.is_done(), "done while its blocks are held");
+                gate.store(true, Ordering::Release);
+                while !poller.is_done() {
+                    std::thread::yield_now();
+                }
+                waited.join().unwrap().unwrap();
+                assert!(poller.is_done());
+            });
+        }
+        assert_eq!(rt.queue_depth(), 0);
+    }
+
+    #[test]
     fn telemetry_records_launch_events() {
         let cfg = GridConfig::new(2, 64).with_trace(TraceConfig::default());
         let rt = GridRuntime::new(cfg, SyncMethod::GpuSimple).unwrap();
@@ -1159,23 +1227,7 @@ mod tests {
     fn queue_depth_reflects_pipelining() {
         let rt = pool(2, SyncMethod::NoSync);
         let gate = Arc::new(AtomicBool::new(false));
-        let release = Arc::clone(&gate);
-        let slow: Arc<dyn RoundKernel + Send + Sync> =
-            Arc::new((1usize, move |_: &BlockCtx, _: usize| {
-                let mut polls = 0u32;
-                while !release.load(Ordering::Acquire) {
-                    // Bounded spin-then-sleep, like the runtime's own
-                    // waits: this gate is held open across assertions, so
-                    // a bare yield loop would busy-burn a core.
-                    polls = polls.saturating_add(1);
-                    if polls < 4096 {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                }
-            }));
-        let h1 = rt.submit_dyn(slow).unwrap();
+        let h1 = rt.submit_dyn(held_until(&gate)).unwrap();
         let h2 = rt
             .submit(Arc::new(CountKernel {
                 slots: GlobalBuffer::new(2),

@@ -191,14 +191,20 @@ struct ServiceState {
     /// Tenant → launches currently admitted. Entries are removed at zero
     /// so the map stays bounded by live tenants.
     tenants: HashMap<String, usize>,
+    /// `submit_within` callers asleep on `ServiceShared::cv` (written only
+    /// under this lock): a release notifies only when there is one.
+    blocked: usize,
+    /// When a submit path last swept for idle shards (see
+    /// `GridService::sweep_if_due`).
+    last_sweep: Instant,
 }
 
 struct ServiceShared {
     cfg: ServiceConfig,
     obs: Arc<Observer>,
     state: Mutex<ServiceState>,
-    /// Signaled on every admission release so blocked `submit_within`
-    /// callers re-check capacity.
+    /// Signaled on an admission release when a `submit_within` caller is
+    /// blocked, so it re-checks capacity.
     cv: Condvar,
 }
 
@@ -222,8 +228,13 @@ impl Drop for Ticket {
             }
         }
         *self.shard.last_used.lock() = Instant::now();
+        // A submitter decides to block and enters its wait without
+        // releasing this lock, so zero here means nobody can miss the slot.
+        let wake = st.blocked > 0;
         drop(st);
-        self.svc.cv.notify_all();
+        if wake {
+            self.svc.cv.notify_all();
+        }
     }
 }
 
@@ -306,6 +317,8 @@ impl GridService {
                 state: Mutex::new(ServiceState {
                     shards: HashMap::new(),
                     tenants: HashMap::new(),
+                    blocked: 0,
+                    last_sweep: Instant::now(),
                 }),
                 cv: Condvar::new(),
             }),
@@ -323,8 +336,9 @@ impl GridService {
     }
 
     /// Try to admit and enqueue `kernel` on the shard for `key`, without
-    /// blocking. Reaps expired idle shards first, so a saturated shard
-    /// map can make room for a new shape.
+    /// blocking. Sweeps expired idle shards first when that can matter
+    /// (see `sweep_if_due`), so a saturated shard map can make room for a
+    /// new shape.
     ///
     /// # Errors
     /// The admission rejections of the module docs
@@ -337,8 +351,12 @@ impl GridService {
         key: ShardKey,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<ServiceHandle, ServiceError> {
-        self.reap_idle();
-        self.try_submit(tenant, key, &kernel)
+        let shard = {
+            let mut st = self.inner.state.lock();
+            self.sweep_if_due(&mut st, key);
+            self.admit(&mut st, tenant, key)?
+        };
+        self.enqueue(shard, tenant, kernel)
     }
 
     /// [`GridService::submit`], but block for admission for up to
@@ -360,14 +378,11 @@ impl GridService {
         // condvar wakeups (or the 5 ms wait slices) can neither restart
         // nor inflate the accounting.
         let start = Instant::now();
-        loop {
-            self.reap_idle();
-            match self.try_submit(tenant, key, &kernel) {
+        let mut st = self.inner.state.lock();
+        let shard = loop {
+            self.sweep_if_due(&mut st, key);
+            match self.admit(&mut st, tenant, key) {
                 Err(e) if e.is_backpressure() => {
-                    // Park until a release (or a slice of the remaining
-                    // deadline) and retry; rejections never consume the
-                    // kernel, so the same Arc is resubmitted.
-                    let mut st = self.inner.state.lock();
                     let remaining = deadline.saturating_sub(start.elapsed());
                     if remaining.is_zero() {
                         // Sampled once, at the moment of giving up: the
@@ -377,66 +392,96 @@ impl GridService {
                             waited: start.elapsed(),
                         });
                     }
+                    // Park until a release and retry, still under the lock
+                    // the rejection was decided under. The slice of the
+                    // remaining deadline is for a shard-limit rejection,
+                    // which clears when an idle TTL expires, not on a
+                    // release.
+                    st.blocked += 1;
                     let _ = self
                         .inner
                         .cv
                         .wait_for(&mut st, remaining.min(Duration::from_millis(5)));
+                    st.blocked -= 1;
                 }
-                other => return other,
+                other => break other?,
             }
+        };
+        drop(st);
+        self.enqueue(shard, tenant, kernel)
+    }
+
+    /// Sweep idle shards from a submit path only when it can change the
+    /// outcome: the key needs a new shard and the map is full, or an
+    /// `idle_ttl` has passed since the last sweep (no shard can have
+    /// expired sooner). The sweep takes every pool's state lock.
+    fn sweep_if_due(&self, st: &mut ServiceState, key: ShardKey) {
+        let cfg = &self.inner.cfg;
+        let needs_room = !st.shards.contains_key(&key) && st.shards.len() >= cfg.max_shards;
+        if needs_room || st.last_sweep.elapsed() >= cfg.idle_ttl {
+            self.reap(st);
         }
     }
 
-    fn try_submit(
+    /// Admission control under the service lock: the shard for `key`
+    /// (spun up on first use) with one queue slot and one unit of the
+    /// tenant's quota reserved, or the rejection.
+    fn admit(
         &self,
+        st: &mut ServiceState,
         tenant: &str,
         key: ShardKey,
-        kernel: &Arc<dyn RoundKernel + Send + Sync>,
-    ) -> Result<ServiceHandle, ServiceError> {
-        let shard = {
-            let mut st = self.inner.state.lock();
-            let used = st.tenants.get(tenant).copied().unwrap_or(0);
-            if used >= self.inner.cfg.tenant_quota {
-                self.reject("quota");
-                return Err(ServiceError::QuotaExceeded {
-                    tenant: tenant.to_string(),
-                    quota: self.inner.cfg.tenant_quota,
-                });
-            }
-            let shard = match st.shards.get(&key) {
-                Some(s) => Arc::clone(s),
-                None => {
-                    if st.shards.len() >= self.inner.cfg.max_shards {
-                        self.reject("shard-limit");
-                        return Err(ServiceError::ShardLimit {
-                            limit: self.inner.cfg.max_shards,
-                        });
-                    }
-                    let s = self.spin_up(key)?;
-                    st.shards.insert(key, Arc::clone(&s));
-                    self.inner
-                        .obs
-                        .inc_counter("service_shards_spun_up_total", 1);
-                    self.inner
-                        .obs
-                        .set_gauge("service_shards_live", st.shards.len() as u64);
-                    s
+    ) -> Result<Arc<Shard>, ServiceError> {
+        let used = st.tenants.get(tenant).copied().unwrap_or(0);
+        if used >= self.inner.cfg.tenant_quota {
+            self.reject("quota");
+            return Err(ServiceError::QuotaExceeded {
+                tenant: tenant.to_string(),
+                quota: self.inner.cfg.tenant_quota,
+            });
+        }
+        let shard = match st.shards.get(&key) {
+            Some(s) => Arc::clone(s),
+            None => {
+                if st.shards.len() >= self.inner.cfg.max_shards {
+                    self.reject("shard-limit");
+                    return Err(ServiceError::ShardLimit {
+                        limit: self.inner.cfg.max_shards,
+                    });
                 }
-            };
-            if shard.inflight.load(Ordering::Acquire) >= self.inner.cfg.queue_capacity {
-                self.reject("queue-full");
-                return Err(ServiceError::QueueFull {
-                    shard: shard.label.clone(),
-                    capacity: self.inner.cfg.queue_capacity,
-                });
+                let s = self.spin_up(key)?;
+                st.shards.insert(key, Arc::clone(&s));
+                self.inner
+                    .obs
+                    .inc_counter("service_shards_spun_up_total", 1);
+                self.inner
+                    .obs
+                    .set_gauge("service_shards_live", st.shards.len() as u64);
+                s
             }
-            // Admitted: reserve the slots before releasing the lock so
-            // concurrent submitters see a consistent quota/queue state.
-            shard.inflight.fetch_add(1, Ordering::AcqRel);
-            *st.tenants.entry(tenant.to_string()).or_insert(0) += 1;
-            *shard.last_used.lock() = Instant::now();
-            shard
         };
+        if shard.inflight.load(Ordering::Acquire) >= self.inner.cfg.queue_capacity {
+            self.reject("queue-full");
+            return Err(ServiceError::QueueFull {
+                shard: shard.label.clone(),
+                capacity: self.inner.cfg.queue_capacity,
+            });
+        }
+        // Admitted: reserve the slots before releasing the lock so
+        // concurrent submitters see a consistent quota/queue state.
+        shard.inflight.fetch_add(1, Ordering::AcqRel);
+        *st.tenants.entry(tenant.to_string()).or_insert(0) += 1;
+        *shard.last_used.lock() = Instant::now();
+        Ok(shard)
+    }
+
+    /// Hand an admitted launch to its shard's launch log.
+    fn enqueue(
+        &self,
+        shard: Arc<Shard>,
+        tenant: &str,
+        kernel: Arc<dyn RoundKernel + Send + Sync>,
+    ) -> Result<ServiceHandle, ServiceError> {
         let ticket = Ticket {
             svc: Arc::clone(&self.inner),
             shard: Arc::clone(&shard),
@@ -445,7 +490,7 @@ impl GridService {
         // The runtime's launch log is unbounded; the bounded queue is the
         // admission count above it, so this enqueue cannot itself refuse
         // for capacity. Dropping the ticket on error rolls admission back.
-        match shard.runtime.submit_dyn(Arc::clone(kernel)) {
+        match shard.runtime.submit_dyn(kernel) {
             Ok(handle) => Ok(ServiceHandle {
                 handle,
                 shard_label: shard.label.clone(),
@@ -490,7 +535,11 @@ impl GridService {
     /// or in-flight work is never dropped, so retirement cannot lose a
     /// launch.
     pub fn reap_idle(&self) -> usize {
-        let mut st = self.inner.state.lock();
+        self.reap(&mut self.inner.state.lock())
+    }
+
+    fn reap(&self, st: &mut ServiceState) -> usize {
+        st.last_sweep = Instant::now();
         let ttl = self.inner.cfg.idle_ttl;
         let expired: Vec<ShardKey> = st
             .shards

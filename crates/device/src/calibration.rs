@@ -27,7 +27,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::time::SimDuration;
 
@@ -535,44 +535,71 @@ fn park_wake_one_way_ns(rounds: u32) -> u64 {
 /// One warm (pooled) kernel relaunch: dispatch a launch sequence number to a
 /// resident two-worker pool and wait until every worker has picked it up.
 /// Unlike `spawn_join_ns` (the cold launch probe) there is no thread
-/// creation or teardown on the critical path — only the queue handoff a
-/// persistent runtime pays per pipelined launch.
+/// creation or teardown on the critical path — only the handoff a
+/// persistent runtime pays per launch, in the shape `GridRuntime` gives it:
+/// both sides poll an atomic (64 spins, then yields for ≈ 100 µs) and only
+/// then park on a condvar, and a publisher notifies only when someone is
+/// parked. Back-to-back launches therefore never leave the polling phase,
+/// which is the warm case the probe prices.
 fn pooled_relaunch_ns(launches: u32) -> u64 {
     struct Pool {
-        state: Mutex<(u64, u64)>, // (submitted launch seq, acks for that seq)
+        seq: AtomicU64,  // submitted launch seq
+        acks: AtomicU64, // total pickups over all launches
+        parked: Mutex<u64>,
         cv: Condvar,
+    }
+    impl Pool {
+        fn wait(&self, ready: impl Fn() -> bool) {
+            for _ in 0..64 {
+                if ready() {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_micros(100) {
+                if ready() {
+                    return;
+                }
+                std::thread::yield_now();
+            }
+            let mut parked = self.parked.lock().expect("probe lock");
+            while !ready() {
+                *parked += 1;
+                parked = self.cv.wait(parked).expect("probe wait");
+                *parked -= 1;
+            }
+        }
+        fn publish(&self, word: &AtomicU64) {
+            let parked = self.parked.lock().expect("probe lock");
+            word.fetch_add(1, Ordering::AcqRel);
+            if *parked > 0 {
+                self.cv.notify_all();
+            }
+        }
     }
     const WORKERS: u64 = 2;
     let shared = Arc::new(Pool {
-        state: Mutex::new((0, 0)),
+        seq: AtomicU64::new(0),
+        acks: AtomicU64::new(0),
+        parked: Mutex::new(0),
         cv: Condvar::new(),
     });
     let workers: Vec<_> = (0..WORKERS)
         .map(|_| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                let mut done = 0u64;
-                while done < launches as u64 {
-                    let mut st = shared.state.lock().expect("probe lock");
-                    while st.0 <= done {
-                        st = shared.cv.wait(st).expect("probe wait");
-                    }
-                    done = st.0;
-                    st.1 += 1;
-                    shared.cv.notify_all();
+                for seq in 1..=launches as u64 {
+                    shared.wait(|| shared.seq.load(Ordering::Acquire) >= seq);
+                    shared.publish(&shared.acks);
                 }
             })
         })
         .collect();
     let start = Instant::now();
     for seq in 1..=launches as u64 {
-        let mut st = shared.state.lock().expect("probe lock");
-        st.0 = seq;
-        st.1 = 0;
-        shared.cv.notify_all();
-        while st.1 < WORKERS {
-            st = shared.cv.wait(st).expect("probe wait");
-        }
+        shared.publish(&shared.seq);
+        shared.wait(|| shared.acks.load(Ordering::Acquire) >= WORKERS * seq);
     }
     let wall = start.elapsed();
     for w in workers {
