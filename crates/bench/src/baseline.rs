@@ -143,9 +143,9 @@ fn after_key<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
 /// The guard namespace of a method key: the `kind:` prefix, extended by
 /// the suite qualifier when the method name carries one
 /// (`kind:suite/variant`). `"model:cpu-explicit"` lives in namespace
-/// `"model"` while `"model:launch/cold"` lives in `"model:launch"`, so the
+/// `"model"` while `"model:obs/series"` lives in `"model:obs"`, so the
 /// `autotune` bin (which emits plain `model:` rows) is not failed by the
-/// `launch_overhead` bin's `model:launch/` baselines, and vice versa.
+/// `obs_overhead` bin's `model:obs/` baselines, and vice versa.
 fn namespace(method: &str) -> Option<&str> {
     let colon = method.find(':')?;
     match method.find('/') {
@@ -161,9 +161,10 @@ fn namespace(method: &str) -> Option<&str> {
 /// rows in the current run (adding benchmarks never fails the guard).
 ///
 /// Baseline rows from a [`namespace`] the current run emits nothing in are
-/// also skipped — the `headline` (`sim:`), `autotune` (`model:`), and
-/// `launch_overhead` (`model:launch/`) bins guard themselves independently
-/// against the one shared `ci/bench_baseline.json`.
+/// also skipped — the `headline` (`sim:`), `autotune` (`model:`),
+/// `obs_overhead` (`model:obs/`) and `oversub` (`model:oversub/`) bins
+/// guard themselves independently against the one shared
+/// `ci/bench_baseline.json`.
 pub fn compare(
     current: &[BenchRecord],
     baseline: &[BenchRecord],
@@ -329,23 +330,27 @@ mod tests {
     #[test]
     fn suite_qualified_methods_guard_independently() {
         assert_eq!(namespace("model:cpu-explicit"), Some("model"));
-        assert_eq!(namespace("model:launch/cold"), Some("model:launch"));
-        assert_eq!(namespace("host:launch/warm"), Some("host:launch"));
+        assert_eq!(namespace("model:oversub/penalty_2x"), Some("model:oversub"));
+        assert_eq!(namespace("host:oversub/2x"), Some("host:oversub"));
         assert_eq!(namespace("unnamespaced"), None);
         let baseline = vec![
             BenchRecord::new("model:cpu-implicit", 30, 6000.0),
-            BenchRecord::new("model:launch/cold", 30, 7000.0),
+            BenchRecord::new("model:oversub/penalty_2x", 60, 10000.0),
         ];
         // The autotune bin (plain `model:` rows only) is not failed by the
-        // launch suite's baseline rows...
+        // oversub suite's baseline rows...
         let autotune_run = vec![BenchRecord::new("model:cpu-implicit", 30, 6000.0)];
         assert!(compare(&autotune_run, &baseline, 25.0).is_empty());
-        // ...and the launch bin is not failed by the plain `model:` rows,
+        // ...and the oversub bin is not failed by the plain `model:` rows,
         // but is held to its own suite.
-        let launch_run = vec![BenchRecord::new("model:launch/cold", 30, 9001.0)];
-        let fails = compare(&launch_run, &baseline, 25.0);
+        let oversub_run = vec![BenchRecord::new("model:oversub/penalty_2x", 60, 12501.0)];
+        let fails = compare(&oversub_run, &baseline, 25.0);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("model:launch/cold"), "{}", fails[0]);
+        assert!(
+            fails[0].contains("model:oversub/penalty_2x"),
+            "{}",
+            fails[0]
+        );
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! * CPU implicit synchronization handles any block count by running each
 //!   round in waves of at most 30 blocks — the paper swept 31..120 blocks
 //!   and found 30 best, which this reproduces.
-//! * A device-side grid barrier with 31 blocks **deadlocks** under the
-//!   default spinning policy: 30 resident non-preemptive blocks spin
-//!   forever while the 31st can never be scheduled. The simulator detects
-//!   and reports the deadlock instead of hanging.
-//! * The same barrier under a **parking** policy survives the whole
+//! * A device-side grid barrier with 31 blocks **deadlocks** on the
+//!   modelled GPU: 30 resident non-preemptive blocks spin forever while
+//!   the 31st can never be scheduled. The simulator detects and reports
+//!   the deadlock instead of hanging.
+//! * The same barrier with **parking** waiters (`SimConfig::with_parking`
+//!   in the simulator; every wait of the host runtime) survives the whole
 //!   ladder: parked waiters free their slots, the grid drains in waves,
 //!   and the cost model prices the waves instead of excluding them.
 //!
@@ -20,8 +21,8 @@
 //!    for the parked lock-free barrier at the same ladder (deterministic;
 //!    guarded).
 //! 3. `host:oversub/{2,4,16}x` — wall-clock per-round time of the host
-//!    runtime running a parked lock-free grid at 2x/4x/16x the *core*
-//!    count. Noisy; unguarded.
+//!    runtime running a lock-free grid at 2x/4x/16x the *core* count
+//!    under the default policy. Noisy; unguarded.
 //!
 //! Flags: `--short` (fewer host repetitions, for CI smoke), `--json FILE`
 //! (default `BENCH_oversub.json`), `--baseline FILE` + `--max-regress-pct
@@ -32,7 +33,7 @@ use std::process::ExitCode;
 use blocksync_bench::baseline::{self, BenchRecord};
 use blocksync_bench::experiments::{oversubscription, MAX_SIM_ROUNDS};
 use blocksync_bench::harness::{format_table, ms};
-use blocksync_core::{GridConfig, GridExecutor, SpinStrategy, SyncMethod, SyncPolicy};
+use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
 use blocksync_device::CalibrationProfile;
 use blocksync_microbench::MeanKernel;
 
@@ -64,7 +65,7 @@ fn main() -> ExitCode {
     // -- Section 2: the parked ladder, simulated (guarded) ----------------
     let cal = CalibrationProfile::gtx280();
     let sms = 30usize;
-    println!("Same barrier with SyncPolicy::with_park(): waves instead of deadlock:\n");
+    println!("Same barrier with parking waiters: waves instead of deadlock:\n");
     let rows: Vec<Vec<String>> = o
         .parked_gpu
         .iter()
@@ -104,20 +105,19 @@ fn main() -> ExitCode {
         .min(8);
     let rounds = if short { 40 } else { 200 };
     let tpb = 16;
-    let policy = SyncPolicy::default().with_spin(SpinStrategy::park());
     println!(
-        "\nHost runtime, parked lock-free barrier, {cores} cores ({} mode):\n",
+        "\nHost runtime, lock-free barrier, {cores} cores ({} mode):\n",
         if short { "short" } else { "full" }
     );
     let mut rows = Vec::new();
     for m in LADDER {
         let n = m * cores;
         let kernel = MeanKernel::for_grid(n, tpb, rounds);
-        let cfg = GridConfig::new(n, tpb).with_policy(policy);
+        let cfg = GridConfig::new(n, tpb);
         let stats = match GridExecutor::new(cfg, SyncMethod::GpuLockFree).run(&kernel) {
             Ok(stats) => stats,
             Err(e) => {
-                eprintln!("error: parked host run at {n} blocks failed: {e}");
+                eprintln!("error: host run at {n} blocks failed: {e}");
                 return ExitCode::FAILURE;
             }
         };

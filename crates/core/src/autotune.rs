@@ -46,9 +46,8 @@ pub struct MethodPrediction {
     pub predicted_sync_ns: f64,
     /// Whether the device can run it at the decided block count.
     pub eligible: bool,
-    /// True when running this row needs parking waiters
-    /// ([`crate::SpinStrategy::Park`]): more blocks than fit resident at
-    /// once, so the grid completes in waves.
+    /// True when this row has more blocks than fit resident at once, so
+    /// the grid completes in waves of parked waiters.
     pub oversubscribed: bool,
 }
 
@@ -63,7 +62,7 @@ pub struct AutoDecision {
     /// after the run; `None` on a decision that has not executed yet.
     pub measured_sync_ns: Option<f64>,
     /// Whether the chosen method runs oversubscribed (more blocks than fit
-    /// resident), requiring a parking spin strategy.
+    /// resident), draining in waves.
     pub oversubscribed: bool,
     /// The full table the choice was made from, in canonical order.
     pub table: Vec<MethodPrediction>,
@@ -152,7 +151,7 @@ impl AutoTuner {
     /// take the cheapest eligible row (ties to the earlier, i.e. more
     /// established, method). Grids beyond `max_gpu_blocks` keep their GPU
     /// candidates — priced with the park/wake wave penalty and flagged
-    /// `oversubscribed` so the executor arms a parking spin strategy.
+    /// `oversubscribed`.
     ///
     /// # Panics
     /// Panics if `n_blocks == 0`; use [`AutoTuner::try_decide`] for the

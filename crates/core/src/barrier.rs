@@ -33,9 +33,10 @@
 //!   was stuck, at which round, on which flag, and which peers never
 //!   arrived.
 //!
-//! The default policy (no timeout, [`SpinStrategy::Yield`]) reproduces the
-//! pre-fault-tolerance spin behaviour exactly — 64 busy polls, then yield —
-//! and adds only the single plain poison load per poll to the hot path.
+//! Every wait runs the one discipline of [`BarrierControl::wait_until`]:
+//! spin, then yield, then park (DESIGN.md §15). A wait that ends inside
+//! the first two phases pays the pre-fault-tolerance spin loop — 64 busy
+//! polls, then yield — plus a single plain poison load per poll.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -47,59 +48,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::error::{StuckDiagnostic, StuckPhase};
 use crate::trace::{EventRecorder, TraceEventKind};
 
-/// How a waiting block burns time between polls of its barrier flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SpinStrategy {
-    /// Pure busy-wait (`spin_loop` hint only). Matches the paper's GPU
-    /// discipline, where a spinning block owns its SM outright; on a host
-    /// with fewer cores than blocks it steals cycles from the blocks it is
-    /// waiting for.
-    Spin,
-    /// Busy-poll for a short burst (64 polls), then yield the timeslice to
-    /// the OS scheduler. The default, and the pre-existing behaviour of
-    /// this runtime.
-    #[default]
-    Yield,
-    /// Like `Yield`, but escalate to short sleeps when a wait drags on.
-    /// Lowest CPU burn while stuck; highest single-poll latency.
-    Backoff,
-    /// Spin/yield for `spin_budget` polls, then **park** on an OS condvar
-    /// (parking-lot style) until a peer's arrival, departure, or poison
-    /// wakes the lot. Parks are time-bounded ([`BarrierControl::MAX_PARK`]),
-    /// so a missed wakeup costs bounded latency, never liveness: every
-    /// waiter re-polls its flag infinitely often. Because a parked waiter
-    /// releases its core to the OS scheduler, this is the only strategy
-    /// that stays **deadlock-free when blocks outnumber cores** — the
-    /// not-yet-scheduled blocks get the freed cores, arrive, and wake the
-    /// parked lot (Stuart & Owens' spin/yield/sleep hybrid discipline).
-    Park {
-        /// Polls to burn spinning/yielding before the first park. Low
-        /// budgets park promptly (best under heavy oversubscription); high
-        /// budgets preserve spin-grade latency when cores are plentiful.
-        spin_budget: u32,
-    },
-}
-
-impl SpinStrategy {
-    /// Polls a [`SpinStrategy::park`] waiter burns before its first park:
-    /// one yield phase, enough for every same-core peer to run in between.
-    pub const DEFAULT_PARK_SPIN_BUDGET: u32 = 4096;
-
-    /// The parking strategy with the default spin budget.
-    pub fn park() -> Self {
-        SpinStrategy::Park {
-            spin_budget: Self::DEFAULT_PARK_SPIN_BUDGET,
-        }
-    }
-
-    /// Whether this strategy parks waiters on an OS primitive instead of
-    /// occupying a core — the capability that lifts the one-block-per-core
-    /// launch validation for GPU-side barriers.
-    pub fn parks(self) -> bool {
-        matches!(self, SpinStrategy::Park { .. })
-    }
-}
-
 /// Fault-handling policy for barrier waits, carried by
 /// [`crate::GridConfig`] into every barrier the executor builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,17 +55,6 @@ pub struct SyncPolicy {
     /// Give up a barrier wait after this long (`None` = wait forever, the
     /// paper's semantics and the default).
     pub timeout: Option<Duration>,
-    /// How to burn time between flag polls.
-    pub spin: SpinStrategy,
-    /// Grace the pooled runtime grants a launch past its first observed
-    /// failure before abandoning the stragglers and replacing their
-    /// workers. `None` (the default) derives it from `timeout`:
-    /// `clamp(timeout, 10ms, 1s) + 100ms` — long enough for every
-    /// cooperatively-aborting peer to drain, short enough that a 50 ms
-    /// timeout still fails in well under a second. Only meaningful when
-    /// `timeout` is set (without a timeout, owned pooled launches are
-    /// never abandoned).
-    pub abandon_grace: Option<Duration>,
     /// Backstop after which an injected cooperative straggler
     /// ([`crate::FaultKind::Straggler`]) gives up waiting for the abort
     /// signal. `None` (the default) keeps the historical 30 s bound; set
@@ -137,31 +74,6 @@ impl SyncPolicy {
         }
     }
 
-    /// Replace the spin strategy.
-    pub fn with_spin(mut self, spin: SpinStrategy) -> Self {
-        self.spin = spin;
-        self
-    }
-
-    /// Switch to the parking strategy ([`SpinStrategy::park`]) with the
-    /// default spin budget — the policy that survives blocks > cores.
-    pub fn with_park(self) -> Self {
-        self.with_spin(SpinStrategy::park())
-    }
-
-    /// Whether waits under this policy park instead of occupying a core
-    /// (see [`SpinStrategy::parks`]).
-    pub fn parks(&self) -> bool {
-        self.spin.parks()
-    }
-
-    /// Replace the pooled-runtime abandon grace (see
-    /// [`SyncPolicy::abandon_grace`]).
-    pub fn with_abandon_grace(mut self, grace: Duration) -> Self {
-        self.abandon_grace = Some(grace);
-        self
-    }
-
     /// Replace the injected-straggler backstop (see
     /// [`SyncPolicy::straggler_backstop`]).
     pub fn with_straggler_backstop(mut self, backstop: Duration) -> Self {
@@ -169,18 +81,32 @@ impl SyncPolicy {
         self
     }
 
-    /// The abandon grace the pooled runtime will actually use: the
-    /// explicit [`SyncPolicy::abandon_grace`] override if set, otherwise
-    /// the historical derivation `clamp(timeout, 10ms, 1s) + 100ms`
-    /// (timeout defaulting to zero when unset — but an unbounded policy
-    /// never abandons owned launches in the first place).
-    pub fn effective_abandon_grace(&self) -> Duration {
-        self.abandon_grace.unwrap_or_else(|| {
-            self.timeout
-                .unwrap_or_default()
-                .clamp(Duration::from_millis(10), Duration::from_secs(1))
-                + Duration::from_millis(100)
-        })
+    /// Grace the pooled runtime grants a launch past its first observed
+    /// failure before abandoning the stragglers and replacing their
+    /// workers: `clamp(timeout, 10ms, 1s) + 100ms` — long enough for every
+    /// cooperatively-aborting peer to drain, short enough that a 50 ms
+    /// timeout still fails in well under a second. Only meaningful when
+    /// `timeout` is set (without a timeout, owned pooled launches are
+    /// never abandoned).
+    pub fn abandon_grace(&self) -> Duration {
+        self.timeout
+            .unwrap_or_default()
+            .clamp(Duration::from_millis(10), Duration::from_secs(1))
+            + Duration::from_millis(100)
+    }
+
+    // Shims for the frozen benchmark only: every wait parks now, so there
+    // is nothing to switch on or ask about. Callers: perf/src/workloads.rs
+    // (98, 129) and perf/src/ladder.rs (99, 225, 267); the next `benchmark`
+    // PR drops those calls and deletes both.
+    #[doc(hidden)]
+    pub fn with_park(self) -> Self {
+        self
+    }
+
+    #[doc(hidden)]
+    pub fn parks(&self) -> bool {
+        true
     }
 }
 
@@ -281,16 +207,17 @@ pub struct BarrierControl {
     /// launch engine when a kernel carries a [`crate::FaultSchedule`] with
     /// wait-phase faults, absent otherwise.
     wait_hook: OnceLock<Arc<dyn WaitFaultHook>>,
-    /// The parking lot [`SpinStrategy::Park`] waiters sleep in. Always
-    /// present (it is three words of state); only touched by non-`Park`
-    /// policies as one relaxed load per `record_*` call.
+    /// The parking lot waiters sleep in once a wait outlasts its spin and
+    /// yield phases; while nobody is parked it costs one load per
+    /// `record_*` call.
     park: ParkLot,
 }
 
-/// Where exhausted-spin-budget waiters sleep: a parked-waiter count guarded
-/// by the lock-then-notify protocol. Wakers only take the mutex when
-/// `parked != 0`, so fully-spinning barriers pay a single relaxed load per
-/// arrival/departure and never contend on the lock.
+/// Where waiters past [`BarrierControl::PARK_AFTER_POLLS`] sleep: a
+/// parked-waiter count guarded by the lock-then-notify protocol. Wakers
+/// only take the mutex when `parked != 0`, so barriers whose waits all end
+/// spinning pay a single load per arrival/departure and never contend on
+/// the lock.
 struct ParkLot {
     /// Waiters currently inside (or entering) a timed condvar wait.
     parked: AtomicU64,
@@ -312,13 +239,24 @@ impl BarrierControl {
     /// Polls between deadline (`Instant::now`) checks.
     pub const DEADLINE_STRIDE: u32 = 1024;
 
-    /// Longest single park. The deadlock-freedom argument for
-    /// [`SpinStrategy::Park`] rests on this bound, not on wakeups: even if
-    /// every notify were lost, each parked waiter re-polls at least this
-    /// often, so progress (and timeout detection) is never suspended on a
-    /// signal that may never come. Wakeups make the common case fast;
-    /// the bound makes the worst case correct.
+    /// Longest single park. The deadlock-freedom argument for the park
+    /// phase rests on this bound, not on wakeups: even if every notify
+    /// were lost, each parked waiter re-polls at least this often, so
+    /// progress (and timeout detection) is never suspended on a signal
+    /// that may never come. Wakeups make the common case fast; the bound
+    /// makes the worst case correct.
     pub const MAX_PARK: Duration = Duration::from_millis(1);
+
+    /// Polls of the spin phase: a peer that is already running arrives
+    /// within these, with no trip into the scheduler.
+    const SPIN_POLLS: u32 = 64;
+
+    /// Polls (spinning, then yielding) before the first park: one yield
+    /// phase, enough for every same-core peer to run in between, so only a
+    /// wait for a peer that cannot be scheduled at all reaches the lot.
+    /// Because a parked waiter releases its core, grids with more blocks
+    /// than cores drain in waves instead of deadlocking (DESIGN.md §15).
+    const PARK_AFTER_POLLS: u32 = 4096;
 
     /// Control plane for `n_blocks` blocks under `policy`.
     pub fn new(n_blocks: usize, policy: SyncPolicy) -> Self {
@@ -387,14 +325,14 @@ impl BarrierControl {
         self.wake_parked();
     }
 
-    /// Wake every waiter parked under [`SpinStrategy::Park`] so it re-polls
-    /// its flag. Barrier implementations call this after any store that can
-    /// release a peer (arrival flags, broadcast stores, counter adds);
+    /// Wake every parked waiter so it re-polls its flag. Barrier
+    /// implementations call this after any store that can release a peer
+    /// (arrival flags, broadcast stores, counter adds);
     /// `record_arrival`/`record_departure`/`poison` call it implicitly.
     ///
     /// Purely a latency optimization: parks are time-bounded, so a missed
     /// wake delays the re-poll by at most [`BarrierControl::MAX_PARK`].
-    /// With no one parked this is a single relaxed load.
+    /// With no one parked this is a single load.
     #[inline]
     pub fn wake_parked(&self) {
         if self.park.parked.load(Ordering::SeqCst) != 0 {
@@ -415,7 +353,8 @@ impl BarrierControl {
     /// Poison the barrier: every current and future wait returns
     /// [`SyncFault::Poisoned`] naming `block`/`round`/`cause`. First caller
     /// wins; later poisonings are ignored so the diagnostic stays stable.
-    pub fn poison(&self, block: usize, round: usize, cause: PoisonCause) {
+    /// Returns whether this call was the one that won.
+    pub fn poison(&self, block: usize, round: usize, cause: PoisonCause) -> bool {
         let won = self
             .poison
             .compare_exchange(
@@ -436,6 +375,7 @@ impl BarrierControl {
         // Win or lose, wake the lot: parked waiters must observe the poison
         // word now, not at their next timed-park expiry.
         self.wake_parked();
+        won
     }
 
     /// Whether the barrier is poisoned, and by whom.
@@ -458,19 +398,23 @@ impl BarrierControl {
         )
     }
 
-    /// Spin until `cond()` holds, subject to the policy: checks the poison
-    /// word each poll (plain load) and the deadline every
-    /// [`Self::DEADLINE_STRIDE`] polls.
+    /// Wait until `cond()` holds — the one wait discipline every barrier
+    /// shares: 64 busy polls, `yield_now` between polls up to poll 4096,
+    /// then [`Self::MAX_PARK`]-bounded parks in the lot (DESIGN.md §15).
+    /// The poison word is checked each poll (plain load); the deadline
+    /// every [`Self::DEADLINE_STRIDE`] polls while polling, and on every
+    /// wake once parking — a parked poll can last `MAX_PARK`, so the
+    /// stride would check the clock about once a second.
     ///
     /// On timeout the barrier is poisoned (cause `Timeout`) so peers unwind
     /// too, and the returned [`StuckDiagnostic`] names `block`, `round`,
-    /// and the `flag` description produced lazily by the caller.
+    /// and the `flag` description produced lazily by the caller. Exactly
+    /// one waiter per barrier reports [`SyncFault::TimedOut`]: one whose
+    /// deadline expires after a peer's poison landed unwinds as that
+    /// peer's victim.
     ///
-    /// With the default policy (no timeout, [`SpinStrategy::Yield`]) this
-    /// is the pre-fault-tolerance spin loop — 64 busy polls then
-    /// `yield_now` — plus one plain load per poll. Telemetry never adds
-    /// work *inside* the loop: the poll count is recorded once, after it
-    /// exits (see [`EventRecorder::record_spin`]).
+    /// Telemetry never adds work *inside* the loop: the poll count is
+    /// recorded once, after it exits (see [`EventRecorder::record_spin`]).
     #[inline]
     pub fn wait_until(
         &self,
@@ -480,38 +424,20 @@ impl BarrierControl {
         flag: impl Fn() -> String,
         mut cond: impl FnMut() -> bool,
     ) -> Result<(), SyncFault> {
-        const SPIN_BURST: u32 = 64;
-        const YIELD_PHASE: u32 = 4096;
-
         let deadline = self.policy.timeout.map(|t| (Instant::now() + t, t));
-        // Once a Park waiter exceeds its spin budget, every loop iteration
-        // is an up-to-MAX_PARK sleep; the poll-count deadline stride would
-        // then check the clock ~once a second. Check it on every wake
-        // instead.
-        let parking = match self.policy.spin {
-            SpinStrategy::Park { spin_budget } => Some(spin_budget),
-            _ => None,
-        };
         let mut polls = 0u32;
         loop {
             if cond() {
                 self.note_spin(block, polls);
                 return Ok(());
             }
-            let word = self.poison.load(Ordering::Relaxed);
-            if word != 0 {
-                // Re-load with Acquire so the poisoner's writes are visible.
-                let (pb, pr, cause) = unpack_poison(self.poison.load(Ordering::Acquire));
+            if self.poison.load(Ordering::Relaxed) != 0 {
                 self.note_spin(block, polls);
-                return Err(SyncFault::Poisoned {
-                    block: pb,
-                    round: pr,
-                    cause,
-                });
+                return Err(self.poisoned_fault());
             }
-            let parked_phase = parking.is_some_and(|budget| polls >= budget);
+            let parking = polls >= Self::PARK_AFTER_POLLS;
             if let Some((when, timeout)) = deadline {
-                if (parked_phase || polls % Self::DEADLINE_STRIDE == Self::DEADLINE_STRIDE - 1)
+                if (parking || polls % Self::DEADLINE_STRIDE == Self::DEADLINE_STRIDE - 1)
                     && Instant::now() >= when
                 {
                     // Snapshot progress *before* publishing the poison:
@@ -521,8 +447,15 @@ impl BarrierControl {
                     // very evidence — stragglers() — this diagnostic
                     // exists to report.
                     let (arrivals, departures) = self.progress();
-                    self.poison(block, round as usize, PoisonCause::Timeout);
+                    let won = self.poison(block, round as usize, PoisonCause::Timeout);
                     self.note_spin(block, polls);
+                    if !won {
+                        // A peer's poison landed between this poll's check
+                        // and the CAS. Parked waiters wake *at* their
+                        // deadlines, so peers launched together expire
+                        // together; only the winner owns the diagnostic.
+                        return Err(self.poisoned_fault());
+                    }
                     let diagnostic = StuckDiagnostic {
                         barrier: barrier.to_string(),
                         waiting_block: block,
@@ -539,42 +472,28 @@ impl BarrierControl {
                     });
                 }
             }
-            match self.policy.spin {
-                SpinStrategy::Spin => std::hint::spin_loop(),
-                SpinStrategy::Yield => {
-                    if polls < SPIN_BURST {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                SpinStrategy::Backoff => {
-                    if polls < SPIN_BURST {
-                        std::hint::spin_loop();
-                    } else if polls < YIELD_PHASE {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                }
-                SpinStrategy::Park { spin_budget } => {
-                    if polls < SPIN_BURST.min(spin_budget) {
-                        std::hint::spin_loop();
-                    } else if polls < spin_budget {
-                        std::thread::yield_now();
-                    } else {
-                        self.park(&mut cond, deadline.map(|(when, _)| when));
-                    }
-                }
-            }
-            // Saturate rather than wrap once parked: wrapping would bounce
-            // the waiter back into the spin/yield phase (and off the
-            // every-wake deadline check) after 2^32 polls.
-            polls = if parking.is_some() {
-                polls.saturating_add(1)
+            if polls < Self::SPIN_POLLS {
+                std::hint::spin_loop();
+            } else if !parking {
+                std::thread::yield_now();
             } else {
-                polls.wrapping_add(1)
-            };
+                self.park(&mut cond, deadline.map(|(when, _)| when));
+            }
+            // Saturate rather than wrap: wrapping would bounce a parked
+            // waiter back into the spin/yield phase (and off the every-wake
+            // deadline check) after 2^32 polls.
+            polls = polls.saturating_add(1);
+        }
+    }
+
+    /// The fault a wait unwinds with once the poison word is set. Acquire,
+    /// so the poisoner's writes are visible to the unwinding block.
+    fn poisoned_fault(&self) -> SyncFault {
+        let (block, round, cause) = unpack_poison(self.poison.load(Ordering::Acquire));
+        SyncFault::Poisoned {
+            block,
+            round,
+            cause,
         }
     }
 
@@ -789,12 +708,17 @@ mod tests {
 
     #[test]
     fn wait_until_times_out_with_diagnostic() {
+        // 10 ms outlasts the spin and yield phases, so the deadline is met
+        // by a parked waiter waking at it — not early, and not never.
         let ctl = BarrierControl::new(3, SyncPolicy::with_timeout(Duration::from_millis(10)));
         ctl.record_arrival(0, 0);
         ctl.record_arrival(2, 0);
+        let t0 = Instant::now();
         let err = ctl
             .wait_until(0, 0, "gpu-simple", || "g_mutex >= 3".into(), || false)
             .unwrap_err();
+        assert!(t0.elapsed() >= Duration::from_millis(10));
+        assert!(t0.elapsed() < Duration::from_secs(5), "overshot wildly");
         match err {
             SyncFault::TimedOut { diagnostic } => {
                 assert_eq!(diagnostic.waiting_block, 0);
@@ -810,73 +734,79 @@ mod tests {
     }
 
     #[test]
-    fn timeout_respected_under_each_spin_strategy() {
-        for spin in [
-            SpinStrategy::Spin,
-            SpinStrategy::Yield,
-            SpinStrategy::Backoff,
-            SpinStrategy::park(),
-            SpinStrategy::Park { spin_budget: 0 },
-        ] {
-            let policy = SyncPolicy::with_timeout(Duration::from_millis(10)).with_spin(spin);
-            let ctl = BarrierControl::new(1, policy);
-            let t0 = Instant::now();
-            let err = ctl
-                .wait_until(0, 0, "test", || "flag".into(), || false)
-                .unwrap_err();
-            assert!(matches!(err, SyncFault::TimedOut { .. }), "{spin:?}");
-            assert!(
-                t0.elapsed() < Duration::from_secs(5),
-                "{spin:?} overshot wildly"
-            );
+    fn double_timeout_reports_one_timed_out_and_one_poisoned() {
+        // Two waiters launched together meet the same deadline, and parked
+        // waiters wake *at* it: both reach the timeout arm within
+        // microseconds. Only the poison CAS winner may own the diagnostic;
+        // the loser is the winner's victim.
+        for i in 0..200 {
+            let ctl = BarrierControl::new(2, SyncPolicy::with_timeout(Duration::from_millis(10)));
+            let start = std::sync::Barrier::new(2);
+            let faults: Vec<SyncFault> = std::thread::scope(|s| {
+                let waiters: Vec<_> = (0..2)
+                    .map(|b| {
+                        let (ctl, start) = (&ctl, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            ctl.wait_until(b, 0, "test", || "flag".into(), || false)
+                                .unwrap_err()
+                        })
+                    })
+                    .collect();
+                waiters.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let (winner, _, cause) = ctl.poisoned().expect("a timeout poisons the barrier");
+            assert_eq!(cause, PoisonCause::Timeout);
+            for (b, fault) in faults.iter().enumerate() {
+                match fault {
+                    SyncFault::TimedOut { diagnostic } => {
+                        assert_eq!((b, diagnostic.waiting_block), (winner, winner), "iter {i}");
+                    }
+                    SyncFault::Poisoned { block, cause, .. } => {
+                        assert_ne!(b, winner, "iter {i}: the winner must report TimedOut");
+                        assert_eq!((*block, *cause), (winner, PoisonCause::Timeout));
+                    }
+                }
+            }
         }
     }
 
-    #[test]
-    fn park_strategy_helpers() {
-        assert!(SpinStrategy::park().parks());
-        assert!(!SpinStrategy::Yield.parks());
-        assert!(SyncPolicy::default().with_park().parks());
-        assert!(!SyncPolicy::default().parks());
-        assert_eq!(
-            SpinStrategy::park(),
-            SpinStrategy::Park {
-                spin_budget: SpinStrategy::DEFAULT_PARK_SPIN_BUDGET
-            }
-        );
+    /// A waiter of `ctl` on `flag`, and the wait for it to reach the lot —
+    /// the park phase is forced, not slept for: `parked_waiters` only
+    /// moves once the waiter is past `PARK_AFTER_POLLS`.
+    fn wait_on<'s>(
+        s: &'s std::thread::Scope<'s, '_>,
+        ctl: &'s BarrierControl,
+        flag: &'s AtomicU64,
+    ) -> std::thread::ScopedJoinHandle<'s, Result<(), SyncFault>> {
+        let h = s.spawn(move || {
+            ctl.wait_until(
+                0,
+                0,
+                "test",
+                || "flag".into(),
+                || flag.load(Ordering::Acquire) != 0,
+            )
+        });
+        while ctl.parked_waiters() == 0 {
+            std::thread::yield_now();
+        }
+        h
     }
 
     #[test]
     fn parked_waiter_is_woken_by_arrival() {
-        // A waiter with a zero spin budget parks immediately; a peer's
-        // record_arrival must wake it well before the 5 s timeout (a lost
-        // wakeup would still pass via MAX_PARK, but slowly — assert the
-        // fast path by bounding total wall time).
-        let policy = SyncPolicy::with_timeout(Duration::from_secs(5))
-            .with_spin(SpinStrategy::Park { spin_budget: 0 });
-        let ctl = Arc::new(BarrierControl::new(2, policy));
-        let flag = Arc::new(AtomicU64::new(0));
+        // A peer's record_arrival must wake the parked waiter well before
+        // the 5 s timeout (a lost wakeup would still pass via MAX_PARK,
+        // but slowly — assert the fast path by bounding total wall time).
+        let ctl = BarrierControl::new(2, SyncPolicy::with_timeout(Duration::from_secs(5)));
+        let flag = AtomicU64::new(0);
         let t0 = Instant::now();
         std::thread::scope(|s| {
-            let c = Arc::clone(&ctl);
-            let f = Arc::clone(&flag);
-            s.spawn(move || {
-                c.wait_until(
-                    0,
-                    0,
-                    "test",
-                    || "flag".into(),
-                    || f.load(Ordering::Acquire) != 0,
-                )
-                .unwrap();
-            });
-            // Give the waiter time to reach the parked phase.
-            while ctl.parked_waiters() == 0 && t0.elapsed() < Duration::from_secs(2) {
-                std::thread::yield_now();
-            }
-            assert_eq!(ctl.parked_waiters(), 1, "waiter never parked");
+            let h = wait_on(s, &ctl, &flag);
             flag.store(1, Ordering::Release);
             ctl.record_arrival(1, 0);
+            h.join().unwrap().unwrap();
         });
         assert!(t0.elapsed() < Duration::from_secs(2));
     }
@@ -884,56 +814,37 @@ mod tests {
     #[test]
     #[cfg(feature = "trace")]
     fn parked_wait_polls_stay_bounded() {
-        // The busy-wait assertion for the parking discipline, via the obs
-        // plane's spin counters: a 40 ms wait under Park must record a
-        // poll count near the spin budget (budget + one poll per ~1 ms
-        // park wake), not the hundreds of thousands of polls a yield loop
-        // burns over the same span.
+        // The busy-wait assertion for the park phase, via the obs plane's
+        // spin counters: 40 ms spent parked must add about one poll per
+        // ~1 ms park wake to `PARK_AFTER_POLLS`, not the hundreds of
+        // thousands of polls a yield loop burns over the same span.
         use crate::trace::{EventRecorder, TraceConfig};
-        let budget = 64u32;
-        let policy =
-            SyncPolicy::with_timeout(Duration::from_secs(5)).with_spin(SpinStrategy::Park {
-                spin_budget: budget,
-            });
-        let ctl = Arc::new(BarrierControl::new(2, policy));
+        let ctl = BarrierControl::new(2, SyncPolicy::with_timeout(Duration::from_secs(5)));
         let rec = Arc::new(EventRecorder::new(2, 1, &TraceConfig::default()));
         ctl.attach_recorder(Arc::clone(&rec));
-        let flag = Arc::new(AtomicU64::new(0));
+        let flag = AtomicU64::new(0);
         std::thread::scope(|s| {
-            let c = Arc::clone(&ctl);
-            let f = Arc::clone(&flag);
-            s.spawn(move || {
-                c.wait_until(
-                    0,
-                    0,
-                    "test",
-                    || "flag".into(),
-                    || f.load(Ordering::Acquire) != 0,
-                )
-                .unwrap();
-            });
+            let h = wait_on(s, &ctl, &flag);
             std::thread::sleep(Duration::from_millis(40));
             flag.store(1, Ordering::Release);
             ctl.record_arrival(1, 0);
+            h.join().unwrap().unwrap();
         });
         let polls = rec.spin_histogram().max();
-        assert!(polls >= u64::from(budget), "wait finished before parking");
+        let budget = u64::from(BarrierControl::PARK_AFTER_POLLS);
+        assert!(polls >= budget, "wait finished before parking");
         assert!(
-            polls < u64::from(budget) + 2_000,
+            polls < budget + 2_000,
             "parked wait busy-polled: {polls} polls for a 40 ms wait"
         );
     }
 
     #[test]
     fn parked_waiter_unwinds_on_poison() {
-        let policy = SyncPolicy::default().with_spin(SpinStrategy::Park { spin_budget: 0 });
-        let ctl = Arc::new(BarrierControl::new(2, policy));
+        let ctl = BarrierControl::new(2, SyncPolicy::default());
+        let flag = AtomicU64::new(0);
         let res = std::thread::scope(|s| {
-            let c = Arc::clone(&ctl);
-            let h = s.spawn(move || c.wait_until(0, 0, "test", || "flag".into(), || false));
-            while ctl.parked_waiters() == 0 {
-                std::thread::yield_now();
-            }
+            let h = wait_on(s, &ctl, &flag);
             ctl.poison(1, 4, PoisonCause::Panic);
             h.join().unwrap()
         });

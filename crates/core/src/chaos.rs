@@ -364,7 +364,7 @@ impl ChaosConfig {
             return Err(format!("fault rate {} outside 0.0..=1.0", self.fault_rate));
         }
         let cfg = GridConfig::new(self.n_blocks, self.threads_per_block);
-        cfg.validate(self.method).map_err(|e| e.to_string())?;
+        cfg.validate().map_err(|e| e.to_string())?;
         Ok(())
     }
 

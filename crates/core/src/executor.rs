@@ -49,7 +49,7 @@ use blocksync_device::GpuSpec;
 
 use crate::barrier::SyncPolicy;
 use crate::error::ExecError;
-use crate::launch::{KernelArg, LaunchPlan};
+use crate::launch::{KernelRef, LaunchPlan};
 use crate::method::SyncMethod;
 use crate::runtime::{GridRuntime, PoolLaunchStats, RuntimeKind};
 use crate::stats::KernelStats;
@@ -66,7 +66,7 @@ pub struct GridConfig {
     /// Device model used for validation (defaults to the GTX 280).
     pub spec: GpuSpec,
     /// Fault policy for barrier waits and CPU-mode rendezvous (defaults to
-    /// unbounded waits with the standard spin-then-yield loop).
+    /// unbounded waits).
     pub policy: SyncPolicy,
     /// Telemetry configuration. `None` (the default) records nothing; with
     /// a [`TraceConfig`] (and the `trace` feature compiled in, the
@@ -102,7 +102,7 @@ impl GridConfig {
         self
     }
 
-    /// Replace the fault policy (timeout + spin strategy).
+    /// Replace the fault policy.
     pub fn with_policy(mut self, policy: SyncPolicy) -> Self {
         self.policy = policy;
         self
@@ -121,15 +121,16 @@ impl GridConfig {
         self
     }
 
-    /// Validate this grid for `method`.
+    /// Validate this grid's shape: non-empty, and within the device
+    /// model's threads-per-block limit.
     ///
-    /// GPU-side barriers with a *spinning* wait require the
-    /// one-block-per-SM discipline, so `n_blocks` must not exceed the SM
-    /// count. A parking policy ([`crate::SpinStrategy::Park`]) lifts that
-    /// ceiling: every wait is bounded, so stalled waves yield their slots
-    /// and oversubscribed grids complete in waves instead of deadlocking.
-    /// CPU-side methods relaunch kernels and may use any block count.
-    pub fn validate(&self, method: SyncMethod) -> Result<(), blocksync_device::DeviceError> {
+    /// The block count is not held to the model's SM count under any
+    /// method. That ceiling is the modelled GPU's, where a spinning block
+    /// is never preempted (the simulator and
+    /// [`GpuSpec::validate_persistent_launch`] keep it); a host waiter
+    /// parks once its wait drags on, so a grid with more blocks than cores
+    /// drains in waves instead of deadlocking (DESIGN.md §15).
+    pub fn validate(&self) -> Result<(), blocksync_device::DeviceError> {
         use blocksync_device::DeviceError;
         if self.n_blocks == 0 || self.threads_per_block == 0 {
             return Err(DeviceError::EmptyLaunch);
@@ -138,15 +139,6 @@ impl GridConfig {
             return Err(DeviceError::TooManyThreads {
                 requested: self.threads_per_block as u32,
                 max: self.spec.max_threads_per_block,
-            });
-        }
-        if method.is_gpu_side()
-            && !self.policy.parks()
-            && self.n_blocks as u32 > self.spec.max_persistent_blocks()
-        {
-            return Err(DeviceError::TooManyBlocks {
-                requested: self.n_blocks as u32,
-                max: self.spec.max_persistent_blocks(),
             });
         }
         Ok(())
@@ -347,13 +339,12 @@ impl GridExecutor {
     /// [`ExecError::BarrierTimeout`] if a barrier wait (or CPU-mode
     /// rendezvous) exceeded the [`SyncPolicy`] timeout.
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
-        if self.method == SyncMethod::Auto {
-            return self.run_auto(KernelArg::Borrowed(kernel));
-        }
         if self.cfg.runtime == RuntimeKind::Pooled && GridRuntime::supports(self.method) {
             return self.runtime()?.run(kernel);
         }
-        self.run_planned(KernelArg::Borrowed(kernel))
+        // SAFETY: both arms end in `LaunchPlan::execute`, which joins every
+        // thread it starts for a borrowed kernel before it returns.
+        self.run_unpooled(unsafe { KernelRef::borrowed(kernel) })
     }
 
     /// [`GridExecutor::run`] with an *owned* kernel, which strengthens the
@@ -371,13 +362,21 @@ impl GridExecutor {
         &self,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<KernelStats, ExecError> {
-        if self.method == SyncMethod::Auto {
-            return self.run_auto(KernelArg::Owned(&kernel));
-        }
         if self.cfg.runtime == RuntimeKind::Pooled && GridRuntime::supports(self.method) {
             return self.runtime()?.submit_dyn(kernel)?.wait();
         }
-        self.run_planned(KernelArg::Owned(&kernel))
+        self.run_unpooled(KernelRef::owned(kernel))
+    }
+
+    /// Everything the pool does not serve: `Auto`, then whatever method is
+    /// configured (the pool supports neither `Auto` nor `CpuExplicit`, so
+    /// checking it first in the callers loses no case).
+    fn run_unpooled(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
+        if self.method == SyncMethod::Auto {
+            self.run_auto(kernel)
+        } else {
+            self.run_planned(kernel)
+        }
     }
 
     /// Compile a [`LaunchPlan`] for the configured method and run the
@@ -385,7 +384,7 @@ impl GridExecutor {
     /// runtime but the method cannot run on it (only `CpuExplicit` gets
     /// here — everything else either pools or is `Auto`), the stats record
     /// the scoped fallback and its reason instead of staying silent.
-    fn run_planned(&self, kernel: KernelArg<'_>) -> Result<KernelStats, ExecError> {
+    fn run_planned(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
         let start = std::time::Instant::now();
         let plan = LaunchPlan::compile(self.cfg.clone(), self.method)?;
         let mut result = plan.execute(kernel);
@@ -412,22 +411,15 @@ impl GridExecutor {
     /// but its decision record prices pooled relaunch (see
     /// [`crate::AutoDecision::prefers_pooled`]); under
     /// [`RuntimeKind::Pooled`] the stats record the scoped fallback.
-    fn run_auto(&self, kernel: KernelArg<'_>) -> Result<KernelStats, ExecError> {
-        self.cfg.validate(SyncMethod::Auto)?;
+    fn run_auto(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
+        self.cfg.validate()?;
         let start = std::time::Instant::now();
         let tuner = crate::autotune::AutoTuner::host();
         let mut decision = tuner.decide(
             self.cfg.n_blocks,
             self.cfg.spec.max_persistent_blocks() as usize,
         );
-        let mut cfg = self.cfg.clone();
-        if decision.oversubscribed && !cfg.policy.parks() {
-            // The winner needs more blocks than fit resident at once: arm
-            // the parking spin strategy so waves can yield their slots
-            // (and so validation admits the grid).
-            cfg.policy = cfg.policy.with_park();
-        }
-        let plan = LaunchPlan::compile(cfg, decision.chosen)?;
+        let plan = LaunchPlan::compile(self.cfg.clone(), decision.chosen)?;
         let resolved = format!("auto:{}", decision.chosen);
         let mut result = plan.execute(kernel);
         if let Ok(stats) = &mut result {
@@ -577,9 +569,9 @@ mod tests {
     #[test]
     fn auto_tolerates_oversubscribed_grids() {
         // 40 blocks exceed the 30-SM resident ceiling: Auto must price the
-        // oversubscribed candidates and complete — either on a CPU-side
-        // method or on a GPU winner armed with parking waiters. Never an
-        // error, never a deadlock.
+        // oversubscribed candidates and complete — on a CPU-side method or
+        // on a GPU winner draining in waves. Never an error, never a
+        // deadlock.
         let k = MinPlusOne::new(40, 3);
         let stats = GridExecutor::new(GridConfig::new(40, 32), SyncMethod::Auto)
             .run(&k)
@@ -630,38 +622,22 @@ mod tests {
     }
 
     #[test]
-    fn gpu_method_rejects_more_blocks_than_sms() {
-        let k = (1usize, |_: &BlockCtx, _: usize| {});
-        let err = GridExecutor::new(GridConfig::new(31, 32), SyncMethod::GpuSimple)
-            .run(&k)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ExecError::Device(DeviceError::TooManyBlocks {
-                requested: 31,
-                max: 30
-            })
-        ));
-        // CPU methods accept large grids (the paper runs up to 120 blocks).
-        assert!(
-            GridExecutor::new(GridConfig::new(31, 32), SyncMethod::CpuImplicit)
+    fn gpu_method_runs_more_blocks_than_sms() {
+        // 31 blocks: one past the model's SM count, the grid the paper's
+        // non-preemptive GPU deadlocks on. Host waiters park, so under the
+        // default policy it drains in waves — same result as a CPU method.
+        for method in [SyncMethod::GpuSimple, SyncMethod::CpuImplicit] {
+            let k = MinPlusOne::new(31, 2);
+            let stats = GridExecutor::new(GridConfig::new(31, 32), method)
                 .run(&k)
-                .is_ok()
-        );
-    }
-
-    #[test]
-    fn parking_policy_admits_oversubscribed_gpu_grids() {
-        // The same 31-block grid that a spinning policy rejects completes
-        // under a parking policy: bounded waits let waves yield their slots.
-        let k = MinPlusOne::new(31, 2);
-        let cfg = GridConfig::new(31, 32).with_policy(SyncPolicy::default().with_park());
-        let stats = GridExecutor::new(cfg, SyncMethod::GpuSimple)
-            .run(&k)
-            .unwrap();
-        assert_eq!(stats.n_blocks, 31);
-        let v = k.slots.to_vec();
-        assert!(v.iter().all(|&x| x == 2), "expected all 2, got {v:?}");
+                .unwrap();
+            assert_eq!(stats.n_blocks, 31);
+            let v = k.slots.to_vec();
+            assert!(
+                v.iter().all(|&x| x == 2),
+                "{method}: expected all 2, got {v:?}"
+            );
+        }
     }
 
     #[test]

@@ -197,9 +197,7 @@ pub(crate) fn effective_backstop(policy: &SyncPolicy) -> Duration {
 /// soon after and exits cleanly. Used by [`FaultSchedule::random`] to size
 /// [`FaultKind::Stall`] faults.
 pub fn stall_duration(timeout: Duration) -> Duration {
-    timeout
-        + SyncPolicy::with_timeout(timeout).effective_abandon_grace()
-        + Duration::from_millis(500)
+    timeout + SyncPolicy::with_timeout(timeout).abandon_grace() + Duration::from_millis(500)
 }
 
 /// Shape of the schedules [`FaultSchedule::random`] draws: the grid it
@@ -802,7 +800,7 @@ mod tests {
     fn stall_outlives_the_abandon_window() {
         for t in [Duration::from_millis(10), Duration::from_secs(2)] {
             let p = SyncPolicy::with_timeout(t);
-            assert!(stall_duration(t) > t + p.effective_abandon_grace());
+            assert!(stall_duration(t) > t + p.abandon_grace());
         }
     }
 

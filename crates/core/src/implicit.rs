@@ -60,8 +60,7 @@ impl CpuImplicitSync {
     }
 
     /// Rendezvous with an explicit fault policy. The policy timeout bounds
-    /// each condvar wait; the spin strategy is irrelevant here (waiters
-    /// sleep, they do not poll).
+    /// each condvar wait (waiters sleep from the start, they do not poll).
     ///
     /// # Panics
     /// Panics if `n_blocks == 0`.

@@ -204,50 +204,73 @@ impl StartGate {
     }
 }
 
-/// A borrowed-or-owned kernel argument for the launch engine. Only the
-/// relaunch (CPU-explicit) strategy cares: with an owned kernel it may
-/// detach (abandon) a non-cooperative straggler thread instead of joining
-/// it.
-pub(crate) enum KernelArg<'a> {
-    /// A kernel the caller merely borrows for the duration of the run.
-    Borrowed(&'a dyn RoundKernel),
-    /// A co-owned kernel, safe to leave with a detached thread.
-    Owned(&'a Arc<dyn RoundKernel + Send + Sync>),
+/// A launch's kernel as the threads that run it hold it: co-owned, or
+/// borrowed with the borrow's lifetime erased. The one lifetime-erasure
+/// device of the crate — the scoped relaunch strategy and the pooled
+/// launch log both hand a caller's `&K` to threads `std::thread::scope`
+/// cannot bound — so the contract lives in one place,
+/// [`KernelRef::borrowed`], and the variants stay private to keep safe
+/// code from forging a borrowed pointer.
+#[derive(Clone)]
+pub(crate) struct KernelRef(KernelPtr);
+
+#[derive(Clone)]
+enum KernelPtr {
+    /// The launch co-owns the kernel, so a thread stuck in it can be
+    /// detached (relaunch) or abandoned and replaced (pool): it keeps its
+    /// own `Arc` alive.
+    Owned(Arc<dyn RoundKernel + Send + Sync>),
+    Borrowed(*const (dyn RoundKernel + 'static)),
 }
 
-impl KernelArg<'_> {
-    pub(crate) fn as_dyn(&self) -> &dyn RoundKernel {
-        match self {
-            KernelArg::Borrowed(k) => *k,
-            KernelArg::Owned(k) => &***k,
+// SAFETY: `Owned` is an `Arc` of a `Send + Sync` kernel. A `Borrowed`
+// pointer is dereferenced only while its referent is alive (the contract
+// of `KernelRef::borrowed`), and `RoundKernel: Sync` makes the shared
+// access from many block threads itself sound.
+unsafe impl Send for KernelRef {}
+unsafe impl Sync for KernelRef {}
+
+impl KernelRef {
+    pub(crate) fn owned(kernel: Arc<dyn RoundKernel + Send + Sync>) -> Self {
+        KernelRef(KernelPtr::Owned(kernel))
+    }
+
+    /// Erase the lifetime of a borrowed kernel.
+    ///
+    /// # Safety
+    /// The call that borrows `kernel` must return only after every thread
+    /// holding the result, or a clone of it, is done calling
+    /// [`KernelRef::get`]. Both strategies that take one keep that by
+    /// never giving up on a borrowed launch: [`run_relaunch`] joins every
+    /// round thread instead of detaching stragglers, and the pool's
+    /// `wait_launch(.., allow_abandon = false)` returns only once every
+    /// worker recorded its result for the launch, after which no worker
+    /// touches its kernel again. The value itself may outlive the borrow
+    /// (the launch log keeps its entry until every cursor has passed it);
+    /// only dereferences may not.
+    pub(crate) unsafe fn borrowed(kernel: &dyn RoundKernel) -> Self {
+        // SAFETY: only the trait object's lifetime bound changes; the
+        // pointer layout is the same.
+        KernelRef(KernelPtr::Borrowed(unsafe {
+            std::mem::transmute::<*const dyn RoundKernel, *const (dyn RoundKernel + 'static)>(
+                kernel,
+            )
+        }))
+    }
+
+    /// Whether the launch co-owns its kernel — the only kind whose
+    /// stragglers may be detached or abandoned.
+    pub(crate) fn is_owned(&self) -> bool {
+        matches!(self.0, KernelPtr::Owned(_))
+    }
+
+    pub(crate) fn get(&self) -> &dyn RoundKernel {
+        match &self.0 {
+            KernelPtr::Owned(k) => &**k,
+            // SAFETY: the referent is alive for as long as anyone calls
+            // this, per the contract of `KernelRef::borrowed`.
+            KernelPtr::Borrowed(p) => unsafe { &**p },
         }
-    }
-}
-
-/// Lifetime-erased borrowed kernel, so the borrowed relaunch path can
-/// reuse the owned-kernel strategy. Sound only because that path never
-/// detaches a worker thread (`detach_stragglers = false`): every spawned
-/// thread is joined before the borrowing call returns, so no dereference
-/// outlives the borrow.
-struct ErasedKernel(*const (dyn RoundKernel + 'static));
-
-// SAFETY: see `ErasedKernel` — the referent outlives every thread that can
-// touch the pointer, and `RoundKernel: Sync` covers the shared access.
-unsafe impl Send for ErasedKernel {}
-unsafe impl Sync for ErasedKernel {}
-
-impl RoundKernel for ErasedKernel {
-    fn rounds(&self) -> usize {
-        unsafe { (*self.0).rounds() }
-    }
-    fn round(&self, ctx: &BlockCtx, round: usize) {
-        unsafe { (*self.0).round(ctx, round) }
-    }
-    fn on_launch(&self, abort: &AbortSignal) {
-        unsafe { (*self.0).on_launch(abort) }
-    }
-    fn fault_schedule(&self) -> Option<FaultSchedule> {
-        unsafe { (*self.0).fault_schedule() }
     }
 }
 
@@ -283,7 +306,7 @@ impl LaunchPlan {
                 method: method.to_string(),
             });
         }
-        cfg.validate(method)?;
+        cfg.validate()?;
         Ok(LaunchPlan {
             cfg,
             method,
@@ -356,7 +379,9 @@ impl LaunchPlan {
     /// # Errors
     /// Same contract as [`crate::GridExecutor::run`].
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
-        self.execute(KernelArg::Borrowed(kernel))
+        // SAFETY: `execute` joins every thread it starts for a borrowed
+        // kernel before it returns.
+        self.execute(unsafe { KernelRef::borrowed(kernel) })
     }
 
     /// [`LaunchPlan::run`] with an owned kernel, enabling the relaunch
@@ -369,33 +394,20 @@ impl LaunchPlan {
         &self,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<KernelStats, ExecError> {
-        self.execute(KernelArg::Owned(&kernel))
+        self.execute(KernelRef::owned(kernel))
     }
 
     /// Dispatch one launch to the strategy serving this plan's method.
-    pub(crate) fn execute(&self, kernel: KernelArg<'_>) -> Result<KernelStats, ExecError> {
-        let k = kernel.as_dyn();
+    /// Returns only once every thread it started is joined — or, for an
+    /// owned kernel under `CpuExplicit`, detached with its own `Arc`.
+    pub(crate) fn execute(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
+        let k = kernel.get();
         let mut setup = self.setup(k.rounds())?;
         setup.arm_faults(k);
         k.on_launch(&setup.abort);
         let start = Instant::now();
         let per_block = match self.method {
-            SyncMethod::CpuExplicit => match &kernel {
-                KernelArg::Owned(owned) => run_relaunch(&setup, Arc::clone(owned), true),
-                KernelArg::Borrowed(k) => {
-                    // SAFETY: `detach_stragglers = false` means every
-                    // thread holding this pointer is joined before
-                    // `run_relaunch` returns (see `ErasedKernel`).
-                    let erased: Arc<dyn RoundKernel + Send + Sync> =
-                        Arc::new(ErasedKernel(unsafe {
-                            std::mem::transmute::<
-                                *const dyn RoundKernel,
-                                *const (dyn RoundKernel + 'static),
-                            >(*k as *const dyn RoundKernel)
-                        }));
-                    run_relaunch(&setup, erased, false)
-                }
-            },
+            SyncMethod::CpuExplicit => run_relaunch(&setup, &kernel),
             _ => run_scoped(&setup, k, start),
         };
         let result = per_block.map(|pb| setup.stats(pb, start.elapsed(), None));
@@ -577,20 +589,18 @@ pub(crate) fn run_scoped(
 ///
 /// When the policy deadline expires, the host raises the abort signal and
 /// then *watchdog-joins*: it grants cooperative stragglers a short grace
-/// period to observe the signal and exit, and — with `detach_stragglers`
-/// (owned kernels only) — detaches any thread still stuck in
-/// non-cooperative kernel code instead of joining it, so the run returns
-/// [`ExecError::BarrierTimeout`] within the bound rather than hanging.
-/// Detached threads co-own (via `Arc`) everything they can still touch.
-/// Without `detach_stragglers` (the borrowed path, where the kernel must
-/// outlive every thread), the join after the grace period is
-/// unconditional, restoring the old behaviour for non-cooperative
-/// kernels.
+/// period to observe the signal and exit, and — for an owned kernel only —
+/// detaches any thread still stuck in non-cooperative kernel code instead
+/// of joining it, so the run returns [`ExecError::BarrierTimeout`] within
+/// the bound rather than hanging. Detached threads co-own (via `Arc`)
+/// everything they can still touch. A borrowed kernel must outlive every
+/// thread (see [`KernelRef::borrowed`]), so there the join is
+/// unconditional and a non-cooperative kernel holds the host.
 pub(crate) fn run_relaunch(
     setup: &LaunchSetup,
-    kernel: Arc<dyn RoundKernel + Send + Sync>,
-    detach_stragglers: bool,
+    kernel: &KernelRef,
 ) -> Result<Vec<BlockTimes>, ExecError> {
+    let detach_stragglers = kernel.is_owned();
     struct RoundTracker {
         state: Mutex<usize>, // blocks finished this round
         cv: Condvar,
@@ -623,7 +633,7 @@ pub(crate) fn run_relaunch(
         let handles: Vec<std::thread::JoinHandle<()>> = (0..n)
             .map(|b| {
                 let ctx = setup.ctx(b);
-                let kernel = Arc::clone(&kernel);
+                let kernel = kernel.clone();
                 let tracker = Arc::clone(&tracker);
                 let done = Arc::clone(&done);
                 let slots = Arc::clone(&slots);
@@ -636,7 +646,7 @@ pub(crate) fn run_relaunch(
                     if let Some(rec) = recorder.as_deref() {
                         rec.record(b, r, TraceEventKind::RoundStart);
                     }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| kernel.round(&ctx, r)));
+                    let outcome = catch_unwind(AssertUnwindSafe(|| kernel.get().round(&ctx, r)));
                     let result = match outcome {
                         Ok(()) => {
                             let arrived = Instant::now();
@@ -826,7 +836,10 @@ mod tests {
     #[test]
     fn compile_validates_the_grid() {
         assert!(LaunchPlan::compile(GridConfig::new(0, 8), SyncMethod::GpuSimple).is_err());
-        assert!(LaunchPlan::compile(GridConfig::new(31, 8), SyncMethod::GpuSimple).is_err());
+        assert!(LaunchPlan::compile(GridConfig::new(4, 513), SyncMethod::GpuSimple).is_err());
+        // No block ceiling on the host: past the model's 30 SMs under
+        // either kind of method.
+        assert!(LaunchPlan::compile(GridConfig::new(31, 8), SyncMethod::GpuSimple).is_ok());
         assert!(LaunchPlan::compile(GridConfig::new(31, 8), SyncMethod::CpuImplicit).is_ok());
     }
 

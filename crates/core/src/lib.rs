@@ -90,8 +90,7 @@ pub mod tree;
 
 pub use autotune::{AutoDecision, AutoTuner, MethodPrediction};
 pub use barrier::{
-    BarrierControl, BarrierShared, BarrierWaiter, PoisonCause, SpinStrategy, SyncFault, SyncPolicy,
-    WaitFaultHook,
+    BarrierControl, BarrierShared, BarrierWaiter, PoisonCause, SyncFault, SyncPolicy, WaitFaultHook,
 };
 pub use chaos::{ChaosConfig, ChaosLaunch, ChaosReport, ServiceChaosConfig};
 pub use dissemination::DisseminationSync;

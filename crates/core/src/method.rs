@@ -149,7 +149,7 @@ impl SyncMethod {
     }
 
     /// Build the shared barrier state for a barrier-backed method under an
-    /// explicit fault policy (timeout + spin strategy).
+    /// explicit fault policy.
     ///
     /// Returns `None` for `CpuExplicit`, `NoSync`, and `Auto` (see
     /// [`SyncMethod::build_barrier`]).

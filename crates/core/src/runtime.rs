@@ -60,7 +60,8 @@ use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{GridConfig, RoundKernel};
 use crate::fault::{effective_backstop, FaultKind, FaultPhase};
 use crate::launch::{
-    collect_block_results, drive_block, gate_backoff, spin_then_yield, LaunchPlan, LaunchSetup,
+    collect_block_results, drive_block, gate_backoff, spin_then_yield, KernelRef, LaunchPlan,
+    LaunchSetup,
 };
 use crate::method::SyncMethod;
 use crate::obs::{LaunchRecord, Observer};
@@ -146,36 +147,6 @@ impl PoolLaunchStats {
     /// means a recorded scoped fallback).
     pub fn ran_pooled(&self) -> bool {
         self.fallback.is_none()
-    }
-}
-
-/// Erased kernel reference carried by a launch.
-enum KernelRef {
-    /// `submit()`: the pool co-owns the kernel, so a stuck worker can be
-    /// abandoned safely (it keeps its own `Arc` alive).
-    Owned(Arc<dyn RoundKernel + Send + Sync>),
-    /// `run()`: a borrowed kernel. Soundness contract: the submitting call
-    /// does not return until every block recorded its result, so the
-    /// referent outlives every dereference.
-    Borrowed(*const (dyn RoundKernel + 'static)),
-}
-
-// SAFETY: the Borrowed pointer is only dereferenced by pool workers while
-// the borrowing `GridRuntime::run` call is still blocked waiting for all
-// of them (see `KernelRef::Borrowed`); `RoundKernel: Sync` makes the
-// shared access itself sound.
-unsafe impl Send for KernelRef {}
-unsafe impl Sync for KernelRef {}
-
-impl KernelRef {
-    /// # Safety
-    /// For `Borrowed`, the caller must guarantee the referent is still
-    /// alive (the `run()` completion protocol above).
-    unsafe fn get(&self) -> &dyn RoundKernel {
-        match self {
-            KernelRef::Owned(k) => &**k,
-            KernelRef::Borrowed(p) => &**p,
-        }
     }
 }
 
@@ -388,10 +359,10 @@ fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
 /// the engine's shared [`drive_block`] round loop — the pooled strategy
 /// contributes only the warm-`t_O` accounting and the assembly phase here.
 fn run_launch(launch: &Arc<Launch>, block: usize) {
-    // SAFETY: Owned refs are kept alive by the Arc in the launch log;
-    // Borrowed refs are alive per the `GridRuntime::run` completion
-    // protocol (see `KernelRef`).
-    let kernel = unsafe { launch.kernel.get() };
+    // Alive for this whole function: an owned kernel by the launch log's
+    // `Arc`, a borrowed one because `GridRuntime::run` is still blocked on
+    // this worker's `record_result` below (see `KernelRef::borrowed`).
+    let kernel = launch.kernel.get();
     let base = *launch.activated.get_or_init(Instant::now);
     launch.entered.fetch_add(1, Ordering::AcqRel);
     // Scheduled assembly-phase fault: misbehave *before* checking in at
@@ -570,9 +541,8 @@ fn wait_launch(
                 None => launch.done_cv.wait(&mut g),
                 Some(timeout) => {
                     // Grace past the first observed failure before the
-                    // launch is abandoned; the policy can override the
-                    // default derivation (see `SyncPolicy::abandon_grace`).
-                    let grace = launch.setup.policy.effective_abandon_grace();
+                    // launch is abandoned.
+                    let grace = launch.setup.policy.abandon_grace();
                     let tick = grace.min(Duration::from_millis(20));
                     let _ = launch.done_cv.wait_for(&mut g, tick);
                     if g.finished >= n {
@@ -896,7 +866,7 @@ impl GridRuntime {
         &self,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<LaunchHandle, ExecError> {
-        let launch = self.enqueue(KernelRef::Owned(Arc::clone(&kernel)), kernel.rounds())?;
+        let launch = self.enqueue(KernelRef::owned(Arc::clone(&kernel)))?;
         kernel.on_launch(&launch.setup.abort);
         Ok(LaunchHandle {
             shared: Arc::clone(&self.shared),
@@ -917,23 +887,17 @@ impl GridRuntime {
     /// # Errors
     /// Same contract as [`crate::GridExecutor::run`].
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
-        let dyn_ref: &dyn RoundKernel = kernel;
-        // SAFETY (lifetime erasure): `wait_launch(.., allow_abandon =
-        // false)` below does not return until every worker recorded its
-        // result for this launch, after which no worker dereferences the
-        // pointer again — so the borrow outlives all uses.
-        let ptr: *const (dyn RoundKernel + 'static) =
-            unsafe { std::mem::transmute(dyn_ref as *const dyn RoundKernel) };
-        let launch = self.enqueue(KernelRef::Borrowed(ptr), kernel.rounds())?;
+        // SAFETY: `wait_launch(.., allow_abandon = false)` below does not
+        // return until every worker recorded its result for this launch,
+        // and a worker is done with the kernel once it has.
+        let launch = self.enqueue(unsafe { KernelRef::borrowed(kernel) })?;
         kernel.on_launch(&launch.setup.abort);
         wait_launch(&self.shared, &launch, false)
     }
 
-    fn enqueue(&self, kernel: KernelRef, rounds: usize) -> Result<Arc<Launch>, ExecError> {
-        let mut setup = self.plan.setup(rounds)?;
-        // SAFETY: the kernel is alive at enqueue time for both variants
-        // (Owned by definition; Borrowed per the `run()` protocol).
-        setup.arm_faults(unsafe { kernel.get() });
+    fn enqueue(&self, kernel: KernelRef) -> Result<Arc<Launch>, ExecError> {
+        let mut setup = self.plan.setup(kernel.get().rounds())?;
+        setup.arm_faults(kernel.get());
         let mut st = self.shared.state.lock();
         let min = st.cursors.iter().copied().min().unwrap_or(st.next_seq);
         let launch = Arc::new(Launch {

@@ -86,7 +86,7 @@ pub struct CalibrationProfile {
     /// dispatch of the next (already-queued) launch; launch transfer is
     /// pipelined behind the previous round's execution (Eq. 4).
     pub implicit_round_overhead_ns: u64,
-    /// One park/wake handoff of a `SpinStrategy::Park` barrier waiter: the
+    /// One park/wake handoff of a parked barrier waiter: the
     /// cost of a waiter blocking on an OS condvar and being notified back
     /// onto a core. Prices the oversubscription penalty of GPU-side
     /// barriers run with more blocks than cores — each extra *wave* of
@@ -487,8 +487,8 @@ fn implicit_round_ns(rounds: u32) -> u64 {
 }
 
 /// One park/wake handoff of a parking barrier waiter: two threads alternate
-/// on a condvar, each *timed*-waiting (the `SpinStrategy::Park` discipline —
-/// a parked waiter always re-arms a bounded wait) until the peer's notify
+/// on a condvar, each *timed*-waiting (the barrier's park phase — a
+/// parked waiter always re-arms a bounded wait) until the peer's notify
 /// lands. Half of a round trip is one park-to-wake latency, the unit the
 /// cost model charges per descheduled wave in an oversubscribed grid.
 fn park_wake_one_way_ns(rounds: u32) -> u64 {

@@ -9,11 +9,13 @@ use crate::error::DeviceError;
 /// NVIDIA GTX 280"). The one-to-one block-to-SM mapping required by the
 /// GPU synchronization approaches means `num_sms` is the maximum number of
 /// blocks a *purely spinning* persistent kernel may use (see
-/// [`GpuSpec::max_persistent_blocks`]). Parking barriers
-/// (`SpinStrategy::Park`) lift that ceiling: a waiter that deschedules
-/// itself frees its execution slot for a not-yet-run block, so grids larger
-/// than the SM count still make progress (see
-/// [`GpuSpec::validate_persistent_launch_with_parking`]).
+/// [`GpuSpec::max_persistent_blocks`]). Parking waiters lift that
+/// ceiling: a waiter that deschedules itself frees its execution slot for
+/// a not-yet-run block, so grids larger than the SM count still make
+/// progress (see [`GpuSpec::validate_persistent_launch_with_parking`]).
+/// The host runtime's waiters always park eventually, so it does not
+/// consult this ceiling; the simulator, which models the non-preemptive
+/// GPU, does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing / model name, e.g. `"GeForce GTX 280"`.
@@ -97,9 +99,9 @@ impl GpuSpec {
     /// one block per SM, enforced by allocating all shared memory to each
     /// block).
     ///
-    /// This ceiling applies only to spinning waiters. A parking barrier
-    /// (`SpinStrategy::Park`) bounds every wait, so a stalled wave yields
-    /// its slots and larger grids complete in waves — use
+    /// This ceiling applies only to spinning waiters. A parking waiter
+    /// bounds every wait, so a stalled wave yields its slots and larger
+    /// grids complete in waves — use
     /// [`GpuSpec::validate_persistent_launch_with_parking`] for those.
     pub fn max_persistent_blocks(&self) -> u32 {
         self.num_sms

@@ -98,8 +98,7 @@ pub fn run_host(
     )
 }
 
-/// [`run_host`] under an explicit fault [`SyncPolicy`] (barrier timeout
-/// and spin strategy).
+/// [`run_host`] under an explicit fault [`SyncPolicy`] (barrier timeout).
 pub fn run_host_with(
     n_blocks: usize,
     threads_per_block: usize,

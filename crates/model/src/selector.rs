@@ -122,11 +122,11 @@ pub struct Prediction {
     /// ([`CalibrationProfile::oversubscription_penalty_ns`]).
     pub sync_ns: f64,
     /// Whether the device can run it at this block count. GPU-side methods
-    /// beyond the resident-block ceiling are still eligible — they run with
-    /// parking waiters (`SpinStrategy::Park`) — but priced accordingly.
+    /// beyond the resident-block ceiling are still eligible — their waiters
+    /// park, so the grid drains in waves — but priced accordingly.
     pub eligible: bool,
-    /// True when the row needs more blocks than fit simultaneously, so the
-    /// runtime must use a parking spin strategy to run it deadlock-free.
+    /// True when the row needs more blocks than fit simultaneously, so it
+    /// only runs deadlock-free because waiters park.
     pub oversubscribed: bool,
 }
 

@@ -48,7 +48,8 @@ pub struct SimConfig {
     /// rather than merged reads — the pessimistic end of the checking-cost
     /// spectrum. Off by default.
     pub cas_polling: bool,
-    /// Model parking waiters (`SpinStrategy::Park`): a spinning block whose
+    /// Model parking waiters (the host runtime's wait discipline, which the
+    /// paper's GPU does not have): a spinning block whose
     /// poll fails yields its SM to a not-yet-dispatched block, paying one
     /// park/wake handoff ([`CalibrationProfile::park_wake`]) per re-poll.
     /// Lifts the one-block-per-SM validation ceiling for GPU-side methods —

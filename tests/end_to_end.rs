@@ -92,26 +92,25 @@ fn host_and_simulator_agree_on_round_structure() {
 }
 
 #[test]
-fn one_block_per_sm_rule_enforced_everywhere() {
-    // Host runtime:
-    let k = GridBitonic::new(&random_keys(64, 0));
-    let err = GridExecutor::new(GridConfig::new(31, 32), SyncMethod::GpuSimple).run(&k);
-    assert!(
-        err.is_err(),
-        "host runtime must reject 31 persistent blocks"
-    );
-    // Simulator:
+fn one_block_per_sm_rule_binds_the_simulated_gpu_not_the_host() {
+    // Simulator: blocks are never preempted, so a 31st spinning block
+    // deadlocks the grid (paper §5) and the launch is refused.
     let w = micro_workload(&blocksync::device::GpuSpec::gtx280(), 64, 5);
     let r =
         std::panic::catch_unwind(|| simulate(&SimConfig::new(31, 64, SyncMethod::GpuLockFree), &w));
     assert!(r.is_err(), "simulator must reject 31 persistent blocks");
-    // CPU sync has no such limit in either.
-    let k = GridBitonic::new(&random_keys(64, 0));
-    assert!(
-        GridExecutor::new(GridConfig::new(31, 32), SyncMethod::CpuImplicit)
+    // Host runtime: waiters park, so the same grid sorts correctly — under
+    // a GPU-side barrier as under CPU sync, which has no limit in either.
+    let keys = random_keys(64, 0);
+    let mut sorted = keys.clone();
+    bitonic_sort(&mut sorted);
+    for method in [SyncMethod::GpuSimple, SyncMethod::CpuImplicit] {
+        let k = GridBitonic::new(&keys);
+        GridExecutor::new(GridConfig::new(31, 32), method)
             .run(&k)
-            .is_ok()
-    );
+            .unwrap_or_else(|e| panic!("{method}: {e}"));
+        assert_eq!(k.output(), sorted, "{method}");
+    }
     let _ = simulate(&SimConfig::new(31, 64, SyncMethod::CpuImplicit), &w);
 }
 

@@ -117,11 +117,13 @@ fn banded_alignment_matches_full_on_similar_sequences() {
 }
 
 #[test]
-fn extension_kernels_respect_the_sm_limit_too() {
-    let k = GridScan::new(&[1, 2, 3]);
-    assert!(
-        GridExecutor::new(GridConfig::new(31, 32), SyncMethod::Dissemination)
-            .run(&k)
-            .is_err()
-    );
+fn extension_kernels_run_past_the_sm_count_too() {
+    // 31 blocks, one past the model's SM count: no host ceiling for the
+    // extension barriers either.
+    let data: Vec<u64> = (1..=100).collect();
+    let k = GridScan::new(&data);
+    GridExecutor::new(GridConfig::new(31, 32), SyncMethod::Dissemination)
+        .run(&k)
+        .unwrap();
+    assert_eq!(k.output(), inclusive_scan_reference(&data));
 }

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use blocksync::core::{
     ExecError, FaultInjector, FaultPlan, GlobalBuffer, GridConfig, GridExecutor, RoundKernel,
-    SpinStrategy, SyncMethod, SyncPolicy, TreeLevels,
+    SyncMethod, SyncPolicy, TreeLevels,
 };
 
 /// Every method with inter-block ordering guarantees.
@@ -90,40 +90,29 @@ fn panic_in_round_zero_and_last_round_are_both_caught() {
 }
 
 /// A straggler (cooperatively-infinite loop) must trip the timeout with a
-/// diagnostic naming it — for every method, every spin strategy. This is
-/// the test that proves the CPU-implicit condvar rendezvous also honours
-/// the deadline, not just the device-side spin barriers.
+/// diagnostic naming it — for every method. This is the test that proves
+/// the CPU-implicit condvar rendezvous also honours the deadline, not just
+/// the device-side spin barriers.
 #[test]
 fn injected_straggler_times_out_under_every_method() {
     for method in ALL_SYNC_METHODS {
-        for spin in [
-            SpinStrategy::Spin,
-            SpinStrategy::Yield,
-            SpinStrategy::Backoff,
-        ] {
-            let k = FaultInjector::new(Increment::new(3, 5), FaultPlan::straggler_at(1, 2));
-            let timeout = Duration::from_millis(80);
-            let cfg = GridConfig::new(3, 8)
-                .with_policy(SyncPolicy::with_timeout(timeout).with_spin(spin));
-            let started = Instant::now();
-            let err = GridExecutor::new(cfg, method).run(&k).unwrap_err();
-            let elapsed = started.elapsed();
-            assert!(
-                elapsed < Duration::from_secs(10),
-                "{method}/{spin:?}: unwind took {elapsed:?}"
-            );
-            match err {
-                ExecError::BarrierTimeout { diagnostic } => {
-                    assert_eq!(
-                        diagnostic.stragglers(),
-                        vec![1],
-                        "{method}/{spin:?}: {diagnostic}"
-                    );
-                    assert_eq!(diagnostic.round, 2, "{method}/{spin:?}");
-                    assert_eq!(diagnostic.timeout, timeout, "{method}/{spin:?}");
-                }
-                other => panic!("{method}/{spin:?}: expected BarrierTimeout, got {other:?}"),
+        let k = FaultInjector::new(Increment::new(3, 5), FaultPlan::straggler_at(1, 2));
+        let timeout = Duration::from_millis(80);
+        let cfg = GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(timeout));
+        let started = Instant::now();
+        let err = GridExecutor::new(cfg, method).run(&k).unwrap_err();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "{method}: unwind took {elapsed:?}"
+        );
+        match err {
+            ExecError::BarrierTimeout { diagnostic } => {
+                assert_eq!(diagnostic.stragglers(), vec![1], "{method}: {diagnostic}");
+                assert_eq!(diagnostic.round, 2, "{method}");
+                assert_eq!(diagnostic.timeout, timeout, "{method}");
             }
+            other => panic!("{method}: expected BarrierTimeout, got {other:?}"),
         }
     }
 }

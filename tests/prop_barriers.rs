@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use blocksync::core::{
     stall_duration, BarrierShared, BlockCtx, ExecError, Fault, FaultInjector, FaultKind,
     FaultPhase, FaultPlan, FaultSchedule, GlobalBuffer, GridConfig, GridExecutor, RoundKernel,
-    SpinStrategy, SyncMethod, SyncPolicy, TreeLevels,
+    SyncMethod, SyncPolicy, TreeLevels,
 };
 use proptest::prelude::*;
 
@@ -230,17 +230,12 @@ proptest! {
 
     /// The fault-tolerance plane must be invisible to healthy runs: the
     /// same kernel produces bit-identical output with the default policy
-    /// (no timeout, legacy spin loop) and with any explicit policy.
+    /// (no timeout) and with a deadline armed.
     #[test]
     fn fault_free_runs_are_bit_identical_under_any_policy(
         method in exec_method_strategy(),
         n_blocks in 1usize..6,
         steps in 1usize..30,
-        spin in prop_oneof![
-            Just(SpinStrategy::Spin),
-            Just(SpinStrategy::Yield),
-            Just(SpinStrategy::Backoff),
-        ],
     ) {
         let run = |policy: SyncPolicy| {
             let k = MixKernel::new(n_blocks, steps);
@@ -250,7 +245,7 @@ proptest! {
             k.slots.to_vec()
         };
         let baseline = run(SyncPolicy::default());
-        let guarded = run(SyncPolicy::with_timeout(Duration::from_secs(30)).with_spin(spin));
+        let guarded = run(SyncPolicy::with_timeout(Duration::from_secs(30)));
         prop_assert_eq!(baseline, guarded);
     }
 
