@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blocksync_bench::baseline::{self, flag_value, BenchRecord};
-use blocksync_core::{GridConfig, GridRuntime, Observer, RuntimeKind, SyncMethod};
+use blocksync_core::{GridConfig, GridRuntime, Observer, SyncMethod};
 use blocksync_microbench::MeanKernel;
 
 /// Registry mutations per clean pooled launch: launches_total, warm-or-cold
@@ -50,7 +50,7 @@ fn run_batch(
     window: usize,
     obs: Arc<Observer>,
 ) -> (Duration, u64) {
-    let cfg = GridConfig::new(blocks, tpb).with_runtime(RuntimeKind::Pooled);
+    let cfg = GridConfig::new(blocks, tpb);
     let rt = GridRuntime::new_with_observer(cfg, SyncMethod::GpuLockFree, Arc::clone(&obs))
         .expect("valid pooled config");
     let start = Instant::now();

@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use blocksync_core::{
     AutoTuner, ChaosConfig, ChromeTraceBuilder, GridConfig, GridExecutor, GridRuntime, GridService,
-    KernelStats, MetricsSnapshot, RoundKernel, RuntimeKind, ServiceChaosConfig, ServiceConfig,
-    ServiceError, ShardKey, SyncMethod, SyncPolicy, TraceConfig,
+    KernelStats, MetricsSnapshot, RoundKernel, ServiceConfig, ServiceError, ShardKey, SyncMethod,
+    SyncPolicy, TraceConfig, TreeLevels,
 };
 use blocksync_device::{CalibrationProfile, GpuSpec};
 use blocksync_microbench::{run_host_traced, MeanKernel};
@@ -37,25 +37,20 @@ fn sync_policy(a: &Args) -> Result<SyncPolicy, String> {
     })
 }
 
-/// Runtime selection from `--runtime scoped|pooled` (default scoped).
-/// `pooled` keeps per-block workers resident across kernels
-/// ([`blocksync_core::GridRuntime`]) so repeat launches pay the warm `t_O`.
-/// Every method the pool supports — the GPU-side barriers, `cpu-implicit`
-/// (its pipelined relaunches are the pool's launch log), and `no-sync` —
-/// honours the request; `cpu-explicit` and `auto` fall back to scoped and
-/// the run prints a one-line notice saying so.
-fn runtime_kind(a: &Args) -> Result<RuntimeKind, String> {
-    let s = a.get("runtime", "scoped");
-    RuntimeKind::parse(s).ok_or_else(|| format!("unknown --runtime {s:?}; valid: scoped pooled"))
-}
-
-/// One-line notice when `--runtime pooled` was requested but the launch
-/// engine fell back to a scoped run (the stats record the reason). Silent
-/// for genuinely pooled runs and for scoped requests.
-fn report_pool_fallback(stats: &KernelStats) {
-    if let Some(reason) = stats.pool.as_ref().and_then(|p| p.fallback.as_deref()) {
-        eprintln!("note: --runtime pooled ran scoped: {reason}");
+/// `--runtime` is gone: which launch cost a run pays is the command, not
+/// a flag. `Args` ignores unknown flags silently, so the host-runtime
+/// commands that used to read it refuse it by name instead of quietly
+/// running cold.
+fn reject_runtime_flag(a: &Args) -> Result<(), String> {
+    if a.has("runtime") {
+        return Err(
+            "--runtime was removed: this command always launches cold (fresh block threads \
+             per run); warm launches live in `blocksync metrics`, `blocksync serve` and the \
+             `GridRuntime` API"
+                .into(),
+        );
     }
+    Ok(())
 }
 
 /// Telemetry plane from shared flags: `--trace FILE` (record a barrier
@@ -160,38 +155,19 @@ fn write_metrics_out(snapshot: &MetricsSnapshot, a: &Args) -> Result<(), String>
     Ok(())
 }
 
-/// After a multi-launch run, summarize how many launches fell back from
-/// pooled to scoped and why, from the `launch_fallbacks_total` labeled
-/// counter. Silent when nothing fell back.
-fn report_fallback_summary(snapshot: &MetricsSnapshot) {
-    let Some(reasons) = snapshot.labeled.get("launch_fallbacks_total") else {
-        return;
-    };
-    let total: u64 = reasons.values().sum();
-    if total == 0 {
-        return;
-    }
-    eprintln!("fallback summary: {total} pooled launch(es) ran scoped:");
-    for (reason, n) in reasons {
-        eprintln!("  {n}x {reason}");
-    }
-}
-
 fn run_kernel<K: RoundKernel>(
     kernel: &K,
     blocks: usize,
     method: SyncMethod,
     a: &Args,
 ) -> Result<KernelStats, String> {
-    let mut cfg = GridConfig::new(blocks, 64)
-        .with_policy(sync_policy(a)?)
-        .with_runtime(runtime_kind(a)?);
+    reject_runtime_flag(a)?;
+    let mut cfg = GridConfig::new(blocks, 64).with_policy(sync_policy(a)?);
     if let Some(tc) = trace_config(a)? {
         cfg = cfg.with_trace(tc);
     }
     let exec = GridExecutor::new(cfg, method);
     let stats = exec.run(kernel).map_err(|e| e.to_string())?;
-    report_pool_fallback(&stats);
     report_telemetry(&stats, a)?;
     write_metrics_out(&exec.observer().snapshot(), a)?;
     Ok(stats)
@@ -205,9 +181,7 @@ fn run_kernel_plain<K: RoundKernel>(
     method: SyncMethod,
     a: &Args,
 ) -> Result<KernelStats, String> {
-    let cfg = GridConfig::new(blocks, 64)
-        .with_policy(sync_policy(a)?)
-        .with_runtime(runtime_kind(a)?);
+    let cfg = GridConfig::new(blocks, 64).with_policy(sync_policy(a)?);
     GridExecutor::new(cfg, method)
         .run(kernel)
         .map_err(|e| e.to_string())
@@ -457,14 +431,13 @@ pub fn scan(a: &Args) -> Result<(), String> {
 
 /// `blocksync micro`.
 pub fn micro(a: &Args) -> Result<(), String> {
+    reject_runtime_flag(a)?;
     let blocks = a.get_usize("blocks", 4);
     let rounds = a.get_usize("rounds", 2_000);
     let tpb = a.get_usize("tpb", 64);
     let method = parse_method(a.get("method", "gpu-lock-free"))?;
     let kernel = MeanKernel::for_grid(blocks, tpb, rounds);
-    let mut cfg = GridConfig::new(blocks, tpb)
-        .with_policy(sync_policy(a)?)
-        .with_runtime(runtime_kind(a)?);
+    let mut cfg = GridConfig::new(blocks, tpb).with_policy(sync_policy(a)?);
     if let Some(tc) = trace_config(a)? {
         cfg = cfg.with_trace(tc);
     }
@@ -473,7 +446,6 @@ pub fn micro(a: &Args) -> Result<(), String> {
     if !kernel.verify() {
         return Err("micro-benchmark produced wrong means".into());
     }
-    report_pool_fallback(&stats);
     println!("mean-of-two-floats micro-benchmark — verified");
     println!("{stats}");
     report_telemetry(&stats, a)?;
@@ -496,9 +468,7 @@ pub fn metrics(a: &Args) -> Result<(), String> {
     if launches == 0 {
         return Err("--launches expects an integer >= 1".into());
     }
-    let cfg = GridConfig::new(blocks, tpb)
-        .with_policy(sync_policy(a)?)
-        .with_runtime(RuntimeKind::Pooled);
+    let cfg = GridConfig::new(blocks, tpb).with_policy(sync_policy(a)?);
     let rt = GridRuntime::new(cfg, method).map_err(|e| e.to_string())?;
     let mut kernels = Vec::with_capacity(launches);
     let mut inflight = VecDeque::new();
@@ -524,7 +494,6 @@ pub fn metrics(a: &Args) -> Result<(), String> {
          window {window} — verified"
     );
     print!("{}", snapshot.render_prometheus());
-    report_fallback_summary(&snapshot);
     write_metrics_out(&snapshot, a)?;
     Ok(())
 }
@@ -600,7 +569,8 @@ pub fn tune(a: &Args) -> Result<(), String> {
     match decision.pooled_launch_speedup() {
         Some(speedup) if decision.prefers_pooled() => println!(
             "launch pricing: cold t_O {:.0} ns vs warm (pooled) {:.0} ns — \
-             repeat launches are {speedup:.1}x cheaper under --runtime pooled",
+             repeat launches are {speedup:.1}x cheaper on a resident GridRuntime \
+             (see `blocksync metrics`)",
             decision.launch_cold_ns, decision.launch_warm_ns
         ),
         _ => println!(
@@ -674,15 +644,16 @@ pub fn trace(a: &Args) -> Result<(), String> {
 }
 
 /// `blocksync chaos` — the chaos soak harness: push pipelined launches
-/// through the runtime where a configurable fraction carry seeded-random
-/// fault schedules, and assert after every faulty launch that the error
-/// names the scheduled cause, the pool self-heals, and interleaved clean
-/// launches stay bit-identical. The seed is always printed so any red run
-/// replays with one command.
+/// through live pooled shards where a configurable fraction carry
+/// seeded-random fault schedules, and assert after every faulty launch
+/// that the error names the scheduled cause, the shard self-heals, and
+/// interleaved clean launches stay bit-identical — then that every shard
+/// still serves. One driver: `--method/--blocks/--tpb` name a single
+/// shard (a standalone pool), `--shards BxT/METHOD,...` a list, and
+/// `--service` the default three mixed shapes. The seed is always printed
+/// so any red run replays with one command.
 pub fn chaos(a: &Args) -> Result<(), String> {
-    if a.has("service") {
-        return chaos_service(a);
-    }
+    reject_runtime_flag(a)?;
     let defaults = ChaosConfig::default();
     let timeout_secs = a.get_f64("sync-timeout", defaults.timeout.as_secs_f64());
     if timeout_secs <= 0.0 || !timeout_secs.is_finite() {
@@ -695,28 +666,44 @@ pub fn chaos(a: &Args) -> Result<(), String> {
         "" => None,
         dir => Some(std::path::PathBuf::from(dir)),
     };
+    let default_shards = if a.has("service") {
+        vec![
+            ShardKey::new(4, 8, SyncMethod::GpuLockFree),
+            ShardKey::new(3, 8, SyncMethod::GpuSimple),
+            ShardKey::new(5, 8, SyncMethod::GpuTree(TreeLevels::Two)),
+        ]
+    } else {
+        let one = defaults.shards[0];
+        vec![ShardKey::new(
+            a.get_usize("blocks", one.blocks),
+            a.get_usize("tpb", one.threads_per_block),
+            parse_method(a.get("method", "gpu-lock-free"))?,
+        )]
+    };
     let cfg = ChaosConfig {
         launches: a.get_usize("launches", defaults.launches),
         fault_rate: a.get_f64("fault-rate", defaults.fault_rate),
         seed: a.get_usize("seed", defaults.seed as usize) as u64,
-        method: parse_method(a.get("method", "gpu-lock-free"))?,
-        runtime: runtime_kind_default_pooled(a)?,
-        n_blocks: a.get_usize("blocks", defaults.n_blocks),
-        threads_per_block: a.get_usize("tpb", defaults.threads_per_block),
+        shards: parse_shards(a.get("shards", ""), default_shards)?,
         rounds: a.get_usize("rounds", defaults.rounds),
         timeout: Duration::from_secs_f64(timeout_secs),
         window: a.get_usize("window", defaults.window),
         postmortem_dir,
     };
+    let shard_list = cfg
+        .shards
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
     println!(
-        "chaos soak: {} launches, fault rate {:.2}, {} runtime, method {}, \
-         {} blocks x {} rounds, timeout {:?}, seed {}",
+        "chaos soak: {} launches across {} shard(s) [{shard_list}], {} rounds each, \
+         fault rate {:.2}, window {}, timeout {:?}, seed {}",
         cfg.launches,
-        cfg.fault_rate,
-        cfg.runtime,
-        cfg.method,
-        cfg.n_blocks,
+        cfg.shards.len(),
         cfg.rounds,
+        cfg.fault_rate,
+        cfg.window,
         cfg.timeout,
         cfg.seed
     );
@@ -736,14 +723,14 @@ pub fn chaos(a: &Args) -> Result<(), String> {
         println!("wrote chaos report to {json_path}");
     }
     if let Some(metrics) = &report.metrics {
-        report_fallback_summary(metrics);
+        report_shard_summary(metrics);
         write_metrics_out(metrics, a)?;
     }
     if report.passed() {
         Ok(())
     } else {
         Err(format!(
-            "{} invariant violation(s); reproduce with --seed {}",
+            "{} invariant violation(s); reproduce with --seed {} --shards {shard_list}",
             report.failures.len(),
             report.seed
         ))
@@ -792,80 +779,6 @@ fn parse_shards(spec: &str, default: Vec<ShardKey>) -> Result<Vec<ShardKey>, Str
             Ok(ShardKey::new(blocks, tpb, parse_method(method.trim())?))
         })
         .collect()
-}
-
-/// `blocksync chaos --service` — the chaos soak retargeted at **live
-/// service shards**: seeded fault schedules ride a fraction of real
-/// traffic routed through a [`GridService`], and the report asserts each
-/// faulted shard heals in place while its siblings keep serving clean
-/// bit-identical launches.
-fn chaos_service(a: &Args) -> Result<(), String> {
-    let defaults = ServiceChaosConfig::default();
-    let timeout_secs = a.get_f64("sync-timeout", defaults.timeout.as_secs_f64());
-    if timeout_secs <= 0.0 || !timeout_secs.is_finite() {
-        return Err("chaos needs a positive --sync-timeout (faults must be detected)".into());
-    }
-    let postmortem_dir = match a.get("postmortem-dir", "") {
-        "" if a.has("postmortem-dir") => {
-            return Err("--postmortem-dir expects a directory path".into())
-        }
-        "" => None,
-        dir => Some(std::path::PathBuf::from(dir)),
-    };
-    let cfg = ServiceChaosConfig {
-        launches: a.get_usize("launches", defaults.launches),
-        fault_rate: a.get_f64("fault-rate", defaults.fault_rate),
-        seed: a.get_usize("seed", defaults.seed as usize) as u64,
-        shards: parse_shards(a.get("shards", ""), defaults.shards)?,
-        rounds: a.get_usize("rounds", defaults.rounds),
-        timeout: Duration::from_secs_f64(timeout_secs),
-        window: a.get_usize("window", defaults.window),
-        postmortem_dir,
-    };
-    println!(
-        "service chaos soak: {} launches across {} shard(s) [{}], fault rate {:.2}, \
-         window {}, timeout {:?}, seed {}",
-        cfg.launches,
-        cfg.shards.len(),
-        cfg.shards
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        cfg.fault_rate,
-        cfg.window,
-        cfg.timeout,
-        cfg.seed
-    );
-    let report = with_injected_panics_silenced(|| cfg.run())?;
-    println!("{report}");
-    if let Some(dir) = &cfg.postmortem_dir {
-        let dumped = report.outcomes.iter().filter(|o| o.error.is_some()).count();
-        println!("wrote {dumped} postmortem(s) to {}", dir.display());
-    }
-    let json_path = a.get("json", "");
-    if json_path.is_empty() && a.has("json") {
-        return Err("--json expects a file path (e.g. --json chaos.json)".into());
-    }
-    if !json_path.is_empty() {
-        std::fs::write(json_path, report.to_json())
-            .map_err(|e| format!("cannot write {json_path}: {e}"))?;
-        println!("wrote chaos report to {json_path}");
-    }
-    if let Some(metrics) = &report.metrics {
-        report_shard_summary(metrics);
-        report_fallback_summary(metrics);
-        write_metrics_out(metrics, a)?;
-    }
-    if report.passed() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} invariant violation(s); reproduce with --seed {} --service",
-            report.failures.len(),
-            report.seed
-        ))
-    }
 }
 
 /// Per-shard traffic table from a service metrics snapshot.
@@ -1006,17 +919,9 @@ pub fn serve(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Like [`runtime_kind`] but defaulting to pooled — chaos exists mainly to
-/// soak the pool's abandon-and-replace path.
-fn runtime_kind_default_pooled(a: &Args) -> Result<RuntimeKind, String> {
-    let s = a.get("runtime", "pooled");
-    RuntimeKind::parse(s).ok_or_else(|| format!("unknown --runtime {s:?}; valid: scoped pooled"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blocksync_core::{BlockCtx, GlobalBuffer};
 
     fn args(v: &[&str]) -> Args {
         Args::parse(v.iter().map(|s| s.to_string()))
@@ -1163,92 +1068,27 @@ mod tests {
         assert!(tune(&args(&["tune", "--blocks", "0"])).is_err());
     }
 
+    /// `Args` ignores unknown flags, so the removed `--runtime` must be
+    /// refused by name — on every command that used to read it — rather
+    /// than silently running cold.
     #[test]
-    fn runtime_flag_selects_pooled() {
-        // A pooled run completes and verifies like a scoped one.
-        sort(&args(&[
-            "sort",
-            "--n",
-            "1024",
-            "--blocks",
-            "3",
-            "--runtime",
-            "pooled",
-        ]))
-        .unwrap();
-        scan(&args(&[
-            "scan",
-            "--n",
-            "5000",
-            "--blocks",
-            "3",
-            "--runtime",
-            "pooled",
-        ]))
-        .unwrap();
-        // CPU-implicit is pool-eligible now: the run must be genuinely
-        // pooled, with no fallback notice to print.
-        sort(&args(&[
-            "sort",
-            "--n",
-            "1024",
-            "--blocks",
-            "3",
-            "--method",
-            "cpu-implicit",
-            "--runtime",
-            "pooled",
-        ]))
-        .unwrap();
-        // Unknown runtimes are usage errors, not panics.
-        let e = sort(&args(&["sort", "--n", "64", "--runtime", "warp"])).unwrap_err();
-        assert!(e.contains("--runtime"), "{e}");
-        // Default is scoped.
-        assert_eq!(runtime_kind(&args(&[])).unwrap(), RuntimeKind::Scoped);
-        assert_eq!(
-            runtime_kind(&args(&["--runtime", "pooled"])).unwrap(),
-            RuntimeKind::Pooled
-        );
-    }
-
-    /// The silent-fallback fix: a pooled request a pool cannot serve still
-    /// succeeds, and the stats carry the reason the CLI prints as a notice.
-    #[test]
-    fn pooled_fallback_is_recorded_not_silent() {
-        struct Bump(GlobalBuffer<u64>);
-        impl RoundKernel for Bump {
-            fn rounds(&self) -> usize {
-                3
-            }
-            fn round(&self, ctx: &BlockCtx, _round: usize) {
-                self.0.set(ctx.block_id, self.0.get(ctx.block_id) + 1);
+    fn runtime_flag_is_a_usage_error() {
+        type Command = fn(&Args) -> Result<(), String>;
+        let commands: [(&str, Command); 6] = [
+            ("sort", sort),
+            ("fft", fft),
+            ("align", align),
+            ("scan", scan),
+            ("micro", micro),
+            ("chaos", chaos),
+        ];
+        for (name, command) in commands {
+            for value in ["pooled", "scoped"] {
+                let e = command(&args(&[name, "--runtime", value])).unwrap_err();
+                assert!(e.contains("--runtime was removed"), "{name}: {e}");
+                assert!(e.contains("blocksync metrics"), "{name}: {e}");
             }
         }
-        let a = args(&["--runtime", "pooled"]);
-        // cpu-explicit relaunches from the host: scoped fallback, recorded.
-        let k = Bump(GlobalBuffer::new(2));
-        let stats = run_kernel(&k, 2, SyncMethod::CpuExplicit, &a).unwrap();
-        let pool = stats.pool.as_deref().expect("fallback must be recorded");
-        assert!(!pool.ran_pooled());
-        assert!(
-            pool.fallback.as_deref().unwrap().contains("cpu-explicit"),
-            "{:?}",
-            pool.fallback
-        );
-        // cpu-implicit is served by a real pool: no fallback to report.
-        let k = Bump(GlobalBuffer::new(2));
-        let stats = run_kernel(&k, 2, SyncMethod::CpuImplicit, &a).unwrap();
-        let pool = stats
-            .pool
-            .as_deref()
-            .expect("pooled run carries pool stats");
-        assert!(pool.ran_pooled());
-        assert!(pool.fallback.is_none());
-        // `report_pool_fallback` itself is a no-op for scoped requests.
-        let k = Bump(GlobalBuffer::new(2));
-        let stats = run_kernel(&k, 2, SyncMethod::CpuExplicit, &args(&[])).unwrap();
-        assert!(stats.pool.is_none());
-        report_pool_fallback(&stats);
     }
 
     #[test]
@@ -1345,6 +1185,21 @@ mod tests {
         assert!(!dumps.is_empty(), "seed 42 at 30% must fail some launches");
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&json);
+    }
+
+    /// One driver, three ways to name its shards: flags for one, `--shards`
+    /// for a list, `--service` for the default three.
+    #[test]
+    fn chaos_command_shard_selection() {
+        let clean = ["--launches", "6", "--fault-rate", "0", "--rounds", "3"];
+        let run = |extra: &[&str]| chaos(&args(&[&["chaos"], &clean[..], extra].concat()));
+        run(&["--method", "gpu-simple", "--blocks", "3"]).unwrap();
+        run(&["--shards", "2x8/gpu-lock-free,3x8/sense-reversing"]).unwrap();
+        run(&["--service"]).unwrap();
+        // A shard chaos cannot diagnose is refused, naming the shard.
+        let e = run(&["--method", "no-sync"]).unwrap_err();
+        assert!(e.contains("shard 4x8/no-sync"), "{e}");
+        assert!(run(&["--shards", "4x8"]).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! blocksync scan     --n 100000 --blocks 4
 //! blocksync micro    --blocks 4 --rounds 2000 [--trace out.json] [--metrics]
 //! blocksync trace    --blocks 4 --rounds 200 --method lock-free
-//! blocksync chaos    --launches 200 --fault-rate 0.25 --seed 42 [--service]
+//! blocksync chaos    --launches 200 --fault-rate 0.25 --seed 42 [--service | --shards ...]
 //! blocksync serve    --clients 8 --launches 32 --rounds 50
 //! blocksync metrics  --launches 16 --blocks 4 --rounds 200
 //! ```
@@ -81,19 +81,18 @@ COMMANDS:
              and method crossover points for a grid size
              --blocks N [--profile host|gtx280|fermi] [--max-gpu-blocks B]
              [--max-n N]
-  chaos      chaos soak: pipelined launches where a fraction carry
-             seeded-random fault schedules (panics, delays, stragglers,
-             stalls — in round bodies, barrier waits, or pooled assembly);
-             asserts errors name the cause, the pool self-heals, and clean
-             launches stay bit-identical. Prints the seed for repro.
-             --launches N --fault-rate F --seed S --method M --blocks B
-             --rounds R [--runtime pooled|scoped] [--window W]
+  chaos      chaos soak: pipelined launches through live pooled shards
+             where a fraction carry seeded-random fault schedules (panics,
+             delays, stragglers, stalls — in round bodies, barrier waits,
+             or pooled assembly); asserts errors name the cause, each
+             shard self-heals, clean launches stay bit-identical, and
+             every shard still serves afterwards. Prints the seed for
+             repro. One driver, three ways to name its shards: one shard
+             (a standalone pool) from --method M --blocks B --tpb T, a
+             list from --shards BxT/METHOD,..., or --service for the
+             default 3 mixed shapes.
+             --launches N --fault-rate F --seed S --rounds R [--window W]
              [--sync-timeout SECS] [--json FILE] [--postmortem-dir DIR]
-             With --service the soak retargets live GridService shards:
-             seeded faults ride a fraction of traffic routed across
-             --shards BxT/METHOD,... (default 3 mixed shapes) and the
-             report additionally asserts every shard still serves clean
-             bit-identical launches afterwards.
   serve      barrier-as-a-service demo: one GridService fronting several
              shard shapes, hammered by concurrent client threads through
              the bounded admission plane (per-shard queues, per-tenant
@@ -106,15 +105,11 @@ COMMANDS:
              pooled launches through one runtime, then the cross-launch
              metrics registry in Prometheus text format (per-method
              submit-to-stats latency, warm/cold/failure counters, queue
-             depth) plus a fallback summary
+             depth)
              --launches N --blocks B --rounds R --method M [--window W]
              [--metrics-out FILE]
 
 COMMON FLAGS:
-  --runtime R        scoped (default) spawns workers per run; pooled keeps
-                     per-block workers resident across kernels so repeat
-                     launches pay the warm t_O (GPU-side methods only —
-                     CPU-side methods relaunch per round and stay scoped).
   --sync-timeout S   bound every barrier wait to S seconds (host-runtime
                      commands); a stuck or crashed block then fails the run
                      with a diagnostic naming it instead of hanging.
@@ -144,6 +139,10 @@ METHODS:
   sense-reversing dissemination no-sync auto
 
   `auto` calibrates the host once per process, prices every method with the
-  Eq. 6-9 cost model, and runs the cheapest one (see `blocksync tune`)."
+  Eq. 6-9 cost model, and runs the cheapest one (see `blocksync tune`).
+
+  sort/align/fft/scan/micro/trace launch cold: fresh block threads per run,
+  the full t_O every time. Warm launches (resident workers, t_O paid once)
+  are `metrics` and `serve`, or `GridRuntime`/`GridService` in code."
     );
 }

@@ -88,8 +88,9 @@ impl AutoDecision {
 
     /// Whether the calibration prices a pooled (persistent) relaunch below
     /// a cold launch — i.e. whether a caller issuing repeated kernels
-    /// should prefer [`crate::RuntimeKind::Pooled`]. CPU-side methods
-    /// relaunch per round and cannot pool, so they never prefer it.
+    /// should hold a [`crate::GridRuntime`] instead of calling
+    /// [`crate::GridExecutor::run`] each time. CPU-side methods relaunch
+    /// per round, so they never prefer it.
     pub fn prefers_pooled(&self) -> bool {
         !self.chosen.is_cpu_side() && self.launch_warm_ns < self.launch_cold_ns
     }

@@ -1,10 +1,13 @@
-//! Chaos soak harness: random fault schedules against the pooled runtime.
+//! Chaos soak harness: random fault schedules against live pooled shards.
 //!
 //! The fault plane ([`crate::FaultSchedule`]) can describe any single
 //! failure; this module asks the *statistical* question — does the runtime
 //! survive hundreds of pipelined launches where a configurable fraction
-//! carry seeded-random schedules? After every faulty launch the harness
-//! checks three invariants:
+//! carry seeded-random schedules? There is one driver: the launches are
+//! routed across the [`GridService`] shards named by
+//! [`ChaosConfig::shards`], and a standalone pool is simply a one-element
+//! list. After every launch the harness checks three invariants, and after
+//! the whole barrage a fourth:
 //!
 //! 1. **The error names the cause.** The launch's [`crate::ExecError`]
 //!    must report one of the scheduled fault sites
@@ -13,69 +16,66 @@
 //!    a round-0 body fault).
 //! 2. **The pool self-heals.** A launch whose faults are all
 //!    non-cooperative stalls *must* leave abandoned stragglers replaced:
-//!    the per-block worker generation counters
+//!    the per-block worker generation counters of *its own* shard
 //!    ([`crate::GridRuntime::generations`]) strictly advance across its
 //!    wait.
 //! 3. **Fault-free launches stay bit-identical.** Every clean (and every
 //!    benign, delay-only) launch's output must equal the sequential
 //!    reference — a prior fault must not contaminate later launches.
+//! 4. **Every shard still serves.** After the barrage each shard runs one
+//!    more clean launch bit-identically — no shard is left wedged, and
+//!    healing one never paused or contaminated a sibling.
 //!
 //! Everything derives from one logged `u64` seed: a red soak anywhere
 //! reproduces locally with `blocksync chaos --seed <seed>`.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use std::collections::HashMap;
-
 use crate::barrier::SyncPolicy;
-use crate::error::ServiceError;
-use crate::executor::{BlockCtx, GridConfig, GridExecutor, RoundKernel};
+use crate::error::{ExecError, ServiceError};
+use crate::executor::{BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultInjector, FaultKind, FaultProfile, FaultSchedule, SplitMix64};
 use crate::gmem::GlobalBuffer;
 use crate::method::SyncMethod;
 use crate::obs::{json_escape, LaunchRecord, MetricsSnapshot, Observer};
-use crate::runtime::{GridRuntime, LaunchHandle, RuntimeKind};
+use crate::runtime::GridRuntime;
 use crate::service::{GridService, ServiceConfig, ServiceHandle, ShardKey};
 use crate::trace::TraceConfig;
 
 /// Configuration of one chaos soak run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
-    /// Total launches to push through the runtime.
+    /// Total launches pushed through the service, spread across shards by
+    /// the seeded RNG.
     pub launches: usize,
     /// Fraction of launches (0.0..=1.0) that carry a random fault
     /// schedule.
     pub fault_rate: f64,
-    /// Master seed; every fault schedule and every faulty/clean decision
-    /// derives from it, so one `u64` reproduces the whole soak.
+    /// Master seed: shard routing, every faulty/clean decision and every
+    /// fault schedule derive from it, so one `u64` reproduces the whole
+    /// soak.
     pub seed: u64,
-    /// Synchronization method under test. Must be a barrier method the
-    /// pooled runtime supports (not `CpuExplicit`, `Auto`, or `NoSync` —
-    /// chaos needs a barrier to poison and peers to observe faults).
-    pub method: SyncMethod,
-    /// Pooled (the default — exercises assembly faults, abandonment, and
-    /// worker replacement) or scoped (per-launch threads; assembly-phase
-    /// faults are not drawn, and self-heal checks do not apply).
-    pub runtime: RuntimeKind,
-    /// Blocks per launch (at least 2 — faults need a healthy witness).
-    pub n_blocks: usize,
-    /// Threads per block (affects grid validation only; the mix kernel is
-    /// block-level).
-    pub threads_per_block: usize,
+    /// The shard shapes under test; one element soaks a single pool. Each
+    /// needs a barrier method the pooled runtime supports (not
+    /// `CpuExplicit`, `Auto`, or `NoSync` — chaos needs a barrier to
+    /// poison and peers to observe faults) and at least 2 blocks (a
+    /// healthy witness per fault).
+    pub shards: Vec<ShardKey>,
     /// Rounds per launch.
     pub rounds: usize,
     /// Policy timeout for every launch; fault durations are sized from it.
     pub timeout: Duration,
-    /// Pipelining window: how many launches are in flight before the
-    /// oldest is waited on (pooled only; scoped runs sequentially).
+    /// Pipelining window: launches in flight (across all shards) before
+    /// the oldest is waited on. Also sizes the service's bounded per-shard
+    /// queues so the soak's own traffic is never rejected.
     pub window: usize,
     /// When set, every failed launch dumps a self-contained JSON
     /// postmortem (`postmortem-seed<seed>-launch<i>.json`) into this
-    /// directory, taken from the runtime's flight recorder — fault
+    /// directory, taken from the service's flight recorder — fault
     /// schedule, `StuckDiagnostic`, timing split, and recent trace events
     /// (the trace plane is enabled automatically for the soak so the
     /// events are populated). The artifact replays from the logged seed.
@@ -88,10 +88,7 @@ impl Default for ChaosConfig {
             launches: 200,
             fault_rate: 0.25,
             seed: 42,
-            method: SyncMethod::GpuLockFree,
-            runtime: RuntimeKind::Pooled,
-            n_blocks: 4,
-            threads_per_block: 8,
+            shards: vec![ShardKey::new(4, 8, SyncMethod::GpuLockFree)],
             rounds: 6,
             timeout: Duration::from_millis(80),
             window: 4,
@@ -108,15 +105,14 @@ pub struct ChaosLaunch {
     pub index: usize,
     /// `"clean"`, `"benign"` (delay-only schedule), or `"faulty"`.
     pub class: String,
-    /// The service shard that served the launch (`None` outside service
-    /// mode).
-    pub shard: Option<String>,
+    /// The shard that served the launch ([`ShardKey`]'s `Display`).
+    pub shard: String,
     /// The launch's error, when it failed.
     pub error: Option<String>,
     /// The scheduled faults, Debug-rendered (empty for clean launches).
     pub faults: Vec<String>,
-    /// Per-block worker generation counters after this launch settled
-    /// (empty under the scoped runtime).
+    /// Per-block worker generation counters of the serving shard after
+    /// this launch settled.
     pub generations: Vec<u64>,
     /// Worker replacements this launch's settling caused (sum of
     /// generation advances since the previous settled launch).
@@ -139,13 +135,13 @@ pub struct ChaosReport {
     /// Fault-free launches (expected to succeed bit-identically).
     pub clean: usize,
     /// Total worker replacements observed (sum of generation-counter
-    /// advances; 0 under the scoped runtime).
+    /// advances over all shards).
     pub replacements: u64,
     /// Invariant violations, one line each. Empty = passed.
     pub failures: Vec<String>,
     /// Per-launch outcome lines, in settle order.
     pub outcomes: Vec<ChaosLaunch>,
-    /// Snapshot of the runtime's metrics registry at the end of the soak.
+    /// Snapshot of the service's metrics registry at the end of the soak.
     pub metrics: Option<Box<MetricsSnapshot>>,
 }
 
@@ -175,16 +171,12 @@ impl ChaosReport {
                     Some(e) => format!("\"{}\"", json_escape(e)),
                     None => "null".to_string(),
                 };
-                let shard = match &o.shard {
-                    Some(s) => format!("\"{}\"", json_escape(s)),
-                    None => "null".to_string(),
-                };
                 format!(
-                    "    {{\"index\": {}, \"class\": \"{}\", \"shard\": {}, \"error\": {}, \
+                    "    {{\"index\": {}, \"class\": \"{}\", \"shard\": \"{}\", \"error\": {}, \
                      \"faults\": {}, \"generations\": {:?}, \"generation_delta\": {}}}",
                     o.index,
                     json_escape(&o.class),
-                    shard,
+                    json_escape(&o.shard),
                     error,
                     strings(&o.faults),
                     o.generations,
@@ -338,297 +330,39 @@ impl Planned {
 }
 
 impl ChaosConfig {
-    /// Validate the grid/method combination without running anything.
-    ///
-    /// # Errors
-    /// A human-readable reason when the configuration cannot host a chaos
-    /// soak (method without a poisonable barrier, too few blocks, ...).
-    pub fn validate(&self) -> Result<(), String> {
-        match self.method {
-            SyncMethod::CpuExplicit | SyncMethod::Auto | SyncMethod::NoSync => {
-                return Err(format!(
-                    "chaos needs a poisonable barrier method; {} cannot host fault \
-                     schedules (pick e.g. gpu-lockfree)",
-                    self.method
-                ));
-            }
-            _ => {}
-        }
-        if self.n_blocks < 2 {
-            return Err("chaos needs at least 2 blocks (a healthy witness per fault)".into());
-        }
-        if self.rounds < 1 {
-            return Err("chaos needs at least 1 round".into());
-        }
-        if !(0.0..=1.0).contains(&self.fault_rate) {
-            return Err(format!("fault rate {} outside 0.0..=1.0", self.fault_rate));
-        }
-        let cfg = GridConfig::new(self.n_blocks, self.threads_per_block);
-        cfg.validate().map_err(|e| e.to_string())?;
-        Ok(())
-    }
-
-    /// Run the soak to completion and report.
-    ///
-    /// Never panics on an invariant violation — every violation is
-    /// collected into [`ChaosReport::failures`] so one bad launch does not
-    /// hide the rest of the run.
-    ///
-    /// # Errors
-    /// See [`ChaosConfig::validate`]; construction failures of the pooled
-    /// runtime are also reported here.
-    pub fn run(&self) -> Result<ChaosReport, String> {
-        self.validate()?;
-        let pooled = self.runtime == RuntimeKind::Pooled;
-        let policy = SyncPolicy::with_timeout(self.timeout)
-            .with_straggler_backstop(self.timeout * 20 + Duration::from_secs(1));
-        let mut cfg = GridConfig::new(self.n_blocks, self.threads_per_block)
-            .with_policy(policy)
-            .with_runtime(self.runtime);
-        if let Some(dir) = &self.postmortem_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create postmortem dir {}: {e}", dir.display()))?;
-            // Postmortems embed recent trace events; turn tracing on so a
-            // failure dump is never empty-handed.
-            cfg = cfg.with_trace(TraceConfig::default());
-        }
-        let profile = FaultProfile {
-            n_blocks: self.n_blocks,
-            rounds: self.rounds,
-            timeout: self.timeout,
-            max_faults: 2,
-            // Assembly is a pooled-runtime phase; scoped launches would
-            // never fire it, turning expected failures into false alarms.
-            allow_assembly: pooled,
-        };
-        let expected = MixKernel::expected(self.n_blocks, self.rounds);
-        let mut report = ChaosReport {
-            seed: self.seed,
-            ..ChaosReport::default()
-        };
-        let mut rng = SplitMix64::new(self.seed);
-        let plans: Vec<Planned> = (0..self.launches)
-            .map(|_| {
-                let faulty = rng.next_f64() < self.fault_rate;
-                let kernel = MixKernel::new(self.n_blocks, self.rounds);
-                if faulty {
-                    let schedule = FaultSchedule::random(rng.next(), &profile);
-                    Planned::Faulty {
-                        schedule: schedule.clone(),
-                        kernel: Arc::new(
-                            FaultInjector::with_schedule(kernel, schedule).with_policy(policy),
-                        ),
-                    }
-                } else {
-                    Planned::Clean(Arc::new(kernel))
-                }
-            })
-            .collect();
-
-        if pooled {
-            let rt = GridRuntime::new(cfg, self.method).map_err(|e| e.to_string())?;
-            let mut tracker = GenTracker::default();
-            let mut inflight: VecDeque<(usize, LaunchHandle, &Planned)> = VecDeque::new();
-            for (i, plan) in plans.iter().enumerate() {
-                let submit = match plan {
-                    Planned::Clean(k) => rt.submit(Arc::clone(k)),
-                    Planned::Faulty { kernel, .. } => rt.submit(Arc::clone(kernel)),
-                };
-                match submit {
-                    Ok(h) => inflight.push_back((i, h, plan)),
-                    Err(e) => report
-                        .failures
-                        .push(format!("launch {i}: submit failed: {e}")),
-                }
-                if inflight.len() >= self.window.max(1) {
-                    let (i, h, plan) = inflight.pop_front().expect("nonempty");
-                    let seq = h.seq();
-                    let res = h.wait();
-                    if res.is_err() {
-                        self.dump_postmortem(&mut report, i, flight_record(&rt, seq));
-                    }
-                    let pool = Some((&mut tracker, rt.generations()));
-                    settle(&mut report, &expected, i, plan, pool, None, res);
-                }
-            }
-            while let Some((i, h, plan)) = inflight.pop_front() {
-                let seq = h.seq();
-                let res = h.wait();
-                if res.is_err() {
-                    self.dump_postmortem(&mut report, i, flight_record(&rt, seq));
-                }
-                let pool = Some((&mut tracker, rt.generations()));
-                settle(&mut report, &expected, i, plan, pool, None, res);
-            }
-            report.replacements = rt.generations().iter().sum();
-            report.metrics = Some(Box::new(rt.observer().snapshot()));
-        } else {
-            let exec = GridExecutor::new(cfg, self.method);
-            for (i, plan) in plans.iter().enumerate() {
-                let res = match plan {
-                    Planned::Clean(k) => exec.run(&**k).map(|_| ()),
-                    Planned::Faulty { kernel, .. } => exec.run(&**kernel).map(|_| ()),
-                };
-                if res.is_err() {
-                    self.dump_postmortem(&mut report, i, exec.observer().last_failure());
-                }
-                settle(&mut report, &expected, i, plan, None, None, res);
-            }
-            report.metrics = Some(Box::new(exec.observer().snapshot()));
-        }
-        report.launches = self.launches;
-        Ok(report)
-    }
-
-    /// Write one failed launch's flight record to the postmortem
-    /// directory. A write failure is folded into the report rather than
-    /// aborting the soak.
-    fn dump_postmortem(&self, report: &mut ChaosReport, i: usize, rec: Option<LaunchRecord>) {
-        dump_postmortem(self.postmortem_dir.as_deref(), self.seed, report, i, rec);
-    }
-}
-
-/// Write one failed launch's flight record as
-/// `postmortem-seed<seed>-launch<i>.json` under `dir` (no-op without a
-/// directory). A missing record or write failure is folded into the
-/// report rather than aborting the soak.
-fn dump_postmortem(
-    dir: Option<&std::path::Path>,
-    seed: u64,
-    report: &mut ChaosReport,
-    i: usize,
-    rec: Option<LaunchRecord>,
-) {
-    let Some(dir) = dir else {
-        return;
-    };
-    let Some(rec) = rec else {
-        report.failures.push(format!(
-            "launch {i}: failed but the flight recorder has no record of it"
-        ));
-        return;
-    };
-    let path = dir.join(format!("postmortem-seed{seed}-launch{i:04}.json"));
-    if let Err(e) = std::fs::write(&path, rec.to_json()) {
-        report.failures.push(format!(
-            "launch {i}: postmortem write to {} failed: {e}",
-            path.display()
-        ));
-    }
-}
-
-/// Find the flight record for pooled launch `seq`, preferring an exact
-/// seq match in the ring over the most recent failure (other launches in
-/// the pipeline window may have failed since).
-fn flight_record(rt: &GridRuntime, seq: u64) -> Option<LaunchRecord> {
-    let obs = rt.observer();
-    obs.recent()
-        .into_iter()
-        .rev()
-        .find(|r| r.seq == seq && r.outcome.is_failure())
-        .or_else(|| obs.last_failure())
-}
-
-/// Find the flight record of launch `seq` on shard `shard` in a service's
-/// shared flight recorder. Per-shard sequence numbers collide across
-/// shards, so the match needs both keys; the fallback is the most recent
-/// failure *on that shard*.
-fn service_flight_record(obs: &Observer, shard: &str, seq: u64) -> Option<LaunchRecord> {
-    let recent = obs.recent();
-    recent
-        .iter()
-        .rev()
-        .find(|r| r.seq == seq && r.shard.as_deref() == Some(shard) && r.outcome.is_failure())
-        .or_else(|| {
-            recent
-                .iter()
-                .rev()
-                .find(|r| r.shard.as_deref() == Some(shard) && r.outcome.is_failure())
-        })
-        .cloned()
-}
-
-/// Configuration of a chaos soak against **live service shards**: seeded
-/// fault schedules injected into a fraction of real traffic flowing
-/// through a [`GridService`], proving each shard self-heals under
-/// sustained failure *without pausing its siblings* — the always-on test
-/// target the ROADMAP's "chaos on the service layer" item asks for.
-///
-/// On top of the three per-launch invariants of [`ChaosConfig`] (cause
-/// attribution, per-shard stall self-healing, bit-identical clean
-/// outputs), the service soak adds a fourth: **after** the full fault
-/// barrage, every shard must still serve a clean launch bit-identically —
-/// no shard is left wedged or contaminated by its neighbors' failures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceChaosConfig {
-    /// Total launches pushed through the service, spread across shards by
-    /// the seeded RNG.
-    pub launches: usize,
-    /// Fraction of launches (0.0..=1.0) carrying a random fault schedule.
-    pub fault_rate: f64,
-    /// Master seed: shard routing, faulty/clean decisions, and every
-    /// schedule derive from it.
-    pub seed: u64,
-    /// The shard shapes under test (each must be pool-capable with a
-    /// poisonable barrier and at least 2 blocks).
-    pub shards: Vec<ShardKey>,
-    /// Rounds per launch.
-    pub rounds: usize,
-    /// Policy timeout per launch; fault durations are sized from it.
-    pub timeout: Duration,
-    /// Global pipelining window: launches in flight (across all shards)
-    /// before the oldest is waited on. Also sizes the service's bounded
-    /// per-shard queues so the soak's own traffic is never rejected.
-    pub window: usize,
-    /// As [`ChaosConfig::postmortem_dir`], with shard-qualified flight
-    /// records.
-    pub postmortem_dir: Option<PathBuf>,
-}
-
-impl Default for ServiceChaosConfig {
-    fn default() -> Self {
-        ServiceChaosConfig {
-            launches: 200,
-            fault_rate: 0.25,
-            seed: 42,
-            shards: vec![
-                ShardKey::new(4, 8, SyncMethod::GpuLockFree),
-                ShardKey::new(3, 8, SyncMethod::GpuSimple),
-                ShardKey::new(5, 8, SyncMethod::GpuTree(crate::method::TreeLevels::Two)),
-            ],
-            rounds: 6,
-            timeout: Duration::from_millis(80),
-            window: 6,
-            postmortem_dir: None,
-        }
-    }
-}
-
-impl ServiceChaosConfig {
     /// Validate every shard shape without running anything.
     ///
     /// # Errors
-    /// A human-readable reason when any shard cannot host a chaos soak.
+    /// A human-readable reason when the configuration cannot host a chaos
+    /// soak (no shards, a method without a poisonable barrier, too few
+    /// blocks, ...).
     pub fn validate(&self) -> Result<(), String> {
         if self.shards.is_empty() {
-            return Err("service chaos needs at least one shard".into());
-        }
-        if !(0.0..=1.0).contains(&self.fault_rate) {
-            return Err(format!("fault rate {} outside 0.0..=1.0", self.fault_rate));
+            return Err("chaos needs at least one shard".into());
         }
         if self.rounds < 1 {
             return Err("chaos needs at least 1 round".into());
         }
+        if !(0.0..=1.0).contains(&self.fault_rate) {
+            return Err(format!("fault rate {} outside 0.0..=1.0", self.fault_rate));
+        }
         for key in &self.shards {
-            let per_shard = ChaosConfig {
-                method: key.method,
-                n_blocks: key.blocks,
-                threads_per_block: key.threads_per_block,
-                rounds: self.rounds,
-                fault_rate: self.fault_rate,
-                ..ChaosConfig::default()
-            };
-            per_shard
+            if matches!(
+                key.method,
+                SyncMethod::CpuExplicit | SyncMethod::Auto | SyncMethod::NoSync
+            ) {
+                return Err(format!(
+                    "shard {key}: chaos needs a poisonable barrier method; {} cannot host \
+                     fault schedules (pick e.g. gpu-lock-free)",
+                    key.method
+                ));
+            }
+            if key.blocks < 2 {
+                return Err(format!(
+                    "shard {key}: chaos needs at least 2 blocks (a healthy witness per fault)"
+                ));
+            }
+            GridConfig::new(key.blocks, key.threads_per_block)
                 .validate()
                 .map_err(|e| format!("shard {key}: {e}"))?;
         }
@@ -636,12 +370,16 @@ impl ServiceChaosConfig {
     }
 
     /// Run the soak across live shards and report. Faulted shards heal in
-    /// place while siblings keep taking traffic; see the type docs for
+    /// place while siblings keep taking traffic; see the module docs for
     /// the invariants checked.
     ///
+    /// Never panics on an invariant violation — every violation is
+    /// collected into [`ChaosReport::failures`] so one bad launch does not
+    /// hide the rest of the run.
+    ///
     /// # Errors
-    /// See [`ServiceChaosConfig::validate`]; service construction
-    /// failures are also reported here.
+    /// See [`ChaosConfig::validate`]; a postmortem directory that cannot
+    /// be created is also reported here.
     pub fn run(&self) -> Result<ChaosReport, String> {
         self.validate()?;
         let policy = SyncPolicy::with_timeout(self.timeout)
@@ -650,6 +388,8 @@ impl ServiceChaosConfig {
         if let Some(dir) = &self.postmortem_dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create postmortem dir {}: {e}", dir.display()))?;
+            // Postmortems embed recent trace events; turn tracing on so a
+            // failure dump is never empty-handed.
             template = template.with_trace(TraceConfig::default());
         }
         // The bounded queues must admit the soak's own pipelining: the
@@ -675,6 +415,8 @@ impl ServiceChaosConfig {
             .iter()
             .map(|&k| (k, MixKernel::expected(k.blocks, self.rounds)))
             .collect();
+        // One tracker per shard so a sibling shard's healing can never
+        // satisfy — or mask — another shard's invariant 2.
         let mut trackers: HashMap<ShardKey, GenTracker> = self
             .shards
             .iter()
@@ -723,14 +465,14 @@ impl ServiceChaosConfig {
                         report.failures.push(format!(
                             "launch {i} (shard {label}): post-admission {other}"
                         ));
-                        crate::error::ExecError::RuntimeUnsupported {
+                        ExecError::RuntimeUnsupported {
                             method: other.to_string(),
                         }
                     }
                 });
                 if res.is_err() {
                     let rec = service_flight_record(&svc.observer(), &label, seq);
-                    dump_postmortem(self.postmortem_dir.as_deref(), self.seed, report, i, rec);
+                    self.dump_postmortem(report, i, rec);
                 }
                 let tracker = trackers.get_mut(&key).expect("tracker per shard");
                 let gens = svc
@@ -741,8 +483,8 @@ impl ServiceChaosConfig {
                     &expected[&key],
                     i,
                     plan,
-                    Some((tracker, gens)),
-                    Some(&label),
+                    (tracker, gens),
+                    &label,
                     res,
                 );
             };
@@ -796,40 +538,79 @@ impl ServiceChaosConfig {
         report.metrics = Some(Box::new(svc.observer().snapshot()));
         Ok(report)
     }
+
+    /// Write one failed launch's flight record as
+    /// `postmortem-seed<seed>-launch<i>.json` under the postmortem
+    /// directory (no-op without one). A missing record or write failure is
+    /// folded into the report rather than aborting the soak.
+    fn dump_postmortem(&self, report: &mut ChaosReport, i: usize, rec: Option<LaunchRecord>) {
+        let Some(dir) = self.postmortem_dir.as_deref() else {
+            return;
+        };
+        let Some(rec) = rec else {
+            report.failures.push(format!(
+                "launch {i}: failed but the flight recorder has no record of it"
+            ));
+            return;
+        };
+        let path = dir.join(format!("postmortem-seed{}-launch{i:04}.json", self.seed));
+        if let Err(e) = std::fs::write(&path, rec.to_json()) {
+            report.failures.push(format!(
+                "launch {i}: postmortem write to {} failed: {e}",
+                path.display()
+            ));
+        }
+    }
 }
 
-/// Per-pool generation bookkeeping across settles: `watermark` is the
+/// Find the flight record of launch `seq` on shard `shard` in a service's
+/// shared flight recorder. Per-shard sequence numbers collide across
+/// shards, so the match needs both keys; the fallback is the most recent
+/// failure *on that shard* (other launches in the pipeline window may
+/// have failed since).
+fn service_flight_record(obs: &Observer, shard: &str, seq: u64) -> Option<LaunchRecord> {
+    let recent = obs.recent();
+    recent
+        .iter()
+        .rev()
+        .find(|r| r.seq == seq && r.shard.as_deref() == Some(shard) && r.outcome.is_failure())
+        .or_else(|| {
+            recent
+                .iter()
+                .rev()
+                .find(|r| r.shard.as_deref() == Some(shard) && r.outcome.is_failure())
+        })
+        .cloned()
+}
+
+/// Per-shard generation bookkeeping across settles: `watermark` is the
 /// stall-self-heal threshold of invariant 2 (only advanced by all-stall
 /// schedules), `last_sum` the previous settled launch's generation sum
-/// (for per-launch replacement deltas). Service mode keeps one tracker
-/// per shard so a sibling shard's healing can never satisfy — or mask —
-/// another shard's invariant.
+/// (for per-launch replacement deltas).
 #[derive(Debug, Default)]
 struct GenTracker {
     watermark: u64,
     last_sum: u64,
 }
 
-/// Check one completed launch against the three soak invariants, folding
-/// violations into the report. `pool` carries the serving pool's current
-/// generation counters plus its tracker (`None` under the scoped
-/// runtime); `shard` labels service-mode outcomes.
-fn settle<T>(
+/// Check one completed launch against the three per-launch invariants,
+/// folding violations into the report. `pool` is the serving shard's
+/// generation bookkeeping plus its current counters.
+fn settle(
     report: &mut ChaosReport,
     expected: &[u64],
     i: usize,
     plan: &Planned,
-    pool: Option<(&mut GenTracker, Vec<u64>)>,
-    shard: Option<&str>,
-    outcome: Result<T, crate::error::ExecError>,
+    (tracker, gens): (&mut GenTracker, Vec<u64>),
+    shard: &str,
+    outcome: Result<crate::stats::KernelStats, ExecError>,
 ) {
     let schedule = plan.schedule();
     let expects_failure = schedule.is_some_and(FaultSchedule::expects_failure);
-    let at = shard.map(|s| format!(" (shard {s})")).unwrap_or_default();
     match (&outcome, schedule) {
         (Ok(_), _) if expects_failure => {
             report.failures.push(format!(
-                "launch {i}{at}: expected a failure but it succeeded (schedule {:?})",
+                "launch {i} (shard {shard}): expected a failure but it succeeded (schedule {:?})",
                 schedule.expect("expects_failure implies a schedule")
             ));
         }
@@ -839,7 +620,8 @@ fn settle<T>(
             let got = plan.output();
             if got != expected {
                 report.failures.push(format!(
-                    "launch {i}{at}: output diverged from reference: {got:?} != {expected:?}"
+                    "launch {i} (shard {shard}): output diverged from reference: \
+                     {got:?} != {expected:?}"
                 ));
             }
         }
@@ -847,13 +629,14 @@ fn settle<T>(
             // Invariant 1: the error names a scheduled fault site.
             if !s.matches_error(e) {
                 report.failures.push(format!(
-                    "launch {i}{at}: error does not name a scheduled fault: `{e}` vs {s:?}"
+                    "launch {i} (shard {shard}): error does not name a scheduled fault: \
+                     `{e}` vs {s:?}"
                 ));
             }
         }
         (Err(e), _) => {
             report.failures.push(format!(
-                "launch {i}{at}: unexpected failure of a {} launch: {e}",
+                "launch {i} (shard {shard}): unexpected failure of a {} launch: {e}",
                 if schedule.is_some() {
                     "benign"
                 } else {
@@ -881,38 +664,32 @@ fn settle<T>(
     // advances some generation counter of *its own* pool. (Mixed
     // schedules may fail before any stall site is reached, so only
     // all-stall schedules assert.)
-    let (generations, generation_delta) = match pool {
-        Some((tracker, gens)) => {
-            let gens_sum: u64 = gens.iter().sum();
-            if let Some(s) = schedule {
-                let fatal: Vec<_> = s.faults().iter().filter(|f| f.is_fatal()).collect();
-                let all_stalls = !fatal.is_empty()
-                    && fatal.iter().all(|f| matches!(f.kind, FaultKind::Stall(_)));
-                if all_stalls {
-                    if gens_sum <= tracker.watermark {
-                        report.failures.push(format!(
-                            "launch {i}{at}: stall schedule did not advance any worker \
-                             generation (pool failed to self-heal): {s:?}"
-                        ));
-                    }
-                    tracker.watermark = gens_sum.max(tracker.watermark);
-                }
+    let gens_sum: u64 = gens.iter().sum();
+    if let Some(s) = schedule {
+        let fatal: Vec<_> = s.faults().iter().filter(|f| f.is_fatal()).collect();
+        let all_stalls =
+            !fatal.is_empty() && fatal.iter().all(|f| matches!(f.kind, FaultKind::Stall(_)));
+        if all_stalls {
+            if gens_sum <= tracker.watermark {
+                report.failures.push(format!(
+                    "launch {i} (shard {shard}): stall schedule did not advance any worker \
+                     generation (pool failed to self-heal): {s:?}"
+                ));
             }
-            let delta = gens_sum.saturating_sub(tracker.last_sum);
-            tracker.last_sum = gens_sum;
-            (gens, delta)
+            tracker.watermark = gens_sum.max(tracker.watermark);
         }
-        None => (Vec::new(), 0),
-    };
+    }
+    let generation_delta = gens_sum.saturating_sub(tracker.last_sum);
+    tracker.last_sum = gens_sum;
     report.outcomes.push(ChaosLaunch {
         index: i,
         class: class.to_string(),
-        shard: shard.map(str::to_string),
+        shard: shard.to_string(),
         error: outcome.as_ref().err().map(ToString::to_string),
         faults: schedule
             .map(|s| s.faults().iter().map(|f| format!("{f:?}")).collect())
             .unwrap_or_default(),
-        generations,
+        generations: gens,
         generation_delta,
     });
 }
@@ -920,35 +697,51 @@ fn settle<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::TreeLevels;
+
+    /// Three differently-shaped shards, so routing, per-shard trackers and
+    /// invariant 4 have siblings to tell apart.
+    fn three_shards() -> Vec<ShardKey> {
+        vec![
+            ShardKey::new(4, 8, SyncMethod::GpuLockFree),
+            ShardKey::new(3, 8, SyncMethod::GpuSimple),
+            ShardKey::new(5, 8, SyncMethod::GpuTree(TreeLevels::Two)),
+        ]
+    }
 
     #[test]
     fn reference_matches_a_clean_run() {
         let k = MixKernel::new(3, 5);
         let cfg = GridConfig::new(3, 8);
-        GridExecutor::new(cfg, SyncMethod::GpuSimple)
+        crate::GridExecutor::new(cfg, SyncMethod::GpuSimple)
             .run(&k)
             .unwrap();
         assert_eq!(k.output(), MixKernel::expected(3, 5));
     }
 
     #[test]
-    fn validate_rejects_barrierless_methods_and_tiny_grids() {
-        let bad = ChaosConfig {
-            method: SyncMethod::NoSync,
+    fn validate_rejects_bad_shards() {
+        let with = |shards: Vec<ShardKey>| ChaosConfig {
+            shards,
             ..ChaosConfig::default()
         };
-        assert!(bad.validate().is_err());
-        let bad = ChaosConfig {
-            method: SyncMethod::CpuExplicit,
-            ..ChaosConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ChaosConfig {
-            n_blocks: 1,
-            ..ChaosConfig::default()
-        };
-        assert!(bad.validate().is_err());
+        assert!(with(Vec::new()).validate().is_err());
+        let err = with(vec![ShardKey::new(4, 8, SyncMethod::NoSync)])
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("shard 4x8/no-sync"), "{err}");
+        assert!(with(vec![ShardKey::new(4, 8, SyncMethod::CpuExplicit)])
+            .validate()
+            .is_err());
+        assert!(with(vec![ShardKey::new(1, 8, SyncMethod::GpuSimple)])
+            .validate()
+            .is_err());
+        // One bad shard spoils a list of good ones.
+        let mut mixed = three_shards();
+        mixed.push(ShardKey::new(4, 8, SyncMethod::Auto));
+        assert!(with(mixed).validate().is_err());
         assert!(ChaosConfig::default().validate().is_ok());
+        assert!(with(three_shards()).validate().is_ok());
     }
 
     #[test]
@@ -979,6 +772,7 @@ mod tests {
         assert_eq!(report.outcomes.len(), 6);
         for (i, o) in report.outcomes.iter().enumerate() {
             assert_eq!(o.index, i);
+            assert_eq!(o.shard, "4x8/gpu-lock-free");
             assert!(matches!(o.class.as_str(), "clean" | "benign" | "faulty"));
             // Faulty launches must carry both a schedule and the error that
             // named it; clean ones neither.
@@ -989,7 +783,8 @@ mod tests {
             }
         }
         let metrics = report.metrics.as_ref().expect("soak snapshots metrics");
-        assert_eq!(metrics.counters["launches_total"], 6);
+        // The six soak launches plus the one-shard liveness pass.
+        assert_eq!(metrics.counters["launches_total"], 7);
         // The report JSON must parse and round-trip its aggregate counts.
         let json = report.to_json();
         let parsed = crate::obs::json::parse(&json).expect("report JSON parses");
@@ -1026,43 +821,20 @@ mod tests {
     }
 
     #[test]
-    fn service_validate_rejects_bad_shards() {
-        let empty = ServiceChaosConfig {
-            shards: Vec::new(),
-            ..ServiceChaosConfig::default()
-        };
-        assert!(empty.validate().is_err());
-        let barrierless = ServiceChaosConfig {
-            shards: vec![ShardKey::new(4, 8, SyncMethod::NoSync)],
-            ..ServiceChaosConfig::default()
-        };
-        let err = barrierless.validate().unwrap_err();
-        assert!(err.contains("shard 4x8/no-sync"), "{err}");
-        let tiny = ServiceChaosConfig {
-            shards: vec![ShardKey::new(1, 8, SyncMethod::GpuSimple)],
-            ..ServiceChaosConfig::default()
-        };
-        assert!(tiny.validate().is_err());
-        assert!(ServiceChaosConfig::default().validate().is_ok());
-    }
-
-    #[test]
     fn clean_service_soak_spreads_traffic_and_labels_outcomes() {
-        let cfg = ServiceChaosConfig {
+        let cfg = ChaosConfig {
             launches: 12,
             fault_rate: 0.0,
+            shards: three_shards(),
             rounds: 3,
-            ..ServiceChaosConfig::default()
+            ..ChaosConfig::default()
         };
         let report = cfg.run().unwrap();
         assert!(report.passed(), "{report}");
         assert_eq!(report.clean, 12);
         assert_eq!(report.outcomes.len(), 12);
-        let shards: std::collections::BTreeSet<_> = report
-            .outcomes
-            .iter()
-            .map(|o| o.shard.clone().expect("service outcomes carry a shard"))
-            .collect();
+        let shards: std::collections::BTreeSet<_> =
+            report.outcomes.iter().map(|o| o.shard.clone()).collect();
         assert!(
             shards.len() >= 2,
             "seeded routing should hit several shards: {shards:?}"
@@ -1090,12 +862,14 @@ mod tests {
 
     #[test]
     fn faulty_service_soak_heals_shards_without_pausing_siblings() {
-        let report = ServiceChaosConfig {
+        let report = ChaosConfig {
             launches: 24,
             fault_rate: 0.5,
+            shards: three_shards(),
             rounds: 4,
             timeout: Duration::from_millis(40),
-            ..ServiceChaosConfig::default()
+            window: 6,
+            ..ChaosConfig::default()
         }
         .run()
         .unwrap();

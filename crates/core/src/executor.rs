@@ -7,11 +7,13 @@
 //! (one round per anti-diagonal), bitonic sort (one round per
 //! compare-exchange step) — as well as its micro-benchmark.
 //!
-//! The executor is a thin front over the launch engine
-//! ([`crate::launch::LaunchPlan`]): it resolves `Auto`, picks pooled vs
-//! scoped execution, compiles a plan, and hands the kernel to the engine.
-//! The engine inserts the inter-block barrier between rounds according to
-//! the chosen [`SyncMethod`]:
+//! The executor is the cold entry point, a thin front over the launch
+//! engine ([`crate::launch::LaunchPlan`]): it resolves `Auto`, compiles a
+//! plan, hands the kernel to the engine, and observes the outcome. Every
+//! call pays the full launch overhead `t_O`; warm launches are a different
+//! type ([`crate::GridRuntime`], [`crate::GridService`]), not a flag on
+//! this one. The engine inserts the inter-block barrier between rounds
+//! according to the chosen [`SyncMethod`]:
 //!
 //! * **GPU methods** — one persistent OS thread per block for the whole
 //!   kernel; a device-side spin barrier between rounds ("launch the kernel
@@ -51,7 +53,6 @@ use crate::barrier::SyncPolicy;
 use crate::error::ExecError;
 use crate::launch::{KernelRef, LaunchPlan};
 use crate::method::SyncMethod;
-use crate::runtime::{GridRuntime, PoolLaunchStats, RuntimeKind};
 use crate::stats::KernelStats;
 use crate::trace::TraceConfig;
 
@@ -73,14 +74,6 @@ pub struct GridConfig {
     /// default), the run carries an event recorder and
     /// [`KernelStats::telemetry`] is populated.
     pub trace: Option<TraceConfig>,
-    /// Which host runtime persistent-mode methods run on:
-    /// [`RuntimeKind::Scoped`] (the default) spawns fresh block threads per
-    /// run, [`RuntimeKind::Pooled`] reuses a persistent
-    /// [`crate::GridRuntime`] worker pool so repeated runs pay warm `t_O`.
-    /// Every method the pool supports (GPU-side, `CpuImplicit`, `NoSync`)
-    /// honours the request; `CpuExplicit` and `Auto` fall back to scoped
-    /// and record why in [`KernelStats::pool`].
-    pub runtime: RuntimeKind,
 }
 
 impl GridConfig {
@@ -92,7 +85,6 @@ impl GridConfig {
             spec: GpuSpec::gtx280(),
             policy: SyncPolicy::default(),
             trace: None,
-            runtime: RuntimeKind::default(),
         }
     }
 
@@ -111,13 +103,6 @@ impl GridConfig {
     /// Enable telemetry under `trace` (event recording + histograms).
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = Some(trace);
-        self
-    }
-
-    /// Select the host runtime (scoped spawns vs the pooled
-    /// [`crate::GridRuntime`]).
-    pub fn with_runtime(mut self, runtime: RuntimeKind) -> Self {
-        self.runtime = runtime;
         self
     }
 
@@ -275,19 +260,14 @@ impl<F: Fn(&BlockCtx, usize) + Sync> RoundKernel for (usize, F) {
     }
 }
 
-/// Executes [`RoundKernel`]s under a configured synchronization method.
+/// Executes [`RoundKernel`]s under a configured synchronization method,
+/// spawning fresh block threads per call (cold `t_O`).
 #[derive(Debug, Clone)]
 pub struct GridExecutor {
     cfg: GridConfig,
     method: SyncMethod,
-    /// Lazily-built persistent pool for [`RuntimeKind::Pooled`]; shared by
-    /// clones of this executor so they reuse the same warm workers.
-    pool: Arc<std::sync::OnceLock<GridRuntime>>,
-    /// Cross-launch observability plane, shared with the pool (when one is
-    /// built) so pooled launches and scoped fallbacks land in one
-    /// registry. Scoped runs are observed here, after the fallback reason
-    /// is attached; pooled runs are observed by the pool's own completion
-    /// path — never both.
+    /// Cross-launch observability plane, shared by clones of this
+    /// executor: every run is observed here, exactly once.
     obs: Arc<crate::obs::Observer>,
 }
 
@@ -297,28 +277,15 @@ impl GridExecutor {
         GridExecutor {
             cfg,
             method,
-            pool: Arc::new(std::sync::OnceLock::new()),
             obs: crate::obs::Observer::new(),
         }
     }
 
     /// This executor's observability handle: every `run`/`run_owned`
-    /// outcome (pooled or scoped, success or failure) is folded into its
-    /// metrics registry and flight recorder.
+    /// outcome (success or failure) is folded into its metrics registry
+    /// and flight recorder.
     pub fn observer(&self) -> Arc<crate::obs::Observer> {
         Arc::clone(&self.obs)
-    }
-
-    /// The persistent pool behind the [`RuntimeKind::Pooled`] fast path,
-    /// built on first use. A racing clone may build a second pool; the
-    /// loser is dropped (its workers shut down) and the winner is shared.
-    fn runtime(&self) -> Result<&GridRuntime, ExecError> {
-        if let Some(rt) = self.pool.get() {
-            return Ok(rt);
-        }
-        let rt =
-            GridRuntime::new_with_observer(self.cfg.clone(), self.method, Arc::clone(&self.obs))?;
-        Ok(self.pool.get_or_init(|| rt))
     }
 
     /// The configured method.
@@ -339,22 +306,19 @@ impl GridExecutor {
     /// [`ExecError::BarrierTimeout`] if a barrier wait (or CPU-mode
     /// rendezvous) exceeded the [`SyncPolicy`] timeout.
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
-        if self.cfg.runtime == RuntimeKind::Pooled && GridRuntime::supports(self.method) {
-            return self.runtime()?.run(kernel);
-        }
-        // SAFETY: both arms end in `LaunchPlan::execute`, which joins every
+        // SAFETY: `launch` ends in `LaunchPlan::execute`, which joins every
         // thread it starts for a borrowed kernel before it returns.
-        self.run_unpooled(unsafe { KernelRef::borrowed(kernel) })
+        self.launch(unsafe { KernelRef::borrowed(kernel) })
     }
 
     /// [`GridExecutor::run`] with an *owned* kernel, which strengthens the
-    /// fault-tolerance contract: because the run co-owns the kernel, a
-    /// block stuck in non-cooperative kernel code past the
-    /// [`SyncPolicy`] timeout can be *abandoned* (its thread detached and,
-    /// on the pooled runtime, replaced) instead of hanging the host — the
-    /// borrowed [`GridExecutor::run`] must always wait for kernel code to
-    /// finish. Under CPU-explicit sync this is the watchdog join; under
-    /// [`RuntimeKind::Pooled`] it is the pool's abandon-and-replace path.
+    /// fault-tolerance contract under CPU-explicit sync: because the run
+    /// co-owns the kernel, a block stuck in non-cooperative kernel code
+    /// past the [`SyncPolicy`] timeout is *detached* by the watchdog join
+    /// instead of hanging the host. Under every other method the scoped
+    /// threads are joined, as in [`GridExecutor::run`]; the
+    /// abandon-and-replace path for those is
+    /// [`crate::GridRuntime::submit`].
     ///
     /// # Errors
     /// Same contract as [`GridExecutor::run`].
@@ -362,79 +326,43 @@ impl GridExecutor {
         &self,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<KernelStats, ExecError> {
-        if self.cfg.runtime == RuntimeKind::Pooled && GridRuntime::supports(self.method) {
-            return self.runtime()?.submit_dyn(kernel)?.wait();
-        }
-        self.run_unpooled(KernelRef::owned(kernel))
+        self.launch(KernelRef::owned(kernel))
     }
 
-    /// Everything the pool does not serve: `Auto`, then whatever method is
-    /// configured (the pool supports neither `Auto` nor `CpuExplicit`, so
-    /// checking it first in the callers loses no case).
-    fn run_unpooled(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
-        if self.method == SyncMethod::Auto {
-            self.run_auto(kernel)
-        } else {
-            self.run_planned(kernel)
-        }
-    }
-
-    /// Compile a [`LaunchPlan`] for the configured method and run the
-    /// kernel through the launch engine. If the user asked for the pooled
-    /// runtime but the method cannot run on it (only `CpuExplicit` gets
-    /// here — everything else either pools or is `Auto`), the stats record
-    /// the scoped fallback and its reason instead of staying silent.
-    fn run_planned(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
+    /// Resolve `Auto`, compile a [`LaunchPlan`], execute, observe.
+    ///
+    /// [`SyncMethod::Auto`] resolves through the host-calibrated cost
+    /// model (grid-config time, cached calibration); after the run the
+    /// measured per-round sync cost is recorded next to the prediction in
+    /// [`KernelStats::auto`], and the stats report the method as
+    /// `auto:<resolved>` so runs under `Auto` remain distinguishable. The
+    /// decision record also prices a warm relaunch (see
+    /// [`crate::AutoDecision::prefers_pooled`]).
+    fn launch(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
         let start = std::time::Instant::now();
-        let plan = LaunchPlan::compile(self.cfg.clone(), self.method)?;
-        let mut result = plan.execute(kernel);
-        if self.cfg.runtime == RuntimeKind::Pooled {
-            if let Ok(stats) = &mut result {
-                stats.pool = Some(Box::new(PoolLaunchStats::scoped_fallback(format!(
-                    "{} relaunches from the host every round; a persistent worker pool cannot serve it",
-                    self.method
-                ))));
+        let decision = match self.method {
+            SyncMethod::Auto => {
+                self.cfg.validate()?;
+                Some(crate::autotune::AutoTuner::host().decide(
+                    self.cfg.n_blocks,
+                    self.cfg.spec.max_persistent_blocks() as usize,
+                ))
             }
-        }
-        self.obs
-            .observe_outcome(&self.method.to_string(), &result, start.elapsed());
-        result
-    }
-
-    /// `SyncMethod::Auto`: resolve the method through the host-calibrated
-    /// cost model (grid-config time, cached calibration), run the kernel
-    /// under the winner, then close the loop by recording the measured
-    /// per-round sync cost next to the prediction in
-    /// [`KernelStats::auto`]. The stats report the method as
-    /// `auto:<resolved>` so runs under `Auto` remain distinguishable.
-    /// Auto always executes scoped — a per-run pool would never get warm —
-    /// but its decision record prices pooled relaunch (see
-    /// [`crate::AutoDecision::prefers_pooled`]); under
-    /// [`RuntimeKind::Pooled`] the stats record the scoped fallback.
-    fn run_auto(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
-        self.cfg.validate()?;
-        let start = std::time::Instant::now();
-        let tuner = crate::autotune::AutoTuner::host();
-        let mut decision = tuner.decide(
-            self.cfg.n_blocks,
-            self.cfg.spec.max_persistent_blocks() as usize,
-        );
-        let plan = LaunchPlan::compile(self.cfg.clone(), decision.chosen)?;
-        let resolved = format!("auto:{}", decision.chosen);
+            _ => None,
+        };
+        let method = decision.as_ref().map_or(self.method, |d| d.chosen);
+        let plan = LaunchPlan::compile(self.cfg.clone(), method)?;
+        let label = match &decision {
+            Some(d) => format!("auto:{}", d.chosen),
+            None => method.to_string(),
+        };
         let mut result = plan.execute(kernel);
-        if let Ok(stats) = &mut result {
+        if let (Ok(stats), Some(mut decision)) = (&mut result, decision) {
             decision.measured_sync_ns = Some(stats.sync_per_round().as_secs_f64() * 1e9);
-            stats.method = resolved.clone();
+            stats.method = label.clone();
             stats.auto = Some(Box::new(decision));
-            if self.cfg.runtime == RuntimeKind::Pooled {
-                stats.pool = Some(Box::new(PoolLaunchStats::scoped_fallback(
-                    "auto re-resolves its method per launch; a per-launch pool would never get warm"
-                        .to_string(),
-                )));
-            }
         }
-        self.obs
-            .observe_outcome(&resolved, &result, start.elapsed());
+        self.obs.observe_outcome(&label, &result, start.elapsed());
         result
     }
 }
@@ -889,34 +817,6 @@ mod tests {
                 stats.wall
             );
         }
-    }
-
-    #[test]
-    fn scoped_fallback_from_pooled_is_recorded() {
-        // Satellite regression: `--runtime pooled` with a method the pool
-        // cannot serve must not be silent — the stats carry the reason.
-        let k = (3usize, |_: &BlockCtx, _: usize| {});
-        let cfg = GridConfig::new(2, 8).with_runtime(RuntimeKind::Pooled);
-        let stats = GridExecutor::new(cfg.clone(), SyncMethod::CpuExplicit)
-            .run(&k)
-            .unwrap();
-        let pool = stats.pool.as_deref().expect("fallback recorded");
-        assert!(!pool.ran_pooled());
-        assert!(
-            pool.fallback.as_deref().unwrap().contains("cpu-explicit"),
-            "{:?}",
-            pool.fallback
-        );
-        // Auto under pooled also runs scoped and says so.
-        let stats = GridExecutor::new(cfg, SyncMethod::Auto).run(&k).unwrap();
-        let pool = stats.pool.as_deref().expect("fallback recorded");
-        assert!(!pool.ran_pooled());
-        assert!(pool.fallback.as_deref().unwrap().contains("auto"));
-        // A scoped run that never asked for the pool stays pool-less.
-        let scoped = GridExecutor::new(GridConfig::new(2, 8), SyncMethod::CpuExplicit)
-            .run(&k)
-            .unwrap();
-        assert!(scoped.pool.is_none());
     }
 
     #[test]

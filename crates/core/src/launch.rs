@@ -8,7 +8,7 @@
 //!
 //! * [`LaunchPlan`] — a validated `(GridConfig, SyncMethod)` pair,
 //!   compiled once and reusable across launches (the executor compiles
-//!   one per run; the pooled runtime and the launch-overhead benchmark
+//!   one per run; the pooled runtime and the `perf/` benchmark
 //!   keep one alive and launch through it repeatedly).
 //! * [`LaunchSetup`] — the per-launch state a plan stamps out: a **fresh**
 //!   barrier (poisoning is permanent, so barriers are never reused across
@@ -22,10 +22,10 @@
 //!
 //! | strategy | serves | shape |
 //! |---|---|---|
-//! | [`run_scoped`] | GPU methods, `CpuImplicit`, `NoSync` (scoped) | spawn per launch, [`drive_block`] per block |
-//! | pooled workers (`core::runtime`) | same methods, `RuntimeKind::Pooled` | pinned workers, [`drive_block`] per block |
+//! | [`run_scoped`] | GPU methods, `CpuImplicit`, `NoSync` through a [`LaunchPlan`] | spawn per launch, [`drive_block`] per block |
+//! | pooled workers (`core::runtime`) | same methods through a [`crate::GridRuntime`] | pinned workers, [`drive_block`] per block |
 //! | [`run_relaunch`] | `CpuExplicit` | spawn + watchdog-join per round |
-//! | `Auto` (`GridExecutor::run_auto`) | resolves, then one of the above | plan compiled for the resolved method |
+//! | `Auto` ([`crate::GridExecutor`]) | resolves, then [`run_scoped`] or [`run_relaunch`] | plan compiled for the resolved method |
 //!
 //! `CpuImplicit` needs no strategy of its own anymore: its driver
 //! rendezvous is a [`crate::CpuImplicitSync`] barrier, so both the scoped
@@ -44,7 +44,6 @@ use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultSchedule, WaitFaultInjector};
 use crate::method::SyncMethod;
-use crate::obs::Observer;
 use crate::runtime::PoolLaunchStats;
 use crate::stats::{BlockTimes, KernelStats};
 use crate::trace::{EventRecorder, TraceEventKind};
@@ -280,16 +279,12 @@ impl KernelRef {
 /// Compile once, launch many times — each [`LaunchPlan::run`] stamps out a
 /// fresh [`LaunchSetup`] (barrier, recorder, abort), so faults stay
 /// per-launch. [`crate::GridExecutor`] compiles a plan per call; the
-/// pooled [`crate::GridRuntime`] and the launch-overhead benchmark hold
+/// pooled [`crate::GridRuntime`] and the `perf/` benchmark hold
 /// one for their whole lifetime.
 #[derive(Debug, Clone)]
 pub struct LaunchPlan {
     cfg: GridConfig,
     method: SyncMethod,
-    /// Optional cross-launch observer fed once per [`LaunchPlan::execute`]
-    /// (success and failure alike). The pooled runtime and the executor
-    /// observe at their own layers instead, so they leave this unset.
-    observer: Option<Arc<Observer>>,
 }
 
 impl LaunchPlan {
@@ -307,22 +302,7 @@ impl LaunchPlan {
             });
         }
         cfg.validate()?;
-        Ok(LaunchPlan {
-            cfg,
-            method,
-            observer: None,
-        })
-    }
-
-    /// Attach a cross-launch [`Observer`]: every subsequent
-    /// [`LaunchPlan::run`] / [`LaunchPlan::run_owned`] folds its outcome
-    /// (stats or error) into the observer's registry and flight recorder.
-    /// For pooled execution use [`crate::GridRuntime::observer`] instead —
-    /// the pool observes at its own completion point.
-    #[must_use]
-    pub fn with_observer(mut self, obs: Arc<Observer>) -> Self {
-        self.observer = Some(obs);
-        self
+        Ok(LaunchPlan { cfg, method })
     }
 
     /// The grid configuration this plan was compiled for.
@@ -410,11 +390,7 @@ impl LaunchPlan {
             SyncMethod::CpuExplicit => run_relaunch(&setup, &kernel),
             _ => run_scoped(&setup, k, start),
         };
-        let result = per_block.map(|pb| setup.stats(pb, start.elapsed(), None));
-        if let Some(obs) = &self.observer {
-            obs.observe_outcome(&self.method.to_string(), &result, start.elapsed());
-        }
-        result
+        per_block.map(|pb| setup.stats(pb, start.elapsed(), None))
     }
 }
 
@@ -490,8 +466,11 @@ impl LaunchSetup {
 /// the barrier via [`BarrierShared::poison`], raises the abort signal, and
 /// surfaces as [`ExecError::BlockPanicked`]), then wait on the barrier
 /// (bounded by the [`SyncPolicy`]), accumulating compute/sync time and
-/// trace events into `t` as it goes. `t.launch` is the caller's to fill —
-/// only the strategy knows where its launch boundary is.
+/// trace events into `t` as it goes. Without a barrier (`NoSync`) a round
+/// is compute only: `t.sync` stays zero and no sync sample is recorded,
+/// the paper's §7.3 "`__gpu_sync()` removed" run. `t.launch` is the
+/// caller's to fill — only the strategy knows where its launch boundary
+/// is.
 pub(crate) fn drive_block(
     setup: &LaunchSetup,
     kernel: &dyn RoundKernel,
@@ -524,12 +503,14 @@ pub(crate) fn drive_block(
         if let Some(rec) = setup.recorder.as_deref() {
             rec.record(block, r, TraceEventKind::RoundEnd);
         }
-        if let Some(w) = waiter.as_mut() {
-            if let Err(fault) = w.wait() {
-                setup.abort.abort();
-                let sh = setup.barrier.as_deref().expect("waiter implies barrier");
-                return Err(fault_to_error(fault, sh));
-            }
+        let Some(w) = waiter.as_mut() else {
+            t.compute += t1 - t0;
+            continue;
+        };
+        if let Err(fault) = w.wait() {
+            setup.abort.abort();
+            let sh = setup.barrier.as_deref().expect("waiter implies barrier");
+            return Err(fault_to_error(fault, sh));
         }
         let t2 = Instant::now();
         t.compute += t1 - t0;
@@ -538,6 +519,23 @@ pub(crate) fn drive_block(
             if rec.sampled(r) {
                 rec.record_sync(block, (t2 - t1).as_nanos() as u64);
             }
+        }
+    }
+    // `wait_until` tests its condition before the poison word, so a wait
+    // that is already satisfied never sees a poison raised on the way in —
+    // an injected wait-phase panic on the block that arrives last. Before
+    // the last round the next wait catches it; after it, this one look
+    // per block per launch does, so a poisoned launch never reports
+    // success.
+    if let Some(sh) = setup.barrier.as_deref() {
+        if let Some((block, round, cause)) = sh.control().poisoned() {
+            setup.abort.abort();
+            let fault = SyncFault::Poisoned {
+                block,
+                round,
+                cause,
+            };
+            return Err(fault_to_error(fault, sh));
         }
     }
     Ok(())
@@ -892,5 +890,66 @@ mod tests {
         let stats = plan.run_owned(Arc::clone(&k) as _).unwrap();
         assert_eq!(stats.rounds, 4);
         assert!(k.slots.to_vec().iter().all(|&v| v == 4));
+    }
+
+    /// A wait-phase panic injected on the block that arrives *last* at the
+    /// *last* barrier: its own wait is satisfied on the first poll and its
+    /// peers are released by its arrival, so no wait ever looks at the
+    /// poison it raised on the way in — only the look after the round loop
+    /// does.
+    #[test]
+    fn wait_phase_panic_on_the_last_arriver_of_the_last_round_fails_the_launch() {
+        use crate::fault::{Fault, FaultInjector, FaultKind, FaultPhase};
+
+        /// In the last round block 3 holds back until every peer has left
+        /// its round body, then a little longer: they are in the barrier.
+        struct LastIn {
+            left_body: AtomicUsize,
+        }
+        impl RoundKernel for LastIn {
+            fn rounds(&self) -> usize {
+                3
+            }
+            fn round(&self, ctx: &BlockCtx, round: usize) {
+                if round < 2 {
+                    return;
+                }
+                if ctx.block_id == 3 {
+                    while self.left_body.load(Ordering::Acquire) < 3 {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                } else {
+                    self.left_body.fetch_add(1, Ordering::Release);
+                }
+            }
+        }
+
+        for method in [SyncMethod::GpuSimple, SyncMethod::GpuLockFree] {
+            let k = FaultInjector::with_schedule(
+                LastIn {
+                    left_body: AtomicUsize::new(0),
+                },
+                FaultSchedule::new(vec![Fault {
+                    block: 3,
+                    round: 2,
+                    phase: FaultPhase::BarrierWait,
+                    kind: FaultKind::Panic,
+                }]),
+            );
+            let plan = LaunchPlan::compile(GridConfig::new(4, 8), method).unwrap();
+            let err = plan.run(&k).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ExecError::BlockPanicked {
+                        block: 3,
+                        round: 2,
+                        ..
+                    }
+                ),
+                "{method}: {err}"
+            );
+        }
     }
 }

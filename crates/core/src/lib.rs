@@ -92,7 +92,7 @@ pub use autotune::{AutoDecision, AutoTuner, MethodPrediction};
 pub use barrier::{
     BarrierControl, BarrierShared, BarrierWaiter, PoisonCause, SyncFault, SyncPolicy, WaitFaultHook,
 };
-pub use chaos::{ChaosConfig, ChaosLaunch, ChaosReport, ServiceChaosConfig};
+pub use chaos::{ChaosConfig, ChaosLaunch, ChaosReport};
 pub use dissemination::DisseminationSync;
 pub use error::{ExecError, ServiceError, StuckDiagnostic, StuckPhase};
 pub use executor::{AbortSignal, BlockCtx, GridConfig, GridExecutor, RoundKernel};
@@ -110,7 +110,7 @@ pub use obs::{
     FaultLine, LaunchOutcome, LaunchRecord, MetricsSnapshot, Observer, DEFAULT_SHARD,
     FLIGHT_RECORDER_CAPACITY,
 };
-pub use runtime::{GridRuntime, LaunchHandle, PoolLaunchStats, RuntimeKind};
+pub use runtime::{GridRuntime, LaunchHandle, PoolLaunchStats};
 pub use scalar::DeviceScalar;
 pub use sense::SenseReversingSync;
 pub use service::{GridService, ServiceConfig, ServiceHandle, ShardKey};

@@ -151,8 +151,6 @@ pub struct LaunchRecord {
     pub queued: Duration,
     /// Whether this was a pool's cold (first) launch.
     pub cold: bool,
-    /// Scoped-fallback reason, when a pooled request was served scoped.
-    pub fallback: Option<String>,
     /// Workers replaced while settling this launch (abandon-and-replace).
     pub replacements: usize,
     /// Shard label when the launch was served by a [`crate::GridService`]
@@ -182,7 +180,6 @@ impl LaunchRecord {
             queue_depth: 0,
             queued: Duration::ZERO,
             cold: false,
-            fallback: None,
             replacements: 0,
             shard: None,
             recent_events: Vec::new(),
@@ -199,12 +196,11 @@ impl LaunchRecord {
         r.compute = stats.total_compute();
         r.sync = stats.total_sync();
         if let Some(p) = stats.pool.as_deref() {
-            r.pooled = p.ran_pooled();
+            r.pooled = true;
             r.seq = p.launch_seq;
             r.queue_depth = p.queue_depth;
             r.queued = p.queued;
             r.cold = p.cold;
-            r.fallback = p.fallback.clone();
         }
         r
     }
@@ -263,10 +259,6 @@ impl LaunchRecord {
         push(&mut o, format!("\"queue_depth\": {}", self.queue_depth));
         push(&mut o, format!("\"queued_ns\": {}", dur_ns(self.queued)));
         push(&mut o, format!("\"cold\": {}", self.cold));
-        match &self.fallback {
-            Some(reason) => push(&mut o, format!("\"fallback\": \"{}\"", json_escape(reason))),
-            None => push(&mut o, "\"fallback\": null".to_string()),
-        }
         push(&mut o, format!("\"replacements\": {}", self.replacements));
         match &self.shard {
             Some(shard) => push(&mut o, format!("\"shard\": \"{}\"", json_escape(shard))),
@@ -422,9 +414,6 @@ impl Registry {
             self.inc("launches_failed_total", 1);
             self.inc_labeled("launch_failures_total", kind, 1);
         }
-        if let Some(reason) = &r.fallback {
-            self.inc_labeled("launch_fallbacks_total", reason, 1);
-        }
         if r.replacements > 0 {
             self.inc("worker_replacements_total", r.replacements as u64);
         }
@@ -489,9 +478,9 @@ impl Flight {
 }
 
 /// The cross-launch observability handle: metrics registry + flight
-/// recorder behind one `Arc`. Cloned freely between a
-/// [`crate::GridExecutor`] and the [`crate::GridRuntime`] pool it builds,
-/// so scoped fallbacks and pooled launches land in the same registry.
+/// recorder behind one `Arc`. Every launcher owns one: a
+/// [`crate::GridExecutor`] and a standalone [`crate::GridRuntime`] each
+/// their own, a [`crate::GridService`] one shared by all its shards.
 ///
 /// A [`Observer::disabled`] handle is a no-op on every path — the control
 /// arm of the `obs_overhead` bench.
@@ -640,8 +629,7 @@ pub struct MetricsSnapshot {
     /// Point-in-time gauges (`service_shards_live`, …).
     pub gauges: BTreeMap<String, u64>,
     /// Labeled counter families: family → label value → count
-    /// (`launch_fallbacks_total` by reason, `launch_failures_total` by
-    /// kind, `shard_launches_total` by shard).
+    /// (`launch_failures_total` by kind, `shard_launches_total` by shard).
     pub labeled: BTreeMap<String, BTreeMap<String, u64>>,
     /// Labeled gauge families: family → label value → value
     /// (`queue_depth` by shard, so multi-shard snapshots never alias).
@@ -656,7 +644,6 @@ pub struct MetricsSnapshot {
 /// The label key a family's values are rendered under.
 fn label_key(family: &str) -> &'static str {
     match family {
-        "launch_fallbacks_total" => "reason",
         "launch_failures_total" => "kind",
         "queue_depth" | "shard_launches_total" => "shard",
         "service_rejections_total" => "reason",
@@ -1123,7 +1110,7 @@ mod tests {
     }
 
     #[test]
-    fn failures_and_fallbacks_are_labeled() {
+    fn failures_are_labeled() {
         let obs = Observer::new();
         let err = ExecError::BlockPanicked {
             block: 1,
@@ -1135,17 +1122,10 @@ mod tests {
             &err,
             Duration::from_micros(5),
         ));
-        let mut fb = LaunchRecord::new("cpu-explicit");
-        fb.fallback = Some("relaunches from the host".to_string());
-        obs.observe(fb);
         let snap = obs.snapshot();
-        assert_eq!(snap.counters["launches_total"], 2);
+        assert_eq!(snap.counters["launches_total"], 1);
         assert_eq!(snap.counters["launches_failed_total"], 1);
         assert_eq!(snap.labeled["launch_failures_total"]["panic"], 1);
-        assert_eq!(
-            snap.labeled["launch_fallbacks_total"]["relaunches from the host"],
-            1
-        );
         let failure = obs.last_failure().expect("failure recorded");
         assert!(matches!(failure.outcome, LaunchOutcome::Failure { .. }));
     }

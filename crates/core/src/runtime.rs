@@ -10,6 +10,10 @@
 //! construction** and every subsequent launch is a *warm* dispatch through
 //! a launch queue, the pipelined-relaunch shape of the paper's CPU
 //! implicit sync (Section 4.2) applied to whole kernels instead of rounds.
+//! Which of the two a caller pays is the type it constructs — there is no
+//! flag on the executor that builds a pool behind it, because a pool built
+//! for one launch hides its worker spawns outside every clock the stats
+//! read (DESIGN.md §10).
 //!
 //! The pool is a *strategy* over the shared launch engine: it compiles one
 //! [`LaunchPlan`] at construction, stamps a fresh
@@ -68,47 +72,10 @@ use crate::obs::{LaunchRecord, Observer};
 use crate::stats::{BlockTimes, KernelStats};
 use crate::trace::TraceEventKind;
 
-/// Which host runtime a [`crate::GridExecutor`] uses for persistent-mode
-/// methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeKind {
-    /// Spawn fresh per-block threads every `run()` (cold `t_O`; the
-    /// default).
-    #[default]
-    Scoped,
-    /// Reuse a persistent [`GridRuntime`] worker pool across `run()` calls
-    /// (warm `t_O` after the first launch). Serves every method except
-    /// `CpuExplicit` (which relaunches from the host by definition) and
-    /// `Auto` (which resolves per launch); those fall back to scoped and
-    /// record the reason in [`KernelStats::pool`].
-    Pooled,
-}
-
-impl RuntimeKind {
-    /// Parse a CLI spelling (`"scoped"` / `"pooled"`).
-    pub fn parse(s: &str) -> Option<RuntimeKind> {
-        match s {
-            "scoped" => Some(RuntimeKind::Scoped),
-            "pooled" => Some(RuntimeKind::Pooled),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for RuntimeKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RuntimeKind::Scoped => "scoped",
-            RuntimeKind::Pooled => "pooled",
-        })
-    }
-}
-
 /// Pool-side launch accounting attached to [`KernelStats::pool`] for runs
-/// executed by a [`GridRuntime`] — or for runs that *asked* for the pool
-/// and fell back to scoped execution (see [`PoolLaunchStats::fallback`]).
-/// The warm `t_O` itself is [`KernelStats::launch`] (dispatch → all
-/// workers assembled); this struct carries the queueing context around it.
+/// executed by a [`GridRuntime`], and only those. The warm `t_O` itself is
+/// [`KernelStats::launch`] (dispatch → all workers assembled); this struct
+/// carries the queueing context around it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolLaunchStats {
     /// Zero-based sequence number of this launch on its pool. Sequence 0
@@ -122,32 +89,6 @@ pub struct PoolLaunchStats {
     pub queued: Duration,
     /// Whether this was the pool's cold (first) launch.
     pub cold: bool,
-    /// `None` when the launch really ran on a pool. `Some(reason)` when
-    /// [`RuntimeKind::Pooled`] was requested but the method cannot run
-    /// pooled and the scoped engine served the launch instead — the other
-    /// fields are then zero placeholders.
-    pub fallback: Option<String>,
-}
-
-impl PoolLaunchStats {
-    /// Marker attached by the executor when a pooled *request* was served
-    /// by the scoped engine, so the fallback is observable instead of
-    /// silent.
-    pub(crate) fn scoped_fallback(reason: String) -> Self {
-        PoolLaunchStats {
-            launch_seq: 0,
-            queue_depth: 0,
-            queued: Duration::ZERO,
-            cold: false,
-            fallback: Some(reason),
-        }
-    }
-
-    /// Whether the launch actually executed on a persistent pool (`false`
-    /// means a recorded scoped fallback).
-    pub fn ran_pooled(&self) -> bool {
-        self.fallback.is_none()
-    }
 }
 
 /// Completion state of one launch.
@@ -578,7 +519,6 @@ fn wait_launch(
                     queue_depth: launch.queue_depth,
                     queued,
                     cold: launch.seq == 0,
-                    fallback: None,
                 })),
             );
             if shared.obs.is_enabled() {
@@ -746,9 +686,9 @@ impl GridRuntime {
     }
 
     /// [`GridRuntime::new`] sharing an existing [`Observer`] — used by
-    /// [`crate::GridExecutor`] so pooled launches and scoped fallbacks
-    /// land in one registry, and by the `obs_overhead` bench to pass a
-    /// [`Observer::disabled`] control arm.
+    /// [`crate::GridService`] so every shard lands in one registry, and by
+    /// the `obs_overhead` bench to pass a [`Observer::disabled`] control
+    /// arm.
     ///
     /// # Errors
     /// See [`GridRuntime::new`].
@@ -875,8 +815,8 @@ impl GridRuntime {
     }
 
     /// Run a borrowed kernel on the warm pool and block until it
-    /// completes — the pooled fast path behind
-    /// [`crate::GridExecutor::run`].
+    /// completes — same signature as [`crate::GridExecutor::run`], warm
+    /// `t_O`.
     ///
     /// Because the kernel is only borrowed, this wait is *not* bounded for
     /// blocks stuck inside non-cooperative kernel code (the pool may not
@@ -1041,7 +981,6 @@ mod tests {
             let stats = h.wait().unwrap();
             assert_eq!(stats.method, "cpu-implicit");
             let p = stats.pool.as_ref().unwrap();
-            assert!(p.ran_pooled());
             assert_eq!(p.launch_seq, i as u64);
             assert!(kernels[i].slots.to_vec().iter().all(|&v| v == 25));
         }
@@ -1069,7 +1008,6 @@ mod tests {
             let p = stats.pool.as_ref().unwrap();
             assert_eq!(p.launch_seq, i as u64);
             assert_eq!(p.cold, i == 0);
-            assert!(p.ran_pooled());
             assert!(kernels[i].slots.to_vec().iter().all(|&v| v == 20));
         }
     }

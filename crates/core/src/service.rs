@@ -57,7 +57,7 @@ use crate::error::ServiceError;
 use crate::executor::{GridConfig, RoundKernel};
 use crate::method::SyncMethod;
 use crate::obs::Observer;
-use crate::runtime::{GridRuntime, LaunchHandle, RuntimeKind};
+use crate::runtime::{GridRuntime, LaunchHandle};
 use crate::stats::KernelStats;
 
 /// The routing key of one service shard: a grid shape plus the barrier
@@ -113,8 +113,7 @@ pub struct ServiceConfig {
     pub idle_ttl: Duration,
     /// Grid template applied to every shard the service spins up: the
     /// key's `blocks`/`threads_per_block` replace the template's shape,
-    /// everything else (policy, trace, spec) is inherited. The runtime
-    /// kind is forced to [`RuntimeKind::Pooled`].
+    /// everything else (policy, trace, spec) is inherited.
     pub template: GridConfig,
 }
 
@@ -166,7 +165,6 @@ impl ServiceConfig {
         let mut cfg = self.template.clone();
         cfg.n_blocks = key.blocks;
         cfg.threads_per_block = key.threads_per_block;
-        cfg.runtime = RuntimeKind::Pooled;
         cfg
     }
 }
@@ -301,14 +299,10 @@ impl std::fmt::Debug for GridService {
 }
 
 impl GridService {
-    /// A service with its own live [`Observer`].
+    /// A service with its own live [`Observer`] — every shard it spins up
+    /// shares this registry, labeled by shard.
     pub fn new(cfg: ServiceConfig) -> GridService {
-        Self::with_observer(cfg, Observer::new())
-    }
-
-    /// A service feeding an existing [`Observer`] — every shard it spins
-    /// up shares this registry, labeled by shard.
-    pub fn with_observer(cfg: ServiceConfig, obs: Arc<Observer>) -> GridService {
+        let obs = Observer::new();
         obs.set_gauge("service_shards_live", 0);
         GridService {
             inner: Arc::new(ServiceShared {

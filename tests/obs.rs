@@ -15,8 +15,7 @@ use std::time::Duration;
 
 use blocksync::core::{
     BlockCtx, ChaosConfig, EventRecorder, GlobalBuffer, GridConfig, GridExecutor, GridRuntime,
-    Histogram, LaunchOutcome, LaunchRecord, MetricsSnapshot, Observer, RoundKernel, RuntimeKind,
-    SyncMethod,
+    Histogram, LaunchOutcome, LaunchRecord, MetricsSnapshot, Observer, RoundKernel, SyncMethod,
 };
 use blocksync::microbench::MeanKernel;
 use proptest::prelude::*;
@@ -29,8 +28,7 @@ fn pooled_soak(
     method: SyncMethod,
 ) -> (Vec<blocksync::core::KernelStats>, MetricsSnapshot) {
     let (blocks, tpb, rounds) = (4, 16, 60);
-    let cfg = GridConfig::new(blocks, tpb).with_runtime(RuntimeKind::Pooled);
-    let rt = GridRuntime::new(cfg, method).expect("pool-capable method");
+    let rt = GridRuntime::new(GridConfig::new(blocks, tpb), method).expect("pool-capable method");
     let mut inflight = VecDeque::new();
     let mut stats = Vec::with_capacity(launches);
     for _ in 0..launches {
@@ -64,7 +62,6 @@ fn pooled_registry_matches_per_launch_stats_ground_truth() {
     assert_eq!(snap.counters["launches_cold_total"], 1);
     assert_eq!(snap.counters["launches_warm_total"], launches as u64 - 1);
     assert!(!snap.labeled.contains_key("launch_failures_total"));
-    assert!(!snap.labeled.contains_key("launch_fallbacks_total"));
     // queue_depth is a labeled gauge family keyed by shard; a standalone
     // runtime reports under the reserved "default" shard label.
     assert!(!snap.gauges.contains_key("queue_depth"));
@@ -75,7 +72,7 @@ fn pooled_registry_matches_per_launch_stats_ground_truth() {
     // same p50/p99, same count/sum/min/max, same buckets.
     let mut reference = Histogram::new();
     for s in &stats {
-        assert!(s.pool.as_deref().is_some_and(|p| p.ran_pooled()));
+        assert!(s.pool.is_some());
         reference.record(u64::try_from(s.wall.as_nanos()).unwrap());
     }
     let got = &snap.histograms["submit_to_stats_ns/gpu-lock-free"];
@@ -111,27 +108,6 @@ impl RoundKernel for Bump {
     fn round(&self, ctx: &BlockCtx, _round: usize) {
         self.0.set(ctx.block_id, self.0.get(ctx.block_id) + 1);
     }
-}
-
-/// Scoped fallbacks land in the shared registry as a labeled counter so a
-/// fleet of "pooled" launches that silently ran scoped is visible.
-#[test]
-fn scoped_fallbacks_are_counted_by_reason() {
-    let cfg = GridConfig::new(2, 8).with_runtime(RuntimeKind::Pooled);
-    // cpu-explicit cannot be pooled: every run falls back, with a reason.
-    let exec = GridExecutor::new(cfg, SyncMethod::CpuExplicit);
-    for _ in 0..3 {
-        exec.run(&Bump(GlobalBuffer::new(2))).unwrap();
-    }
-    let snap = exec.observer().snapshot();
-    assert_eq!(snap.counters["launches_total"], 3);
-    assert_eq!(snap.counters["launches_failed_total"], 0);
-    let reasons = &snap.labeled["launch_fallbacks_total"];
-    assert_eq!(reasons.values().sum::<u64>(), 3);
-    assert!(
-        reasons.keys().all(|r| r.contains("cpu-explicit")),
-        "{reasons:?}"
-    );
 }
 
 struct PanicKernel;
@@ -215,7 +191,7 @@ fn chaos_failures_dump_replayable_postmortems() {
         );
     }
     // The report-level metrics snapshot agrees with the outcome lines.
-    let metrics = report.metrics.as_ref().expect("pooled soak snapshots");
+    let metrics = report.metrics.as_ref().expect("the soak snapshots metrics");
     assert_eq!(
         metrics.counters["launches_failed_total"],
         failed.len() as u64
@@ -280,10 +256,10 @@ fn observe_all(records: &[(usize, u64, bool, bool)]) -> MetricsSnapshot {
     const METHODS: [&str; 3] = ["gpu-lock-free", "gpu-simple", "auto:dissemination"];
     const KINDS: [&str; 3] = ["timeout", "panic", "device"];
     let obs = Observer::new();
-    for (i, &(sel, wall_ns, failed, fallback)) in records.iter().enumerate() {
+    for (i, &(sel, wall_ns, failed, pooled)) in records.iter().enumerate() {
         let mut r = LaunchRecord::new(METHODS[sel % METHODS.len()]);
         r.seq = i as u64;
-        r.pooled = true;
+        r.pooled = pooled;
         r.cold = i == 0;
         r.wall = Duration::from_nanos(wall_ns);
         r.queued = Duration::from_nanos(wall_ns / 3);
@@ -294,10 +270,6 @@ fn observe_all(records: &[(usize, u64, bool, bool)]) -> MetricsSnapshot {
                 kind: KINDS[sel % KINDS.len()].to_string(),
                 diagnostic: None,
             };
-        }
-        if fallback {
-            r.fallback = Some("relaunches from the host".to_string());
-            r.pooled = false;
         }
         obs.observe(r);
     }
@@ -330,7 +302,7 @@ proptest! {
 
     /// The snapshot's hand-rolled JSON form is lossless: parsing what
     /// `to_json` wrote reproduces the snapshot exactly, for any mix of
-    /// methods, outcomes, fallbacks, and latencies.
+    /// methods, outcomes, pooled and scoped records, and latencies.
     #[test]
     fn metrics_snapshot_json_round_trips(
         records in proptest::collection::vec(

@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use blocksync::core::{
-    BlockCtx, GlobalBuffer, GridConfig, GridExecutor, GridRuntime, RoundKernel, RuntimeKind,
-    SyncMethod, SyncPolicy, TreeLevels,
+    BlockCtx, GlobalBuffer, GridConfig, GridExecutor, GridRuntime, RoundKernel, SyncMethod,
+    SyncPolicy, TreeLevels,
 };
 
 /// The barrier methods that run a persistent grid (and therefore must
@@ -121,9 +121,7 @@ fn every_park_capable_method_is_bit_identical_oversubscribed_pooled() {
     let expected = minmix_reference(n, logical);
     for method in PARK_CAPABLE {
         let k = MinMix::new(n, logical);
-        let cfg = GridConfig::new(n, 16)
-            .with_policy(bounded())
-            .with_runtime(RuntimeKind::Pooled);
+        let cfg = GridConfig::new(n, 16).with_policy(bounded());
         let rt = GridRuntime::new(cfg, method)
             .unwrap_or_else(|e| panic!("{method} at {n} blocks (pooled): {e}"));
         let stats = rt
@@ -213,13 +211,12 @@ fn pooled_fault_matrix_at_four_x_oversubscription() {
     let logical = 3;
     let expected = minmix_reference(n, logical);
     for method in PARK_CAPABLE {
-        let cfg = GridConfig::new(n, 8)
-            .with_policy(SyncPolicy::with_timeout(Duration::from_secs(20)))
-            .with_runtime(RuntimeKind::Pooled);
-        let exec = GridExecutor::new(cfg, method);
+        let cfg =
+            GridConfig::new(n, 8).with_policy(SyncPolicy::with_timeout(Duration::from_secs(20)));
+        let rt = GridRuntime::new(cfg, method).unwrap();
         let k = FaultInjector::new(MinMix::new(n, logical), FaultPlan::panic_at(n - 1, 2));
         let started = Instant::now();
-        let err = exec.run(&k).unwrap_err();
+        let err = rt.run(&k).unwrap_err();
         assert!(
             started.elapsed() < Duration::from_secs(20),
             "{method}: detection too slow at {n} blocks"
@@ -232,15 +229,16 @@ fn pooled_fault_matrix_at_four_x_oversubscription() {
             ),
             "{method} at {n} blocks: got {err:?}"
         );
-        // Same executor, same healed pool, still oversubscribed: a clean
-        // kernel must complete bit-identical to the reference.
+        // Same healed pool, still oversubscribed: a clean kernel must
+        // complete bit-identical to the reference.
         let clean = MinMix::new(n, logical);
-        let stats = exec
+        let stats = rt
             .run(&clean)
             .unwrap_or_else(|e| panic!("{method} post-fault at {n} blocks: {e}"));
-        assert!(
-            stats.pool.is_some(),
-            "{method}: recovery run did not go through the pool"
+        assert_eq!(
+            stats.pool.as_deref().map(|p| p.launch_seq),
+            Some(1),
+            "{method}: recovery run did not reuse the pool"
         );
         assert_eq!(
             clean.slots.to_vec(),

@@ -1,15 +1,15 @@
 //! Integration and property tests of the persistent pooled runtime
 //! ([`GridRuntime`]): launch-overhead bounds under repeated submission,
 //! fault recovery that leaves the pool reusable, and the cross-method
-//! fault-injection matrix run through the pooled executor path.
+//! fault-injection matrix run through one pool per method.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blocksync::core::{
     stall_duration, BlockCtx, ExecError, Fault, FaultInjector, FaultKind, FaultPlan, FaultSchedule,
-    GlobalBuffer, GridConfig, GridExecutor, GridRuntime, RoundKernel, RuntimeKind, StuckPhase,
-    SyncMethod, SyncPolicy, TreeLevels,
+    GlobalBuffer, GridConfig, GridExecutor, GridRuntime, RoundKernel, StuckPhase, SyncMethod,
+    SyncPolicy, TreeLevels,
 };
 use proptest::prelude::*;
 
@@ -121,11 +121,10 @@ proptest! {
     }
 }
 
-/// The cross-method fault-injection matrix, run through the pooled
-/// executor path (`--runtime pooled` equivalent): every supported method
-/// converts an injected panic into a structured error naming the block and
-/// round, and the *same executor* (hence the same pool) runs clean
-/// afterwards.
+/// The cross-method fault-injection matrix, run through
+/// [`GridRuntime::run`]: every supported method converts an injected panic
+/// into a structured error naming the block and round, and the *same
+/// pool* runs clean afterwards.
 #[test]
 fn pooled_executor_survives_injected_panics_under_every_method() {
     for method in POOLED_METHODS {
@@ -133,13 +132,12 @@ fn pooled_executor_survives_injected_panics_under_every_method() {
             continue; // no inter-block ordering: the fault plan's round
                       // alignment is meaningless without a barrier
         }
-        let cfg = GridConfig::new(4, 8)
-            .with_policy(SyncPolicy::with_timeout(Duration::from_secs(20)))
-            .with_runtime(RuntimeKind::Pooled);
-        let exec = GridExecutor::new(cfg, method);
+        let cfg =
+            GridConfig::new(4, 8).with_policy(SyncPolicy::with_timeout(Duration::from_secs(20)));
+        let rt = GridRuntime::new(cfg, method).unwrap();
         let k = FaultInjector::new(Increment::new(4, 6), FaultPlan::panic_at(2, 3));
         let started = Instant::now();
-        let err = exec.run(&k).unwrap_err();
+        let err = rt.run(&k).unwrap_err();
         assert!(
             started.elapsed() < Duration::from_secs(20),
             "{method}: detection too slow"
@@ -155,17 +153,18 @@ fn pooled_executor_survives_injected_panics_under_every_method() {
             ),
             "{method}: got {err:?}"
         );
-        // Same executor, same pool: a clean kernel still runs correctly.
+        // Same pool: a clean kernel still runs correctly.
         let clean = Increment::new(4, 4);
-        let stats = exec.run(&clean).unwrap_or_else(|e| panic!("{method}: {e}"));
+        let stats = rt.run(&clean).unwrap_or_else(|e| panic!("{method}: {e}"));
         assert_eq!(stats.rounds, 4, "{method}");
         assert!(
             clean.slots.to_vec().iter().all(|&v| v == 4),
             "{method}: lost work after pool recovery"
         );
-        assert!(
-            stats.pool.is_some(),
-            "{method}: recovery run did not go through the pool"
+        assert_eq!(
+            stats.pool.as_deref().map(|p| p.launch_seq),
+            Some(1),
+            "{method}: recovery run did not reuse the pool"
         );
     }
 }
@@ -174,13 +173,12 @@ fn pooled_executor_survives_injected_panics_under_every_method() {
 /// it, exactly like the scoped path — and the pool is usable afterwards.
 #[test]
 fn pooled_straggler_times_out_with_diagnostic() {
-    let cfg = GridConfig::new(3, 8)
-        .with_policy(SyncPolicy::with_timeout(Duration::from_millis(80)))
-        .with_runtime(RuntimeKind::Pooled);
-    let exec = GridExecutor::new(cfg, SyncMethod::GpuLockFree);
+    let cfg =
+        GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_millis(80)));
+    let rt = GridRuntime::new(cfg, SyncMethod::GpuLockFree).unwrap();
     let k = FaultInjector::new(Increment::new(3, 5), FaultPlan::straggler_at(1, 2));
     let started = Instant::now();
-    let err = exec.run(&k).unwrap_err();
+    let err = rt.run(&k).unwrap_err();
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "unwind too slow"
@@ -194,61 +192,9 @@ fn pooled_straggler_times_out_with_diagnostic() {
     // FaultPlan stragglers are cooperative (they watch the abort signal),
     // so the worker is released and the pool keeps serving launches.
     let clean = Increment::new(3, 3);
-    let stats = exec.run(&clean).unwrap();
+    let stats = rt.run(&clean).unwrap();
     assert_eq!(stats.rounds, 3);
     assert!(clean.slots.to_vec().iter().all(|&v| v == 3));
-}
-
-/// `--runtime pooled` semantics after the launch-engine unification:
-/// `CpuImplicit` runs pooled for real (pipelined submits through the launch
-/// log), while `CpuExplicit` falls back to scoped *loudly* — the stats
-/// record the fallback reason — and constructing a `GridRuntime` for it
-/// directly is a structured error.
-#[test]
-fn cpu_explicit_falls_back_loudly_and_cpu_implicit_pools() {
-    // CpuImplicit: a pooled request is served by a real pool.
-    let cfg = GridConfig::new(3, 8).with_runtime(RuntimeKind::Pooled);
-    let exec = GridExecutor::new(cfg, SyncMethod::CpuImplicit);
-    let k = Increment::new(3, 4);
-    let stats = exec.run(&k).unwrap();
-    let pool = stats
-        .pool
-        .as_deref()
-        .expect("pooled run carries pool stats");
-    assert!(pool.ran_pooled(), "fallback recorded: {:?}", pool.fallback);
-    assert!(k.slots.to_vec().iter().all(|&v| v == 4));
-    // ... with pipelined launches through the same pool.
-    let rt = GridRuntime::new(GridConfig::new(3, 8), SyncMethod::CpuImplicit).unwrap();
-    let kernels: Vec<Arc<Increment>> = (0..3).map(|_| Arc::new(Increment::new(3, 6))).collect();
-    let handles: Vec<_> = kernels
-        .iter()
-        .map(|k| rt.submit(Arc::clone(k)).unwrap())
-        .collect();
-    for (i, h) in handles.into_iter().enumerate() {
-        let stats = h.wait().unwrap();
-        assert_eq!(stats.pool.as_ref().unwrap().launch_seq, i as u64);
-        assert!(kernels[i].slots.to_vec().iter().all(|&v| v == 6));
-    }
-
-    // CpuExplicit: scoped fallback, but recorded rather than silent.
-    let cfg = GridConfig::new(3, 8).with_runtime(RuntimeKind::Pooled);
-    let k = Increment::new(3, 4);
-    let stats = GridExecutor::new(cfg, SyncMethod::CpuExplicit)
-        .run(&k)
-        .unwrap();
-    let pool = stats.pool.as_deref().expect("fallback must be recorded");
-    assert!(!pool.ran_pooled());
-    assert!(
-        pool.fallback.as_deref().unwrap().contains("cpu-explicit"),
-        "reason names the method: {:?}",
-        pool.fallback
-    );
-    assert!(k.slots.to_vec().iter().all(|&v| v == 4));
-    let err = GridRuntime::new(GridConfig::new(3, 8), SyncMethod::CpuExplicit).unwrap_err();
-    assert!(
-        matches!(err, ExecError::RuntimeUnsupported { .. }),
-        "got {err:?}"
-    );
 }
 
 /// The same block stalling (non-cooperatively) on N consecutive owned

@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use blocksync::core::{
     stall_duration, BarrierShared, BlockCtx, ExecError, Fault, FaultInjector, FaultKind,
-    FaultPhase, FaultPlan, FaultSchedule, GlobalBuffer, GridConfig, GridExecutor, RoundKernel,
-    SyncMethod, SyncPolicy, TreeLevels,
+    FaultPhase, FaultPlan, FaultProfile, FaultSchedule, GlobalBuffer, GridConfig, GridExecutor,
+    RoundKernel, SyncMethod, SyncPolicy, TreeLevels,
 };
 use proptest::prelude::*;
 
@@ -313,6 +313,56 @@ proptest! {
             }
             (kind, other) => {
                 panic!("{method}/{kind:?}/{phase:?}: unexpected outcome {other:?}");
+            }
+        }
+    }
+
+    /// Random multi-fault coverage of the scoped strategy: a seeded
+    /// schedule of up to two concurrent faults, of any kind, at round-body
+    /// or barrier-wait sites (assembly is a pooled-runtime phase, so it is
+    /// not drawn) either fails the run with an error naming a scheduled
+    /// site, or — delays only — leaves the output bit-identical to a clean
+    /// run.
+    #[test]
+    fn random_fault_schedules_are_named_or_absorbed(
+        method in prop_oneof![method_strategy(), Just(SyncMethod::CpuImplicit)],
+        seed in any::<u64>(),
+    ) {
+        let timeout = Duration::from_millis(100);
+        let policy = SyncPolicy::with_timeout(timeout);
+        let profile = FaultProfile {
+            allow_assembly: false,
+            ..FaultProfile::new(4, 10, timeout)
+        };
+        let schedule = FaultSchedule::random(seed, &profile);
+        let k = FaultInjector::with_schedule(MixKernel::new(4, 5), schedule.clone())
+            .with_policy(policy);
+        let cfg = GridConfig::new(4, 8).with_policy(policy);
+        match GridExecutor::new(cfg, method).run(&k) {
+            Err(e) => {
+                prop_assert!(
+                    schedule.expects_failure(),
+                    "{}: benign schedule failed: `{}` vs {:?}", method, e, schedule
+                );
+                prop_assert!(
+                    schedule.matches_error(&e),
+                    "{}: error does not name a scheduled fault: `{}` vs {:?}", method, e, schedule
+                );
+            }
+            Ok(_) => {
+                prop_assert!(
+                    !schedule.expects_failure(),
+                    "{}: expected a failure but it succeeded: {:?}", method, schedule
+                );
+                let clean = MixKernel::new(4, 5);
+                GridExecutor::new(GridConfig::new(4, 8), method)
+                    .run(&clean)
+                    .expect("clean reference run");
+                prop_assert_eq!(
+                    k.inner().slots.to_vec(),
+                    clean.slots.to_vec(),
+                    "{}: delayed run diverged: {:?}", method, schedule
+                );
             }
         }
     }

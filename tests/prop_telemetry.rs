@@ -212,7 +212,7 @@ fn nosync_records_rounds_but_no_barrier_events() {
 /// Acceptance bar for the timeline export: the per-round sync spans the
 /// Chrome trace draws must sum to the `KernelStats` aggregate sync time
 /// within 10% (plus a small absolute epsilon for sub-microsecond methods),
-/// for every method.
+/// for every method — and both must be exactly zero under `NoSync`.
 #[test]
 fn timeline_sync_spans_match_kernel_stats() {
     if !EventRecorder::ENABLED {
@@ -235,6 +235,12 @@ fn timeline_sync_spans_match_kernel_stats() {
         let t = stats.telemetry.as_ref().expect("tracing was configured");
         let spans = t.sync_span_total().as_secs_f64();
         let stat: f64 = stats.per_block.iter().map(|b| b.sync.as_secs_f64()).sum();
+        if method == SyncMethod::NoSync {
+            // No barrier, no t_S: both sides are zero by construction, not
+            // merely close.
+            assert!(stat == 0.0 && spans == 0.0, "{method}: {spans}s vs {stat}s");
+            continue;
+        }
         let tolerance = 0.10 * stat.max(spans) + 500e-6;
         assert!(
             (spans - stat).abs() <= tolerance,
