@@ -27,8 +27,10 @@
 //! Only guarded records can fail the build; the unguarded ones ride along
 //! in the artifact so a human can eyeball predicted-vs-measured drift.
 //!
-//! Everything here is hand-rolled (including the JSON) because the
-//! workspace builds offline against a vendored dependency set.
+//! The files are written and read through the workspace's one codec,
+//! `blocksync_device::json`.
+
+use blocksync_device::json::{self, Json};
 
 /// One benchmark measurement: a namespaced method key, the grid size, and
 /// the nanoseconds of synchronization cost per barrier round.
@@ -59,85 +61,47 @@ impl BenchRecord {
     }
 }
 
-/// Serialize records to the stable baseline JSON schema.
-pub fn to_json(records: &[BenchRecord]) -> String {
-    let mut s = String::from("{\n  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"method\": {:?}, \"blocks\": {}, \"ns_per_round\": {:.1}}}{comma}\n",
-            r.method, r.blocks, r.ns_per_round
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// The records in the stable baseline JSON schema (`ns_per_round` at the
+/// schema's 0.1 ns resolution); files hold its pretty form.
+pub fn to_json(records: &[BenchRecord]) -> Json {
+    let record = |r: &BenchRecord| {
+        Json::obj([
+            ("method", r.method.as_str().into()),
+            ("blocks", r.blocks.into()),
+            (
+                "ns_per_round",
+                ((r.ns_per_round * 10.0).round() / 10.0).into(),
+            ),
+        ])
+    };
+    Json::obj([("records", Json::arr(records.iter().map(record)))])
 }
 
-/// Parse the baseline JSON schema back into records.
+/// Read records back from the text of a baseline file.
 ///
 /// # Errors
-/// Returns a description of the first malformed object. The parser accepts
-/// exactly the shape [`to_json`] writes (one object per record, string
-/// `method`, numeric `blocks`/`ns_per_round`) plus arbitrary whitespace.
-pub fn parse_json(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let body = text
-        .split_once('[')
+/// Malformed JSON, or the first record lacking a string `method`, an
+/// integer `blocks` or a numeric `ns_per_round`.
+pub fn from_json(text: &str) -> Result<Vec<BenchRecord>, String> {
+    let doc = json::parse(text).map_err(|e| format!("baseline JSON: {e}"))?;
+    let records = doc
+        .get("records")
         .ok_or("baseline JSON: missing \"records\" array")?
-        .1;
-    let body = body
-        .rsplit_once(']')
-        .ok_or("baseline JSON: unterminated \"records\" array")?
-        .0;
-    let mut out = Vec::new();
-    for chunk in body.split('}') {
-        let Some((_, obj)) = chunk.split_once('{') else {
-            continue; // trailing comma / whitespace between objects
-        };
-        let method = str_field(obj, "method")?;
-        let blocks = num_field(obj, "blocks")? as usize;
-        let ns_per_round = num_field(obj, "ns_per_round")?;
-        out.push(BenchRecord {
-            method,
-            blocks,
-            ns_per_round,
-        });
-    }
-    Ok(out)
-}
-
-fn str_field(obj: &str, key: &str) -> Result<String, String> {
-    let tail = after_key(obj, key)?;
-    let tail = tail
-        .split_once('"')
-        .ok_or_else(|| format!("baseline JSON: {key:?} is not a string in {obj:?}"))?
-        .1;
-    Ok(tail
-        .split_once('"')
-        .ok_or_else(|| format!("baseline JSON: unterminated string for {key:?}"))?
-        .0
-        .to_string())
-}
-
-fn num_field(obj: &str, key: &str) -> Result<f64, String> {
-    let tail = after_key(obj, key)?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(tail.len());
-    tail[..end]
-        .parse()
-        .map_err(|_| format!("baseline JSON: {key:?} is not a number in {obj:?}"))
-}
-
-fn after_key<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
-    let quoted = format!("\"{key}\"");
-    let tail = obj
-        .split_once(&quoted)
-        .ok_or_else(|| format!("baseline JSON: record missing {quoted} in {obj:?}"))?
-        .1;
-    Ok(tail
-        .split_once(':')
-        .ok_or_else(|| format!("baseline JSON: no value after {quoted}"))?
-        .1)
+        .as_arr("records")?;
+    records
+        .iter()
+        .map(|r| {
+            let field = |key: &str| {
+                r.get(key)
+                    .ok_or_else(|| format!("baseline JSON: record missing {key:?} in {r}"))
+            };
+            Ok(BenchRecord {
+                method: field("method")?.as_str("method")?.to_string(),
+                blocks: field("blocks")?.as_u64("blocks")? as usize,
+                ns_per_round: field("ns_per_round")?.as_f64("ns_per_round")?,
+            })
+        })
+        .collect()
 }
 
 /// The guard namespace of a method key: the `kind:` prefix, extended by
@@ -219,7 +183,7 @@ pub fn guard_against_baseline(
 ) -> Result<(), String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline = parse_json(&text)?;
+    let baseline = from_json(&text)?;
     let failures = compare(current, &baseline, max_regress_pct);
     if failures.is_empty() {
         let namespaces: std::collections::HashSet<&str> = current
@@ -283,13 +247,23 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let records = sample();
-        let json = to_json(&records);
-        assert!(json.contains("\"ns_per_round\": 1072.0"), "{json}");
-        assert_eq!(parse_json(&json).unwrap(), records);
-        assert_eq!(parse_json("{\"records\": []}").unwrap(), vec![]);
-        assert!(parse_json("not json").is_err());
-        assert!(parse_json("{\"records\": [{\"blocks\": 3}]}").is_err());
+        let mut records = sample();
+        // A method key the old `{:?}` escaping got wrong (`\u{7f}` is not
+        // JSON) and the old `"`-splitting reader could not read back.
+        records.push(BenchRecord::new("host:odd \"name\"\u{7f}é", 2, 0.5));
+        let doc = to_json(&records);
+        let first = &doc.get("records").unwrap().as_arr("records").unwrap()[0];
+        assert_eq!(first.get("ns_per_round"), Some(&Json::F64(1072.0)));
+        assert_eq!(from_json(&doc.pretty()).unwrap(), records);
+        assert_eq!(from_json(&to_json(&[]).to_string()).unwrap(), vec![]);
+        assert!(from_json("not json").is_err());
+        assert!(from_json(&Json::obj([("rows", Json::Arr(vec![]))]).to_string()).is_err());
+        let no_method = Json::obj([(
+            "records",
+            Json::arr([Json::obj([("blocks", Json::U64(3))])]),
+        )]);
+        let err = from_json(&no_method.to_string()).unwrap_err();
+        assert!(err.contains("missing \"method\""), "{err}");
     }
 
     #[test]

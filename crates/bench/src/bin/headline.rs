@@ -83,7 +83,7 @@ fn main() -> ExitCode {
     );
 
     if let Some(json_path) = baseline::flag_value(&args, "json") {
-        if let Err(e) = std::fs::write(&json_path, baseline::to_json(&records)) {
+        if let Err(e) = std::fs::write(&json_path, baseline::to_json(&records).pretty()) {
             eprintln!("error: cannot write {json_path}: {e}");
             return ExitCode::FAILURE;
         }

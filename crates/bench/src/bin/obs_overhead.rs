@@ -161,7 +161,7 @@ fn main() {
         BenchRecord::new("host:obs/overhead-pct", blocks, pct.max(0.0)),
     ];
     if let Some(path) = flag_value(&args, "json") {
-        std::fs::write(&path, baseline::to_json(&records)).expect("write --json");
+        std::fs::write(&path, baseline::to_json(&records).pretty()).expect("write --json");
         println!("wrote {} record(s) to {path}", records.len());
     }
     if let Some(baseline_path) = flag_value(&args, "baseline") {

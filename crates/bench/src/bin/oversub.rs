@@ -133,7 +133,7 @@ fn main() -> ExitCode {
         format_table(&["oversubscription", "wall ns/round"], &rows)
     );
 
-    if let Err(e) = std::fs::write(&json_path, baseline::to_json(&records)) {
+    if let Err(e) = std::fs::write(&json_path, baseline::to_json(&records).pretty()) {
         eprintln!("error: cannot write {json_path}: {e}");
         return ExitCode::FAILURE;
     }

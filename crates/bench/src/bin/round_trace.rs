@@ -49,10 +49,10 @@ fn main() {
         let tc = TraceConfig::new().with_stride(stride);
         let (stats, ok) = run_host_traced(blocks, tpb, rounds, method, tc).expect("valid config");
         assert!(ok, "{method}: verification failed");
-        let Some(t) = &stats.telemetry else {
-            eprintln!("blocksync-core built without the `trace` feature; nothing to export");
-            std::process::exit(1);
-        };
+        let t = stats
+            .telemetry
+            .as_deref()
+            .expect("a traced run carries telemetry");
         for r in &t.rounds {
             csv.push([
                 method.to_string(),

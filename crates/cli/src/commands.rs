@@ -70,14 +70,10 @@ fn trace_config(a: &Args) -> Result<Option<TraceConfig>, String> {
     Ok(Some(TraceConfig::new().with_stride(stride)))
 }
 
-/// Emit whatever telemetry output the flags asked for. No-op when the run
-/// carried no telemetry and none was requested.
+/// Emit whatever telemetry output the flags asked for. No-op when none
+/// was requested (the run then carried no telemetry).
 fn report_telemetry(stats: &KernelStats, a: &Args) -> Result<(), String> {
     let Some(t) = &stats.telemetry else {
-        if a.has("trace") || a.has("metrics") {
-            // Requested but the recorder is compiled out.
-            eprintln!("note: blocksync-core was built without the `trace` feature; no telemetry");
-        }
         return Ok(());
     };
     let path = a.get("trace", "");
@@ -146,7 +142,7 @@ fn write_metrics_out(snapshot: &MetricsSnapshot, a: &Args) -> Result<(), String>
         return Ok(());
     }
     let body = if path.ends_with(".json") {
-        snapshot.to_json()
+        snapshot.to_json().pretty()
     } else {
         snapshot.render_prometheus()
     };
@@ -613,9 +609,10 @@ pub fn trace(a: &Args) -> Result<(), String> {
     if !ok {
         return Err("micro-benchmark produced wrong means".into());
     }
-    let Some(t) = &stats.telemetry else {
-        return Err("blocksync-core was built without the `trace` feature".into());
-    };
+    let t = stats
+        .telemetry
+        .as_deref()
+        .expect("a traced run carries telemetry");
     println!(
         "{}: {} blocks x {} rounds — {} events over {} sampled rounds (stride {}, {} dropped)",
         stats.method,
@@ -718,7 +715,7 @@ pub fn chaos(a: &Args) -> Result<(), String> {
         return Err("--json expects a file path (e.g. --json chaos.json)".into());
     }
     if !json_path.is_empty() {
-        std::fs::write(json_path, report.to_json())
+        std::fs::write(json_path, report.to_json().pretty())
             .map_err(|e| format!("cannot write {json_path}: {e}"))?;
         println!("wrote chaos report to {json_path}");
     }
@@ -922,6 +919,7 @@ pub fn serve(a: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blocksync_device::json;
 
     fn args(v: &[&str]) -> Args {
         Args::parse(v.iter().map(|s| s.to_string()))
@@ -1013,10 +1011,12 @@ mod tests {
         ]))
         .unwrap();
         for p in [&host, &sim] {
-            let json = std::fs::read_to_string(p).unwrap();
-            assert!(json.starts_with("{\"traceEvents\":["), "{json}");
-            assert!(json.contains("\"ph\":\"X\""), "{json}");
-            assert!(json.contains("\"name\":\"sync\""), "{json}");
+            let doc = json::parse(&std::fs::read_to_string(p).unwrap()).unwrap();
+            let events = doc.get("traceEvents").unwrap().as_arr("events").unwrap();
+            let sync_span = events.iter().find(|e| {
+                e.get("ph") == Some(&"X".into()) && e.get("name") == Some(&"sync".into())
+            });
+            assert!(sync_span.is_some(), "{doc}");
             let _ = std::fs::remove_file(p);
         }
     }
@@ -1177,12 +1177,19 @@ mod tests {
             dir.to_str().unwrap(),
         ]))
         .unwrap();
-        let report = std::fs::read_to_string(&json).unwrap();
-        assert!(report.contains("\"outcomes\""), "{report}");
-        assert!(report.contains("\"generation_delta\""), "{report}");
-        assert!(report.contains("\"metrics\""), "{report}");
+        let report = json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        let outcomes = report.get("outcomes").unwrap().as_arr("outcomes").unwrap();
+        assert_eq!(outcomes.len(), 20);
+        assert!(outcomes[0].get("generation_delta").is_some(), "{report}");
+        let metrics = report.get("metrics").unwrap().to_string();
+        assert!(MetricsSnapshot::from_json(&metrics).is_ok(), "{metrics}");
         let dumps: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert!(!dumps.is_empty(), "seed 42 at 30% must fail some launches");
+        for dump in dumps {
+            let text = std::fs::read_to_string(dump.unwrap().path()).unwrap();
+            let postmortem = json::parse(&text).unwrap();
+            assert_eq!(postmortem.get("outcome"), Some(&"failure".into()));
+        }
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&json);
     }

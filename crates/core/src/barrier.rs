@@ -55,14 +55,6 @@ pub struct SyncPolicy {
     /// Give up a barrier wait after this long (`None` = wait forever, the
     /// paper's semantics and the default).
     pub timeout: Option<Duration>,
-    /// Backstop after which an injected cooperative straggler
-    /// ([`crate::FaultKind::Straggler`]) gives up waiting for the abort
-    /// signal. `None` (the default) keeps the historical 30 s bound; set
-    /// it below the harness timeout when soak-testing with tight
-    /// deadlines. Independent of `timeout`: the backstop only fires when
-    /// no peer ever times out (e.g. an unbounded policy), so it should
-    /// stay well above `timeout` to never race a real deadline.
-    pub straggler_backstop: Option<Duration>,
 }
 
 impl SyncPolicy {
@@ -70,15 +62,7 @@ impl SyncPolicy {
     pub fn with_timeout(timeout: Duration) -> Self {
         SyncPolicy {
             timeout: Some(timeout),
-            ..SyncPolicy::default()
         }
-    }
-
-    /// Replace the injected-straggler backstop (see
-    /// [`SyncPolicy::straggler_backstop`]).
-    pub fn with_straggler_backstop(mut self, backstop: Duration) -> Self {
-        self.straggler_backstop = Some(backstop);
-        self
     }
 
     /// Grace the pooled runtime grants a launch past its first observed
@@ -812,7 +796,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn parked_wait_polls_stay_bounded() {
         // The busy-wait assertion for the park phase, via the obs plane's
         // spin counters: 40 ms spent parked must add about one poll per

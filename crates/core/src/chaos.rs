@@ -35,13 +35,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use blocksync_device::json::Json;
+
 use crate::barrier::SyncPolicy;
 use crate::error::{ExecError, ServiceError};
 use crate::executor::{BlockCtx, GridConfig, RoundKernel};
-use crate::fault::{FaultInjector, FaultKind, FaultProfile, FaultSchedule, SplitMix64};
+use crate::fault::{Fault, FaultInjector, FaultKind, FaultProfile, FaultSchedule, SplitMix64};
 use crate::gmem::GlobalBuffer;
 use crate::method::SyncMethod;
-use crate::obs::{json_escape, LaunchRecord, MetricsSnapshot, Observer};
+use crate::obs::{LaunchRecord, MetricsSnapshot, Observer};
 use crate::runtime::GridRuntime;
 use crate::service::{GridService, ServiceConfig, ServiceHandle, ShardKey};
 use crate::trace::TraceConfig;
@@ -108,9 +110,9 @@ pub struct ChaosLaunch {
     /// The shard that served the launch ([`ShardKey`]'s `Display`).
     pub shard: String,
     /// The launch's error, when it failed.
-    pub error: Option<String>,
-    /// The scheduled faults, Debug-rendered (empty for clean launches).
-    pub faults: Vec<String>,
+    pub error: Option<ExecError>,
+    /// The scheduled faults (empty for clean launches).
+    pub faults: Vec<Fault>,
     /// Per-block worker generation counters of the serving shard after
     /// this launch settled.
     pub generations: Vec<u64>,
@@ -151,61 +153,40 @@ impl ChaosReport {
         self.failures.is_empty()
     }
 
-    /// Serialize the full report — aggregate counts, invariant
-    /// violations, per-launch outcomes (fault schedules and generation
-    /// deltas), and the end-of-soak metrics snapshot — as JSON, for
+    /// The full report — aggregate counts, invariant violations,
+    /// per-launch outcomes (fault schedules and generation deltas), and
+    /// the end-of-soak metrics snapshot — as JSON, for
     /// `blocksync chaos --json FILE`.
-    pub fn to_json(&self) -> String {
-        let strings = |items: &[String]| {
-            let quoted: Vec<String> = items
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect();
-            format!("[{}]", quoted.join(", "))
+    pub fn to_json(&self) -> Json {
+        let outcome = |o: &ChaosLaunch| {
+            Json::obj([
+                ("index", o.index.into()),
+                ("class", o.class.as_str().into()),
+                ("shard", o.shard.as_str().into()),
+                ("error", o.error.as_ref().map(ToString::to_string).into()),
+                (
+                    "faults",
+                    Json::arr(o.faults.iter().map(|f| format!("{f:?}"))),
+                ),
+                ("generations", Json::arr(o.generations.iter().copied())),
+                ("generation_delta", o.generation_delta.into()),
+            ])
         };
-        let outcomes: Vec<String> = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                let error = match &o.error {
-                    Some(e) => format!("\"{}\"", json_escape(e)),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "    {{\"index\": {}, \"class\": \"{}\", \"shard\": \"{}\", \"error\": {}, \
-                     \"faults\": {}, \"generations\": {:?}, \"generation_delta\": {}}}",
-                    o.index,
-                    json_escape(&o.class),
-                    json_escape(&o.shard),
-                    error,
-                    strings(&o.faults),
-                    o.generations,
-                    o.generation_delta
-                )
-            })
-            .collect();
-        let metrics = match &self.metrics {
-            Some(m) => {
-                // Indent the nested snapshot so the report stays readable.
-                m.to_json().replace('\n', "\n  ")
-            }
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\n  \"seed\": {},\n  \"launches\": {},\n  \"faulty\": {},\n  \"benign\": {},\n  \
-             \"clean\": {},\n  \"replacements\": {},\n  \"passed\": {},\n  \"failures\": {},\n  \
-             \"outcomes\": [\n{}\n  ],\n  \"metrics\": {}\n}}",
-            self.seed,
-            self.launches,
-            self.faulty,
-            self.benign,
-            self.clean,
-            self.replacements,
-            self.passed(),
-            strings(&self.failures),
-            outcomes.join(",\n"),
-            metrics
-        )
+        Json::obj([
+            ("seed", self.seed.into()),
+            ("launches", self.launches.into()),
+            ("faulty", self.faulty.into()),
+            ("benign", self.benign.into()),
+            ("clean", self.clean.into()),
+            ("replacements", self.replacements.into()),
+            ("passed", self.passed().into()),
+            (
+                "failures",
+                Json::arr(self.failures.iter().map(String::as_str)),
+            ),
+            ("outcomes", Json::arr(self.outcomes.iter().map(outcome))),
+            ("metrics", self.metrics.as_ref().map(|m| m.to_json()).into()),
+        ])
     }
 }
 
@@ -382,8 +363,7 @@ impl ChaosConfig {
     /// be created is also reported here.
     pub fn run(&self) -> Result<ChaosReport, String> {
         self.validate()?;
-        let policy = SyncPolicy::with_timeout(self.timeout)
-            .with_straggler_backstop(self.timeout * 20 + Duration::from_secs(1));
+        let policy = SyncPolicy::with_timeout(self.timeout);
         let mut template = GridConfig::new(1, 1).with_policy(policy);
         if let Some(dir) = &self.postmortem_dir {
             std::fs::create_dir_all(dir)
@@ -554,7 +534,7 @@ impl ChaosConfig {
             return;
         };
         let path = dir.join(format!("postmortem-seed{}-launch{i:04}.json", self.seed));
-        if let Err(e) = std::fs::write(&path, rec.to_json()) {
+        if let Err(e) = std::fs::write(&path, rec.to_json().pretty()) {
             report.failures.push(format!(
                 "launch {i}: postmortem write to {} failed: {e}",
                 path.display()
@@ -570,16 +550,13 @@ impl ChaosConfig {
 /// have failed since).
 fn service_flight_record(obs: &Observer, shard: &str, seq: u64) -> Option<LaunchRecord> {
     let recent = obs.recent();
+    let failed_here = |r: &&LaunchRecord| r.shard.as_deref() == Some(shard) && r.error.is_some();
     recent
         .iter()
         .rev()
-        .find(|r| r.seq == seq && r.shard.as_deref() == Some(shard) && r.outcome.is_failure())
-        .or_else(|| {
-            recent
-                .iter()
-                .rev()
-                .find(|r| r.shard.as_deref() == Some(shard) && r.outcome.is_failure())
-        })
+        .filter(failed_here)
+        .find(|r| r.pool.is_some_and(|p| p.launch_seq == seq))
+        .or_else(|| recent.iter().rev().find(failed_here))
         .cloned()
 }
 
@@ -685,10 +662,8 @@ fn settle(
         index: i,
         class: class.to_string(),
         shard: shard.to_string(),
-        error: outcome.as_ref().err().map(ToString::to_string),
-        faults: schedule
-            .map(|s| s.faults().iter().map(|f| format!("{f:?}")).collect())
-            .unwrap_or_default(),
+        error: outcome.err(),
+        faults: schedule.map_or_else(Vec::new, |s| s.faults().to_vec()),
         generations: gens,
         generation_delta,
     });
@@ -786,22 +761,12 @@ mod tests {
         // The six soak launches plus the one-shard liveness pass.
         assert_eq!(metrics.counters["launches_total"], 7);
         // The report JSON must parse and round-trip its aggregate counts.
-        let json = report.to_json();
-        let parsed = crate::obs::json::parse(&json).expect("report JSON parses");
-        let obj = parsed.as_obj("report").unwrap();
-        let field = |k: &str| {
-            obj.iter()
-                .find(|(n, _)| n == k)
-                .map(|(_, v)| v.as_u64(k).unwrap())
-                .unwrap()
-        };
-        assert_eq!(field("seed"), report.seed);
-        assert_eq!(field("launches"), 6);
-        let outcomes = obj
-            .iter()
-            .find(|(n, _)| n == "outcomes")
-            .map(|(_, v)| v.as_arr("outcomes").unwrap())
-            .unwrap();
+        let text = report.to_json().pretty();
+        let parsed = blocksync_device::json::parse(&text).expect("report JSON parses");
+        assert_eq!(parsed, report.to_json());
+        assert_eq!(parsed.get("seed"), Some(&report.seed.into()));
+        assert_eq!(parsed.get("launches"), Some(&6u64.into()));
+        let outcomes = parsed.get("outcomes").unwrap().as_arr("outcomes").unwrap();
         assert_eq!(outcomes.len(), 6);
     }
 

@@ -9,6 +9,7 @@
 use std::fmt;
 use std::time::Duration;
 
+use blocksync_device::json::Json;
 use blocksync_device::DeviceError;
 
 /// Which phase of a launch a [`StuckDiagnostic`] was taken in.
@@ -80,6 +81,26 @@ impl StuckDiagnostic {
             .filter(|&(_, &a)| a <= self.round as u64)
             .map(|(b, _)| b)
             .collect()
+    }
+
+    /// The diagnostic as the `diagnostic` object of a postmortem
+    /// ([`crate::LaunchRecord::to_json`]).
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("barrier", self.barrier.as_str().into()),
+            ("waiting_block", self.waiting_block.into()),
+            ("round", self.round.into()),
+            ("flag", self.flag.as_str().into()),
+            ("timeout_ns", crate::obs::dur_ns(self.timeout).into()),
+            ("phase", format!("{:?}", self.phase).into()),
+            ("stragglers", Json::arr(self.stragglers())),
+            ("arrivals", Json::arr(self.arrivals.iter().copied())),
+            ("departures", Json::arr(self.departures.iter().copied())),
+            (
+                "recent_events",
+                Json::arr(self.recent_events.iter().map(String::as_str)),
+            ),
+        ])
     }
 }
 

@@ -9,7 +9,8 @@
 //!
 //! The executor is the cold entry point, a thin front over the launch
 //! engine ([`crate::launch::LaunchPlan`]): it resolves `Auto`, compiles a
-//! plan, hands the kernel to the engine, and observes the outcome. Every
+//! plan, hands the kernel to the engine, and feeds the engine's
+//! [`crate::LaunchRecord`] to its observer. Every
 //! call pays the full launch overhead `t_O`; warm launches are a different
 //! type ([`crate::GridRuntime`], [`crate::GridService`]), not a flag on
 //! this one. The engine inserts the inter-block barrier between rounds
@@ -69,10 +70,9 @@ pub struct GridConfig {
     /// Fault policy for barrier waits and CPU-mode rendezvous (defaults to
     /// unbounded waits).
     pub policy: SyncPolicy,
-    /// Telemetry configuration. `None` (the default) records nothing; with
-    /// a [`TraceConfig`] (and the `trace` feature compiled in, the
-    /// default), the run carries an event recorder and
-    /// [`KernelStats::telemetry`] is populated.
+    /// Telemetry configuration, the plane's one switch. `None` (the
+    /// default) records nothing; with a [`TraceConfig`] the run carries an
+    /// event recorder and [`KernelStats::telemetry`] is populated.
     pub trace: Option<TraceConfig>,
 }
 
@@ -329,7 +329,8 @@ impl GridExecutor {
         self.launch(KernelRef::owned(kernel))
     }
 
-    /// Resolve `Auto`, compile a [`LaunchPlan`], execute, observe.
+    /// Resolve `Auto`, compile a [`LaunchPlan`], execute, observe the
+    /// engine's record (relabelled `auto:<resolved>` under `Auto`).
     ///
     /// [`SyncMethod::Auto`] resolves through the host-calibrated cost
     /// model (grid-config time, cached calibration); after the run the
@@ -339,7 +340,6 @@ impl GridExecutor {
     /// decision record also prices a warm relaunch (see
     /// [`crate::AutoDecision::prefers_pooled`]).
     fn launch(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
-        let start = std::time::Instant::now();
         let decision = match self.method {
             SyncMethod::Auto => {
                 self.cfg.validate()?;
@@ -352,17 +352,16 @@ impl GridExecutor {
         };
         let method = decision.as_ref().map_or(self.method, |d| d.chosen);
         let plan = LaunchPlan::compile(self.cfg.clone(), method)?;
-        let label = match &decision {
-            Some(d) => format!("auto:{}", d.chosen),
-            None => method.to_string(),
-        };
-        let mut result = plan.execute(kernel);
-        if let (Ok(stats), Some(mut decision)) = (&mut result, decision) {
-            decision.measured_sync_ns = Some(stats.sync_per_round().as_secs_f64() * 1e9);
-            stats.method = label.clone();
-            stats.auto = Some(Box::new(decision));
+        let (mut result, mut record) = plan.execute(kernel);
+        if let Some(mut decision) = decision {
+            record.method = format!("auto:{}", decision.chosen);
+            if let Ok(stats) = &mut result {
+                decision.measured_sync_ns = Some(stats.sync_per_round().as_secs_f64() * 1e9);
+                stats.method = record.method.clone();
+                stats.auto = Some(Box::new(decision));
+            }
         }
-        self.obs.observe_outcome(&label, &result, start.elapsed());
+        self.obs.observe(record);
         result
     }
 }
@@ -734,7 +733,6 @@ mod tests {
         assert!(signal.is_aborted(), "executor must raise abort on failure");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_run_attaches_telemetry_everywhere() {
         use crate::trace::TraceEventKind;

@@ -1,10 +1,9 @@
 //! Fault injection for exercising the runtime's failure semantics.
 //!
-//! The original plane injected exactly one fault at one (block, round)
-//! site, always in the round body ([`FaultPlan`]). It is now a composable
-//! [`FaultSchedule`]: any number of concurrent [`Fault`]s, each naming a
-//! site, a [`FaultKind`], and a [`FaultPhase`] — the round body, *inside
-//! the barrier wait* (between a block's arrival and its departure, via the
+//! The plane is a composable [`FaultSchedule`]: any number of concurrent
+//! [`Fault`]s, each naming a (block, round) site, a [`FaultKind`], and a
+//! [`FaultPhase`] — the round body, *inside the barrier wait* (between a
+//! block's arrival and its departure, via the
 //! [`crate::barrier::WaitFaultHook`] installed by the launch engine), or
 //! during pooled assembly at the [`crate::GridRuntime`] launch gate.
 //! Schedules can be built explicitly or generated reproducibly from a
@@ -64,7 +63,7 @@ pub enum FaultKind {
 /// Where in the launch pipeline a [`Fault`] fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultPhase {
-    /// Inside the kernel's round body (the classic [`FaultPlan`] site).
+    /// Inside the kernel's round body.
     #[default]
     RoundBody,
     /// Inside the barrier wait, after the round body but before the
@@ -80,48 +79,8 @@ pub enum FaultPhase {
     Assembly,
 }
 
-/// A single planned fault at (block, round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// Block that misbehaves.
-    pub block: usize,
-    /// Round (0-based) in which it misbehaves.
-    pub round: usize,
-    /// How it misbehaves.
-    pub kind: FaultKind,
-}
-
-impl FaultPlan {
-    /// Plan a panic at (block, round).
-    pub fn panic_at(block: usize, round: usize) -> Self {
-        FaultPlan {
-            block,
-            round,
-            kind: FaultKind::Panic,
-        }
-    }
-
-    /// Plan a delay of `by` at (block, round).
-    pub fn delay_at(block: usize, round: usize, by: Duration) -> Self {
-        FaultPlan {
-            block,
-            round,
-            kind: FaultKind::Delay(by),
-        }
-    }
-
-    /// Plan a cooperative infinite loop at (block, round).
-    pub fn straggler_at(block: usize, round: usize) -> Self {
-        FaultPlan {
-            block,
-            round,
-            kind: FaultKind::Straggler,
-        }
-    }
-}
-
-/// One scheduled fault: a [`FaultPlan`] site plus the [`FaultPhase`] it
-/// fires in.
+/// One scheduled fault: a (block, round) site, the [`FaultPhase`] it fires
+/// in, and how it misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
     /// Block that misbehaves.
@@ -136,7 +95,7 @@ pub struct Fault {
 }
 
 impl Fault {
-    /// A round-body fault (the classic [`FaultPlan`] semantics).
+    /// A fault in the round body of (block, round).
     pub fn in_round(block: usize, round: usize, kind: FaultKind) -> Self {
         Fault {
             block,
@@ -174,21 +133,17 @@ impl Fault {
     }
 }
 
-impl From<FaultPlan> for Fault {
-    fn from(p: FaultPlan) -> Self {
-        Fault::in_round(p.block, p.round, p.kind)
-    }
-}
-
-/// Backstop so a [`FaultKind::Straggler`] cannot hang a test run whose
-/// policy forgot a timeout: the loop gives up after this long. Override
-/// per run via [`SyncPolicy::straggler_backstop`].
-const STRAGGLER_BACKSTOP: Duration = Duration::from_secs(30);
-
-/// The straggler backstop `policy` implies: its explicit override, or the
-/// historical 30 s default.
+/// How long an injected cooperative [`FaultKind::Straggler`] waits for the
+/// abort signal before it gives up on its own. With a timeout set the
+/// straggler is released by its peers' expiry at `timeout`, so this only
+/// decides anything under an unbounded policy, where it keeps a test run
+/// that forgot its timeout from hanging: 30 s. Under a bounded policy it
+/// sits far enough above `timeout` (20× + 1 s) never to race a real
+/// deadline.
 pub(crate) fn effective_backstop(policy: &SyncPolicy) -> Duration {
-    policy.straggler_backstop.unwrap_or(STRAGGLER_BACKSTOP)
+    policy
+        .timeout
+        .map_or(Duration::from_secs(30), |t| t * 20 + Duration::from_secs(1))
 }
 
 /// A stall duration guaranteed to outlive the pooled runtime's
@@ -244,13 +199,6 @@ impl FaultSchedule {
     /// Schedule exactly these faults.
     pub fn new(faults: Vec<Fault>) -> Self {
         FaultSchedule { faults }
-    }
-
-    /// The single-fault schedule equivalent to the classic [`FaultPlan`].
-    pub fn single(plan: FaultPlan) -> Self {
-        FaultSchedule {
-            faults: vec![plan.into()],
-        }
     }
 
     /// The scheduled faults.
@@ -398,16 +346,17 @@ impl SplitMix64 {
 pub struct FaultInjector<K> {
     inner: K,
     schedule: FaultSchedule,
-    /// Carries [`SyncPolicy::straggler_backstop`] to the straggler loop
-    /// (the injector cannot see the [`crate::GridConfig`] it runs under).
+    /// Carries the run's timeout to the round-body straggler loop, which
+    /// sizes its backstop from it (the injector cannot see the
+    /// [`crate::GridConfig`] it runs under).
     policy: SyncPolicy,
     abort: Mutex<Option<AbortSignal>>,
 }
 
 impl<K> FaultInjector<K> {
-    /// Inject the single classic `plan` into `inner`.
-    pub fn new(inner: K, plan: FaultPlan) -> Self {
-        Self::with_schedule(inner, FaultSchedule::single(plan))
+    /// Inject the single `fault` into `inner`.
+    pub fn new(inner: K, fault: Fault) -> Self {
+        Self::with_schedule(inner, FaultSchedule::new(vec![fault]))
     }
 
     /// Inject a full `schedule` into `inner`.
@@ -420,8 +369,9 @@ impl<K> FaultInjector<K> {
         }
     }
 
-    /// Carry `policy` so injected stragglers honour its
-    /// [`SyncPolicy::straggler_backstop`] (defaults to 30 s otherwise).
+    /// Carry the run's `policy` so a round-body straggler sizes its
+    /// backstop from the same timeout as the engine's injection sites
+    /// (30 s otherwise, as for any unbounded policy).
     pub fn with_policy(mut self, policy: SyncPolicy) -> Self {
         self.policy = policy;
         self
@@ -430,23 +380,6 @@ impl<K> FaultInjector<K> {
     /// The wrapped kernel.
     pub fn inner(&self) -> &K {
         &self.inner
-    }
-
-    /// The first scheduled fault as a classic [`FaultPlan`] (site + kind).
-    ///
-    /// # Panics
-    /// Panics on an empty schedule.
-    pub fn plan(&self) -> FaultPlan {
-        let f = self
-            .schedule
-            .faults()
-            .first()
-            .expect("empty fault schedule");
-        FaultPlan {
-            block: f.block,
-            round: f.round,
-            kind: f.kind,
-        }
     }
 
     /// The full schedule.
@@ -631,24 +564,8 @@ mod tests {
     }
 
     #[test]
-    fn plan_constructors() {
-        assert_eq!(
-            FaultPlan::panic_at(1, 2),
-            FaultPlan {
-                block: 1,
-                round: 2,
-                kind: FaultKind::Panic
-            }
-        );
-        assert_eq!(FaultPlan::straggler_at(0, 0).kind, FaultKind::Straggler);
-        let d = FaultPlan::delay_at(3, 4, Duration::from_millis(5));
-        assert_eq!(d.kind, FaultKind::Delay(Duration::from_millis(5)));
-    }
-
-    #[test]
-    fn schedule_from_plan_is_single_round_body_fault() {
-        let s = FaultSchedule::single(FaultPlan::panic_at(1, 2));
-        assert_eq!(s.faults(), &[Fault::in_round(1, 2, FaultKind::Panic)]);
+    fn single_fault_schedule_is_matched_by_site_and_phase() {
+        let s = FaultSchedule::new(vec![Fault::in_round(1, 2, FaultKind::Panic)]);
         assert!(s.expects_failure());
         assert!(s.fault_at(1, 2, FaultPhase::RoundBody).is_some());
         assert!(s.fault_at(1, 2, FaultPhase::BarrierWait).is_none());
@@ -706,7 +623,7 @@ mod tests {
                 slots: GlobalBuffer::new(4),
                 rounds: 5,
             },
-            FaultPlan::panic_at(3, 2),
+            Fault::in_round(3, 2, FaultKind::Panic),
         );
         let err = GridExecutor::new(GridConfig::new(4, 8), SyncMethod::GpuSimple)
             .run(&k)
@@ -736,7 +653,7 @@ mod tests {
                 slots: GlobalBuffer::new(3),
                 rounds: 4,
             },
-            FaultPlan::straggler_at(1, 1),
+            Fault::in_round(1, 1, FaultKind::Straggler),
         );
         let cfg =
             GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_millis(50)));
@@ -760,7 +677,7 @@ mod tests {
                 slots: GlobalBuffer::new(3),
                 rounds: 4,
             },
-            FaultPlan::delay_at(0, 2, Duration::from_millis(10)),
+            Fault::in_round(0, 2, FaultKind::Delay(Duration::from_millis(10))),
         );
         let cfg =
             GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_secs(5)));
@@ -772,22 +689,24 @@ mod tests {
     }
 
     #[test]
-    fn accessors_expose_inner_and_plan() {
+    fn accessors_expose_inner_and_schedule() {
         let inj = FaultInjector::new(
             Increment {
                 slots: GlobalBuffer::new(1),
                 rounds: 1,
             },
-            FaultPlan::panic_at(0, 0),
+            Fault::in_round(0, 0, FaultKind::Panic),
         );
-        assert_eq!(inj.plan(), FaultPlan::panic_at(0, 0));
         assert_eq!(inj.inner().rounds, 1);
-        assert_eq!(inj.schedule().faults().len(), 1);
+        assert_eq!(
+            inj.schedule().faults(),
+            &[Fault::in_round(0, 0, FaultKind::Panic)]
+        );
     }
 
     #[test]
     fn matches_error_rejects_the_wrong_site() {
-        let s = FaultSchedule::single(FaultPlan::panic_at(1, 2));
+        let s = FaultSchedule::new(vec![Fault::in_round(1, 2, FaultKind::Panic)]);
         assert!(!s.matches_error(&ExecError::BlockPanicked {
             block: 0,
             round: 2,

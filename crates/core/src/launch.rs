@@ -12,7 +12,10 @@
 //!   keep one alive and launch through it repeatedly).
 //! * [`LaunchSetup`] — the per-launch state a plan stamps out: a **fresh**
 //!   barrier (poisoning is permanent, so barriers are never reused across
-//!   launches), the trace recorder, and the abort signal.
+//!   launches), the trace recorder, and the abort signal. Its
+//!   `finish` turns the per-block results into the launch's
+//!   [`KernelStats`] *and* its [`LaunchRecord`] — the one place a record
+//!   is built, for every strategy, success or failure.
 //! * [`drive_block`] — the one true round loop: run the round under
 //!   `catch_unwind`, poison + abort on panic, barrier-wait with bounded
 //!   waits, and per-round time/trace accounting.
@@ -44,6 +47,7 @@ use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultSchedule, WaitFaultInjector};
 use crate::method::SyncMethod;
+use crate::obs::LaunchRecord;
 use crate::runtime::PoolLaunchStats;
 use crate::stats::{BlockTimes, KernelStats};
 use crate::trace::{EventRecorder, TraceEventKind};
@@ -336,7 +340,6 @@ impl LaunchPlan {
             .cfg
             .trace
             .as_ref()
-            .filter(|_| EventRecorder::ENABLED)
             .map(|tc| Arc::new(EventRecorder::new(n, rounds, tc)));
         if let (Some(sh), Some(rec)) = (barrier.as_deref(), recorder.as_ref()) {
             sh.control().attach_recorder(Arc::clone(rec));
@@ -361,7 +364,7 @@ impl LaunchPlan {
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
         // SAFETY: `execute` joins every thread it starts for a borrowed
         // kernel before it returns.
-        self.execute(unsafe { KernelRef::borrowed(kernel) })
+        self.execute(unsafe { KernelRef::borrowed(kernel) }).0
     }
 
     /// [`LaunchPlan::run`] with an owned kernel, enabling the relaunch
@@ -374,15 +377,29 @@ impl LaunchPlan {
         &self,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<KernelStats, ExecError> {
-        self.execute(KernelRef::owned(kernel))
+        self.execute(KernelRef::owned(kernel)).0
     }
 
-    /// Dispatch one launch to the strategy serving this plan's method.
-    /// Returns only once every thread it started is joined — or, for an
-    /// owned kernel under `CpuExplicit`, detached with its own `Arc`.
-    pub(crate) fn execute(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
+    /// Dispatch one launch to the strategy serving this plan's method and
+    /// return its result with its [`LaunchRecord`]. Returns only once
+    /// every thread it started is joined — or, for an owned kernel under
+    /// `CpuExplicit`, detached with its own `Arc`.
+    pub(crate) fn execute(
+        &self,
+        kernel: KernelRef,
+    ) -> (Result<KernelStats, ExecError>, LaunchRecord) {
         let k = kernel.get();
-        let mut setup = self.setup(k.rounds())?;
+        let entered = Instant::now();
+        let mut setup = match self.setup(k.rounds()) {
+            Ok(setup) => setup,
+            // No setup exists to finish: a bare record of what is known.
+            Err(e) => {
+                let mut record = LaunchRecord::new(self.method.to_string());
+                record.error = Some(e.clone());
+                record.wall = entered.elapsed();
+                return (Err(e), record);
+            }
+        };
         setup.arm_faults(k);
         k.on_launch(&setup.abort);
         let start = Instant::now();
@@ -390,7 +407,7 @@ impl LaunchPlan {
             SyncMethod::CpuExplicit => run_relaunch(&setup, &kernel),
             _ => run_scoped(&setup, k, start),
         };
-        per_block.map(|pb| setup.stats(pb, start.elapsed(), None))
+        setup.finish(per_block, start.elapsed(), None)
     }
 }
 
@@ -437,26 +454,63 @@ impl LaunchSetup {
         }
     }
 
-    /// Assemble the uniform [`KernelStats`] every strategy reports:
-    /// `launch` is the slowest block's launch share, telemetry comes from
-    /// this launch's recorder.
-    pub(crate) fn stats(
+    /// Close the launch: from the merged per-block results, assemble the
+    /// uniform [`KernelStats`] every strategy reports (`launch` is the
+    /// slowest block's launch share, telemetry comes from this launch's
+    /// recorder) and the launch's one [`LaunchRecord`], built from what
+    /// this setup owns — the scheduled faults, and for a failure the
+    /// recorder's per-block tails. Strategies add only what they alone
+    /// know (the pool: `replacements` and `shard`).
+    pub(crate) fn finish(
         &self,
-        per_block: Vec<BlockTimes>,
+        result: Result<Vec<BlockTimes>, ExecError>,
         wall: Duration,
-        pool: Option<Box<PoolLaunchStats>>,
-    ) -> KernelStats {
-        KernelStats {
-            method: self.method.to_string(),
+        pool: Option<PoolLaunchStats>,
+    ) -> (Result<KernelStats, ExecError>, LaunchRecord) {
+        let mut record = LaunchRecord {
+            wall,
+            pool,
+            faults: self
+                .faults
+                .as_deref()
+                .map_or_else(Vec::new, |s| s.faults().to_vec()),
+            ..LaunchRecord::new(self.method.to_string())
+        };
+        let per_block = match result {
+            Ok(per_block) => per_block,
+            Err(e) => {
+                record.error = Some(e.clone());
+                record.recent_events = self.recent_events();
+                return (Err(e), record);
+            }
+        };
+        record.launch = per_block.iter().map(|b| b.launch).max().unwrap_or_default();
+        record.compute = per_block.iter().map(|b| b.compute).sum();
+        record.sync = per_block.iter().map(|b| b.sync).sum();
+        let stats = KernelStats {
+            method: record.method.clone(),
             n_blocks: self.n,
             rounds: self.rounds,
             wall,
-            launch: per_block.iter().map(|b| b.launch).max().unwrap_or_default(),
+            launch: record.launch,
             per_block,
             telemetry: self.recorder.as_ref().map(|rec| Box::new(rec.finish())),
             auto: None,
-            pool,
+            pool: pool.map(Box::new),
+        };
+        (Ok(stats), record)
+    }
+
+    /// Every block's trailing trace events (`"b<block>: <event>"`), for a
+    /// failed launch's record; empty when the launch ran untraced.
+    fn recent_events(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        if let Some(rec) = self.recorder.as_deref() {
+            for b in 0..self.n {
+                out.extend(rec.tail(b, 8).iter().map(|e| format!("b{b}: {e}")));
+            }
         }
+        out
     }
 }
 

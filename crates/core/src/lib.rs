@@ -97,8 +97,7 @@ pub use dissemination::DisseminationSync;
 pub use error::{ExecError, ServiceError, StuckDiagnostic, StuckPhase};
 pub use executor::{AbortSignal, BlockCtx, GridConfig, GridExecutor, RoundKernel};
 pub use fault::{
-    stall_duration, Fault, FaultInjector, FaultKind, FaultPhase, FaultPlan, FaultProfile,
-    FaultSchedule,
+    stall_duration, Fault, FaultInjector, FaultKind, FaultPhase, FaultProfile, FaultSchedule,
 };
 pub use gmem::{GlobalBuffer, GlobalBuffer2d};
 pub use implicit::CpuImplicitSync;
@@ -106,10 +105,7 @@ pub use launch::LaunchPlan;
 pub use lockfree::{FuzzyLockFreeWaiter, GpuLockFreeSync};
 pub use method::{ResetStrategy, SyncMethod, TreeLevels};
 pub use metrics::{BlockHistogram, Histogram};
-pub use obs::{
-    FaultLine, LaunchOutcome, LaunchRecord, MetricsSnapshot, Observer, DEFAULT_SHARD,
-    FLIGHT_RECORDER_CAPACITY,
-};
+pub use obs::{LaunchRecord, MetricsSnapshot, Observer, DEFAULT_SHARD, FLIGHT_RECORDER_CAPACITY};
 pub use runtime::{GridRuntime, LaunchHandle, PoolLaunchStats};
 pub use scalar::DeviceScalar;
 pub use sense::SenseReversingSync;

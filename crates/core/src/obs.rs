@@ -1,24 +1,32 @@
 //! Cross-launch observability plane: a metrics registry plus a crash-dump
 //! flight recorder, fed once per **launch completion**.
 //!
-//! The telemetry plane of `crate::trace` is strictly per-launch: every
-//! [`KernelStats`] carries its own histograms and trace, and nothing
-//! survives across the pipelined launches a pooled [`crate::GridRuntime`]
-//! serves. This module is the cross-launch layer above it:
+//! Telemetry is one flow. The per-block recorder of `crate::trace` feeds a
+//! launch's [`crate::KernelStats`]; the launch engine folds that launch —
+//! success or failure, cold or warm — into one typed [`LaunchRecord`]
+//! (`LaunchSetup::finish` in `crate::launch` is its only producer); and
+//! this module keeps the records: nothing else survives across the
+//! pipelined launches a pooled [`crate::GridRuntime`] serves.
 //!
+//! * [`LaunchRecord`] — what one launch was and how it ended, holding the
+//!   things themselves rather than copies: the [`PoolLaunchStats`] of a
+//!   warm launch, the [`ExecError`] of a failed one (with its
+//!   [`crate::StuckDiagnostic`]), the [`Fault`]s that were scheduled, and
+//!   the trailing trace events.
 //! * [`Observer`] — an `Arc`-shared handle combining a **metrics
 //!   registry** (named counters, gauges, labeled counters, and cumulative
 //!   merged [`Histogram`]s) with a **flight recorder** (a bounded ring of
-//!   [`LaunchRecord`]s, keeping the full failure context — the
-//!   [`StuckDiagnostic`], recent trace events, and any active
-//!   [`FaultSchedule`] — that a bare [`ExecError`] throws away).
-//! * [`MetricsSnapshot`] — a point-in-time copy of the registry,
-//!   exportable as Prometheus text exposition
+//!   [`LaunchRecord`]s).
+//! * [`MetricsSnapshot`] — the registry itself; a point-in-time copy is a
+//!   clone. Exportable as Prometheus text exposition
 //!   ([`MetricsSnapshot::render_prometheus`]) or JSON
 //!   ([`MetricsSnapshot::to_json`] / [`MetricsSnapshot::from_json`]).
 //! * [`LaunchRecord::to_json`] — a self-contained postmortem artifact for
 //!   one launch, written by `blocksync chaos --postmortem-dir` so every
 //!   soak failure is replayable from the logged seed.
+//!
+//! All JSON here is a [`Json`] tree rendered by the workspace's one codec,
+//! `blocksync_device::json`.
 //!
 //! ## Zero cost on the barrier hot path
 //!
@@ -27,7 +35,7 @@
 //! barrier spin loops** (the same guarantee the single-writer
 //! [`crate::BlockHistogram`] telemetry makes). All mutation happens on
 //! the *host* thread that resolves a launch (`wait_launch` /
-//! `LaunchPlan::execute`), exactly once per launch, under a short
+//! `GridExecutor::run`), exactly once per launch, under a short
 //! uncontended mutex. The `obs_overhead` bench bin enforces both halves:
 //! wall overhead under 5%, and a registry mutation count that is a
 //! function of launches alone (never of rounds or spins).
@@ -36,12 +44,13 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
+use blocksync_device::json::{self, Json};
 use parking_lot::Mutex;
 
-use crate::error::{ExecError, StuckDiagnostic};
-use crate::fault::FaultSchedule;
+use crate::error::ExecError;
+use crate::fault::Fault;
 use crate::metrics::{Histogram, NUM_BUCKETS};
-use crate::stats::KernelStats;
+use crate::runtime::PoolLaunchStats;
 
 /// How many [`LaunchRecord`]s the flight recorder retains.
 pub const FLIGHT_RECORDER_CAPACITY: usize = 64;
@@ -50,89 +59,23 @@ pub const FLIGHT_RECORDER_CAPACITY: usize = 64;
 /// under, so the per-shard `queue_depth` family always has a stable slot.
 pub const DEFAULT_SHARD: &str = "default";
 
-/// Saturating nanosecond cast for registry samples.
-fn dur_ns(d: Duration) -> u64 {
+/// Saturating nanosecond cast for registry samples and JSON export.
+pub(crate) fn dur_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// How one launch ended, as seen by the flight recorder.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LaunchOutcome {
-    /// The launch completed and produced [`KernelStats`].
-    Success,
-    /// The launch failed; the origin error is preserved in full.
-    Failure {
-        /// Rendered origin error ([`ExecError`]'s `Display`).
-        error: String,
-        /// Stable failure class ([`ExecError::kind_label`]), the label of
-        /// the `launch_failures_total` registry counter.
-        kind: String,
-        /// The stuck-barrier diagnostic, when the failure was a timeout.
-        diagnostic: Option<Box<StuckDiagnostic>>,
-    },
-}
-
-impl LaunchOutcome {
-    /// Build the failure variant from an execution error.
-    pub fn from_error(e: &ExecError) -> Self {
-        let diagnostic = match e {
-            ExecError::BarrierTimeout { diagnostic } => Some(diagnostic.clone()),
-            _ => None,
-        };
-        LaunchOutcome::Failure {
-            error: e.to_string(),
-            kind: e.kind_label().to_string(),
-            diagnostic,
-        }
-    }
-
-    /// Whether this outcome is a failure.
-    pub fn is_failure(&self) -> bool {
-        matches!(self, LaunchOutcome::Failure { .. })
-    }
-}
-
-/// One fault of an active [`FaultSchedule`], flattened for postmortems.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultLine {
-    /// Block the fault targets.
-    pub block: usize,
-    /// Round the fault fires in.
-    pub round: usize,
-    /// Injection site (`FaultPhase`, Debug-rendered).
-    pub phase: String,
-    /// Fault kind (`FaultKind`, Debug-rendered).
-    pub kind: String,
-}
-
-/// Flatten a schedule into postmortem lines.
-fn fault_lines(schedule: &FaultSchedule) -> Vec<FaultLine> {
-    schedule
-        .faults()
-        .iter()
-        .map(|f| FaultLine {
-            block: f.block,
-            round: f.round,
-            phase: format!("{:?}", f.phase),
-            kind: format!("{:?}", f.kind),
-        })
-        .collect()
 }
 
 /// One entry of the flight recorder: everything worth keeping about a
 /// completed launch, success or failure. For failures this preserves the
-/// context the plain [`ExecError`] loses — the diagnostic, the trailing
-/// trace events, and the fault schedule that was active — so a postmortem
-/// is replayable without re-running the soak.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// context a bare `Err` return loses — the trailing trace events and the
+/// fault schedule that was active, next to the error and its diagnostic —
+/// so a postmortem is replayable without re-running the soak.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LaunchRecord {
-    /// Pool launch sequence number (0 for scoped launches).
-    pub seq: u64,
     /// Sync method that served the launch (e.g. `"gpu-lock-free"`, or
     /// `"auto:gpu-lock-free"` for resolved auto launches).
     pub method: String,
-    /// Success, or the preserved failure context.
-    pub outcome: LaunchOutcome,
+    /// Why the launch failed; `None` for a success.
+    pub error: Option<ExecError>,
     /// Submit → stats latency. For pooled launches this is measured from
     /// submission (so it includes queueing); for scoped launches it is the
     /// execution wall clock.
@@ -143,14 +86,10 @@ pub struct LaunchRecord {
     pub compute: Duration,
     /// Total synchronization time summed across blocks.
     pub sync: Duration,
-    /// Whether the launch ran on a persistent pool.
-    pub pooled: bool,
-    /// Launches pending ahead of this one at submit time (pooled only).
-    pub queue_depth: usize,
-    /// Submit → first worker pickup (pooled only).
-    pub queued: Duration,
-    /// Whether this was a pool's cold (first) launch.
-    pub cold: bool,
+    /// The pool's accounting when the launch ran on a persistent
+    /// [`crate::GridRuntime`] — the same value as
+    /// [`crate::KernelStats::pool`]; `None` for a scoped launch.
+    pub pool: Option<PoolLaunchStats>,
     /// Workers replaced while settling this launch (abandon-and-replace).
     pub replacements: usize,
     /// Shard label when the launch was served by a [`crate::GridService`]
@@ -159,200 +98,248 @@ pub struct LaunchRecord {
     /// runtimes, whose gauge samples land under the `"default"` shard.
     pub shard: Option<String>,
     /// Trailing trace events per block (`"b<block>: <event>"`), captured
-    /// for failures when the trace plane is compiled in and enabled.
+    /// for failures of launches that ran with a [`crate::TraceConfig`].
     pub recent_events: Vec<String>,
-    /// The fault schedule that was active, if any.
-    pub fault_schedule: Vec<FaultLine>,
+    /// The faults scheduled for the launch, if its kernel carried any.
+    pub faults: Vec<Fault>,
 }
 
 impl LaunchRecord {
     /// A blank record for `method`; callers fill in what they know.
     pub fn new(method: impl Into<String>) -> Self {
         LaunchRecord {
-            seq: 0,
             method: method.into(),
-            outcome: LaunchOutcome::Success,
-            wall: Duration::ZERO,
-            launch: Duration::ZERO,
-            compute: Duration::ZERO,
-            sync: Duration::ZERO,
-            pooled: false,
-            queue_depth: 0,
-            queued: Duration::ZERO,
-            cold: false,
-            replacements: 0,
-            shard: None,
-            recent_events: Vec::new(),
-            fault_schedule: Vec::new(),
+            ..LaunchRecord::default()
         }
     }
 
-    /// Build a success record from a launch's stats (including its
-    /// [`crate::PoolLaunchStats`], when attached).
-    pub fn from_stats(stats: &KernelStats) -> Self {
-        let mut r = LaunchRecord::new(stats.method.clone());
-        r.wall = stats.wall;
-        r.launch = stats.launch;
-        r.compute = stats.total_compute();
-        r.sync = stats.total_sync();
-        if let Some(p) = stats.pool.as_deref() {
-            r.pooled = true;
-            r.seq = p.launch_seq;
-            r.queue_depth = p.queue_depth;
-            r.queued = p.queued;
-            r.cold = p.cold;
-        }
-        r
-    }
-
-    /// Build a failure record from an execution error.
-    pub fn from_error(method: impl Into<String>, e: &ExecError, wall: Duration) -> Self {
-        let mut r = LaunchRecord::new(method);
-        r.outcome = LaunchOutcome::from_error(e);
-        r.wall = wall;
-        r
-    }
-
-    /// Attach the active fault schedule.
-    pub fn with_faults(mut self, schedule: &FaultSchedule) -> Self {
-        self.fault_schedule = fault_lines(schedule);
-        self
-    }
-
-    /// Render a self-contained JSON postmortem for this launch: outcome,
-    /// timing split, pool context, the full [`StuckDiagnostic`], trailing
-    /// trace events, and the active fault schedule.
-    pub fn to_json(&self) -> String {
-        let mut o = String::from("{\n");
-        let push = |o: &mut String, line: String| {
-            o.push_str("  ");
-            o.push_str(&line);
-            o.push_str(",\n");
-        };
-        push(&mut o, format!("\"seq\": {}", self.seq));
-        push(
-            &mut o,
-            format!("\"method\": \"{}\"", json_escape(&self.method)),
-        );
-        match &self.outcome {
-            LaunchOutcome::Success => {
-                push(&mut o, "\"outcome\": \"success\"".to_string());
-            }
-            LaunchOutcome::Failure {
-                error,
-                kind,
-                diagnostic,
-            } => {
-                push(&mut o, "\"outcome\": \"failure\"".to_string());
-                push(&mut o, format!("\"error\": \"{}\"", json_escape(error)));
-                push(&mut o, format!("\"error_kind\": \"{}\"", json_escape(kind)));
-                if let Some(d) = diagnostic.as_deref() {
-                    push(&mut o, format!("\"diagnostic\": {}", diagnostic_json(d)));
+    /// A self-contained JSON postmortem for this launch: outcome, timing
+    /// split, pool context, the full [`crate::StuckDiagnostic`] of a
+    /// timeout, trailing trace events, and the active fault schedule.
+    pub fn to_json(&self) -> Json {
+        // A scoped launch renders the pool keys at their zero values.
+        let pool = self.pool.unwrap_or_default();
+        let mut o: Vec<(&str, Json)> = vec![
+            ("seq", pool.launch_seq.into()),
+            ("method", self.method.as_str().into()),
+        ];
+        match &self.error {
+            None => o.push(("outcome", "success".into())),
+            Some(e) => {
+                o.push(("outcome", "failure".into()));
+                o.push(("error", e.to_string().into()));
+                o.push(("error_kind", e.kind_label().into()));
+                if let ExecError::BarrierTimeout { diagnostic } = e {
+                    o.push(("diagnostic", diagnostic.to_json()));
                 }
             }
         }
-        push(&mut o, format!("\"wall_ns\": {}", dur_ns(self.wall)));
-        push(&mut o, format!("\"launch_ns\": {}", dur_ns(self.launch)));
-        push(&mut o, format!("\"compute_ns\": {}", dur_ns(self.compute)));
-        push(&mut o, format!("\"sync_ns\": {}", dur_ns(self.sync)));
-        push(&mut o, format!("\"pooled\": {}", self.pooled));
-        push(&mut o, format!("\"queue_depth\": {}", self.queue_depth));
-        push(&mut o, format!("\"queued_ns\": {}", dur_ns(self.queued)));
-        push(&mut o, format!("\"cold\": {}", self.cold));
-        push(&mut o, format!("\"replacements\": {}", self.replacements));
-        match &self.shard {
-            Some(shard) => push(&mut o, format!("\"shard\": \"{}\"", json_escape(shard))),
-            None => push(&mut o, "\"shard\": null".to_string()),
-        }
-        push(
-            &mut o,
-            format!(
-                "\"recent_events\": {}",
-                string_array_json(&self.recent_events)
+        let fault = |f: &Fault| {
+            Json::obj([
+                ("block", f.block.into()),
+                ("round", f.round.into()),
+                ("phase", format!("{:?}", f.phase).into()),
+                ("kind", format!("{:?}", f.kind).into()),
+            ])
+        };
+        o.extend([
+            ("wall_ns", dur_ns(self.wall).into()),
+            ("launch_ns", dur_ns(self.launch).into()),
+            ("compute_ns", dur_ns(self.compute).into()),
+            ("sync_ns", dur_ns(self.sync).into()),
+            ("pooled", self.pool.is_some().into()),
+            ("queue_depth", pool.queue_depth.into()),
+            ("queued_ns", dur_ns(pool.queued).into()),
+            ("cold", pool.cold.into()),
+            ("replacements", self.replacements.into()),
+            ("shard", self.shard.as_deref().into()),
+            (
+                "recent_events",
+                Json::arr(self.recent_events.iter().map(String::as_str)),
             ),
-        );
-        let faults: Vec<String> = self
-            .fault_schedule
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"block\": {}, \"round\": {}, \"phase\": \"{}\", \"kind\": \"{}\"}}",
-                    f.block,
-                    f.round,
-                    json_escape(&f.phase),
-                    json_escape(&f.kind)
-                )
-            })
-            .collect();
-        o.push_str(&format!("  \"fault_schedule\": [{}]\n", faults.join(", ")));
-        o.push('}');
-        o
+            ("fault_schedule", Json::arr(self.faults.iter().map(fault))),
+        ]);
+        Json::obj(o)
     }
 }
 
-/// Render a [`StuckDiagnostic`] as a JSON object.
-fn diagnostic_json(d: &StuckDiagnostic) -> String {
-    format!(
-        "{{\"barrier\": \"{}\", \"waiting_block\": {}, \"round\": {}, \"flag\": \"{}\", \
-         \"timeout_ns\": {}, \"phase\": \"{:?}\", \"stragglers\": {:?}, \"arrivals\": {:?}, \
-         \"departures\": {:?}, \"recent_events\": {}}}",
-        json_escape(&d.barrier),
-        d.waiting_block,
-        d.round,
-        json_escape(&d.flag),
-        dur_ns(d.timeout),
-        d.phase,
-        d.stragglers(),
-        d.arrivals,
-        d.departures,
-        string_array_json(&d.recent_events),
-    )
+/// The flight-recorder half: a bounded ring of launch records plus the
+/// most recent failure, kept separately so it survives ring eviction.
+#[derive(Debug, Default)]
+struct Flight {
+    ring: VecDeque<LaunchRecord>,
+    last_failure: Option<LaunchRecord>,
+    evicted: u64,
 }
 
-/// Render a string slice as a JSON array of escaped strings.
-fn string_array_json(items: &[String]) -> String {
-    let quoted: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
-    format!("[{}]", quoted.join(", "))
+impl Flight {
+    fn push(&mut self, r: LaunchRecord) {
+        if r.error.is_some() {
+            self.last_failure = Some(r.clone());
+        }
+        if self.ring.len() == FLIGHT_RECORDER_CAPACITY {
+            self.ring.pop_front();
+            self.evicted += 1;
+        }
+        self.ring.push_back(r);
+    }
 }
 
-/// Escape a string for embedding in JSON output.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The cross-launch observability handle: metrics registry + flight
+/// recorder behind one `Arc`. Every launcher owns one: a
+/// [`crate::GridExecutor`] and a standalone [`crate::GridRuntime`] each
+/// their own, a [`crate::GridService`] one shared by all its shards.
+///
+/// A [`Observer::disabled`] handle is a no-op on every path — the control
+/// arm of the `obs_overhead` bench.
+pub struct Observer {
+    enabled: bool,
+    inner: Mutex<Inner>,
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    /// The live registry is a [`MetricsSnapshot`] nobody else can reach;
+    /// [`Observer::snapshot`] clones it.
+    registry: MetricsSnapshot,
+    flight: Flight,
+}
+
+impl std::fmt::Debug for Observer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let g = self.inner.lock();
+        f.debug_struct("Observer")
+            .field("enabled", &self.enabled)
+            .field("ops", &g.registry.ops)
+            .field("records", &g.flight.ring.len())
+            .finish()
+    }
+}
+
+impl Observer {
+    /// A live observer.
+    pub fn new() -> Arc<Observer> {
+        Arc::new(Observer {
+            enabled: true,
+            inner: Mutex::new(Inner {
+                registry: MetricsSnapshot::seeded(),
+                flight: Flight::default(),
+            }),
+        })
+    }
+
+    /// A no-op observer: every `observe` returns immediately without
+    /// taking the lock. Used as the control arm when measuring the
+    /// plane's own overhead.
+    pub fn disabled() -> Arc<Observer> {
+        Arc::new(Observer {
+            enabled: false,
+            inner: Mutex::new(Inner::default()),
+        })
+    }
+
+    /// Whether this observer records anything.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Fold one completed launch into the registry and flight recorder.
+    pub fn observe(&self, record: LaunchRecord) {
+        if !self.enabled {
+            return;
+        }
+        let mut g = self.inner.lock();
+        g.registry.apply(&record);
+        g.flight.push(record);
+    }
+
+    /// Increment a plain counter — the service plane's hook for events
+    /// that are not launches (shard spin-up/retirement, admission
+    /// rejections). No-op when disabled.
+    pub fn inc_counter(&self, name: &str, by: u64) {
+        if self.enabled {
+            self.inner.lock().registry.inc(name, by);
         }
     }
-    out
+
+    /// Set a plain gauge (e.g. `service_shards_live`). No-op when
+    /// disabled.
+    pub fn set_gauge(&self, name: &str, v: u64) {
+        if self.enabled {
+            self.inner.lock().registry.set_gauge(name, v);
+        }
+    }
+
+    /// Increment one label of a counter family (e.g.
+    /// `service_rejections_total` by reason). No-op when disabled.
+    pub fn inc_labeled(&self, family: &str, label: &str, by: u64) {
+        if self.enabled {
+            self.inner.lock().registry.inc_labeled(family, label, by);
+        }
+    }
+
+    /// Point-in-time copy of the registry.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.inner.lock().registry.clone()
+    }
+
+    /// Total registry mutations so far ([`MetricsSnapshot::ops`]): the
+    /// deterministic count the `obs_overhead` bench guards.
+    pub fn ops(&self) -> u64 {
+        self.inner.lock().registry.ops
+    }
+
+    /// The flight recorder's current contents, oldest first.
+    pub fn recent(&self) -> Vec<LaunchRecord> {
+        self.inner.lock().flight.ring.iter().cloned().collect()
+    }
+
+    /// Records evicted from the bounded ring so far.
+    pub fn evicted(&self) -> u64 {
+        self.inner.lock().flight.evicted
+    }
+
+    /// The most recent failed launch, kept even after ring eviction.
+    pub fn last_failure(&self) -> Option<LaunchRecord> {
+        self.inner.lock().flight.last_failure.clone()
+    }
+
+    /// JSON postmortem of the most recent failure, if any.
+    pub fn postmortem_json(&self) -> Option<Json> {
+        self.last_failure().map(|r| r.to_json())
+    }
 }
 
-/// The registry half of the observer: name → value maps plus cumulative
-/// merged histograms, all updated exactly once per launch completion.
-#[derive(Debug, Default)]
-struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    labeled: BTreeMap<String, BTreeMap<String, u64>>,
-    labeled_gauges: BTreeMap<String, BTreeMap<String, u64>>,
-    histograms: BTreeMap<String, Histogram>,
+/// The metrics registry: name → value maps plus cumulative merged
+/// histograms. An [`Observer`] owns the live one and updates it exactly
+/// once per launch completion; what callers hold is a point-in-time copy,
+/// exportable as Prometheus text exposition or JSON (and re-importable
+/// from the latter).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct MetricsSnapshot {
+    /// Monotonic counters (`launches_total`, …).
+    pub counters: BTreeMap<String, u64>,
+    /// Point-in-time gauges (`service_shards_live`, …).
+    pub gauges: BTreeMap<String, u64>,
+    /// Labeled counter families: family → label value → count
+    /// (`launch_failures_total` by kind, `shard_launches_total` by shard).
+    pub labeled: BTreeMap<String, BTreeMap<String, u64>>,
+    /// Labeled gauge families: family → label value → value
+    /// (`queue_depth` by shard, so multi-shard snapshots never alias).
+    pub labeled_gauges: BTreeMap<String, BTreeMap<String, u64>>,
+    /// Cumulative merged histograms, keyed `name` or `name/label` (the
+    /// label is a method name, e.g. `submit_to_stats_ns/gpu-lock-free`).
+    pub histograms: BTreeMap<String, Histogram>,
     /// Total registry mutations — the deterministic "updates per launch"
     /// count the `obs_overhead` bench pins (it must be a function of
     /// launches alone, proving no spin-loop instrumentation exists).
-    ops: u64,
+    pub ops: u64,
 }
 
-impl Registry {
-    fn new() -> Self {
-        let mut r = Registry::default();
+/// The mutators are private: only an [`Observer`] writes a registry.
+impl MetricsSnapshot {
+    fn seeded() -> Self {
+        let mut r = MetricsSnapshot::default();
         // Pre-seed the standard series at zero so an idle snapshot already
         // renders the full exposition (and the series count is stable).
         for name in [
@@ -410,16 +397,16 @@ impl Registry {
     /// The one mutation site: fold a completed launch into the registry.
     fn apply(&mut self, r: &LaunchRecord) {
         self.inc("launches_total", 1);
-        if let LaunchOutcome::Failure { kind, .. } = &r.outcome {
+        if let Some(e) = &r.error {
             self.inc("launches_failed_total", 1);
-            self.inc_labeled("launch_failures_total", kind, 1);
+            self.inc_labeled("launch_failures_total", e.kind_label(), 1);
         }
         if r.replacements > 0 {
             self.inc("worker_replacements_total", r.replacements as u64);
         }
-        if r.pooled {
+        if let Some(p) = &r.pool {
             self.inc(
-                if r.cold {
+                if p.cold {
                     "launches_cold_total"
                 } else {
                     "launches_warm_total"
@@ -429,9 +416,9 @@ impl Registry {
             self.set_labeled_gauge(
                 "queue_depth",
                 r.shard.as_deref().unwrap_or(DEFAULT_SHARD),
-                r.queue_depth as u64,
+                p.queue_depth as u64,
             );
-            self.record_hist("queued_ns".to_string(), dur_ns(r.queued));
+            self.record_hist("queued_ns".to_string(), dur_ns(p.queued));
             self.record_hist("launch_ns".to_string(), dur_ns(r.launch));
         }
         // Shard-labeled launches (service traffic) additionally count into
@@ -442,203 +429,6 @@ impl Registry {
         }
         self.record_hist(format!("submit_to_stats_ns/{}", r.method), dur_ns(r.wall));
     }
-
-    fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            labeled: self.labeled.clone(),
-            labeled_gauges: self.labeled_gauges.clone(),
-            histograms: self.histograms.clone(),
-            ops: self.ops,
-        }
-    }
-}
-
-/// The flight-recorder half: a bounded ring of launch records plus the
-/// most recent failure, kept separately so it survives ring eviction.
-#[derive(Debug, Default)]
-struct Flight {
-    ring: VecDeque<LaunchRecord>,
-    last_failure: Option<LaunchRecord>,
-    evicted: u64,
-}
-
-impl Flight {
-    fn push(&mut self, r: LaunchRecord) {
-        if r.outcome.is_failure() {
-            self.last_failure = Some(r.clone());
-        }
-        if self.ring.len() == FLIGHT_RECORDER_CAPACITY {
-            self.ring.pop_front();
-            self.evicted += 1;
-        }
-        self.ring.push_back(r);
-    }
-}
-
-/// The cross-launch observability handle: metrics registry + flight
-/// recorder behind one `Arc`. Every launcher owns one: a
-/// [`crate::GridExecutor`] and a standalone [`crate::GridRuntime`] each
-/// their own, a [`crate::GridService`] one shared by all its shards.
-///
-/// A [`Observer::disabled`] handle is a no-op on every path — the control
-/// arm of the `obs_overhead` bench.
-pub struct Observer {
-    enabled: bool,
-    inner: Mutex<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    registry: Registry,
-    flight: Flight,
-}
-
-impl std::fmt::Debug for Observer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.inner.lock();
-        f.debug_struct("Observer")
-            .field("enabled", &self.enabled)
-            .field("ops", &g.registry.ops)
-            .field("records", &g.flight.ring.len())
-            .finish()
-    }
-}
-
-impl Observer {
-    /// A live observer.
-    pub fn new() -> Arc<Observer> {
-        Arc::new(Observer {
-            enabled: true,
-            inner: Mutex::new(Inner {
-                registry: Registry::new(),
-                flight: Flight::default(),
-            }),
-        })
-    }
-
-    /// A no-op observer: every `observe` returns immediately without
-    /// taking the lock. Used as the control arm when measuring the
-    /// plane's own overhead.
-    pub fn disabled() -> Arc<Observer> {
-        Arc::new(Observer {
-            enabled: false,
-            inner: Mutex::new(Inner::default()),
-        })
-    }
-
-    /// Whether this observer records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Fold one completed launch into the registry and flight recorder.
-    pub fn observe(&self, record: LaunchRecord) {
-        if !self.enabled {
-            return;
-        }
-        let mut g = self.inner.lock();
-        g.registry.apply(&record);
-        g.flight.push(record);
-    }
-
-    /// Observe a finished run from its result: successes are recorded
-    /// from their stats (using the stats' own wall clock as the
-    /// submit→stats sample), failures from the error with `wall` as the
-    /// latency sample.
-    pub fn observe_outcome(
-        &self,
-        method: &str,
-        outcome: &Result<KernelStats, ExecError>,
-        wall: Duration,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let record = match outcome {
-            Ok(stats) => LaunchRecord::from_stats(stats),
-            Err(e) => LaunchRecord::from_error(method, e, wall),
-        };
-        self.observe(record);
-    }
-
-    /// Increment a plain counter — the service plane's hook for events
-    /// that are not launches (shard spin-up/retirement, admission
-    /// rejections). No-op when disabled.
-    pub fn inc_counter(&self, name: &str, by: u64) {
-        if self.enabled {
-            self.inner.lock().registry.inc(name, by);
-        }
-    }
-
-    /// Set a plain gauge (e.g. `service_shards_live`). No-op when
-    /// disabled.
-    pub fn set_gauge(&self, name: &str, v: u64) {
-        if self.enabled {
-            self.inner.lock().registry.set_gauge(name, v);
-        }
-    }
-
-    /// Increment one label of a counter family (e.g.
-    /// `service_rejections_total` by reason). No-op when disabled.
-    pub fn inc_labeled(&self, family: &str, label: &str, by: u64) {
-        if self.enabled {
-            self.inner.lock().registry.inc_labeled(family, label, by);
-        }
-    }
-
-    /// Point-in-time copy of the registry.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner.lock().registry.snapshot()
-    }
-
-    /// Total registry mutations so far (see `Registry::ops`): the
-    /// deterministic count the `obs_overhead` bench guards.
-    pub fn ops(&self) -> u64 {
-        self.inner.lock().registry.ops
-    }
-
-    /// The flight recorder's current contents, oldest first.
-    pub fn recent(&self) -> Vec<LaunchRecord> {
-        self.inner.lock().flight.ring.iter().cloned().collect()
-    }
-
-    /// Records evicted from the bounded ring so far.
-    pub fn evicted(&self) -> u64 {
-        self.inner.lock().flight.evicted
-    }
-
-    /// The most recent failed launch, kept even after ring eviction.
-    pub fn last_failure(&self) -> Option<LaunchRecord> {
-        self.inner.lock().flight.last_failure.clone()
-    }
-
-    /// JSON postmortem of the most recent failure, if any.
-    pub fn postmortem_json(&self) -> Option<String> {
-        self.last_failure().map(|r| r.to_json())
-    }
-}
-
-/// A point-in-time copy of the metrics registry, exportable as Prometheus
-/// text exposition or JSON (and re-importable from the latter).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Monotonic counters (`launches_total`, …).
-    pub counters: BTreeMap<String, u64>,
-    /// Point-in-time gauges (`service_shards_live`, …).
-    pub gauges: BTreeMap<String, u64>,
-    /// Labeled counter families: family → label value → count
-    /// (`launch_failures_total` by kind, `shard_launches_total` by shard).
-    pub labeled: BTreeMap<String, BTreeMap<String, u64>>,
-    /// Labeled gauge families: family → label value → value
-    /// (`queue_depth` by shard, so multi-shard snapshots never alias).
-    pub labeled_gauges: BTreeMap<String, BTreeMap<String, u64>>,
-    /// Cumulative merged histograms, keyed `name` or `name/label` (the
-    /// label is a method name, e.g. `submit_to_stats_ns/gpu-lock-free`).
-    pub histograms: BTreeMap<String, Histogram>,
-    /// Registry mutation count at snapshot time.
-    pub ops: u64,
 }
 
 /// The label key a family's values are rendered under.
@@ -725,57 +515,44 @@ impl MetricsSnapshot {
     /// Export the snapshot as JSON. Histograms are exported losslessly
     /// (all raw fields including the full bucket array), so
     /// [`MetricsSnapshot::from_json`] reproduces the snapshot exactly.
-    pub fn to_json(&self) -> String {
-        let map_json = |m: &BTreeMap<String, u64>| {
-            let entries: Vec<String> = m
-                .iter()
-                .map(|(k, v)| format!("\"{}\": {v}", json_escape(k)))
-                .collect();
-            format!("{{{}}}", entries.join(", "))
+    pub fn to_json(&self) -> Json {
+        let map =
+            |m: &BTreeMap<String, u64>| Json::obj(m.iter().map(|(k, &v)| (k.as_str(), v.into())));
+        let families = |m: &BTreeMap<String, BTreeMap<String, u64>>| {
+            Json::obj(m.iter().map(|(fam, series)| (fam.as_str(), map(series))))
         };
-        let labeled: Vec<String> = self
-            .labeled
-            .iter()
-            .map(|(fam, series)| format!("\"{}\": {}", json_escape(fam), map_json(series)))
-            .collect();
-        let labeled_gauges: Vec<String> = self
-            .labeled_gauges
-            .iter()
-            .map(|(fam, series)| format!("\"{}\": {}", json_escape(fam), map_json(series)))
-            .collect();
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(key, h)| {
-                let buckets: Vec<String> = h.buckets().iter().map(|b| b.to_string()).collect();
-                format!(
-                    "\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [{}]}}",
-                    json_escape(key),
-                    h.count(),
-                    h.sum(),
-                    h.raw_min(),
-                    h.max(),
-                    buckets.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"ops\": {},\n  \"counters\": {},\n  \"gauges\": {},\n  \"labeled\": {{{}}},\n  \"labeled_gauges\": {{{}}},\n  \"histograms\": {{\n    {}\n  }}\n}}",
-            self.ops,
-            map_json(&self.counters),
-            map_json(&self.gauges),
-            labeled.join(", "),
-            labeled_gauges.join(", "),
-            hists.join(",\n    ")
-        )
+        let histogram = |h: &Histogram| {
+            Json::obj([
+                ("count", h.count().into()),
+                ("sum", h.sum().into()),
+                ("min", h.raw_min().into()),
+                ("max", h.max().into()),
+                ("buckets", Json::arr(h.buckets().iter().copied())),
+            ])
+        };
+        Json::obj([
+            ("ops", self.ops.into()),
+            ("counters", map(&self.counters)),
+            ("gauges", map(&self.gauges)),
+            ("labeled", families(&self.labeled)),
+            ("labeled_gauges", families(&self.labeled_gauges)),
+            (
+                "histograms",
+                Json::obj(
+                    self.histograms
+                        .iter()
+                        .map(|(key, h)| (key.as_str(), histogram(h))),
+                ),
+            ),
+        ])
     }
 
-    /// Parse a snapshot back from its [`MetricsSnapshot::to_json`] export.
+    /// Parse a snapshot back from the text of its
+    /// [`MetricsSnapshot::to_json`] export (either rendering).
     ///
     /// # Errors
-    /// A description of the first malformed construct (this parser covers
-    /// exactly the subset `to_json` emits: objects, arrays, strings, and
-    /// unsigned integers).
+    /// A description of the first malformed construct, unknown key, or
+    /// histogram with the wrong bucket count.
     pub fn from_json(s: &str) -> Result<MetricsSnapshot, String> {
         let v = json::parse(s)?;
         let obj = v.as_obj("snapshot")?;
@@ -811,7 +588,7 @@ impl MetricsSnapshot {
 }
 
 /// Parse a `{"name": count}` object.
-fn parse_u64_map(v: &json::Json, what: &str) -> Result<BTreeMap<String, u64>, String> {
+fn parse_u64_map(v: &Json, what: &str) -> Result<BTreeMap<String, u64>, String> {
     let mut out = BTreeMap::new();
     for (k, val) in v.as_obj(what)? {
         out.insert(k.clone(), val.as_u64(k)?);
@@ -820,7 +597,7 @@ fn parse_u64_map(v: &json::Json, what: &str) -> Result<BTreeMap<String, u64>, St
 }
 
 /// Parse one histogram object back into a [`Histogram`].
-fn parse_histogram(v: &json::Json, what: &str) -> Result<Histogram, String> {
+fn parse_histogram(v: &Json, what: &str) -> Result<Histogram, String> {
     let obj = v.as_obj(what)?;
     let (mut count, mut sum, mut min, mut max) = (0, 0, u64::MAX, 0);
     let mut buckets = [0u64; NUM_BUCKETS];
@@ -848,237 +625,38 @@ fn parse_histogram(v: &json::Json, what: &str) -> Result<Histogram, String> {
     Ok(Histogram::from_parts(buckets, count, sum, min, max))
 }
 
-/// Minimal JSON reader covering exactly the subset this module writes:
-/// objects, arrays, strings with standard escapes, unsigned integers,
-/// and the literals `true`/`false`/`null`.
-pub(crate) mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub(crate) enum Json {
-        /// Key order preserved; duplicate keys are last-wins at lookup.
-        Obj(Vec<(String, Json)>),
-        Arr(Vec<Json>),
-        Str(String),
-        Num(u64),
-        Bool(bool),
-        Null,
-    }
-
-    impl Json {
-        pub(crate) fn as_obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-            match self {
-                Json::Obj(o) => Ok(o),
-                other => Err(format!("{what}: expected object, got {other:?}")),
-            }
-        }
-
-        pub(crate) fn as_arr(&self, what: &str) -> Result<&[Json], String> {
-            match self {
-                Json::Arr(a) => Ok(a),
-                other => Err(format!("{what}: expected array, got {other:?}")),
-            }
-        }
-
-        pub(crate) fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Json::Num(n) => Ok(*n),
-                other => Err(format!("{what}: expected integer, got {other:?}")),
-            }
-        }
-    }
-
-    pub(crate) fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            b: s.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing data at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .b
-                .get(self.i)
-                .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-            {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.b
-                .get(self.i)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".to_string())
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek()? == c {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", c as char, self.i))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Json::Str(self.string()?)),
-                b'0'..=b'9' => self.number(),
-                b't' => self.literal("true", Json::Bool(true)),
-                b'f' => self.literal("false", Json::Bool(false)),
-                b'n' => self.literal("null", Json::Null),
-                c => Err(format!("unexpected {:?} at byte {}", c as char, self.i)),
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-            self.skip_ws();
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at byte {}", self.i))
-            }
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.expect(b'{')?;
-            let mut out = Vec::new();
-            if self.peek()? == b'}' {
-                self.i += 1;
-                return Ok(Json::Obj(out));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                out.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.i += 1,
-                    b'}' => {
-                        self.i += 1;
-                        return Ok(Json::Obj(out));
-                    }
-                    c => return Err(format!("expected ',' or '}}', got {:?}", c as char)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.expect(b'[')?;
-            let mut out = Vec::new();
-            if self.peek()? == b']' {
-                self.i += 1;
-                return Ok(Json::Arr(out));
-            }
-            loop {
-                out.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.i += 1,
-                    b']' => {
-                        self.i += 1;
-                        return Ok(Json::Arr(out));
-                    }
-                    c => return Err(format!("expected ',' or ']', got {:?}", c as char)),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            self.skip_ws();
-            let start = self.i;
-            while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-                self.i += 1;
-            }
-            if start == self.i {
-                return Err(format!("expected digits at byte {start}"));
-            }
-            std::str::from_utf8(&self.b[start..self.i])
-                .expect("digits are ASCII")
-                .parse::<u64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad integer at byte {start}: {e}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = Vec::new();
-            loop {
-                match self.b.get(self.i).copied() {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.i += 1;
-                        return String::from_utf8(out).map_err(|e| e.to_string());
-                    }
-                    Some(b'\\') => {
-                        self.i += 1;
-                        let esc = self.b.get(self.i).copied().ok_or("unterminated escape")?;
-                        self.i += 1;
-                        match esc {
-                            b'"' => out.push(b'"'),
-                            b'\\' => out.push(b'\\'),
-                            b'/' => out.push(b'/'),
-                            b'b' => out.push(0x08),
-                            b'f' => out.push(0x0c),
-                            b'n' => out.push(b'\n'),
-                            b'r' => out.push(b'\r'),
-                            b't' => out.push(b'\t'),
-                            b'u' => {
-                                let hex = self
-                                    .b
-                                    .get(self.i..self.i + 4)
-                                    .ok_or("truncated \\u escape")?;
-                                self.i += 4;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                let c = char::from_u32(code)
-                                    .ok_or_else(|| format!("bad \\u{code:04x} escape"))?;
-                                let mut buf = [0u8; 4];
-                                out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                            }
-                            other => return Err(format!("bad escape \\{:?}", other as char)),
-                        }
-                    }
-                    Some(c) => {
-                        out.push(c);
-                        self.i += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::{StuckDiagnostic, StuckPhase};
+    use crate::fault::FaultKind;
 
     fn pooled_record(method: &str, wall_ns: u64, cold: bool) -> LaunchRecord {
         let mut r = LaunchRecord::new(method);
-        r.pooled = true;
-        r.cold = cold;
+        r.pool = Some(PoolLaunchStats {
+            launch_seq: u64::from(!cold),
+            queue_depth: 0,
+            queued: Duration::from_nanos(wall_ns / 10),
+            cold,
+        });
         r.wall = Duration::from_nanos(wall_ns);
-        r.queued = Duration::from_nanos(wall_ns / 10);
         r.launch = Duration::from_nanos(wall_ns / 20);
         r
+    }
+
+    fn failed_record(method: &str, error: ExecError, wall: Duration) -> LaunchRecord {
+        let mut r = LaunchRecord::new(method);
+        r.error = Some(error);
+        r.wall = wall;
+        r
+    }
+
+    fn panicked(block: usize, round: usize, message: &str) -> ExecError {
+        ExecError::BlockPanicked {
+            block,
+            round,
+            message: message.to_string(),
+        }
     }
 
     #[test]
@@ -1112,14 +690,10 @@ mod tests {
     #[test]
     fn failures_are_labeled() {
         let obs = Observer::new();
-        let err = ExecError::BlockPanicked {
-            block: 1,
-            round: 2,
-            message: "boom".to_string(),
-        };
-        obs.observe(LaunchRecord::from_error(
+        let err = panicked(1, 2, "boom");
+        obs.observe(failed_record(
             "gpu-simple",
-            &err,
+            err.clone(),
             Duration::from_micros(5),
         ));
         let snap = obs.snapshot();
@@ -1127,30 +701,27 @@ mod tests {
         assert_eq!(snap.counters["launches_failed_total"], 1);
         assert_eq!(snap.labeled["launch_failures_total"]["panic"], 1);
         let failure = obs.last_failure().expect("failure recorded");
-        assert!(matches!(failure.outcome, LaunchOutcome::Failure { .. }));
+        assert_eq!(failure.error, Some(err));
     }
 
     #[test]
     fn flight_ring_is_bounded_but_last_failure_survives() {
         let obs = Observer::new();
-        let err = ExecError::BlockPanicked {
-            block: 0,
-            round: 0,
-            message: "early".to_string(),
-        };
-        obs.observe(LaunchRecord::from_error("no-sync", &err, Duration::ZERO));
+        obs.observe(failed_record(
+            "no-sync",
+            panicked(0, 0, "early"),
+            Duration::ZERO,
+        ));
         for i in 0..(FLIGHT_RECORDER_CAPACITY + 8) {
             obs.observe(pooled_record("no-sync", 100 + i as u64, false));
         }
         assert_eq!(obs.recent().len(), FLIGHT_RECORDER_CAPACITY);
         assert_eq!(obs.evicted(), 9);
         // The failure was evicted from the ring but survives separately.
-        assert!(obs.recent().iter().all(|r| !r.outcome.is_failure()));
+        assert!(obs.recent().iter().all(|r| r.error.is_none()));
         assert!(obs.last_failure().is_some());
-        assert!(obs
-            .postmortem_json()
-            .unwrap()
-            .contains("\"error_kind\": \"panic\""));
+        let postmortem = obs.postmortem_json().unwrap();
+        assert_eq!(postmortem.get("error_kind"), Some(&"panic".into()));
     }
 
     #[test]
@@ -1175,24 +746,34 @@ mod tests {
     fn snapshot_json_round_trips() {
         let obs = Observer::new();
         obs.observe(pooled_record("gpu-tree-2", 12345, true));
-        let err = ExecError::BlockPanicked {
-            block: 2,
-            round: 1,
-            message: "with \"quotes\" and\nnewlines".to_string(),
-        };
-        obs.observe(LaunchRecord::from_error(
-            "gpu-tree-2",
-            &err,
+        obs.observe(failed_record(
+            "method with \"quotes\" and\nnewlines",
+            panicked(2, 1, "boom"),
             Duration::from_nanos(777),
         ));
         let snap = obs.snapshot();
-        let parsed = MetricsSnapshot::from_json(&snap.to_json()).expect("parses");
-        assert_eq!(parsed, snap);
+        for text in [snap.to_json().to_string(), snap.to_json().pretty()] {
+            assert_eq!(MetricsSnapshot::from_json(&text).as_ref(), Ok(&snap));
+        }
+        // Safety checks of the importer: unknown keys and short bucket
+        // arrays are rejected, not defaulted.
+        let mut doc = snap.to_json();
+        let Json::Obj(fields) = &mut doc else {
+            panic!("snapshot is an object")
+        };
+        fields.push(("surprise".to_string(), Json::Null));
+        let err = MetricsSnapshot::from_json(&doc.to_string()).unwrap_err();
+        assert!(err.contains("unknown snapshot key"), "{err}");
+        let short = Json::obj([(
+            "histograms",
+            Json::obj([("h", Json::obj([("buckets", Json::arr([1u64, 2]))]))]),
+        )]);
+        let err = MetricsSnapshot::from_json(&short.to_string()).unwrap_err();
+        assert!(err.contains("2 buckets"), "{err}");
     }
 
     #[test]
     fn postmortem_json_carries_diagnostic_and_faults() {
-        use crate::error::StuckPhase;
         let d = StuckDiagnostic {
             barrier: "pooled:gpu-lock-free".to_string(),
             waiting_block: 0,
@@ -1207,25 +788,28 @@ mod tests {
         let err = ExecError::BarrierTimeout {
             diagnostic: Box::new(d),
         };
-        let schedule = FaultSchedule::new(vec![crate::fault::Fault {
-            block: 1,
-            round: 3,
-            phase: crate::fault::FaultPhase::BarrierWait,
-            kind: crate::fault::FaultKind::Straggler,
-        }]);
-        let rec = LaunchRecord::from_error("gpu-lock-free", &err, Duration::from_millis(100))
-            .with_faults(&schedule);
-        let json = rec.to_json();
-        for needle in [
-            "\"outcome\": \"failure\"",
-            "\"error_kind\": \"timeout\"",
-            "\"diagnostic\": {",
-            "\"stragglers\": [1]",
-            "\"fault_schedule\": [{\"block\": 1, \"round\": 3, \"phase\": \"BarrierWait\", \"kind\": \"Straggler\"}]",
-        ] {
-            assert!(json.contains(needle), "missing {needle:?} in:\n{json}");
-        }
-        // The postmortem itself must be valid JSON.
-        json::parse(&json).expect("postmortem parses");
+        let mut rec = failed_record("gpu-lock-free", err, Duration::from_millis(100));
+        rec.faults = vec![Fault::in_wait(1, 3, FaultKind::Straggler)];
+        // The postmortem must survive its own text form.
+        let doc = json::parse(&rec.to_json().pretty()).expect("postmortem parses");
+        assert_eq!(doc, rec.to_json());
+        assert_eq!(doc.get("outcome"), Some(&"failure".into()));
+        assert_eq!(doc.get("error_kind"), Some(&"timeout".into()));
+        assert_eq!(doc.get("pooled"), Some(&false.into()));
+        assert_eq!(doc.get("shard"), Some(&Json::Null));
+        let diagnostic = doc
+            .get("diagnostic")
+            .expect("timeouts embed the diagnostic");
+        assert_eq!(diagnostic.get("stragglers"), Some(&Json::arr([1u64])));
+        assert_eq!(diagnostic.get("timeout_ns"), Some(&80_000_000u64.into()));
+        assert_eq!(
+            doc.get("fault_schedule"),
+            Some(&Json::arr([Json::obj([
+                ("block", 1u64.into()),
+                ("round", 3u64.into()),
+                ("phase", "BarrierWait".into()),
+                ("kind", "Straggler".into()),
+            ])]))
+        );
     }
 }

@@ -17,10 +17,12 @@
 //!
 //! The pool is a *strategy* over the shared launch engine: it compiles one
 //! [`LaunchPlan`] at construction, stamps a fresh
-//! [`crate::launch::LaunchSetup`] per submission, and each pinned worker
-//! runs the same [`drive_block`] round loop the scoped executor uses —
-//! only thread placement (pinned vs spawned) and the warm-launch
-//! accounting differ.
+//! [`crate::launch::LaunchSetup`] per submission, each pinned worker runs
+//! the same [`drive_block`] round loop the scoped executor uses, and the
+//! setup's `finish` builds the launch's stats and its
+//! [`crate::LaunchRecord`] exactly as it does for a scoped launch — only
+//! thread placement (pinned vs spawned) and the warm-launch accounting
+//! (the [`PoolLaunchStats`], worker replacements, the shard label) differ.
 //!
 //! ## Launch log
 //!
@@ -68,7 +70,7 @@ use crate::launch::{
     LaunchSetup,
 };
 use crate::method::SyncMethod;
-use crate::obs::{LaunchRecord, Observer};
+use crate::obs::Observer;
 use crate::stats::{BlockTimes, KernelStats};
 use crate::trace::TraceEventKind;
 
@@ -76,7 +78,7 @@ use crate::trace::TraceEventKind;
 /// executed by a [`GridRuntime`], and only those. The warm `t_O` itself is
 /// [`KernelStats::launch`] (dispatch → all workers assembled); this struct
 /// carries the queueing context around it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolLaunchStats {
     /// Zero-based sequence number of this launch on its pool. Sequence 0
     /// is the cold launch (it overlaps worker spawning).
@@ -221,7 +223,7 @@ struct Shared {
     /// the *host* thread resolving it (never by workers — spin loops stay
     /// free of registry traffic).
     obs: Arc<Observer>,
-    /// Shard label stamped into every [`LaunchRecord`] this pool emits.
+    /// Shard label stamped into every [`crate::LaunchRecord`] this pool emits.
     /// `None` for standalone pools (their gauge samples land under the
     /// registry's `"default"` shard slot); set by [`crate::GridService`]
     /// so per-shard registry families never alias across shards.
@@ -508,64 +510,22 @@ fn wait_launch(
     }
     let wall = launch.submitted.elapsed();
     let activated = *launch.activated.get().unwrap_or(&launch.submitted);
-    let queued = activated.saturating_duration_since(launch.submitted);
-    match collect_block_results(results) {
-        Ok(per_block) => {
-            let stats = launch.setup.stats(
-                per_block,
-                wall,
-                Some(Box::new(PoolLaunchStats {
-                    launch_seq: launch.seq,
-                    queue_depth: launch.queue_depth,
-                    queued,
-                    cold: launch.seq == 0,
-                })),
-            );
-            if shared.obs.is_enabled() {
-                let mut rec = LaunchRecord::from_stats(&stats);
-                rec.replacements = replaced.len();
-                rec.shard = shared.shard_label.lock().clone();
-                if let Some(f) = launch.setup.faults.as_deref() {
-                    rec = rec.with_faults(f);
-                }
-                shared.obs.observe(rec);
-            }
-            Ok(stats)
-        }
-        Err(e) => {
-            if shared.obs.is_enabled() {
-                let mut rec = LaunchRecord::from_error(launch.setup.method.to_string(), &e, wall);
-                rec.seq = launch.seq;
-                rec.pooled = true;
-                rec.queue_depth = launch.queue_depth;
-                rec.queued = queued;
-                rec.cold = launch.seq == 0;
-                rec.replacements = replaced.len();
-                rec.shard = shared.shard_label.lock().clone();
-                rec.recent_events = recent_events(launch);
-                if let Some(f) = launch.setup.faults.as_deref() {
-                    rec = rec.with_faults(f);
-                }
-                shared.obs.observe(rec);
-            }
-            Err(e)
-        }
-    }
-}
-
-/// Per-block trailing trace events of a failed launch, for the flight
-/// recorder (empty when the trace plane is compiled out or not enabled).
-fn recent_events(launch: &Launch) -> Vec<String> {
-    let Some(rec) = launch.setup.recorder.as_deref() else {
-        return Vec::new();
+    let pool = PoolLaunchStats {
+        launch_seq: launch.seq,
+        queue_depth: launch.queue_depth,
+        queued: activated.saturating_duration_since(launch.submitted),
+        cold: launch.seq == 0,
     };
-    let mut out = Vec::new();
-    for b in 0..launch.setup.n {
-        for e in rec.tail(b, 8) {
-            out.push(format!("b{b}: {e}"));
-        }
+    let (result, mut record) =
+        launch
+            .setup
+            .finish(collect_block_results(results), wall, Some(pool));
+    if shared.obs.is_enabled() {
+        record.replacements = replaced.len();
+        record.shard = shared.shard_label.lock().clone();
+        shared.obs.observe(record);
     }
-    out
+    result
 }
 
 /// Give up on the blocks that never reported: synthesize their timeout
@@ -731,7 +691,7 @@ impl GridRuntime {
         Arc::clone(&self.shared.obs)
     }
 
-    /// Label every future [`LaunchRecord`] this pool emits with a shard
+    /// Label every future [`crate::LaunchRecord`] this pool emits with a shard
     /// name, so a multi-pool [`crate::GridService`] sharing one registry
     /// gets per-shard `queue_depth` gauges and `shard_launches_total`
     /// counters instead of aliased globals.
@@ -892,7 +852,7 @@ mod tests {
     use crate::barrier::SyncPolicy;
     use crate::executor::BlockCtx;
     use crate::gmem::GlobalBuffer;
-    use crate::trace::{EventRecorder, TraceConfig};
+    use crate::trace::TraceConfig;
     use std::sync::atomic::AtomicBool;
 
     /// Every block bumps its slot once per round; a correct barrier makes
@@ -1114,15 +1074,16 @@ mod tests {
             rounds: 5,
         };
         let stats = rt.run(&kernel).unwrap();
-        if EventRecorder::ENABLED {
-            let t = stats.telemetry.as_ref().expect("telemetry attached");
-            assert_eq!(t.count(TraceEventKind::Launch), 2);
-            assert_eq!(t.count(TraceEventKind::RoundStart), 10);
-            let json = t.chrome_trace("gpu-simple");
-            assert!(json.contains("\"name\":\"launch\""), "{json}");
-        } else {
-            assert!(stats.telemetry.is_none());
-        }
+        let t = stats.telemetry.as_ref().expect("telemetry attached");
+        assert_eq!(t.count(TraceEventKind::Launch), 2);
+        assert_eq!(t.count(TraceEventKind::RoundStart), 10);
+        let doc = blocksync_device::json::parse(&t.chrome_trace("gpu-simple")).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr("events").unwrap();
+        let launches = events
+            .iter()
+            .filter(|e| e.get("name") == Some(&"launch".into()))
+            .count();
+        assert_eq!(launches, 2);
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub struct KernelStats {
     /// Per-block decomposition, indexed by block id.
     pub per_block: Vec<BlockTimes>,
     /// Aggregated trace telemetry, present when the run was configured with
-    /// a [`crate::TraceConfig`] and the `trace` feature is compiled in.
-    /// Boxed: it is large and most runs do not carry it.
+    /// a [`crate::TraceConfig`]. Boxed: it is large and most runs do not
+    /// carry it.
     pub telemetry: Option<Box<Telemetry>>,
     /// The auto-tuner's decision record, present when the run was
     /// configured with [`crate::SyncMethod::Auto`]: chosen method, the full
@@ -86,18 +86,6 @@ impl KernelStats {
     /// Mean per-block synchronization time.
     pub fn avg_sync(&self) -> Duration {
         mean(self.per_block.iter().map(|b| b.sync))
-    }
-
-    /// Total computation time summed across blocks — the timing-split
-    /// numerator the flight recorder stores per [`crate::obs::LaunchRecord`].
-    pub fn total_compute(&self) -> Duration {
-        self.per_block.iter().map(|b| b.compute).sum()
-    }
-
-    /// Total synchronization time summed across blocks (see
-    /// [`KernelStats::total_compute`]).
-    pub fn total_sync(&self) -> Duration {
-        self.per_block.iter().map(|b| b.sync).sum()
     }
 
     /// Maximum per-block synchronization time (the straggler view).

@@ -23,8 +23,9 @@
 //!
 //! Events are sampled by **round stride**: with a stride of `s`, only
 //! rounds divisible by `s` are recorded (faults — aborts and poisonings —
-//! are always recorded). Compiling the crate without the `trace` feature
-//! turns every recording call into a no-op that allocates nothing.
+//! are always recorded). The plane has one switch, at run time:
+//! [`crate::GridConfig::trace`]. A launch configured without a
+//! [`TraceConfig`] builds no recorder at all.
 //!
 //! Timestamps are nanoseconds since the recorder's creation, packed into
 //! 40 bits (≈ 18 minutes — far beyond any kernel here) alongside a 20-bit
@@ -35,6 +36,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use blocksync_device::json::Json;
 use crossbeam::utils::CachePadded;
 
 use crate::metrics::{BlockHistogram, Histogram};
@@ -273,17 +275,10 @@ impl std::fmt::Debug for EventRecorder {
 }
 
 impl EventRecorder {
-    /// Whether event recording is compiled in (the `trace` cargo feature,
-    /// on by default). When `false`, every recording call is an inert
-    /// no-op and [`EventRecorder::new`] allocates nothing.
-    pub const ENABLED: bool = cfg!(feature = "trace");
-
     /// Recorder for `n_blocks` blocks of a `rounds`-round kernel.
     pub fn new(n_blocks: usize, rounds: usize, cfg: &TraceConfig) -> Self {
         let stride = cfg.stride.max(1);
-        let cap = if !Self::ENABLED {
-            0
-        } else if cfg.events_per_block > 0 {
+        let cap = if cfg.events_per_block > 0 {
             cfg.events_per_block
                 .clamp(8, TraceConfig::MAX_EVENTS_PER_BLOCK)
         } else {
@@ -327,9 +322,6 @@ impl EventRecorder {
     /// happens-before edge to it, as the executor's join provides).
     #[inline]
     pub fn record(&self, block: usize, round: usize, kind: TraceEventKind) {
-        if !Self::ENABLED {
-            return;
-        }
         self.record_at(block, round, kind, self.epoch.elapsed());
     }
 
@@ -338,9 +330,6 @@ impl EventRecorder {
     /// events with the same instants it uses for [`crate::KernelStats`].
     #[inline]
     pub fn record_at(&self, block: usize, round: usize, kind: TraceEventKind, at: Duration) {
-        if !Self::ENABLED {
-            return;
-        }
         if kind.is_sampled() && !self.sampled(round) {
             return;
         }
@@ -351,18 +340,12 @@ impl EventRecorder {
     /// per wait, *after* the spin loop exits — never inside it.
     #[inline]
     pub fn record_spin(&self, block: usize, polls: u64) {
-        if !Self::ENABLED {
-            return;
-        }
         self.spin[block].record(polls);
     }
 
     /// Record one round's sync time (ns) for `block`.
     #[inline]
     pub fn record_sync(&self, block: usize, ns: u64) {
-        if !Self::ENABLED {
-            return;
-        }
         self.sync_ns[block].record(ns);
     }
 
@@ -619,32 +602,20 @@ impl Telemetry {
 /// Incremental builder for Chrome trace-event JSON (the
 /// `chrome://tracing` / Perfetto format). Public so other timelines (the
 /// simulator's) can export through the same writer.
+#[derive(Default)]
 pub struct ChromeTraceBuilder {
-    out: String,
-    first: bool,
+    events: Vec<Json>,
 }
 
-impl Default for ChromeTraceBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Microseconds at the format's nanosecond resolution.
+fn trace_us(d: Duration) -> Json {
+    Json::F64((d.as_secs_f64() * 1e9).round() / 1e3)
 }
 
 impl ChromeTraceBuilder {
     /// Empty trace.
     pub fn new() -> Self {
-        ChromeTraceBuilder {
-            out: String::from("{\"traceEvents\":["),
-            first: true,
-        }
-    }
-
-    fn sep(&mut self) {
-        if self.first {
-            self.first = false;
-        } else {
-            self.out.push(',');
-        }
+        Self::default()
     }
 
     /// A complete ("X") span on block `tid` from `start` to `end`.
@@ -657,38 +628,41 @@ impl ChromeTraceBuilder {
         end: Duration,
         round: usize,
     ) {
-        self.sep();
-        let ts = start.as_secs_f64() * 1e6;
-        let dur = end.saturating_sub(start).as_secs_f64() * 1e6;
-        let _ = write!(
-            self.out,
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\
-             \"ts\":{ts:.3},\"dur\":{dur:.3},\"args\":{{\"round\":{round}}}}}"
-        );
+        self.events.push(Json::obj([
+            ("name", name.into()),
+            ("cat", cat.into()),
+            ("ph", "X".into()),
+            ("pid", 0u64.into()),
+            ("tid", tid.into()),
+            ("ts", trace_us(start)),
+            ("dur", trace_us(end.saturating_sub(start))),
+            ("args", Json::obj([("round", round.into())])),
+        ]));
     }
 
     /// An instant ("i") marker on block `tid`.
     pub fn instant(&mut self, name: &str, tid: usize, at: Duration) {
-        self.sep();
-        let ts = at.as_secs_f64() * 1e6;
-        let _ = write!(
-            self.out,
-            "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{tid},\"ts\":{ts:.3}}}"
-        );
+        self.events.push(Json::obj([
+            ("name", name.into()),
+            ("ph", "i".into()),
+            ("s", "t".into()),
+            ("pid", 0u64.into()),
+            ("tid", tid.into()),
+            ("ts", trace_us(at)),
+        ]));
     }
 
     /// Close the JSON document, attaching `meta` key/value pairs.
-    pub fn finish(mut self, meta: &[(&str, &str)]) -> String {
-        self.out
-            .push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{");
-        for (i, (k, v)) in meta.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            let _ = write!(self.out, "\"{k}\":\"{v}\"");
-        }
-        self.out.push_str("}}");
-        self.out
+    pub fn finish(self, meta: &[(&str, &str)]) -> String {
+        Json::obj([
+            ("traceEvents", Json::Arr(self.events)),
+            ("displayTimeUnit", "ms".into()),
+            (
+                "otherData",
+                Json::obj(meta.iter().map(|&(k, v)| (k, v.into()))),
+            ),
+        ])
+        .to_string()
     }
 }
 
@@ -724,12 +698,6 @@ mod tests {
         assert!(unpack(0, 0).is_none());
     }
 
-    #[test]
-    fn enabled_matches_feature() {
-        assert_eq!(EventRecorder::ENABLED, cfg!(feature = "trace"));
-    }
-
-    #[cfg(feature = "trace")]
     mod recording {
         use super::super::*;
 
@@ -848,14 +816,21 @@ mod tests {
             rec.record_at(0, 0, TraceEventKind::BarrierArrive, us(5));
             rec.record_at(0, 0, TraceEventKind::BarrierDepart, us(9));
             rec.record_at(0, 0, TraceEventKind::Abort, us(9));
-            let json = rec.finish().chrome_trace("gpu-simple");
-            assert!(json.starts_with("{\"traceEvents\":["));
-            assert!(json.contains("\"name\":\"compute\""), "{json}");
-            assert!(json.contains("\"name\":\"sync\""), "{json}");
-            assert!(json.contains("\"dur\":4.000"), "{json}");
-            assert!(json.contains("\"name\":\"abort\""), "{json}");
-            assert!(json.contains("\"method\":\"gpu-simple\""), "{json}");
-            assert!(json.ends_with("}}"), "{json}");
+            let text = rec.finish().chrome_trace("gpu-\"simple\"");
+            let doc = blocksync_device::json::parse(&text).expect("valid JSON");
+            let events = doc.get("traceEvents").unwrap().as_arr("events").unwrap();
+            let field = |e: &Json, k: &str| e.get(k).cloned().unwrap();
+            let names: Vec<Json> = events.iter().map(|e| field(e, "name")).collect();
+            assert_eq!(names, ["compute".into(), "sync".into(), "abort".into()]);
+            assert_eq!(field(&events[0], "ph"), "X".into());
+            assert_eq!(field(&events[1], "ts"), Json::F64(5.0));
+            assert_eq!(field(&events[1], "dur"), Json::F64(4.0));
+            assert_eq!(field(&events[1], "args").get("round"), Some(&Json::U64(0)));
+            assert_eq!(field(&events[2], "ph"), "i".into());
+            // Meta values are escaped, not interpolated.
+            let meta = doc.get("otherData").unwrap();
+            assert_eq!(meta.get("method"), Some(&"gpu-\"simple\"".into()));
+            assert_eq!(meta.get("stride"), Some(&"1".into()));
         }
     }
 }

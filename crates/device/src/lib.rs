@@ -24,6 +24,7 @@
 
 pub mod calibration;
 pub mod error;
+pub mod json;
 pub mod spec;
 pub mod time;
 pub mod topology;

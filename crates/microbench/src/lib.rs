@@ -114,9 +114,7 @@ pub fn run_host_with(
 }
 
 /// [`run_host`] with the telemetry plane on: the returned stats carry
-/// `telemetry` (per-round skew, sync spans, spin histograms) when the
-/// `trace` feature is compiled into `blocksync-core`, and behave exactly
-/// like [`run_host`] when it is not.
+/// `telemetry` (per-round skew, sync spans, spin histograms).
 pub fn run_host_traced(
     n_blocks: usize,
     threads_per_block: usize,
@@ -240,14 +238,9 @@ mod tests {
         let (stats, ok) =
             run_host_traced(3, 8, 20, SyncMethod::GpuLockFree, TraceConfig::default()).unwrap();
         assert!(ok, "tracing must not perturb results");
-        assert_eq!(
-            stats.telemetry.is_some(),
-            blocksync_core::EventRecorder::ENABLED
-        );
-        if let Some(t) = &stats.telemetry {
-            assert_eq!(t.rounds.len(), 20);
-            assert_eq!(t.dropped, 0);
-        }
+        let t = stats.telemetry.expect("a traced run carries telemetry");
+        assert_eq!(t.rounds.len(), 20);
+        assert_eq!(t.dropped, 0);
     }
 
     #[test]

@@ -70,19 +70,19 @@ fn main() {
     let stats = GridExecutor::new(cfg, SyncMethod::GpuLockFree)
         .run(&Skewed)
         .expect("valid config");
-    if let Some(t) = &stats.telemetry {
-        println!("\nhost runtime, same skew (block 0 computes 3x longer):\n");
-        print!("{}", t.round_table(8));
-        if let Some(w) = t.worst_round() {
-            println!(
-                "\nround {}'s skew ({:.1} us) was set by block {} — the telemetry",
-                w.round,
-                w.arrival_skew.as_secs_f64() * 1e6,
-                w.straggler
-            );
-            println!("plane names the straggler the simulator could only predict.");
-        }
-    } else {
-        println!("\n(blocksync-core built without the `trace` feature; host telemetry skipped)");
+    let t = stats
+        .telemetry
+        .as_deref()
+        .expect("a traced run carries telemetry");
+    println!("\nhost runtime, same skew (block 0 computes 3x longer):\n");
+    print!("{}", t.round_table(8));
+    if let Some(w) = t.worst_round() {
+        println!(
+            "\nround {}'s skew ({:.1} us) was set by block {} — the telemetry",
+            w.round,
+            w.arrival_skew.as_secs_f64() * 1e6,
+            w.straggler
+        );
+        println!("plane names the straggler the simulator could only predict.");
     }
 }

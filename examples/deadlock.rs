@@ -21,8 +21,8 @@
 use std::time::Duration;
 
 use blocksync::core::{
-    FaultInjector, FaultPlan, GlobalBuffer, GridConfig, GridExecutor, RoundKernel, SyncMethod,
-    SyncPolicy,
+    Fault, FaultInjector, FaultKind, GlobalBuffer, GridConfig, GridExecutor, RoundKernel,
+    SyncMethod, SyncPolicy,
 };
 use blocksync::device::GpuSpec;
 use blocksync::microbench::micro_workload;
@@ -82,7 +82,7 @@ fn main() {
             slots: GlobalBuffer::new(4),
             rounds: 5,
         },
-        FaultPlan::straggler_at(1, 2),
+        Fault::in_round(1, 2, FaultKind::Straggler),
     );
     let cfg =
         GridConfig::new(4, 64).with_policy(SyncPolicy::with_timeout(Duration::from_millis(200)));

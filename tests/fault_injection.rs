@@ -7,8 +7,8 @@
 use std::time::{Duration, Instant};
 
 use blocksync::core::{
-    ExecError, FaultInjector, FaultPlan, GlobalBuffer, GridConfig, GridExecutor, RoundKernel,
-    SyncMethod, SyncPolicy, TreeLevels,
+    ExecError, Fault, FaultInjector, FaultKind, GlobalBuffer, GridConfig, GridExecutor,
+    RoundKernel, SyncMethod, SyncPolicy, TreeLevels,
 };
 
 /// Every method with inter-block ordering guarantees.
@@ -50,7 +50,10 @@ impl RoundKernel for Increment {
 #[test]
 fn injected_panic_names_block_and_round_under_every_method() {
     for method in ALL_SYNC_METHODS {
-        let k = FaultInjector::new(Increment::new(4, 6), FaultPlan::panic_at(2, 3));
+        let k = FaultInjector::new(
+            Increment::new(4, 6),
+            Fault::in_round(2, 3, FaultKind::Panic),
+        );
         let cfg =
             GridConfig::new(4, 8).with_policy(SyncPolicy::with_timeout(Duration::from_secs(20)));
         let started = Instant::now();
@@ -77,7 +80,10 @@ fn injected_panic_names_block_and_round_under_every_method() {
 fn panic_in_round_zero_and_last_round_are_both_caught() {
     for method in [SyncMethod::GpuSimple, SyncMethod::CpuImplicit] {
         for round in [0usize, 5] {
-            let k = FaultInjector::new(Increment::new(3, 6), FaultPlan::panic_at(0, round));
+            let k = FaultInjector::new(
+                Increment::new(3, 6),
+                Fault::in_round(0, round, FaultKind::Panic),
+            );
             let err = GridExecutor::new(GridConfig::new(3, 8), method)
                 .run(&k)
                 .unwrap_err();
@@ -96,7 +102,10 @@ fn panic_in_round_zero_and_last_round_are_both_caught() {
 #[test]
 fn injected_straggler_times_out_under_every_method() {
     for method in ALL_SYNC_METHODS {
-        let k = FaultInjector::new(Increment::new(3, 5), FaultPlan::straggler_at(1, 2));
+        let k = FaultInjector::new(
+            Increment::new(3, 5),
+            Fault::in_round(1, 2, FaultKind::Straggler),
+        );
         let timeout = Duration::from_millis(80);
         let cfg = GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(timeout));
         let started = Instant::now();
@@ -124,7 +133,7 @@ fn delay_within_timeout_is_absorbed_under_every_method() {
     for method in ALL_SYNC_METHODS {
         let k = FaultInjector::new(
             Increment::new(3, 4),
-            FaultPlan::delay_at(2, 1, Duration::from_millis(20)),
+            Fault::in_round(2, 1, FaultKind::Delay(Duration::from_millis(20))),
         );
         let cfg =
             GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_secs(10)));
@@ -145,7 +154,10 @@ fn delay_within_timeout_is_absorbed_under_every_method() {
 #[test]
 fn panic_unwinds_peers_even_without_a_timeout() {
     for method in ALL_SYNC_METHODS {
-        let k = FaultInjector::new(Increment::new(4, 5), FaultPlan::panic_at(3, 1));
+        let k = FaultInjector::new(
+            Increment::new(4, 5),
+            Fault::in_round(3, 1, FaultKind::Panic),
+        );
         let started = Instant::now();
         let err = GridExecutor::new(GridConfig::new(4, 8), method)
             .run(&k)
@@ -226,7 +238,10 @@ fn cpu_explicit_noncooperative_straggler_does_not_hang() {
 /// timeouts — the stragglers, so operators can act on logs alone.
 #[test]
 fn error_displays_are_actionable() {
-    let k = FaultInjector::new(Increment::new(3, 4), FaultPlan::straggler_at(0, 1));
+    let k = FaultInjector::new(
+        Increment::new(3, 4),
+        Fault::in_round(0, 1, FaultKind::Straggler),
+    );
     let cfg =
         GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_millis(60)));
     let err = GridExecutor::new(cfg, SyncMethod::GpuLockFree)
@@ -237,7 +252,10 @@ fn error_displays_are_actionable() {
     assert!(msg.contains("[0]"), "{msg}");
     assert!(msg.contains("gpu-lock-free"), "{msg}");
 
-    let k = FaultInjector::new(Increment::new(2, 2), FaultPlan::panic_at(1, 0));
+    let k = FaultInjector::new(
+        Increment::new(2, 2),
+        Fault::in_round(1, 0, FaultKind::Panic),
+    );
     let err = GridExecutor::new(GridConfig::new(2, 8), SyncMethod::GpuSimple)
         .run(&k)
         .unwrap_err();

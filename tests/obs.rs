@@ -14,9 +14,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blocksync::core::{
-    BlockCtx, ChaosConfig, EventRecorder, GlobalBuffer, GridConfig, GridExecutor, GridRuntime,
-    Histogram, LaunchOutcome, LaunchRecord, MetricsSnapshot, Observer, RoundKernel, SyncMethod,
+    BlockCtx, ChaosConfig, ExecError, Fault, FaultInjector, FaultKind, GlobalBuffer, GridConfig,
+    GridExecutor, GridRuntime, Histogram, LaunchRecord, MetricsSnapshot, Observer, PoolLaunchStats,
+    RoundKernel, StuckDiagnostic, StuckPhase, SyncMethod, SyncPolicy, TraceConfig,
 };
+use blocksync::device::json;
+use blocksync::device::DeviceError;
 use blocksync::microbench::MeanKernel;
 use proptest::prelude::*;
 
@@ -135,14 +138,72 @@ fn failures_are_counted_by_kind() {
     assert_eq!(snap.labeled["launch_failures_total"]["panic"], 1);
     // The flight recorder kept the failure.
     let failure = exec.observer().last_failure().expect("recorded");
-    assert!(failure.outcome.is_failure());
+    assert!(failure.error.is_some());
     assert_eq!(failure.method, "gpu-lock-free");
 }
 
+/// One producer, one record: the same faulty kernel launched cold
+/// (`GridExecutor`) and warm (`GridRuntime`) leaves the same failure
+/// record — the scheduled fault, the trace tails, the typed error — and
+/// the two postmortems differ only in what the pool adds. (The cold record
+/// used to carry neither the schedule nor the events.)
+#[test]
+fn scoped_and_pooled_failures_leave_the_same_record() {
+    let fault = Fault::in_round(1, 2, FaultKind::Panic);
+    let kernel = FaultInjector::new(Bump(GlobalBuffer::new(3)), fault);
+    let cfg = GridConfig::new(3, 8)
+        .with_policy(SyncPolicy::with_timeout(Duration::from_millis(200)))
+        .with_trace(TraceConfig::default());
+    let exec = GridExecutor::new(cfg.clone(), SyncMethod::GpuLockFree);
+    exec.run(&kernel).unwrap_err();
+    let rt = GridRuntime::new(cfg, SyncMethod::GpuLockFree).unwrap();
+    rt.run(&kernel).unwrap_err();
+    let scoped = exec
+        .observer()
+        .last_failure()
+        .expect("cold failure recorded");
+    let pooled = rt.observer().last_failure().expect("warm failure recorded");
+    for (name, record) in [("scoped", &scoped), ("pooled", &pooled)] {
+        assert_eq!(record.faults, [fault], "{name}");
+        assert!(!record.recent_events.is_empty(), "{name}");
+        assert!(
+            matches!(
+                record.error,
+                Some(ExecError::BlockPanicked {
+                    block: 1,
+                    round: 2,
+                    ..
+                })
+            ),
+            "{name}: {:?}",
+            record.error
+        );
+    }
+    assert_eq!(scoped.pool, None);
+    assert!(pooled.pool.is_some_and(|p| p.cold));
+    // Same keys in the same order; values part ways only where the pool
+    // speaks, or where a clock does.
+    let (scoped, pooled) = (scoped.to_json(), pooled.to_json());
+    let (s, p) = (
+        scoped.as_obj("scoped").unwrap(),
+        pooled.as_obj("pooled").unwrap(),
+    );
+    assert_eq!(s.len(), p.len());
+    for ((sk, sv), (pk, pv)) in s.iter().zip(p) {
+        assert_eq!(sk, pk);
+        let pool_derived = ["seq", "pooled", "queue_depth", "queued_ns", "cold"];
+        let clocked = ["wall_ns", "recent_events"];
+        if !pool_derived.contains(&sk.as_str()) && !clocked.contains(&sk.as_str()) {
+            assert_eq!(sv, pv, "{sk}");
+        }
+    }
+    assert_eq!(pooled.get("pooled"), Some(&true.into()));
+    assert_eq!(scoped.get("pooled"), Some(&false.into()));
+}
+
 /// An injected chaos failure yields a postmortem JSON artifact carrying
-/// the fault schedule, the failure class, and (when the trace plane is
-/// compiled in) recent trace events; timeouts also embed the full stuck
-/// diagnostic.
+/// the fault schedule, the failure class, and recent trace events;
+/// timeouts also embed the full stuck diagnostic.
 #[test]
 fn chaos_failures_dump_replayable_postmortems() {
     let dir = std::env::temp_dir().join("blocksync-obs-postmortems");
@@ -172,24 +233,28 @@ fn chaos_failures_dump_replayable_postmortems() {
             report.seed, o.index
         ));
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        assert!(text.contains("\"outcome\": \"failure\""), "{text}");
-        assert!(text.contains("\"fault_schedule\": ["), "{text}");
-        assert!(text.contains("\"error_kind\""), "{text}");
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        assert_eq!(doc.get("outcome"), Some(&"failure".into()), "{text}");
+        let kind = o.error.as_ref().unwrap().kind_label();
+        assert_eq!(doc.get("error_kind"), Some(&kind.into()), "{text}");
         // Each scheduled fault shows up as a structured line.
+        let schedule = doc.get("fault_schedule").unwrap().as_arr("schedule");
+        assert_eq!(schedule.unwrap().len(), o.faults.len(), "{text}");
         assert!(!o.faults.is_empty());
-        saw_diagnostic |= text.contains("\"diagnostic\": {");
-        saw_events |= text.contains("\"recent_events\": [\"");
+        saw_diagnostic |= doc
+            .get("diagnostic")
+            .is_some_and(|d| d.get("barrier").is_some());
+        let events = doc.get("recent_events").unwrap().as_arr("events").unwrap();
+        saw_events |= !events.is_empty();
     }
     assert!(
         saw_diagnostic,
         "at least one timeout failure must embed a StuckDiagnostic"
     );
-    if EventRecorder::ENABLED {
-        assert!(
-            saw_events,
-            "postmortem-dir enables tracing, so failures must carry events"
-        );
-    }
+    assert!(
+        saw_events,
+        "postmortem-dir enables tracing, so failures must carry events"
+    );
     // The report-level metrics snapshot agrees with the outcome lines.
     let metrics = report.metrics.as_ref().expect("the soak snapshots metrics");
     assert_eq!(
@@ -214,8 +279,12 @@ fn queue_depth_is_a_per_shard_gauge_family() {
         (Some("4x8/gpu-lock-free"), 3),
     ] {
         let mut r = LaunchRecord::new("gpu-lock-free");
-        r.pooled = true;
-        r.queue_depth = depth;
+        r.pool = Some(PoolLaunchStats {
+            launch_seq: 1,
+            queue_depth: depth,
+            queued: Duration::ZERO,
+            cold: false,
+        });
         r.shard = shard.map(str::to_string);
         obs.observe(r);
     }
@@ -247,30 +316,45 @@ fn queue_depth_is_a_per_shard_gauge_family() {
         "{prom}"
     );
     // And the labeled family survives the JSON round trip.
-    let parsed = MetricsSnapshot::from_json(&snap.to_json()).expect("parses");
+    let parsed = MetricsSnapshot::from_json(&snap.to_json().pretty()).expect("parses");
     assert_eq!(parsed, snap);
 }
 
 /// Build a synthetic registry load through the public observe path.
 fn observe_all(records: &[(usize, u64, bool, bool)]) -> MetricsSnapshot {
     const METHODS: [&str; 3] = ["gpu-lock-free", "gpu-simple", "auto:dissemination"];
-    const KINDS: [&str; 3] = ["timeout", "panic", "device"];
+    let errors = [
+        ExecError::BarrierTimeout {
+            diagnostic: Box::new(StuckDiagnostic {
+                barrier: "gpu-simple".into(),
+                waiting_block: 0,
+                round: 1,
+                flag: "g_mutex >= 8".into(),
+                timeout: Duration::from_millis(50),
+                arrivals: vec![2, 1],
+                departures: vec![1, 1],
+                recent_events: Vec::new(),
+                phase: StuckPhase::Barrier,
+            }),
+        },
+        ExecError::BlockPanicked {
+            block: 1,
+            round: 0,
+            message: "synthetic \"failure\"".into(),
+        },
+        ExecError::Device(DeviceError::EmptyLaunch),
+    ];
     let obs = Observer::new();
     for (i, &(sel, wall_ns, failed, pooled)) in records.iter().enumerate() {
         let mut r = LaunchRecord::new(METHODS[sel % METHODS.len()]);
-        r.seq = i as u64;
-        r.pooled = pooled;
-        r.cold = i == 0;
+        r.pool = pooled.then_some(PoolLaunchStats {
+            launch_seq: i as u64,
+            queue_depth: sel,
+            queued: Duration::from_nanos(wall_ns / 3),
+            cold: i == 0,
+        });
         r.wall = Duration::from_nanos(wall_ns);
-        r.queued = Duration::from_nanos(wall_ns / 3);
-        r.queue_depth = sel;
-        if failed {
-            r.outcome = LaunchOutcome::Failure {
-                error: format!("synthetic failure {i}"),
-                kind: KINDS[sel % KINDS.len()].to_string(),
-                diagnostic: None,
-            };
-        }
+        r.error = failed.then(|| errors[sel % errors.len()].clone());
         obs.observe(r);
     }
     obs.snapshot()
@@ -300,8 +384,8 @@ proptest! {
         }
     }
 
-    /// The snapshot's hand-rolled JSON form is lossless: parsing what
-    /// `to_json` wrote reproduces the snapshot exactly, for any mix of
+    /// The snapshot's JSON form is lossless: parsing the text of what
+    /// `to_json` built reproduces the snapshot exactly, for any mix of
     /// methods, outcomes, pooled and scoped records, and latencies.
     #[test]
     fn metrics_snapshot_json_round_trips(
@@ -311,7 +395,7 @@ proptest! {
         ),
     ) {
         let snap = observe_all(&records);
-        let parsed = MetricsSnapshot::from_json(&snap.to_json());
+        let parsed = MetricsSnapshot::from_json(&snap.to_json().to_string());
         prop_assert!(parsed.is_ok(), "parse error: {:?}", parsed.err());
         prop_assert_eq!(parsed.unwrap(), snap);
     }

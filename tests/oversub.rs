@@ -201,7 +201,7 @@ fn faults_at_oversubscription_still_produce_stuck_diagnostics() {
 /// block and round, and the same pool then runs a clean kernel correctly.
 #[test]
 fn pooled_fault_matrix_at_four_x_oversubscription() {
-    use blocksync::core::{ExecError, FaultInjector, FaultPlan};
+    use blocksync::core::{ExecError, Fault, FaultInjector, FaultKind};
     use std::time::Instant;
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
@@ -214,7 +214,10 @@ fn pooled_fault_matrix_at_four_x_oversubscription() {
         let cfg =
             GridConfig::new(n, 8).with_policy(SyncPolicy::with_timeout(Duration::from_secs(20)));
         let rt = GridRuntime::new(cfg, method).unwrap();
-        let k = FaultInjector::new(MinMix::new(n, logical), FaultPlan::panic_at(n - 1, 2));
+        let k = FaultInjector::new(
+            MinMix::new(n, logical),
+            Fault::in_round(n - 1, 2, FaultKind::Panic),
+        );
         let started = Instant::now();
         let err = rt.run(&k).unwrap_err();
         assert!(

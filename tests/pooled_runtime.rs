@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blocksync::core::{
-    stall_duration, BlockCtx, ExecError, Fault, FaultInjector, FaultKind, FaultPlan, FaultSchedule,
+    stall_duration, BlockCtx, ExecError, Fault, FaultInjector, FaultKind, FaultSchedule,
     GlobalBuffer, GridConfig, GridExecutor, GridRuntime, RoundKernel, StuckPhase, SyncMethod,
     SyncPolicy, TreeLevels,
 };
@@ -103,7 +103,7 @@ proptest! {
         let rt = GridRuntime::new(GridConfig::new(4, 8), SyncMethod::GpuLockFree).unwrap();
         let faulty = Arc::new(FaultInjector::new(
             Increment::new(4, 4),
-            FaultPlan::panic_at(bad_block, bad_round),
+            Fault::in_round(bad_block, bad_round, FaultKind::Panic),
         ));
         let err = rt.submit(faulty).unwrap().wait().unwrap_err();
         prop_assert!(
@@ -135,7 +135,10 @@ fn pooled_executor_survives_injected_panics_under_every_method() {
         let cfg =
             GridConfig::new(4, 8).with_policy(SyncPolicy::with_timeout(Duration::from_secs(20)));
         let rt = GridRuntime::new(cfg, method).unwrap();
-        let k = FaultInjector::new(Increment::new(4, 6), FaultPlan::panic_at(2, 3));
+        let k = FaultInjector::new(
+            Increment::new(4, 6),
+            Fault::in_round(2, 3, FaultKind::Panic),
+        );
         let started = Instant::now();
         let err = rt.run(&k).unwrap_err();
         assert!(
@@ -176,7 +179,10 @@ fn pooled_straggler_times_out_with_diagnostic() {
     let cfg =
         GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_millis(80)));
     let rt = GridRuntime::new(cfg, SyncMethod::GpuLockFree).unwrap();
-    let k = FaultInjector::new(Increment::new(3, 5), FaultPlan::straggler_at(1, 2));
+    let k = FaultInjector::new(
+        Increment::new(3, 5),
+        Fault::in_round(1, 2, FaultKind::Straggler),
+    );
     let started = Instant::now();
     let err = rt.run(&k).unwrap_err();
     assert!(
@@ -189,7 +195,7 @@ fn pooled_straggler_times_out_with_diagnostic() {
         }
         other => panic!("expected BarrierTimeout, got {other:?}"),
     }
-    // FaultPlan stragglers are cooperative (they watch the abort signal),
+    // Injected stragglers are cooperative (they watch the abort signal),
     // so the worker is released and the pool keeps serving launches.
     let clean = Increment::new(3, 3);
     let stats = rt.run(&clean).unwrap();

@@ -8,7 +8,7 @@
 //!    (lost rounds, early release, missing Acquire/Release edges) fail the
 //!    embedded assertions.
 //! 2. **Failure semantics** — a fault injected at a random (block, round)
-//!    via [`FaultPlan`] must surface as a structured [`ExecError`] naming
+//!    via [`FaultInjector`] must surface as a structured [`ExecError`] naming
 //!    exactly that site, within the policy timeout, for *every*
 //!    [`SyncMethod`]; and fault-free runs must produce bit-identical
 //!    results whether or not a `SyncPolicy` is configured (the
@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use blocksync::core::{
     stall_duration, BarrierShared, BlockCtx, ExecError, Fault, FaultInjector, FaultKind,
-    FaultPhase, FaultPlan, FaultProfile, FaultSchedule, GlobalBuffer, GridConfig, GridExecutor,
-    RoundKernel, SyncMethod, SyncPolicy, TreeLevels,
+    FaultPhase, FaultProfile, FaultSchedule, GlobalBuffer, GridConfig, GridExecutor, RoundKernel,
+    SyncMethod, SyncPolicy, TreeLevels,
 };
 use proptest::prelude::*;
 
@@ -214,7 +214,7 @@ proptest! {
         step in 0usize..5,
     ) {
         let timeout = Duration::from_secs(20);
-        let k = FaultInjector::new(MixKernel::new(4, 5), FaultPlan::panic_at(block, step));
+        let k = FaultInjector::new(MixKernel::new(4, 5), Fault::in_round(block, step, FaultKind::Panic));
         let cfg = GridConfig::new(4, 8).with_policy(SyncPolicy::with_timeout(timeout));
         let started = Instant::now();
         let err = GridExecutor::new(cfg, method).run(&k).unwrap_err();

@@ -15,9 +15,8 @@
 use std::time::Duration;
 
 use blocksync::core::{
-    BlockCtx, EventRecorder, ExecError, FaultInjector, FaultPlan, GlobalBuffer, GridConfig,
-    GridExecutor, RoundKernel, SyncMethod, SyncPolicy, Telemetry, TraceConfig, TraceEventKind,
-    TreeLevels,
+    self, BlockCtx, ExecError, FaultInjector, FaultKind, GlobalBuffer, GridConfig, GridExecutor,
+    RoundKernel, SyncMethod, SyncPolicy, Telemetry, TraceConfig, TraceEventKind, TreeLevels,
 };
 use blocksync::microbench::run_host_traced;
 use proptest::prelude::*;
@@ -140,9 +139,6 @@ proptest! {
         rounds in 1usize..40,
         fault in fault_strategy(),
     ) {
-        if !EventRecorder::ENABLED {
-            return; // feature compiled out: nothing to check
-        }
         let cfg = GridConfig::new(n_blocks, 8)
             .with_policy(SyncPolicy::with_timeout(Duration::from_secs(30)))
             .with_trace(TraceConfig::new());
@@ -151,7 +147,7 @@ proptest! {
         match fault {
             Fault::Panic(b, r) => {
                 let (b, r) = (b % n_blocks, r % rounds);
-                let k = FaultInjector::new(base, FaultPlan::panic_at(b, r));
+                let k = FaultInjector::new(base, core::Fault::in_round(b, r, FaultKind::Panic));
                 let err = exec.run(&k).unwrap_err();
                 match err {
                     ExecError::BlockPanicked { block, round, .. } => {
@@ -161,16 +157,12 @@ proptest! {
                 }
             }
             Fault::None | Fault::Delay(..) => {
-                let plan = match fault {
-                    Fault::Delay(b, r) => FaultPlan::delay_at(
-                        b % n_blocks,
-                        r % rounds,
-                        Duration::from_millis(2),
-                    ),
-                    // A delay of zero is the identity plan.
-                    _ => FaultPlan::delay_at(0, 0, Duration::ZERO),
+                let (b, r, by) = match fault {
+                    Fault::Delay(b, r) => (b % n_blocks, r % rounds, Duration::from_millis(2)),
+                    // A delay of zero is the identity fault.
+                    _ => (0, 0, Duration::ZERO),
                 };
-                let k = FaultInjector::new(base, plan);
+                let k = FaultInjector::new(base, core::Fault::in_round(b, r, FaultKind::Delay(by)));
                 let stats = exec.run(&k).expect("delayed runs still complete");
                 let t = stats.telemetry.as_ref().expect("tracing was configured");
                 prop_assert_eq!(t.dropped, 0, "auto capacity must fit the run");
@@ -196,9 +188,6 @@ proptest! {
 
 #[test]
 fn nosync_records_rounds_but_no_barrier_events() {
-    if !EventRecorder::ENABLED {
-        return;
-    }
     let cfg = GridConfig::new(3, 8).with_trace(TraceConfig::new());
     let k = StampKernel::new(3, 10);
     let stats = GridExecutor::new(cfg, SyncMethod::NoSync).run(&k).unwrap();
@@ -215,9 +204,6 @@ fn nosync_records_rounds_but_no_barrier_events() {
 /// for every method — and both must be exactly zero under `NoSync`.
 #[test]
 fn timeline_sync_spans_match_kernel_stats() {
-    if !EventRecorder::ENABLED {
-        return;
-    }
     for method in [
         SyncMethod::CpuExplicit,
         SyncMethod::CpuImplicit,
@@ -253,9 +239,6 @@ fn timeline_sync_spans_match_kernel_stats() {
 /// GPU-barrier wait — the no-RMW hot path defers counting to wait exit.
 #[test]
 fn spin_histogram_samples_once_per_wait() {
-    if !EventRecorder::ENABLED {
-        return;
-    }
     for method in SyncMethod::GPU_METHODS {
         let (stats, ok) =
             run_host_traced(3, 8, 50, method, TraceConfig::new()).expect("valid config");
