@@ -19,13 +19,12 @@
 //!   (deterministic, **guarded**),
 //! * `sim:` — cycle-approximate GTX 280 simulation (deterministic,
 //!   **guarded**),
-//! * `pred:` — Eq. 6–9 prediction on the *live host's* measured
-//!   calibration (informational, unguarded),
 //! * `host:` — wall-clock measurement on the host runtime (noisy on shared
-//!   CI runners, unguarded).
+//!   CI runners, unguarded; `obs_overhead`'s percentage is the one left —
+//!   host cost per layer is the `perf/` benchmark's).
 //!
-//! Only guarded records can fail the build; the unguarded ones ride along
-//! in the artifact so a human can eyeball predicted-vs-measured drift.
+//! Only guarded records can fail the build; an unguarded one rides along
+//! in the artifact.
 //!
 //! The files are written and read through the workspace's one codec,
 //! `blocksync_device::json`.
@@ -121,7 +120,7 @@ fn namespace(method: &str) -> Option<&str> {
 /// Compare a fresh run against a baseline. Returns one human-readable
 /// failure line per guarded baseline record that is either missing from
 /// the current run or slower than `baseline * (1 + max_regress_pct/100)`.
-/// Unguarded (`pred:`/`host:`) baseline rows are ignored, as are extra
+/// Unguarded (`host:`) baseline rows are ignored, as are extra
 /// rows in the current run (adding benchmarks never fails the guard).
 ///
 /// Baseline rows from a [`namespace`] the current run emits nothing in are

@@ -20,28 +20,26 @@
 //! 2. `model:oversub/parked_round_{2,4,16}x` — simulated per-round total
 //!    for the parked lock-free barrier at the same ladder (deterministic;
 //!    guarded).
-//! 3. `host:oversub/{2,4,16}x` — wall-clock per-round time of the host
-//!    runtime running a lock-free grid at 2x/4x/16x the *core* count
-//!    under the default policy. Noisy; unguarded.
 //!
-//! Flags: `--short` (fewer host repetitions, for CI smoke), `--json FILE`
-//! (default `BENCH_oversub.json`), `--baseline FILE` + `--max-regress-pct
-//! P` (fail nonzero on guarded regression).
+//! What oversubscription costs the host runtime is wall clock, which is
+//! the `perf/` benchmark's: `barrier.<m>.park_ns`,
+//! `launch.park_round_ns.<m>` and the `micro_park` workload
+//! (`perf/README.md`).
+//!
+//! Flags: `--json FILE` (default `BENCH_oversub.json`), `--baseline FILE` +
+//! `--max-regress-pct P` (fail nonzero on guarded regression).
 
 use std::process::ExitCode;
 
 use blocksync_bench::baseline::{self, BenchRecord};
 use blocksync_bench::experiments::{oversubscription, MAX_SIM_ROUNDS};
 use blocksync_bench::harness::{format_table, ms};
-use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
 use blocksync_device::CalibrationProfile;
-use blocksync_microbench::MeanKernel;
 
 const LADDER: [usize; 3] = [2, 4, 16];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let short = baseline::has_flag(&args, "short");
     let json_path = baseline::flag_value(&args, "json").unwrap_or("BENCH_oversub.json".into());
     let mut records = Vec::new();
 
@@ -97,41 +95,6 @@ fn main() -> ExitCode {
             ));
         }
     }
-
-    // -- Section 3: the host runtime at blocks > cores (unguarded) --------
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(4)
-        .min(8);
-    let rounds = if short { 40 } else { 200 };
-    let tpb = 16;
-    println!(
-        "\nHost runtime, lock-free barrier, {cores} cores ({} mode):\n",
-        if short { "short" } else { "full" }
-    );
-    let mut rows = Vec::new();
-    for m in LADDER {
-        let n = m * cores;
-        let kernel = MeanKernel::for_grid(n, tpb, rounds);
-        let cfg = GridConfig::new(n, tpb);
-        let stats = match GridExecutor::new(cfg, SyncMethod::GpuLockFree).run(&kernel) {
-            Ok(stats) => stats,
-            Err(e) => {
-                eprintln!("error: host run at {n} blocks failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let per_round = stats.wall.as_secs_f64() * 1e9 / rounds as f64;
-        records.push(BenchRecord::new(format!("host:oversub/{m}x"), n, per_round));
-        rows.push(vec![
-            format!("{m}x ({n} blocks)"),
-            format!("{per_round:.0}"),
-        ]);
-    }
-    println!(
-        "{}",
-        format_table(&["oversubscription", "wall ns/round"], &rows)
-    );
 
     if let Err(e) = std::fs::write(&json_path, baseline::to_json(&records).pretty()) {
         eprintln!("error: cannot write {json_path}: {e}");

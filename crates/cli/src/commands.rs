@@ -12,9 +12,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blocksync_core::{
-    AutoTuner, ChaosConfig, ChromeTraceBuilder, GridConfig, GridExecutor, GridRuntime, GridService,
-    KernelStats, MetricsSnapshot, RoundKernel, ServiceConfig, ServiceError, ShardKey, SyncMethod,
-    SyncPolicy, TraceConfig, TreeLevels,
+    AutoDecision, AutoTuner, ChaosConfig, ChromeTraceBuilder, GridConfig, GridExecutor,
+    GridRuntime, GridService, KernelStats, MetricsSnapshot, RoundKernel, ServiceConfig,
+    ServiceError, ShardKey, SyncMethod, SyncPolicy, TraceConfig, TreeLevels,
 };
 use blocksync_device::{CalibrationProfile, GpuSpec};
 use blocksync_microbench::{run_host_traced, MeanKernel};
@@ -494,20 +494,23 @@ pub fn metrics(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `blocksync tune` — dump the auto-tuner's view of a grid size: the
-/// calibration it prices with, the full Eq. 6–9 prediction table (with the
-/// tuned tree group size), the chosen method, and every pairwise crossover
-/// point where one method overtakes another as the grid grows.
+/// `blocksync tune` — the auto-tuner's view of a grid size. `--profile
+/// host` (the default) is a stopwatch: the table of what each method cost
+/// per round just now, how long measuring it took, and the pick. A model
+/// profile (`gtx280`, `fermi`) is the cost model: the calibration it prices
+/// with, the Eq. 6–9 prediction table (with the tuned tree group size),
+/// the pick, and every pairwise crossover point where one method overtakes
+/// another as the grid grows.
 pub fn tune(a: &Args) -> Result<(), String> {
     let blocks = a.get_usize("blocks", 30);
     if blocks == 0 {
         return Err("--blocks expects an integer >= 1".into());
     }
     let profile = a.get("profile", "host");
-    let tuner = match profile {
-        "host" => AutoTuner::host(),
-        "gtx280" => AutoTuner::with_profile(CalibrationProfile::gtx280()),
-        "fermi" => AutoTuner::with_profile(CalibrationProfile::fermi_class()),
+    let cal = match profile {
+        "host" => return tune_host(blocks),
+        "gtx280" => CalibrationProfile::gtx280(),
+        "fermi" => CalibrationProfile::fermi_class(),
         other => {
             return Err(format!(
                 "unknown --profile {other:?}; valid: host gtx280 fermi"
@@ -518,66 +521,31 @@ pub fn tune(a: &Args) -> Result<(), String> {
         "max-gpu-blocks",
         GpuSpec::gtx280().max_persistent_blocks() as usize,
     );
-    let decision = tuner.decide(blocks, max_gpu);
-    let cal = tuner.calibration();
+    let decision = AutoTuner::with_profile(cal.clone()).decide(blocks, max_gpu);
 
     println!(
         "calibration ({profile}): t_a={}ns  t_c={}ns  store={}ns  launch={}ns  \
-         warm-launch={}ns  explicit-round={}ns  implicit-round={}ns",
+         explicit-round={}ns  implicit-round={}ns",
         cal.atomic_add_ns,
         cal.poll_round_trip().as_nanos(),
         cal.mem_write_service_ns + cal.write_visibility_ns,
         cal.kernel_launch_ns,
-        cal.warm_launch_ns,
         cal.explicit_round_overhead_ns,
         cal.implicit_round_overhead_ns
     );
-    println!(
-        "topology: {} cluster(s) {:?}; GPU-side methods spin up to {max_gpu} blocks, \
-         park (priced) beyond",
-        decision.topology.num_clusters(),
-        decision.topology.cluster_sizes
-    );
+    println!("GPU-side methods spin up to {max_gpu} blocks, park (priced) beyond");
     println!("\nprediction table for {blocks} blocks (predicted t_S per barrier):");
-    for row in &decision.table {
-        let mark = if row.method == decision.chosen {
-            '*'
-        } else {
-            ' '
-        };
-        let note = if !row.eligible {
-            "  (ineligible: grid exceeds persistent-block capacity)"
-        } else if row.oversubscribed {
-            "  (oversubscribed: parks past capacity; includes park/wake wave penalty)"
-        } else {
-            ""
-        };
-        println!(
-            " {mark} {:<16} {:>12.0} ns{note}",
-            row.method.to_string(),
-            row.predicted_sync_ns
-        );
-    }
+    print_tune_table(
+        &decision,
+        "  (oversubscribed: parks past capacity; includes park/wake wave penalty)",
+    );
     println!(
         "\nchosen: {} (predicted t_S {:.0} ns)",
         decision.chosen, decision.predicted_sync_ns
     );
-    match decision.pooled_launch_speedup() {
-        Some(speedup) if decision.prefers_pooled() => println!(
-            "launch pricing: cold t_O {:.0} ns vs warm (pooled) {:.0} ns — \
-             repeat launches are {speedup:.1}x cheaper on a resident GridRuntime \
-             (see `blocksync metrics`)",
-            decision.launch_cold_ns, decision.launch_warm_ns
-        ),
-        _ => println!(
-            "launch pricing: cold t_O {:.0} ns, warm {:.0} ns — \
-             pooling does not pay for this grid (CPU-side choice or flat costs)",
-            decision.launch_cold_ns, decision.launch_warm_ns
-        ),
-    }
 
     let max_n = a.get_usize("max-n", 1024);
-    let crossovers = blocksync_model::crossover_table(cal, max_n);
+    let crossovers = blocksync_model::crossover_table(&cal, max_n);
     if crossovers.is_empty() {
         println!("no crossovers in 2..={max_n} blocks");
     } else {
@@ -591,6 +559,46 @@ pub fn tune(a: &Args) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// `tune --profile host`: measure (or read back) the host's table.
+fn tune_host(blocks: usize) -> Result<(), String> {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let start = std::time::Instant::now();
+    let decision = AutoTuner::host().decide(blocks, blocks);
+    let took = start.elapsed();
+    println!(
+        "measured table for {blocks} blocks on {cores} core(s) \
+         (t_S per round of an empty launch):"
+    );
+    print_tune_table(&decision, "");
+    println!(
+        "\nmeasured in {:.1} ms; a process measures each block count once",
+        took.as_secs_f64() * 1e3
+    );
+    println!(
+        "chosen: {} (measured t_S {:.0} ns)",
+        decision.chosen, decision.predicted_sync_ns
+    );
+    Ok(())
+}
+
+/// One line per row of a tuner table, the pick starred; `oversub_note`
+/// trails the rows flagged oversubscribed.
+fn print_tune_table(decision: &AutoDecision, oversub_note: &str) {
+    for row in &decision.table {
+        let mark = if row.method == decision.chosen {
+            '*'
+        } else {
+            ' '
+        };
+        let note = if row.oversubscribed { oversub_note } else { "" };
+        println!(
+            " {mark} {:<16} {:>12.0} ns{note}",
+            row.method.to_string(),
+            row.predicted_sync_ns
+        );
+    }
 }
 
 /// `blocksync trace` — run the micro-benchmark with the telemetry plane on

@@ -77,10 +77,12 @@ COMMANDS:
              arrival-skew/straggler table plus spin/sync histograms
              --blocks N --rounds R --method M [--stride S] [--limit K]
              [--out FILE]
-  tune       dump the auto-tuner's Eq. 6-9 prediction table, chosen method,
-             and method crossover points for a grid size
-             --blocks N [--profile host|gtx280|fermi] [--max-gpu-blocks B]
-             [--max-n N]
+  tune       the auto-tuner's table and pick for a grid size: measured on
+             this machine (--profile host, the default), or priced by the
+             Eq. 6-9 cost model with the method crossover points
+             (--profile gtx280|fermi)
+             --blocks N [--profile host|gtx280|fermi]
+             model profiles only: [--max-gpu-blocks B] [--max-n N]
   chaos      chaos soak: pipelined launches through live pooled shards
              where a fraction carry seeded-random fault schedules (panics,
              delays, stragglers, stalls — in round bodies, barrier waits,
@@ -138,8 +140,8 @@ METHODS:
   cpu-explicit cpu-implicit gpu-simple gpu-tree-2 gpu-tree-3 gpu-lock-free
   sense-reversing dissemination no-sync auto
 
-  `auto` calibrates the host once per process, prices every method with the
-  Eq. 6-9 cost model, and runs the cheapest one (see `blocksync tune`).
+  `auto` times every method once per block count per process and runs the
+  cheapest one (see `blocksync tune`).
 
   sort/align/fft/scan/micro/trace launch cold: fresh block threads per run,
   the full t_O every time. Warm launches (resident workers, t_O paid once)

@@ -54,6 +54,14 @@ use crate::trace::{EventRecorder, TraceEventKind};
 pub struct SyncPolicy {
     /// Give up a barrier wait after this long (`None` = wait forever, the
     /// paper's semantics and the default).
+    ///
+    /// The bound is a time, whatever the host's load: a wait reads the
+    /// clock on every poll once past its 64-poll spin phase, so a stuck
+    /// wait reports within `timeout` + 64 spin polls + one `yield_now`
+    /// while it yields, or within `timeout` +
+    /// [`BarrierControl::MAX_PARK`] once it parks. A wait that ends
+    /// inside the spin phase reads no clock, and without a timeout no wait
+    /// reads one at all.
     pub timeout: Option<Duration>,
 }
 
@@ -171,8 +179,7 @@ pub trait WaitFaultHook: Send + Sync + 'static {
 /// Designed to stay off the barrier hot path: the poison check is one plain
 /// load per poll, the progress table is written with single-writer plain
 /// stores once per `wait()` call (never inside a spin loop), and the
-/// deadline is consulted only every [`BarrierControl::DEADLINE_STRIDE`]
-/// polls.
+/// deadline is consulted only once a wait has left its spin phase.
 pub struct BarrierControl {
     policy: SyncPolicy,
     poison: AtomicU64,
@@ -220,9 +227,6 @@ impl ParkLot {
 }
 
 impl BarrierControl {
-    /// Polls between deadline (`Instant::now`) checks.
-    pub const DEADLINE_STRIDE: u32 = 1024;
-
     /// Longest single park. The deadlock-freedom argument for the park
     /// phase rests on this bound, not on wakeups: even if every notify
     /// were lost, each parked waiter re-polls at least this often, so
@@ -385,10 +389,11 @@ impl BarrierControl {
     /// Wait until `cond()` holds — the one wait discipline every barrier
     /// shares: 64 busy polls, `yield_now` between polls up to poll 4096,
     /// then [`Self::MAX_PARK`]-bounded parks in the lot (DESIGN.md §15).
-    /// The poison word is checked each poll (plain load); the deadline
-    /// every [`Self::DEADLINE_STRIDE`] polls while polling, and on every
-    /// wake once parking — a parked poll can last `MAX_PARK`, so the
-    /// stride would check the clock about once a second.
+    /// The poison word is checked each poll (plain load); the deadline on
+    /// every poll past the spin phase — a yield already costs more than a
+    /// clock read, and on a loaded host it can cost a scheduler slice, so
+    /// a deadline counted in yields is not a time (see
+    /// [`SyncPolicy::timeout`] for the bound).
     ///
     /// On timeout the barrier is poisoned (cause `Timeout`) so peers unwind
     /// too, and the returned [`StuckDiagnostic`] names `block`, `round`,
@@ -421,9 +426,7 @@ impl BarrierControl {
             }
             let parking = polls >= Self::PARK_AFTER_POLLS;
             if let Some((when, timeout)) = deadline {
-                if (parking || polls % Self::DEADLINE_STRIDE == Self::DEADLINE_STRIDE - 1)
-                    && Instant::now() >= when
-                {
+                if polls >= Self::SPIN_POLLS && Instant::now() >= when {
                     // Snapshot progress *before* publishing the poison:
                     // a cooperative straggler (e.g. an injected wait-phase
                     // fault) is released by the poison itself and would
@@ -464,8 +467,8 @@ impl BarrierControl {
                 self.park(&mut cond, deadline.map(|(when, _)| when));
             }
             // Saturate rather than wrap: wrapping would bounce a parked
-            // waiter back into the spin/yield phase (and off the every-wake
-            // deadline check) after 2^32 polls.
+            // waiter back into the spin phase (and off the deadline check)
+            // after 2^32 polls.
             polls = polls.saturating_add(1);
         }
     }
@@ -715,6 +718,34 @@ mod tests {
         }
         // The timeout poisoned the barrier for everyone else.
         assert_eq!(ctl.poisoned(), Some((0, 0, PoisonCause::Timeout)));
+    }
+
+    #[test]
+    fn timeout_is_a_time_however_slow_a_poll_is() {
+        // A 1 ms `cond` stands in for a yield that costs a scheduler slice
+        // on a loaded host. The deadline must be met by the clock, a few
+        // polls after it passes — not after some fixed count of polls,
+        // which at 1 ms each would be a second or more.
+        let ctl = BarrierControl::new(2, SyncPolicy::with_timeout(Duration::from_millis(20)));
+        let t0 = Instant::now();
+        let err = ctl
+            .wait_until(
+                0,
+                0,
+                "test",
+                || "flag".into(),
+                || {
+                    std::thread::sleep(Duration::from_millis(1));
+                    false
+                },
+            )
+            .unwrap_err();
+        assert!(matches!(err, SyncFault::TimedOut { .. }), "{err:?}");
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "a 20 ms timeout took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

@@ -20,10 +20,9 @@ pub enum TreeLevels {
     /// Three levels: fan-out `ceil(cbrt(N))` per level.
     Three,
     /// Two levels with an explicit leaf group size instead of the Eq. 8
-    /// `ceil(sqrt(N))` default — the auto-tuner's tuned fan-out (the exact
-    /// argmin of Eq. 7 over all group sizes, optionally snapped to the
-    /// host's cache-cluster boundaries). A group size ≥ `N` degenerates to
-    /// one group plus a trivial root.
+    /// `ceil(sqrt(N))` default — the model tuner's tuned fan-out (the exact
+    /// argmin of Eq. 7 over all group sizes). A group size ≥ `N`
+    /// degenerates to one group plus a trivial root.
     Custom(usize),
 }
 
@@ -86,12 +85,12 @@ pub enum SyncMethod {
     /// No inter-block synchronization at all (compute-time measurement
     /// only).
     NoSync,
-    /// Model-driven selection: at run time the executor calibrates the
-    /// host (once per process), prices every method through the Eq. 6–9
-    /// cost model, and runs the cheapest one for the configured grid (see
-    /// [`crate::autotune`]). Classified as neither CPU- nor GPU-side —
-    /// the *resolved* method determines the execution strategy and the
-    /// block-count limit.
+    /// Tuned selection: at run time the executor times every concrete
+    /// method once at the configured block count (cached per process) and
+    /// runs the cheapest (see [`crate::autotune`]; the simulator's `Auto`
+    /// prices the methods through the Eq. 6–9 cost model instead).
+    /// Classified as neither CPU- nor GPU-side — the *resolved* method
+    /// determines the execution strategy.
     Auto,
 }
 

@@ -61,7 +61,7 @@ pub struct KernelStats {
     pub telemetry: Option<Box<Telemetry>>,
     /// The auto-tuner's decision record, present when the run was
     /// configured with [`crate::SyncMethod::Auto`]: chosen method, the full
-    /// prediction table, and the predicted vs. measured per-round sync
+    /// per-method cost table, and the table's vs. this run's per-round sync
     /// cost. Boxed for the same reason as `telemetry`.
     pub auto: Option<Box<AutoDecision>>,
     /// Pool-side launch accounting, `Some` exactly when the run executed on

@@ -142,9 +142,9 @@ impl GpuTreeSync {
             }
             TreeLevels::Custom(group) => {
                 // One grouping level with an explicit group size + root.
-                // The auto-tuner picks `group` as the exact Eq. 7 argmin
-                // (optionally topology-snapped); the shape machinery is the
-                // same as `Two`, only the partition differs.
+                // The model tuner picks `group` as the exact Eq. 7 argmin;
+                // the shape machinery is the same as `Two`, only the
+                // partition differs.
                 let sizes = chunk_sizes(n_blocks, group.clamp(1, n_blocks));
                 let width = sizes.len();
                 levels.push(Level::new(sizes));

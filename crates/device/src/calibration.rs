@@ -25,10 +25,6 @@
 //! protocol simulation (including queueing of polls behind atomics at the
 //! memory partitions), not table lookups.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
 use crate::time::SimDuration;
 
 /// Per-operation virtual-time costs of the simulated device.
@@ -72,12 +68,6 @@ pub struct CalibrationProfile {
     /// Time to launch a kernel from the host when no launch is in flight
     /// (`t_O` of Equation 1): driver work plus command transfer.
     pub kernel_launch_ns: u64,
-    /// Time to dispatch a kernel onto an *already-resident* worker set —
-    /// the warm `t_O` of a pooled/persistent runtime, where the per-block
-    /// workers are pinned and a launch is a queue handoff rather than
-    /// thread (or driver context) creation. Pipelined back-to-back
-    /// launches pay this instead of `kernel_launch_ns`.
-    pub warm_launch_ns: u64,
     /// Per-round overhead of CPU **explicit** synchronization: kernel
     /// teardown, `cudaThreadSynchronize()` round trip on the host, and a
     /// fresh, non-overlapped launch (Eq. 3).
@@ -108,7 +98,6 @@ impl CalibrationProfile {
             poll_gap_ns: 30,
             syncthreads_ns: 60,
             kernel_launch_ns: 7_000,
-            warm_launch_ns: 3_000,
             explicit_round_overhead_ns: 13_000,
             implicit_round_overhead_ns: 6_000,
             park_wake_ns: 5_000,
@@ -132,7 +121,6 @@ impl CalibrationProfile {
             poll_gap_ns: 20,
             syncthreads_ns: 40,
             kernel_launch_ns: 5_000,
-            warm_launch_ns: 1_800,
             explicit_round_overhead_ns: 9_000,
             implicit_round_overhead_ns: 4_000,
             park_wake_ns: 4_000,
@@ -153,7 +141,6 @@ impl CalibrationProfile {
             poll_gap_ns: 1,
             syncthreads_ns: 1,
             kernel_launch_ns: 0,
-            warm_launch_ns: 0,
             explicit_round_overhead_ns: 0,
             implicit_round_overhead_ns: 0,
             park_wake_ns: 1,
@@ -211,11 +198,6 @@ impl CalibrationProfile {
         SimDuration(self.kernel_launch_ns)
     }
 
-    /// Warm (pooled/pipelined) kernel-launch time as a [`SimDuration`].
-    pub fn warm_launch(&self) -> SimDuration {
-        SimDuration(self.warm_launch_ns)
-    }
-
     /// Per-round CPU explicit synchronization overhead as a [`SimDuration`].
     pub fn explicit_round_overhead(&self) -> SimDuration {
         SimDuration(self.explicit_round_overhead_ns)
@@ -249,365 +231,6 @@ impl Default for CalibrationProfile {
     }
 }
 
-/// Iteration budget for the online host probes ([`measure_host`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MeasureBudget {
-    /// Iterations of the hot-loop probes (contended atomics, flag
-    /// ping-pong). Spawn/rendezvous probes use small fixed counts.
-    pub iters: u32,
-}
-
-impl MeasureBudget {
-    /// ~1–2 ms of probing: enough for a stable method choice, cheap enough
-    /// to run once at startup.
-    pub fn quick() -> Self {
-        MeasureBudget { iters: 2_000 }
-    }
-
-    /// ~10x the quick budget, for offline characterization (the
-    /// `autotune` bench binary's default).
-    pub fn standard() -> Self {
-        MeasureBudget { iters: 20_000 }
-    }
-}
-
-impl Default for MeasureBudget {
-    fn default() -> Self {
-        MeasureBudget::quick()
-    }
-}
-
-/// Measure a [`CalibrationProfile`] for the *host* the process is running
-/// on, with the same probes the barriers themselves exercise.
-///
-/// The host runtime's "device" is the machine's cache-coherence fabric, so
-/// the profile is populated from four direct measurements:
-///
-/// * **contended `fetch_add`** on one shared cache line → `atomic_add_ns`
-///   (the `t_a` of Eq. 6: RMWs to one address serialize);
-/// * **flag ping-pong** between two threads → the one-way cost of a store
-///   becoming visible plus a spinner observing it. The observation share
-///   maps onto the spin components (`mem_read_*`, `poll_*`) and the store
-///   share onto `mem_write_service_ns` + `write_visibility_ns`, keeping
-///   `poll_round_trip()` equal to the measured observe time;
-/// * **uncontended `fetch_add`** → `syncthreads_ns` (an intra-block fence
-///   on the host is one local atomic);
-/// * **thread spawn/join and condvar rendezvous** → `kernel_launch_ns`,
-///   `explicit_round_overhead_ns` (spawn+join per round, as the launch
-///   engine's `run_relaunch` strategy pays for `cpu-explicit`) and
-///   `implicit_round_overhead_ns` (one driver round trip, as
-///   `CpuImplicitSync`'s rendezvous pays for `cpu-implicit`).
-///
-/// The split of the one-way ping-pong cost between its store and observe
-/// halves is a first-order attribution (stores are charged 1/4; a spinner
-/// is by definition already polling when the store lands), but the *sums*
-/// the selector consumes — `poll_round_trip()` and store + visibility —
-/// match what was measured. Every field is clamped to ≥ 1 ns so downstream
-/// algebra never divides by zero.
-pub fn measure_host(budget: MeasureBudget) -> CalibrationProfile {
-    let iters = budget.iters.max(64);
-    let atomic_add_ns = contended_atomic_ns(iters);
-    let one_way = pingpong_one_way_ns(iters);
-    // Store : observe = 1 : 3 of the one-way flag handoff.
-    let store_total = (one_way / 4).max(2);
-    let observe = (one_way - store_total).max(2);
-    let syncthreads_ns = uncontended_atomic_ns(iters);
-    let kernel_launch_ns = spawn_join_ns(8);
-    let warm_launch_ns = pooled_relaunch_ns(64);
-    let explicit_round_overhead_ns = explicit_round_ns(12);
-    let implicit_round_overhead_ns = implicit_round_ns(64);
-    let park_wake_ns = park_wake_one_way_ns(64);
-    let poll_gap_ns = (observe / 8).max(1);
-    let mem_read_service_ns = (observe / 8).max(1);
-    let mem_read_latency_ns = (observe - poll_gap_ns - mem_read_service_ns).max(1);
-    CalibrationProfile {
-        atomic_add_ns: atomic_add_ns.max(1),
-        mem_read_service_ns,
-        mem_write_service_ns: (store_total / 2).max(1),
-        mem_read_latency_ns,
-        write_visibility_ns: (store_total - store_total / 2).max(1),
-        poll_service_ns: (observe / 16).max(1),
-        poll_gap_ns,
-        syncthreads_ns: syncthreads_ns.max(1),
-        kernel_launch_ns: kernel_launch_ns.max(1),
-        warm_launch_ns: warm_launch_ns.max(1),
-        explicit_round_overhead_ns: explicit_round_overhead_ns.max(1),
-        implicit_round_overhead_ns: implicit_round_overhead_ns.max(1),
-        park_wake_ns: park_wake_ns.max(1),
-    }
-}
-
-/// Per-op cost of `fetch_add` on a line two threads fight over: both hammer
-/// the same counter, so ops serialize at the coherence fabric and
-/// `wall / total_ops` approximates the service time (Eq. 6's `t_a`).
-fn contended_atomic_ns(iters: u32) -> u64 {
-    let counter = Arc::new(AtomicU64::new(0));
-    let gate = Arc::new(Barrier::new(2));
-    let worker = {
-        let counter = Arc::clone(&counter);
-        let gate = Arc::clone(&gate);
-        std::thread::spawn(move || {
-            gate.wait();
-            let start = Instant::now();
-            for _ in 0..iters {
-                counter.fetch_add(1, Ordering::AcqRel);
-            }
-            start.elapsed()
-        })
-    };
-    gate.wait();
-    let start = Instant::now();
-    for _ in 0..iters {
-        counter.fetch_add(1, Ordering::AcqRel);
-    }
-    let mine = start.elapsed();
-    let theirs = worker.join().expect("probe thread");
-    // Both loops overlap; the longer one spans all 2*iters serialized ops.
-    let wall = mine.max(theirs);
-    (wall.as_nanos() as u64) / (2 * iters as u64)
-}
-
-/// Spin-then-yield wait, the same strategy the runtime's barriers use: a
-/// short pure-spin window for the multicore fast path, then `yield_now` so
-/// an oversubscribed (or single-CPU) host hands the CPU to the storer
-/// instead of burning a scheduler quantum per handoff.
-fn spin_until(flag: &AtomicU64, goal: u64) {
-    let mut tries = 0u32;
-    while flag.load(Ordering::Acquire) < goal {
-        tries += 1;
-        if tries < 128 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// One-way cost of a release store being observed by an acquire spinner:
-/// half of a ping-pong round trip between two threads alternating on one
-/// flag word.
-fn pingpong_one_way_ns(iters: u32) -> u64 {
-    let flag = Arc::new(AtomicU64::new(0));
-    let gate = Arc::new(Barrier::new(2));
-    let partner = {
-        let flag = Arc::clone(&flag);
-        let gate = Arc::clone(&gate);
-        std::thread::spawn(move || {
-            gate.wait();
-            for i in 0..iters as u64 {
-                flag.store(2 * i + 1, Ordering::Release);
-                spin_until(&flag, 2 * i + 2);
-            }
-        })
-    };
-    gate.wait();
-    let start = Instant::now();
-    for i in 0..iters as u64 {
-        spin_until(&flag, 2 * i + 1);
-        flag.store(2 * i + 2, Ordering::Release);
-    }
-    let wall = start.elapsed();
-    partner.join().expect("probe thread");
-    // Each iteration is two one-way handoffs.
-    (wall.as_nanos() as u64) / (2 * iters as u64)
-}
-
-/// Per-op cost of an uncontended local atomic — the host stand-in for
-/// `__syncthreads()` (a block is one thread here; its intra-block fence is
-/// a single local RMW).
-fn uncontended_atomic_ns(iters: u32) -> u64 {
-    let counter = AtomicU64::new(0);
-    let start = Instant::now();
-    for _ in 0..iters {
-        counter.fetch_add(1, Ordering::AcqRel);
-    }
-    (start.elapsed().as_nanos() as u64) / iters as u64
-}
-
-/// Cost of spawning and joining one no-op thread — the host runtime's
-/// "kernel launch".
-fn spawn_join_ns(reps: u32) -> u64 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::thread::spawn(|| {}).join().expect("probe thread");
-    }
-    (start.elapsed().as_nanos() as u64) / reps as u64
-}
-
-/// Per-round cost of CPU-explicit style synchronization: spawn two worker
-/// threads and join them, once per round.
-fn explicit_round_ns(rounds: u32) -> u64 {
-    let start = Instant::now();
-    for _ in 0..rounds {
-        let a = std::thread::spawn(|| {});
-        let b = std::thread::spawn(|| {});
-        a.join().expect("probe thread");
-        b.join().expect("probe thread");
-    }
-    (start.elapsed().as_nanos() as u64) / rounds as u64
-}
-
-/// Per-round cost of CPU-implicit style synchronization: a persistent
-/// worker and a driver exchanging rounds through a mutex + condvar —
-/// the same rendezvous `CpuImplicitSync` uses.
-fn implicit_round_ns(rounds: u32) -> u64 {
-    #[derive(Default)]
-    struct Rendezvous {
-        state: Mutex<(u64, u64)>, // (dispatched round, acked round)
-        cv: Condvar,
-    }
-    let shared = Arc::new(Rendezvous::default());
-    let worker = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            let mut done = 0u64;
-            while done < rounds as u64 {
-                let mut st = shared.state.lock().expect("probe lock");
-                while st.0 <= done {
-                    st = shared.cv.wait(st).expect("probe wait");
-                }
-                done = st.0;
-                st.1 = done;
-                shared.cv.notify_all();
-            }
-        })
-    };
-    let start = Instant::now();
-    for round in 1..=rounds as u64 {
-        let mut st = shared.state.lock().expect("probe lock");
-        st.0 = round;
-        shared.cv.notify_all();
-        while st.1 < round {
-            st = shared.cv.wait(st).expect("probe wait");
-        }
-    }
-    let wall = start.elapsed();
-    worker.join().expect("probe thread");
-    (wall.as_nanos() as u64) / rounds as u64
-}
-
-/// One park/wake handoff of a parking barrier waiter: two threads alternate
-/// on a condvar, each *timed*-waiting (the barrier's park phase — a
-/// parked waiter always re-arms a bounded wait) until the peer's notify
-/// lands. Half of a round trip is one park-to-wake latency, the unit the
-/// cost model charges per descheduled wave in an oversubscribed grid.
-fn park_wake_one_way_ns(rounds: u32) -> u64 {
-    #[derive(Default)]
-    struct Lot {
-        state: Mutex<u64>, // completed half-rounds
-        cv: Condvar,
-    }
-    let shared = Arc::new(Lot::default());
-    let bound = std::time::Duration::from_millis(1);
-    let worker = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            let goal = 2 * rounds as u64;
-            let mut st = shared.state.lock().expect("probe lock");
-            while *st < goal {
-                if *st % 2 == 1 {
-                    *st += 1;
-                    shared.cv.notify_all();
-                } else {
-                    st = shared.cv.wait_timeout(st, bound).expect("probe wait").0;
-                }
-            }
-        })
-    };
-    let goal = 2 * rounds as u64;
-    let start = Instant::now();
-    {
-        let mut st = shared.state.lock().expect("probe lock");
-        while *st < goal {
-            if *st % 2 == 0 {
-                *st += 1;
-                shared.cv.notify_all();
-            } else {
-                st = shared.cv.wait_timeout(st, bound).expect("probe wait").0;
-            }
-        }
-    }
-    let wall = start.elapsed();
-    worker.join().expect("probe thread");
-    (wall.as_nanos() as u64) / (2 * rounds as u64)
-}
-
-/// One warm (pooled) kernel relaunch: dispatch a launch sequence number to a
-/// resident two-worker pool and wait until every worker has picked it up.
-/// Unlike `spawn_join_ns` (the cold launch probe) there is no thread
-/// creation or teardown on the critical path — only the handoff a
-/// persistent runtime pays per launch, in the shape `GridRuntime` gives it:
-/// both sides poll an atomic (64 spins, then yields for ≈ 100 µs) and only
-/// then park on a condvar, and a publisher notifies only when someone is
-/// parked. Back-to-back launches therefore never leave the polling phase,
-/// which is the warm case the probe prices.
-fn pooled_relaunch_ns(launches: u32) -> u64 {
-    struct Pool {
-        seq: AtomicU64,  // submitted launch seq
-        acks: AtomicU64, // total pickups over all launches
-        parked: Mutex<u64>,
-        cv: Condvar,
-    }
-    impl Pool {
-        fn wait(&self, ready: impl Fn() -> bool) {
-            for _ in 0..64 {
-                if ready() {
-                    return;
-                }
-                std::hint::spin_loop();
-            }
-            let start = Instant::now();
-            while start.elapsed() < Duration::from_micros(100) {
-                if ready() {
-                    return;
-                }
-                std::thread::yield_now();
-            }
-            let mut parked = self.parked.lock().expect("probe lock");
-            while !ready() {
-                *parked += 1;
-                parked = self.cv.wait(parked).expect("probe wait");
-                *parked -= 1;
-            }
-        }
-        fn publish(&self, word: &AtomicU64) {
-            let parked = self.parked.lock().expect("probe lock");
-            word.fetch_add(1, Ordering::AcqRel);
-            if *parked > 0 {
-                self.cv.notify_all();
-            }
-        }
-    }
-    const WORKERS: u64 = 2;
-    let shared = Arc::new(Pool {
-        seq: AtomicU64::new(0),
-        acks: AtomicU64::new(0),
-        parked: Mutex::new(0),
-        cv: Condvar::new(),
-    });
-    let workers: Vec<_> = (0..WORKERS)
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                for seq in 1..=launches as u64 {
-                    shared.wait(|| shared.seq.load(Ordering::Acquire) >= seq);
-                    shared.publish(&shared.acks);
-                }
-            })
-        })
-        .collect();
-    let start = Instant::now();
-    for seq in 1..=launches as u64 {
-        shared.publish(&shared.seq);
-        shared.wait(|| shared.acks.load(Ordering::Acquire) >= WORKERS * seq);
-    }
-    let wall = start.elapsed();
-    for w in workers {
-        w.join().expect("probe thread");
-    }
-    (wall.as_nanos() as u64) / launches as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,10 +249,6 @@ mod tests {
         assert!(c.syncthreads_ns < c.mem_read_latency_ns);
         // A kernel launch costs microseconds, dwarfing single memory ops.
         assert!(c.kernel_launch_ns > 10 * c.mem_read_latency_ns);
-        // A warm (pooled) relaunch skips driver/launch setup, so it sits
-        // strictly below the cold launch but is not free.
-        assert!(c.warm_launch_ns < c.kernel_launch_ns);
-        assert!(c.warm_launch_ns > 0);
     }
 
     #[test]
@@ -652,7 +271,6 @@ mod tests {
         assert_eq!(c.poll_gap().as_nanos(), c.poll_gap_ns);
         assert_eq!(c.poll_service().as_nanos(), c.poll_service_ns);
         assert_eq!(c.kernel_launch().as_nanos(), c.kernel_launch_ns);
-        assert_eq!(c.warm_launch().as_nanos(), c.warm_launch_ns);
         assert_eq!(c.syncthreads().as_nanos(), c.syncthreads_ns);
         assert_eq!(c.mem_read_service().as_nanos(), c.mem_read_service_ns);
         assert_eq!(c.mem_write_service().as_nanos(), c.mem_write_service_ns);
@@ -694,8 +312,6 @@ mod tests {
         assert!(f.mem_read_latency_ns < g.mem_read_latency_ns);
         assert!(f.implicit_round_overhead_ns < g.implicit_round_overhead_ns);
         assert!(f.explicit_round_overhead_ns > f.implicit_round_overhead_ns);
-        assert!(f.warm_launch_ns < g.warm_launch_ns);
-        assert!(f.warm_launch_ns < f.kernel_launch_ns);
     }
 
     #[test]
@@ -708,34 +324,5 @@ mod tests {
     #[test]
     fn default_is_gtx280() {
         assert_eq!(CalibrationProfile::default(), CalibrationProfile::gtx280());
-    }
-
-    #[test]
-    fn measured_host_profile_is_usable() {
-        // Tiny budget: this runs in well under 100 ms even on a loaded CI
-        // box. The assertions are structural (no field the selector's
-        // algebra consumes may be zero), not absolute timings.
-        let cal = measure_host(MeasureBudget { iters: 256 });
-        assert!(cal.atomic_add_ns >= 1);
-        assert!(cal.poll_round_trip().as_nanos() >= 3);
-        assert!(cal.mem_write_service_ns >= 1 && cal.write_visibility_ns >= 1);
-        assert!(cal.syncthreads_ns >= 1);
-        // Spawn+join per round costs more than a condvar rendezvous on any
-        // host — the paper's explicit-vs-implicit ordering, reproduced.
-        assert!(cal.explicit_round_overhead_ns > cal.implicit_round_overhead_ns);
-        assert!(cal.kernel_launch_ns >= 1);
-        // The warm relaunch probe must produce something usable; its
-        // ordering vs. the cold launch is timing-dependent on a loaded box,
-        // so only the structural floor is asserted here.
-        assert!(cal.warm_launch_ns >= 1);
-        // Park/wake must be measurable so oversubscribed candidates are
-        // priced, never free.
-        assert!(cal.park_wake_ns >= 1);
-    }
-
-    #[test]
-    fn measure_budgets_are_ordered() {
-        assert!(MeasureBudget::quick().iters < MeasureBudget::standard().iters);
-        assert_eq!(MeasureBudget::default(), MeasureBudget::quick());
     }
 }

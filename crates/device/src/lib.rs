@@ -29,8 +29,8 @@ pub mod spec;
 pub mod time;
 pub mod topology;
 
-pub use calibration::{measure_host, CalibrationProfile, MeasureBudget};
+pub use calibration::CalibrationProfile;
 pub use error::DeviceError;
 pub use spec::GpuSpec;
 pub use time::{SimDuration, SimTime};
-pub use topology::{BlockDim, BlockId, GridDim, HostTopology, LaunchConfig, SmId, ThreadId};
+pub use topology::{BlockDim, BlockId, GridDim, LaunchConfig, SmId, ThreadId};

@@ -144,134 +144,6 @@ impl LaunchConfig {
     }
 }
 
-/// Physical core clustering of the *host* machine, for topology-aware
-/// barrier-tree grouping: blocks whose worker threads share a last-level
-/// cache slice synchronize through it instead of cross-cluster traffic, so
-/// the auto-tuner prefers tree group sizes that align groups to clusters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostTopology {
-    /// Logical CPUs per last-level-cache cluster, in detection order.
-    /// Always non-empty; every entry is ≥ 1.
-    pub cluster_sizes: Vec<usize>,
-}
-
-impl HostTopology {
-    /// A single flat cluster of `cpus` logical CPUs (the shape of most
-    /// desktop parts, and the fallback when detection fails). Topology-
-    /// aware grouping degenerates to no preference.
-    pub fn single(cpus: usize) -> Self {
-        HostTopology {
-            cluster_sizes: vec![cpus.max(1)],
-        }
-    }
-
-    /// `clusters` equal clusters of `per` CPUs (chiplet-style parts; also
-    /// used by tests to exercise alignment deterministically).
-    pub fn uniform(clusters: usize, per: usize) -> Self {
-        HostTopology {
-            cluster_sizes: vec![per.max(1); clusters.max(1)],
-        }
-    }
-
-    /// Detect the host's clustering from
-    /// `/sys/devices/system/cpu/cpu*/cache/index3/shared_cpu_list` (each
-    /// distinct list is one L3 slice). Falls back to one flat cluster of
-    /// `available_parallelism` CPUs when sysfs is absent (non-Linux,
-    /// containers with masked sysfs) or reports nothing.
-    pub fn detect() -> Self {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        match detect_l3_clusters() {
-            Some(sizes) if !sizes.is_empty() => HostTopology {
-                cluster_sizes: sizes,
-            },
-            _ => HostTopology::single(cpus),
-        }
-    }
-
-    /// Total logical CPUs.
-    pub fn total_cpus(&self) -> usize {
-        self.cluster_sizes.iter().sum()
-    }
-
-    /// Number of last-level-cache clusters.
-    pub fn num_clusters(&self) -> usize {
-        self.cluster_sizes.len()
-    }
-
-    /// Candidate tree group sizes for `n` blocks that keep each group
-    /// within one cluster: splitting the grid over `k` clusters (for every
-    /// `j` groups per cluster up to 4) yields groups of `ceil(n / (k*j))`.
-    /// Sorted, deduplicated, all in `1..=n`. With one cluster this is a
-    /// small spread of generic sizes, so a flat topology expresses no real
-    /// preference.
-    pub fn aligned_group_sizes(&self, n: usize) -> Vec<usize> {
-        assert!(n > 0);
-        let k = self.num_clusters();
-        let mut sizes: Vec<usize> = (1..=4usize)
-            .map(|j| n.div_ceil(k * j).clamp(1, n))
-            .collect();
-        sizes.sort_unstable();
-        sizes.dedup();
-        sizes
-    }
-}
-
-/// Parse the L3 `shared_cpu_list` files; each distinct list is a cluster
-/// whose size is the number of CPUs it names.
-fn detect_l3_clusters() -> Option<Vec<usize>> {
-    let mut lists: Vec<(String, usize)> = Vec::new();
-    let entries = std::fs::read_dir("/sys/devices/system/cpu").ok()?;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if !name.starts_with("cpu") || !name[3..].chars().all(|c| c.is_ascii_digit()) {
-            continue;
-        }
-        let path = entry.path().join("cache/index3/shared_cpu_list");
-        let Ok(list) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let list = list.trim().to_string();
-        if list.is_empty() {
-            continue;
-        }
-        if !lists.iter().any(|(l, _)| *l == list) {
-            let size = parse_cpu_list_len(&list)?;
-            lists.push((list, size));
-        }
-    }
-    if lists.is_empty() {
-        None
-    } else {
-        Some(lists.into_iter().map(|(_, s)| s).collect())
-    }
-}
-
-/// Number of CPUs in a kernel cpu-list string like `0-3,8-11` or `0,2,4`.
-fn parse_cpu_list_len(list: &str) -> Option<usize> {
-    let mut count = 0usize;
-    for part in list.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        if let Some((lo, hi)) = part.split_once('-') {
-            let lo: usize = lo.trim().parse().ok()?;
-            let hi: usize = hi.trim().parse().ok()?;
-            if hi < lo {
-                return None;
-            }
-            count += hi - lo + 1;
-        } else {
-            let _: usize = part.parse().ok()?;
-            count += 1;
-        }
-    }
-    Some(count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,51 +190,5 @@ mod tests {
         assert_eq!(SmId(3).to_string(), "SM3");
         assert_eq!(BlockId(7).to_string(), "B7");
         assert_eq!(ThreadId(0).to_string(), "T0");
-    }
-
-    #[test]
-    fn host_topology_shapes() {
-        let flat = HostTopology::single(8);
-        assert_eq!(flat.num_clusters(), 1);
-        assert_eq!(flat.total_cpus(), 8);
-        let ccd = HostTopology::uniform(4, 8);
-        assert_eq!(ccd.num_clusters(), 4);
-        assert_eq!(ccd.total_cpus(), 32);
-        // Degenerate inputs are clamped, never empty.
-        assert_eq!(HostTopology::single(0).total_cpus(), 1);
-        assert_eq!(HostTopology::uniform(0, 0).cluster_sizes, vec![1]);
-    }
-
-    #[test]
-    fn detect_never_panics_and_is_nonempty() {
-        let t = HostTopology::detect();
-        assert!(t.num_clusters() >= 1);
-        assert!(t.total_cpus() >= 1);
-        assert!(t.cluster_sizes.iter().all(|&s| s >= 1));
-    }
-
-    #[test]
-    fn aligned_groups_split_over_clusters() {
-        // 4 clusters, 30 blocks: one group per cluster is ceil(30/4) = 8;
-        // two per cluster is ceil(30/8) = 4, and so on.
-        let t = HostTopology::uniform(4, 8);
-        let sizes = t.aligned_group_sizes(30);
-        assert!(sizes.contains(&8) && sizes.contains(&4));
-        assert!(sizes.windows(2).all(|w| w[0] < w[1]));
-        for &g in &sizes {
-            assert!((1..=30).contains(&g));
-        }
-        // Single cluster: candidates exist but express no cluster boundary.
-        assert!(!HostTopology::single(8).aligned_group_sizes(5).is_empty());
-    }
-
-    #[test]
-    fn cpu_list_parsing() {
-        assert_eq!(parse_cpu_list_len("0-3"), Some(4));
-        assert_eq!(parse_cpu_list_len("0-3,8-11"), Some(8));
-        assert_eq!(parse_cpu_list_len("0,2,4"), Some(3));
-        assert_eq!(parse_cpu_list_len("7"), Some(1));
-        assert_eq!(parse_cpu_list_len("3-1"), None);
-        assert_eq!(parse_cpu_list_len("x"), None);
     }
 }

@@ -1,17 +1,15 @@
 //! Model-driven method selection: the analytic half of `SyncMethod::Auto`.
 //!
-//! Given a [`CalibrationProfile`] (paper-fitted or measured on the live
-//! host) and a block count, predict the per-round barrier/sync cost of
+//! Given a [`CalibrationProfile`] (paper-fitted or what-if) and a block
+//! count, predict the per-round barrier/sync cost of
 //! every method the runtime offers (Eqs. 6–9 plus the extension barriers)
-//! and pick the cheapest one that the device can actually run. The tree
-//! entry carries an explicit group size from the exact Eq. 8 argmin
-//! ([`crate::equations::optimal_tree_group`]) rather than the
-//! `ceil(sqrt(N))` closed form.
+//! and pick the cheapest one. The tree entry carries an explicit group size
+//! from the exact Eq. 8 argmin ([`crate::equations::optimal_tree_group`])
+//! rather than the `ceil(sqrt(N))` closed form.
 //!
 //! This module is pure algebra — it knows nothing about `blocksync-core`'s
 //! barrier objects. `blocksync_core::autotune` maps [`MethodKind`] onto
-//! concrete `SyncMethod` values and layers topology-aware group snapping on
-//! top.
+//! concrete `SyncMethod` values.
 
 use blocksync_device::CalibrationProfile;
 
@@ -121,37 +119,23 @@ pub struct Prediction {
     /// this includes the park/wake penalty
     /// ([`CalibrationProfile::oversubscription_penalty_ns`]).
     pub sync_ns: f64,
-    /// Whether the device can run it at this block count. GPU-side methods
-    /// beyond the resident-block ceiling are still eligible — their waiters
-    /// park, so the grid drains in waves — but priced accordingly.
-    pub eligible: bool,
     /// True when the row needs more blocks than fit simultaneously, so it
-    /// only runs deadlock-free because waiters park.
+    /// only runs deadlock-free because waiters park. Such rows stay in the
+    /// table — the grid drains in waves — but are priced accordingly.
     pub oversubscribed: bool,
 }
 
-/// Structured selection failure, replacing the former panic when the
-/// candidate table is exhausted.
+/// Structured selection failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectorError {
     /// `n == 0`: no grid to synchronize.
     EmptyGrid,
-    /// No candidate row was eligible (e.g. a filtered table that dropped
-    /// the always-eligible CPU methods).
-    NoEligibleCandidate {
-        /// Rows considered before giving up.
-        considered: usize,
-    },
 }
 
 impl std::fmt::Display for SelectorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SelectorError::EmptyGrid => write!(f, "cannot select a sync method for 0 blocks"),
-            SelectorError::NoEligibleCandidate { considered } => write!(
-                f,
-                "no eligible sync method among {considered} candidate row(s)"
-            ),
         }
     }
 }
@@ -160,9 +144,9 @@ impl std::error::Error for SelectorError {}
 
 /// The full prediction table for `n` blocks. `max_gpu_blocks` is the
 /// device's resident-block ceiling (`GpuSpec::max_persistent_blocks`);
-/// GPU-side rows beyond it stay eligible but are flagged `oversubscribed`
-/// and carry the park/wake penalty in their price: each extra wave of
-/// blocks costs two park/wake handoffs per round.
+/// GPU-side rows beyond it stay in the table but are flagged
+/// `oversubscribed` and carry the park/wake penalty in their price: each
+/// extra wave of blocks costs two park/wake handoffs per round.
 pub fn prediction_table(
     cal: &CalibrationProfile,
     n: usize,
@@ -180,33 +164,25 @@ pub fn prediction_table(
             Prediction {
                 kind,
                 sync_ns: predicted_sync_ns(cal, kind, n) + penalty,
-                eligible: true,
                 oversubscribed,
             }
         })
         .collect()
 }
 
-/// The cheapest eligible row of a prediction table, ties resolving to the
-/// earlier row (the paper's ordering, so established methods win ties
-/// against extensions). Returns [`SelectorError::NoEligibleCandidate`]
-/// instead of panicking when the table has no eligible rows.
-pub fn cheapest(table: &[Prediction]) -> Result<Prediction, SelectorError> {
-    table
-        .iter()
-        .filter(|p| p.eligible)
-        .fold(None::<Prediction>, |best, p| match best {
-            Some(b) if b.sync_ns <= p.sync_ns => Some(b),
-            _ => Some(*p),
-        })
-        .ok_or(SelectorError::NoEligibleCandidate {
-            considered: table.len(),
-        })
+/// The cheapest row of a prediction table, ties resolving to the earlier
+/// row (the paper's ordering, so established methods win ties against
+/// extensions). `None` only for an empty slice.
+pub fn cheapest(table: &[Prediction]) -> Option<Prediction> {
+    table.iter().fold(None::<Prediction>, |best, p| match best {
+        Some(b) if b.sync_ns <= p.sync_ns => Some(b),
+        _ => Some(*p),
+    })
 }
 
-/// Pick the cheapest eligible method for `n` blocks: the argmin of the
-/// prediction table. Oversubscribed GPU-side candidates compete on price
-/// (base cost plus park/wake penalty) rather than being excluded outright.
+/// Pick the cheapest method for `n` blocks: the argmin of the prediction
+/// table. Oversubscribed GPU-side candidates compete on price (base cost
+/// plus park/wake penalty) rather than being excluded outright.
 pub fn select(
     cal: &CalibrationProfile,
     n: usize,
@@ -215,7 +191,7 @@ pub fn select(
     if n == 0 {
         return Err(SelectorError::EmptyGrid);
     }
-    cheapest(&prediction_table(cal, n, max_gpu_blocks))
+    Ok(cheapest(&prediction_table(cal, n, max_gpu_blocks)).expect("the candidate set is fixed"))
 }
 
 /// First block count in `2..=max_n` at which `a` becomes strictly more
@@ -322,7 +298,6 @@ mod tests {
         assert!(penalty > 0.0);
         for (f, o) in fit.iter().zip(&over) {
             assert_eq!(f.kind, o.kind);
-            assert!(o.eligible, "{:?} must stay eligible", o.kind);
             if o.kind.is_gpu_side() {
                 assert!(o.oversubscribed);
                 assert_eq!(o.sync_ns, f.sync_ns + penalty, "{:?}", o.kind);
@@ -351,24 +326,7 @@ mod tests {
     fn selection_failures_are_structured() {
         let cal = CalibrationProfile::gtx280();
         assert_eq!(select(&cal, 0, 30), Err(SelectorError::EmptyGrid));
-        // A table with every row filtered out must report, not panic —
-        // the former `.expect("CPU methods are always eligible")` path.
-        let mut table = prediction_table(&cal, 8, 30);
-        for row in &mut table {
-            row.eligible = false;
-        }
-        assert_eq!(
-            cheapest(&table),
-            Err(SelectorError::NoEligibleCandidate {
-                considered: table.len()
-            })
-        );
-        assert_eq!(
-            cheapest(&[]),
-            Err(SelectorError::NoEligibleCandidate { considered: 0 })
-        );
-        let msg = SelectorError::NoEligibleCandidate { considered: 9 }.to_string();
-        assert!(msg.contains("9 candidate"), "{msg}");
+        assert_eq!(cheapest(&[]), None);
     }
 
     #[test]

@@ -269,17 +269,15 @@ pub fn try_simulate(cfg: &SimConfig, workload: &dyn Workload) -> Result<SimRepor
             Ok(simulate_cpu(cfg, workload))
         }
         SyncMethod::Auto => {
-            // Resolve through the same cost-model selector the host
-            // executor uses, but priced with *this simulation's*
-            // calibration (what-if profiles included), then simulate the
-            // winner. No topology snapping: the simulated device has no
-            // host cache clusters.
+            // Nobody can put a stopwatch on the simulated device, so its
+            // `Auto` is the cost model priced with *this simulation's*
+            // calibration (what-if profiles included); simulate the winner.
             let decision = blocksync_core::autotune::AutoTuner::with_profile(cfg.cal.clone())
                 .decide(cfg.n_blocks, cfg.spec.max_persistent_blocks() as usize);
             let resolved = SimConfig {
                 method: decision.chosen,
                 // An oversubscribed GPU winner only runs deadlock-free with
-                // parking waiters — arm them, as the host executor does.
+                // parking waiters — arm them (on the host every wait parks).
                 parking: cfg.parking || decision.oversubscribed,
                 ..cfg.clone()
             };

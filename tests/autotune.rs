@@ -1,19 +1,23 @@
-//! Property-based tests of the auto-tuning layer: the `Auto` method's
-//! selection must be exactly what the Eq. 6–9 cost model says is optimal.
+//! Property-based tests of the auto-tuning layer: a model tuner's
+//! selection must be exactly what the Eq. 6–9 cost model says is optimal,
+//! and the host tuner's exactly what its own measured table says.
 //!
-//! Three invariant families:
+//! Four invariant families:
 //!
 //! 1. **Tuned tree fan-out is a true argmin** — for random calibration
-//!    profiles (flat topology, so no cluster snapping), the group size the
-//!    tuner offers for the 2-level tree equals the brute-force argmin of
-//!    `t_gts_grouped` over *every* valid group size.
+//!    profiles, the group size the tuner offers for the 2-level tree equals
+//!    the brute-force argmin of `t_gts_grouped` over *every* valid group
+//!    size.
 //! 2. **`Auto` never loses to the paper's best method** — whatever it
 //!    picks is predicted no worse than GPU lock-free at large `N` (and, by
 //!    construction, no worse than any other table row).
 //! 3. **Distinct calibration regimes flip the choice** — profiles shaped
 //!    like the GTX 280, like a cheap-atomics part, and like an
 //!    oversubscribed grid each select the method the model says they
-//!    should, end-to-end through the real executor.
+//!    should.
+//! 4. **The host table is measured once and argmin'd** — eight concrete
+//!    rows per block count, cached for the process, the pick its first
+//!    minimum; `Auto` runs it end-to-end through the real executor.
 
 use blocksync::core::{AutoTuner, GlobalBuffer, SyncMethod, TreeLevels};
 use blocksync::core::{BlockCtx, GridConfig, GridExecutor, RoundKernel};
@@ -92,7 +96,7 @@ proptest! {
             .find(|p| p.method == SyncMethod::GpuLockFree)
             .expect("lock-free is always a candidate");
         prop_assert!(decision.predicted_sync_ns <= lock_free.predicted_sync_ns);
-        for row in decision.table.iter().filter(|p| p.eligible) {
+        for row in &decision.table {
             prop_assert!(
                 decision.predicted_sync_ns <= row.predicted_sync_ns,
                 "auto chose {} ({} ns) but {} is cheaper ({} ns)",
@@ -145,17 +149,54 @@ fn distinct_profiles_select_distinct_optimal_methods() {
         .table
         .iter()
         .filter(|p| p.method.is_gpu_side())
-        .all(|p| p.eligible && p.oversubscribed));
+        .all(|p| p.oversubscribed));
 
-    // In every regime the choice is the cheapest eligible row.
+    // In every regime the choice is the cheapest row.
     for d in [&gtx, &cheap, &over] {
         let best = d
             .table
             .iter()
-            .filter(|p| p.eligible)
             .map(|p| p.predicted_sync_ns)
             .fold(f64::INFINITY, f64::min);
         assert_eq!(d.predicted_sync_ns, best);
+    }
+}
+
+/// The host tuner is a stopwatch: for any block count its table is the
+/// eight concrete methods in canonical order, each with a real measured
+/// cost; the pick is the table's first minimum; and a second `decide` at
+/// the same count launches nothing — it reads the same `f64`s back.
+#[test]
+fn host_table_is_measured_once_and_the_pick_is_its_first_minimum() {
+    let canonical: Vec<SyncMethod> = SyncMethod::PAPER_METHODS
+        .into_iter()
+        .chain(SyncMethod::EXTENSION_METHODS)
+        .collect();
+    for n in [1usize, 2, 5] {
+        let decision = AutoTuner::host().decide(n, n);
+        let methods: Vec<SyncMethod> = decision.table.iter().map(|p| p.method).collect();
+        assert_eq!(methods, canonical, "n = {n}");
+        for row in &decision.table {
+            assert!(
+                row.predicted_sync_ns.is_finite() && row.predicted_sync_ns > 0.0,
+                "n = {n}: {} measured {} ns",
+                row.method,
+                row.predicted_sync_ns
+            );
+        }
+        // `min_by` keeps the first of equal minima.
+        let first_min = decision
+            .table
+            .iter()
+            .min_by(|a, b| a.predicted_sync_ns.total_cmp(&b.predicted_sync_ns))
+            .expect("eight rows");
+        assert_eq!(decision.chosen, first_min.method, "n = {n}");
+        assert_eq!(decision.predicted_sync_ns, first_min.predicted_sync_ns);
+        assert!(!matches!(
+            decision.chosen,
+            SyncMethod::Auto | SyncMethod::NoSync
+        ));
+        assert_eq!(AutoTuner::host().decide(n, 30).table, decision.table);
     }
 }
 
@@ -176,6 +217,12 @@ fn auto_executes_correctly_and_records_the_decision() {
     let decision = stats.auto.as_ref().expect("auto run records its decision");
     assert_eq!(stats.method, format!("auto:{}", decision.chosen));
     assert!(decision.predicted_sync_ns > 0.0);
+    let chosen_row = decision
+        .table
+        .iter()
+        .find(|p| p.method == decision.chosen)
+        .expect("the pick is a row of its own table");
+    assert_eq!(decision.predicted_sync_ns, chosen_row.predicted_sync_ns);
     assert!(decision.measured_sync_ns.is_some());
     assert!(decision.misprediction_ratio().unwrap() > 0.0);
 }
