@@ -123,7 +123,7 @@ fn namespace(method: &str) -> Option<&str> {
 /// Unguarded (`host:`) baseline rows are ignored, as are extra
 /// rows in the current run (adding benchmarks never fails the guard).
 ///
-/// Baseline rows from a [`namespace`] the current run emits nothing in are
+/// Baseline rows from a `namespace` the current run emits nothing in are
 /// also skipped — the `headline` (`sim:`), `autotune` (`model:`),
 /// `obs_overhead` (`model:obs/`) and `oversub` (`model:oversub/`) bins
 /// guard themselves independently against the one shared

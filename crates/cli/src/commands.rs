@@ -432,8 +432,10 @@ pub fn micro(a: &Args) -> Result<(), String> {
     let rounds = a.get_usize("rounds", 2_000);
     let tpb = a.get_usize("tpb", 64);
     let method = parse_method(a.get("method", "gpu-lock-free"))?;
-    let kernel = MeanKernel::for_grid(blocks, tpb, rounds);
     let mut cfg = GridConfig::new(blocks, tpb).with_policy(sync_policy(a)?);
+    // Before the kernel allocates an element per thread of the grid.
+    cfg.validate().map_err(|e| e.to_string())?;
+    let kernel = MeanKernel::for_grid(blocks, tpb, rounds);
     if let Some(tc) = trace_config(a)? {
         cfg = cfg.with_trace(tc);
     }

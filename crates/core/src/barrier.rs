@@ -1,18 +1,23 @@
 //! The inter-block barrier abstraction and its fault-control plane.
 //!
-//! A barrier has two halves:
+//! A barrier is one function of `(block, round)`, as in the paper's
+//! listings (Figs. 6, 8, 9), where every method is one device function
+//! `__gpu_sync(goalVal)` whose goal the caller keeps:
 //!
 //! * [`BarrierShared`] — the state shared by all blocks (the `__device__`
 //!   globals of the paper's CUDA listings: `g_mutex`, `Arrayin`,
-//!   `Arrayout`, ...).
-//! * [`BarrierWaiter`] — one per block, owned by that block's worker thread.
-//!   It holds the block id and any per-block round state (the paper keeps
-//!   `goalVal` in registers and increments it on every call; the waiter is
-//!   where that register lives).
+//!   `Arrayout`, ...) *and* the protocol that runs on it:
+//!   [`BarrierShared::sync`]`(block, round)` is block `block`'s part of
+//!   barrier number `round`. Round state lives in the argument and nowhere
+//!   else; the launch engine's round loop passes the `r` it already has.
+//! * [`BarrierWaiter`] — the register the paper keeps `goalVal` in, for
+//!   callers without a round counter of their own: a block id and a count
+//!   of completed rounds over an `Arc<dyn BarrierShared>`, whose `wait`
+//!   calls `sync` and increments.
 //!
 //! All implementations must provide **full barrier semantics with
-//! publication**: when [`BarrierWaiter::wait`] returns `Ok` for round `r`,
-//! every write performed by any block before its round-`r` `wait` call is
+//! publication**: when [`BarrierShared::sync`] returns `Ok` for round `r`,
+//! every write performed by any block before its round-`r` call is
 //! visible. Implementations achieve this with `Release` writes on arrival
 //! and `Acquire` reads on departure.
 //!
@@ -111,7 +116,7 @@ pub enum PoisonCause {
     Timeout,
 }
 
-/// Why a [`BarrierWaiter::wait`] call failed.
+/// Why a [`BarrierShared::sync`] call failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SyncFault {
     /// A peer poisoned the barrier; this block unwound instead of spinning
@@ -158,8 +163,8 @@ fn unpack_poison(word: u64) -> (usize, usize, PoisonCause) {
     )
 }
 
-/// Hook invoked at the top of every [`BarrierControl::record_arrival`] —
-/// i.e. as a block *enters* its barrier wait, before the arrival is
+/// Hook invoked at the top of every [`BarrierShared::sync`] — i.e. as a
+/// block *enters* its barrier wait, before the arrival is
 /// published. The fault-injection plane ([`crate::FaultSchedule`]) uses it
 /// to misbehave *inside* the wait path: a block that panics, delays, or
 /// straggles here correctly shows up in peers' diagnostics as
@@ -167,7 +172,7 @@ fn unpack_poison(word: u64) -> (usize, usize, PoisonCause) {
 /// barriers are fresh per launch); absent on fault-free launches, where
 /// the cost is one `OnceLock` load per wait.
 pub trait WaitFaultHook: Send + Sync + 'static {
-    /// Called by `record_arrival` for (`block`, `round`) before the
+    /// Called by `sync`'s arrival record for (`block`, `round`) before the
     /// arrival store. May sleep, spin, or poison the barrier; must not
     /// panic (it runs outside the round body's `catch_unwind`).
     fn on_arrive(&self, block: usize, round: u64);
@@ -178,7 +183,7 @@ pub trait WaitFaultHook: Send + Sync + 'static {
 ///
 /// Designed to stay off the barrier hot path: the poison check is one plain
 /// load per poll, the progress table is written with single-writer plain
-/// stores once per `wait()` call (never inside a spin loop), and the
+/// stores once per `sync` call (never inside a spin loop), and the
 /// deadline is consulted only once a wait has left its spin phase.
 pub struct BarrierControl {
     policy: SyncPolicy,
@@ -292,7 +297,7 @@ impl BarrierControl {
     /// never-arrived — exactly a straggler stuck between round body and
     /// barrier.
     #[inline]
-    pub fn record_arrival(&self, block: usize, round: u64) {
+    fn record_arrival(&self, block: usize, round: u64) {
         if let Some(hook) = self.wait_hook.get() {
             hook.on_arrive(block, round);
         }
@@ -305,7 +310,7 @@ impl BarrierControl {
 
     /// Record that `block` has completed its round-`round` wait.
     #[inline]
-    pub fn record_departure(&self, block: usize, round: u64) {
+    fn record_departure(&self, block: usize, round: u64) {
         self.departures[block].store(round + 1, Ordering::Relaxed);
         if let Some(rec) = self.recorder.get() {
             rec.record(block, round as usize, TraceEventKind::BarrierDepart);
@@ -475,7 +480,7 @@ impl BarrierControl {
 
     /// The fault a wait unwinds with once the poison word is set. Acquire,
     /// so the poisoner's writes are visible to the unwinding block.
-    fn poisoned_fault(&self) -> SyncFault {
+    pub(crate) fn poisoned_fault(&self) -> SyncFault {
         let (block, round, cause) = unpack_poison(self.poison.load(Ordering::Acquire));
         SyncFault::Poisoned {
             block,
@@ -534,24 +539,51 @@ impl BarrierControl {
     }
 }
 
-/// Shared state of an inter-block barrier for a fixed number of blocks.
+/// Shared state of an inter-block barrier for a fixed number of blocks, and
+/// the protocol that runs on it.
 pub trait BarrierShared: Send + Sync + 'static {
-    /// Number of blocks this barrier synchronizes.
-    fn num_blocks(&self) -> usize;
-
-    /// Create the per-block waiter for `block_id`.
-    ///
-    /// # Panics
-    /// Panics if `block_id >= self.num_blocks()`, or if called twice for the
-    /// same block (implementations may, but are not required to, detect
-    /// this).
-    fn waiter(self: Arc<Self>, block_id: usize) -> Box<dyn BarrierWaiter>;
-
     /// Short human-readable name for reports, e.g. `"gpu-simple"`.
     fn name(&self) -> &'static str;
 
     /// The fault-control plane (poison word, progress table, policy).
     fn control(&self) -> &BarrierControl;
+
+    /// `block`'s part of barrier number `round` (0-based): publish the
+    /// arrival, wait for the peers' through
+    /// [`BarrierControl::wait_until`]. This is the body of the paper's
+    /// `__gpu_sync(goalVal)` listings; the goal is derived from `round`,
+    /// which the caller keeps. Callers go through [`BarrierShared::sync`].
+    ///
+    /// # Errors
+    /// As [`BarrierShared::sync`].
+    fn protocol(&self, block: usize, round: u64) -> Result<(), SyncFault>;
+
+    /// Arrive at barrier number `round` as `block` and wait until all
+    /// [`BarrierShared::num_blocks`] blocks have arrived: the protocol,
+    /// bracketed by the progress table's arrival and departure records
+    /// (and with them the wait-phase fault hook and the trace events).
+    /// Every block must pass `round = 0, 1, 2, ...` in order. Provided, so
+    /// each implementor gets its own copy in which `control()` and the
+    /// protocol are direct calls: through `dyn` a wait is this one virtual
+    /// call.
+    ///
+    /// # Errors
+    /// [`SyncFault::Poisoned`] if a peer panicked or timed out;
+    /// [`SyncFault::TimedOut`] if this block's own wait exceeded the
+    /// [`SyncPolicy`] timeout. After an error the barrier is permanently
+    /// poisoned; further waits fail too.
+    fn sync(&self, block: usize, round: u64) -> Result<(), SyncFault> {
+        let ctl = self.control();
+        ctl.record_arrival(block, round);
+        self.protocol(block, round)?;
+        ctl.record_departure(block, round);
+        Ok(())
+    }
+
+    /// Number of blocks this barrier synchronizes.
+    fn num_blocks(&self) -> usize {
+        self.control().arrivals.len()
+    }
 
     /// Poison the barrier on behalf of `block` at `round` *and wake any
     /// waiter that sleeps instead of spinning*. The spin barriers inherit
@@ -560,37 +592,48 @@ pub trait BarrierShared: Send + Sync + 'static {
     /// condvar rendezvous of [`crate::CpuImplicitSync`]) must override
     /// this to also signal that primitive, or poisoned sleepers would only
     /// notice at their next timeout tick. Every caller outside a barrier's
-    /// own `wait()` goes through this hook, never
+    /// own protocol goes through this hook, never
     /// [`BarrierControl::poison`] directly.
     fn poison(&self, block: usize, round: usize, cause: PoisonCause) {
         self.control().poison(block, round, cause);
     }
 }
 
-/// Per-block handle to an inter-block barrier.
-pub trait BarrierWaiter: Send {
-    /// Arrive at the barrier and block (spin) until all
-    /// [`BarrierShared::num_blocks`] blocks of the current round have
-    /// arrived.
+impl dyn BarrierShared {
+    /// The per-block handle for `block`.
     ///
-    /// Equivalent to the paper's `__gpu_sync(goalVal)`; the goal value is
-    /// internal per-round state.
-    ///
-    /// # Errors
-    /// [`SyncFault::Poisoned`] if a peer panicked or timed out;
-    /// [`SyncFault::TimedOut`] if this block's own wait exceeded the
-    /// [`SyncPolicy`] timeout. After an error the barrier is permanently
-    /// poisoned; further waits fail too.
-    fn wait(&mut self) -> Result<(), SyncFault>;
-
-    /// The block this waiter belongs to.
-    fn block_id(&self) -> usize;
+    /// # Panics
+    /// Panics if `block >= self.num_blocks()`.
+    pub fn waiter(self: Arc<Self>, block: usize) -> BarrierWaiter {
+        assert!(block < self.num_blocks(), "block_id {block} out of range");
+        BarrierWaiter {
+            shared: self,
+            block,
+            round: 0,
+        }
+    }
 }
 
-/// Convenience used by tests and benchmarks: build one waiter per block.
-pub fn waiters_for(shared: Arc<dyn BarrierShared>, n: usize) -> Vec<Box<dyn BarrierWaiter>> {
-    assert_eq!(shared.num_blocks(), n, "waiters_for: block count mismatch");
-    (0..n).map(|b| Arc::clone(&shared).waiter(b)).collect()
+/// Per-block handle to an inter-block barrier, for callers with no round
+/// counter of their own: the register the paper keeps `goalVal` in.
+pub struct BarrierWaiter {
+    shared: Arc<dyn BarrierShared>,
+    block: usize,
+    /// Completed rounds.
+    round: u64,
+}
+
+impl BarrierWaiter {
+    /// [`BarrierShared::sync`] for this block's next round — the paper's
+    /// `__gpu_sync(goalVal)` followed by its `goalVal` increment.
+    ///
+    /// # Errors
+    /// As [`BarrierShared::sync`].
+    pub fn wait(&mut self) -> Result<(), SyncFault> {
+        self.shared.sync(self.block, self.round)?;
+        self.round += 1;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -599,6 +642,11 @@ pub(crate) mod harness {
     //! implementation: `n` threads repeatedly increment per-block counters
     //! and cross-check *other* blocks' counters between rounds. Any lost
     //! round, early release, or missing publication fails the asserts.
+    //!
+    //! Even blocks keep their round in a [`BarrierWaiter`], odd blocks pass
+    //! the loop's `r` to [`BarrierShared::sync`] themselves; the two meet
+    //! in one barrier because round state lives in the argument and
+    //! nowhere else.
 
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -612,15 +660,18 @@ pub(crate) mod harness {
                 let shared = Arc::clone(&shared);
                 let counters = Arc::clone(&counters);
                 s.spawn(move || {
-                    let mut w = shared.waiter(b);
-                    assert_eq!(w.block_id(), b);
+                    let mut waiter = (b % 2 == 0).then(|| Arc::clone(&shared).waiter(b));
                     for r in 0..rounds {
                         // Plain (Relaxed) increment: ordering must come from
                         // the barrier alone.
                         let prev = counters[b].load(Ordering::Relaxed);
                         assert_eq!(prev as usize, r, "block {b} lost a round");
                         counters[b].store(prev + 1, Ordering::Relaxed);
-                        w.wait().expect("fault-free barrier must not fail");
+                        match waiter.as_mut() {
+                            Some(w) => w.wait(),
+                            None => shared.sync(b, r as u64),
+                        }
+                        .expect("fault-free barrier must not fail");
                         // After the barrier every block must observe every
                         // other block's round-r increment.
                         for (other, c) in counters.iter().enumerate() {
@@ -648,6 +699,47 @@ pub(crate) mod harness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::{SyncMethod, TreeLevels};
+
+    /// Every barrier-backed method — the paper's and the extensions, less
+    /// `CpuExplicit` (its barrier is the host's join) — plus a tuned tree.
+    fn barrier_methods() -> impl Iterator<Item = SyncMethod> {
+        SyncMethod::PAPER_METHODS
+            .into_iter()
+            .chain(SyncMethod::EXTENSION_METHODS)
+            .filter(|m| *m != SyncMethod::CpuExplicit)
+            .chain([SyncMethod::GpuTree(TreeLevels::Custom(3))])
+    }
+
+    #[test]
+    fn waiter_and_bare_sync_meet_in_one_barrier_under_every_method() {
+        // Block 0 through a `BarrierWaiter`, block 1 through `sync(1, r)`.
+        for method in barrier_methods() {
+            let shared = method.build_barrier(2).expect("barrier-backed");
+            harness::exercise(shared, 2, 200);
+        }
+    }
+
+    #[test]
+    fn num_blocks_is_what_the_method_was_built_with() {
+        for method in barrier_methods() {
+            for n in [1, 2, 5, 30] {
+                let shared = method.build_barrier(n).expect("barrier-backed");
+                assert_eq!(shared.num_blocks(), n, "{method}");
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_waiter_is_rejected_under_every_method() {
+        for method in barrier_methods() {
+            let shared = method.build_barrier(2).expect("barrier-backed");
+            let out_of_range = std::panic::AssertUnwindSafe(|| shared.waiter(2).wait());
+            let panic = std::panic::catch_unwind(out_of_range).expect_err("waiter(n) must panic");
+            let message = crate::launch::payload_message(&*panic);
+            assert!(message.contains("out of range"), "{method}: {message}");
+        }
+    }
 
     #[test]
     fn poison_word_round_trips() {

@@ -16,11 +16,10 @@
 //! make that trade-off measurable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crossbeam::utils::CachePadded;
 
-use crate::barrier::{BarrierControl, BarrierShared, BarrierWaiter, SyncFault, SyncPolicy};
+use crate::barrier::{BarrierControl, BarrierShared, SyncFault, SyncPolicy};
 
 /// Shared state: `rounds x N` single-writer single-reader flags.
 pub struct DisseminationSync {
@@ -70,19 +69,6 @@ impl DisseminationSync {
 }
 
 impl BarrierShared for DisseminationSync {
-    fn num_blocks(&self) -> usize {
-        self.n_blocks
-    }
-
-    fn waiter(self: Arc<Self>, block_id: usize) -> Box<dyn BarrierWaiter> {
-        assert!(block_id < self.n_blocks, "block_id {block_id} out of range");
-        Box::new(DisseminationWaiter {
-            shared: self,
-            block_id,
-            round: 0,
-        })
-    }
-
     fn name(&self) -> &'static str {
         "dissemination"
     }
@@ -90,23 +76,12 @@ impl BarrierShared for DisseminationSync {
     fn control(&self) -> &BarrierControl {
         &self.control
     }
-}
 
-struct DisseminationWaiter {
-    shared: Arc<DisseminationSync>,
-    block_id: usize,
-    round: u64,
-}
-
-impl BarrierWaiter for DisseminationWaiter {
-    fn wait(&mut self) -> Result<(), SyncFault> {
-        let s = &*self.shared;
-        let ctl = &s.control;
-        let n = s.n_blocks;
-        let goal = self.round + 1;
-        let me = self.block_id;
-        ctl.record_arrival(me, self.round);
-        for (k, level) in s.flags.iter().enumerate() {
+    fn protocol(&self, me: usize, round: u64) -> Result<(), SyncFault> {
+        let ctl = &self.control;
+        let n = self.n_blocks;
+        let goal = round + 1;
+        for (k, level) in self.flags.iter().enumerate() {
             let dist = 1usize << k;
             let to = (me + dist) % n;
             // Signal the partner `dist` ahead, then wait for the partner
@@ -116,19 +91,13 @@ impl BarrierWaiter for DisseminationWaiter {
             ctl.wake_parked();
             ctl.wait_until(
                 me,
-                self.round,
-                s.name(),
+                round,
+                self.name(),
                 || format!("flags[{k}][{me}] >= {goal}"),
                 || level[me].load(Ordering::Acquire) >= goal,
             )?;
         }
-        ctl.record_departure(me, self.round);
-        self.round += 1;
         Ok(())
-    }
-
-    fn block_id(&self) -> usize {
-        self.block_id
     }
 }
 
@@ -136,6 +105,7 @@ impl BarrierWaiter for DisseminationWaiter {
 mod tests {
     use super::*;
     use crate::barrier::harness;
+    use std::sync::Arc;
 
     #[test]
     fn signal_round_counts() {
@@ -150,10 +120,9 @@ mod tests {
 
     #[test]
     fn single_block_never_blocks() {
-        let b = Arc::new(DisseminationSync::new(1));
-        let mut w = Arc::clone(&b).waiter(0);
-        for _ in 0..1000 {
-            w.wait().unwrap();
+        let b = DisseminationSync::new(1);
+        for r in 0..1000 {
+            b.sync(0, r).unwrap();
         }
     }
 
@@ -192,9 +161,8 @@ mod tests {
     fn abandoned_barrier_times_out() {
         use std::time::Duration;
         let policy = SyncPolicy::with_timeout(Duration::from_millis(20));
-        let b = Arc::new(DisseminationSync::with_policy(4, policy));
-        let mut w = Arc::clone(&b).waiter(2);
-        match w.wait() {
+        let b = DisseminationSync::with_policy(4, policy);
+        match b.sync(2, 0) {
             Err(SyncFault::TimedOut { diagnostic }) => {
                 assert_eq!(diagnostic.waiting_block, 2);
                 assert_eq!(diagnostic.stragglers(), vec![0, 1, 3]);

@@ -120,9 +120,11 @@ impl GridConfig {
         if self.n_blocks == 0 || self.threads_per_block == 0 {
             return Err(DeviceError::EmptyLaunch);
         }
-        if self.threads_per_block as u32 > self.spec.max_threads_per_block {
+        // Saturate, never wrap: 2^32 + 8 threads are not 8 threads.
+        let threads = u32::try_from(self.threads_per_block).unwrap_or(u32::MAX);
+        if threads > self.spec.max_threads_per_block {
             return Err(DeviceError::TooManyThreads {
-                requested: self.threads_per_block as u32,
+                requested: threads,
                 max: self.spec.max_threads_per_block,
             });
         }
@@ -576,6 +578,17 @@ mod tests {
             err,
             ExecError::Device(DeviceError::TooManyThreads { .. })
         ));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn thread_count_past_u32_is_rejected_not_wrapped() {
+        // 2^32 + 8 used to validate as 8 threads.
+        let err = GridConfig::new(2, (1 << 32) + 8).validate().unwrap_err();
+        assert!(
+            matches!(err, DeviceError::TooManyThreads { max: 512, .. }),
+            "{err}"
+        );
     }
 
     #[test]

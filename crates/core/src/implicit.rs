@@ -21,13 +21,12 @@
 //! them. [`CpuImplicitSync`] therefore overrides [`BarrierShared::poison`]
 //! to also signal the condvar; see that hook's docs.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::barrier::SyncPolicy;
-use crate::barrier::{BarrierControl, BarrierShared, BarrierWaiter, PoisonCause, SyncFault};
+use crate::barrier::{BarrierControl, BarrierShared, PoisonCause, SyncFault};
 use crate::error::{StuckDiagnostic, StuckPhase};
 
 /// Rendezvous state guarded by the driver mutex.
@@ -94,19 +93,6 @@ impl CpuImplicitSync {
 }
 
 impl BarrierShared for CpuImplicitSync {
-    fn num_blocks(&self) -> usize {
-        self.n_blocks
-    }
-
-    fn waiter(self: Arc<Self>, block_id: usize) -> Box<dyn BarrierWaiter> {
-        assert!(block_id < self.n_blocks, "block_id {block_id} out of range");
-        Box::new(ImplicitWaiter {
-            shared: self,
-            block_id,
-            round: 0,
-        })
-    }
-
     fn name(&self) -> &'static str {
         "cpu-implicit"
     }
@@ -125,24 +111,12 @@ impl BarrierShared for CpuImplicitSync {
         let _guard = self.state.lock();
         self.cv.notify_all();
     }
-}
 
-/// Per-block handle to the [`CpuImplicitSync`] rendezvous.
-struct ImplicitWaiter {
-    shared: Arc<CpuImplicitSync>,
-    block_id: usize,
-    /// Completed rendezvous rounds (the epoch this block enters next).
-    round: u64,
-}
-
-impl BarrierWaiter for ImplicitWaiter {
-    fn wait(&mut self) -> Result<(), SyncFault> {
-        let s = &*self.shared;
-        let ctl = &s.control;
-        let bid = self.block_id;
-        let e = self.round;
-        ctl.record_arrival(bid, e);
-        let mut g = s.state.lock();
+    /// Check in with the driver for epoch `e` (the block's count of
+    /// completed rendezvous rounds) and sleep until it is dispatched.
+    fn protocol(&self, bid: usize, e: u64) -> Result<(), SyncFault> {
+        let ctl = &self.control;
+        let mut g = self.state.lock();
         if let Some((pb, pr, cause)) = ctl.poisoned() {
             return Err(SyncFault::Poisoned {
                 block: pb,
@@ -151,12 +125,12 @@ impl BarrierWaiter for ImplicitWaiter {
             });
         }
         g.arrived += 1;
-        if g.arrived == s.n_blocks {
+        if g.arrived == self.n_blocks {
             // Last arrival of the epoch: dispatch the next one, the
             // driver draining its pipelined launch queue.
             g.arrived = 0;
             g.epoch = e + 1;
-            s.cv.notify_all();
+            self.cv.notify_all();
         } else {
             let start = Instant::now();
             while g.epoch <= e {
@@ -168,7 +142,7 @@ impl BarrierWaiter for ImplicitWaiter {
                     });
                 }
                 match ctl.policy().timeout {
-                    None => s.cv.wait(&mut g),
+                    None => self.cv.wait(&mut g),
                     Some(timeout) => {
                         let Some(remaining) = timeout.checked_sub(start.elapsed()) else {
                             // Own wait expired: poison (first caller wins)
@@ -178,24 +152,25 @@ impl BarrierWaiter for ImplicitWaiter {
                             // Snapshot before poisoning: the poison frees
                             // cooperative stragglers, whose late arrivals
                             // would otherwise blank the stragglers() list.
-                            let diagnostic = s.stuck_diagnostic(bid, e);
-                            ctl.poison(bid, e as usize, PoisonCause::Timeout);
-                            s.cv.notify_all();
+                            let diagnostic = self.stuck_diagnostic(bid, e);
+                            let won = ctl.poison(bid, e as usize, PoisonCause::Timeout);
+                            self.cv.notify_all();
+                            if !won {
+                                // A peer's poison landed since this
+                                // wakeup's check (`BarrierShared::poison`
+                                // writes the word before it takes the
+                                // driver lock): only the winner owns the
+                                // diagnostic, this block is its victim.
+                                return Err(ctl.poisoned_fault());
+                            }
                             return Err(SyncFault::TimedOut { diagnostic });
                         };
-                        let _ = s.cv.wait_for(&mut g, remaining);
+                        let _ = self.cv.wait_for(&mut g, remaining);
                     }
                 }
             }
         }
-        drop(g);
-        ctl.record_departure(bid, e);
-        self.round += 1;
         Ok(())
-    }
-
-    fn block_id(&self) -> usize {
-        self.block_id
     }
 }
 
@@ -203,14 +178,14 @@ impl BarrierWaiter for ImplicitWaiter {
 mod tests {
     use super::*;
     use crate::barrier::harness;
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
     fn single_block_never_blocks() {
-        let b = Arc::new(CpuImplicitSync::new(1));
-        let mut w = Arc::clone(&b).waiter(0);
-        for _ in 0..1000 {
-            w.wait().unwrap();
+        let b = CpuImplicitSync::new(1);
+        for r in 0..1000 {
+            b.sync(0, r).unwrap();
         }
     }
 
@@ -234,13 +209,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_waiter_rejected() {
-        let b = Arc::new(CpuImplicitSync::new(2));
-        let _ = b.waiter(2);
-    }
-
-    #[test]
     fn name_and_counts() {
         let b = CpuImplicitSync::new(5);
         assert_eq!(b.num_blocks(), 5);
@@ -250,11 +218,10 @@ mod tests {
     #[test]
     fn abandoned_rendezvous_times_out_with_diagnostic() {
         let policy = SyncPolicy::with_timeout(Duration::from_millis(20));
-        let b = Arc::new(CpuImplicitSync::with_policy(2, policy));
+        let b = CpuImplicitSync::with_policy(2, policy);
         // Block 1 never arrives; block 0 sleeps on the condvar and must
         // wake at the deadline, not hang.
-        let mut w = Arc::clone(&b).waiter(0);
-        match w.wait() {
+        match b.sync(0, 0) {
             Err(SyncFault::TimedOut { diagnostic }) => {
                 assert_eq!(diagnostic.waiting_block, 0);
                 assert_eq!(diagnostic.round, 0);
@@ -271,10 +238,7 @@ mod tests {
         // would sleep forever.
         let b = Arc::new(CpuImplicitSync::new(2));
         let b2 = Arc::clone(&b);
-        let sleeper = std::thread::spawn(move || {
-            let mut w = b2.waiter(0);
-            w.wait()
-        });
+        let sleeper = std::thread::spawn(move || b2.sync(0, 0));
         std::thread::sleep(Duration::from_millis(50));
         BarrierShared::poison(&*b, 1, 3, PoisonCause::Panic);
         let got = sleeper.join().unwrap();
@@ -286,5 +250,41 @@ mod tests {
                 cause: PoisonCause::Panic
             })
         );
+    }
+
+    #[test]
+    fn timeout_after_a_peers_poison_landed_reports_the_peer() {
+        // The one-`TimedOut` rule of `BarrierControl::wait_until`, on the
+        // barrier that does not wait through it: block 0 sleeps towards a
+        // 3 ms deadline while a peer's panic poison is aimed at the same
+        // instant, swept across it. Whichever poison won the word, block 0
+        // must report that one. Nothing is asserted when its own timeout
+        // wins, so timing can only hide the race, never fail the test.
+        let timeout = Duration::from_millis(3);
+        for i in 0..400u64 {
+            let b = CpuImplicitSync::with_policy(3, SyncPolicy::with_timeout(timeout));
+            let start = std::sync::Barrier::new(2);
+            let fault = std::thread::scope(|s| {
+                let waiter = s.spawn(|| {
+                    start.wait();
+                    b.sync(0, 0).unwrap_err()
+                });
+                start.wait();
+                let at = Instant::now() + Duration::from_micros(2900 + i % 400);
+                while Instant::now() < at {
+                    std::hint::spin_loop();
+                }
+                BarrierShared::poison(&b, 2, 0, PoisonCause::Panic);
+                waiter.join().unwrap()
+            });
+            if b.control.poisoned() == Some((2, 0, PoisonCause::Panic)) {
+                let peer = SyncFault::Poisoned {
+                    block: 2,
+                    round: 0,
+                    cause: PoisonCause::Panic,
+                };
+                assert_eq!(fault, peer, "iter {i}");
+            }
+        }
     }
 }

@@ -10,13 +10,13 @@
 //!   compiled once and reusable across launches (the executor compiles
 //!   one per run; the pooled runtime and the `perf/` benchmark
 //!   keep one alive and launch through it repeatedly).
-//! * [`LaunchSetup`] — the per-launch state a plan stamps out: a **fresh**
+//! * `LaunchSetup` — the per-launch state a plan stamps out: a **fresh**
 //!   barrier (poisoning is permanent, so barriers are never reused across
 //!   launches), the trace recorder, and the abort signal. Its
 //!   `finish` turns the per-block results into the launch's
 //!   [`KernelStats`] *and* its [`LaunchRecord`] — the one place a record
 //!   is built, for every strategy, success or failure.
-//! * [`drive_block`] — the one true round loop: run the round under
+//! * `drive_block` — the one true round loop: run the round under
 //!   `catch_unwind`, poison + abort on panic, barrier-wait with bounded
 //!   waits, and per-round time/trace accounting.
 //!
@@ -25,10 +25,10 @@
 //!
 //! | strategy | serves | shape |
 //! |---|---|---|
-//! | [`run_scoped`] | GPU methods, `CpuImplicit`, `NoSync` through a [`LaunchPlan`] | spawn per launch, [`drive_block`] per block |
-//! | pooled workers (`core::runtime`) | same methods through a [`crate::GridRuntime`] | pinned workers, [`drive_block`] per block |
-//! | [`run_relaunch`] | `CpuExplicit` | spawn + watchdog-join per round |
-//! | `Auto` ([`crate::GridExecutor`]) | resolves, then [`run_scoped`] or [`run_relaunch`] | plan compiled for the resolved method |
+//! | `run_scoped` | GPU methods, `CpuImplicit`, `NoSync` through a [`LaunchPlan`] | spawn per launch, `drive_block` per block |
+//! | pooled workers (`core::runtime`) | same methods through a [`crate::GridRuntime`] | pinned workers, `drive_block` per block |
+//! | `run_relaunch` | `CpuExplicit` | spawn + watchdog-join per round |
+//! | `Auto` ([`crate::GridExecutor`]) | resolves, then `run_scoped` or `run_relaunch` | plan compiled for the resolved method |
 //!
 //! `CpuImplicit` needs no strategy of its own anymore: its driver
 //! rendezvous is a [`crate::CpuImplicitSync`] barrier, so both the scoped
@@ -281,7 +281,7 @@ impl KernelRef {
 /// concrete synchronization method.
 ///
 /// Compile once, launch many times — each [`LaunchPlan::run`] stamps out a
-/// fresh [`LaunchSetup`] (barrier, recorder, abort), so faults stay
+/// fresh `LaunchSetup` (barrier, recorder, abort), so faults stay
 /// per-launch. [`crate::GridExecutor`] compiles a plan per call; the
 /// pooled [`crate::GridRuntime`] and the `perf/` benchmark hold
 /// one for their whole lifetime.
@@ -532,7 +532,7 @@ pub(crate) fn drive_block(
     t: &mut BlockTimes,
 ) -> Result<(), ExecError> {
     let ctx = setup.ctx(block);
-    let mut waiter = setup.barrier.clone().map(|sh| sh.waiter(block));
+    let barrier = setup.barrier.as_deref();
     for r in 0..setup.rounds {
         let t0 = Instant::now();
         if let Some(rec) = setup.recorder.as_deref() {
@@ -543,7 +543,7 @@ pub(crate) fn drive_block(
             if let Some(rec) = setup.recorder.as_deref() {
                 rec.record(block, r, TraceEventKind::Abort);
             }
-            if let Some(sh) = setup.barrier.as_deref() {
+            if let Some(sh) = barrier {
                 sh.poison(block, r, PoisonCause::Panic);
             }
             setup.abort.abort();
@@ -557,13 +557,12 @@ pub(crate) fn drive_block(
         if let Some(rec) = setup.recorder.as_deref() {
             rec.record(block, r, TraceEventKind::RoundEnd);
         }
-        let Some(w) = waiter.as_mut() else {
+        let Some(sh) = barrier else {
             t.compute += t1 - t0;
             continue;
         };
-        if let Err(fault) = w.wait() {
+        if let Err(fault) = sh.sync(block, r as u64) {
             setup.abort.abort();
-            let sh = setup.barrier.as_deref().expect("waiter implies barrier");
             return Err(fault_to_error(fault, sh));
         }
         let t2 = Instant::now();
@@ -581,7 +580,7 @@ pub(crate) fn drive_block(
     // the last round the next wait catches it; after it, this one look
     // per block per launch does, so a poisoned launch never reports
     // success.
-    if let Some(sh) = setup.barrier.as_deref() {
+    if let Some(sh) = barrier {
         if let Some((block, round, cause)) = sh.control().poisoned() {
             setup.abort.abort();
             let fault = SyncFault::Poisoned {

@@ -18,6 +18,8 @@
 //! |------------------------------------------|--------------------------------|
 //! | thread block resident on one SM          | one OS worker thread           |
 //! | global memory + volatile reads           | [`GlobalBuffer`] (relaxed atomics) |
+//! | `__gpu_sync(goalVal)`, one per method    | [`BarrierShared::sync`]`(block, round)` |
+//! | the register holding `goalVal`           | the round loop's `r`, or a [`BarrierWaiter`] |
 //! | `atomicAdd(&g_mutex, 1)` + spin          | [`GpuSimpleSync`]              |
 //! | per-group mutexes + root mutex           | [`GpuTreeSync`]                |
 //! | `Arrayin`/`Arrayout`, no atomics         | [`GpuLockFreeSync`]            |
@@ -102,7 +104,7 @@ pub use fault::{
 pub use gmem::{GlobalBuffer, GlobalBuffer2d};
 pub use implicit::CpuImplicitSync;
 pub use launch::LaunchPlan;
-pub use lockfree::{FuzzyLockFreeWaiter, GpuLockFreeSync};
+pub use lockfree::GpuLockFreeSync;
 pub use method::{ResetStrategy, SyncMethod, TreeLevels};
 pub use metrics::{BlockHistogram, Histogram};
 pub use obs::{LaunchRecord, MetricsSnapshot, Observer, DEFAULT_SHARD, FLIGHT_RECORDER_CAPACITY};
@@ -116,4 +118,4 @@ pub use trace::{
     ChromeTraceBuilder, EventRecorder, RoundTelemetry, Telemetry, TraceConfig, TraceEvent,
     TraceEventKind,
 };
-pub use tree::GpuTreeSync;
+pub use tree::{GpuTreeSync, TreeShape};

@@ -19,16 +19,16 @@
 //! In this host runtime a block is one OS thread, so the collector checks
 //! the `N` in-flags in a loop (the paper's parallel-vs-serial collector
 //! distinction is a *timing* question, modeled in `blocksync-sim` and
-//! measured by the `ablation_collector` bench). Flags are cache-line padded
-//! by default; [`GpuLockFreeSync::new_unpadded`] packs them contiguously
-//! like the paper's `int` arrays for the false-sharing ablation.
+//! compared by the `ablations` bin's collector rows). Flags are cache-line
+//! padded by default; [`GpuLockFreeSync::new_unpadded`] packs them
+//! contiguously like the paper's `int` arrays for the false-sharing
+//! ablation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crossbeam::utils::CachePadded;
 
-use crate::barrier::{BarrierControl, BarrierShared, BarrierWaiter, SyncFault, SyncPolicy};
+use crate::barrier::{BarrierControl, BarrierShared, SyncFault, SyncPolicy};
 
 enum Flags {
     Padded(Vec<CachePadded<AtomicU64>>),
@@ -85,7 +85,8 @@ impl GpuLockFreeSync {
 
     /// Variant with densely packed flags (one `u64` apart), matching the
     /// paper's plain `int` arrays. On a cache-coherent CPU this induces
-    /// false sharing — the `ablation_padding` bench quantifies it.
+    /// false sharing — the Criterion group `lockfree_flag_padding`
+    /// quantifies it.
     pub fn new_unpadded(n_blocks: usize) -> Self {
         Self::build(n_blocks, false, SyncPolicy::default())
     }
@@ -118,19 +119,6 @@ impl GpuLockFreeSync {
 }
 
 impl BarrierShared for GpuLockFreeSync {
-    fn num_blocks(&self) -> usize {
-        self.n_blocks
-    }
-
-    fn waiter(self: Arc<Self>, block_id: usize) -> Box<dyn BarrierWaiter> {
-        assert!(block_id < self.n_blocks, "block_id {block_id} out of range");
-        Box::new(LockFreeWaiter {
-            shared: self,
-            block_id,
-            round: 0,
-        })
-    }
-
     fn name(&self) -> &'static str {
         "gpu-lock-free"
     }
@@ -138,144 +126,41 @@ impl BarrierShared for GpuLockFreeSync {
     fn control(&self) -> &BarrierControl {
         &self.control
     }
-}
 
-struct LockFreeWaiter {
-    shared: Arc<GpuLockFreeSync>,
-    block_id: usize,
-    round: u64,
-}
-
-impl LockFreeWaiter {
-    /// Split-phase arrival (the "fuzzy barrier" of Gupta & Hill, the
-    /// paper's citation [8]): announce this block's arrival and return
-    /// immediately. Work that does not depend on other blocks' current
-    /// round can proceed between [`LockFreeWaiter::arrive`] and
-    /// [`LockFreeWaiter::depart`], hiding barrier latency.
-    ///
-    /// Must be followed by exactly one `depart()` before the next
-    /// `arrive()`/`wait()`.
-    fn arrive_only(&mut self) {
-        let s = &*self.shared;
-        let goal = self.round + 1;
-        s.control.record_arrival(self.block_id, self.round);
-        s.array_in.store(self.block_id, goal);
+    /// Figure 9's three steps.
+    fn protocol(&self, bid: usize, round: u64) -> Result<(), SyncFault> {
+        let ctl = &self.control;
+        let goal = round + 1;
+        self.array_in.store(bid, goal);
         // record_arrival's wake precedes the Arrayin store, so a parked
         // collector could re-poll just before the flag lands; wake again
         // now that it is visible.
-        s.control.wake_parked();
-    }
-
-    /// Complete the split-phase barrier begun by `arrive_only`.
-    fn depart_only(&mut self) -> Result<(), SyncFault> {
-        let s = &*self.shared;
-        let ctl = &s.control;
-        let goal = self.round + 1;
-        let bid = self.block_id;
-        if bid == s.collector {
-            for i in 0..s.n_blocks {
+        ctl.wake_parked();
+        if bid == self.collector {
+            for i in 0..self.n_blocks {
                 ctl.wait_until(
                     bid,
-                    self.round,
-                    s.name(),
+                    round,
+                    self.name(),
                     || format!("Arrayin[{i}] >= {goal}"),
-                    || s.array_in.load(i) >= goal,
+                    || self.array_in.load(i) >= goal,
                 )?;
             }
             // __syncthreads() would order the collector's checking threads
             // here; within one OS thread it is a no-op.
-            for i in 0..s.n_blocks {
-                s.array_out.store(i, goal);
+            for i in 0..self.n_blocks {
+                self.array_out.store(i, goal);
             }
             // The broadcast releases every peer parked on Arrayout.
             ctl.wake_parked();
         }
         ctl.wait_until(
             bid,
-            self.round,
-            s.name(),
+            round,
+            self.name(),
             || format!("Arrayout[{bid}] >= {goal}"),
-            || s.array_out.load(bid) >= goal,
-        )?;
-        ctl.record_departure(bid, self.round);
-        self.round += 1;
-        Ok(())
-    }
-}
-
-impl BarrierWaiter for LockFreeWaiter {
-    fn wait(&mut self) -> Result<(), SyncFault> {
-        // Figure 9's three steps = arrive + (collect/broadcast + depart).
-        self.arrive_only();
-        self.depart_only()
-    }
-
-    fn block_id(&self) -> usize {
-        self.block_id
-    }
-}
-
-/// A split-phase ("fuzzy", citation [8] of the paper) handle to the
-/// lock-free barrier: [`FuzzyLockFreeWaiter::arrive`] announces, work can
-/// overlap, [`FuzzyLockFreeWaiter::depart`] completes. The collector role
-/// is paid in `depart`.
-pub struct FuzzyLockFreeWaiter {
-    inner: LockFreeWaiter,
-    arrived: bool,
-}
-
-impl FuzzyLockFreeWaiter {
-    /// Build the fuzzy handle for `block_id` (one per block, like
-    /// [`BarrierShared::waiter`]).
-    ///
-    /// # Panics
-    /// Panics if `block_id` is out of range.
-    pub fn new(shared: Arc<GpuLockFreeSync>, block_id: usize) -> Self {
-        assert!(
-            block_id < shared.n_blocks,
-            "block_id {block_id} out of range"
-        );
-        FuzzyLockFreeWaiter {
-            inner: LockFreeWaiter {
-                shared,
-                block_id,
-                round: 0,
-            },
-            arrived: false,
-        }
-    }
-
-    /// Announce arrival at the current round's barrier; returns
-    /// immediately.
-    ///
-    /// # Panics
-    /// Panics on a second `arrive` without an intervening `depart`.
-    pub fn arrive(&mut self) {
-        assert!(!self.arrived, "arrive() called twice without depart()");
-        self.inner.arrive_only();
-        self.arrived = true;
-    }
-
-    /// Block until every other block has arrived at this round's barrier.
-    ///
-    /// # Errors
-    /// Propagates [`SyncFault`]s exactly like [`BarrierWaiter::wait`].
-    ///
-    /// # Panics
-    /// Panics if called without a preceding `arrive`.
-    pub fn depart(&mut self) -> Result<(), SyncFault> {
-        assert!(self.arrived, "depart() without arrive()");
-        self.arrived = false;
-        self.inner.depart_only()
-    }
-
-    /// Non-split wait (`arrive` + `depart`).
-    ///
-    /// # Errors
-    /// Propagates [`SyncFault`]s exactly like [`BarrierWaiter::wait`].
-    pub fn wait(&mut self) -> Result<(), SyncFault> {
-        self.arrive();
-        self.depart()
+            || self.array_out.load(bid) >= goal,
+        )
     }
 }
 
@@ -283,14 +168,14 @@ impl FuzzyLockFreeWaiter {
 mod tests {
     use super::*;
     use crate::barrier::harness;
+    use std::sync::Arc;
 
     #[test]
     fn single_block_never_blocks() {
-        let b = Arc::new(GpuLockFreeSync::new(1));
+        let b = GpuLockFreeSync::new(1);
         assert_eq!(b.collector(), 0);
-        let mut w = Arc::clone(&b).waiter(0);
-        for _ in 0..1000 {
-            w.wait().unwrap();
+        for r in 0..1000 {
+            b.sync(0, r).unwrap();
         }
     }
 
@@ -325,63 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn fuzzy_split_phase_synchronizes() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let n = 4;
-        let rounds = 400u64;
-        let shared = Arc::new(GpuLockFreeSync::new(n));
-        let slots: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        std::thread::scope(|s| {
-            for b in 0..n {
-                let shared = Arc::clone(&shared);
-                let slots = Arc::clone(&slots);
-                s.spawn(move || {
-                    let mut w = FuzzyLockFreeWaiter::new(shared, b);
-                    let mut local = 0u64;
-                    for r in 0..rounds {
-                        slots[b].store(r + 1, Ordering::Relaxed);
-                        w.arrive();
-                        // Overlapped, round-independent work.
-                        local = local.wrapping_mul(31).wrapping_add(r);
-                        w.depart().unwrap();
-                        for slot in slots.iter() {
-                            let seen = slot.load(Ordering::Relaxed);
-                            assert!(seen > r && seen <= r + 2);
-                        }
-                    }
-                    assert!(local != u64::MAX); // keep `local` alive
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn fuzzy_plain_wait_matches_protocol() {
-        let shared = Arc::new(GpuLockFreeSync::new(1));
-        let mut w = FuzzyLockFreeWaiter::new(shared, 0);
-        for _ in 0..100 {
-            w.wait().unwrap();
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "arrive() called twice")]
-    fn fuzzy_double_arrive_rejected() {
-        let shared = Arc::new(GpuLockFreeSync::new(1));
-        let mut w = FuzzyLockFreeWaiter::new(shared, 0);
-        w.arrive();
-        w.arrive();
-    }
-
-    #[test]
-    #[should_panic(expected = "depart() without arrive()")]
-    fn fuzzy_depart_without_arrive_rejected() {
-        let shared = Arc::new(GpuLockFreeSync::new(1));
-        let mut w = FuzzyLockFreeWaiter::new(shared, 0);
-        let _ = w.depart();
-    }
-
-    #[test]
     #[should_panic(expected = "at least one block")]
     fn zero_blocks_rejected() {
         let _ = GpuLockFreeSync::new(0);
@@ -392,15 +220,15 @@ mod tests {
         use crate::barrier::PoisonCause;
         use std::time::Duration;
         let policy = SyncPolicy::with_timeout(Duration::from_millis(30));
-        let shared = Arc::new(GpuLockFreeSync::with_policy(3, policy));
+        let shared = GpuLockFreeSync::with_policy(3, policy);
         // Block 0 never arrives. Block 1 is the collector and times out on
         // Arrayin[0]; block 2 must then see the poison rather than hang.
         let results: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = [1usize, 2]
                 .into_iter()
                 .map(|b| {
-                    let shared = Arc::clone(&shared);
-                    s.spawn(move || shared.waiter(b).wait())
+                    let shared = &shared;
+                    s.spawn(move || shared.sync(b, 0))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()

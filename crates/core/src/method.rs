@@ -41,7 +41,7 @@ impl TreeLevels {
 /// Section 5.1: incrementing the target (`goalVal += N`) "saves the number
 /// of instructions and avoids conditional branching" compared to resetting
 /// `g_mutex` to zero after each barrier. Both are provided so the claim can
-/// be measured (ablation `ablation_reset`).
+/// be measured (Criterion group `simple_sync_reset_strategy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ResetStrategy {
     /// Paper default: the counter grows monotonically, the goal advances by

@@ -17,8 +17,8 @@
 //!
 //! The pool is a *strategy* over the shared launch engine: it compiles one
 //! [`LaunchPlan`] at construction, stamps a fresh
-//! [`crate::launch::LaunchSetup`] per submission, each pinned worker runs
-//! the same [`drive_block`] round loop the scoped executor uses, and the
+//! `crate::launch::LaunchSetup` per submission, each pinned worker runs
+//! the same `drive_block` round loop the scoped executor uses, and the
 //! setup's `finish` builds the launch's stats and its
 //! [`crate::LaunchRecord`] exactly as it does for a scoped launch — only
 //! thread placement (pinned vs spawned) and the warm-launch accounting

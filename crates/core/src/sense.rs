@@ -10,15 +10,14 @@
 //! than a counter comparison.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use crate::barrier::{BarrierControl, BarrierShared, BarrierWaiter, SyncFault, SyncPolicy};
+use crate::barrier::{BarrierControl, BarrierShared, SyncFault, SyncPolicy};
 
 /// Shared state: arrival counter + global sense.
 pub struct SenseReversingSync {
     count: AtomicUsize,
-    /// Global sense: counts completed rounds; a waiter with local round `r`
-    /// leaves once `sense > r`.
+    /// Global sense: counts completed rounds; a block in round `r` leaves once
+    /// `sense > r`.
     sense: AtomicU64,
     n_blocks: usize,
     control: BarrierControl,
@@ -49,19 +48,6 @@ impl SenseReversingSync {
 }
 
 impl BarrierShared for SenseReversingSync {
-    fn num_blocks(&self) -> usize {
-        self.n_blocks
-    }
-
-    fn waiter(self: Arc<Self>, block_id: usize) -> Box<dyn BarrierWaiter> {
-        assert!(block_id < self.n_blocks, "block_id {block_id} out of range");
-        Box::new(SenseWaiter {
-            shared: self,
-            block_id,
-            round: 0,
-        })
-    }
-
     fn name(&self) -> &'static str {
         "sense-reversing"
     }
@@ -69,43 +55,25 @@ impl BarrierShared for SenseReversingSync {
     fn control(&self) -> &BarrierControl {
         &self.control
     }
-}
 
-struct SenseWaiter {
-    shared: Arc<SenseReversingSync>,
-    block_id: usize,
-    round: u64,
-}
-
-impl BarrierWaiter for SenseWaiter {
-    fn wait(&mut self) -> Result<(), SyncFault> {
-        let s = &*self.shared;
-        let ctl = &s.control;
-        let bid = self.block_id;
-        let my_round = self.round;
-        ctl.record_arrival(bid, my_round);
-        let arrived = s.count.fetch_add(1, Ordering::AcqRel) + 1;
-        if arrived == s.n_blocks {
-            s.count.store(0, Ordering::Relaxed);
-            s.sense.fetch_add(1, Ordering::Release);
+    fn protocol(&self, bid: usize, my_round: u64) -> Result<(), SyncFault> {
+        let ctl = &self.control;
+        let arrived = self.count.fetch_add(1, Ordering::AcqRel) + 1;
+        if arrived == self.n_blocks {
+            self.count.store(0, Ordering::Relaxed);
+            self.sense.fetch_add(1, Ordering::Release);
             // The sense flip releases every peer; wake parked waiters.
             ctl.wake_parked();
+            Ok(())
         } else {
             ctl.wait_until(
                 bid,
                 my_round,
-                s.name(),
+                self.name(),
                 || format!("sense > {my_round}"),
-                || s.sense.load(Ordering::Acquire) > my_round,
-            )?;
+                || self.sense.load(Ordering::Acquire) > my_round,
+            )
         }
-        ctl.record_departure(bid, my_round);
-        self.round += 1;
-        Ok(())
-    }
-
-    fn block_id(&self) -> usize {
-        self.block_id
     }
 }
 
@@ -113,6 +81,7 @@ impl BarrierWaiter for SenseWaiter {
 mod tests {
     use super::*;
     use crate::barrier::harness;
+    use std::sync::Arc;
 
     #[test]
     fn various_counts() {
@@ -141,9 +110,8 @@ mod tests {
     fn abandoned_barrier_times_out() {
         use std::time::Duration;
         let policy = SyncPolicy::with_timeout(Duration::from_millis(20));
-        let b = Arc::new(SenseReversingSync::with_policy(2, policy));
-        let mut w = Arc::clone(&b).waiter(0);
-        match w.wait() {
+        let b = SenseReversingSync::with_policy(2, policy);
+        match b.sync(0, 0) {
             Err(SyncFault::TimedOut { diagnostic }) => {
                 assert_eq!(diagnostic.stragglers(), vec![1]);
             }

@@ -11,12 +11,11 @@
 //! Two counter-recycling strategies are provided (see
 //! [`ResetStrategy`]): the paper's monotone `goalVal += N` scheme and a
 //! reset-to-zero scheme, so the paper's claim that the former is cheaper can
-//! be measured (`ablation_reset` bench).
+//! be measured (Criterion group `simple_sync_reset_strategy`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use crate::barrier::{BarrierControl, BarrierShared, BarrierWaiter, SyncFault, SyncPolicy};
+use crate::barrier::{BarrierControl, BarrierShared, SyncFault, SyncPolicy};
 use crate::method::ResetStrategy;
 
 /// Shared state: the paper's `__device__ int g_mutex` (widened to 64 bits so
@@ -76,19 +75,6 @@ impl GpuSimpleSync {
 }
 
 impl BarrierShared for GpuSimpleSync {
-    fn num_blocks(&self) -> usize {
-        self.n_blocks
-    }
-
-    fn waiter(self: Arc<Self>, block_id: usize) -> Box<dyn BarrierWaiter> {
-        assert!(block_id < self.n_blocks, "block_id {block_id} out of range");
-        Box::new(SimpleWaiter {
-            shared: self,
-            block_id,
-            round: 0,
-        })
-    }
-
     fn name(&self) -> &'static str {
         "gpu-simple"
     }
@@ -96,27 +82,15 @@ impl BarrierShared for GpuSimpleSync {
     fn control(&self) -> &BarrierControl {
         &self.control
     }
-}
 
-struct SimpleWaiter {
-    shared: Arc<GpuSimpleSync>,
-    block_id: usize,
-    /// Completed rounds; the paper's `goalVal` register is derived from it.
-    round: u64,
-}
-
-impl BarrierWaiter for SimpleWaiter {
-    fn wait(&mut self) -> Result<(), SyncFault> {
-        let s = &*self.shared;
-        let ctl = &s.control;
-        let bid = self.block_id;
-        let n = s.n_blocks as u64;
-        ctl.record_arrival(bid, self.round);
-        match s.strategy {
+    fn protocol(&self, bid: usize, round: u64) -> Result<(), SyncFault> {
+        let ctl = &self.control;
+        let n = self.n_blocks as u64;
+        match self.strategy {
             ResetStrategy::IncrementGoal => {
                 // goalVal = N on the first call, then += N each call.
-                let goal = (self.round + 1) * n;
-                s.g_mutex.fetch_add(1, Ordering::AcqRel);
+                let goal = (round + 1) * n;
+                self.g_mutex.fetch_add(1, Ordering::AcqRel);
                 // The last add releases everyone; wake parked waiters so
                 // they re-poll now instead of at their park bound.
                 ctl.wake_parked();
@@ -124,42 +98,35 @@ impl BarrierWaiter for SimpleWaiter {
                 // later round's additions.
                 ctl.wait_until(
                     bid,
-                    self.round,
-                    s.name(),
+                    round,
+                    self.name(),
                     || format!("g_mutex >= {goal}"),
-                    || s.g_mutex.load(Ordering::Acquire) >= goal,
-                )?;
+                    || self.g_mutex.load(Ordering::Acquire) >= goal,
+                )
             }
             ResetStrategy::ResetCounter => {
-                let my_epoch = self.round;
-                let arrived = s.g_mutex.fetch_add(1, Ordering::AcqRel) + 1;
+                let arrived = self.g_mutex.fetch_add(1, Ordering::AcqRel) + 1;
                 if arrived == n {
                     // Last arriver resets the counter, then publishes the
                     // new epoch. The reset is ordered before the epoch store
                     // (Release), and other blocks only resume (and re-add)
                     // after acquiring the new epoch, so the reset cannot
                     // race with next-round additions.
-                    s.g_mutex.store(0, Ordering::Relaxed);
-                    s.epoch.fetch_add(1, Ordering::Release);
+                    self.g_mutex.store(0, Ordering::Relaxed);
+                    self.epoch.fetch_add(1, Ordering::Release);
                     ctl.wake_parked();
+                    Ok(())
                 } else {
                     ctl.wait_until(
                         bid,
-                        self.round,
-                        s.name(),
-                        || format!("epoch > {my_epoch}"),
-                        || s.epoch.load(Ordering::Acquire) > my_epoch,
-                    )?;
+                        round,
+                        self.name(),
+                        || format!("epoch > {round}"),
+                        || self.epoch.load(Ordering::Acquire) > round,
+                    )
                 }
             }
         }
-        ctl.record_departure(bid, self.round);
-        self.round += 1;
-        Ok(())
-    }
-
-    fn block_id(&self) -> usize {
-        self.block_id
     }
 }
 
@@ -167,13 +134,13 @@ impl BarrierWaiter for SimpleWaiter {
 mod tests {
     use super::*;
     use crate::barrier::harness;
+    use std::sync::Arc;
 
     #[test]
     fn single_block_never_blocks() {
-        let b = Arc::new(GpuSimpleSync::new(1));
-        let mut w = Arc::clone(&b).waiter(0);
-        for _ in 0..1000 {
-            w.wait().unwrap();
+        let b = GpuSimpleSync::new(1);
+        for r in 0..1000 {
+            b.sync(0, r).unwrap();
         }
     }
 
@@ -208,13 +175,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_waiter_rejected() {
-        let b = Arc::new(GpuSimpleSync::new(2));
-        let _ = b.waiter(2);
-    }
-
-    #[test]
     fn name_and_counts() {
         let b = GpuSimpleSync::new(5);
         assert_eq!(b.num_blocks(), 5);
@@ -227,10 +187,9 @@ mod tests {
         use std::time::Duration;
         for strategy in [ResetStrategy::IncrementGoal, ResetStrategy::ResetCounter] {
             let policy = SyncPolicy::with_timeout(Duration::from_millis(20));
-            let b = Arc::new(GpuSimpleSync::with_options(2, strategy, policy));
+            let b = GpuSimpleSync::with_options(2, strategy, policy);
             // Block 1 never arrives; block 0 must give up, not hang.
-            let mut w = Arc::clone(&b).waiter(0);
-            match w.wait() {
+            match b.sync(0, 0) {
                 Err(SyncFault::TimedOut { diagnostic }) => {
                     assert_eq!(diagnostic.waiting_block, 0);
                     assert_eq!(diagnostic.round, 0);

@@ -67,9 +67,9 @@ pub fn t_gss(n_blocks: usize, t_a: f64, t_c: f64) -> f64 {
 /// have `floor(N / (m-1))` and the last takes the (possibly zero, then
 /// dropped) remainder.
 ///
-/// This mirrors `blocksync_core::tree::sqrt_group_sizes`; it is duplicated
-/// here so the model crate stays dependency-light, and the `modelcheck`
-/// harness asserts the two agree.
+/// The one copy of the grouping: `blocksync_core::tree::TreeShape` (and
+/// through it the host barrier and the simulator's programs) is built from
+/// these sizes.
 pub fn tree_group_sizes(n: usize) -> Vec<usize> {
     assert!(n > 0);
     let m = (n as f64).sqrt().ceil() as usize;
@@ -100,9 +100,8 @@ pub fn t_gts(n_blocks: usize, t_a: f64, t_c1: f64, t_c2: f64) -> f64 {
 
 /// Group sizes for `n` blocks with an explicit group size `g`: the first
 /// `floor(n / g)` groups hold `g` blocks, a final partial group takes the
-/// remainder. Mirrors `blocksync_core::tree::chunk_sizes` (duplicated here
-/// so the model crate stays dependency-light; the autotune tests assert the
-/// two agree).
+/// remainder. The grouping of `TreeLevels::Custom(g)` and of each level of
+/// [`tree3_group_sizes`].
 pub fn chunked_group_sizes(n: usize, g: usize) -> Vec<usize> {
     assert!(n > 0 && g > 0);
     let full = n / g;
@@ -148,15 +147,23 @@ pub fn optimal_tree_group(n: usize, t_a: f64, t_c1: f64, t_c2: f64) -> usize {
     best_g
 }
 
-/// 3-level tree barrier cost: fan-out `ceil(cbrt(N))` per level (mirroring
-/// `GpuTreeSync`'s 3-level shape), three serialized atomic chains each
-/// followed by one check:
-/// `t = (n_hat1 * t_a + t_c) + (n_hat2 * t_a + t_c) + (r * t_a + t_c)`.
-pub fn t_gts3(n: usize, t_a: f64, t_c: f64) -> f64 {
+/// Group sizes of the 3-level tree's two grouping levels, leaf level
+/// first: fan-out `ceil(cbrt(N))` per level, so the blocks are chunked into
+/// groups of at most that many and the group leaders chunked again; the
+/// second level's groups meet at the root.
+pub fn tree3_group_sizes(n: usize) -> [Vec<usize>; 2] {
     assert!(n > 0);
     let fanout = ((n as f64).cbrt().ceil() as usize).max(1);
     let l1 = chunked_group_sizes(n, fanout);
     let l2 = chunked_group_sizes(l1.len(), fanout);
+    [l1, l2]
+}
+
+/// 3-level tree barrier cost over [`tree3_group_sizes`]: three serialized
+/// atomic chains each followed by one check:
+/// `t = (n_hat1 * t_a + t_c) + (n_hat2 * t_a + t_c) + (r * t_a + t_c)`.
+pub fn t_gts3(n: usize, t_a: f64, t_c: f64) -> f64 {
+    let [l1, l2] = tree3_group_sizes(n);
     let n_hat1 = l1.iter().copied().max().unwrap_or(0) as f64;
     let n_hat2 = l2.iter().copied().max().unwrap_or(0) as f64;
     let root = l2.len() as f64;
@@ -230,6 +237,13 @@ mod tests {
         assert_eq!(tree_group_sizes(30), vec![6, 6, 6, 6, 6]);
         assert_eq!(tree_group_sizes(16), vec![4, 4, 4, 4]);
         assert_eq!(tree_group_sizes(11), vec![3, 3, 3, 2]);
+        // N = 12: m = 4, first 3 groups of 4, remainder 0 -> dropped.
+        assert_eq!(tree_group_sizes(12), vec![4, 4, 4]);
+        // Tiny cases.
+        assert_eq!(tree_group_sizes(1), vec![1]);
+        assert_eq!(tree_group_sizes(2), vec![2]);
+        assert_eq!(tree_group_sizes(3), vec![3]);
+        assert_eq!(tree_group_sizes(4), vec![2, 2]);
         for n in 1..200 {
             assert_eq!(tree_group_sizes(n).iter().sum::<usize>(), n);
         }

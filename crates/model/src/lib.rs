@@ -40,7 +40,7 @@ pub use calibrate::{derive, DerivedCosts, PaperLandmarks};
 pub use equations::{
     chunked_group_sizes, optimal_tree_group, t_dissemination, t_gls, t_gss, t_gts, t_gts3,
     t_gts_grouped, t_sense, total_explicit, total_explicit_uniform, total_gpu, total_gpu_uniform,
-    total_implicit, total_implicit_uniform, tree_group_sizes,
+    total_implicit, total_implicit_uniform, tree3_group_sizes, tree_group_sizes,
 };
 pub use fit::{fit_line, LinearFit};
 pub use predict::{barrier_cost_ns, simple_vs_implicit_crossover, BarrierKind, PredictMethod};

@@ -37,9 +37,6 @@ pub struct SimConfig {
     pub collector_parallel: bool,
     /// Number of memory partitions (GTX 280: 8).
     pub num_partitions: usize,
-    /// Override the tree barrier's shape with a fixed per-level fan-out
-    /// (`None` = the paper's Eq. 8 / cube-root shapes).
-    pub tree_fanout: Option<usize>,
     /// Record a per-block timeline (compute start / barrier arrive /
     /// release) in [`SimReport::trace`]. Off by default: a 10,000-round
     /// trace is large.
@@ -71,7 +68,6 @@ impl SimConfig {
             method,
             collector_parallel: true,
             num_partitions: 8,
-            tree_fanout: None,
             trace: false,
             cas_polling: false,
             parking: false,
@@ -104,12 +100,6 @@ impl SimConfig {
         self
     }
 
-    /// Override the tree barrier's per-level fan-out (ablation).
-    pub fn with_tree_fanout(mut self, fanout: usize) -> Self {
-        self.tree_fanout = Some(fanout);
-        self
-    }
-
     /// Enable timeline tracing (see [`SimReport::trace`]).
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
@@ -131,9 +121,11 @@ impl SimConfig {
         // CPU-side methods relaunch per round and never pin blocks to SMs,
         // so they get the waived ceiling unconditionally.
         let ceiling_waived = !self.method.is_gpu_side() || self.parking;
+        // Saturate, never wrap: a count past `u32::MAX` is past every
+        // device limit too.
         self.spec.validate_persistent_launch_with_parking(
-            self.n_blocks as u32,
-            self.threads_per_block as u32,
+            u32::try_from(self.n_blocks).unwrap_or(u32::MAX),
+            u32::try_from(self.threads_per_block).unwrap_or(u32::MAX),
             ceiling_waived,
         )
     }
@@ -258,9 +250,10 @@ pub fn try_simulate(cfg: &SimConfig, workload: &dyn Workload) -> Result<SimRepor
     if cfg.n_blocks == 0 || cfg.threads_per_block == 0 {
         return Err(SimError::Invalid(DeviceError::EmptyLaunch));
     }
-    if cfg.threads_per_block as u32 > cfg.spec.max_threads_per_block {
+    let threads = u32::try_from(cfg.threads_per_block).unwrap_or(u32::MAX);
+    if threads > cfg.spec.max_threads_per_block {
         return Err(SimError::Invalid(DeviceError::TooManyThreads {
-            requested: cfg.threads_per_block as u32,
+            requested: threads,
             max: cfg.spec.max_threads_per_block,
         }));
     }
@@ -362,12 +355,7 @@ impl<'a> Engine<'a> {
             cfg,
             workload,
             mem,
-            builder: ProgramBuilder::with_options(
-                cfg.method,
-                cfg.n_blocks,
-                cfg.collector_parallel,
-                cfg.tree_fanout,
-            ),
+            builder: ProgramBuilder::new(cfg.method, cfg.n_blocks, cfg.collector_parallel),
             queue: BinaryHeap::new(),
             seq: 0,
             blocks: (0..cfg.n_blocks).map(|_| Block::default()).collect(),
@@ -747,17 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_tree_fanout_simulates() {
-        let w = ConstWorkload::from_micros(0.5, 30);
-        for f in [2usize, 4, 8, 16] {
-            let cfg =
-                SimConfig::new(30, 256, SyncMethod::GpuTree(TreeLevels::Two)).with_tree_fanout(f);
-            let r = simulate(&cfg, &w);
-            assert!(r.sync_time().as_nanos() > 0, "fanout {f}");
-        }
-    }
-
-    #[test]
     fn custom_group_tree_simulates() {
         let w = ConstWorkload::from_micros(0.5, 30);
         for g in [2usize, 5, 6, 30] {
@@ -886,6 +863,28 @@ mod tests {
     #[should_panic(expected = "invalid simulation config")]
     fn too_many_blocks_panics() {
         let _ = run(SyncMethod::GpuSimple, 31, 1);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn counts_past_u32_are_rejected_not_wrapped() {
+        // 2^32 + 8 used to validate as 8 blocks / 8 threads.
+        let big = (1usize << 32) + 8;
+        let blocks = SimConfig::new(big, 256, SyncMethod::GpuSimple);
+        assert!(matches!(
+            blocks.validate(),
+            Err(DeviceError::TooManyBlocks { max: 30, .. })
+        ));
+        let threads = SimConfig::new(8, big, SyncMethod::GpuSimple);
+        assert!(matches!(
+            threads.validate(),
+            Err(DeviceError::TooManyThreads { max: 512, .. })
+        ));
+        let w = ConstWorkload::from_micros(0.5, 1);
+        assert!(matches!(
+            try_simulate(&threads, &w),
+            Err(SimError::Invalid(DeviceError::TooManyThreads { .. }))
+        ));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! the partitioned memory model; barrier completion is a consequence of the
 //! values the protocol actually writes and reads.
 
-use blocksync_core::tree::{chunk_sizes, sqrt_group_sizes};
-use blocksync_core::{SyncMethod, TreeLevels};
+use blocksync_core::{SyncMethod, TreeShape};
 
 use crate::memory::Addr;
 
@@ -95,47 +94,33 @@ pub enum Op {
     },
 }
 
-/// Static shape of the tree barrier: which group each participant belongs
-/// to at each level, and each group's counter address.
+/// The tree barrier as the simulator sees it: the host runtime's
+/// [`TreeShape`] plus a counter address per group, assigned levels
+/// leaf-first from [`TREE_BASE`], root last.
 #[derive(Debug, Clone)]
-struct TreeShape {
-    /// Per level: (group-of-participant, is-leader, group sizes, counter
-    /// address per group).
-    levels: Vec<LevelShape>,
+struct TreeProgram {
+    shape: TreeShape,
+    /// `counters[l][g]`: address of group `g`'s counter at level `l`.
+    counters: Vec<Vec<Addr>>,
     root: Addr,
-    root_width: u64,
 }
 
-#[derive(Debug, Clone)]
-struct LevelShape {
-    group_of: Vec<usize>,
-    leader: Vec<bool>,
-    sizes: Vec<usize>,
-    counters: Vec<Addr>,
-}
-
-impl LevelShape {
-    fn new(sizes: Vec<usize>, next_addr: &mut u64) -> Self {
-        let mut group_of = Vec::new();
-        let mut leader = Vec::new();
-        for (g, &sz) in sizes.iter().enumerate() {
-            for i in 0..sz {
-                group_of.push(g);
-                leader.push(i == 0);
-            }
-        }
-        let counters = (0..sizes.len())
-            .map(|_| {
-                let a = Addr(*next_addr);
-                *next_addr += 1;
-                a
+impl TreeProgram {
+    fn new(shape: TreeShape) -> Self {
+        let mut next_addr = TREE_BASE;
+        let counters = shape
+            .levels
+            .iter()
+            .map(|level| {
+                let first = next_addr;
+                next_addr += level.sizes.len() as u64;
+                (first..next_addr).map(Addr).collect()
             })
             .collect();
-        LevelShape {
-            group_of,
-            leader,
-            sizes,
+        TreeProgram {
+            shape,
             counters,
+            root: Addr(next_addr),
         }
     }
 }
@@ -146,7 +131,7 @@ pub struct ProgramBuilder {
     method: SyncMethod,
     n_blocks: usize,
     collector_parallel: bool,
-    tree: Option<TreeShape>,
+    tree: Option<TreeProgram>,
     collector: usize,
 }
 
@@ -159,26 +144,13 @@ impl ProgramBuilder {
     /// Panics if `n_blocks == 0` or `method` has no device-side barrier
     /// (CPU methods and `NoSync` are handled analytically, not by programs).
     pub fn new(method: SyncMethod, n_blocks: usize, collector_parallel: bool) -> Self {
-        Self::with_options(method, n_blocks, collector_parallel, None)
-    }
-
-    /// Like [`ProgramBuilder::new`], additionally overriding the tree
-    /// barrier's shape with a fixed per-level `fanout` (the
-    /// `ablation_fanout` variant; ignored for non-tree methods).
-    pub fn with_options(
-        method: SyncMethod,
-        n_blocks: usize,
-        collector_parallel: bool,
-        tree_fanout: Option<usize>,
-    ) -> Self {
         assert!(n_blocks > 0, "need at least one block");
         assert!(
             method.is_gpu_side(),
             "{method} has no device-side barrier program"
         );
-        let tree = match (method, tree_fanout) {
-            (SyncMethod::GpuTree(_), Some(f)) => Some(Self::tree_shape_fanout(n_blocks, f)),
-            (SyncMethod::GpuTree(levels), None) => Some(Self::tree_shape(n_blocks, levels)),
+        let tree = match method {
+            SyncMethod::GpuTree(levels) => Some(TreeProgram::new(TreeShape::new(n_blocks, levels))),
             _ => None,
         };
         ProgramBuilder {
@@ -187,59 +159,6 @@ impl ProgramBuilder {
             collector_parallel,
             tree,
             collector: if n_blocks > 1 { 1 } else { 0 },
-        }
-    }
-
-    fn tree_shape(n: usize, depth: TreeLevels) -> TreeShape {
-        let mut next_addr = TREE_BASE;
-        let mut levels = Vec::new();
-        let root_width;
-        match depth {
-            TreeLevels::Two => {
-                let sizes = sqrt_group_sizes(n);
-                root_width = sizes.len() as u64;
-                levels.push(LevelShape::new(sizes, &mut next_addr));
-            }
-            TreeLevels::Custom(group) => {
-                // Same shape as the host runtime's tuned tree: one
-                // grouping level with an explicit group size, then a root.
-                let sizes = chunk_sizes(n, group.clamp(1, n));
-                root_width = sizes.len() as u64;
-                levels.push(LevelShape::new(sizes, &mut next_addr));
-            }
-            TreeLevels::Three => {
-                let fanout = (n as f64).cbrt().ceil().max(1.0) as usize;
-                let l1 = chunk_sizes(n, fanout);
-                let l1_groups = l1.len();
-                levels.push(LevelShape::new(l1, &mut next_addr));
-                let l2 = chunk_sizes(l1_groups, fanout);
-                root_width = l2.len() as u64;
-                levels.push(LevelShape::new(l2, &mut next_addr));
-            }
-        }
-        let root = Addr(next_addr);
-        TreeShape {
-            levels,
-            root,
-            root_width,
-        }
-    }
-
-    fn tree_shape_fanout(n: usize, fanout: usize) -> TreeShape {
-        assert!(fanout >= 2, "fan-out must be at least 2");
-        let mut next_addr = TREE_BASE;
-        let mut levels = Vec::new();
-        let mut width = n;
-        while width > fanout {
-            let sizes = chunk_sizes(width, fanout);
-            width = sizes.len();
-            levels.push(LevelShape::new(sizes, &mut next_addr));
-        }
-        let root = Addr(next_addr);
-        TreeShape {
-            levels,
-            root,
-            root_width: width as u64,
         }
     }
 
@@ -267,21 +186,21 @@ impl ProgramBuilder {
                 });
             }
             SyncMethod::GpuTree(_) => {
-                let shape = self.tree.as_ref().expect("tree shape built in new()");
+                let tree = self.tree.as_ref().expect("tree shape built in new()");
                 let mut participant = bid;
                 let mut ascending = true;
-                for level in &shape.levels {
+                for (level, counters) in tree.shape.levels.iter().zip(&tree.counters) {
                     if !ascending {
                         break;
                     }
                     let g = level.group_of[participant];
                     out.push(Op::AtomicAdd {
-                        addr: level.counters[g],
+                        addr: counters[g],
                         delta: 1,
                     });
                     if level.leader[participant] {
                         out.push(Op::WaitGe {
-                            addr: level.counters[g],
+                            addr: counters[g],
                             goal: goal_round * level.sizes[g] as u64,
                         });
                         participant = g;
@@ -291,13 +210,13 @@ impl ProgramBuilder {
                 }
                 if ascending {
                     out.push(Op::AtomicAdd {
-                        addr: shape.root,
+                        addr: tree.root,
                         delta: 1,
                     });
                 }
                 out.push(Op::WaitGe {
-                    addr: shape.root,
-                    goal: goal_round * shape.root_width,
+                    addr: tree.root,
+                    goal: goal_round * tree.shape.root_width as u64,
                 });
             }
             SyncMethod::GpuLockFree => {
@@ -384,6 +303,7 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blocksync_core::TreeLevels;
 
     fn prog(method: SyncMethod, n: usize, bid: usize, round: usize) -> Vec<Op> {
         let b = ProgramBuilder::new(method, n, true);
@@ -572,27 +492,6 @@ mod tests {
         // Single block: no hops at all.
         let p = prog(SyncMethod::Dissemination, 1, 0, 5);
         assert!(p.is_empty());
-    }
-
-    #[test]
-    fn custom_fanout_tree_program() {
-        let b =
-            ProgramBuilder::with_options(SyncMethod::GpuTree(TreeLevels::Two), 30, true, Some(2));
-        let mut v = Vec::new();
-        // Block 0 leads every level of a binary tree: 30->15->8->4->2(root).
-        b.build(0, 0, &mut v);
-        let adds = v
-            .iter()
-            .filter(|o| matches!(o, Op::AtomicAdd { .. }))
-            .count();
-        assert_eq!(adds, 5);
-        // Block 29 is a leaf-only member.
-        b.build(29, 0, &mut v);
-        let adds = v
-            .iter()
-            .filter(|o| matches!(o, Op::AtomicAdd { .. }))
-            .count();
-        assert_eq!(adds, 1);
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn faults_at_oversubscription_still_produce_stuck_diagnostics() {
         .min(8);
     let n = 2 * cores;
     let policy = SyncPolicy::with_timeout(Duration::from_millis(200));
-    let shared = Arc::new(GpuLockFreeSync::with_policy(n, policy));
+    let shared: Arc<dyn BarrierShared> = Arc::new(GpuLockFreeSync::with_policy(n, policy));
     // Every block but the last arrives; the wait must time out with a
     // diagnostic naming the straggler.
     let fault = std::thread::scope(|s| {

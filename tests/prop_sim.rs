@@ -1,6 +1,6 @@
 //! Property-based tests of the simulator and the analytic model.
 
-use blocksync::core::{SyncMethod, TreeLevels};
+use blocksync::core::{SyncMethod, TreeLevels, TreeShape};
 use blocksync::device::SimDuration;
 use blocksync::model;
 use blocksync::sim::{simulate, ClosureWorkload, ConstWorkload, SimConfig};
@@ -153,6 +153,33 @@ proptest! {
         // Group count is ceil(sqrt(n)) or one less (empty last group dropped).
         let m = (n as f64).sqrt().ceil() as usize;
         prop_assert!(sizes.len() == m || sizes.len() + 1 == m);
+    }
+
+    /// Every level of every tree shape partitions its participants with
+    /// exactly one leader per group, the root takes the last level's
+    /// groups, and Eq. 7 prices the shape the 2-level barrier runs.
+    #[test]
+    fn tree_shape_partitions_every_level(n in 1usize..512, g in 0usize..600) {
+        for depth in [TreeLevels::Two, TreeLevels::Three, TreeLevels::Custom(g)] {
+            let shape = TreeShape::new(n, depth);
+            prop_assert_eq!(shape.levels.len() + 1, depth.depth());
+            let mut participants = n;
+            for level in &shape.levels {
+                prop_assert_eq!(level.group_of.len(), participants);
+                prop_assert_eq!(level.leader.len(), participants);
+                prop_assert_eq!(level.sizes.iter().sum::<usize>(), participants);
+                for (group, &size) in level.sizes.iter().enumerate() {
+                    let members = (0..participants).filter(|&p| level.group_of[p] == group);
+                    prop_assert_eq!(members.clone().count(), size);
+                    prop_assert_eq!(members.filter(|&p| level.leader[p]).count(), 1);
+                }
+                participants = level.sizes.len();
+            }
+            prop_assert_eq!(shape.root_width, participants);
+        }
+        let two = TreeShape::new(n, TreeLevels::Two);
+        let n_hat = two.levels[0].sizes.iter().max().expect("a level has a group");
+        prop_assert_eq!(model::t_gts(n, 1.0, 0.0, 0.0), (n_hat + two.root_width) as f64);
     }
 
     /// Eq. 2 is bounded by 1/rho and reaches 1 at S_S = 1.
