@@ -1,9 +1,13 @@
 //! Bitonic sort as a grid kernel: one round per network step.
 //!
-//! Each round applies one compare-exchange step; the `n/2` active pairs are
-//! partitioned across blocks. A pair `(i, i^j)` is touched by exactly one
-//! block (the one owning the pair index), so rounds are race-free under a
-//! correct grid barrier. This is the kernel the paper contrasts with the
+//! Each round applies one compare-exchange step `(k, j)`; its `n/2` pairs
+//! are partitioned across blocks. Pair `p` is `(i, i | j)` where `i` is `p`
+//! with a zero bit inserted at `j`'s position, so a block walks exactly the
+//! pairs it owns — no index is visited only to be skipped — and every pair
+//! is touched by exactly one block: rounds are race-free under a correct
+//! grid barrier. The exchange is a `min`/`max` select stored to both
+//! slots, because whether random keys are out of order is a coin flip a
+//! branch predictor loses. This is the kernel the paper contrasts with the
 //! CUDA SDK's single-block bitonic sort: the grid barrier lets the network
 //! span all 30 SMs and therefore sort far more than 512 keys.
 
@@ -56,20 +60,18 @@ impl RoundKernel for GridBitonic {
 
     fn round(&self, ctx: &BlockCtx, round: usize) {
         let NetworkStep { k, j } = self.schedule[round];
-        // Pair p (0..n/2) maps to the p-th index i with i & j == 0... more
-        // directly: iterate indices in this block's chunk and act on those
-        // that are pair leaders (partner above them).
-        for i in ctx.chunk(self.n) {
-            let partner = i ^ j;
-            if partner > i {
-                let ascending = (i & k) == 0;
-                let a = self.data.get(i);
-                let b = self.data.get(partner);
-                if (a > b) == ascending {
-                    self.data.set(i, b);
-                    self.data.set(partner, a);
-                }
-            }
+        for p in ctx.chunk(self.n / 2) {
+            let low = p & (j - 1);
+            let i = ((p - low) << 1) | low;
+            let partner = i | j;
+            let (a, b) = (self.data.get(i), self.data.get(partner));
+            let (first, second) = if i & k == 0 {
+                (a.min(b), a.max(b))
+            } else {
+                (a.max(b), a.min(b))
+            };
+            self.data.set(i, first);
+            self.data.set(partner, second);
         }
     }
 }
@@ -117,9 +119,8 @@ mod tests {
 
     #[test]
     fn chunk_boundaries_do_not_break_pairs() {
-        // 3 blocks over 16 elements puts pair partners in different chunks
-        // for large j; the partner-above-owner rule must still visit every
-        // pair exactly once.
+        // Block counts that do not divide the 8 pairs of 16 keys: the
+        // pair-index partition must still visit every pair exactly once.
         let keys = random_keys(16, 52);
         let expected = expect_sorted(&keys);
         for n_blocks in 1..=8 {

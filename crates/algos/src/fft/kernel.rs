@@ -10,11 +10,17 @@
 //!    a correct grid barrier;
 //! 3. (inverse only) one final normalization round.
 //!
+//! Butterfly `t` of the stage with span `2^s` is the pair `(i, i + 2^s)`
+//! with `k = t mod 2^s` and `i = 2(t - k) + k` (a mask and a shift), and
+//! its twiddle `e^(±iπk/2^s)` is entry `k · (n/2 >> s)` of one table of the
+//! `n/2` roots `e^(±2πik/n)`, computed once at construction in `f64` — a
+//! launch evaluates no `sin` or `cos`.
+//!
 //! This is precisely the structure whose barrier the paper replaces: with
 //! CPU synchronization every stage is a separate kernel launch; with GPU
 //! synchronization the whole transform is one persistent kernel.
 
-use blocksync_core::{BlockCtx, GlobalBuffer, RoundKernel};
+use blocksync_core::{BlockCtx, GlobalBuffer, RoundKernel, Window};
 
 use super::reference::bit_reverse;
 use crate::complex::Complex32;
@@ -34,6 +40,8 @@ pub struct GridFft {
     input_im: GlobalBuffer<f32>,
     work_re: GlobalBuffer<f32>,
     work_im: GlobalBuffer<f32>,
+    /// `e^(±2πik/n)` for `k < n/2` (constant, so plain host memory).
+    twiddles: Vec<Complex32>,
     n: usize,
     log_n: u32,
     direction: Direction,
@@ -53,11 +61,22 @@ impl GridFft {
         );
         let re: Vec<f32> = input.iter().map(|z| z.re).collect();
         let im: Vec<f32> = input.iter().map(|z| z.im).collect();
+        let step = match direction {
+            Direction::Forward => -std::f64::consts::TAU,
+            Direction::Inverse => std::f64::consts::TAU,
+        } / n as f64;
+        let twiddles = (0..n / 2)
+            .map(|k| {
+                let (sin, cos) = (step * k as f64).sin_cos();
+                Complex32::new(cos as f32, sin as f32)
+            })
+            .collect();
         GridFft {
             input_re: GlobalBuffer::from_slice(&re),
             input_im: GlobalBuffer::from_slice(&im),
             work_re: GlobalBuffer::new(n),
             work_im: GlobalBuffer::new(n),
+            twiddles,
             n,
             log_n: n.trailing_zeros(),
             direction,
@@ -83,15 +102,13 @@ impl GridFft {
             .collect()
     }
 
+    /// `len` elements of the working buffer from `start`: (re, im).
     #[inline]
-    fn load(&self, i: usize) -> Complex32 {
-        Complex32::new(self.work_re.get(i), self.work_im.get(i))
-    }
-
-    #[inline]
-    fn store(&self, i: usize, z: Complex32) {
-        self.work_re.set(i, z.re);
-        self.work_im.set(i, z.im);
+    fn work(&self, start: usize, len: usize) -> (Window<'_, f32>, Window<'_, f32>) {
+        (
+            self.work_re.window(start, len),
+            self.work_im.window(start, len),
+        )
     }
 }
 
@@ -105,38 +122,52 @@ impl RoundKernel for GridFft {
         let n = self.n;
         if round == 0 {
             // Bit-reversal gather into the working buffer.
-            for i in ctx.chunk(n) {
-                let src = bit_reverse(i, self.log_n);
-                self.work_re.set(i, self.input_re.get(src));
-                self.work_im.set(i, self.input_im.get(src));
+            let chunk = ctx.chunk(n);
+            let (re, im) = self.work(chunk.start, chunk.len());
+            for k in 0..chunk.len() {
+                let src = bit_reverse(chunk.start + k, self.log_n);
+                re.set(k, self.input_re.get(src));
+                im.set(k, self.input_im.get(src));
             }
             return;
         }
         let stage = round - 1;
         if stage == self.log_n as usize {
             // Inverse-transform normalization round.
-            let k = 1.0 / n as f32;
-            for i in ctx.chunk(n) {
-                self.store(i, self.load(i).scale(k));
+            let scale = 1.0 / n as f32;
+            let chunk = ctx.chunk(n);
+            let (re, im) = self.work(chunk.start, chunk.len());
+            for k in 0..chunk.len() {
+                re.set(k, re.get(k) * scale);
+                im.set(k, im.get(k) * scale);
             }
             return;
         }
         let span = 1usize << stage;
-        let sign = match self.direction {
-            Direction::Forward => -1.0f32,
-            Direction::Inverse => 1.0f32,
-        };
-        let theta_base = sign * std::f32::consts::PI / span as f32;
-        for t in ctx.chunk(n / 2) {
-            let group = t / span;
-            let k = t % span;
-            let i = group * span * 2 + k;
-            let j = i + span;
-            let w = Complex32::cis(theta_base * k as f32);
-            let a = self.load(i);
-            let b = self.load(j) * w;
-            self.store(i, a + b);
-            self.store(j, a - b);
+        let stride = (n / 2) >> stage;
+        // The chunk's butterflies, one run of consecutive `k` at a time:
+        // within a run the two legs and the twiddles each advance by a
+        // fixed step.
+        let chunk = ctx.chunk(n / 2);
+        let mut t = chunk.start;
+        while t < chunk.end {
+            let k0 = t & (span - 1);
+            let run = (span - k0).min(chunk.end - t);
+            let i0 = ((t - k0) << 1) | k0;
+            let (lo_re, lo_im) = self.work(i0, run);
+            let (hi_re, hi_im) = self.work(i0 + span, run);
+            let twiddles = &self.twiddles[k0 * stride..];
+            for m in 0..run {
+                let w = twiddles[m * stride];
+                let a = Complex32::new(lo_re.get(m), lo_im.get(m));
+                let b = Complex32::new(hi_re.get(m), hi_im.get(m)) * w;
+                let (sum, diff) = (a + b, a - b);
+                lo_re.set(m, sum.re);
+                lo_im.set(m, sum.im);
+                hi_re.set(m, diff.re);
+                hi_im.set(m, diff.im);
+            }
+            t += run;
         }
     }
 }
@@ -197,6 +228,31 @@ mod tests {
         let spectrum = run_grid_fft(&input, Direction::Forward, 4, SyncMethod::GpuLockFree);
         let back = run_grid_fft(&spectrum, Direction::Inverse, 4, SyncMethod::GpuLockFree);
         assert!(max_error(&back, &input) < 1e-4);
+    }
+
+    #[test]
+    fn smallest_lengths_match_naive_dft_and_round_trip() {
+        // n = 1 has no stage and an empty twiddle table, n = 2 a single
+        // stage and a single twiddle.
+        for n in [1usize, 2, 4, 8] {
+            let input = complex_signal(n, 17);
+            for n_blocks in [1, 3] {
+                let spectrum = run_grid_fft(
+                    &input,
+                    Direction::Forward,
+                    n_blocks,
+                    SyncMethod::GpuLockFree,
+                );
+                assert!(max_error(&spectrum, &dft_naive(&input)) < 1e-5, "n={n}");
+                let back = run_grid_fft(
+                    &spectrum,
+                    Direction::Inverse,
+                    n_blocks,
+                    SyncMethod::GpuLockFree,
+                );
+                assert!(max_error(&back, &input) < 1e-5, "n={n}");
+            }
+        }
     }
 
     #[test]

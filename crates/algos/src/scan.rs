@@ -1,15 +1,22 @@
 //! Grid-wide inclusive prefix sum (extension).
 //!
 //! Scan is the canonical "less-data-dependent algorithm" the paper's
-//! introduction motivates: every step is fully parallel, but steps are
-//! ordered — `log2(n)` rounds of the Hillis-Steele recurrence
-//! `x[i] += x[i - 2^k]`, each separated by a grid barrier. Without
-//! inter-block synchronization a scan over more data than one block
-//! handles requires a kernel relaunch per step; with a device-side barrier
-//! it is one persistent kernel.
+//! introduction motivates: the work is fully parallel, but a block cannot
+//! finish its part before it knows the total of everything before it.
+//! Without inter-block synchronization that is a kernel relaunch; with a
+//! device-side barrier it is one persistent kernel of two rounds
+//! (reduce-then-scan, about `2n` additions where the sequential scan does
+//! `n`):
 //!
-//! Double-buffered (ping-pong) so that reads of round `k` never race with
-//! writes of round `k` across blocks.
+//! 0. every block scans its own chunk of `data` in place, so the chunk's
+//!    last element is the chunk's total;
+//! 1. every block adds the totals of the chunks before its own — the last
+//!    element of each earlier non-empty chunk — to its chunk and writes the
+//!    result to `out`.
+//!
+//! Round 1 writes only `out`, so its reads of other blocks' totals in
+//! `data` race with nothing, and no block-sums array has to be sized for a
+//! block count the kernel does not know until launch.
 
 use blocksync_core::{BlockCtx, GlobalBuffer, RoundKernel};
 
@@ -24,11 +31,11 @@ pub fn inclusive_scan_reference(data: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Hillis-Steele inclusive scan as a round-structured grid kernel.
+/// Reduce-then-scan inclusive prefix sum as a two-round grid kernel, valid
+/// on any number of blocks (more blocks than elements leaves some idle).
 pub struct GridScan {
-    bufs: [GlobalBuffer<u64>; 2],
-    n: usize,
-    steps: usize,
+    data: GlobalBuffer<u64>,
+    out: GlobalBuffer<u64>,
 }
 
 impl GridScan {
@@ -39,24 +46,20 @@ impl GridScan {
     /// Panics on empty input.
     pub fn new(data: &[u64]) -> Self {
         assert!(!data.is_empty(), "scan input must be non-empty");
-        let n = data.len();
-        let steps = usize::BITS as usize - (n - 1).leading_zeros() as usize;
         GridScan {
-            bufs: [GlobalBuffer::from_slice(data), GlobalBuffer::new(n)],
-            n,
-            steps: steps.max(1),
+            data: GlobalBuffer::from_slice(data),
+            out: GlobalBuffer::new(data.len()),
         }
     }
 
     /// The inclusive prefix sums (after the kernel has run).
     pub fn output(&self) -> Vec<u64> {
-        // After `steps` ping-pong rounds the result is in bufs[steps % 2].
-        self.bufs[self.steps % 2].to_vec()
+        self.out.to_vec()
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.n
+        self.data.len()
     }
 
     /// Whether the scan is empty (never; construction requires data).
@@ -67,20 +70,30 @@ impl GridScan {
 
 impl RoundKernel for GridScan {
     fn rounds(&self) -> usize {
-        self.steps
+        2
     }
 
     fn round(&self, ctx: &BlockCtx, round: usize) {
-        let dist = 1usize << round;
-        let src = &self.bufs[round % 2];
-        let dst = &self.bufs[(round + 1) % 2];
-        for i in ctx.chunk(self.n) {
-            let v = if i >= dist {
-                src.get(i).wrapping_add(src.get(i - dist))
-            } else {
-                src.get(i)
-            };
-            dst.set(i, v);
+        let n = self.data.len();
+        let chunk = ctx.chunk(n);
+        let data = self.data.window(chunk.start, chunk.len());
+        if round == 0 {
+            let mut acc = 0u64;
+            for k in 0..chunk.len() {
+                acc = acc.wrapping_add(data.get(k));
+                data.set(k, acc);
+            }
+            return;
+        }
+        let offset = (0..ctx.block_id)
+            .map(|block_id| BlockCtx { block_id, ..*ctx }.chunk(n))
+            .filter(|earlier| !earlier.is_empty())
+            .fold(0u64, |sum, earlier| {
+                sum.wrapping_add(self.data.get(earlier.end - 1))
+            });
+        let out = self.out.window(chunk.start, chunk.len());
+        for k in 0..chunk.len() {
+            out.set(k, data.get(k).wrapping_add(offset));
         }
     }
 }
@@ -145,12 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn round_count_is_log2_ceil() {
-        assert_eq!(GridScan::new(&[1]).rounds(), 1);
-        assert_eq!(GridScan::new(&[1; 2]).rounds(), 1);
-        assert_eq!(GridScan::new(&[1; 3]).rounds(), 2);
-        assert_eq!(GridScan::new(&[1; 1024]).rounds(), 10);
-        assert_eq!(GridScan::new(&[1; 1025]).rounds(), 11);
+    fn round_count_is_two_at_any_length() {
+        for n in [1, 2, 3, 1024, 1025] {
+            assert_eq!(GridScan::new(&vec![1; n]).rounds(), 2, "n={n}");
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! dynamic programming generally; NW exercises the identical
 //! synchronization pattern with different numerics.
 
-use blocksync_core::{BlockCtx, GlobalBuffer, RoundKernel};
+use blocksync_core::{BlockCtx, RoundKernel};
 
-use super::diagonal_cells;
 use super::scoring::{GapPenalties, Scoring};
+use super::wavefront::Wavefront;
 
 /// Negative sentinel that cannot underflow when penalties are subtracted.
 const NEG: i32 = i32::MIN / 2;
@@ -44,17 +44,11 @@ pub fn needleman_wunsch(a: &[u8], b: &[u8], scoring: Scoring, gaps: GapPenalties
     h[la * w + lb]
 }
 
-/// Needleman-Wunsch as a wavefront grid kernel.
+/// Needleman-Wunsch as a wavefront grid kernel: [`super::GridSwat`]'s
+/// diagonal-major fill (`swat::wavefront`) with gap-penalty edges, no
+/// clamp at zero and no running maximum.
 pub struct GridNw {
-    a: GlobalBuffer<u8>,
-    b: GlobalBuffer<u8>,
-    h: GlobalBuffer<i32>,
-    e: GlobalBuffer<i32>,
-    f: GlobalBuffer<i32>,
-    la: usize,
-    lb: usize,
-    scoring: Scoring,
-    gaps: GapPenalties,
+    wave: Wavefront,
 }
 
 impl GridNw {
@@ -63,73 +57,32 @@ impl GridNw {
     /// # Panics
     /// Panics if either sequence is empty.
     pub fn new(a: &[u8], b: &[u8], scoring: Scoring, gaps: GapPenalties) -> Self {
-        assert!(
-            !a.is_empty() && !b.is_empty(),
-            "sequences must be non-empty"
-        );
-        let (la, lb) = (a.len(), b.len());
-        let w = lb + 1;
-        let h = GlobalBuffer::new((la + 1) * w);
-        let e = GlobalBuffer::new((la + 1) * w);
-        let f = GlobalBuffer::new((la + 1) * w);
-        h.fill(NEG);
-        e.fill(NEG);
-        f.fill(NEG);
         // Boundary conditions (filled once on the host, like a cudaMemcpy
-        // of the initialized matrix edges).
-        h.set(0, 0);
-        for j in 1..=lb {
-            let v = -(gaps.open as i64) - (j as i64 - 1) * gaps.extend as i64;
-            e.set(j, v as i32);
-            h.set(j, v as i32);
-        }
-        for i in 1..=la {
-            let v = -(gaps.open as i64) - (i as i64 - 1) * gaps.extend as i64;
-            f.set(i * w, v as i32);
-            h.set(i * w, v as i32);
-        }
+        // of the initialized matrix edges): a leading gap of length k.
+        let edge = |k: usize| match k {
+            0 => 0,
+            _ => (-(gaps.open as i64) - (k as i64 - 1) * gaps.extend as i64) as i32,
+        };
         GridNw {
-            a: GlobalBuffer::from_slice(a),
-            b: GlobalBuffer::from_slice(b),
-            h,
-            e,
-            f,
-            la,
-            lb,
-            scoring,
-            gaps,
+            wave: Wavefront::new(a, b, scoring, gaps, edge),
         }
     }
 
     /// The global alignment score (after the kernel has run).
     pub fn score(&self) -> i32 {
-        self.h.get(self.la * (self.lb + 1) + self.lb)
+        let (la, lb) = self.wave.shape();
+        self.wave.h_at(la, lb)
     }
 }
 
 impl RoundKernel for GridNw {
     fn rounds(&self) -> usize {
-        self.la + self.lb - 1
+        self.wave.num_diagonals()
     }
 
     fn round(&self, ctx: &BlockCtx, round: usize) {
-        let d = round + 2;
-        let (i0, count) = diagonal_cells(self.la, self.lb, d);
-        let w = self.lb + 1;
-        for k in ctx.chunk(count) {
-            let i = i0 + k;
-            let j = d - i;
-            let idx = i * w + j;
-            let e =
-                (self.h.get(idx - 1) - self.gaps.open).max(self.e.get(idx - 1) - self.gaps.extend);
-            let f =
-                (self.h.get(idx - w) - self.gaps.open).max(self.f.get(idx - w) - self.gaps.extend);
-            let diag =
-                self.h.get(idx - w - 1) + self.scoring.score(self.a.get(i - 1), self.b.get(j - 1));
-            self.e.set(idx, e);
-            self.f.set(idx, f);
-            self.h.set(idx, diag.max(e).max(f));
-        }
+        // Global alignment has no floor: H may go negative.
+        self.wave.fill(ctx, round, i32::MIN);
     }
 }
 

@@ -1,86 +1,55 @@
 //! Smith-Waterman as a wavefront grid kernel.
 //!
 //! One round per anti-diagonal: round `r` fills diagonal `d = r + 2`. The
-//! cells of a diagonal are partitioned across blocks; each cell reads only
-//! cells of diagonals `d-1` and `d-2` (filled in earlier rounds), so a
-//! correct grid barrier makes the fill race-free. Each block tracks its own
-//! running maximum in a per-block slot; the final score is the host-side
+//! cells of a diagonal are partitioned across blocks by row, one contiguous
+//! run each; every cell reads only cells of diagonals `d-1` and `d-2`
+//! (filled in earlier rounds), so a correct grid barrier makes the fill
+//! race-free. The matrix is stored diagonal-major, as in the paper's CUDA
+//! kernel (Section 6.2), so a block's run and the three runs of neighbours
+//! it reads are contiguous: `swat::wavefront` has the layout and the
+//! cell loop, which Needleman-Wunsch ([`super::GridNw`]) shares.
+//!
+//! Each block keeps its running maximum in a per-block slot and stores to
+//! it only in a round that improved it; the final score is the host-side
 //! reduction of those slots — the same structure as the paper's CUDA
 //! implementation, which keeps the trace-back on the host.
 
 use blocksync_core::{BlockCtx, GlobalBuffer, RoundKernel};
 
+use super::reference::SwScore;
 use super::scoring::{GapPenalties, Scoring};
-use super::{diagonal_cells, reference::SwScore};
-
-/// Negative "minus infinity" that cannot underflow when penalties are
-/// subtracted.
-const NEG: i32 = i32::MIN / 2;
+use super::wavefront::Wavefront;
 
 /// The wavefront Smith-Waterman grid kernel.
 pub struct GridSwat {
-    a: GlobalBuffer<u8>,
-    b: GlobalBuffer<u8>,
-    h: GlobalBuffer<i32>,
-    e: GlobalBuffer<i32>,
-    f: GlobalBuffer<i32>,
+    wave: Wavefront,
     /// Per-block running maximum, packed as `(score << 32) | (!pos)` so
     /// that the numeric maximum is the best score with the *earliest*
     /// position — the same tie-break as the row-major reference scan.
     block_best: GlobalBuffer<i64>,
-    la: usize,
-    lb: usize,
-    scoring: Scoring,
-    gaps: GapPenalties,
 }
 
 impl GridSwat {
-    /// Prepare an alignment of `a` vs `b`.
+    /// Prepare an alignment of `a` vs `b`, to be launched on a grid of
+    /// exactly `n_blocks` blocks.
     ///
     /// # Panics
     /// Panics if either sequence is empty (a zero-length alignment has no
     /// wavefront).
     pub fn new(a: &[u8], b: &[u8], scoring: Scoring, gaps: GapPenalties, n_blocks: usize) -> Self {
-        assert!(
-            !a.is_empty() && !b.is_empty(),
-            "sequences must be non-empty"
-        );
-        let (la, lb) = (a.len(), b.len());
-        let w = lb + 1;
-        let h = GlobalBuffer::new((la + 1) * w);
-        let e = GlobalBuffer::new((la + 1) * w);
-        let f = GlobalBuffer::new((la + 1) * w);
-        // Initialize E/F to -inf everywhere (row/col 0 of H stays 0).
-        e.fill(NEG);
-        f.fill(NEG);
         GridSwat {
-            a: GlobalBuffer::from_slice(a),
-            b: GlobalBuffer::from_slice(b),
-            h,
-            e,
-            f,
+            // Local alignment: row 0 and column 0 of H are 0.
+            wave: Wavefront::new(a, b, scoring, gaps, |_| 0),
             block_best: GlobalBuffer::new(n_blocks),
-            la,
-            lb,
-            scoring,
-            gaps,
         }
-    }
-
-    #[inline]
-    fn w(&self) -> usize {
-        self.lb + 1
     }
 
     /// Best score and its (1-based) end cell after the kernel has run.
     pub fn result(&self) -> SwScore {
-        let mut best: i64 = 0;
-        for k in 0..self.block_best.len() {
-            best = best.max(self.block_best.get(k));
-        }
+        let best = self.block_best.to_vec().into_iter().fold(0, i64::max);
         let score = (best >> 32) as i32;
         let pos = (!(best as u32)) as usize;
-        let w = self.w();
+        let w = self.wave.shape().1 + 1;
         SwScore {
             score,
             end: if score > 0 {
@@ -93,12 +62,15 @@ impl GridSwat {
 
     /// Read the filled H matrix (row-major, `(la+1) x (lb+1)`), for tests.
     pub fn h_matrix(&self) -> Vec<i32> {
-        self.h.to_vec()
+        let (la, lb) = self.wave.shape();
+        (0..=la)
+            .flat_map(|i| (0..=lb).map(move |j| self.wave.h_at(i, j)))
+            .collect()
     }
 
     /// Number of anti-diagonal rounds.
     pub fn num_diagonals(&self) -> usize {
-        self.la + self.lb - 1
+        self.wave.num_diagonals()
     }
 }
 
@@ -108,31 +80,18 @@ impl RoundKernel for GridSwat {
     }
 
     fn round(&self, ctx: &BlockCtx, round: usize) {
-        let d = round + 2;
-        let (i0, count) = diagonal_cells(self.la, self.lb, d);
-        let w = self.w();
-        let range = ctx.chunk(count);
-        let mut best = self.block_best.get(ctx.block_id);
-        for k in range {
-            let i = i0 + k;
-            let j = d - i;
-            let idx = i * w + j;
-            let e =
-                (self.h.get(idx - 1) - self.gaps.open).max(self.e.get(idx - 1) - self.gaps.extend);
-            let f =
-                (self.h.get(idx - w) - self.gaps.open).max(self.f.get(idx - w) - self.gaps.extend);
-            let diag =
-                self.h.get(idx - w - 1) + self.scoring.score(self.a.get(i - 1), self.b.get(j - 1));
-            let h = 0.max(diag).max(e).max(f);
-            self.e.set(idx, e);
-            self.f.set(idx, f);
-            self.h.set(idx, h);
-            let packed = ((h as i64) << 32) | i64::from(!(idx as u32));
-            if packed > best {
-                best = packed;
-            }
+        assert!(
+            ctx.n_blocks == self.block_best.len(),
+            "GridSwat launched on a grid of {} blocks but built for {}",
+            ctx.n_blocks,
+            self.block_best.len()
+        );
+        // Local alignment clamps H at 0.
+        let best = self.wave.fill(ctx, round, 0);
+        // Adjacent slots share a cache line: store only on improvement.
+        if best > self.block_best.get(ctx.block_id) {
+            self.block_best.set(ctx.block_id, best);
         }
-        self.block_best.set(ctx.block_id, best);
     }
 }
 
@@ -185,20 +144,9 @@ mod tests {
         assert_eq!(got.end, expected.end);
     }
 
-    #[test]
-    fn h_matrix_matches_reference_everywhere() {
-        // Full-matrix cross-check against an independent row-by-row fill.
-        let a = dna_sequence(40, 11);
-        let b = dna_sequence(30, 12);
-        let kernel = GridSwat::new(&a, &b, Scoring::dna(), GapPenalties::dna(), 3);
-        GridExecutor::new(
-            GridConfig::new(3, 32),
-            SyncMethod::GpuTree(blocksync_core::TreeLevels::Two),
-        )
-        .run(&kernel)
-        .unwrap();
-        let h = kernel.h_matrix();
-        // Reference fill.
+    /// Independent row-by-row fill of H (row-major).
+    fn h_reference(a: &[u8], b: &[u8]) -> Vec<i32> {
+        const NEG: i32 = i32::MIN / 2;
         let (s, g) = (Scoring::dna(), GapPenalties::dna());
         let w = b.len() + 1;
         let mut h_ref = vec![0i32; (a.len() + 1) * w];
@@ -213,7 +161,86 @@ mod tests {
                 h_ref[idx] = 0.max(diag).max(e_ref[idx]).max(f_ref[idx]);
             }
         }
-        assert_eq!(h, h_ref);
+        h_ref
+    }
+
+    #[test]
+    fn h_matrix_matches_reference_everywhere() {
+        // The diagonal-major store, re-assembled, against the row-major
+        // fill: single rows and columns, lb >> la, and square.
+        for (la, lb) in [(1, 1), (1, 40), (40, 1), (17, 301), (64, 64), (40, 30)] {
+            let a = dna_sequence(la, 11);
+            let b = dna_sequence(lb, 12);
+            for n_blocks in [1, 3] {
+                let kernel = GridSwat::new(&a, &b, Scoring::dna(), GapPenalties::dna(), n_blocks);
+                GridExecutor::new(
+                    GridConfig::new(n_blocks, 32),
+                    SyncMethod::GpuTree(blocksync_core::TreeLevels::Two),
+                )
+                .run(&kernel)
+                .unwrap();
+                let h = kernel.h_matrix();
+                assert_eq!(h, h_reference(&a, &b), "{la}x{lb} on {n_blocks}");
+                // The first row-major occurrence of the maximum.
+                let w = lb + 1;
+                let score = *h.iter().max().unwrap();
+                let first = h.iter().position(|&v| v == score).unwrap();
+                let end = if score > 0 {
+                    (first / w, first % w)
+                } else {
+                    (0, 0)
+                };
+                assert_eq!(kernel.result(), SwScore { score, end }, "{la}x{lb}");
+            }
+        }
+    }
+
+    #[test]
+    fn ties_resolve_to_the_first_row_major_cell() {
+        // Only G/G at (1, 5) and A/A at (5, 1) score: the same diagonal,
+        // the same value. The reference reports the first in row-major
+        // order, whichever block each falls to.
+        let (a, b) = (b"GTTTA", b"ACCCG");
+        let expected = smith_waterman(a, b, Scoring::dna(), GapPenalties::dna());
+        assert_eq!((expected.score, expected.end), (2, (1, 5)));
+        for n_blocks in 1..=4 {
+            assert_eq!(
+                run_grid(a, b, n_blocks, SyncMethod::GpuLockFree),
+                expected,
+                "{n_blocks}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_kernel_can_be_launched_again() {
+        let (a, b) = related_dna(50, 0.1, 4);
+        let kernel = GridSwat::new(&a, &b, Scoring::dna(), GapPenalties::dna(), 2);
+        let exec = GridExecutor::new(GridConfig::new(2, 32), SyncMethod::GpuLockFree);
+        exec.run(&kernel).unwrap();
+        let first = kernel.h_matrix();
+        exec.run(&kernel).unwrap();
+        assert_eq!(kernel.h_matrix(), first);
+        assert_eq!(first, h_reference(&a, &b));
+    }
+
+    #[test]
+    fn launching_on_another_grid_size_names_both() {
+        let kernel = GridSwat::new(
+            b"ACGTACGT",
+            b"ACGGACGT",
+            Scoring::dna(),
+            GapPenalties::dna(),
+            2,
+        );
+        let err = GridExecutor::new(GridConfig::new(3, 32), SyncMethod::GpuLockFree)
+            .run(&kernel)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("grid of 3 blocks but built for 2"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

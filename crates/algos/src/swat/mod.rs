@@ -11,7 +11,8 @@
 //!   BLOSUM62) and affine gap penalties (Section 6.2's open/extend scheme).
 //! * [`mod@reference`] — sequential affine-gap fill and trace-back oracle.
 //! * [`kernel`] — [`GridSwat`], the wavefront grid kernel (256
-//!   threads/block in the paper's runs).
+//!   threads/block in the paper's runs), over the diagonal-major fill of
+//!   `wavefront`, which [`global`]'s Needleman-Wunsch shares.
 //! * [`workload`] — simulator cost model with the triangular diagonal-length
 //!   profile (this is the paper's ~50%-sync application).
 
@@ -20,6 +21,7 @@ pub mod global;
 pub mod kernel;
 pub mod reference;
 pub mod scoring;
+mod wavefront;
 pub mod workload;
 
 pub use banded::GridSwatBanded;

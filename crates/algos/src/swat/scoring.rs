@@ -78,9 +78,23 @@ impl Scoring {
 /// BLOSUM62 residue order.
 const BLOSUM62_RESIDUES: &[u8; 24] = b"ARNDCQEGHILKMFPSTWYVBZX*";
 
+/// Row/column of every byte in [`BLOSUM62`]: a residue's position in
+/// [`BLOSUM62_RESIDUES`] in either case, `X`'s for anything else.
+const BLOSUM62_INDEX: [u8; 256] = {
+    let mut table = [22u8; 256]; // 'X'
+    let mut k = 0;
+    while k < BLOSUM62_RESIDUES.len() {
+        let r = BLOSUM62_RESIDUES[k];
+        table[r as usize] = k as u8;
+        table[r.to_ascii_lowercase() as usize] = k as u8;
+        k += 1;
+    }
+    table
+};
+
+#[inline]
 fn blosum62_index(residue: u8) -> usize {
-    let r = residue.to_ascii_uppercase();
-    BLOSUM62_RESIDUES.iter().position(|&c| c == r).unwrap_or(22) // 'X'
+    BLOSUM62_INDEX[residue as usize] as usize
 }
 
 /// The standard BLOSUM62 matrix in [`BLOSUM62_RESIDUES`] order.
@@ -157,6 +171,24 @@ mod tests {
             Scoring::Blosum62.score(b'?', b'A'),
             Scoring::Blosum62.score(b'X', b'A')
         );
+    }
+
+    #[test]
+    fn index_table_equals_the_linear_search_for_every_byte_pair() {
+        let search = |residue: u8| {
+            let r = residue.to_ascii_uppercase();
+            BLOSUM62_RESIDUES.iter().position(|&c| c == r).unwrap_or(22)
+        };
+        for a in 0..=u8::MAX {
+            assert_eq!(blosum62_index(a), search(a), "byte {a}");
+            for b in 0..=u8::MAX {
+                assert_eq!(
+                    Scoring::Blosum62.score(a, b),
+                    BLOSUM62[search(a)][search(b)] as i32,
+                    "bytes {a}/{b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -113,6 +113,46 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
             .map(|a| T::atom_load(a))
             .collect()
     }
+
+    /// The `len` elements from `start` as a contiguous view: the range is
+    /// checked here, once, so a round body can be a loop over the windows
+    /// of its chunk rather than one range-checked call per element.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds, like slicing.
+    #[inline]
+    pub fn window(&self, start: usize, len: usize) -> Window<'_, T> {
+        Window {
+            cells: &self.cells[start..start + len],
+        }
+    }
+}
+
+/// A contiguous view of a [`GlobalBuffer`] (see [`GlobalBuffer::window`]).
+/// It aliases the buffer — nothing is copied — and every access is still
+/// one relaxed atomic, indexed from the window's first element.
+pub struct Window<'a, T: DeviceScalar> {
+    cells: &'a [T::Atom],
+}
+
+impl<T: DeviceScalar> Window<'_, T> {
+    /// Read the window's element `k` (relaxed).
+    ///
+    /// # Panics
+    /// Panics if `k` is not below the window's length.
+    #[inline]
+    pub fn get(&self, k: usize) -> T {
+        T::atom_load(&self.cells[k])
+    }
+
+    /// Write the window's element `k` (relaxed).
+    ///
+    /// # Panics
+    /// Panics if `k` is not below the window's length.
+    #[inline]
+    pub fn set(&self, k: usize, v: T) {
+        T::atom_store(&self.cells[k], v)
+    }
 }
 
 /// A row-major 2-D view over a [`GlobalBuffer`] — the shape of the SWat
@@ -268,6 +308,33 @@ mod tests {
     fn out_of_bounds_get_panics() {
         let b: GlobalBuffer<u32> = GlobalBuffer::new(2);
         let _ = b.get(2);
+    }
+
+    #[test]
+    fn window_aliases_its_buffer() {
+        let b = GlobalBuffer::from_slice(&[10u16, 20, 30, 40, 50]);
+        let w = b.window(1, 3);
+        assert_eq!((w.get(0), w.get(2)), (20, 40));
+        w.set(1, 33);
+        assert_eq!(b.get(2), 33);
+        b.set(3, 44);
+        assert_eq!(w.get(2), 44);
+        let _empty = b.window(5, 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_range_window_panics() {
+        let b: GlobalBuffer<u32> = GlobalBuffer::new(4);
+        let _ = b.window(2, 3);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_window_get_panics() {
+        // In the buffer, past the window.
+        let b: GlobalBuffer<u32> = GlobalBuffer::new(4);
+        let _ = b.window(1, 2).get(2);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub use executor::{AbortSignal, BlockCtx, GridConfig, GridExecutor, RoundKernel}
 pub use fault::{
     stall_duration, Fault, FaultInjector, FaultKind, FaultPhase, FaultProfile, FaultSchedule,
 };
-pub use gmem::{GlobalBuffer, GlobalBuffer2d};
+pub use gmem::{GlobalBuffer, GlobalBuffer2d, Window};
 pub use implicit::CpuImplicitSync;
 pub use launch::LaunchPlan;
 pub use lockfree::GpuLockFreeSync;

@@ -39,6 +39,24 @@ fn scan_matches_reference_under_every_method() {
 }
 
 #[test]
+fn scan_is_exact_for_any_block_count_and_length() {
+    // Chunks of one element, empty chunks (more blocks than elements) and
+    // ragged ones; sums wrap.
+    let mut rng = SplitMix64::new(321);
+    for n in [1usize, 2, 3, 100, 257, 1023] {
+        let data: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+        let expected = inclusive_scan_reference(&data);
+        for n_blocks in [1, 2, 3, 7, n, n + 5] {
+            for method in METHODS {
+                let k = GridScan::new(&data);
+                execute(&k, n_blocks, method);
+                assert_eq!(k.output(), expected, "n={n} blocks={n_blocks} {method}");
+            }
+        }
+    }
+}
+
+#[test]
 fn fft2d_matches_row_column_reference() {
     let (rows, cols) = (16, 32);
     let input = complex_signal(rows * cols, 9);
