@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use blocksync_core::{BarrierShared, SyncMethod};
+use blocksync_core::{BarrierShared, SyncMethod, SyncPolicy};
 
 /// Drive `shared` through `rounds` barrier rounds on `n` threads; returns
 /// the wall time of the slowest thread.
@@ -38,21 +38,16 @@ fn bench_barriers(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
     for &n in &[2usize, 4] {
-        for method in SyncMethod::GPU_METHODS {
+        for method in SyncMethod::GPU_METHODS
+            .into_iter()
+            .chain(SyncMethod::EXTENSION_METHODS)
+        {
             let id = BenchmarkId::new(method.to_string(), n);
             group.bench_function(id, |bench| {
                 bench.iter_custom(|iters| {
-                    let shared = method.build_barrier(n).expect("gpu method");
-                    drive(shared, n, iters)
-                });
-            });
-        }
-        // The extension barriers (sense-reversing, dissemination).
-        for method in SyncMethod::EXTENSION_METHODS {
-            let id = BenchmarkId::new(method.to_string(), n);
-            group.bench_function(id, |bench| {
-                bench.iter_custom(|iters| {
-                    let shared = method.build_barrier(n).expect("gpu method");
+                    let shared = method
+                        .build_barrier_with(n, SyncPolicy::default())
+                        .expect("gpu method");
                     drive(shared, n, iters)
                 });
             });

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The CI `bench-smoke` job compares a fresh run against the checked-in
-//! `ci/bench_baseline.json` and fails on regression. Method keys are
+//! `ci/bench_baseline.json` and fails on drift. Method keys are
 //! namespaced by how the number was produced:
 //!
 //! * `model:` — closed-form Eq. 6–9 prediction on a fixed calibration
@@ -117,10 +117,17 @@ fn namespace(method: &str) -> Option<&str> {
     }
 }
 
+/// How far a guarded row may sit from its baseline, in percent, either
+/// way. Guarded rows are deterministic, so this only has to absorb the
+/// schema's 0.1 ns rounding; a simulated barrier that got *faster* is as
+/// much a behaviour change as one that got slower (releasing early is how
+/// a broken barrier gets fast).
+const MAX_DRIFT_PCT: f64 = 0.1;
+
 /// Compare a fresh run against a baseline. Returns one human-readable
 /// failure line per guarded baseline record that is either missing from
-/// the current run or slower than `baseline * (1 + max_regress_pct/100)`.
-/// Unguarded (`host:`) baseline rows are ignored, as are extra
+/// the current run or more than `MAX_DRIFT_PCT` (0.1 %) away from it, in either
+/// direction. Unguarded (`host:`) baseline rows are ignored, as are extra
 /// rows in the current run (adding benchmarks never fails the guard).
 ///
 /// Baseline rows from a `namespace` the current run emits nothing in are
@@ -128,11 +135,7 @@ fn namespace(method: &str) -> Option<&str> {
 /// `obs_overhead` (`model:obs/`) and `oversub` (`model:oversub/`) bins
 /// guard themselves independently against the one shared
 /// `ci/bench_baseline.json`.
-pub fn compare(
-    current: &[BenchRecord],
-    baseline: &[BenchRecord],
-    max_regress_pct: f64,
-) -> Vec<String> {
+pub fn compare(current: &[BenchRecord], baseline: &[BenchRecord]) -> Vec<String> {
     let namespaces: std::collections::HashSet<&str> = current
         .iter()
         .filter_map(|c| namespace(&c.method))
@@ -151,16 +154,12 @@ pub fn compare(
                 b.method, b.blocks
             )),
             Some(c) => {
-                let limit = b.ns_per_round * (1.0 + max_regress_pct / 100.0);
-                if c.ns_per_round > limit {
+                let drift_pct = (c.ns_per_round / b.ns_per_round - 1.0) * 100.0;
+                if drift_pct.abs() > MAX_DRIFT_PCT {
                     failures.push(format!(
                         "{} @ {} blocks: {:.1} ns/round vs baseline {:.1} ns/round \
-                         (+{:.1}%, allowed +{max_regress_pct:.0}%)",
-                        b.method,
-                        b.blocks,
-                        c.ns_per_round,
-                        b.ns_per_round,
-                        (c.ns_per_round / b.ns_per_round - 1.0) * 100.0,
+                         ({drift_pct:+.2}%, allowed \u{b1}{MAX_DRIFT_PCT}%)",
+                        b.method, b.blocks, c.ns_per_round, b.ns_per_round,
                     ));
                 }
             }
@@ -174,16 +173,12 @@ pub fn compare(
 ///
 /// # Errors
 /// Returns `Err` when the baseline cannot be read/parsed or any guarded
-/// record regressed — callers exit nonzero so CI fails the job.
-pub fn guard_against_baseline(
-    current: &[BenchRecord],
-    baseline_path: &str,
-    max_regress_pct: f64,
-) -> Result<(), String> {
+/// record drifted — callers exit nonzero so CI fails the job.
+fn guard_against_baseline(current: &[BenchRecord], baseline_path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
     let baseline = from_json(&text)?;
-    let failures = compare(current, &baseline, max_regress_pct);
+    let failures = compare(current, &baseline);
     if failures.is_empty() {
         let namespaces: std::collections::HashSet<&str> = current
             .iter()
@@ -196,15 +191,38 @@ pub fn guard_against_baseline(
             })
             .count();
         println!(
-            "baseline check: {guarded} guarded record(s) within +{max_regress_pct:.0}% of \
+            "baseline check: {guarded} guarded record(s) within \u{b1}{MAX_DRIFT_PCT}% of \
              {baseline_path}"
         );
         Ok(())
     } else {
         Err(format!(
-            "baseline regression vs {baseline_path}:\n  {}",
+            "baseline drift vs {baseline_path}:\n  {}",
             failures.join("\n  ")
         ))
+    }
+}
+
+/// The tail every baseline-emitting bin shares: write `records` to the
+/// `--json FILE` path (or `default_json` when the flag is absent), then
+/// hold them against `--baseline FILE` if one was given.
+///
+/// # Errors
+/// The file could not be written, the baseline could not be read, or a
+/// guarded record drifted.
+pub fn write_and_guard(
+    args: &[String],
+    records: &[BenchRecord],
+    default_json: Option<&str>,
+) -> Result<(), String> {
+    if let Some(path) = flag_value(args, "json").or(default_json.map(String::from)) {
+        std::fs::write(&path, to_json(records).pretty())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("wrote {} records to {path}", records.len());
+    }
+    match flag_value(args, "baseline") {
+        Some(baseline) => guard_against_baseline(records, &baseline),
+        None => Ok(()),
     }
 }
 
@@ -274,30 +292,38 @@ mod tests {
     }
 
     #[test]
-    fn compare_flags_only_guarded_regressions() {
+    fn compare_flags_guarded_drift_in_either_direction() {
         let baseline = sample();
         // Identical run: clean.
-        assert!(compare(&baseline, &baseline, 25.0).is_empty());
-        // Unguarded host row may blow up freely; guarded rows may drift
-        // within tolerance.
+        assert!(compare(&baseline, &baseline).is_empty());
+        // Unguarded host row may blow up freely; guarded rows may differ
+        // by the schema's rounding (7664.1 vs 7664.2 is 0.0013%).
         let mut current = sample();
-        current[0].ns_per_round *= 1.2; // +20% < 25%
+        current[0].ns_per_round += 0.1;
         current[2].ns_per_round *= 50.0;
-        assert!(compare(&current, &baseline, 25.0).is_empty());
-        // A guarded row past tolerance fails with a useful message.
-        current[1].ns_per_round *= 1.3;
-        let fails = compare(&current, &baseline, 25.0);
+        assert!(compare(&current, &baseline).is_empty());
+        // A guarded row that got slower fails with a useful message...
+        current[1].ns_per_round *= 1.002;
+        let fails = compare(&current, &baseline);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("model:cpu-implicit"), "{}", fails[0]);
+        assert!(fails[0].contains("+0.20%"), "{}", fails[0]);
+        // ...and so does one that got faster: a simulated barrier that
+        // releases early is faster.
+        current[0].ns_per_round = 1072.0 * 0.97;
+        let fails = compare(&current, &baseline);
+        assert_eq!(fails.len(), 2);
+        assert!(fails[0].contains("sim:gpu-lock-free"), "{}", fails[0]);
+        assert!(fails[0].contains("-3.00%"), "{}", fails[0]);
         // A guarded row disappearing fails, as long as its namespace is
         // still being emitted at all.
         let gone = vec![BenchRecord::new("model:other", 30, 1.0)];
-        let fails = compare(&gone, &baseline, 25.0);
+        let fails = compare(&gone, &baseline);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("missing"), "{}", fails[0]);
         // A bin that emits no `sim:`/`model:` rows skips those baseline
         // namespaces entirely (the bench bins share one baseline file).
-        assert!(compare(&current[2..], &baseline, 25.0).is_empty());
+        assert!(compare(&current[2..], &baseline).is_empty());
     }
 
     #[test]
@@ -313,11 +339,11 @@ mod tests {
         // The autotune bin (plain `model:` rows only) is not failed by the
         // oversub suite's baseline rows...
         let autotune_run = vec![BenchRecord::new("model:cpu-implicit", 30, 6000.0)];
-        assert!(compare(&autotune_run, &baseline, 25.0).is_empty());
+        assert!(compare(&autotune_run, &baseline).is_empty());
         // ...and the oversub bin is not failed by the plain `model:` rows,
         // but is held to its own suite.
-        let oversub_run = vec![BenchRecord::new("model:oversub/penalty_2x", 60, 12501.0)];
-        let fails = compare(&oversub_run, &baseline, 25.0);
+        let oversub_run = vec![BenchRecord::new("model:oversub/penalty_2x", 60, 10011.0)];
+        let fails = compare(&oversub_run, &baseline);
         assert_eq!(fails.len(), 1);
         assert!(
             fails[0].contains("model:oversub/penalty_2x"),

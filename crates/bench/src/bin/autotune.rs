@@ -10,7 +10,7 @@
 //! `launch.round_ns.<m>` (`perf/README.md`).
 //!
 //! Flags: `--json FILE` (default `BENCH_autotune.json`), `--baseline FILE`
-//! + `--max-regress-pct P` (fail nonzero on guarded regression).
+//! (fail nonzero when a guarded record drifted either way).
 
 use std::process::ExitCode;
 
@@ -21,7 +21,6 @@ use blocksync_device::{CalibrationProfile, GpuSpec};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = baseline::flag_value(&args, "json").unwrap_or("BENCH_autotune.json".into());
     let mut records = Vec::new();
 
     let blocks = 30;
@@ -55,20 +54,9 @@ fn main() -> ExitCode {
         decision.predicted_sync_ns,
     ));
 
-    if let Err(e) = std::fs::write(&json_path, baseline::to_json(&records).pretty()) {
-        eprintln!("error: cannot write {json_path}: {e}");
+    if let Err(e) = baseline::write_and_guard(&args, &records, Some("BENCH_autotune.json")) {
+        eprintln!("error: {e}");
         return ExitCode::FAILURE;
-    }
-    println!("wrote {} records to {json_path}", records.len());
-
-    if let Some(bl) = baseline::flag_value(&args, "baseline") {
-        let pct = baseline::flag_value(&args, "max-regress-pct")
-            .map(|v| v.parse().expect("--max-regress-pct expects a number"))
-            .unwrap_or(25.0);
-        if let Err(e) = baseline::guard_against_baseline(&records, &bl, pct) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
     }
     ExitCode::SUCCESS
 }

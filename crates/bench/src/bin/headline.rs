@@ -7,7 +7,7 @@
 //!
 //! Flags for bench-in-CI: `--json FILE` writes the per-method simulated
 //! `t_S` as `sim:` baseline records (deterministic, so guarded);
-//! `--baseline FILE` + `--max-regress-pct P` fail nonzero on regression;
+//! `--baseline FILE` fails nonzero when a record drifted either way;
 //! `--short` is accepted for CI symmetry with the `autotune` bin (the
 //! simulation is already fast and the guarded records must not depend on
 //! the mode, so it changes nothing).
@@ -82,21 +82,9 @@ fn main() -> ExitCode {
         )
     );
 
-    if let Some(json_path) = baseline::flag_value(&args, "json") {
-        if let Err(e) = std::fs::write(&json_path, baseline::to_json(&records).pretty()) {
-            eprintln!("error: cannot write {json_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {} records to {json_path}", records.len());
-    }
-    if let Some(bl) = baseline::flag_value(&args, "baseline") {
-        let pct = baseline::flag_value(&args, "max-regress-pct")
-            .map(|v| v.parse().expect("--max-regress-pct expects a number"))
-            .unwrap_or(25.0);
-        if let Err(e) = baseline::guard_against_baseline(&records, &bl, pct) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = baseline::write_and_guard(&args, &records, None) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

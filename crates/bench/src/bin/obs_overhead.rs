@@ -15,11 +15,11 @@
 //!
 //! Deterministic structural records (`model:obs/updates_per_launch`,
 //! `model:obs/series`) are emitted for the shared CI baseline guard via
-//! `--json FILE` / `--baseline FILE --max-regress-pct P`.
+//! `--json FILE` / `--baseline FILE`.
 //!
 //! Flags: `--blocks 4` `--rounds 500` `--tpb 64` `--launches 24`
 //!        `--window 4` `--reps 5` `--budget-pct 5` `--slack-ms 20`
-//!        `--json FILE` `--baseline FILE` `--max-regress-pct 25`
+//!        `--json FILE` `--baseline FILE`
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -160,18 +160,9 @@ fn main() {
         BenchRecord::new("model:obs/series", blocks, series as f64),
         BenchRecord::new("host:obs/overhead-pct", blocks, pct.max(0.0)),
     ];
-    if let Some(path) = flag_value(&args, "json") {
-        std::fs::write(&path, baseline::to_json(&records).pretty()).expect("write --json");
-        println!("wrote {} record(s) to {path}", records.len());
-    }
-    if let Some(baseline_path) = flag_value(&args, "baseline") {
-        let max_regress: f64 = get("max-regress-pct", "25")
-            .parse()
-            .expect("--max-regress-pct number");
-        if let Err(e) = baseline::guard_against_baseline(&records, &baseline_path, max_regress) {
-            eprintln!("FAIL: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = baseline::write_and_guard(&args, &records, None) {
+        eprintln!("FAIL: {e}");
+        std::process::exit(1);
     }
 
     if pct > budget_pct && overhead > slack {

@@ -26,8 +26,8 @@
 //! `launch.park_round_ns.<m>` and the `micro_park` workload
 //! (`perf/README.md`).
 //!
-//! Flags: `--json FILE` (default `BENCH_oversub.json`), `--baseline FILE` +
-//! `--max-regress-pct P` (fail nonzero on guarded regression).
+//! Flags: `--json FILE` (default `BENCH_oversub.json`), `--baseline FILE`
+//! (fail nonzero when a guarded record drifted either way).
 
 use std::process::ExitCode;
 
@@ -40,7 +40,6 @@ const LADDER: [usize; 3] = [2, 4, 16];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = baseline::flag_value(&args, "json").unwrap_or("BENCH_oversub.json".into());
     let mut records = Vec::new();
 
     // -- Section 1: the paper's study — CPU waves and the spin deadlock ---
@@ -96,20 +95,9 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Err(e) = std::fs::write(&json_path, baseline::to_json(&records).pretty()) {
-        eprintln!("error: cannot write {json_path}: {e}");
+    if let Err(e) = baseline::write_and_guard(&args, &records, Some("BENCH_oversub.json")) {
+        eprintln!("error: {e}");
         return ExitCode::FAILURE;
-    }
-    println!("wrote {} records to {json_path}", records.len());
-
-    if let Some(bl) = baseline::flag_value(&args, "baseline") {
-        let pct = baseline::flag_value(&args, "max-regress-pct")
-            .map(|v| v.parse().expect("--max-regress-pct expects a number"))
-            .unwrap_or(25.0);
-        if let Err(e) = baseline::guard_against_baseline(&records, &bl, pct) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
     }
     ExitCode::SUCCESS
 }

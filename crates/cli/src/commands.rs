@@ -714,7 +714,7 @@ pub fn chaos(a: &Args) -> Result<(), String> {
         cfg.timeout,
         cfg.seed
     );
-    let report = with_injected_panics_silenced(|| cfg.run())?;
+    let report = cfg.run()?;
     println!("{report}");
     if let Some(dir) = &cfg.postmortem_dir {
         let dumped = report.outcomes.iter().filter(|o| o.error.is_some()).count();
@@ -742,26 +742,6 @@ pub fn chaos(a: &Args) -> Result<(), String> {
             report.seed
         ))
     }
-}
-
-/// Injected round-body panics are caught by the engine and surfaced as
-/// `BlockPanicked`; silence their default panic-hook spew for the duration
-/// of `f` so soak output stays readable, while real (un-injected) panics
-/// still print.
-fn with_injected_panics_silenced<T>(f: impl FnOnce() -> T) -> T {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.starts_with("injected fault:"));
-        if !injected {
-            previous(info);
-        }
-    }));
-    let out = f();
-    let _ = std::panic::take_hook(); // restore default panic reporting
-    out
 }
 
 /// Parse a comma-separated shard list: `BLOCKSxTPB/METHOD,...`

@@ -10,16 +10,19 @@
 //!   [`BarrierShared::sync`]`(block, round)` is block `block`'s part of
 //!   barrier number `round`. Round state lives in the argument and nowhere
 //!   else; the launch engine's round loop passes the `r` it already has.
+//!   There are two implementors: one for every device-side method, which
+//!   executes [`crate::program`]'s op sequences on atomics, and the
+//!   CPU-implicit condvar rendezvous ([`crate::CpuImplicitSync`]).
 //! * [`BarrierWaiter`] — the register the paper keeps `goalVal` in, for
 //!   callers without a round counter of their own: a block id and a count
 //!   of completed rounds over an `Arc<dyn BarrierShared>`, whose `wait`
 //!   calls `sync` and increments.
 //!
-//! All implementations must provide **full barrier semantics with
-//! publication**: when [`BarrierShared::sync`] returns `Ok` for round `r`,
-//! every write performed by any block before its round-`r` call is
-//! visible. Implementations achieve this with `Release` writes on arrival
-//! and `Acquire` reads on departure.
+//! Both provide **full barrier semantics with publication**: when
+//! [`BarrierShared::sync`] returns `Ok` for round `r`, every write
+//! performed by any block before its round-`r` call is visible —
+//! `Release` writes on arrival, `Acquire` reads on departure (DESIGN.md §5
+//! has the reason for each).
 //!
 //! ## Fault tolerance
 //!
@@ -318,9 +321,9 @@ impl BarrierControl {
         self.wake_parked();
     }
 
-    /// Wake every parked waiter so it re-polls its flag. Barrier
-    /// implementations call this after any store that can release a peer
-    /// (arrival flags, broadcast stores, counter adds);
+    /// Wake every parked waiter so it re-polls its flag. A barrier calls
+    /// this after any store that can release a peer (arrival flags,
+    /// broadcast stores, counter adds);
     /// `record_arrival`/`record_departure`/`poison` call it implicitly.
     ///
     /// Purely a latency optimization: parks are time-bounded, so a missed
@@ -711,12 +714,17 @@ mod tests {
             .chain([SyncMethod::GpuTree(TreeLevels::Custom(3))])
     }
 
+    fn build(method: SyncMethod, n: usize) -> Arc<dyn BarrierShared> {
+        method
+            .build_barrier_with(n, SyncPolicy::default())
+            .expect("barrier-backed")
+    }
+
     #[test]
     fn waiter_and_bare_sync_meet_in_one_barrier_under_every_method() {
         // Block 0 through a `BarrierWaiter`, block 1 through `sync(1, r)`.
         for method in barrier_methods() {
-            let shared = method.build_barrier(2).expect("barrier-backed");
-            harness::exercise(shared, 2, 200);
+            harness::exercise(build(method, 2), 2, 200);
         }
     }
 
@@ -724,8 +732,7 @@ mod tests {
     fn num_blocks_is_what_the_method_was_built_with() {
         for method in barrier_methods() {
             for n in [1, 2, 5, 30] {
-                let shared = method.build_barrier(n).expect("barrier-backed");
-                assert_eq!(shared.num_blocks(), n, "{method}");
+                assert_eq!(build(method, n).num_blocks(), n, "{method}");
             }
         }
     }
@@ -733,8 +740,7 @@ mod tests {
     #[test]
     fn out_of_range_waiter_is_rejected_under_every_method() {
         for method in barrier_methods() {
-            let shared = method.build_barrier(2).expect("barrier-backed");
-            let out_of_range = std::panic::AssertUnwindSafe(|| shared.waiter(2).wait());
+            let out_of_range = std::panic::AssertUnwindSafe(|| build(method, 2).waiter(2).wait());
             let panic = std::panic::catch_unwind(out_of_range).expect_err("waiter(n) must panic");
             let message = crate::launch::payload_message(&*panic);
             assert!(message.contains("out of range"), "{method}: {message}");

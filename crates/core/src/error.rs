@@ -139,7 +139,7 @@ pub enum ExecError {
     Device(DeviceError),
     /// The method claims to be GPU-side but produced no barrier object —
     /// an internal inconsistency between `SyncMethod::is_gpu_side` and
-    /// `SyncMethod::build_barrier`.
+    /// `SyncMethod::build_barrier_with`.
     BarrierUnavailable {
         /// Display name of the offending method.
         method: String,

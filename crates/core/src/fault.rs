@@ -25,10 +25,11 @@
 //! Barrier poisoning is first-writer-wins, so when several faults fire in
 //! one launch the error is deterministic: the fault that poisons first is
 //! reported. Faults at an earlier round always win (later-round blocks
-//! unwind at the earlier barrier); among same-round origin failures the
-//! lowest block id is reported (`collect_block_results` scans in block
-//! order). [`FaultSchedule::matches_error`] accepts any scheduled site,
-//! so assertions stay stable under either winner.
+//! unwind at the earlier barrier); among same-round origin failures a
+//! block's own panic is reported before a block's own timeout, then the
+//! lowest block id (`collect_block_results`).
+//! [`FaultSchedule::matches_error`] accepts any scheduled site, so
+//! assertions stay stable under either winner.
 
 use std::sync::{Mutex, Weak};
 use std::time::{Duration, Instant};
@@ -408,9 +409,14 @@ impl<K: RoundKernel> RoundKernel for FaultInjector<K> {
             .fault_at(ctx.block_id, round, FaultPhase::RoundBody)
         {
             match f.kind {
-                FaultKind::Panic => {
-                    panic!("injected fault: block {} round {round}", f.block)
-                }
+                // `resume_unwind` skips the process-wide panic hook: an
+                // injected panic prints no backtrace, and how long it takes
+                // to reach the engine's `catch_unwind` (and poison the
+                // barrier) does not depend on `RUST_BACKTRACE`.
+                FaultKind::Panic => std::panic::resume_unwind(Box::new(format!(
+                    "injected fault: block {} round {round}",
+                    f.block
+                ))),
                 FaultKind::Delay(by) => std::thread::sleep(by),
                 FaultKind::Stall(by) => {
                     // Non-cooperative: ignores the abort signal for the

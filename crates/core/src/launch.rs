@@ -64,36 +64,37 @@ pub(crate) fn payload_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Merge per-block outcomes: all `Ok` yields the times, otherwise the
-/// *origin* failure wins — the error reported by the block where the fault
-/// actually happened (`BlockPanicked` naming itself, or the timeout whose
-/// diagnostic names the reporting block) — falling back to any derived
-/// poison error.
+/// launch's error is its root cause, not its first symptom. A block that
+/// reports its own panic (`BlockPanicked` naming itself) wins over a block
+/// that reports its own timeout (a `BarrierTimeout` whose diagnostic names
+/// the reporter) — a peer only times out *waiting for* someone, and a
+/// panicking block is late to poison exactly as long as the panic hook
+/// takes to run — which wins over any error derived from a peer's poison.
+/// Within a class the lowest block id is reported.
 pub(crate) fn collect_block_results(
     results: Vec<Result<BlockTimes, ExecError>>,
 ) -> Result<Vec<BlockTimes>, ExecError> {
     let mut times = Vec::with_capacity(results.len());
-    let mut origin: Option<ExecError> = None;
-    let mut derived: Option<ExecError> = None;
+    let mut root_cause: Option<(u8, ExecError)> = None;
     for (b, result) in results.into_iter().enumerate() {
         match result {
             Ok(t) => times.push(t),
             Err(e) => {
                 times.push(BlockTimes::default());
-                let is_origin = match &e {
-                    ExecError::BlockPanicked { block, .. } => *block == b,
-                    ExecError::BarrierTimeout { diagnostic } => diagnostic.waiting_block == b,
-                    _ => true,
+                let class = match &e {
+                    ExecError::BlockPanicked { block, .. } if *block == b => 0,
+                    ExecError::BlockPanicked { .. } => 2,
+                    ExecError::BarrierTimeout { diagnostic } if diagnostic.waiting_block != b => 2,
+                    _ => 1,
                 };
-                if is_origin {
-                    origin.get_or_insert(e);
-                } else {
-                    derived.get_or_insert(e);
+                if root_cause.as_ref().is_none_or(|(held, _)| class < *held) {
+                    root_cause = Some((class, e));
                 }
             }
         }
     }
-    match origin.or(derived) {
-        Some(e) => Err(e),
+    match root_cause {
+        Some((_, e)) => Err(e),
         None => Ok(times),
     }
 }
@@ -876,6 +877,39 @@ mod tests {
             let b = ctx.block_id;
             self.slots.set(b, self.slots.get(b) + 1);
         }
+    }
+
+    #[test]
+    fn the_launch_error_is_the_panic_not_the_peer_that_timed_out_waiting_for_it() {
+        let timeout_at = |waiting_block: usize| ExecError::BarrierTimeout {
+            diagnostic: Box::new(StuckDiagnostic {
+                barrier: "gpu-simple".to_string(),
+                waiting_block,
+                round: 1,
+                flag: "g_mutex >= 8".to_string(),
+                timeout: Duration::from_millis(80),
+                arrivals: vec![2, 2, 2, 1],
+                departures: vec![1; 4],
+                recent_events: Vec::new(),
+                phase: StuckPhase::Barrier,
+            }),
+        };
+        let panic_at = |block: usize| ExecError::BlockPanicked {
+            block,
+            round: 1,
+            message: "boom".to_string(),
+        };
+        let merged = |results: Vec<ExecError>| {
+            collect_block_results(results.into_iter().map(Err).collect()).unwrap_err()
+        };
+        // Block 1 timed out before block 3's poison landed; blocks 0 and 2
+        // unwound on block 1's poison.
+        let symptoms = vec![timeout_at(1), timeout_at(1), timeout_at(1), panic_at(3)];
+        assert_eq!(merged(symptoms), panic_at(3));
+        // Without an own panic the own timeout beats the derived errors,
+        // whatever their ids; among equals the lowest id is reported.
+        assert_eq!(merged(vec![panic_at(2), timeout_at(1)]), timeout_at(1));
+        assert_eq!(merged(vec![panic_at(0), panic_at(1)]), panic_at(0));
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! |------------------------------------------|--------------------------------|
 //! | thread block resident on one SM          | one OS worker thread           |
 //! | global memory + volatile reads           | [`GlobalBuffer`] (relaxed atomics) |
-//! | `__gpu_sync(goalVal)`, one per method    | [`BarrierShared::sync`]`(block, round)` |
+//! | `__gpu_sync(goalVal)`, one listing per method | [`program`]: one function per method visiting its [`program::Op`]s, executed on atomics behind [`BarrierShared::sync`]`(block, round)` |
 //! | the register holding `goalVal`           | the round loop's `r`, or a [`BarrierWaiter`] |
-//! | `atomicAdd(&g_mutex, 1)` + spin          | [`GpuSimpleSync`]              |
-//! | per-group mutexes + root mutex           | [`GpuTreeSync`]                |
-//! | `Arrayin`/`Arrayout`, no atomics         | [`GpuLockFreeSync`]            |
+//! | `g_mutex`, `Arrayin[i]`, `Arrayout[i]`, ... | [`program::Word`]s: one padded `AtomicU64` each, sized from `N` |
+//! | `atomicAdd(&g_mutex, 1)` + spin          | [`SyncMethod::GpuSimple`]      |
+//! | per-group mutexes + root mutex           | [`SyncMethod::GpuTree`] over a [`TreeShape`] |
+//! | `Arrayin`/`Arrayout`, no atomics         | [`SyncMethod::GpuLockFree`]    |
 //! | kernel relaunch + `cudaThreadSynchronize`| [`SyncMethod::CpuExplicit`]    |
 //! | pipelined kernel relaunch                | [`SyncMethod::CpuImplicit`]    |
 //! | `__syncthreads()`                        | no-op (a block is sequential here) |
@@ -70,22 +71,20 @@
 pub mod autotune;
 pub mod barrier;
 pub mod chaos;
-pub mod dissemination;
 pub mod error;
 pub mod executor;
 pub mod fault;
 pub mod gmem;
 pub mod implicit;
+mod interp;
 pub mod launch;
-pub mod lockfree;
 pub mod method;
 pub mod metrics;
 pub mod obs;
+pub mod program;
 pub mod runtime;
 pub mod scalar;
-pub mod sense;
 pub mod service;
-pub mod simple;
 pub mod stats;
 pub mod trace;
 pub mod tree;
@@ -95,7 +94,6 @@ pub use barrier::{
     BarrierControl, BarrierShared, BarrierWaiter, PoisonCause, SyncFault, SyncPolicy, WaitFaultHook,
 };
 pub use chaos::{ChaosConfig, ChaosLaunch, ChaosReport};
-pub use dissemination::DisseminationSync;
 pub use error::{ExecError, ServiceError, StuckDiagnostic, StuckPhase};
 pub use executor::{AbortSignal, BlockCtx, GridConfig, GridExecutor, RoundKernel};
 pub use fault::{
@@ -104,18 +102,15 @@ pub use fault::{
 pub use gmem::{GlobalBuffer, GlobalBuffer2d, Window};
 pub use implicit::CpuImplicitSync;
 pub use launch::LaunchPlan;
-pub use lockfree::GpuLockFreeSync;
-pub use method::{ResetStrategy, SyncMethod, TreeLevels};
+pub use method::{SyncMethod, TreeLevels};
 pub use metrics::{BlockHistogram, Histogram};
 pub use obs::{LaunchRecord, MetricsSnapshot, Observer, DEFAULT_SHARD, FLIGHT_RECORDER_CAPACITY};
 pub use runtime::{GridRuntime, LaunchHandle, PoolLaunchStats};
 pub use scalar::DeviceScalar;
-pub use sense::SenseReversingSync;
 pub use service::{GridService, ServiceConfig, ServiceHandle, ShardKey};
-pub use simple::GpuSimpleSync;
 pub use stats::{BlockTimes, KernelStats};
 pub use trace::{
     ChromeTraceBuilder, EventRecorder, RoundTelemetry, Telemetry, TraceConfig, TraceEvent,
     TraceEventKind,
 };
-pub use tree::{GpuTreeSync, TreeShape};
+pub use tree::TreeShape;

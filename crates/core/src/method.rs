@@ -4,12 +4,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::barrier::{BarrierShared, SyncPolicy};
-use crate::dissemination::DisseminationSync;
 use crate::implicit::CpuImplicitSync;
-use crate::lockfree::GpuLockFreeSync;
-use crate::sense::SenseReversingSync;
-use crate::simple::GpuSimpleSync;
-use crate::tree::GpuTreeSync;
+use crate::interp::AtomicBarrier;
 
 /// Depth of the tree-based barrier (the paper evaluates 2- and 3-level
 /// trees).
@@ -34,23 +30,6 @@ impl TreeLevels {
             TreeLevels::Three => 3,
         }
     }
-}
-
-/// How the simple/tree barriers recycle their mutex counters between rounds.
-///
-/// Section 5.1: incrementing the target (`goalVal += N`) "saves the number
-/// of instructions and avoids conditional branching" compared to resetting
-/// `g_mutex` to zero after each barrier. Both are provided so the claim can
-/// be measured (Criterion group `simple_sync_reset_strategy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ResetStrategy {
-    /// Paper default: the counter grows monotonically, the goal advances by
-    /// `N` per round.
-    #[default]
-    IncrementGoal,
-    /// Alternative: the last arriving block resets the counter to zero and
-    /// flips an epoch flag.
-    ResetCounter,
 }
 
 /// A synchronization strategy for inter-block communication.
@@ -136,45 +115,25 @@ impl SyncMethod {
         matches!(self, SyncMethod::CpuExplicit | SyncMethod::CpuImplicit)
     }
 
-    /// Build the shared barrier state for a barrier-backed method: the
-    /// five device-side spin barriers, or the CPU-implicit driver
-    /// rendezvous ([`CpuImplicitSync`], a condvar barrier).
+    /// Build the shared barrier state for a barrier-backed method under a
+    /// fault policy: the device-side protocol ([`crate::program`]) run on
+    /// host atomics, or the CPU-implicit driver rendezvous
+    /// ([`CpuImplicitSync`], a condvar barrier).
     ///
     /// Returns `None` for `CpuExplicit` (its "barrier" is the host's
     /// per-round join, not a shared object), `NoSync`, and `Auto` (which
     /// resolves to a concrete method first).
-    pub fn build_barrier(self, n_blocks: usize) -> Option<Arc<dyn BarrierShared>> {
-        self.build_barrier_with(n_blocks, SyncPolicy::default())
-    }
-
-    /// Build the shared barrier state for a barrier-backed method under an
-    /// explicit fault policy.
-    ///
-    /// Returns `None` for `CpuExplicit`, `NoSync`, and `Auto` (see
-    /// [`SyncMethod::build_barrier`]).
     pub fn build_barrier_with(
         self,
         n_blocks: usize,
         policy: SyncPolicy,
     ) -> Option<Arc<dyn BarrierShared>> {
         match self {
-            SyncMethod::GpuSimple => Some(Arc::new(GpuSimpleSync::with_policy(n_blocks, policy))),
-            SyncMethod::GpuTree(levels) => {
-                Some(Arc::new(GpuTreeSync::with_policy(n_blocks, levels, policy)))
-            }
-            SyncMethod::GpuLockFree => {
-                Some(Arc::new(GpuLockFreeSync::with_policy(n_blocks, policy)))
-            }
-            SyncMethod::SenseReversing => {
-                Some(Arc::new(SenseReversingSync::with_policy(n_blocks, policy)))
-            }
-            SyncMethod::Dissemination => {
-                Some(Arc::new(DisseminationSync::with_policy(n_blocks, policy)))
-            }
             SyncMethod::CpuImplicit => {
                 Some(Arc::new(CpuImplicitSync::with_policy(n_blocks, policy)))
             }
             SyncMethod::CpuExplicit | SyncMethod::NoSync | SyncMethod::Auto => None,
+            device_side => Some(Arc::new(AtomicBarrier::new(device_side, n_blocks, policy))),
         }
     }
 }
@@ -246,24 +205,27 @@ mod tests {
 
     #[test]
     fn build_barrier_matches_method() {
-        for m in SyncMethod::GPU_METHODS {
-            let b = m.build_barrier(8).expect("gpu method builds a barrier");
+        let build = |m: SyncMethod| m.build_barrier_with(8, SyncPolicy::default());
+        for m in SyncMethod::GPU_METHODS
+            .into_iter()
+            .chain([SyncMethod::GpuTree(TreeLevels::Custom(3))])
+        {
+            let b = build(m).expect("gpu method builds a barrier");
             assert_eq!(b.num_blocks(), 8);
         }
-        assert!(SyncMethod::CpuExplicit.build_barrier(8).is_none());
-        // CPU-implicit's driver rendezvous is a real barrier object now.
-        let implicit = SyncMethod::CpuImplicit
-            .build_barrier(8)
-            .expect("cpu-implicit builds its rendezvous barrier");
+        // CPU-implicit's driver rendezvous is a real barrier object.
+        let implicit = build(SyncMethod::CpuImplicit).expect("cpu-implicit builds its rendezvous");
         assert_eq!(implicit.num_blocks(), 8);
         assert_eq!(implicit.name(), "cpu-implicit");
-        assert!(SyncMethod::NoSync.build_barrier(8).is_none());
-        // Auto has no barrier of its own; the executor resolves it first.
-        assert!(SyncMethod::Auto.build_barrier(8).is_none());
-        let custom = SyncMethod::GpuTree(TreeLevels::Custom(3))
-            .build_barrier(8)
-            .expect("custom tree builds");
-        assert_eq!(custom.num_blocks(), 8);
+        // CpuExplicit's barrier is the host's join, NoSync has none, and
+        // Auto has none of its own: the executor resolves it first.
+        for m in [
+            SyncMethod::CpuExplicit,
+            SyncMethod::NoSync,
+            SyncMethod::Auto,
+        ] {
+            assert!(build(m).is_none(), "{m}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use blocksync_core::{BarrierShared, SyncMethod, TreeLevels};
+use blocksync_core::{BarrierShared, SyncMethod, SyncPolicy, TreeLevels};
 
 const METHODS: [SyncMethod; 6] = [
     SyncMethod::GpuSimple,
@@ -64,7 +64,9 @@ fn hostile_exercise(shared: Arc<dyn BarrierShared>, n: usize, rounds: u64) {
 #[test]
 fn all_barriers_survive_jittered_rounds() {
     for method in METHODS {
-        let shared = method.build_barrier(5).expect("gpu method");
+        let shared = method
+            .build_barrier_with(5, SyncPolicy::default())
+            .expect("gpu method");
         hostile_exercise(shared, 5, 800);
     }
 }
@@ -73,7 +75,9 @@ fn all_barriers_survive_jittered_rounds() {
 fn all_barriers_survive_empty_round_bursts() {
     // Zero work between barriers maximizes arrival density.
     for method in METHODS {
-        let shared = method.build_barrier(3).expect("gpu method");
+        let shared = method
+            .build_barrier_with(3, SyncPolicy::default())
+            .expect("gpu method");
         let s2 = Arc::clone(&shared);
         std::thread::scope(|s| {
             for b in 0..3 {

@@ -565,7 +565,7 @@ mod tests {
         let text = include_str!("../../../ci/bench_baseline.json");
         let doc = parse(text).unwrap();
         let records = doc.get("records").unwrap().as_arr("records").unwrap();
-        assert_eq!(records.len(), 24);
+        assert_eq!(records.len(), 48);
         assert_eq!(records[0].get("method"), Some(&"sim:cpu-explicit".into()));
         assert_eq!(records[0].get("blocks"), Some(&Json::U64(30)));
         assert_eq!(records[0].get("ns_per_round"), Some(&Json::F64(12970.0)));

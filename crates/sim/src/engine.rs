@@ -3,7 +3,7 @@
 //! Drives a grid of persistent blocks through compute rounds separated by a
 //! device-side barrier protocol. Each block alternates between a compute
 //! phase (duration from the [`Workload`]) and its barrier
-//! [`program`](crate::program) operations, which are served by the
+//! [`program`](blocksync_core::program) operations, which are served by the
 //! partitioned [`crate::memory::Memory`]. Event processing is in
 //! strict `(time, sequence)` order, so simulations are bit-for-bit
 //! deterministic.
@@ -11,12 +11,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use blocksync_core::program::{Op, Program, Word};
 use blocksync_core::SyncMethod;
 use blocksync_device::{CalibrationProfile, DeviceError, GpuSpec, SimDuration, SimTime};
 
 use crate::cpu::simulate_cpu;
 use crate::memory::{Addr, Memory};
-use crate::program::{Op, ProgramBuilder};
+use crate::program;
 use crate::report::{SimReport, TraceEvent, TraceKind};
 use crate::workload::Workload;
 
@@ -140,7 +141,7 @@ pub struct StuckBlock {
     /// The barrier round the block was in.
     pub round: usize,
     /// The barrier-program operation it was executing, human-readable
-    /// (e.g. `WaitGe { addr: Addr(3), goal: 1 }`).
+    /// (e.g. `WaitGe(ArrayOut(3), 1)`).
     pub op: String,
     /// The block's last few timeline events (rendered human-readable) when
     /// the run had [`SimConfig::trace`] on — what the block was doing
@@ -333,7 +334,7 @@ struct Engine<'a> {
     cfg: &'a SimConfig,
     workload: &'a dyn Workload,
     mem: Memory,
-    builder: ProgramBuilder,
+    program: Program,
     queue: BinaryHeap<Reverse<Entry>>,
     seq: u64,
     blocks: Vec<Block>,
@@ -355,7 +356,7 @@ impl<'a> Engine<'a> {
             cfg,
             workload,
             mem,
-            builder: ProgramBuilder::new(cfg.method, cfg.n_blocks, cfg.collector_parallel),
+            program: Program::new(cfg.method, cfg.n_blocks),
             queue: BinaryHeap::new(),
             seq: 0,
             blocks: (0..cfg.n_blocks).map(|_| Block::default()).collect(),
@@ -423,9 +424,10 @@ impl<'a> Engine<'a> {
                     b.arrive = time;
                     b.pc = 0;
                     let round = b.round;
-                    let mut program = std::mem::take(&mut b.program);
-                    self.builder.build(bid, round, &mut program);
-                    self.blocks[bid].program = program;
+                    let mut ops = std::mem::take(&mut b.program);
+                    let parallel = self.cfg.collector_parallel;
+                    program::collect(&self.program, bid, round, parallel, &mut ops);
+                    self.blocks[bid].program = ops;
                     self.exec_current(bid, time);
                 }
                 Event::OpFinished { bid } => {
@@ -560,6 +562,10 @@ impl<'a> Engine<'a> {
         }
     }
 
+    fn addr(&self, word: Word) -> Addr {
+        program::addr(word, self.cfg.n_blocks)
+    }
+
     /// Execute the op at the block's program counter, or complete the
     /// barrier if the program is exhausted.
     fn exec_current(&mut self, bid: usize, now: SimTime) {
@@ -570,20 +576,20 @@ impl<'a> Engine<'a> {
         }
         let op = b.program[b.pc];
         match op {
-            Op::AtomicAdd { addr, delta } => {
-                let (grant, _) = self.mem.atomic_add(addr, delta, now);
+            Op::AtomicAdd(word) => {
+                let (grant, _) = self.mem.atomic_add(self.addr(word), 1, now);
                 self.push(grant, Event::OpFinished { bid });
             }
-            Op::Store { addr, value } => {
-                let grant = self.mem.store(addr, value, now);
+            Op::Store(word, value) => {
+                let grant = self.mem.store(self.addr(word), value, now);
                 self.push(grant, Event::OpFinished { bid });
             }
-            Op::WaitGe { addr, goal } => {
+            Op::WaitGe(word, goal) => {
                 self.push(
                     now,
                     Event::Poll {
                         bid,
-                        addr,
+                        addr: self.addr(word),
                         goal,
                         parallel: false,
                     },
@@ -593,12 +599,11 @@ impl<'a> Engine<'a> {
                 debug_assert!(count > 0);
                 self.blocks[bid].pending_subs = count;
                 for i in 0..count {
-                    let addr = Addr(base.0 + i as u64);
                     self.push(
                         now,
                         Event::Poll {
                             bid,
-                            addr,
+                            addr: self.addr(base.nth(i)),
                             goal,
                             parallel: true,
                         },
@@ -608,7 +613,7 @@ impl<'a> Engine<'a> {
             Op::StoreRange { base, count, value } => {
                 let mut last = now;
                 for i in 0..count {
-                    let grant = self.mem.store(Addr(base.0 + i as u64), value, now);
+                    let grant = self.mem.store(self.addr(base.nth(i)), value, now);
                     last = last.max(grant);
                 }
                 self.push(last, Event::OpFinished { bid });
@@ -622,9 +627,9 @@ impl<'a> Engine<'a> {
                 release_at,
                 flag_value,
             } => {
-                let (grant, new) = self.mem.atomic_add(counter, 1, now);
+                let (grant, new) = self.mem.atomic_add(self.addr(counter), 1, now);
                 if new == release_at {
-                    self.mem.store(flag, flag_value, grant);
+                    self.mem.store(self.addr(flag), flag_value, grant);
                 }
                 self.push(grant, Event::OpFinished { bid });
             }
@@ -853,6 +858,43 @@ mod tests {
     }
 
     #[test]
+    fn no_block_is_released_before_the_slowest_arrives() {
+        // Barrier safety, read off the simulator's own trace, on devices
+        // past the 30 SMs the address map was first laid out for: with one
+        // slow block, round r's first release must not precede round r's
+        // last arrival. (Fixed 64- and 32-word array strides let lock-free
+        // and dissemination release most of a 120-block grid early.)
+        use crate::report::TraceKind;
+        let rounds = 4;
+        for method in SyncMethod::GPU_METHODS
+            .into_iter()
+            .chain(SyncMethod::EXTENSION_METHODS)
+            .chain([SyncMethod::GpuTree(TreeLevels::Custom(3))])
+        {
+            for n in [30usize, 60, 65, 120, 240] {
+                let w = ClosureWorkload::new(rounds, move |bid, _| {
+                    SimDuration::from_nanos(if bid == n / 2 { 50_000 } else { 500 })
+                });
+                let mut cfg = SimConfig::new(n, 64, method).with_trace();
+                cfg.spec = GpuSpec::gtx280_scaled(n as u32);
+                let trace = simulate(&cfg, &w).trace;
+                let mut last_arrive = vec![SimTime::ZERO; rounds];
+                for e in &trace {
+                    if let TraceKind::BarrierArrive { round } = e.kind {
+                        last_arrive[round] = last_arrive[round].max(e.time);
+                    }
+                }
+                let early = trace.iter().filter(|e| match e.kind {
+                    TraceKind::BarrierRelease { round } => e.time < last_arrive[round],
+                    _ => false,
+                });
+                let early = early.count();
+                assert_eq!(early, 0, "{method} at {n} blocks: {early} early releases");
+            }
+        }
+    }
+
+    #[test]
     fn single_block_barriers_are_cheap() {
         let r = run(SyncMethod::GpuSimple, 1, 10);
         // One add + one successful poll per round; no queueing.
@@ -1053,7 +1095,7 @@ mod tests {
             .map(|b| StuckBlock {
                 block: b,
                 round: 2,
-                op: format!("WaitGe {{ addr: Addr({b}), goal: 9 }}"),
+                op: format!("WaitGe(ArrayOut({b}), 9)"),
                 recent: Vec::new(),
             })
             .collect();

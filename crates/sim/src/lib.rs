@@ -15,12 +15,13 @@
 //!   Eq. 6), and spin polls of that variable queue behind them (the
 //!   paper's "more checking operations" effect that pushes the tree
 //!   thresholds above their idealized values).
-//! * **Protocol programs** ([`program`]): the per-block, per-round
-//!   operation sequences of GPU simple, tree-based (2- and 3-level), and
-//!   lock-free synchronization, transcribed from the paper's Figures 6, 8
-//!   and 9. Values genuinely flow through simulated memory — counters
-//!   count, flags flip; the barrier completes when the protocol says so,
-//!   not when a formula says so.
+//! * **Protocol programs** ([`blocksync_core::program`]): the per-block,
+//!   per-round operation sequences of GPU simple, tree-based (2- and
+//!   3-level), and lock-free synchronization, transcribed from the paper's
+//!   Figures 6, 8 and 9 — the same sequences the host runtime executes on
+//!   real atomics. Values genuinely flow through simulated memory —
+//!   counters count, flags flip; the barrier completes when the protocol
+//!   says so, not when a formula says so.
 //! * **The engine** ([`engine`]): an event queue over virtual time
 //!   ([`blocksync_device::SimTime`]) interleaving block compute phases
 //!   (from a [`Workload`]) with barrier protocol execution, accounting
@@ -50,7 +51,7 @@
 pub mod cpu;
 pub mod engine;
 pub mod memory;
-pub mod program;
+mod program;
 pub mod report;
 pub mod workload;
 

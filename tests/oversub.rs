@@ -157,7 +157,7 @@ fn faults_at_oversubscription_still_produce_stuck_diagnostics() {
     // An abandoned block in a 2x-cores parked grid must surface the same
     // structured timeout diagnostic a resident grid produces — parking
     // must not swallow poisoning or the straggler analysis.
-    use blocksync::core::{BarrierShared, GpuLockFreeSync, SyncFault};
+    use blocksync::core::SyncFault;
     use std::sync::Arc;
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
@@ -165,7 +165,9 @@ fn faults_at_oversubscription_still_produce_stuck_diagnostics() {
         .min(8);
     let n = 2 * cores;
     let policy = SyncPolicy::with_timeout(Duration::from_millis(200));
-    let shared: Arc<dyn BarrierShared> = Arc::new(GpuLockFreeSync::with_policy(n, policy));
+    let shared = SyncMethod::GpuLockFree
+        .build_barrier_with(n, policy)
+        .expect("a device-side method builds a barrier");
     // Every block but the last arrives; the wait must time out with a
     // diagnostic naming the straggler.
     let fault = std::thread::scope(|s| {

@@ -54,42 +54,30 @@ impl RoundKernel for Increment {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Repeated `submit()` on one pool keeps the warm launch overhead
-    /// bounded by the cold thread-spawn launch of scoped runs: at least
-    /// one warm handoff must beat the slowest cold spawn, for any small
-    /// grid and round count. This is the pooled runtime's reason to exist
-    /// (the paper's `t_O` amortization, extended across kernels).
+    /// Repeated `submit()` on one pool stays off the cold path: only the
+    /// first launch is `cold`, and no later one spawns a thread — every
+    /// worker keeps the generation it was first spawned with. That is what
+    /// keeps a warm launch below a cold spawn (the paper's `t_O`
+    /// amortization, extended across kernels); by how much is a
+    /// stopwatch's business and is on the ruler (`runtime.cold_us` vs
+    /// `runtime.run_empty_us`), not in a test that two busy neighbours can
+    /// fail.
     #[test]
     fn repeated_submits_keep_launch_below_cold_spawn(
         blocks in 4usize..=6,
         rounds in 2usize..=8,
     ) {
-        let method = SyncMethod::GpuLockFree;
-        let mut cold_max = Duration::ZERO;
-        for _ in 0..3 {
-            let k = Increment::new(blocks, rounds);
-            let stats = GridExecutor::new(GridConfig::new(blocks, 8), method)
-                .run(&k)
-                .unwrap();
-            cold_max = cold_max.max(stats.launch);
-        }
-        let rt = GridRuntime::new(GridConfig::new(blocks, 8), method).unwrap();
-        let mut warm_min = Duration::MAX;
-        for i in 0..8u64 {
+        let rt = GridRuntime::new(GridConfig::new(blocks, 8), SyncMethod::GpuLockFree).unwrap();
+        let spawned = rt.generations();
+        for i in 0..9u64 {
             let k = Arc::new(Increment::new(blocks, rounds));
             let stats = rt.submit(Arc::clone(&k)).unwrap().wait().unwrap();
             let pool = stats.pool.as_ref().expect("pooled run carries pool stats");
             prop_assert_eq!(pool.launch_seq, i);
             prop_assert_eq!(pool.cold, i == 0);
+            prop_assert_eq!(rt.generations(), spawned.clone(), "launch {} spawned a worker", i);
             prop_assert!(k.slots.to_vec().iter().all(|&v| v == rounds as u64));
-            if i > 0 {
-                warm_min = warm_min.min(stats.launch);
-            }
         }
-        prop_assert!(
-            warm_min <= cold_max,
-            "no warm launch ({warm_min:?}) beat the slowest cold spawn ({cold_max:?})"
-        );
     }
 
     /// A fault-injected launch (panic at a random block/round) fails

@@ -88,32 +88,8 @@ proptest! {
         n_blocks in 1usize..9,
         rounds in 1usize..120,
     ) {
-        let shared = method.build_barrier(n_blocks).expect("gpu-side method");
+        let shared = method.build_barrier_with(n_blocks, SyncPolicy::default()).expect("gpu-side method");
         prop_assert_eq!(shared.num_blocks(), n_blocks);
-        exercise(shared, n_blocks, rounds);
-    }
-
-    #[test]
-    fn unpadded_lockfree_is_equally_correct(
-        n_blocks in 1usize..9,
-        rounds in 1usize..120,
-    ) {
-        let shared: Arc<dyn BarrierShared> =
-            Arc::new(blocksync::core::GpuLockFreeSync::new_unpadded(n_blocks));
-        exercise(shared, n_blocks, rounds);
-    }
-
-    #[test]
-    fn reset_counter_strategy_is_equally_correct(
-        n_blocks in 1usize..9,
-        rounds in 1usize..120,
-    ) {
-        let shared: Arc<dyn BarrierShared> = Arc::new(
-            blocksync::core::GpuSimpleSync::with_strategy(
-                n_blocks,
-                blocksync::core::ResetStrategy::ResetCounter,
-            ),
-        );
         exercise(shared, n_blocks, rounds);
     }
 }
@@ -130,7 +106,7 @@ proptest! {
         n_blocks in 2usize..7,
         rounds in 2usize..60,
     ) {
-        let shared = method.build_barrier(n_blocks).expect("gpu-side method");
+        let shared = method.build_barrier_with(n_blocks, SyncPolicy::default()).expect("gpu-side method");
         let slot = Arc::new(AtomicU64::new(u64::MAX));
         std::thread::scope(|s| {
             for b in 0..n_blocks {
