@@ -132,7 +132,7 @@ const MAX_DRIFT_PCT: f64 = 0.1;
 ///
 /// Baseline rows from a `namespace` the current run emits nothing in are
 /// also skipped — the `headline` (`sim:`), `autotune` (`model:`),
-/// `obs_overhead` (`model:obs/`) and `oversub` (`model:oversub/`) bins
+/// `obs_overhead` (`model:obs/`) and `oversub` (`sim:oversub/`) bins
 /// guard themselves independently against the one shared
 /// `ci/bench_baseline.json`.
 pub fn compare(current: &[BenchRecord], baseline: &[BenchRecord]) -> Vec<String> {
@@ -328,25 +328,28 @@ mod tests {
 
     #[test]
     fn suite_qualified_methods_guard_independently() {
-        assert_eq!(namespace("model:cpu-explicit"), Some("model"));
-        assert_eq!(namespace("model:oversub/penalty_2x"), Some("model:oversub"));
+        assert_eq!(namespace("sim:cpu-implicit"), Some("sim"));
+        assert_eq!(
+            namespace("sim:oversub/cpu_implicit_60"),
+            Some("sim:oversub")
+        );
         assert_eq!(namespace("host:oversub/2x"), Some("host:oversub"));
         assert_eq!(namespace("unnamespaced"), None);
         let baseline = vec![
-            BenchRecord::new("model:cpu-implicit", 30, 6000.0),
-            BenchRecord::new("model:oversub/penalty_2x", 60, 10000.0),
+            BenchRecord::new("sim:cpu-implicit", 30, 6000.0),
+            BenchRecord::new("sim:oversub/cpu_implicit_60", 60, 10000.0),
         ];
-        // The autotune bin (plain `model:` rows only) is not failed by the
+        // The headline bin (plain `sim:` rows only) is not failed by the
         // oversub suite's baseline rows...
-        let autotune_run = vec![BenchRecord::new("model:cpu-implicit", 30, 6000.0)];
-        assert!(compare(&autotune_run, &baseline).is_empty());
-        // ...and the oversub bin is not failed by the plain `model:` rows,
+        let headline_run = vec![BenchRecord::new("sim:cpu-implicit", 30, 6000.0)];
+        assert!(compare(&headline_run, &baseline).is_empty());
+        // ...and the oversub bin is not failed by the plain `sim:` rows,
         // but is held to its own suite.
-        let oversub_run = vec![BenchRecord::new("model:oversub/penalty_2x", 60, 10011.0)];
+        let oversub_run = vec![BenchRecord::new("sim:oversub/cpu_implicit_60", 60, 10011.0)];
         let fails = compare(&oversub_run, &baseline);
         assert_eq!(fails.len(), 1);
         assert!(
-            fails[0].contains("model:oversub/penalty_2x"),
+            fails[0].contains("sim:oversub/cpu_implicit_60"),
             "{}",
             fails[0]
         );

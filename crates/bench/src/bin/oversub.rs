@@ -7,19 +7,16 @@
 //!   modelled GPU: 30 resident non-preemptive blocks spin forever while
 //!   the 31st can never be scheduled. The simulator detects and reports
 //!   the deadlock instead of hanging.
-//! * The same barrier with **parking** waiters (`SimConfig::with_parking`
-//!   in the simulator; every wait of the host runtime) survives the whole
-//!   ladder: parked waiters free their slots, the grid drains in waves,
-//!   and the cost model prices the waves instead of excluding them.
 //!
-//! Emits `BENCH_oversub.json` baseline records:
+//! That is the whole rule on the modelled GPU: past the resident ceiling a
+//! device-side barrier is not a candidate — stay at 30 blocks or
+//! synchronize from the CPU. (The host runtime has no such ceiling: its
+//! blocks are OS threads whose waits park, DESIGN.md §15.)
 //!
-//! 1. `model:oversub/penalty_{2,4,16}x` — the GTX 280 calibration's
-//!    park/wake wave penalty (`oversubscription_penalty_ns`) at 2x/4x/16x
-//!    the SM count (deterministic; guarded by the CI baseline check).
-//! 2. `model:oversub/parked_round_{2,4,16}x` — simulated per-round total
-//!    for the parked lock-free barrier at the same ladder (deterministic;
-//!    guarded).
+//! Emits `BENCH_oversub.json` baseline records
+//! `sim:oversub/cpu_implicit_{30,31,45,60,90,120}` — simulated ns per
+//! round of the §7.2 CPU-implicit sweep (deterministic; guarded by the CI
+//! baseline check).
 //!
 //! What oversubscription costs the host runtime is wall clock, which is
 //! the `perf/` benchmark's: `barrier.<m>.park_ns`,
@@ -34,15 +31,10 @@ use std::process::ExitCode;
 use blocksync_bench::baseline::{self, BenchRecord};
 use blocksync_bench::experiments::{oversubscription, MAX_SIM_ROUNDS};
 use blocksync_bench::harness::{format_table, ms};
-use blocksync_device::CalibrationProfile;
-
-const LADDER: [usize; 3] = [2, 4, 16];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut records = Vec::new();
 
-    // -- Section 1: the paper's study — CPU waves and the spin deadlock ---
     let o = oversubscription();
     println!("Micro-benchmark under CPU implicit sync, past the SM count:\n");
     let rows: Vec<Vec<String>> = o
@@ -59,41 +51,17 @@ fn main() -> ExitCode {
     }
     println!("\nThis is why the paper enforces a one-to-one block/SM mapping (Section 5).\n");
 
-    // -- Section 2: the parked ladder, simulated (guarded) ----------------
-    let cal = CalibrationProfile::gtx280();
-    let sms = 30usize;
-    println!("Same barrier with parking waiters: waves instead of deadlock:\n");
-    let rows: Vec<Vec<String>> = o
-        .parked_gpu
+    let records: Vec<BenchRecord> = o
+        .cpu_implicit
         .iter()
-        .map(|&(n, t)| {
-            vec![
-                n.to_string(),
-                ms(t),
-                cal.oversubscription_penalty_ns(n, sms).to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(&["blocks", "total (ms)", "model penalty (ns)"], &rows)
-    );
-
-    for m in LADDER {
-        let n = m * sms;
-        records.push(BenchRecord::new(
-            format!("model:oversub/penalty_{m}x"),
-            n,
-            cal.oversubscription_penalty_ns(n, sms) as f64,
-        ));
-        if let Some(&(_, total)) = o.parked_gpu.iter().find(|&&(b, _)| b == n) {
-            records.push(BenchRecord::new(
-                format!("model:oversub/parked_round_{m}x"),
+        .map(|&(n, total)| {
+            BenchRecord::new(
+                format!("sim:oversub/cpu_implicit_{n}"),
                 n,
                 total.as_nanos() as f64 / MAX_SIM_ROUNDS as f64,
-            ));
-        }
-    }
+            )
+        })
+        .collect();
 
     if let Err(e) = baseline::write_and_guard(&args, &records, Some("BENCH_oversub.json")) {
         eprintln!("error: {e}");

@@ -396,10 +396,6 @@ pub struct Oversubscription {
     pub cpu_implicit: Vec<(usize, SimDuration)>,
     /// What happens with 31 blocks and a device-side barrier.
     pub gpu_at_31: Result<SimDuration, blocksync_sim::SimError>,
-    /// `(blocks, total)` for the GPU lock-free barrier with a *parking*
-    /// policy: the same oversubscription ladder (up to 16x the SM count)
-    /// completes in waves instead of deadlocking (DESIGN.md §15).
-    pub parked_gpu: Vec<(usize, SimDuration)>,
 }
 
 /// Run the oversubscription study.
@@ -419,19 +415,9 @@ pub fn oversubscription() -> Oversubscription {
     let gpu_at_31 =
         blocksync_sim::try_simulate(&SimConfig::new(31, tpb, SyncMethod::GpuLockFree), &w)
             .map(|r| r.total);
-    let parked_gpu = [30usize, 60, 120, 480]
-        .iter()
-        .map(|&n| {
-            let cfg = SimConfig::new(n, tpb, SyncMethod::GpuLockFree).with_parking();
-            let r = blocksync_sim::try_simulate(&cfg, &w)
-                .expect("a parked GPU barrier survives oversubscription");
-            (n, r.total)
-        })
-        .collect();
     Oversubscription {
         cpu_implicit,
         gpu_at_31,
-        parked_gpu,
     }
 }
 

@@ -5,6 +5,24 @@ use std::collections::HashMap;
 
 use blocksync_core::{SyncMethod, TreeLevels};
 
+/// Largest block count any subcommand accepts, from `--blocks` or a
+/// `--shards` spec. Every host block is an OS thread and every command
+/// sizes per-block tables from the count, so it is bounded here, before
+/// anything is allocated or spawned. 4096 is two orders of magnitude past
+/// the GTX 280's 30 SMs and 17x the largest device the scaling study
+/// models (240 SMs).
+pub(crate) const MAX_BLOCKS: usize = 4096;
+
+/// `blocks`, or a usage error when it exceeds [`MAX_BLOCKS`].
+pub(crate) fn check_blocks(blocks: usize) -> Result<usize, String> {
+    if blocks > MAX_BLOCKS {
+        return Err(format!(
+            "block count {blocks} exceeds the limit of {MAX_BLOCKS}"
+        ));
+    }
+    Ok(blocks)
+}
+
 /// Parsed command-line flags.
 #[derive(Debug, Default, Clone)]
 pub struct Args {
@@ -60,6 +78,14 @@ impl Args {
                 .parse()
                 .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}")),
         }
+    }
+
+    /// `--blocks` with default, bounded by [`MAX_BLOCKS`].
+    ///
+    /// # Panics
+    /// Like [`Args::get_usize`], on an unparsable value.
+    pub(crate) fn get_blocks(&self, default: usize) -> Result<usize, String> {
+        check_blocks(self.get_usize("blocks", default))
     }
 
     /// Float flag with default.
@@ -138,6 +164,15 @@ mod tests {
         assert_eq!(parse_method("lockfree").unwrap(), SyncMethod::GpuLockFree);
         assert_eq!(parse_method("auto").unwrap(), SyncMethod::Auto);
         assert!(parse_method("warp-speed").is_err());
+    }
+
+    #[test]
+    fn block_counts_are_bounded() {
+        assert_eq!(parse(&[]).get_blocks(30), Ok(30));
+        assert_eq!(parse(&["--blocks", "4096"]).get_blocks(30), Ok(MAX_BLOCKS));
+        let e = parse(&["--blocks", "4097"]).get_blocks(30).unwrap_err();
+        assert!(e.contains("4097") && e.contains("4096"), "{e}");
+        assert!(check_blocks(100_000_000_000).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use blocksync_device::{CalibrationProfile, GpuSpec};
 use blocksync_microbench::{run_host_traced, MeanKernel};
 use blocksync_sim::{try_simulate, ConstWorkload, SimConfig, TraceKind};
 
-use crate::args::{parse_method, Args};
+use crate::args::{check_blocks, parse_method, Args};
 
 /// Fault policy from `--sync-timeout SECONDS` (0 or absent = wait forever,
 /// the pre-policy behavior). A stuck run then fails with a diagnostic
@@ -186,7 +186,7 @@ fn run_kernel_plain<K: RoundKernel>(
 /// `blocksync simulate`.
 pub fn simulate(a: &Args) -> Result<(), String> {
     let method = parse_method(a.get("method", "gpu-lock-free"))?;
-    let blocks = a.get_usize("blocks", 30);
+    let blocks = a.get_blocks(30)?;
     let rounds = a.get_usize("rounds", 10_000);
     let compute_us = a.get_f64("compute-us", 0.5);
     let mut cfg = SimConfig::new(blocks, a.get_usize("tpb", 256), method);
@@ -292,7 +292,7 @@ fn sim_chrome_trace(trace: &[blocksync_sim::TraceEvent], method: SyncMethod) -> 
 /// `blocksync sort`.
 pub fn sort(a: &Args) -> Result<(), String> {
     let n = a.get_usize("n", 65_536);
-    let blocks = a.get_usize("blocks", 8);
+    let blocks = a.get_blocks(8)?;
     let method = parse_method(a.get("method", "gpu-lock-free"))?;
     let batch = a.get_usize("batch", 1);
     let keys = random_keys(n, a.get_usize("seed", 42) as u64);
@@ -325,7 +325,7 @@ pub fn sort(a: &Args) -> Result<(), String> {
 /// `blocksync align`.
 pub fn align(a: &Args) -> Result<(), String> {
     let len = a.get_usize("len", 600);
-    let blocks = a.get_usize("blocks", 6);
+    let blocks = a.get_blocks(6)?;
     let method = parse_method(a.get("method", "gpu-lock-free"))?;
     let mutation = a.get_f64("mutation", 0.05);
     let (sa, sb) = related_dna(len, mutation, a.get_usize("seed", 7) as u64);
@@ -375,7 +375,7 @@ pub fn fft(a: &Args) -> Result<(), String> {
     if log_n > 24 {
         return Err("--log-n capped at 24".into());
     }
-    let blocks = a.get_usize("blocks", 6);
+    let blocks = a.get_blocks(6)?;
     let method = parse_method(a.get("method", "gpu-lock-free"))?;
     let n = 1usize << log_n;
     let input = complex_signal(n, a.get_usize("seed", 3) as u64);
@@ -408,7 +408,7 @@ pub fn fft(a: &Args) -> Result<(), String> {
 /// `blocksync scan`.
 pub fn scan(a: &Args) -> Result<(), String> {
     let n = a.get_usize("n", 100_000);
-    let blocks = a.get_usize("blocks", 4);
+    let blocks = a.get_blocks(4)?;
     let method = parse_method(a.get("method", "gpu-lock-free"))?;
     let mut rng = SplitMix64::new(a.get_usize("seed", 1) as u64);
     let data: Vec<u64> = (0..n).map(|_| rng.next_u64() >> 40).collect();
@@ -428,7 +428,7 @@ pub fn scan(a: &Args) -> Result<(), String> {
 /// `blocksync micro`.
 pub fn micro(a: &Args) -> Result<(), String> {
     reject_runtime_flag(a)?;
-    let blocks = a.get_usize("blocks", 4);
+    let blocks = a.get_blocks(4)?;
     let rounds = a.get_usize("rounds", 2_000);
     let tpb = a.get_usize("tpb", 64);
     let method = parse_method(a.get("method", "gpu-lock-free"))?;
@@ -457,7 +457,7 @@ pub fn micro(a: &Args) -> Result<(), String> {
 /// Prometheus text exposition format (submit→stats latency histograms per
 /// method, warm/cold and failure counters, live queue-depth gauge).
 pub fn metrics(a: &Args) -> Result<(), String> {
-    let blocks = a.get_usize("blocks", 4);
+    let blocks = a.get_blocks(4)?;
     let rounds = a.get_usize("rounds", 200);
     let tpb = a.get_usize("tpb", 64);
     let launches = a.get_usize("launches", 16);
@@ -504,7 +504,7 @@ pub fn metrics(a: &Args) -> Result<(), String> {
 /// the pick, and every pairwise crossover point where one method overtakes
 /// another as the grid grows.
 pub fn tune(a: &Args) -> Result<(), String> {
-    let blocks = a.get_usize("blocks", 30);
+    let blocks = a.get_blocks(30)?;
     if blocks == 0 {
         return Err("--blocks expects an integer >= 1".into());
     }
@@ -535,12 +535,15 @@ pub fn tune(a: &Args) -> Result<(), String> {
         cal.explicit_round_overhead_ns,
         cal.implicit_round_overhead_ns
     );
-    println!("GPU-side methods spin up to {max_gpu} blocks, park (priced) beyond");
+    println!("GPU-side methods are candidates up to {max_gpu} resident blocks, excluded beyond");
     println!("\nprediction table for {blocks} blocks (predicted t_S per barrier):");
-    print_tune_table(
-        &decision,
-        "  (oversubscribed: parks past capacity; includes park/wake wave penalty)",
-    );
+    print_tune_table(&decision);
+    if blocks > max_gpu {
+        println!(
+            "  (no GPU-side rows: {blocks} blocks cannot all be resident, and a device-side \
+             barrier among non-preemptive blocks deadlocks — paper Section 5)"
+        );
+    }
     println!(
         "\nchosen: {} (predicted t_S {:.0} ns)",
         decision.chosen, decision.predicted_sync_ns
@@ -573,7 +576,7 @@ fn tune_host(blocks: usize) -> Result<(), String> {
         "measured table for {blocks} blocks on {cores} core(s) \
          (t_S per round of an empty launch):"
     );
-    print_tune_table(&decision, "");
+    print_tune_table(&decision);
     println!(
         "\nmeasured in {:.1} ms; a process measures each block count once",
         took.as_secs_f64() * 1e3
@@ -585,18 +588,16 @@ fn tune_host(blocks: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// One line per row of a tuner table, the pick starred; `oversub_note`
-/// trails the rows flagged oversubscribed.
-fn print_tune_table(decision: &AutoDecision, oversub_note: &str) {
+/// One line per row of a tuner table, the pick starred.
+fn print_tune_table(decision: &AutoDecision) {
     for row in &decision.table {
         let mark = if row.method == decision.chosen {
             '*'
         } else {
             ' '
         };
-        let note = if row.oversubscribed { oversub_note } else { "" };
         println!(
-            " {mark} {:<16} {:>12.0} ns{note}",
+            " {mark} {:<16} {:>12.0} ns",
             row.method.to_string(),
             row.predicted_sync_ns
         );
@@ -606,7 +607,7 @@ fn print_tune_table(decision: &AutoDecision, oversub_note: &str) {
 /// `blocksync trace` — run the micro-benchmark with the telemetry plane on
 /// and print the per-round skew/straggler table.
 pub fn trace(a: &Args) -> Result<(), String> {
-    let blocks = a.get_usize("blocks", 4);
+    let blocks = a.get_blocks(4)?;
     let rounds = a.get_usize("rounds", 200);
     let method = parse_method(a.get("method", "gpu-lock-free"))?;
     let stride = a.get_usize("stride", 1);
@@ -682,7 +683,7 @@ pub fn chaos(a: &Args) -> Result<(), String> {
     } else {
         let one = defaults.shards[0];
         vec![ShardKey::new(
-            a.get_usize("blocks", one.blocks),
+            a.get_blocks(one.blocks)?,
             a.get_usize("tpb", one.threads_per_block),
             parse_method(a.get("method", "gpu-lock-free"))?,
         )]
@@ -761,7 +762,7 @@ fn parse_shards(spec: &str, default: Vec<ShardKey>) -> Result<Vec<ShardKey>, Str
             };
             let (shape, method) = part.split_once('/').ok_or_else(err)?;
             let (blocks, tpb) = shape.split_once('x').ok_or_else(err)?;
-            let blocks: usize = blocks.trim().parse().map_err(|_| err())?;
+            let blocks = check_blocks(blocks.trim().parse().map_err(|_| err())?)?;
             let tpb: usize = tpb.trim().parse().map_err(|_| err())?;
             Ok(ShardKey::new(blocks, tpb, parse_method(method.trim())?))
         })
@@ -810,6 +811,12 @@ pub fn serve(a: &Args) -> Result<(), String> {
     )?;
     if clients == 0 || per_client == 0 {
         return Err("--clients and --launches must be >= 1".into());
+    }
+    // Before a client allocates a kernel with an element per thread.
+    for key in &shards {
+        GridConfig::new(key.blocks, key.threads_per_block)
+            .validate()
+            .map_err(|e| format!("shard {key}: {e}"))?;
     }
     let mut template = GridConfig::new(1, 1);
     template = template.with_policy(sync_policy(a)?);
@@ -1197,6 +1204,32 @@ mod tests {
         let e = run(&["--method", "no-sync"]).unwrap_err();
         assert!(e.contains("shard 4x8/no-sync"), "{e}");
         assert!(run(&["--shards", "4x8"]).is_err());
+    }
+
+    /// A block count from outside is bounded before anything is sized from
+    /// it: each of these used to die allocating 800 GB.
+    #[test]
+    fn absurd_block_counts_are_usage_errors() {
+        let huge = "100000000000";
+        let shards = format!("{huge}x8/gpu-lock-free");
+        type Command = fn(&Args) -> Result<(), String>;
+        let cases: [(Command, &[&str]); 5] = [
+            (
+                simulate,
+                &["simulate", "--blocks", huge, "--method", "cpu-implicit"],
+            ),
+            (micro, &["micro", "--blocks", huge]),
+            (serve, &["serve", "--shards", &shards]),
+            (chaos, &["chaos", "--shards", &shards]),
+            (chaos, &["chaos", "--blocks", huge]),
+        ];
+        for (command, argv) in cases {
+            let e = command(&args(argv)).unwrap_err();
+            assert!(e.contains(huge) && e.contains("4096"), "{argv:?}: {e}");
+        }
+        // A shard's threads per block are held to the device limit too.
+        let e = serve(&args(&["serve", "--shards", "4x100000000000/gpu-simple"])).unwrap_err();
+        assert!(e.contains("exceeds device limit"), "{e}");
     }
 
     #[test]

@@ -40,12 +40,8 @@ pub struct MethodPrediction {
     /// The concrete method this row prices.
     pub method: SyncMethod,
     /// Per-round synchronization cost, ns: priced by the cost model under
-    /// a profile tuner (oversubscribed GPU-side rows include the park/wake
-    /// wave penalty), measured under the host tuner.
+    /// a profile tuner, measured under the host tuner.
     pub predicted_sync_ns: f64,
-    /// True when this row has more blocks than fit resident at once, so
-    /// the grid completes in waves of parked waiters.
-    pub oversubscribed: bool,
 }
 
 /// The auto-tuner's verdict for one grid configuration.
@@ -58,9 +54,6 @@ pub struct AutoDecision {
     /// Mean measured per-round sync cost, ns — filled in by the executor
     /// after the run; `None` on a decision that has not executed yet.
     pub measured_sync_ns: Option<f64>,
-    /// Whether the chosen method runs oversubscribed (more blocks than fit
-    /// resident), draining in waves.
-    pub oversubscribed: bool,
     /// The full table the choice was made from, in canonical order.
     pub table: Vec<MethodPrediction>,
 }
@@ -102,11 +95,11 @@ impl AutoTuner {
     /// its cheapest row (ties to the earlier, i.e. more established,
     /// method).
     ///
-    /// `max_gpu_blocks` is a modelled device's resident-block ceiling.
-    /// Grids beyond it keep their GPU candidates — priced with the
-    /// park/wake wave penalty and flagged `oversubscribed`. A host tuner
-    /// ignores it: its rows are flagged when `n_blocks` exceeds
-    /// `available_parallelism`, and what the waves cost is already in the
+    /// `max_gpu_blocks` is a modelled device's resident-block ceiling: a
+    /// grid beyond it has no GPU-side rows (paper §5 — a device-side
+    /// barrier among more blocks than fit resident deadlocks), so the pick
+    /// is a CPU-side method. A host tuner ignores it: host waiters park,
+    /// and what that costs past the core count is already in the
     /// measurement.
     ///
     /// # Panics
@@ -122,7 +115,6 @@ impl AutoTuner {
                 .map(|p| MethodPrediction {
                     method: to_sync_method(p.kind),
                     predicted_sync_ns: p.sync_ns,
-                    oversubscribed: p.oversubscribed,
                 })
                 .collect(),
             None => host_table(n_blocks),
@@ -133,13 +125,12 @@ impl AutoTuner {
                 Some(b) if b.predicted_sync_ns <= p.predicted_sync_ns => Some(b),
                 _ => Some(p),
             })
-            .expect("both sources fill a row per method")
+            .expect("both sources fill at least the CPU-side rows")
             .clone();
         AutoDecision {
             chosen: chosen.method,
             predicted_sync_ns: chosen.predicted_sync_ns,
             measured_sync_ns: None,
-            oversubscribed: chosen.oversubscribed,
             table,
         }
     }
@@ -168,7 +159,6 @@ fn host_table(n: usize) -> Vec<MethodPrediction> {
 /// trace and no observer — an unpinned cold launch, which is what the
 /// `Auto` caller about to run gets.
 fn time_host_rows(n: usize) -> Vec<MethodPrediction> {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let kernel = (PROBE_ROUNDS, |_: &BlockCtx, _: usize| {});
     SyncMethod::PAPER_METHODS
         .iter()
@@ -180,7 +170,6 @@ fn time_host_rows(n: usize) -> Vec<MethodPrediction> {
             MethodPrediction {
                 method,
                 predicted_sync_ns: stats.sync_per_round().as_secs_f64() * 1e9,
-                oversubscribed: n > cores,
             }
         })
         .collect()
@@ -215,44 +204,6 @@ mod tests {
         for row in &d.table {
             assert!(row.predicted_sync_ns >= d.predicted_sync_ns);
         }
-    }
-
-    #[test]
-    fn oversubscription_prices_gpu_rows_instead_of_excluding_them() {
-        let cal = CalibrationProfile::gtx280();
-        let d = AutoTuner::with_profile(cal.clone()).decide(64, 30);
-        // On the GTX 280 profile the wave penalty still hands the win to
-        // CPU implicit...
-        assert_eq!(d.chosen, SyncMethod::CpuImplicit);
-        assert!(!d.oversubscribed);
-        // ...but every GPU row stays in the table, flagged and penalized.
-        let penalty = cal.oversubscription_penalty_ns(64, 30) as f64;
-        assert!(penalty > 0.0);
-        for row in &d.table {
-            if row.method.is_gpu_side() {
-                assert!(row.oversubscribed, "{} should be flagged", row.method);
-                assert!(
-                    row.predicted_sync_ns >= penalty,
-                    "{} carries the park/wake penalty",
-                    row.method
-                );
-            } else {
-                assert!(!row.oversubscribed);
-            }
-        }
-    }
-
-    #[test]
-    fn cheap_parking_decides_an_oversubscribed_gpu_method() {
-        // When parking is nearly free and relaunches are ruinous, the tuner
-        // must be willing to run a GPU barrier in waves.
-        let mut cal = CalibrationProfile::gtx280();
-        cal.park_wake_ns = 1;
-        cal.implicit_round_overhead_ns = 1_000_000;
-        cal.explicit_round_overhead_ns = 2_000_000;
-        let d = AutoTuner::with_profile(cal).decide(64, 30);
-        assert!(d.chosen.is_gpu_side(), "chose {}", d.chosen);
-        assert!(d.oversubscribed);
     }
 
     #[test]

@@ -76,13 +76,6 @@ pub struct CalibrationProfile {
     /// dispatch of the next (already-queued) launch; launch transfer is
     /// pipelined behind the previous round's execution (Eq. 4).
     pub implicit_round_overhead_ns: u64,
-    /// One park/wake handoff of a parked barrier waiter: the
-    /// cost of a waiter blocking on an OS condvar and being notified back
-    /// onto a core. Prices the oversubscription penalty of GPU-side
-    /// barriers run with more blocks than cores — each extra *wave* of
-    /// blocks adds roughly two such handoffs per round (descheduling the
-    /// spinners of one wave, scheduling the next).
-    pub park_wake_ns: u64,
 }
 
 impl CalibrationProfile {
@@ -100,7 +93,6 @@ impl CalibrationProfile {
             kernel_launch_ns: 7_000,
             explicit_round_overhead_ns: 13_000,
             implicit_round_overhead_ns: 6_000,
-            park_wake_ns: 5_000,
         }
     }
 
@@ -123,7 +115,6 @@ impl CalibrationProfile {
             kernel_launch_ns: 5_000,
             explicit_round_overhead_ns: 9_000,
             implicit_round_overhead_ns: 4_000,
-            park_wake_ns: 4_000,
         }
     }
 
@@ -143,7 +134,6 @@ impl CalibrationProfile {
             kernel_launch_ns: 0,
             explicit_round_overhead_ns: 0,
             implicit_round_overhead_ns: 0,
-            park_wake_ns: 1,
         }
     }
 
@@ -207,22 +197,6 @@ impl CalibrationProfile {
     pub fn implicit_round_overhead(&self) -> SimDuration {
         SimDuration(self.implicit_round_overhead_ns)
     }
-
-    /// One park/wake handoff of a parking barrier waiter as a
-    /// [`SimDuration`].
-    pub fn park_wake(&self) -> SimDuration {
-        SimDuration(self.park_wake_ns)
-    }
-
-    /// The extra per-round cost the cost model charges a GPU-side barrier
-    /// for running `n` blocks where only `max_resident` fit at once:
-    /// `2 * (waves - 1) * park_wake_ns`, i.e. two park/wake handoffs per
-    /// extra wave of blocks (one to deschedule a spinning wave, one to
-    /// schedule the next). Zero when the grid fits.
-    pub fn oversubscription_penalty_ns(&self, n: usize, max_resident: usize) -> u64 {
-        let waves = n.div_ceil(max_resident.max(1)) as u64;
-        2 * waves.saturating_sub(1) * self.park_wake_ns
-    }
 }
 
 impl Default for CalibrationProfile {
@@ -284,24 +258,6 @@ mod tests {
             c.implicit_round_overhead().as_nanos(),
             c.implicit_round_overhead_ns
         );
-        assert_eq!(c.park_wake().as_nanos(), c.park_wake_ns);
-    }
-
-    #[test]
-    fn oversubscription_penalty_scales_with_waves() {
-        let c = CalibrationProfile::gtx280();
-        // A grid that fits costs nothing extra.
-        assert_eq!(c.oversubscription_penalty_ns(30, 30), 0);
-        assert_eq!(c.oversubscription_penalty_ns(1, 30), 0);
-        // 31 blocks on 30 SMs is two waves: one extra park/wake pair.
-        assert_eq!(c.oversubscription_penalty_ns(31, 30), 2 * c.park_wake_ns);
-        // 16x oversubscription is 16 waves: 30 handoffs.
-        assert_eq!(
-            c.oversubscription_penalty_ns(480, 30),
-            2 * 15 * c.park_wake_ns
-        );
-        // Degenerate zero-resident denominator must not panic.
-        assert_eq!(c.oversubscription_penalty_ns(4, 0), 6 * c.park_wake_ns);
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //!
 //! This crate is the shared vocabulary of the workspace: it defines
 //! *what device we are talking about* ([`GpuSpec`]), *how fast its primitive
-//! operations are* ([`CalibrationProfile`]), the virtual-time arithmetic used
-//! by the simulator ([`SimTime`], [`SimDuration`]), and the thread/block
-//! topology types of the CUDA-like programming model ([`GridDim`],
-//! [`BlockDim`], [`BlockId`]).
+//! operations are* ([`CalibrationProfile`]), and the virtual-time arithmetic
+//! used by the simulator ([`SimTime`], [`SimDuration`]).
 //!
 //! The defaults in [`GpuSpec::gtx280`] and [`CalibrationProfile::gtx280`]
 //! describe the NVIDIA GeForce GTX 280 used in the paper
@@ -27,10 +25,8 @@ pub mod error;
 pub mod json;
 pub mod spec;
 pub mod time;
-pub mod topology;
 
 pub use calibration::CalibrationProfile;
 pub use error::DeviceError;
 pub use spec::GpuSpec;
 pub use time::{SimDuration, SimTime};
-pub use topology::{BlockDim, BlockId, GridDim, LaunchConfig, SmId, ThreadId};

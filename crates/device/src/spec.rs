@@ -8,14 +8,10 @@ use crate::error::DeviceError;
 /// The fields mirror Section 2 of the paper ("Overview of CUDA on the
 /// NVIDIA GTX 280"). The one-to-one block-to-SM mapping required by the
 /// GPU synchronization approaches means `num_sms` is the maximum number of
-/// blocks a *purely spinning* persistent kernel may use (see
-/// [`GpuSpec::max_persistent_blocks`]). Parking waiters lift that
-/// ceiling: a waiter that deschedules itself frees its execution slot for
-/// a not-yet-run block, so grids larger than the SM count still make
-/// progress (see [`GpuSpec::validate_persistent_launch_with_parking`]).
-/// The host runtime's waiters always park eventually, so it does not
-/// consult this ceiling; the simulator, which models the non-preemptive
-/// GPU, does.
+/// blocks a persistent kernel may use (see
+/// [`GpuSpec::max_persistent_blocks`]). The simulator, which models the
+/// non-preemptive GPU, enforces that ceiling; the host runtime's waiters
+/// are OS threads that park, so it never consults it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing / model name, e.g. `"GeForce GTX 280"`.
@@ -91,18 +87,14 @@ impl GpuSpec {
     }
 
     /// Maximum number of blocks usable by a kernel that participates in a
-    /// GPU (device-side) barrier **with a pure spin-wait**.
+    /// GPU (device-side) barrier.
     ///
     /// Section 5 of the paper: because blocks are non-preemptive, a grid-wide
     /// spin barrier deadlocks unless every block is simultaneously resident,
     /// which the paper guarantees with a one-to-one block/SM mapping (at most
     /// one block per SM, enforced by allocating all shared memory to each
-    /// block).
-    ///
-    /// This ceiling applies only to spinning waiters. A parking waiter
-    /// bounds every wait, so a stalled wave yields its slots and larger
-    /// grids complete in waves — use
-    /// [`GpuSpec::validate_persistent_launch_with_parking`] for those.
+    /// block). Past this ceiling a device-side barrier is not a candidate:
+    /// stay at or below it, or synchronize from the CPU.
     pub fn max_persistent_blocks(&self) -> u32 {
         self.num_sms
     }
@@ -186,39 +178,6 @@ impl GpuSpec {
         }
         Ok(())
     }
-
-    /// Validate a persistent launch whose waiters may park.
-    ///
-    /// With `parking == false` this is exactly
-    /// [`GpuSpec::validate_persistent_launch`]. With `parking == true` the
-    /// resident-block ceiling is waived: a parked waiter relinquishes its
-    /// execution slot within a bounded spin budget, so blocks beyond the SM
-    /// count run as later waves instead of deadlocking the grid. The thread
-    /// and empty-launch checks still apply — parking changes scheduling,
-    /// not per-block architectural limits.
-    pub fn validate_persistent_launch_with_parking(
-        &self,
-        blocks: u32,
-        threads_per_block: u32,
-        parking: bool,
-    ) -> Result<(), DeviceError> {
-        if blocks == 0 || threads_per_block == 0 {
-            return Err(DeviceError::EmptyLaunch);
-        }
-        if !parking && blocks > self.max_persistent_blocks() {
-            return Err(DeviceError::TooManyBlocks {
-                requested: blocks,
-                max: self.max_persistent_blocks(),
-            });
-        }
-        if threads_per_block > self.max_threads_per_block {
-            return Err(DeviceError::TooManyThreads {
-                requested: threads_per_block,
-                max: self.max_threads_per_block,
-            });
-        }
-        Ok(())
-    }
 }
 
 impl Default for GpuSpec {
@@ -255,32 +214,6 @@ mod tests {
                 requested: 31,
                 max: 30
             })
-        ));
-    }
-
-    #[test]
-    fn parking_waives_the_block_ceiling_only() {
-        let g = GpuSpec::gtx280();
-        // Without parking: identical to the strict validator.
-        assert!(matches!(
-            g.validate_persistent_launch_with_parking(31, 512, false),
-            Err(DeviceError::TooManyBlocks {
-                requested: 31,
-                max: 30
-            })
-        ));
-        // With parking: 16x the SM count is admissible.
-        assert!(g
-            .validate_persistent_launch_with_parking(480, 512, true)
-            .is_ok());
-        // Parking does not waive architectural limits.
-        assert!(matches!(
-            g.validate_persistent_launch_with_parking(480, 513, true),
-            Err(DeviceError::TooManyThreads { .. })
-        ));
-        assert!(matches!(
-            g.validate_persistent_launch_with_parking(0, 128, true),
-            Err(DeviceError::EmptyLaunch)
         ));
     }
 
@@ -339,11 +272,9 @@ mod tests {
     }
 
     #[test]
-    fn launch_config_pins_one_block_per_sm() {
-        use crate::topology::LaunchConfig;
+    fn requesting_all_shared_memory_pins_one_block_per_sm() {
         let g = GpuSpec::gtx280();
-        let cfg = LaunchConfig::linear(30, 256).occupy_all_shared_mem(g.shared_mem_per_sm);
-        assert!(g.is_one_block_per_sm(cfg.threads_per_block(), 0, cfg.shared_mem_bytes));
+        assert!(g.is_one_block_per_sm(256, 0, g.shared_mem_per_sm));
     }
 
     #[test]

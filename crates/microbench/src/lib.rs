@@ -19,7 +19,7 @@
 
 use blocksync_core::{
     BlockCtx, ExecError, GlobalBuffer, GridConfig, GridExecutor, KernelStats, RoundKernel,
-    SyncMethod, SyncPolicy, TraceConfig,
+    SyncMethod, TraceConfig,
 };
 use blocksync_device::GpuSpec;
 use blocksync_sim::{simulate, ConstWorkload, SimConfig, SimReport};
@@ -89,25 +89,10 @@ pub fn run_host(
     rounds: usize,
     method: SyncMethod,
 ) -> Result<(KernelStats, bool), ExecError> {
-    run_host_with(
-        n_blocks,
-        threads_per_block,
-        rounds,
-        method,
-        SyncPolicy::default(),
-    )
-}
-
-/// [`run_host`] under an explicit fault [`SyncPolicy`] (barrier timeout).
-pub fn run_host_with(
-    n_blocks: usize,
-    threads_per_block: usize,
-    rounds: usize,
-    method: SyncMethod,
-    policy: SyncPolicy,
-) -> Result<(KernelStats, bool), ExecError> {
+    let cfg = GridConfig::new(n_blocks, threads_per_block);
+    // Before the kernel allocates an element per thread of the grid.
+    cfg.validate()?;
     let kernel = MeanKernel::for_grid(n_blocks, threads_per_block, rounds);
-    let cfg = GridConfig::new(n_blocks, threads_per_block).with_policy(policy);
     let stats = GridExecutor::new(cfg, method).run(&kernel)?;
     let ok = kernel.verify();
     Ok((stats, ok))
@@ -122,10 +107,9 @@ pub fn run_host_traced(
     method: SyncMethod,
     trace: TraceConfig,
 ) -> Result<(KernelStats, bool), ExecError> {
+    let cfg = GridConfig::new(n_blocks, threads_per_block).with_trace(trace);
+    cfg.validate()?;
     let kernel = MeanKernel::for_grid(n_blocks, threads_per_block, rounds);
-    let cfg = GridConfig::new(n_blocks, threads_per_block)
-        .with_policy(SyncPolicy::default())
-        .with_trace(trace);
     let stats = GridExecutor::new(cfg, method).run(&kernel)?;
     let ok = kernel.verify();
     Ok((stats, ok))
@@ -154,20 +138,18 @@ pub fn simulate_micro(
     simulate(&cfg, &w)
 }
 
-/// Convenience: the per-barrier synchronization cost (ns) of `method` at
-/// `n_blocks` blocks in the simulator — one Figure 11 data point, divided
-/// by the round count.
-pub fn sim_sync_per_round_ns(n_blocks: usize, method: SyncMethod) -> f64 {
-    // A few hundred rounds reach steady state; scaling to 10,000 changes
-    // only constants folded out by the division.
-    let r = simulate_micro(n_blocks, 256, 200, method);
-    r.sync_per_round().as_nanos() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use blocksync_core::TreeLevels;
+
+    /// Per-barrier sync cost (ns) in the simulator: one Figure 11 point. A
+    /// few hundred rounds reach steady state.
+    fn sim_sync_per_round_ns(n_blocks: usize, method: SyncMethod) -> f64 {
+        simulate_micro(n_blocks, 256, 200, method)
+            .sync_per_round()
+            .as_nanos() as f64
+    }
 
     #[test]
     fn kernel_computes_means_under_every_method() {

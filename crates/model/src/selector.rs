@@ -115,14 +115,8 @@ pub fn predicted_sync_ns(cal: &CalibrationProfile, kind: MethodKind, n: usize) -
 pub struct Prediction {
     /// The method this row prices.
     pub kind: MethodKind,
-    /// Predicted per-round sync cost, ns. For oversubscribed GPU-side rows
-    /// this includes the park/wake penalty
-    /// ([`CalibrationProfile::oversubscription_penalty_ns`]).
+    /// Predicted per-round sync cost, ns.
     pub sync_ns: f64,
-    /// True when the row needs more blocks than fit simultaneously, so it
-    /// only runs deadlock-free because waiters park. Such rows stay in the
-    /// table — the grid drains in waves — but are priced accordingly.
-    pub oversubscribed: bool,
 }
 
 /// Structured selection failure.
@@ -143,10 +137,10 @@ impl std::fmt::Display for SelectorError {
 impl std::error::Error for SelectorError {}
 
 /// The full prediction table for `n` blocks. `max_gpu_blocks` is the
-/// device's resident-block ceiling (`GpuSpec::max_persistent_blocks`);
-/// GPU-side rows beyond it stay in the table but are flagged
-/// `oversubscribed` and carry the park/wake penalty in their price: each
-/// extra wave of blocks costs two park/wake handoffs per round.
+/// device's resident-block ceiling (`GpuSpec::max_persistent_blocks`): a
+/// grid beyond it has no GPU-side rows, because resident blocks are
+/// non-preemptive and a device-side barrier among more blocks than fit at
+/// once deadlocks (paper §5). The CPU-side rows are always present.
 pub fn prediction_table(
     cal: &CalibrationProfile,
     n: usize,
@@ -154,18 +148,10 @@ pub fn prediction_table(
 ) -> Vec<Prediction> {
     candidates(cal, n)
         .into_iter()
-        .map(|kind| {
-            let oversubscribed = kind.is_gpu_side() && n > max_gpu_blocks;
-            let penalty = if oversubscribed {
-                cal.oversubscription_penalty_ns(n, max_gpu_blocks) as f64
-            } else {
-                0.0
-            };
-            Prediction {
-                kind,
-                sync_ns: predicted_sync_ns(cal, kind, n) + penalty,
-                oversubscribed,
-            }
+        .filter(|kind| !kind.is_gpu_side() || n <= max_gpu_blocks)
+        .map(|kind| Prediction {
+            kind,
+            sync_ns: predicted_sync_ns(cal, kind, n),
         })
         .collect()
 }
@@ -181,8 +167,7 @@ pub fn cheapest(table: &[Prediction]) -> Option<Prediction> {
 }
 
 /// Pick the cheapest method for `n` blocks: the argmin of the prediction
-/// table. Oversubscribed GPU-side candidates compete on price (base cost
-/// plus park/wake penalty) rather than being excluded outright.
+/// table, which past `max_gpu_blocks` holds the CPU-side methods only.
 pub fn select(
     cal: &CalibrationProfile,
     n: usize,
@@ -191,7 +176,8 @@ pub fn select(
     if n == 0 {
         return Err(SelectorError::EmptyGrid);
     }
-    Ok(cheapest(&prediction_table(cal, n, max_gpu_blocks)).expect("the candidate set is fixed"))
+    Ok(cheapest(&prediction_table(cal, n, max_gpu_blocks))
+        .expect("the CPU-side rows are always present"))
 }
 
 /// First block count in `2..=max_n` at which `a` becomes strictly more
@@ -275,51 +261,32 @@ mod tests {
         let cal = CalibrationProfile::gtx280();
         let pick = select(&cal, 30, 30).unwrap();
         assert_eq!(pick.kind, MethodKind::GpuLockFree);
-        assert!(!pick.oversubscribed);
     }
 
     #[test]
-    fn oversubscribed_grid_falls_back_to_cpu_implicit() {
-        // Beyond the resident-block ceiling the GPU rows stay in the race
-        // but pay the park/wake penalty; on the GTX 280 profile that makes
-        // CPU implicit the winner at 64 blocks.
-        let cal = CalibrationProfile::gtx280();
-        let pick = select(&cal, 64, 30).unwrap();
-        assert_eq!(pick.kind, MethodKind::CpuImplicit);
-        assert!(!pick.kind.is_gpu_side());
-    }
-
-    #[test]
-    fn oversubscribed_gpu_rows_are_priced_not_excluded() {
-        let cal = CalibrationProfile::gtx280();
-        let fit = prediction_table(&cal, 64, 64);
-        let over = prediction_table(&cal, 64, 30);
-        let penalty = cal.oversubscription_penalty_ns(64, 30) as f64;
-        assert!(penalty > 0.0);
-        for (f, o) in fit.iter().zip(&over) {
-            assert_eq!(f.kind, o.kind);
-            if o.kind.is_gpu_side() {
-                assert!(o.oversubscribed);
-                assert_eq!(o.sync_ns, f.sync_ns + penalty, "{:?}", o.kind);
-            } else {
-                assert!(!o.oversubscribed);
-                assert_eq!(o.sync_ns, f.sync_ns);
+    fn past_the_resident_ceiling_no_gpu_side_method_is_a_candidate() {
+        for cal in [
+            CalibrationProfile::gtx280(),
+            CalibrationProfile::fermi_class(),
+            CalibrationProfile::unit(),
+        ] {
+            assert_eq!(prediction_table(&cal, 30, 30).len(), 9);
+            for n in [31usize, 64, 480] {
+                let table = prediction_table(&cal, n, 30);
+                let kinds: Vec<MethodKind> = table.iter().map(|p| p.kind).collect();
+                assert_eq!(
+                    kinds,
+                    [MethodKind::CpuExplicit, MethodKind::CpuImplicit],
+                    "n={n}"
+                );
+                assert!(!select(&cal, n, 30).unwrap().kind.is_gpu_side(), "n={n}");
             }
         }
-    }
-
-    #[test]
-    fn cheap_parking_lets_a_gpu_method_win_oversubscribed() {
-        // When the park/wake handoff is nearly free and relaunches are
-        // expensive, an oversubscribed GPU barrier should out-price the CPU
-        // paths — the selector must be willing to pick it.
+        // However ruinous a relaunch is priced, the ceiling is not for sale.
         let mut cal = CalibrationProfile::gtx280();
-        cal.park_wake_ns = 1;
         cal.implicit_round_overhead_ns = 1_000_000;
         cal.explicit_round_overhead_ns = 2_000_000;
-        let pick = select(&cal, 64, 30).unwrap();
-        assert!(pick.kind.is_gpu_side());
-        assert!(pick.oversubscribed);
+        assert_eq!(select(&cal, 64, 30).unwrap().kind, MethodKind::CpuImplicit);
     }
 
     #[test]

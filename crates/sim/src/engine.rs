@@ -46,14 +46,6 @@ pub struct SimConfig {
     /// rather than merged reads — the pessimistic end of the checking-cost
     /// spectrum. Off by default.
     pub cas_polling: bool,
-    /// Model parking waiters (the host runtime's wait discipline, which the
-    /// paper's GPU does not have): a spinning block whose
-    /// poll fails yields its SM to a not-yet-dispatched block, paying one
-    /// park/wake handoff ([`CalibrationProfile::park_wake`]) per re-poll.
-    /// Lifts the one-block-per-SM validation ceiling for GPU-side methods —
-    /// oversubscribed grids complete in waves instead of deadlocking. Off
-    /// by default (the paper's spin-only regime).
-    pub parking: bool,
     /// Device architecture.
     pub spec: GpuSpec,
     /// Timing calibration.
@@ -71,16 +63,9 @@ impl SimConfig {
             num_partitions: 8,
             trace: false,
             cas_polling: false,
-            parking: false,
             spec: GpuSpec::gtx280(),
             cal: CalibrationProfile::gtx280(),
         }
-    }
-
-    /// Enable parking waiters (see [`SimConfig::parking`]).
-    pub fn with_parking(mut self) -> Self {
-        self.parking = true;
-        self
     }
 
     /// Use a serial lock-free collector (ablation).
@@ -113,22 +98,37 @@ impl SimConfig {
         self
     }
 
-    /// Validate block/thread counts against the device, enforcing the
-    /// one-block-per-SM rule for GPU-side methods with spinning waiters.
-    /// With [`SimConfig::parking`] enabled the block ceiling is waived —
-    /// parked waiters free their SMs, so oversubscribed grids complete in
-    /// waves (see [`GpuSpec::validate_persistent_launch_with_parking`]).
+    /// Validate block/thread counts against the device. GPU-side methods
+    /// get the one-block-per-SM rule ([`GpuSpec::validate_persistent_launch`]):
+    /// resident blocks are non-preemptive, so a device-side barrier past the
+    /// ceiling deadlocks. CPU-side methods relaunch per round and never pin
+    /// blocks to SMs, so only the empty-launch and thread checks apply.
     pub fn validate(&self) -> Result<(), DeviceError> {
-        // CPU-side methods relaunch per round and never pin blocks to SMs,
-        // so they get the waived ceiling unconditionally.
-        let ceiling_waived = !self.method.is_gpu_side() || self.parking;
-        // Saturate, never wrap: a count past `u32::MAX` is past every
-        // device limit too.
-        self.spec.validate_persistent_launch_with_parking(
-            u32::try_from(self.n_blocks).unwrap_or(u32::MAX),
-            u32::try_from(self.threads_per_block).unwrap_or(u32::MAX),
-            ceiling_waived,
-        )
+        if self.method.is_gpu_side() {
+            // Saturate, never wrap: a count past `u32::MAX` is past every
+            // device limit too.
+            return self.spec.validate_persistent_launch(
+                u32::try_from(self.n_blocks).unwrap_or(u32::MAX),
+                u32::try_from(self.threads_per_block).unwrap_or(u32::MAX),
+            );
+        }
+        self.validate_block_shape()
+    }
+
+    /// The checks every method shares: a non-empty launch whose blocks fit
+    /// the architectural thread limit.
+    fn validate_block_shape(&self) -> Result<(), DeviceError> {
+        if self.n_blocks == 0 || self.threads_per_block == 0 {
+            return Err(DeviceError::EmptyLaunch);
+        }
+        let threads = u32::try_from(self.threads_per_block).unwrap_or(u32::MAX);
+        if threads > self.spec.max_threads_per_block {
+            return Err(DeviceError::TooManyThreads {
+                requested: threads,
+                max: self.spec.max_threads_per_block,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -243,21 +243,9 @@ pub fn simulate(cfg: &SimConfig, workload: &dyn Workload) -> SimReport {
 /// resident block **finishes the whole kernel** (blocks are non-preemptive).
 /// CPU-synchronized kernels execute oversubscribed grids in waves per
 /// round and succeed; spinning GPU-barrier kernels deadlock, which is
-/// detected and reported as [`SimError::Deadlock`]. With
-/// [`SimConfig::parking`], GPU-barrier waiters yield their SMs on failed
-/// polls, so oversubscribed grids complete (paying a park/wake handoff per
-/// re-poll) instead of deadlocking.
+/// detected and reported as [`SimError::Deadlock`].
 pub fn try_simulate(cfg: &SimConfig, workload: &dyn Workload) -> Result<SimReport, SimError> {
-    if cfg.n_blocks == 0 || cfg.threads_per_block == 0 {
-        return Err(SimError::Invalid(DeviceError::EmptyLaunch));
-    }
-    let threads = u32::try_from(cfg.threads_per_block).unwrap_or(u32::MAX);
-    if threads > cfg.spec.max_threads_per_block {
-        return Err(SimError::Invalid(DeviceError::TooManyThreads {
-            requested: threads,
-            max: cfg.spec.max_threads_per_block,
-        }));
-    }
+    cfg.validate_block_shape().map_err(SimError::Invalid)?;
     match cfg.method {
         SyncMethod::CpuExplicit | SyncMethod::CpuImplicit | SyncMethod::NoSync => {
             Ok(simulate_cpu(cfg, workload))
@@ -266,13 +254,11 @@ pub fn try_simulate(cfg: &SimConfig, workload: &dyn Workload) -> Result<SimRepor
             // Nobody can put a stopwatch on the simulated device, so its
             // `Auto` is the cost model priced with *this simulation's*
             // calibration (what-if profiles included); simulate the winner.
+            // Past the resident ceiling the table holds CPU-side rows only.
             let decision = blocksync_core::autotune::AutoTuner::with_profile(cfg.cal.clone())
                 .decide(cfg.n_blocks, cfg.spec.max_persistent_blocks() as usize);
             let resolved = SimConfig {
                 method: decision.chosen,
-                // An oversubscribed GPU winner only runs deadlock-free with
-                // parking waiters — arm them (on the host every wait parks).
-                parking: cfg.parking || decision.oversubscribed,
                 ..cfg.clone()
             };
             try_simulate(&resolved, workload)
@@ -449,20 +435,8 @@ impl<'a> Engine<'a> {
                         };
                         self.push(ret, ev);
                     } else {
-                        // A failed poll under a parking policy deschedules
-                        // the waiter: its SM slot goes to the next stalled
-                        // block (this is what breaks the oversubscription
-                        // deadlock), and it re-polls only after a park/wake
-                        // handoff rather than at the spin cadence.
-                        let gap = if self.cfg.parking && self.oversubscribed() {
-                            self.dispatch_next(ret);
-                            self.cfg.cal.park_wake()
-                        } else {
-                            self.cfg.cal.poll_gap()
-                        };
-                        let next = ret + gap;
                         self.push(
-                            next,
+                            ret + self.cfg.cal.poll_gap(),
                             Event::Poll {
                                 bid,
                                 addr,
@@ -492,23 +466,6 @@ impl<'a> Engine<'a> {
 
         let total = end.since(SimTime::ZERO);
         Ok(self.report(total, launch))
-    }
-
-    /// Whether the grid has more blocks than SM slots — the regime where a
-    /// parking waiter's yielded slot matters.
-    fn oversubscribed(&self) -> bool {
-        self.cfg.n_blocks > (self.cfg.spec.max_persistent_blocks() as usize).max(1)
-    }
-
-    /// Dispatch the next not-yet-run block onto the slot a parked waiter
-    /// just freed. No-op once every block has been dispatched.
-    fn dispatch_next(&mut self, now: SimTime) {
-        if let Some(bid) = self.launch_queue.pop_front() {
-            let c = self.workload.compute(bid, 0);
-            self.blocks[bid].compute += c;
-            self.record(now, bid, TraceKind::ComputeStart { round: 0 });
-            self.push(now + c, Event::Arrive { bid });
-        }
     }
 
     /// Watchdog snapshot: who is frozen where. Resident, unfinished blocks
@@ -759,12 +716,14 @@ mod tests {
         let lf = simulate(&SimConfig::new(30, 256, SyncMethod::GpuLockFree), &w);
         assert_eq!(auto.method, lf.method);
         assert_eq!(auto.total, lf.total);
-        // Oversubscribed grids resolve to a CPU method instead of
-        // deadlocking like a GPU barrier would.
-        let w64 = ConstWorkload::from_micros(0.5, 10);
-        let r = try_simulate(&SimConfig::new(64, 256, SyncMethod::Auto), &w64)
-            .expect("auto falls back to CPU sync");
-        assert_eq!(r.method, SyncMethod::CpuImplicit.to_string());
+        // Past the resident ceiling no GPU-side method is a candidate:
+        // Auto validates and simulates its CPU-side winner.
+        let w = ConstWorkload::from_micros(0.5, 10);
+        for n in [31usize, 64] {
+            let r = simulate(&SimConfig::new(n, 256, SyncMethod::Auto), &w);
+            assert_eq!(r.method, SyncMethod::CpuImplicit.to_string(), "{n} blocks");
+            assert_eq!(r.rounds, 10, "{n} blocks");
+        }
     }
 
     #[test]
@@ -958,58 +917,22 @@ mod tests {
     }
 
     #[test]
-    fn parking_survives_oversubscription() {
-        // The same 31-blocks-on-30-SMs grid that deadlocks a spinning
-        // barrier completes with parking waiters — including at 16x the
-        // SM count — and every block does its full complement of work.
-        let w = ConstWorkload::from_micros(0.5, 5);
-        for m in [SyncMethod::GpuSimple, SyncMethod::GpuLockFree] {
-            for n in [31usize, 480] {
-                let cfg = SimConfig::new(n, 64, m).with_parking();
-                let r = try_simulate(&cfg, &w).unwrap_or_else(|e| panic!("{m} at {n} blocks: {e}"));
-                assert_eq!(r.rounds, 5, "{m} at {n}");
-                assert_eq!(r.n_blocks, n, "{m} at {n}");
-                for c in &r.per_block_compute {
-                    assert_eq!(c.as_nanos(), 5 * 500, "{m} at {n}");
-                }
-            }
+    fn past_the_ceiling_only_cpu_side_methods_validate() {
+        for m in SyncMethod::GPU_METHODS
+            .into_iter()
+            .chain(SyncMethod::EXTENSION_METHODS)
+        {
+            assert!(matches!(
+                SimConfig::new(31, 64, m).validate(),
+                Err(DeviceError::TooManyBlocks {
+                    requested: 31,
+                    max: 30
+                })
+            ));
         }
-    }
-
-    #[test]
-    fn parking_is_priced_not_free() {
-        // An oversubscribed parked grid must cost more wall time than the
-        // same work at full residency: waves serialize and every failed
-        // poll pays a park/wake handoff.
-        let w = ConstWorkload::from_micros(0.5, 10);
-        let fit = try_simulate(&SimConfig::new(30, 64, SyncMethod::GpuLockFree), &w)
-            .unwrap()
-            .total;
-        let parked = try_simulate(
-            &SimConfig::new(60, 64, SyncMethod::GpuLockFree).with_parking(),
-            &w,
-        )
-        .unwrap()
-        .total;
-        assert!(
-            parked > fit,
-            "oversubscription must not be free: {parked:?} vs {fit:?}"
-        );
-    }
-
-    #[test]
-    fn parking_at_full_residency_changes_nothing() {
-        // Parking only matters past the SM count: a grid that fits runs
-        // bit-identically with and without it.
-        let w = ConstWorkload::from_micros(0.5, 20);
-        let plain = try_simulate(&SimConfig::new(30, 64, SyncMethod::GpuSimple), &w).unwrap();
-        let parked = try_simulate(
-            &SimConfig::new(30, 64, SyncMethod::GpuSimple).with_parking(),
-            &w,
-        )
-        .unwrap();
-        assert_eq!(plain.total, parked.total);
-        assert_eq!(plain.per_block_sync, parked.per_block_sync);
+        for m in [SyncMethod::CpuExplicit, SyncMethod::CpuImplicit] {
+            assert_eq!(SimConfig::new(31, 64, m).validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -139,9 +139,10 @@ fn every_park_capable_method_is_bit_identical_oversubscribed_pooled() {
 #[test]
 fn parking_lifts_the_device_ceiling_too() {
     // 64 blocks on the default 30-SM GTX 280 spec, whatever the host's
-    // core count: admitted and correct — the host-side mirror of
-    // `GpuSpec::validate_persistent_launch_with_parking`, which the
-    // simulator needs a flag for and the host does not.
+    // core count: admitted and correct. The ceiling
+    // (`GpuSpec::validate_persistent_launch`) binds the simulated GPU,
+    // whose resident blocks never yield; host blocks are OS threads whose
+    // waits park, so the host never consults it.
     let logical = 3;
     let n = 64;
     let k = MinMix::new(n, logical);
