@@ -93,12 +93,12 @@ impl RoundKernel for GridBitonicBatched {
 mod tests {
     use super::*;
     use crate::seqgen::random_keys;
-    use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
+    use blocksync_core::{GridConfig, LaunchPlan, SyncMethod};
 
     fn run(keys: &[u32], batch: usize, n_blocks: usize) -> GridBitonicBatched {
         let k = GridBitonicBatched::new(keys, batch);
-        GridExecutor::new(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
-            .run(&k)
+        LaunchPlan::compile(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
+            .and_then(|plan| plan.run(&k))
             .unwrap();
         k
     }

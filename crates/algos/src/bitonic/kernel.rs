@@ -80,12 +80,12 @@ impl RoundKernel for GridBitonic {
 mod tests {
     use super::*;
     use crate::seqgen::random_keys;
-    use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
+    use blocksync_core::{GridConfig, LaunchPlan, SyncMethod};
 
     fn run_sort(keys: &[u32], n_blocks: usize, method: SyncMethod) -> Vec<u32> {
         let kernel = GridBitonic::new(keys);
-        GridExecutor::new(GridConfig::new(n_blocks, 64), method)
-            .run(&kernel)
+        LaunchPlan::compile(GridConfig::new(n_blocks, 64), method)
+            .and_then(|plan| plan.run(&kernel))
             .unwrap();
         kernel.output()
     }

@@ -83,12 +83,12 @@ impl RoundKernel for GridBitonicKv {
 mod tests {
     use super::*;
     use crate::seqgen::random_keys;
-    use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
+    use blocksync_core::{GridConfig, LaunchPlan, SyncMethod};
 
     fn run(keys: &[u32], values: &[u64], n_blocks: usize) -> (Vec<u32>, Vec<u64>) {
         let k = GridBitonicKv::new(keys, values);
-        GridExecutor::new(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
-            .run(&k)
+        LaunchPlan::compile(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
+            .and_then(|plan| plan.run(&k))
             .unwrap();
         (k.keys(), k.values())
     }

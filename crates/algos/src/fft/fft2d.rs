@@ -175,7 +175,7 @@ mod tests {
     use super::*;
     use crate::fft::reference::{fft_inplace, max_error};
     use crate::seqgen::complex_signal;
-    use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
+    use blocksync_core::{GridConfig, LaunchPlan, SyncMethod};
 
     fn run2d(
         input: &[Complex32],
@@ -186,8 +186,8 @@ mod tests {
         method: SyncMethod,
     ) -> Vec<Complex32> {
         let k = GridFft2d::new(input, rows, cols, dir);
-        GridExecutor::new(GridConfig::new(n_blocks, 64), method)
-            .run(&k)
+        LaunchPlan::compile(GridConfig::new(n_blocks, 64), method)
+            .and_then(|plan| plan.run(&k))
             .unwrap();
         k.output()
     }

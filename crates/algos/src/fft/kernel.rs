@@ -177,7 +177,7 @@ mod tests {
     use super::*;
     use crate::fft::reference::{dft_naive, fft_inplace, max_error};
     use crate::seqgen::complex_signal;
-    use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
+    use blocksync_core::{GridConfig, LaunchPlan, SyncMethod};
 
     fn run_grid_fft(
         input: &[Complex32],
@@ -186,8 +186,8 @@ mod tests {
         method: SyncMethod,
     ) -> Vec<Complex32> {
         let kernel = GridFft::new(input, direction);
-        GridExecutor::new(GridConfig::new(n_blocks, 64), method)
-            .run(&kernel)
+        LaunchPlan::compile(GridConfig::new(n_blocks, 64), method)
+            .and_then(|plan| plan.run(&kernel))
             .unwrap();
         kernel.output()
     }

@@ -102,12 +102,12 @@ impl RoundKernel for GridScan {
 mod tests {
     use super::*;
     use crate::seqgen::SplitMix64;
-    use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
+    use blocksync_core::{GridConfig, LaunchPlan, SyncMethod};
 
     fn run_scan(data: &[u64], n_blocks: usize, method: SyncMethod) -> Vec<u64> {
         let k = GridScan::new(data);
-        GridExecutor::new(GridConfig::new(n_blocks, 64), method)
-            .run(&k)
+        LaunchPlan::compile(GridConfig::new(n_blocks, 64), method)
+            .and_then(|plan| plan.run(&k))
             .unwrap();
         k.output()
     }

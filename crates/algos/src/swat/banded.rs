@@ -212,12 +212,12 @@ mod tests {
     use super::*;
     use crate::seqgen::{dna_sequence, related_dna};
     use crate::swat::reference::smith_waterman;
-    use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
+    use blocksync_core::{GridConfig, LaunchPlan, SyncMethod};
 
     fn run(a: &[u8], b: &[u8], bw: usize, n_blocks: usize) -> SwScore {
         let k = GridSwatBanded::new(a, b, bw, Scoring::dna(), GapPenalties::dna(), n_blocks);
-        GridExecutor::new(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
-            .run(&k)
+        LaunchPlan::compile(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
+            .and_then(|plan| plan.run(&k))
             .unwrap();
         k.result()
     }

@@ -90,7 +90,7 @@ impl RoundKernel for GridNw {
 mod tests {
     use super::*;
     use crate::seqgen::{dna_sequence, related_dna};
-    use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
+    use blocksync_core::{GridConfig, LaunchPlan, SyncMethod};
 
     fn dna() -> (Scoring, GapPenalties) {
         (Scoring::dna(), GapPenalties::dna())
@@ -99,8 +99,8 @@ mod tests {
     fn run_grid(a: &[u8], b: &[u8], n_blocks: usize) -> i32 {
         let (s, g) = dna();
         let k = GridNw::new(a, b, s, g);
-        GridExecutor::new(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
-            .run(&k)
+        LaunchPlan::compile(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
+            .and_then(|plan| plan.run(&k))
             .unwrap();
         k.score()
     }

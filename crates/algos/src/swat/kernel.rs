@@ -100,12 +100,12 @@ mod tests {
     use super::*;
     use crate::seqgen::{dna_sequence, related_dna};
     use crate::swat::reference::smith_waterman;
-    use blocksync_core::{GridConfig, GridExecutor, SyncMethod};
+    use blocksync_core::{GridConfig, LaunchPlan, SyncMethod};
 
     fn run_grid(a: &[u8], b: &[u8], n_blocks: usize, method: SyncMethod) -> SwScore {
         let kernel = GridSwat::new(a, b, Scoring::dna(), GapPenalties::dna(), n_blocks);
-        GridExecutor::new(GridConfig::new(n_blocks, 64), method)
-            .run(&kernel)
+        LaunchPlan::compile(GridConfig::new(n_blocks, 64), method)
+            .and_then(|plan| plan.run(&kernel))
             .unwrap();
         kernel.result()
     }
@@ -173,11 +173,11 @@ mod tests {
             let b = dna_sequence(lb, 12);
             for n_blocks in [1, 3] {
                 let kernel = GridSwat::new(&a, &b, Scoring::dna(), GapPenalties::dna(), n_blocks);
-                GridExecutor::new(
+                LaunchPlan::compile(
                     GridConfig::new(n_blocks, 32),
                     SyncMethod::GpuTree(blocksync_core::TreeLevels::Two),
                 )
-                .run(&kernel)
+                .and_then(|plan| plan.run(&kernel))
                 .unwrap();
                 let h = kernel.h_matrix();
                 assert_eq!(h, h_reference(&a, &b), "{la}x{lb} on {n_blocks}");
@@ -216,10 +216,10 @@ mod tests {
     fn a_kernel_can_be_launched_again() {
         let (a, b) = related_dna(50, 0.1, 4);
         let kernel = GridSwat::new(&a, &b, Scoring::dna(), GapPenalties::dna(), 2);
-        let exec = GridExecutor::new(GridConfig::new(2, 32), SyncMethod::GpuLockFree);
-        exec.run(&kernel).unwrap();
+        let plan = LaunchPlan::compile(GridConfig::new(2, 32), SyncMethod::GpuLockFree).unwrap();
+        plan.run(&kernel).unwrap();
         let first = kernel.h_matrix();
-        exec.run(&kernel).unwrap();
+        plan.run(&kernel).unwrap();
         assert_eq!(kernel.h_matrix(), first);
         assert_eq!(first, h_reference(&a, &b));
     }
@@ -233,8 +233,8 @@ mod tests {
             GapPenalties::dna(),
             2,
         );
-        let err = GridExecutor::new(GridConfig::new(3, 32), SyncMethod::GpuLockFree)
-            .run(&kernel)
+        let err = LaunchPlan::compile(GridConfig::new(3, 32), SyncMethod::GpuLockFree)
+            .and_then(|plan| plan.run(&kernel))
             .unwrap_err()
             .to_string();
         assert!(

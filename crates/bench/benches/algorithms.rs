@@ -13,7 +13,7 @@ use blocksync_algos::fft::{kernel::Direction, GridFft};
 use blocksync_algos::scan::GridScan;
 use blocksync_algos::seqgen::{complex_signal, dna_sequence, random_keys, SplitMix64};
 use blocksync_algos::swat::{GapPenalties, GridSwat, Scoring};
-use blocksync_core::{GridConfig, GridExecutor, RoundKernel, SyncMethod};
+use blocksync_core::{GridConfig, LaunchPlan, RoundKernel, SyncMethod};
 
 const BLOCKS: usize = 4;
 
@@ -33,11 +33,11 @@ fn bench_group<K: RoundKernel, R>(
         .into_iter()
         .chain(SyncMethod::EXTENSION_METHODS);
     for method in methods {
-        let exec = GridExecutor::new(GridConfig::new(BLOCKS, 64), method);
+        let plan = LaunchPlan::compile(GridConfig::new(BLOCKS, 64), method).expect("valid config");
         group.bench_function(BenchmarkId::from_parameter(method), |b| {
             b.iter(|| {
                 let kernel = build();
-                exec.run(&kernel).expect("valid config");
+                plan.run(&kernel).expect("valid config");
                 read(&kernel)
             });
         });

@@ -555,6 +555,7 @@ pub struct WhatIf {
 /// Compare barrier costs between the GTX 280 and a Fermi-class profile.
 pub fn fermi_whatif() -> WhatIf {
     use blocksync_device::CalibrationProfile;
+    use blocksync_model::MethodKind;
     let tpb = 256;
     let w = micro_workload(&GpuSpec::gtx280(), tpb, MAX_SIM_ROUNDS);
     let methods = [
@@ -577,14 +578,16 @@ pub fn fermi_whatif() -> WhatIf {
             )
         })
         .collect();
+    // Figure 11: the first block count at which the simple barrier stops
+    // beating CPU implicit synchronization.
+    let crossover = |cal: CalibrationProfile| {
+        blocksync_model::crossover(&cal, MethodKind::GpuSimple, MethodKind::CpuImplicit, 4096)
+            .unwrap_or(4096)
+    };
     WhatIf {
         rows,
-        crossover_gtx280: blocksync_model::simple_vs_implicit_crossover(
-            &CalibrationProfile::gtx280(),
-        ),
-        crossover_fermi: blocksync_model::simple_vs_implicit_crossover(
-            &CalibrationProfile::fermi_class(),
-        ),
+        crossover_gtx280: crossover(CalibrationProfile::gtx280()),
+        crossover_fermi: crossover(CalibrationProfile::fermi_class()),
     }
 }
 

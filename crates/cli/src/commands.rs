@@ -12,9 +12,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blocksync_core::{
-    AutoDecision, AutoTuner, ChaosConfig, ChromeTraceBuilder, GridConfig, GridExecutor,
-    GridRuntime, GridService, KernelStats, MetricsSnapshot, RoundKernel, ServiceConfig,
-    ServiceError, ShardKey, SyncMethod, SyncPolicy, TraceConfig, TreeLevels,
+    AutoDecision, AutoTuner, ChaosConfig, ChromeTraceBuilder, GridConfig, GridRuntime, GridService,
+    KernelStats, LaunchPlan, MetricsSnapshot, RoundKernel, ServiceConfig, ServiceError, ShardKey,
+    SyncMethod, SyncPolicy, TraceConfig, TreeLevels,
 };
 use blocksync_device::{CalibrationProfile, GpuSpec};
 use blocksync_microbench::{run_host_traced, MeanKernel};
@@ -162,10 +162,10 @@ fn run_kernel<K: RoundKernel>(
     if let Some(tc) = trace_config(a)? {
         cfg = cfg.with_trace(tc);
     }
-    let exec = GridExecutor::new(cfg, method);
-    let stats = exec.run(kernel).map_err(|e| e.to_string())?;
+    let plan = LaunchPlan::compile(cfg, method).map_err(|e| e.to_string())?;
+    let stats = plan.run(kernel).map_err(|e| e.to_string())?;
     report_telemetry(&stats, a)?;
-    write_metrics_out(&exec.observer().snapshot(), a)?;
+    write_metrics_out(&plan.observer().snapshot(), a)?;
     Ok(stats)
 }
 
@@ -178,8 +178,8 @@ fn run_kernel_plain<K: RoundKernel>(
     a: &Args,
 ) -> Result<KernelStats, String> {
     let cfg = GridConfig::new(blocks, 64).with_policy(sync_policy(a)?);
-    GridExecutor::new(cfg, method)
-        .run(kernel)
+    LaunchPlan::compile(cfg, method)
+        .and_then(|plan| plan.run(kernel))
         .map_err(|e| e.to_string())
 }
 
@@ -439,15 +439,15 @@ pub fn micro(a: &Args) -> Result<(), String> {
     if let Some(tc) = trace_config(a)? {
         cfg = cfg.with_trace(tc);
     }
-    let exec = GridExecutor::new(cfg, method);
-    let stats = exec.run(&kernel).map_err(|e| e.to_string())?;
+    let plan = LaunchPlan::compile(cfg, method).map_err(|e| e.to_string())?;
+    let stats = plan.run(&kernel).map_err(|e| e.to_string())?;
     if !kernel.verify() {
         return Err("micro-benchmark produced wrong means".into());
     }
     println!("mean-of-two-floats micro-benchmark — verified");
     println!("{stats}");
     report_telemetry(&stats, a)?;
-    write_metrics_out(&exec.observer().snapshot(), a)?;
+    write_metrics_out(&plan.observer().snapshot(), a)?;
     Ok(())
 }
 

@@ -15,9 +15,9 @@
 //!   as [`TreeLevels::Custom`].
 //! * [`AutoTuner::host`] — **the machine the process runs on**: the rows
 //!   are measured. An empty kernel runs once under each concrete method
-//!   through the very [`LaunchPlan`] the executor then launches, and the
-//!   row is that launch's [`crate::KernelStats::sync_per_round`]. One
-//!   thing knows what a host barrier costs — the barrier.
+//!   through the very [`LaunchPlan`] path the `Auto` plan then launches,
+//!   and the row is that launch's [`crate::KernelStats::sync_per_round`].
+//!   One thing knows what a host barrier costs — the barrier.
 //!
 //! The decision — the chosen method, the full table, and (after the run)
 //! the measured per-round sync cost — is recorded on
@@ -47,11 +47,11 @@ pub struct MethodPrediction {
 /// The auto-tuner's verdict for one grid configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoDecision {
-    /// The method the executor will run (never `Auto` or `NoSync`).
+    /// The method the plan will run (never `Auto` or `NoSync`).
     pub chosen: SyncMethod,
     /// The table's per-round sync cost for `chosen`, ns.
     pub predicted_sync_ns: f64,
-    /// Mean measured per-round sync cost, ns — filled in by the executor
+    /// Mean measured per-round sync cost, ns — filled in by each launch
     /// after the run; `None` on a decision that has not executed yet.
     pub measured_sync_ns: Option<f64>,
     /// The full table the choice was made from, in canonical order.
@@ -156,8 +156,9 @@ fn host_table(n: usize) -> Vec<MethodPrediction> {
 
 /// Time every concrete method once at `n` blocks: `t_S` per round of an
 /// empty kernel through [`LaunchPlan`] under the default policy, with no
-/// trace and no observer — an unpinned cold launch, which is what the
-/// `Auto` caller about to run gets.
+/// trace (each probe's plan observes into its own throwaway observer) —
+/// an unpinned cold launch, which is what the `Auto` caller about to run
+/// gets.
 fn time_host_rows(n: usize) -> Vec<MethodPrediction> {
     let kernel = (PROBE_ROUNDS, |_: &BlockCtx, _: usize| {});
     SyncMethod::PAPER_METHODS

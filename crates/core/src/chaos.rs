@@ -688,8 +688,8 @@ mod tests {
     fn reference_matches_a_clean_run() {
         let k = MixKernel::new(3, 5);
         let cfg = GridConfig::new(3, 8);
-        crate::GridExecutor::new(cfg, SyncMethod::GpuSimple)
-            .run(&k)
+        crate::LaunchPlan::compile(cfg, SyncMethod::GpuSimple)
+            .and_then(|plan| plan.run(&k))
             .unwrap();
         assert_eq!(k.output(), MixKernel::expected(3, 5));
     }

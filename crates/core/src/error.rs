@@ -2,7 +2,8 @@
 //!
 //! Before this module existed, a panicking block tore down the whole process
 //! (`join().expect(...)`) and a stuck block hung it forever. Every failure
-//! mode of a [`crate::GridExecutor::run`] now surfaces as an [`ExecError`]
+//! mode of a launch ([`crate::LaunchPlan::run`] and the warm launchers
+//! alike) now surfaces as an [`ExecError`]
 //! naming the offending block and round, within the configured
 //! [`crate::SyncPolicy`] timeout.
 
@@ -22,7 +23,7 @@ use blocksync_device::DeviceError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StuckPhase {
     /// Stuck inside a barrier wait (the default, and the only phase the
-    /// scoped strategies can report).
+    /// relaunch strategy can report).
     #[default]
     Barrier,
     /// Stuck assembling at the pooled runtime's launch gate, before any
@@ -137,13 +138,6 @@ impl fmt::Display for StuckDiagnostic {
 pub enum ExecError {
     /// The grid shape is invalid for the device/method (pre-flight check).
     Device(DeviceError),
-    /// The method claims to be GPU-side but produced no barrier object —
-    /// an internal inconsistency between `SyncMethod::is_gpu_side` and
-    /// `SyncMethod::build_barrier_with`.
-    BarrierUnavailable {
-        /// Display name of the offending method.
-        method: String,
-    },
     /// A block's kernel code panicked; peers were unwound via barrier
     /// poisoning instead of hanging.
     BlockPanicked {
@@ -178,7 +172,6 @@ impl ExecError {
     pub fn kind_label(&self) -> &'static str {
         match self {
             ExecError::Device(_) => "device",
-            ExecError::BarrierUnavailable { .. } => "barrier-unavailable",
             ExecError::BlockPanicked { .. } => "panic",
             ExecError::BarrierTimeout { .. } => "timeout",
             ExecError::RuntimeUnsupported { .. } => "runtime-unsupported",
@@ -196,9 +189,6 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::Device(e) => e.fmt(f),
-            ExecError::BarrierUnavailable { method } => {
-                write!(f, "method {method} did not provide a barrier")
-            }
             ExecError::BlockPanicked {
                 block,
                 round,

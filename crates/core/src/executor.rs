@@ -1,5 +1,7 @@
-//! The grid executor: runs a round-structured kernel under any
-//! synchronization method and records the paper's time decomposition.
+//! The kernel side of a launch: what a round-structured kernel is
+//! ([`RoundKernel`]), what each of its blocks sees ([`BlockCtx`]), the
+//! grid it runs on ([`GridConfig`]), and how a failing launch asks it to
+//! stop ([`AbortSignal`]).
 //!
 //! A kernel is expressed as a [`RoundKernel`]: `rounds()` barrier-separated
 //! phases, each executed by every block. This is the shape of all three of
@@ -7,29 +9,11 @@
 //! (one round per anti-diagonal), bitonic sort (one round per
 //! compare-exchange step) — as well as its micro-benchmark.
 //!
-//! The executor is the cold entry point, a thin front over the launch
-//! engine ([`crate::launch::LaunchPlan`]): it resolves `Auto`, compiles a
-//! plan, hands the kernel to the engine, and feeds the engine's
-//! [`crate::LaunchRecord`] to its observer. Every
-//! call pays the full launch overhead `t_O`; warm launches are a different
-//! type ([`crate::GridRuntime`], [`crate::GridService`]), not a flag on
-//! this one. The engine inserts the inter-block barrier between rounds
-//! according to the chosen [`SyncMethod`]:
-//!
-//! * **GPU methods** — one persistent OS thread per block for the whole
-//!   kernel; a device-side spin barrier between rounds ("launch the kernel
-//!   only once", Section 4.3).
-//! * **CPU explicit** — worker threads are spawned and joined *every round*,
-//!   the host-runtime analogue of terminating and re-launching a kernel with
-//!   `cudaThreadSynchronize()` in between (Section 4.1).
-//! * **CPU implicit** — persistent block threads, but every round ends in a
-//!   centralized OS-assisted rendezvous ([`crate::CpuImplicitSync`], one
-//!   mutex + condvar "driver") through which the next round is dispatched,
-//!   the analogue of pipelined kernel relaunch (Section 4.2).
-//! * **NoSync** — no barrier at all; used to measure pure computation time
-//!   exactly as the paper does in Section 7.3 ("with the synchronization
-//!   function `__gpu_sync()` removed"). Results of inter-block-dependent
-//!   kernels are garbage in this mode; only the timing is meaningful.
+//! There is one way to launch one cold, [`crate::LaunchPlan`] — every call
+//! pays the full launch overhead `t_O` of Eq. 1 — and two ways to launch
+//! warm, [`crate::GridRuntime`] and [`crate::GridService`]. How each
+//! [`SyncMethod`] maps onto host threads is documented on
+//! [`crate::LaunchPlan`].
 //!
 //! ## Failure semantics
 //!
@@ -43,6 +27,8 @@
 //! passed to [`RoundKernel::on_launch`].
 //!
 //! [`StuckDiagnostic`]: crate::error::StuckDiagnostic
+//! [`ExecError`]: crate::error::ExecError
+//! [`SyncMethod`]: crate::method::SyncMethod
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,10 +37,6 @@ use std::sync::Arc;
 use blocksync_device::GpuSpec;
 
 use crate::barrier::SyncPolicy;
-use crate::error::ExecError;
-use crate::launch::{KernelRef, LaunchPlan};
-use crate::method::SyncMethod;
-use crate::stats::KernelStats;
 use crate::trace::TraceConfig;
 
 /// Grid shape for a kernel execution.
@@ -72,7 +54,7 @@ pub struct GridConfig {
     pub policy: SyncPolicy,
     /// Telemetry configuration, the plane's one switch. `None` (the
     /// default) records nothing; with a [`TraceConfig`] the run carries an
-    /// event recorder and [`KernelStats::telemetry`] is populated.
+    /// event recorder and [`crate::KernelStats::telemetry`] is populated.
     pub trace: Option<TraceConfig>,
 }
 
@@ -100,8 +82,8 @@ impl GridConfig {
         self
     }
 
-    /// Validate this grid's shape: non-empty, and within the device
-    /// model's threads-per-block limit.
+    /// Validate this grid's shape ([`GpuSpec::validate_block_shape`]):
+    /// non-empty, and within the device model's threads-per-block limit.
     ///
     /// The block count is not held to the model's SM count under any
     /// method. That ceiling is the modelled GPU's, where a spinning block
@@ -110,19 +92,8 @@ impl GridConfig {
     /// parks once its wait drags on, so a grid with more blocks than cores
     /// drains in waves instead of deadlocking (DESIGN.md §15).
     pub fn validate(&self) -> Result<(), blocksync_device::DeviceError> {
-        use blocksync_device::DeviceError;
-        if self.n_blocks == 0 || self.threads_per_block == 0 {
-            return Err(DeviceError::EmptyLaunch);
-        }
-        // Saturate, never wrap: 2^32 + 8 threads are not 8 threads.
-        let threads = u32::try_from(self.threads_per_block).unwrap_or(u32::MAX);
-        if threads > self.spec.max_threads_per_block {
-            return Err(DeviceError::TooManyThreads {
-                requested: threads,
-                max: self.spec.max_threads_per_block,
-            });
-        }
-        Ok(())
+        self.spec
+            .validate_block_shape(self.n_blocks, self.threads_per_block)
     }
 }
 
@@ -217,7 +188,7 @@ impl AbortSignal {
 
 /// A kernel structured as barrier-separated rounds.
 ///
-/// Invariant required for correctness under every [`SyncMethod`] except
+/// Invariant required for correctness under every [`crate::SyncMethod`] except
 /// `NoSync`: within one round, a block may read data written by *any* block
 /// in *previous* rounds, and write only locations no other block touches in
 /// the *same* round.
@@ -228,10 +199,11 @@ pub trait RoundKernel: Sync {
     /// Execute round `round` for the block described by `ctx`.
     fn round(&self, ctx: &BlockCtx, round: usize);
 
-    /// Called once per [`GridExecutor::run`], before any block starts,
-    /// with the run's [`AbortSignal`]. Kernels with long rounds can keep a
-    /// clone and poll it to honour fault-unwind deadlines; the default
-    /// implementation ignores it.
+    /// Called once per launch, before any block can start it, with the
+    /// launch's [`AbortSignal`] — cold or warm, borrowed or owned, by every
+    /// strategy. Kernels with long rounds can keep a clone and poll it to
+    /// honour fault-unwind deadlines; the default implementation ignores
+    /// it.
     fn on_launch(&self, _abort: &AbortSignal) {}
 
     /// The fault schedule this kernel carries, if any. The launch engine
@@ -256,116 +228,14 @@ impl<F: Fn(&BlockCtx, usize) + Sync> RoundKernel for (usize, F) {
     }
 }
 
-/// Executes [`RoundKernel`]s under a configured synchronization method,
-/// spawning fresh block threads per call (cold `t_O`).
-#[derive(Debug, Clone)]
-pub struct GridExecutor {
-    cfg: GridConfig,
-    method: SyncMethod,
-    /// Cross-launch observability plane, shared by clones of this
-    /// executor: every run is observed here, exactly once.
-    obs: Arc<crate::obs::Observer>,
-}
-
-impl GridExecutor {
-    /// Create an executor.
-    pub fn new(cfg: GridConfig, method: SyncMethod) -> Self {
-        GridExecutor {
-            cfg,
-            method,
-            obs: crate::obs::Observer::new(),
-        }
-    }
-
-    /// This executor's observability handle: every `run`/`run_owned`
-    /// outcome (success or failure) is folded into its metrics registry
-    /// and flight recorder.
-    pub fn observer(&self) -> Arc<crate::obs::Observer> {
-        Arc::clone(&self.obs)
-    }
-
-    /// The configured method.
-    pub fn method(&self) -> SyncMethod {
-        self.method
-    }
-
-    /// The grid configuration.
-    pub fn config(&self) -> &GridConfig {
-        &self.cfg
-    }
-
-    /// Run the kernel to completion and return the time decomposition.
-    ///
-    /// # Errors
-    /// [`ExecError::Device`] if the grid shape is invalid for the method;
-    /// [`ExecError::BlockPanicked`] if any block's kernel code panicked;
-    /// [`ExecError::BarrierTimeout`] if a barrier wait (or CPU-mode
-    /// rendezvous) exceeded the [`SyncPolicy`] timeout.
-    pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
-        // SAFETY: `launch` ends in `LaunchPlan::execute`, which joins every
-        // thread it starts for a borrowed kernel before it returns.
-        self.launch(unsafe { KernelRef::borrowed(kernel) })
-    }
-
-    /// [`GridExecutor::run`] with an *owned* kernel, which strengthens the
-    /// fault-tolerance contract under CPU-explicit sync: because the run
-    /// co-owns the kernel, a block stuck in non-cooperative kernel code
-    /// past the [`SyncPolicy`] timeout is *detached* by the watchdog join
-    /// instead of hanging the host. Under every other method the scoped
-    /// threads are joined, as in [`GridExecutor::run`]; the
-    /// abandon-and-replace path for those is
-    /// [`crate::GridRuntime::submit`].
-    ///
-    /// # Errors
-    /// Same contract as [`GridExecutor::run`].
-    pub fn run_owned(
-        &self,
-        kernel: Arc<dyn RoundKernel + Send + Sync>,
-    ) -> Result<KernelStats, ExecError> {
-        self.launch(KernelRef::owned(kernel))
-    }
-
-    /// Resolve `Auto`, compile a [`LaunchPlan`], execute, observe the
-    /// engine's record (relabelled `auto:<resolved>` under `Auto`).
-    ///
-    /// [`SyncMethod::Auto`] resolves through the host tuner's measured
-    /// table for this block count (cached per process; the first `Auto`
-    /// launch at a new count measures it); after the run the measured
-    /// per-round sync cost is recorded next to the table's figure in
-    /// [`KernelStats::auto`], and the stats report the method as
-    /// `auto:<resolved>` so runs under `Auto` remain distinguishable.
-    fn launch(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
-        let decision = match self.method {
-            SyncMethod::Auto => {
-                self.cfg.validate()?;
-                // `cfg.spec` is the modelled GPU; a measured table needs no
-                // resident ceiling, so the grid's own size stands in.
-                let n = self.cfg.n_blocks;
-                Some(crate::autotune::AutoTuner::host().decide(n, n))
-            }
-            _ => None,
-        };
-        let method = decision.as_ref().map_or(self.method, |d| d.chosen);
-        let plan = LaunchPlan::compile(self.cfg.clone(), method)?;
-        let (mut result, mut record) = plan.execute(kernel);
-        if let Some(mut decision) = decision {
-            record.method = format!("auto:{}", decision.chosen);
-            if let Ok(stats) = &mut result {
-                decision.measured_sync_ns = Some(stats.sync_per_round().as_secs_f64() * 1e9);
-                stats.method = record.method.clone();
-                stats.auto = Some(Box::new(decision));
-            }
-        }
-        self.obs.observe(record);
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ExecError;
     use crate::gmem::GlobalBuffer;
-    use crate::method::TreeLevels;
+    use crate::launch::LaunchPlan;
+    use crate::method::{SyncMethod, TreeLevels};
+    use crate::stats::KernelStats;
     use blocksync_device::DeviceError;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -410,12 +280,19 @@ mod tests {
         }
     }
 
+    /// One cold launch: compile, then run.
+    fn run<K: RoundKernel>(
+        cfg: GridConfig,
+        method: SyncMethod,
+        kernel: &K,
+    ) -> Result<KernelStats, ExecError> {
+        LaunchPlan::compile(cfg, method)?.run(kernel)
+    }
+
     fn check_method(method: SyncMethod, n: usize) {
         let logical = 25;
         let k = MinPlusOne::new(n, logical);
-        let stats = GridExecutor::new(GridConfig::new(n, 32), method)
-            .run(&k)
-            .unwrap();
+        let stats = run(GridConfig::new(n, 32), method, &k).unwrap();
         assert_eq!(stats.rounds, logical * 2);
         assert_eq!(stats.n_blocks, n);
         let v = k.slots.to_vec();
@@ -471,20 +348,20 @@ mod tests {
     #[test]
     fn auto_records_its_decision() {
         let k = MinPlusOne::new(4, 5);
-        let stats = GridExecutor::new(GridConfig::new(4, 32), SyncMethod::Auto)
-            .run(&k)
-            .unwrap();
+        let plan = LaunchPlan::compile(GridConfig::new(4, 32), SyncMethod::Auto).unwrap();
+        let stats = plan.run(&k).unwrap();
         let auto = stats.auto.as_ref().expect("auto run records a decision");
+        assert_eq!(plan.method(), auto.chosen, "compile resolves Auto");
         assert_eq!(stats.method, format!("auto:{}", auto.chosen));
+        // The observed record carries the same label as the stats.
+        assert_eq!(plan.observer().recent()[0].method, stats.method);
         assert!(auto.predicted_sync_ns > 0.0);
         assert!(auto.measured_sync_ns.is_some(), "loop closed after run");
         assert!(auto.misprediction_ratio().is_some());
         assert!(!auto.table.is_empty());
         // Plain runs carry no decision.
         let k2 = MinPlusOne::new(4, 5);
-        let plain = GridExecutor::new(GridConfig::new(4, 32), SyncMethod::GpuLockFree)
-            .run(&k2)
-            .unwrap();
+        let plain = run(GridConfig::new(4, 32), SyncMethod::GpuLockFree, &k2).unwrap();
         assert!(plain.auto.is_none());
     }
 
@@ -494,9 +371,7 @@ mod tests {
         // core count: Auto measures its table at that size and completes on
         // whichever method won it. Never an error, never a deadlock.
         let k = MinPlusOne::new(40, 3);
-        let stats = GridExecutor::new(GridConfig::new(40, 32), SyncMethod::Auto)
-            .run(&k)
-            .unwrap();
+        let stats = run(GridConfig::new(40, 32), SyncMethod::Auto, &k).unwrap();
         assert_eq!(stats.n_blocks, 40);
         let v = k.slots.to_vec();
         assert!(v.iter().all(|&x| x == 3), "expected all 3, got {v:?}");
@@ -534,9 +409,7 @@ mod tests {
         let kernel = (10usize, |_ctx: &BlockCtx, _r: usize| {
             count.fetch_add(1, Ordering::Relaxed);
         });
-        let stats = GridExecutor::new(GridConfig::new(4, 32), SyncMethod::NoSync)
-            .run(&kernel)
-            .unwrap();
+        let stats = run(GridConfig::new(4, 32), SyncMethod::NoSync, &kernel).unwrap();
         assert_eq!(stats.rounds, 10);
         assert_eq!(count.load(Ordering::Relaxed), 40);
     }
@@ -548,9 +421,7 @@ mod tests {
         // default policy it drains in waves — same result as a CPU method.
         for method in [SyncMethod::GpuSimple, SyncMethod::CpuImplicit] {
             let k = MinPlusOne::new(31, 2);
-            let stats = GridExecutor::new(GridConfig::new(31, 32), method)
-                .run(&k)
-                .unwrap();
+            let stats = run(GridConfig::new(31, 32), method, &k).unwrap();
             assert_eq!(stats.n_blocks, 31);
             let v = k.slots.to_vec();
             assert!(
@@ -563,9 +434,7 @@ mod tests {
     #[test]
     fn thread_limit_validated() {
         let k = (1usize, |_: &BlockCtx, _: usize| {});
-        let err = GridExecutor::new(GridConfig::new(4, 513), SyncMethod::CpuImplicit)
-            .run(&k)
-            .unwrap_err();
+        let err = run(GridConfig::new(4, 513), SyncMethod::CpuImplicit, &k).unwrap_err();
         assert!(matches!(
             err,
             ExecError::Device(DeviceError::TooManyThreads { .. })
@@ -586,16 +455,8 @@ mod tests {
     #[test]
     fn empty_grid_rejected() {
         let k = (1usize, |_: &BlockCtx, _: usize| {});
-        assert!(
-            GridExecutor::new(GridConfig::new(0, 32), SyncMethod::GpuSimple)
-                .run(&k)
-                .is_err()
-        );
-        assert!(
-            GridExecutor::new(GridConfig::new(4, 0), SyncMethod::GpuSimple)
-                .run(&k)
-                .is_err()
-        );
+        assert!(run(GridConfig::new(0, 32), SyncMethod::GpuSimple, &k).is_err());
+        assert!(run(GridConfig::new(4, 0), SyncMethod::GpuSimple, &k).is_err());
     }
 
     #[test]
@@ -646,14 +507,14 @@ mod tests {
             SyncMethod::CpuImplicit,
             SyncMethod::GpuLockFree,
         ] {
-            let stats = GridExecutor::new(GridConfig::new(3, 8), m).run(&k).unwrap();
+            let stats = run(GridConfig::new(3, 8), m, &k).unwrap();
             assert_eq!(stats.rounds, 0);
         }
     }
 
     #[test]
     fn executor_accessors() {
-        let e = GridExecutor::new(GridConfig::new(4, 64), SyncMethod::GpuLockFree);
+        let e = LaunchPlan::compile(GridConfig::new(4, 64), SyncMethod::GpuLockFree).unwrap();
         assert_eq!(e.method(), SyncMethod::GpuLockFree);
         assert_eq!(e.config().n_blocks, 4);
         assert_eq!(e.config().threads_per_block, 64);
@@ -669,9 +530,7 @@ mod tests {
                 panic!("kernel bug");
             }
         });
-        let err = GridExecutor::new(GridConfig::new(4, 8), SyncMethod::GpuLockFree)
-            .run(&k)
-            .unwrap_err();
+        let err = run(GridConfig::new(4, 8), SyncMethod::GpuLockFree, &k).unwrap_err();
         assert_eq!(
             err,
             ExecError::BlockPanicked {
@@ -690,9 +549,7 @@ mod tests {
                     panic!("kernel bug");
                 }
             });
-            let err = GridExecutor::new(GridConfig::new(4, 8), method)
-                .run(&k)
-                .unwrap_err();
+            let err = run(GridConfig::new(4, 8), method, &k).unwrap_err();
             assert_eq!(
                 err,
                 ExecError::BlockPanicked {
@@ -729,9 +586,7 @@ mod tests {
         let k = Observing {
             abort: StdMutex::new(None),
         };
-        let err = GridExecutor::new(GridConfig::new(2, 8), SyncMethod::GpuSimple)
-            .run(&k)
-            .unwrap_err();
+        let err = run(GridConfig::new(2, 8), SyncMethod::GpuSimple, &k).unwrap_err();
         assert!(matches!(err, ExecError::BlockPanicked { block: 0, .. }));
         let signal = k.abort.lock().unwrap().clone().expect("on_launch ran");
         assert!(signal.is_aborted(), "executor must raise abort on failure");
@@ -753,7 +608,7 @@ mod tests {
         ] {
             let k = (rounds, |_: &BlockCtx, _: usize| {});
             let cfg = GridConfig::new(3, 8).with_trace(crate::TraceConfig::default());
-            let stats = GridExecutor::new(cfg, method).run(&k).unwrap();
+            let stats = run(cfg, method, &k).unwrap();
             let t = stats.telemetry.as_deref().expect("telemetry attached");
             assert_eq!(t.dropped, 0, "{method}");
             assert_eq!(
@@ -776,9 +631,7 @@ mod tests {
     #[test]
     fn untraced_run_has_no_telemetry() {
         let k = (5usize, |_: &BlockCtx, _: usize| {});
-        let stats = GridExecutor::new(GridConfig::new(2, 8), SyncMethod::GpuSimple)
-            .run(&k)
-            .unwrap();
+        let stats = run(GridConfig::new(2, 8), SyncMethod::GpuSimple, &k).unwrap();
         assert!(stats.telemetry.is_none());
     }
 
@@ -794,9 +647,7 @@ mod tests {
             SyncMethod::GpuSimple,
         ] {
             let k = (3usize, |_: &BlockCtx, _: usize| {});
-            let stats = GridExecutor::new(GridConfig::new(4, 8), method)
-                .run(&k)
-                .unwrap();
+            let stats = run(GridConfig::new(4, 8), method, &k).unwrap();
             assert!(stats.launch > Duration::ZERO, "{method}: zero launch");
             let slowest = stats
                 .per_block

@@ -75,8 +75,9 @@ pub enum FaultPhase {
     /// cannot host this phase.
     BarrierWait,
     /// During pooled assembly: the block never checks in at the
-    /// [`crate::GridRuntime`] launch gate, before any round runs. Only the
-    /// pooled runtime has this phase; scoped runs never arm it.
+    /// [`crate::GridRuntime`] launch gate, before any round runs. Every
+    /// launch but a CPU-explicit one runs on a pool and has this phase; the
+    /// relaunch strategy never arms it.
     Assembly,
 }
 
@@ -172,7 +173,8 @@ pub struct FaultProfile {
     /// observe and report the fault).
     pub max_faults: usize,
     /// Whether [`FaultPhase::Assembly`] faults may be drawn — only
-    /// meaningful when the schedule will run on the pooled runtime.
+    /// meaningful when the schedule will run on a pool (any method but
+    /// CPU-explicit).
     pub allow_assembly: bool,
 }
 
@@ -431,7 +433,7 @@ impl<K: RoundKernel> RoundKernel for FaultInjector<K> {
                         .lock()
                         .expect("abort slot poisoned")
                         .clone()
-                        .expect("executor must call on_launch before rounds");
+                        .expect("the launch engine calls on_launch before any round");
                     let backstop = effective_backstop(&self.policy);
                     let start = Instant::now();
                     while !abort.is_aborted() {
@@ -550,8 +552,9 @@ mod tests {
     use super::*;
     use crate::barrier::SyncPolicy;
     use crate::error::ExecError;
-    use crate::executor::{GridConfig, GridExecutor};
+    use crate::executor::GridConfig;
     use crate::gmem::GlobalBuffer;
+    use crate::launch::LaunchPlan;
     use crate::method::SyncMethod;
 
     struct Increment {
@@ -631,8 +634,8 @@ mod tests {
             },
             Fault::in_round(3, 2, FaultKind::Panic),
         );
-        let err = GridExecutor::new(GridConfig::new(4, 8), SyncMethod::GpuSimple)
-            .run(&k)
+        let err = LaunchPlan::compile(GridConfig::new(4, 8), SyncMethod::GpuSimple)
+            .and_then(|plan| plan.run(&k))
             .unwrap_err();
         match err {
             ExecError::BlockPanicked {
@@ -663,8 +666,8 @@ mod tests {
         );
         let cfg =
             GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_millis(50)));
-        let err = GridExecutor::new(cfg, SyncMethod::GpuLockFree)
-            .run(&k)
+        let err = LaunchPlan::compile(cfg, SyncMethod::GpuLockFree)
+            .and_then(|plan| plan.run(&k))
             .unwrap_err();
         match &err {
             ExecError::BarrierTimeout { diagnostic } => {
@@ -687,8 +690,8 @@ mod tests {
         );
         let cfg =
             GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_secs(5)));
-        let stats = GridExecutor::new(cfg, SyncMethod::GpuSimple)
-            .run(&k)
+        let stats = LaunchPlan::compile(cfg, SyncMethod::GpuSimple)
+            .and_then(|plan| plan.run(&k))
             .unwrap();
         assert_eq!(stats.rounds, 4);
         assert!(k.inner().slots.to_vec().iter().all(|&v| v == 4));

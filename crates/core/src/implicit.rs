@@ -14,7 +14,7 @@
 //! [`BarrierControl`]. It is, however, *exactly* a barrier — arrive, wait
 //! for peers, depart — so it now implements [`BarrierShared`] like every
 //! GPU-side method and runs under the one shared launch engine
-//! (`core::launch`), scoped or pooled.
+//! (`core::launch`), on a pool like every other barrier method.
 //!
 //! The one structural difference from the spin barriers: waiters **sleep**
 //! on the condvar instead of polling, so the poison word alone cannot wake

@@ -6,10 +6,11 @@
 //! the *runtime around* the barrier. This module owns the pieces every
 //! launch shares, each in exactly one place:
 //!
-//! * [`LaunchPlan`] — a validated `(GridConfig, SyncMethod)` pair,
-//!   compiled once and reusable across launches (the executor compiles
-//!   one per run; the pooled runtime and the `perf/` benchmark
-//!   keep one alive and launch through it repeatedly).
+//! * [`LaunchPlan`] — the one cold entry point: a validated
+//!   `(GridConfig, SyncMethod)` pair with `Auto` resolved at compile time,
+//!   and the [`Observer`] every launch through it reports to. Compile
+//!   once, launch many times; the pooled runtime and the `perf/` benchmark
+//!   keep one alive and launch through it repeatedly.
 //! * `LaunchSetup` — the per-launch state a plan stamps out: a **fresh**
 //!   barrier (poisoning is permanent, so barriers are never reused across
 //!   launches), the trace recorder, and the abort signal. Its
@@ -20,35 +21,33 @@
 //!   `catch_unwind`, poison + abort on panic, barrier-wait with bounded
 //!   waits, and per-round time/trace accounting.
 //!
-//! The four historical execution paths are thin strategies over this
-//! engine:
+//! Two strategies spawn block threads, one per way the paper launches:
 //!
 //! | strategy | serves | shape |
 //! |---|---|---|
-//! | `run_scoped` | GPU methods, `CpuImplicit`, `NoSync` through a [`LaunchPlan`] | spawn per launch, `drive_block` per block |
-//! | pooled workers (`core::runtime`) | same methods through a [`crate::GridRuntime`] | pinned workers, `drive_block` per block |
+//! | pool (`core::runtime`) | every method but `CpuExplicit` | one worker per block runs `drive_block` per launch; a cold [`LaunchPlan::run`] is launch 0 of a pool built for it and dropped after |
 //! | `run_relaunch` | `CpuExplicit` | spawn + watchdog-join per round |
-//! | `Auto` ([`crate::GridExecutor`]) | resolves, then `run_scoped` or `run_relaunch` | plan compiled for the resolved method |
 //!
-//! `CpuImplicit` needs no strategy of its own anymore: its driver
-//! rendezvous is a [`crate::CpuImplicitSync`] barrier, so both the scoped
-//! and the pooled strategy run it like any other barrier method.
+//! `CpuImplicit` needs no strategy of its own: its driver rendezvous is a
+//! [`crate::CpuImplicitSync`] barrier, so the pool runs it like any other
+//! barrier method.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::autotune::{AutoDecision, AutoTuner};
 use crate::barrier::{BarrierShared, PoisonCause, SyncFault, SyncPolicy};
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultSchedule, WaitFaultInjector};
 use crate::method::SyncMethod;
-use crate::obs::LaunchRecord;
-use crate::runtime::PoolLaunchStats;
+use crate::obs::{LaunchRecord, Observer};
+use crate::runtime::{GridRuntime, PoolLaunchStats};
 use crate::stats::{BlockTimes, KernelStats};
 use crate::trace::{EventRecorder, TraceEventKind};
 
@@ -166,11 +165,11 @@ pub(crate) fn spin_then_yield(ready: impl Fn() -> bool) {
     }
 }
 
-/// One back-off step of a gate wait (the scoped [`StartGate`], the pooled
-/// assembly gate): yield while the wait is fresh — peers arrive within
-/// microseconds and a sleep would inflate `t_O` — then short sleeps: on an
-/// oversubscribed host the last peers cannot even be scheduled until
-/// earlier arrivals stop burning their timeslices.
+/// One back-off step of the pool's assembly-gate wait: yield while the
+/// wait is fresh — peers arrive within microseconds and a sleep would
+/// inflate `t_O` — then short sleeps: on an oversubscribed host the last
+/// peers cannot even be scheduled until earlier arrivals stop burning
+/// their timeslices.
 pub(crate) fn gate_backoff(polls: &mut u32) {
     *polls = polls.saturating_add(1);
     if *polls < 4096 {
@@ -180,39 +179,11 @@ pub(crate) fn gate_backoff(polls: &mut u32) {
     }
 }
 
-/// One-shot launch gate for persistent strategies: every block thread
-/// checks in and waits until all peers exist. This pins down the "kernel
-/// launch" boundary — time before the gate opens is thread-spawn overhead
-/// (`t_O`), time after is round time — so round-0 sync no longer absorbs
-/// the stagger of late-spawned threads. One `fetch_add` per thread per
-/// *launch*, well off the barrier hot path. The wait is [`gate_backoff`].
-pub(crate) struct StartGate {
-    arrived: AtomicUsize,
-    n: usize,
-}
-
-impl StartGate {
-    pub(crate) fn new(n: usize) -> Self {
-        StartGate {
-            arrived: AtomicUsize::new(0),
-            n,
-        }
-    }
-
-    pub(crate) fn wait(&self) {
-        self.arrived.fetch_add(1, Ordering::AcqRel);
-        let mut polls = 0u32;
-        while self.arrived.load(Ordering::Acquire) < self.n {
-            gate_backoff(&mut polls);
-        }
-    }
-}
-
 /// A launch's kernel as the threads that run it hold it: co-owned, or
 /// borrowed with the borrow's lifetime erased. The one lifetime-erasure
-/// device of the crate — the scoped relaunch strategy and the pooled
-/// launch log both hand a caller's `&K` to threads `std::thread::scope`
-/// cannot bound — so the contract lives in one place,
+/// device of the crate — the relaunch strategy and the pool's launch log
+/// both hand a caller's `&K` to threads `std::thread::scope` cannot
+/// bound — so the contract lives in one place,
 /// [`KernelRef::borrowed`], and the variants stay private to keep safe
 /// code from forging a borrowed pointer.
 #[derive(Clone)]
@@ -278,36 +249,70 @@ impl KernelRef {
     }
 }
 
-/// A compiled launch pipeline: a validated grid shape plus a resolved,
-/// concrete synchronization method.
+/// A compiled launch pipeline — the one cold entry point: a validated grid
+/// shape, a concrete synchronization method, and the [`Observer`] every
+/// launch through the plan reports to.
 ///
 /// Compile once, launch many times — each [`LaunchPlan::run`] stamps out a
 /// fresh `LaunchSetup` (barrier, recorder, abort), so faults stay
-/// per-launch. [`crate::GridExecutor`] compiles a plan per call; the
-/// pooled [`crate::GridRuntime`] and the `perf/` benchmark hold
-/// one for their whole lifetime.
+/// per-launch, and pays the full launch overhead `t_O` of Eq. 1: a launch
+/// under any method but `CpuExplicit` is launch 0 of a [`GridRuntime`]
+/// built from the plan and dropped after it, so its clock includes the
+/// worker spawns. Warm launches are a different type
+/// ([`GridRuntime`], [`crate::GridService`]), each holding a plan for its
+/// whole lifetime. Clones share the observer.
+///
+/// The engine inserts the inter-block barrier between rounds according to
+/// the method:
+///
+/// * **GPU methods** — one persistent OS thread per block for the whole
+///   kernel; a device-side spin barrier between rounds ("launch the kernel
+///   only once", Section 4.3).
+/// * **CPU explicit** — block threads are spawned and joined *every
+///   round*, the host-runtime analogue of terminating and re-launching a
+///   kernel with `cudaThreadSynchronize()` in between (Section 4.1).
+/// * **CPU implicit** — persistent block threads, but every round ends in a
+///   centralized OS-assisted rendezvous ([`crate::CpuImplicitSync`], one
+///   mutex + condvar "driver") through which the next round is dispatched,
+///   the analogue of pipelined kernel relaunch (Section 4.2).
+/// * **NoSync** — no barrier at all; pure computation time exactly as the
+///   paper measures it in Section 7.3 ("with the synchronization function
+///   `__gpu_sync()` removed"). Results of inter-block-dependent kernels are
+///   garbage in this mode; only the timing is meaningful.
 #[derive(Debug, Clone)]
 pub struct LaunchPlan {
     cfg: GridConfig,
     method: SyncMethod,
+    /// The host tuner's verdict when the plan was compiled from
+    /// [`SyncMethod::Auto`]; `method` is its `chosen`.
+    auto: Option<AutoDecision>,
+    pub(crate) obs: Arc<Observer>,
 }
 
 impl LaunchPlan {
-    /// Validate `cfg` for `method` and fix the pipeline.
+    /// Validate `cfg` and fix the pipeline.
+    ///
+    /// [`SyncMethod::Auto`] resolves here, through the host tuner's
+    /// measured table for this block count (cached per process; the first
+    /// `Auto` plan at a new count measures it). Every launch through the
+    /// plan then records the measured per-round sync cost next to the
+    /// table's figure in [`KernelStats::auto`] and reports its method as
+    /// `auto:<resolved>`, so runs under `Auto` remain distinguishable.
     ///
     /// # Errors
-    /// [`ExecError::Device`] if the grid shape is invalid for the method;
-    /// [`ExecError::BarrierUnavailable`] for [`SyncMethod::Auto`], which
-    /// is a selection directive, not an executable method — resolve it
-    /// (see [`crate::AutoTuner`]) before compiling.
+    /// [`ExecError::Device`] if the grid shape is invalid.
     pub fn compile(cfg: GridConfig, method: SyncMethod) -> Result<LaunchPlan, ExecError> {
-        if method == SyncMethod::Auto {
-            return Err(ExecError::BarrierUnavailable {
-                method: method.to_string(),
-            });
-        }
         cfg.validate()?;
-        Ok(LaunchPlan { cfg, method })
+        // `cfg.spec` is the modelled GPU; a measured table needs no
+        // resident ceiling, so the grid's own size stands in.
+        let n = cfg.n_blocks;
+        let auto = (method == SyncMethod::Auto).then(|| AutoTuner::host().decide(n, n));
+        Ok(LaunchPlan {
+            method: auto.as_ref().map_or(method, |d| d.chosen),
+            cfg,
+            auto,
+            obs: Observer::new(),
+        })
     }
 
     /// The grid configuration this plan was compiled for.
@@ -315,28 +320,28 @@ impl LaunchPlan {
         &self.cfg
     }
 
-    /// The concrete method this plan executes.
+    /// The concrete method this plan executes (never `Auto`).
     pub fn method(&self) -> SyncMethod {
         self.method
     }
 
-    /// Stamp out the per-launch state: a fresh barrier (except for
-    /// `CpuExplicit`, whose "barrier" is the host's join, and `NoSync`),
-    /// a fresh trace recorder, and an un-raised abort signal.
-    ///
-    /// # Errors
-    /// [`ExecError::BarrierUnavailable`] if the method cannot build a
-    /// barrier for this grid.
-    pub(crate) fn setup(&self, rounds: usize) -> Result<LaunchSetup, ExecError> {
+    /// This plan's observability handle: every `run`/`run_owned` outcome
+    /// (success or failure) is folded into its metrics registry and flight
+    /// recorder.
+    pub fn observer(&self) -> Arc<Observer> {
+        Arc::clone(&self.obs)
+    }
+
+    /// Stamp out the per-launch state for `kernel` — a fresh barrier
+    /// (except for `CpuExplicit`, whose "barrier" is the host's join, and
+    /// `NoSync`), a fresh trace recorder, an un-raised abort signal, and
+    /// the kernel's fault schedule armed — then hand the kernel its abort
+    /// signal ([`RoundKernel::on_launch`]). Every strategy calls this
+    /// before any of its threads can see the launch.
+    pub(crate) fn setup(&self, kernel: &dyn RoundKernel) -> LaunchSetup {
         let n = self.cfg.n_blocks;
-        let barrier = match self.method {
-            SyncMethod::CpuExplicit | SyncMethod::NoSync => None,
-            m => Some(m.build_barrier_with(n, self.cfg.policy).ok_or_else(|| {
-                ExecError::BarrierUnavailable {
-                    method: m.to_string(),
-                }
-            })?),
-        };
+        let rounds = kernel.rounds();
+        let barrier = self.method.build_barrier_with(n, self.cfg.policy);
         let recorder = self
             .cfg
             .trace
@@ -345,70 +350,77 @@ impl LaunchPlan {
         if let (Some(sh), Some(rec)) = (barrier.as_deref(), recorder.as_ref()) {
             sh.control().attach_recorder(Arc::clone(rec));
         }
-        Ok(LaunchSetup {
+        let abort = AbortSignal::new();
+        // Wait-phase faults get a hook on this launch's fresh barrier; the
+        // schedule itself is kept for the pool's assembly phase.
+        let faults = kernel.fault_schedule().map(|schedule| {
+            if let Some(sh) = barrier.as_ref() {
+                WaitFaultInjector::install(&schedule, sh, abort.clone(), self.cfg.policy);
+            }
+            Arc::new(schedule)
+        });
+        kernel.on_launch(&abort);
+        LaunchSetup {
             method: self.method,
+            auto: self.auto.clone(),
             n,
             threads_per_block: self.cfg.threads_per_block,
             policy: self.cfg.policy,
             rounds,
             barrier,
-            abort: AbortSignal::new(),
+            abort,
             recorder,
-            faults: None,
-        })
+            faults,
+        }
     }
 
-    /// Run a borrowed kernel through this plan (scoped strategies).
+    /// Run the kernel to completion and return the time decomposition.
     ///
     /// # Errors
-    /// Same contract as [`crate::GridExecutor::run`].
+    /// [`ExecError::BlockPanicked`] if any block's kernel code panicked;
+    /// [`ExecError::BarrierTimeout`] if a barrier wait (or CPU-mode
+    /// rendezvous) exceeded the [`SyncPolicy`] timeout. A block stuck
+    /// *inside kernel code* cannot be preempted, so a borrowed kernel that
+    /// ignores its [`AbortSignal`] holds this call; see
+    /// [`LaunchPlan::run_owned`].
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
-        // SAFETY: `execute` joins every thread it starts for a borrowed
-        // kernel before it returns.
-        self.execute(unsafe { KernelRef::borrowed(kernel) }).0
+        // SAFETY: `execute` returns only once no thread it started can
+        // call into a borrowed kernel: the relaunch strategy joins every
+        // round thread, and the pool waits a borrowed launch out instead of
+        // abandoning it.
+        self.execute(unsafe { KernelRef::borrowed(kernel) })
     }
 
-    /// [`LaunchPlan::run`] with an owned kernel, enabling the relaunch
-    /// strategy's straggler detachment (see
-    /// [`crate::GridExecutor::run_owned`]).
+    /// [`LaunchPlan::run`] with an *owned* kernel, which bounds the call
+    /// even for a block stuck in non-cooperative kernel code past the
+    /// [`SyncPolicy`] timeout: because the launch co-owns the kernel, the
+    /// stuck thread is left behind — detached by the relaunch strategy's
+    /// watchdog join under `CpuExplicit`, abandoned by the pool under
+    /// every other method — and the call returns
+    /// [`ExecError::BarrierTimeout`].
     ///
     /// # Errors
-    /// Same contract as [`crate::GridExecutor::run`].
+    /// Same contract as [`LaunchPlan::run`].
     pub fn run_owned(
         &self,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<KernelStats, ExecError> {
-        self.execute(KernelRef::owned(kernel)).0
+        self.execute(KernelRef::owned(kernel))
     }
 
-    /// Dispatch one launch to the strategy serving this plan's method and
-    /// return its result with its [`LaunchRecord`]. Returns only once
-    /// every thread it started is joined — or, for an owned kernel under
-    /// `CpuExplicit`, detached with its own `Arc`.
-    pub(crate) fn execute(
-        &self,
-        kernel: KernelRef,
-    ) -> (Result<KernelStats, ExecError>, LaunchRecord) {
-        let k = kernel.get();
-        let entered = Instant::now();
-        let mut setup = match self.setup(k.rounds()) {
-            Ok(setup) => setup,
-            // No setup exists to finish: a bare record of what is known.
-            Err(e) => {
-                let mut record = LaunchRecord::new(self.method.to_string());
-                record.error = Some(e.clone());
-                record.wall = entered.elapsed();
-                return (Err(e), record);
-            }
-        };
-        setup.arm_faults(k);
-        k.on_launch(&setup.abort);
+    /// Dispatch one launch to the strategy serving this plan's method:
+    /// relaunch per round under `CpuExplicit`, launch 0 of a pool built
+    /// for it under every other method.
+    fn execute(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
+        if self.method != SyncMethod::CpuExplicit {
+            return GridRuntime::from_plan(self.clone()).launch(kernel);
+        }
+        let setup = self.setup(kernel.get());
         let start = Instant::now();
-        let per_block = match self.method {
-            SyncMethod::CpuExplicit => run_relaunch(&setup, &kernel),
-            _ => run_scoped(&setup, k, start),
-        };
-        setup.finish(per_block, start.elapsed(), None)
+        let per_block = run_relaunch(&setup, &kernel);
+        let (result, record) = setup.finish(per_block, start.elapsed(), None);
+        self.obs.observe(record);
+        result
     }
 }
 
@@ -416,6 +428,8 @@ impl LaunchPlan {
 /// strategies and [`drive_block`] share for exactly one launch.
 pub(crate) struct LaunchSetup {
     pub(crate) method: SyncMethod,
+    /// The plan's `Auto` verdict, completed and reported by `finish`.
+    auto: Option<AutoDecision>,
     pub(crate) n: usize,
     pub(crate) threads_per_block: usize,
     pub(crate) policy: SyncPolicy,
@@ -427,26 +441,11 @@ pub(crate) struct LaunchSetup {
     pub(crate) recorder: Option<Arc<EventRecorder>>,
     /// The kernel's [`FaultSchedule`], if it carries one — read by the
     /// pooled runtime to fire assembly-phase faults. Wait-phase faults are
-    /// already armed on the barrier by [`LaunchSetup::arm_faults`].
+    /// already armed on the barrier by [`LaunchPlan::setup`].
     pub(crate) faults: Option<Arc<FaultSchedule>>,
 }
 
 impl LaunchSetup {
-    /// Read the kernel's [`RoundKernel::fault_schedule`] once and arm the
-    /// injection sites that live outside the round body: wait-phase faults
-    /// get a [`WaitFaultInjector`] hook on this launch's fresh barrier;
-    /// the schedule itself is kept for the pooled runtime's assembly
-    /// phase. No-op (and zero-cost) for kernels without a schedule.
-    pub(crate) fn arm_faults(&mut self, kernel: &dyn RoundKernel) {
-        let Some(schedule) = kernel.fault_schedule() else {
-            return;
-        };
-        if let Some(sh) = self.barrier.as_ref() {
-            WaitFaultInjector::install(&schedule, sh, self.abort.clone(), self.policy);
-        }
-        self.faults = Some(Arc::new(schedule));
-    }
-
     pub(crate) fn ctx(&self, block_id: usize) -> BlockCtx {
         BlockCtx {
             block_id,
@@ -458,7 +457,8 @@ impl LaunchSetup {
     /// Close the launch: from the merged per-block results, assemble the
     /// uniform [`KernelStats`] every strategy reports (`launch` is the
     /// slowest block's launch share, telemetry comes from this launch's
-    /// recorder) and the launch's one [`LaunchRecord`], built from what
+    /// recorder, an `Auto` plan's decision gets this launch's measured
+    /// sync cost) and the launch's one [`LaunchRecord`], built from what
     /// this setup owns — the scheduled faults, and for a failure the
     /// recorder's per-block tails. Strategies add only what they alone
     /// know (the pool: `replacements` and `shard`).
@@ -468,6 +468,10 @@ impl LaunchSetup {
         wall: Duration,
         pool: Option<PoolLaunchStats>,
     ) -> (Result<KernelStats, ExecError>, LaunchRecord) {
+        let method = match &self.auto {
+            Some(decision) => format!("auto:{}", decision.chosen),
+            None => self.method.to_string(),
+        };
         let mut record = LaunchRecord {
             wall,
             pool,
@@ -475,7 +479,7 @@ impl LaunchSetup {
                 .faults
                 .as_deref()
                 .map_or_else(Vec::new, |s| s.faults().to_vec()),
-            ..LaunchRecord::new(self.method.to_string())
+            ..LaunchRecord::new(method)
         };
         let per_block = match result {
             Ok(per_block) => per_block,
@@ -488,7 +492,7 @@ impl LaunchSetup {
         record.launch = per_block.iter().map(|b| b.launch).max().unwrap_or_default();
         record.compute = per_block.iter().map(|b| b.compute).sum();
         record.sync = per_block.iter().map(|b| b.sync).sum();
-        let stats = KernelStats {
+        let mut stats = KernelStats {
             method: record.method.clone(),
             n_blocks: self.n,
             rounds: self.rounds,
@@ -499,6 +503,12 @@ impl LaunchSetup {
             auto: None,
             pool: pool.map(Box::new),
         };
+        stats.auto = self.auto.as_ref().map(|decision| {
+            Box::new(AutoDecision {
+                measured_sync_ns: Some(stats.sync_per_round().as_secs_f64() * 1e9),
+                ..decision.clone()
+            })
+        });
         (Ok(stats), record)
     }
 
@@ -515,17 +525,16 @@ impl LaunchSetup {
     }
 }
 
-/// The one true round loop, run once per block per launch by every
-/// persistent strategy (scoped threads and pooled workers alike): for each
-/// round, execute the kernel body under `catch_unwind` (a panic poisons
-/// the barrier via [`BarrierShared::poison`], raises the abort signal, and
-/// surfaces as [`ExecError::BlockPanicked`]), then wait on the barrier
-/// (bounded by the [`SyncPolicy`]), accumulating compute/sync time and
-/// trace events into `t` as it goes. Without a barrier (`NoSync`) a round
-/// is compute only: `t.sync` stays zero and no sync sample is recorded,
-/// the paper's §7.3 "`__gpu_sync()` removed" run. `t.launch` is the
-/// caller's to fill — only the strategy knows where its launch boundary
-/// is.
+/// The one true round loop, run once per block per launch by the pool's
+/// workers: for each round, execute the kernel body under `catch_unwind`
+/// (a panic poisons the barrier via [`BarrierShared::poison`], raises the
+/// abort signal, and surfaces as [`ExecError::BlockPanicked`]), then wait
+/// on the barrier (bounded by the [`SyncPolicy`]), accumulating
+/// compute/sync time and trace events into `t` as it goes. Without a
+/// barrier (`NoSync`) a round is compute only: `t.sync` stays zero and no
+/// sync sample is recorded, the paper's §7.3 "`__gpu_sync()` removed" run.
+/// `t.launch` is the caller's to fill — only the pool knows where its
+/// launch boundary is.
 pub(crate) fn drive_block(
     setup: &LaunchSetup,
     kernel: &dyn RoundKernel,
@@ -593,40 +602,6 @@ pub(crate) fn drive_block(
         }
     }
     Ok(())
-}
-
-/// Scoped persistent strategy: spawn one thread per block for the whole
-/// launch, assemble at a [`StartGate`] (pinning `t_O`), then
-/// [`drive_block`]. Serves every barrier method — GPU-side, `CpuImplicit`
-/// (whose barrier is the driver rendezvous), and `NoSync` (no barrier).
-pub(crate) fn run_scoped(
-    setup: &LaunchSetup,
-    kernel: &dyn RoundKernel,
-    run_start: Instant,
-) -> Result<Vec<BlockTimes>, ExecError> {
-    let gate = StartGate::new(setup.n);
-    let results: Vec<Result<BlockTimes, ExecError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..setup.n)
-            .map(|b| {
-                let gate = &gate;
-                s.spawn(move || -> Result<BlockTimes, ExecError> {
-                    let mut t = BlockTimes::default();
-                    // The launch gate: no block starts round 0 until every
-                    // thread exists, so the time to here is the launch's
-                    // spawn overhead (t_O), not round-0 sync skew.
-                    gate.wait();
-                    t.launch = run_start.elapsed();
-                    drive_block(setup, kernel, b, &mut t)?;
-                    Ok(t)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("engine block thread must not panic"))
-            .collect()
-    });
-    collect_block_results(results)
 }
 
 /// Relaunch strategy (CPU explicit synchronization): spawn + join every
@@ -787,26 +762,31 @@ pub(crate) fn run_relaunch(
 
         // Every block is released the moment the last join completed.
         let release = Instant::now();
-        let mut origin: Option<ExecError> = None;
         let mut released: Vec<(usize, Instant)> = Vec::new();
-        for (b, slot) in slots.iter().enumerate() {
-            match slot.lock().take() {
+        let results = slots
+            .iter()
+            .enumerate()
+            .map(|(b, slot)| match slot.lock().take() {
                 Some(Ok(d)) => {
-                    times[b].launch += d.spawn_delay;
-                    times[b].compute += d.compute;
-                    times[b].sync += release.saturating_duration_since(d.arrived);
                     released.push((b, d.arrived));
+                    Ok(BlockTimes {
+                        launch: d.spawn_delay,
+                        compute: d.compute,
+                        sync: release.saturating_duration_since(d.arrived),
+                    })
                 }
-                Some(Err(e)) => {
-                    origin.get_or_insert(e);
-                }
-                // A detached straggler never filled its slot; the
-                // deadline snapshot reports it.
-                None => {}
-            }
-        }
-        if let Some(e) = origin {
-            return Err(e);
+                Some(Err(e)) => Err(e),
+                // A detached straggler never filled its slot; the deadline
+                // snapshot reports it.
+                None => Ok(BlockTimes::default()),
+            });
+        for (t, round) in times
+            .iter_mut()
+            .zip(collect_block_results(results.collect())?)
+        {
+            t.launch += round.launch;
+            t.compute += round.compute;
+            t.sync += round.sync;
         }
         if let Some(snapshot) = deadline_snapshot {
             // Any block not done at the deadline was the straggler, even
@@ -863,6 +843,7 @@ mod tests {
     use super::*;
     use crate::gmem::GlobalBuffer;
     use crate::method::TreeLevels;
+    use std::sync::atomic::AtomicUsize;
 
     struct Count {
         slots: GlobalBuffer<u64>,
@@ -910,12 +891,6 @@ mod tests {
         // whatever their ids; among equals the lowest id is reported.
         assert_eq!(merged(vec![panic_at(2), timeout_at(1)]), timeout_at(1));
         assert_eq!(merged(vec![panic_at(0), panic_at(1)]), panic_at(0));
-    }
-
-    #[test]
-    fn compile_rejects_auto() {
-        let err = LaunchPlan::compile(GridConfig::new(4, 8), SyncMethod::Auto).unwrap_err();
-        assert!(matches!(err, ExecError::BarrierUnavailable { .. }), "{err}");
     }
 
     #[test]

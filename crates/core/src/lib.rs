@@ -35,10 +35,20 @@
 //! (linear), a combining tree (sub-linear), and per-block flags (flat).
 //! Cycle-approximate *GPU* timing is the job of the `blocksync-sim` crate.
 //!
+//! ## Launching
+//!
+//! A cold launch is a [`LaunchPlan`]: compile a grid and a method once
+//! (`Auto` resolves here), then every `run` pays the full launch overhead
+//! `t_O` of Eq. 1. A warm launch is a [`GridRuntime`] — workers spawned by
+//! its first launch and kept for the rest — or a [`GridService`] of them.
+//! Under every method but [`SyncMethod::CpuExplicit`], which relaunches
+//! its blocks every round, a cold launch *is* launch 0 of a pool built for
+//! it: one spawning strategy, two lifetimes.
+//!
 //! ## Quick start
 //!
 //! ```
-//! use blocksync_core::{GridConfig, GridExecutor, RoundKernel, BlockCtx, SyncMethod, GlobalBuffer};
+//! use blocksync_core::{GridConfig, LaunchPlan, RoundKernel, BlockCtx, SyncMethod, GlobalBuffer};
 //!
 //! /// Each round, every block adds 1 to its slot; after R rounds with a
 //! /// correct grid barrier every slot holds R.
@@ -59,8 +69,8 @@
 //!
 //! let cfg = GridConfig::new(8, 64);
 //! let kernel = CountKernel { slots: GlobalBuffer::new(8), rounds: 100 };
-//! let stats = GridExecutor::new(cfg, SyncMethod::GpuLockFree)
-//!     .run(&kernel)
+//! let stats = LaunchPlan::compile(cfg, SyncMethod::GpuLockFree)
+//!     .and_then(|plan| plan.run(&kernel))
 //!     .unwrap();
 //! assert_eq!(stats.rounds, 100);
 //! assert!(kernel.slots.to_vec().iter().all(|&v| v == 100));
@@ -95,7 +105,7 @@ pub use barrier::{
 };
 pub use chaos::{ChaosConfig, ChaosLaunch, ChaosReport};
 pub use error::{ExecError, ServiceError, StuckDiagnostic, StuckPhase};
-pub use executor::{AbortSignal, BlockCtx, GridConfig, GridExecutor, RoundKernel};
+pub use executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 pub use fault::{
     stall_duration, Fault, FaultInjector, FaultKind, FaultPhase, FaultProfile, FaultSchedule,
 };

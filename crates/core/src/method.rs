@@ -64,9 +64,9 @@ pub enum SyncMethod {
     /// No inter-block synchronization at all (compute-time measurement
     /// only).
     NoSync,
-    /// Tuned selection: at run time the executor times every concrete
-    /// method once at the configured block count (cached per process) and
-    /// runs the cheapest (see [`crate::autotune`]; the simulator's `Auto`
+    /// Tuned selection: [`crate::LaunchPlan::compile`] times every
+    /// concrete method once at the configured block count (cached per
+    /// process) and runs the cheapest (see [`crate::autotune`]; the simulator's `Auto`
     /// prices the methods through the Eq. 6–9 cost model instead).
     /// Classified as neither CPU- nor GPU-side — the *resolved* method
     /// determines the execution strategy.
@@ -218,7 +218,7 @@ mod tests {
         assert_eq!(implicit.num_blocks(), 8);
         assert_eq!(implicit.name(), "cpu-implicit");
         // CpuExplicit's barrier is the host's join, NoSync has none, and
-        // Auto has none of its own: the executor resolves it first.
+        // Auto has none of its own: `LaunchPlan::compile` resolves it.
         for m in [
             SyncMethod::CpuExplicit,
             SyncMethod::NoSync,

@@ -195,7 +195,8 @@ impl Histogram {
 /// The owning block is the only writer, so every update is a `Relaxed`
 /// load followed by a `Relaxed` store — **no atomic read-modify-write**,
 /// keeping the telemetry plane off the coherence fast path. Cross-thread
-/// visibility comes from the executor's thread-join edge, after which
+/// visibility comes from the launch's completion edge (the pool's result
+/// lock, the relaunch strategy's join), after which
 /// [`BlockHistogram::snapshot`] reads are exact.
 #[derive(Debug)]
 pub struct BlockHistogram {

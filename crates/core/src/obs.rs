@@ -34,8 +34,9 @@
 //! stores — and in particular no atomic read-modify-writes — inside
 //! barrier spin loops** (the same guarantee the single-writer
 //! [`crate::BlockHistogram`] telemetry makes). All mutation happens on
-//! the *host* thread that resolves a launch (`wait_launch` /
-//! `GridExecutor::run`), exactly once per launch, under a short
+//! the *host* thread that resolves a launch (`wait_launch`, or
+//! `LaunchPlan::run` under CPU-explicit sync), exactly once per launch,
+//! under a short
 //! uncontended mutex. The `obs_overhead` bench bin enforces both halves:
 //! wall overhead under 5%, and a registry mutation count that is a
 //! function of launches alone (never of rounds or spins).
@@ -77,8 +78,9 @@ pub struct LaunchRecord {
     /// Why the launch failed; `None` for a success.
     pub error: Option<ExecError>,
     /// Submit → stats latency. For pooled launches this is measured from
-    /// submission (so it includes queueing); for scoped launches it is the
-    /// execution wall clock.
+    /// submission (so it includes queueing, and for a pool's launch 0 the
+    /// worker spawns); for a CPU-explicit launch it is the execution wall
+    /// clock.
     pub wall: Duration,
     /// Launch overhead `t_O` (max per-block assembly time).
     pub launch: Duration,
@@ -88,7 +90,9 @@ pub struct LaunchRecord {
     pub sync: Duration,
     /// The pool's accounting when the launch ran on a persistent
     /// [`crate::GridRuntime`] — the same value as
-    /// [`crate::KernelStats::pool`]; `None` for a scoped launch.
+    /// [`crate::KernelStats::pool`] — every launch but a CPU-explicit one,
+    /// cold launches included (launch 0 of a pool built for them); `None`
+    /// for a CPU-explicit launch.
     pub pool: Option<PoolLaunchStats>,
     /// Workers replaced while settling this launch (abandon-and-replace).
     pub replacements: usize,
@@ -117,7 +121,7 @@ impl LaunchRecord {
     /// split, pool context, the full [`crate::StuckDiagnostic`] of a
     /// timeout, trailing trace events, and the active fault schedule.
     pub fn to_json(&self) -> Json {
-        // A scoped launch renders the pool keys at their zero values.
+        // A CPU-explicit launch renders the pool keys at their zero values.
         let pool = self.pool.unwrap_or_default();
         let mut o: Vec<(&str, Json)> = vec![
             ("seq", pool.launch_seq.into()),
@@ -187,7 +191,7 @@ impl Flight {
 
 /// The cross-launch observability handle: metrics registry + flight
 /// recorder behind one `Arc`. Every launcher owns one: a
-/// [`crate::GridExecutor`] and a standalone [`crate::GridRuntime`] each
+/// [`crate::LaunchPlan`] and a standalone [`crate::GridRuntime`] each
 /// their own, a [`crate::GridService`] one shared by all its shards.
 ///
 /// A [`Observer::disabled`] handle is a no-op on every path — the control

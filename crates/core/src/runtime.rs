@@ -1,28 +1,24 @@
 //! Persistent grid runtime: pooled per-block workers with pipelined
-//! launches.
+//! launches — the one strategy that spawns threads for a persistent grid.
 //!
-//! [`crate::GridExecutor::run`] pays the full launch overhead `t_O` of
-//! Eq. 1 on every call: `n_blocks` fresh OS threads are spawned, hit the
-//! start gate, and are joined again at the end. That is the host analogue
-//! of a cold `cudaLaunch` — exactly the cost the paper's persistent-kernel
-//! design (Section 4.3) amortizes away. [`GridRuntime`] is the
-//! persistent-host counterpart: the per-block workers are pinned **once at
-//! construction** and every subsequent launch is a *warm* dispatch through
-//! a launch queue, the pipelined-relaunch shape of the paper's CPU
-//! implicit sync (Section 4.2) applied to whole kernels instead of rounds.
-//! Which of the two a caller pays is the type it constructs — there is no
-//! flag on the executor that builds a pool behind it, because a pool built
-//! for one launch hides its worker spawns outside every clock the stats
-//! read (DESIGN.md §10).
+//! A pool spawns one worker per block when its first launch is enqueued;
+//! every later launch is a *warm* dispatch through a launch queue, the
+//! pipelined-relaunch shape of the paper's CPU implicit sync
+//! (Section 4.2) applied to whole kernels instead of rounds — exactly the
+//! cost the paper's persistent-kernel design (Section 4.3) amortizes
+//! away. A cold [`LaunchPlan::run`] is launch 0 of a pool built from the
+//! plan and dropped after it, so launch 0 pays the full `t_O` of Eq. 1:
+//! its clock starts at submit, and `launch` and `wall` include the worker
+//! spawns (DESIGN.md §10). Which of the two a caller pays is the type it
+//! holds: a [`LaunchPlan`] launches cold every time, a [`GridRuntime`]
+//! (or a [`crate::GridService`] shard) only the first time.
 //!
-//! The pool is a *strategy* over the shared launch engine: it compiles one
-//! [`LaunchPlan`] at construction, stamps a fresh
-//! `crate::launch::LaunchSetup` per submission, each pinned worker runs
-//! the same `drive_block` round loop the scoped executor uses, and the
-//! setup's `finish` builds the launch's stats and its
-//! [`crate::LaunchRecord`] exactly as it does for a scoped launch — only
-//! thread placement (pinned vs spawned) and the warm-launch accounting
-//! (the [`PoolLaunchStats`], worker replacements, the shard label) differ.
+//! The pool is a *strategy* over the shared launch engine: it holds one
+//! [`LaunchPlan`], stamps a fresh `crate::launch::LaunchSetup` per
+//! submission, each worker runs the engine's `drive_block` round loop, and
+//! the setup's `finish` builds the launch's stats and its
+//! [`crate::LaunchRecord`] — the pool adds only the warm-launch accounting
+//! (the [`PoolLaunchStats`], worker replacements, the shard label).
 //!
 //! ## Launch log
 //!
@@ -41,18 +37,18 @@
 //! Barrier poisoning is permanent, so every launch gets a **fresh
 //! barrier**; a panicked or timed-out launch therefore cannot contaminate
 //! the next one. Workers survive kernel panics (the round body is run
-//! under `catch_unwind`, like the scoped executor). A worker that is stuck
-//! *inside* non-cooperative kernel code cannot be preempted; for launches
-//! submitted by ownership ([`GridRuntime::submit`]), the host abandons the
-//! launch after a grace period past the policy timeout, synthesizes a
+//! under `catch_unwind`). A worker that is stuck *inside* non-cooperative
+//! kernel code cannot be preempted; for launches that own their kernel
+//! ([`GridRuntime::submit`], [`LaunchPlan::run_owned`]), the host abandons
+//! the launch after a grace period past the policy timeout, synthesizes a
 //! [`crate::StuckDiagnostic`] for the missing block, and **replaces** the
 //! stuck worker with a fresh one so the pool stays usable — the stale
 //! thread parks itself permanently on the leaked kernel `Arc` and exits if
-//! it ever returns. Borrowed launches ([`GridRuntime::run`]) must instead
-//! wait for full completion before returning — the kernel is only
-//! guaranteed alive for the duration of the call — so they bound barrier
-//! waits (via [`crate::SyncPolicy`]) but not kernel code itself, matching
-//! the scoped executor's contract.
+//! it ever returns. Borrowed launches ([`GridRuntime::run`],
+//! [`LaunchPlan::run`]) must instead wait for full completion before
+//! returning — the kernel is only guaranteed alive for the duration of the
+//! call — so they bound barrier waits (via [`crate::SyncPolicy`]) but not
+//! kernel code itself.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -81,13 +77,15 @@ use crate::trace::TraceEventKind;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolLaunchStats {
     /// Zero-based sequence number of this launch on its pool. Sequence 0
-    /// is the cold launch (it overlaps worker spawning).
+    /// is the cold launch: it spawns the workers, and its `launch` and
+    /// `wall` include the spawns.
     pub launch_seq: u64,
     /// Launches still pending ahead of this one at submit time (pipelining
     /// depth).
     pub queue_depth: usize,
     /// Submit → first worker picked the launch up. Nonzero queueing delay
-    /// means the pool was still busy with earlier launches.
+    /// means the pool was still busy with earlier launches; zero for the
+    /// cold launch, whose clock starts at submit.
     pub queued: Duration,
     /// Whether this was the pool's cold (first) launch.
     pub cold: bool,
@@ -116,12 +114,14 @@ struct Launch {
     setup: LaunchSetup,
     queue_depth: usize,
     submitted: Instant,
-    /// When the first worker picked this launch up (end of queueing).
+    /// When the first worker picked this launch up (end of queueing);
+    /// launch 0's submit instant, so its `t_O` covers the spawns.
     activated: OnceLock<Instant>,
     /// Assembly gate: workers check in and spin until all peers of *this
-    /// launch* exist, pinning the warm-launch boundary exactly like the
-    /// scoped engine's start gate — with an abort escape, since a pinned
-    /// peer may never arrive once the launch has failed, and (with a
+    /// launch* exist, pinning the launch boundary — time before the gate
+    /// opens is `t_O`, time after is round time, so round-0 sync does not
+    /// absorb the stagger of late workers — with an abort escape, since a
+    /// pinned peer may never arrive once the launch has failed, and (with a
     /// policy timeout) a deadline of its own, so a worker stuck *before*
     /// the gate surfaces as an assembly-phase failure instead of hanging
     /// its peers (see [`StuckPhase::Assembly`]).
@@ -214,15 +214,17 @@ impl Launch {
 
 /// Shared pool state.
 struct Shared {
+    /// The pipeline every launch is stamped from. Its observer is the
+    /// pool's cross-launch observability plane, fed once per completed
+    /// launch by the *host* thread resolving it (never by workers — spin
+    /// loops stay free of registry traffic).
+    plan: LaunchPlan,
     state: Mutex<PoolState>,
     cv: Condvar,
     /// Mirror of `PoolState::next_seq`, stored (`Release`) under the state
     /// lock: what an idle worker polls (`Acquire`) before it parks on `cv`.
+    /// `Drop` stores `u64::MAX` so a worker still polling leaves at once.
     next_seq: AtomicU64,
-    /// Cross-launch observability plane, fed once per completed launch by
-    /// the *host* thread resolving it (never by workers — spin loops stay
-    /// free of registry traffic).
-    obs: Arc<Observer>,
     /// Shard label stamped into every [`crate::LaunchRecord`] this pool emits.
     /// `None` for standalone pools (their gauge samples land under the
     /// registry's `"default"` shard slot); set by [`crate::GridService`]
@@ -300,11 +302,12 @@ fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
 /// Execute one launch for `block`: stamp the activation, fire any
 /// scheduled assembly-phase fault, assemble at the gate, then hand off to
 /// the engine's shared [`drive_block`] round loop — the pooled strategy
-/// contributes only the warm-`t_O` accounting and the assembly phase here.
+/// contributes only the `t_O` accounting and the assembly phase here.
 fn run_launch(launch: &Arc<Launch>, block: usize) {
     // Alive for this whole function: an owned kernel by the launch log's
-    // `Arc`, a borrowed one because `GridRuntime::run` is still blocked on
-    // this worker's `record_result` below (see `KernelRef::borrowed`).
+    // `Arc`, a borrowed one because the borrowing call (`GridRuntime::run`,
+    // `LaunchPlan::run`) is still blocked on this worker's `record_result`
+    // below (see `KernelRef::borrowed`).
     let kernel = launch.kernel.get();
     let base = *launch.activated.get_or_init(Instant::now);
     launch.entered.fetch_add(1, Ordering::AcqRel);
@@ -416,7 +419,8 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
         gate_backoff(&mut polls);
     }
     let mut t = BlockTimes {
-        // Warm t_O: dispatch (first pickup) -> this worker assembled.
+        // t_O: dispatch (first pickup; launch 0's submit) -> this worker
+        // assembled.
         launch: Instant::now().saturating_duration_since(base),
         ..BlockTimes::default()
     };
@@ -460,7 +464,7 @@ impl LaunchHandle {
     ///
     /// # Errors
     /// The merged per-block error of the launch, origin first — the same
-    /// contract as [`crate::GridExecutor::run`].
+    /// contract as [`LaunchPlan::run`].
     pub fn wait(self) -> Result<KernelStats, ExecError> {
         wait_launch(&self.shared, &self.launch, true)
     }
@@ -520,10 +524,11 @@ fn wait_launch(
         launch
             .setup
             .finish(collect_block_results(results), wall, Some(pool));
-    if shared.obs.is_enabled() {
+    let obs = &shared.plan.obs;
+    if obs.is_enabled() {
         record.replacements = replaced.len();
         record.shard = shared.shard_label.lock().clone();
-        shared.obs.observe(record);
+        obs.observe(record);
     }
     result
 }
@@ -613,14 +618,13 @@ fn replace_workers(shared: &Arc<Shared>, blocks: &[usize], after_seq: u64) {
 /// launch-log and fault-recovery design.
 pub struct GridRuntime {
     shared: Arc<Shared>,
-    plan: LaunchPlan,
 }
 
 impl std::fmt::Debug for GridRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GridRuntime")
-            .field("n_blocks", &self.plan.config().n_blocks)
-            .field("method", &self.plan.method())
+            .field("n_blocks", &self.config().n_blocks)
+            .field("method", &self.method())
             .finish()
     }
 }
@@ -636,7 +640,8 @@ impl GridRuntime {
         !matches!(method, SyncMethod::CpuExplicit | SyncMethod::Auto)
     }
 
-    /// Build the pool and pin one worker per block.
+    /// Build the pool. Its workers, one per block, are spawned by its
+    /// first launch, whose stats include that cost.
     ///
     /// # Errors
     /// [`ExecError::Device`] for an invalid grid shape;
@@ -662,33 +667,38 @@ impl GridRuntime {
                 method: method.to_string(),
             });
         }
-        let plan = LaunchPlan::compile(cfg, method)?;
+        let mut plan = LaunchPlan::compile(cfg, method)?;
+        plan.obs = obs;
+        Ok(Self::from_plan(plan))
+    }
+
+    /// A pool for `plan`, which must not be `CpuExplicit`; [`LaunchPlan`]
+    /// builds one per cold launch.
+    pub(crate) fn from_plan(plan: LaunchPlan) -> GridRuntime {
         let n = plan.config().n_blocks;
-        let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                first_seq: 0,
-                next_seq: 0,
-                gens: vec![0; n],
-                cursors: vec![0; n],
-                shutdown: false,
-                parked: 0,
+        GridRuntime {
+            shared: Arc::new(Shared {
+                plan,
+                state: Mutex::new(PoolState {
+                    queue: VecDeque::new(),
+                    first_seq: 0,
+                    next_seq: 0,
+                    gens: vec![0; n],
+                    cursors: vec![0; n],
+                    shutdown: false,
+                    parked: 0,
+                }),
+                cv: Condvar::new(),
+                next_seq: AtomicU64::new(0),
+                shard_label: Mutex::new(None),
             }),
-            cv: Condvar::new(),
-            next_seq: AtomicU64::new(0),
-            obs,
-            shard_label: Mutex::new(None),
-        });
-        for b in 0..n {
-            spawn_worker(Arc::clone(&shared), b, 0, 0);
         }
-        Ok(GridRuntime { shared, plan })
     }
 
     /// The pool's observability handle: cross-launch metrics registry
     /// plus flight recorder, fed on every launch completion.
     pub fn observer(&self) -> Arc<Observer> {
-        Arc::clone(&self.shared.obs)
+        self.shared.plan.observer()
     }
 
     /// Label every future [`crate::LaunchRecord`] this pool emits with a shard
@@ -706,12 +716,12 @@ impl GridRuntime {
 
     /// The pool's grid configuration.
     pub fn config(&self) -> &GridConfig {
-        self.plan.config()
+        self.shared.plan.config()
     }
 
     /// The pool's synchronization method.
     pub fn method(&self) -> SyncMethod {
-        self.plan.method()
+        self.shared.plan.method()
     }
 
     /// Launches still pending (submitted but not yet completed by every
@@ -726,7 +736,7 @@ impl GridRuntime {
     /// Workers currently asleep on the pool's condvar (diagnostic, like
     /// [`crate::BarrierControl::parked_waiters`]): an idle pool reaches
     /// `n_blocks` one spin bound after its last launch and burns no CPU
-    /// from then on.
+    /// from then on (a pool that never launched has no workers yet).
     pub fn parked_workers(&self) -> usize {
         self.shared.state.lock().parked
     }
@@ -746,11 +756,14 @@ impl GridRuntime {
 
     /// Append a launch to the log and return its handle. Back-to-back
     /// submissions pipeline; call [`LaunchHandle::wait`] (in order) to
-    /// collect each launch's stats.
+    /// collect each launch's stats. The kernel's
+    /// [`RoundKernel::on_launch`] runs before any worker can see the
+    /// launch.
     ///
     /// # Errors
-    /// [`ExecError::BarrierUnavailable`] if the method cannot build a
-    /// barrier for this grid.
+    /// None: a pool accepts only methods that build their barrier for any
+    /// valid grid, so a launch's failures all surface from
+    /// [`LaunchHandle::wait`].
     pub fn submit<K: RoundKernel + Send + Sync + 'static>(
         &self,
         kernel: Arc<K>,
@@ -766,17 +779,15 @@ impl GridRuntime {
         &self,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<LaunchHandle, ExecError> {
-        let launch = self.enqueue(KernelRef::owned(Arc::clone(&kernel)))?;
-        kernel.on_launch(&launch.setup.abort);
         Ok(LaunchHandle {
             shared: Arc::clone(&self.shared),
-            launch,
+            launch: self.enqueue(KernelRef::owned(kernel)),
         })
     }
 
-    /// Run a borrowed kernel on the warm pool and block until it
-    /// completes — same signature as [`crate::GridExecutor::run`], warm
-    /// `t_O`.
+    /// Run a borrowed kernel on the pool and block until it completes —
+    /// same signature as [`LaunchPlan::run`], warm `t_O` after the first
+    /// launch.
     ///
     /// Because the kernel is only borrowed, this wait is *not* bounded for
     /// blocks stuck inside non-cooperative kernel code (the pool may not
@@ -785,27 +796,42 @@ impl GridRuntime {
     /// watchdog.
     ///
     /// # Errors
-    /// Same contract as [`crate::GridExecutor::run`].
+    /// Same contract as [`LaunchPlan::run`].
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
-        // SAFETY: `wait_launch(.., allow_abandon = false)` below does not
-        // return until every worker recorded its result for this launch,
-        // and a worker is done with the kernel once it has.
-        let launch = self.enqueue(unsafe { KernelRef::borrowed(kernel) })?;
-        kernel.on_launch(&launch.setup.abort);
-        wait_launch(&self.shared, &launch, false)
+        // SAFETY: `launch` waits a borrowed kernel's launch out without
+        // abandoning it: it does not return until every worker recorded its
+        // result, and a worker is done with the kernel once it has.
+        self.launch(unsafe { KernelRef::borrowed(kernel) })
     }
 
-    fn enqueue(&self, kernel: KernelRef) -> Result<Arc<Launch>, ExecError> {
-        let mut setup = self.plan.setup(kernel.get().rounds())?;
-        setup.arm_faults(kernel.get());
+    /// Enqueue one launch and wait for it; an owned kernel's stuck blocks
+    /// may be abandoned (see [`LaunchHandle::wait`]), a borrowed one's
+    /// never are.
+    pub(crate) fn launch(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
+        let allow_abandon = kernel.is_owned();
+        wait_launch(&self.shared, &self.enqueue(kernel), allow_abandon)
+    }
+
+    /// Stamp out the launch (running the kernel's `on_launch`), publish it
+    /// to the log, and wake or — for launch 0 — spawn the workers.
+    fn enqueue(&self, kernel: KernelRef) -> Arc<Launch> {
+        let setup = self.shared.plan.setup(kernel.get());
         let mut st = self.shared.state.lock();
-        let min = st.cursors.iter().copied().min().unwrap_or(st.next_seq);
+        let seq = st.next_seq;
+        let min = st.cursors.iter().copied().min().unwrap_or(seq);
+        let submitted = Instant::now();
         let launch = Arc::new(Launch {
-            seq: st.next_seq,
+            seq,
             kernel,
-            queue_depth: (st.next_seq - min) as usize,
-            submitted: Instant::now(),
-            activated: OnceLock::new(),
+            queue_depth: (seq - min) as usize,
+            submitted,
+            // Launch 0 spawns the workers that run it: its clock starts at
+            // submit, so `queued` is zero and `launch` includes the spawns.
+            activated: if seq == 0 {
+                OnceLock::from(submitted)
+            } else {
+                OnceLock::new()
+            },
             gate: AtomicUsize::new(0),
             entered: AtomicUsize::new(0),
             checked_in: (0..setup.n).map(|_| AtomicBool::new(false)).collect(),
@@ -828,20 +854,27 @@ impl GridRuntime {
         // means nobody can miss this entry, so the wake is skipped.
         let wake = st.parked > 0;
         drop(st);
-        if wake {
+        if seq == 0 {
+            for b in 0..launch.setup.n {
+                spawn_worker(Arc::clone(&self.shared), b, 0, 0);
+            }
+        } else if wake {
             self.shared.cv.notify_all();
         }
-        Ok(launch)
+        launch
     }
 }
 
 impl Drop for GridRuntime {
-    /// Signal shutdown; workers exit at their next dispatch point. Workers
-    /// stuck in non-cooperative kernel code are leaked rather than joined
-    /// (they hold only `Arc`s, so this is safe) — the same trade the
-    /// abandon path makes.
+    /// Signal shutdown; workers exit at their next dispatch point, and a
+    /// worker still polling the log leaves at once: the mirror moves past
+    /// every cursor, so its poll succeeds and it finds `shutdown` under the
+    /// lock. Workers stuck in non-cooperative kernel code are leaked rather
+    /// than joined (they hold only `Arc`s, so this is safe) — the same
+    /// trade the abandon path makes.
     fn drop(&mut self) {
         self.shared.state.lock().shutdown = true;
+        self.shared.next_seq.store(u64::MAX, Ordering::Release);
         self.shared.cv.notify_all();
     }
 }

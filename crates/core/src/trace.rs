@@ -18,8 +18,9 @@
 //! read-modify-write anywhere*, and nothing at all inside barrier spin
 //! loops (spin-poll counts are recorded once per wait, after the loop
 //! exits). Rings are cache-line padded so telemetry writes never bounce a
-//! peer's line. Cross-thread visibility rides the executor's existing
-//! thread-join edges.
+//! peer's line. Cross-thread visibility rides the launch's existing
+//! completion edges (the pool's result lock, the relaunch strategy's
+//! joins).
 //!
 //! Events are sampled by **round stride**: with a stride of `s`, only
 //! rounds divisible by `s` are recorded (faults — aborts and poisonings —
@@ -254,7 +255,7 @@ impl Ring {
 /// Lock-free per-block event recorder (see the module docs for the
 /// single-writer/no-RMW discipline).
 ///
-/// Created by [`crate::GridExecutor::run`] when [`crate::GridConfig`]
+/// Created for every launch when [`crate::GridConfig`]
 /// carries a [`TraceConfig`], attached to the run's barrier control, and
 /// aggregated into a [`Telemetry`] at run end.
 pub struct EventRecorder {
@@ -319,7 +320,7 @@ impl EventRecorder {
 
     /// Record `kind` for `block` at the current time. Must only be called
     /// from the thread owning `block`'s ring (or with an external
-    /// happens-before edge to it, as the executor's join provides).
+    /// happens-before edge to it, as a launch's completion provides).
     #[inline]
     pub fn record(&self, block: usize, round: usize, kind: TraceEventKind) {
         self.record_at(block, round, kind, self.epoch.elapsed());

@@ -149,31 +149,44 @@ impl GpuSpec {
         1000.0 / self.sp_clock_mhz as f64
     }
 
-    /// Validate a launch request for a persistent (GPU-synchronized) kernel.
-    ///
-    /// Returns [`DeviceError::TooManyBlocks`] if `blocks` exceeds
-    /// [`GpuSpec::max_persistent_blocks`] — launching more would deadlock the
-    /// spin barrier on real hardware — and
+    /// Validate the block shape every launch needs, whatever synchronizes
+    /// it: [`DeviceError::EmptyLaunch`] for zero blocks or zero threads,
     /// [`DeviceError::TooManyThreads`] if `threads_per_block` exceeds the
-    /// architectural block-size limit.
+    /// architectural block-size limit. A count past `u32::MAX` saturates,
+    /// never wraps: 2^32 + 8 threads are not 8 threads.
+    pub fn validate_block_shape(
+        &self,
+        blocks: usize,
+        threads_per_block: usize,
+    ) -> Result<(), DeviceError> {
+        if blocks == 0 || threads_per_block == 0 {
+            return Err(DeviceError::EmptyLaunch);
+        }
+        let threads = u32::try_from(threads_per_block).unwrap_or(u32::MAX);
+        if threads > self.max_threads_per_block {
+            return Err(DeviceError::TooManyThreads {
+                requested: threads,
+                max: self.max_threads_per_block,
+            });
+        }
+        Ok(())
+    }
+
+    /// Validate a launch request for a persistent (GPU-synchronized) kernel:
+    /// the [`GpuSpec::validate_block_shape`] checks, then
+    /// [`DeviceError::TooManyBlocks`] if `blocks` exceeds
+    /// [`GpuSpec::max_persistent_blocks`] — launching more would deadlock the
+    /// spin barrier on real hardware.
     pub fn validate_persistent_launch(
         &self,
         blocks: u32,
         threads_per_block: u32,
     ) -> Result<(), DeviceError> {
-        if blocks == 0 || threads_per_block == 0 {
-            return Err(DeviceError::EmptyLaunch);
-        }
+        self.validate_block_shape(blocks as usize, threads_per_block as usize)?;
         if blocks > self.max_persistent_blocks() {
             return Err(DeviceError::TooManyBlocks {
                 requested: blocks,
                 max: self.max_persistent_blocks(),
-            });
-        }
-        if threads_per_block > self.max_threads_per_block {
-            return Err(DeviceError::TooManyThreads {
-                requested: threads_per_block,
-                max: self.max_threads_per_block,
             });
         }
         Ok(())

@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 
 use blocksync_core::{
-    BlockCtx, ExecError, GlobalBuffer, GridConfig, GridExecutor, KernelStats, RoundKernel,
+    BlockCtx, ExecError, GlobalBuffer, GridConfig, KernelStats, LaunchPlan, RoundKernel,
     SyncMethod, TraceConfig,
 };
 use blocksync_device::GpuSpec;
@@ -93,7 +93,7 @@ pub fn run_host(
     // Before the kernel allocates an element per thread of the grid.
     cfg.validate()?;
     let kernel = MeanKernel::for_grid(n_blocks, threads_per_block, rounds);
-    let stats = GridExecutor::new(cfg, method).run(&kernel)?;
+    let stats = LaunchPlan::compile(cfg, method).and_then(|plan| plan.run(&kernel))?;
     let ok = kernel.verify();
     Ok((stats, ok))
 }
@@ -110,7 +110,7 @@ pub fn run_host_traced(
     let cfg = GridConfig::new(n_blocks, threads_per_block).with_trace(trace);
     cfg.validate()?;
     let kernel = MeanKernel::for_grid(n_blocks, threads_per_block, rounds);
-    let stats = GridExecutor::new(cfg, method).run(&kernel)?;
+    let stats = LaunchPlan::compile(cfg, method).and_then(|plan| plan.run(&kernel))?;
     let ok = kernel.verify();
     Ok((stats, ok))
 }

@@ -15,13 +15,12 @@
 //! * [`calibrate`] — inversion of the equations: from the paper's reported
 //!   landmark values to the primitive costs the simulator charges (the
 //!   provenance of `CalibrationProfile::gtx280()`).
-//! * [`predict`] — closed-form kernel-time predictions from a
-//!   [`blocksync_device::CalibrationProfile`], including the Figure 11
-//!   crossover points.
 //! * [`selector`] — the auto-tuner's brain: per-method sync-cost
-//!   predictions for every barrier the runtime offers (including a tuned
-//!   tree group size from the exact Eq. 8 argmin), the cheapest-eligible
-//!   selection rule, and pairwise crossover points generalizing Figure 11.
+//!   predictions from a [`blocksync_device::CalibrationProfile`] for every
+//!   barrier the runtime offers (including a tuned tree group size from
+//!   the exact Eq. 8 argmin), the cheapest-eligible selection rule, and
+//!   pairwise crossover points — Figure 11's simple-vs-implicit point is
+//!   `crossover(cal, GpuSimple, CpuImplicit, ..)`.
 //!
 //! All times are `f64` nanoseconds: the model is algebra, not a clock, and
 //! fitting needs fractional values.
@@ -32,7 +31,6 @@
 pub mod calibrate;
 pub mod equations;
 pub mod fit;
-pub mod predict;
 pub mod selector;
 pub mod speedup;
 
@@ -43,7 +41,6 @@ pub use equations::{
     total_implicit, total_implicit_uniform, tree3_group_sizes, tree_group_sizes,
 };
 pub use fit::{fit_line, LinearFit};
-pub use predict::{barrier_cost_ns, simple_vs_implicit_crossover, BarrierKind, PredictMethod};
 pub use selector::{
     cheapest, crossover, crossover_table, predicted_sync_ns, prediction_table, select, MethodKind,
     Prediction, SelectorError,

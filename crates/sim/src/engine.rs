@@ -112,23 +112,8 @@ impl SimConfig {
                 u32::try_from(self.threads_per_block).unwrap_or(u32::MAX),
             );
         }
-        self.validate_block_shape()
-    }
-
-    /// The checks every method shares: a non-empty launch whose blocks fit
-    /// the architectural thread limit.
-    fn validate_block_shape(&self) -> Result<(), DeviceError> {
-        if self.n_blocks == 0 || self.threads_per_block == 0 {
-            return Err(DeviceError::EmptyLaunch);
-        }
-        let threads = u32::try_from(self.threads_per_block).unwrap_or(u32::MAX);
-        if threads > self.spec.max_threads_per_block {
-            return Err(DeviceError::TooManyThreads {
-                requested: threads,
-                max: self.spec.max_threads_per_block,
-            });
-        }
-        Ok(())
+        self.spec
+            .validate_block_shape(self.n_blocks, self.threads_per_block)
     }
 }
 
@@ -245,7 +230,9 @@ pub fn simulate(cfg: &SimConfig, workload: &dyn Workload) -> SimReport {
 /// round and succeed; spinning GPU-barrier kernels deadlock, which is
 /// detected and reported as [`SimError::Deadlock`].
 pub fn try_simulate(cfg: &SimConfig, workload: &dyn Workload) -> Result<SimReport, SimError> {
-    cfg.validate_block_shape().map_err(SimError::Invalid)?;
+    cfg.spec
+        .validate_block_shape(cfg.n_blocks, cfg.threads_per_block)
+        .map_err(SimError::Invalid)?;
     match cfg.method {
         SyncMethod::CpuExplicit | SyncMethod::CpuImplicit | SyncMethod::NoSync => {
             Ok(simulate_cpu(cfg, workload))

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example barrier_timeline`
 
-use blocksync::core::{BlockCtx, GridConfig, GridExecutor, RoundKernel, SyncMethod, TraceConfig};
+use blocksync::core::{BlockCtx, GridConfig, LaunchPlan, RoundKernel, SyncMethod, TraceConfig};
 use blocksync::device::SimDuration;
 use blocksync::sim::{simulate, ClosureWorkload, SimConfig, TraceKind};
 
@@ -67,8 +67,8 @@ fn main() {
         }
     }
     let cfg = GridConfig::new(n_blocks, 64).with_trace(TraceConfig::new());
-    let stats = GridExecutor::new(cfg, SyncMethod::GpuLockFree)
-        .run(&Skewed)
+    let stats = LaunchPlan::compile(cfg, SyncMethod::GpuLockFree)
+        .and_then(|plan| plan.run(&Skewed))
         .expect("valid config");
     let t = stats
         .telemetry

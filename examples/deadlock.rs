@@ -21,8 +21,8 @@
 use std::time::Duration;
 
 use blocksync::core::{
-    Fault, FaultInjector, FaultKind, GlobalBuffer, GridConfig, GridExecutor, RoundKernel,
-    SyncMethod, SyncPolicy,
+    Fault, FaultInjector, FaultKind, GlobalBuffer, GridConfig, LaunchPlan, RoundKernel, SyncMethod,
+    SyncPolicy,
 };
 use blocksync::device::GpuSpec;
 use blocksync::microbench::micro_workload;
@@ -86,7 +86,7 @@ fn main() {
     );
     let cfg =
         GridConfig::new(4, 64).with_policy(SyncPolicy::with_timeout(Duration::from_millis(200)));
-    match GridExecutor::new(cfg, SyncMethod::GpuLockFree).run(&kernel) {
+    match LaunchPlan::compile(cfg, SyncMethod::GpuLockFree).and_then(|plan| plan.run(&kernel)) {
         Ok(_) => unreachable!("the straggler can never let the grid finish"),
         Err(e) => println!("  error: {e}"),
     }

@@ -11,7 +11,7 @@
 use blocksync::algos::complex::Complex32;
 use blocksync::algos::fft::{kernel::Direction, GridFft};
 use blocksync::algos::seqgen::SplitMix64;
-use blocksync::core::{GridConfig, GridExecutor, SyncMethod};
+use blocksync::core::{GridConfig, LaunchPlan, SyncMethod};
 
 fn main() {
     let n = 1 << 12;
@@ -33,8 +33,8 @@ fn main() {
 
     // Forward transform: one persistent kernel, log2(n) grid barriers.
     let fwd = GridFft::new(&signal, Direction::Forward);
-    let stats = GridExecutor::new(cfg.clone(), SyncMethod::GpuLockFree)
-        .run(&fwd)
+    let stats = LaunchPlan::compile(cfg.clone(), SyncMethod::GpuLockFree)
+        .and_then(|plan| plan.run(&fwd))
         .expect("valid grid");
     let spectrum = fwd.output();
     println!(
@@ -63,8 +63,8 @@ fn main() {
 
     // Inverse transform reconstructs the signal.
     let inv = GridFft::new(&spectrum, Direction::Inverse);
-    GridExecutor::new(cfg, SyncMethod::GpuLockFree)
-        .run(&inv)
+    LaunchPlan::compile(cfg, SyncMethod::GpuLockFree)
+        .and_then(|plan| plan.run(&inv))
         .expect("valid grid");
     let recon = inv.output();
     let max_err = signal

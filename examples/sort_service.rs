@@ -12,7 +12,7 @@
 
 use blocksync::algos::bitonic::{BitonicWorkload, GridBitonic};
 use blocksync::algos::seqgen::random_keys;
-use blocksync::core::{GridConfig, GridExecutor, SyncMethod};
+use blocksync::core::{GridConfig, LaunchPlan, SyncMethod};
 use blocksync::device::GpuSpec;
 use blocksync::sim::{simulate, SimConfig};
 
@@ -29,8 +29,8 @@ fn main() {
         expected.sort_unstable();
         for method in [SyncMethod::CpuImplicit, SyncMethod::GpuLockFree] {
             let kernel = GridBitonic::new(&keys);
-            let stats = GridExecutor::new(GridConfig::new(n_blocks, 64), method)
-                .run(&kernel)
+            let stats = LaunchPlan::compile(GridConfig::new(n_blocks, 64), method)
+                .and_then(|plan| plan.run(&kernel))
                 .expect("valid grid");
             assert_eq!(kernel.output(), expected, "sorted output mismatch");
             println!(

@@ -10,7 +10,7 @@
 
 use blocksync::algos::seqgen::related_dna;
 use blocksync::algos::swat::{smith_waterman_aligned, GapPenalties, GridSwat, Scoring};
-use blocksync::core::{GridConfig, GridExecutor, SyncMethod};
+use blocksync::core::{GridConfig, LaunchPlan, SyncMethod};
 
 fn main() {
     // DNA: 600 bases, 5% point mutations, plus a 12-base insertion.
@@ -21,8 +21,8 @@ fn main() {
 
     let n_blocks = 6;
     let kernel = GridSwat::new(&a, &b, Scoring::dna(), GapPenalties::dna(), n_blocks);
-    let stats = GridExecutor::new(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
-        .run(&kernel)
+    let stats = LaunchPlan::compile(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
+        .and_then(|plan| plan.run(&kernel))
         .expect("valid grid");
     let result = kernel.result();
     println!(

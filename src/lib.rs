@@ -21,14 +21,14 @@
 //! ## Quick start
 //!
 //! ```
-//! use blocksync::core::{GridConfig, GridExecutor, SyncMethod};
+//! use blocksync::core::{GridConfig, LaunchPlan, SyncMethod};
 //! use blocksync::algos::bitonic::GridBitonic;
 //! use blocksync::algos::seqgen::random_keys;
 //!
 //! let keys = random_keys(1 << 10, 42);
 //! let kernel = GridBitonic::new(&keys);
-//! GridExecutor::new(GridConfig::new(4, 64), SyncMethod::GpuLockFree)
-//!     .run(&kernel)
+//! LaunchPlan::compile(GridConfig::new(4, 64), SyncMethod::GpuLockFree)
+//!     .and_then(|plan| plan.run(&kernel))
 //!     .unwrap();
 //! let sorted = kernel.output();
 //! assert!(sorted.windows(2).all(|w| w[0] <= w[1]));

@@ -17,10 +17,10 @@
 //!    should.
 //! 4. **The host table is measured once and argmin'd** — eight concrete
 //!    rows per block count, cached for the process, the pick its first
-//!    minimum; `Auto` runs it end-to-end through the real executor.
+//!    minimum; `Auto` runs it end-to-end through a real `LaunchPlan`.
 
 use blocksync::core::{AutoTuner, GlobalBuffer, SyncMethod, TreeLevels};
-use blocksync::core::{BlockCtx, GridConfig, GridExecutor, RoundKernel};
+use blocksync::core::{BlockCtx, GridConfig, LaunchPlan, RoundKernel};
 use blocksync::device::CalibrationProfile;
 use blocksync::model;
 use proptest::prelude::*;
@@ -197,7 +197,7 @@ fn host_table_is_measured_once_and_the_pick_is_its_first_minimum() {
     }
 }
 
-/// `Auto` runs end-to-end on the real executor, produces correct results,
+/// `Auto` runs end-to-end through a real `LaunchPlan`, produces correct results,
 /// and records the decision it made.
 #[test]
 fn auto_executes_correctly_and_records_the_decision() {
@@ -207,8 +207,8 @@ fn auto_executes_correctly_and_records_the_decision() {
         slots: GlobalBuffer::new(n_blocks),
         rounds,
     };
-    let stats = GridExecutor::new(GridConfig::new(n_blocks, 64), SyncMethod::Auto)
-        .run(&kernel)
+    let stats = LaunchPlan::compile(GridConfig::new(n_blocks, 64), SyncMethod::Auto)
+        .and_then(|plan| plan.run(&kernel))
         .unwrap();
     assert!(kernel.slots.to_vec().iter().all(|&v| v == rounds as u32));
     let decision = stats.auto.as_ref().expect("auto run records its decision");

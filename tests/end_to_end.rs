@@ -6,7 +6,7 @@ use blocksync::algos::bitonic::{bitonic_sort, GridBitonic};
 use blocksync::algos::fft::{fft_inplace, kernel::Direction, reference::max_error, GridFft};
 use blocksync::algos::seqgen::{complex_signal, dna_sequence, random_keys};
 use blocksync::algos::swat::{smith_waterman, GapPenalties, GridSwat, Scoring};
-use blocksync::core::{GridConfig, GridExecutor, RoundKernel, SyncMethod};
+use blocksync::core::{GridConfig, LaunchPlan, RoundKernel, SyncMethod};
 use blocksync::microbench::micro_workload;
 use blocksync::sim::{simulate, SimConfig, Workload};
 
@@ -22,8 +22,8 @@ const ALL_METHODS: [SyncMethod; 8] = [
 ];
 
 fn execute<K: RoundKernel>(kernel: &K, n_blocks: usize, method: SyncMethod) {
-    GridExecutor::new(GridConfig::new(n_blocks, 32), method)
-        .run(kernel)
+    LaunchPlan::compile(GridConfig::new(n_blocks, 32), method)
+        .and_then(|plan| plan.run(kernel))
         .expect("valid configuration");
 }
 
@@ -106,8 +106,8 @@ fn one_block_per_sm_rule_binds_the_simulated_gpu_not_the_host() {
     bitonic_sort(&mut sorted);
     for method in [SyncMethod::GpuSimple, SyncMethod::CpuImplicit] {
         let k = GridBitonic::new(&keys);
-        GridExecutor::new(GridConfig::new(31, 32), method)
-            .run(&k)
+        LaunchPlan::compile(GridConfig::new(31, 32), method)
+            .and_then(|plan| plan.run(&k))
             .unwrap_or_else(|e| panic!("{method}: {e}"));
         assert_eq!(k.output(), sorted, "{method}");
     }

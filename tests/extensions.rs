@@ -11,7 +11,7 @@ use blocksync::algos::seqgen::{
 use blocksync::algos::swat::{
     needleman_wunsch, smith_waterman, GapPenalties, GridNw, GridSwatBanded, Scoring,
 };
-use blocksync::core::{GridConfig, GridExecutor, RoundKernel, SyncMethod};
+use blocksync::core::{GridConfig, LaunchPlan, RoundKernel, SyncMethod};
 
 const METHODS: [SyncMethod; 4] = [
     SyncMethod::CpuImplicit,
@@ -21,8 +21,8 @@ const METHODS: [SyncMethod; 4] = [
 ];
 
 fn execute<K: RoundKernel>(kernel: &K, n_blocks: usize, method: SyncMethod) {
-    GridExecutor::new(GridConfig::new(n_blocks, 32), method)
-        .run(kernel)
+    LaunchPlan::compile(GridConfig::new(n_blocks, 32), method)
+        .and_then(|plan| plan.run(kernel))
         .expect("valid configuration");
 }
 
@@ -140,8 +140,8 @@ fn extension_kernels_run_past_the_sm_count_too() {
     // extension barriers either.
     let data: Vec<u64> = (1..=100).collect();
     let k = GridScan::new(&data);
-    GridExecutor::new(GridConfig::new(31, 32), SyncMethod::Dissemination)
-        .run(&k)
+    LaunchPlan::compile(GridConfig::new(31, 32), SyncMethod::Dissemination)
+        .and_then(|plan| plan.run(&k))
         .unwrap();
     assert_eq!(k.output(), inclusive_scan_reference(&data));
 }

@@ -4,11 +4,13 @@
 //! timeout. No test here may hang: detection latency is asserted against a
 //! hard bound well below the harness timeout.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blocksync::core::{
-    ExecError, Fault, FaultInjector, FaultKind, GlobalBuffer, GridConfig, GridExecutor,
-    RoundKernel, SyncMethod, SyncPolicy, TreeLevels,
+    BlockCtx, ExecError, Fault, FaultInjector, FaultKind, GlobalBuffer, GridConfig, LaunchPlan,
+    RoundKernel, StuckDiagnostic, SyncMethod, SyncPolicy, TreeLevels,
 };
 
 /// Every method with inter-block ordering guarantees.
@@ -41,7 +43,7 @@ impl RoundKernel for Increment {
     fn rounds(&self) -> usize {
         self.rounds
     }
-    fn round(&self, ctx: &blocksync::core::BlockCtx, _round: usize) {
+    fn round(&self, ctx: &BlockCtx, _round: usize) {
         let b = ctx.block_id;
         self.slots.set(b, self.slots.get(b) + 1);
     }
@@ -57,7 +59,9 @@ fn injected_panic_names_block_and_round_under_every_method() {
         let cfg =
             GridConfig::new(4, 8).with_policy(SyncPolicy::with_timeout(Duration::from_secs(20)));
         let started = Instant::now();
-        let err = GridExecutor::new(cfg, method).run(&k).unwrap_err();
+        let err = LaunchPlan::compile(cfg, method)
+            .and_then(|plan| plan.run(&k))
+            .unwrap_err();
         assert!(
             started.elapsed() < Duration::from_secs(20),
             "{method}: detection too slow"
@@ -84,8 +88,8 @@ fn panic_in_round_zero_and_last_round_are_both_caught() {
                 Increment::new(3, 6),
                 Fault::in_round(0, round, FaultKind::Panic),
             );
-            let err = GridExecutor::new(GridConfig::new(3, 8), method)
-                .run(&k)
+            let err = LaunchPlan::compile(GridConfig::new(3, 8), method)
+                .and_then(|plan| plan.run(&k))
                 .unwrap_err();
             assert!(
                 matches!(err, ExecError::BlockPanicked { block: 0, round: r, .. } if r == round),
@@ -109,7 +113,9 @@ fn injected_straggler_times_out_under_every_method() {
         let timeout = Duration::from_millis(80);
         let cfg = GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(timeout));
         let started = Instant::now();
-        let err = GridExecutor::new(cfg, method).run(&k).unwrap_err();
+        let err = LaunchPlan::compile(cfg, method)
+            .and_then(|plan| plan.run(&k))
+            .unwrap_err();
         let elapsed = started.elapsed();
         assert!(
             elapsed < Duration::from_secs(10),
@@ -137,8 +143,8 @@ fn delay_within_timeout_is_absorbed_under_every_method() {
         );
         let cfg =
             GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_secs(10)));
-        let stats = GridExecutor::new(cfg, method)
-            .run(&k)
+        let stats = LaunchPlan::compile(cfg, method)
+            .and_then(|plan| plan.run(&k))
             .unwrap_or_else(|e| panic!("{method}: {e}"));
         assert_eq!(stats.rounds, 4);
         assert!(
@@ -159,8 +165,8 @@ fn panic_unwinds_peers_even_without_a_timeout() {
             Fault::in_round(3, 1, FaultKind::Panic),
         );
         let started = Instant::now();
-        let err = GridExecutor::new(GridConfig::new(4, 8), method)
-            .run(&k)
+        let err = LaunchPlan::compile(GridConfig::new(4, 8), method)
+            .and_then(|plan| plan.run(&k))
             .unwrap_err();
         assert!(
             started.elapsed() < Duration::from_secs(20),
@@ -180,6 +186,57 @@ fn panic_unwinds_peers_even_without_a_timeout() {
     }
 }
 
+/// Block 1 parks forever in round 1, ignoring the abort signal: models
+/// kernel code stuck in a syscall or a foreign spin loop.
+struct ParkForever {
+    parked: Arc<AtomicBool>,
+}
+
+impl RoundKernel for ParkForever {
+    fn rounds(&self) -> usize {
+        3
+    }
+    fn round(&self, ctx: &BlockCtx, round: usize) {
+        if ctx.block_id == 1 && round == 1 {
+            self.parked.store(true, Ordering::Release);
+            loop {
+                std::thread::park();
+            }
+        }
+    }
+}
+
+/// `run_owned` of [`ParkForever`] under `method` with a 50 ms timeout:
+/// returns within 5 s with a `BarrierTimeout` whose diagnostic names
+/// block 1 as the straggler.
+fn owned_straggler_is_left_behind(method: SyncMethod) -> Box<StuckDiagnostic> {
+    let parked = Arc::new(AtomicBool::new(false));
+    let kernel: Arc<dyn RoundKernel + Send + Sync> = Arc::new(ParkForever {
+        parked: Arc::clone(&parked),
+    });
+    let cfg =
+        GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_millis(50)));
+    let started = Instant::now();
+    let err = LaunchPlan::compile(cfg, method)
+        .and_then(|plan| plan.run_owned(kernel))
+        .unwrap_err();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "{method}: took {elapsed:?}"
+    );
+    assert!(parked.load(Ordering::Acquire), "straggler never ran");
+    match err {
+        ExecError::BarrierTimeout { diagnostic } => {
+            assert!(diagnostic.stragglers().contains(&1), "{diagnostic}");
+            assert_eq!(diagnostic.round, 1, "{diagnostic}");
+            assert_eq!(diagnostic.timeout, Duration::from_millis(50));
+            diagnostic
+        }
+        other => panic!("{method}: expected BarrierTimeout, got {other:?}"),
+    }
+}
+
 /// Regression: a **non-cooperative** straggler (never checks the abort
 /// signal, never returns) under CPU-explicit synchronization used to hang
 /// the run forever — the host aborted on deadline but then unconditionally
@@ -188,50 +245,17 @@ fn panic_unwinds_peers_even_without_a_timeout() {
 /// `StuckDiagnostic` as a `BarrierTimeout` and detach the stuck thread.
 #[test]
 fn cpu_explicit_noncooperative_straggler_does_not_hang() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    let diagnostic = owned_straggler_is_left_behind(SyncMethod::CpuExplicit);
+    assert_eq!(diagnostic.barrier, "cpu-explicit", "{diagnostic}");
+    assert_eq!(diagnostic.stragglers(), vec![1], "{diagnostic}");
+}
 
-    struct ParkForever {
-        parked: Arc<AtomicBool>,
-    }
-    impl RoundKernel for ParkForever {
-        fn rounds(&self) -> usize {
-            3
-        }
-        fn round(&self, ctx: &blocksync::core::BlockCtx, round: usize) {
-            if ctx.block_id == 1 && round == 1 {
-                self.parked.store(true, Ordering::Release);
-                // Deliberately ignores the abort signal: models kernel code
-                // stuck in a syscall or a foreign spin loop.
-                loop {
-                    std::thread::park();
-                }
-            }
-        }
-    }
-
-    let parked = Arc::new(AtomicBool::new(false));
-    let kernel: Arc<dyn RoundKernel + Send + Sync> = Arc::new(ParkForever {
-        parked: Arc::clone(&parked),
-    });
-    let cfg =
-        GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_millis(50)));
-    let started = Instant::now();
-    let err = GridExecutor::new(cfg, SyncMethod::CpuExplicit)
-        .run_owned(kernel)
-        .unwrap_err();
-    let elapsed = started.elapsed();
-    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
-    assert!(parked.load(Ordering::Acquire), "straggler never ran");
-    match err {
-        ExecError::BarrierTimeout { diagnostic } => {
-            assert_eq!(diagnostic.barrier, "cpu-explicit", "{diagnostic}");
-            assert_eq!(diagnostic.round, 1, "{diagnostic}");
-            assert_eq!(diagnostic.stragglers(), vec![1], "{diagnostic}");
-            assert_eq!(diagnostic.timeout, Duration::from_millis(50));
-        }
-        other => panic!("expected BarrierTimeout, got {other:?}"),
-    }
+/// The same bound under a device-side barrier: a cold launch is launch 0
+/// of a pool, so an owned kernel's stuck block is abandoned (and its
+/// worker left behind) like any pooled launch's.
+#[test]
+fn owned_noncooperative_straggler_does_not_hang_a_barrier_method() {
+    owned_straggler_is_left_behind(SyncMethod::GpuLockFree);
 }
 
 /// The error message (Display) must carry the block, the round, and — for
@@ -244,8 +268,8 @@ fn error_displays_are_actionable() {
     );
     let cfg =
         GridConfig::new(3, 8).with_policy(SyncPolicy::with_timeout(Duration::from_millis(60)));
-    let err = GridExecutor::new(cfg, SyncMethod::GpuLockFree)
-        .run(&k)
+    let err = LaunchPlan::compile(cfg, SyncMethod::GpuLockFree)
+        .and_then(|plan| plan.run(&k))
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("round 1"), "{msg}");
@@ -256,8 +280,8 @@ fn error_displays_are_actionable() {
         Increment::new(2, 2),
         Fault::in_round(1, 0, FaultKind::Panic),
     );
-    let err = GridExecutor::new(GridConfig::new(2, 8), SyncMethod::GpuSimple)
-        .run(&k)
+    let err = LaunchPlan::compile(GridConfig::new(2, 8), SyncMethod::GpuSimple)
+        .and_then(|plan| plan.run(&k))
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("block 1"), "{msg}");

@@ -1,15 +1,16 @@
-//! Cross-path parity: the scoped and pooled strategies are two front-ends
-//! to the same launch engine (`core::launch`), so for every method the
-//! pooled runtime supports, running one kernel scoped
-//! (`GridExecutor::run`) and one pooled (`GridRuntime::run`) must
-//! produce **bit-identical results** and **structurally equal stats** —
-//! same round count, same method string, same telemetry shape (event and
-//! sample counts). The only permitted difference is the pool bookkeeping
-//! itself ([`KernelStats::pool`]).
+//! Cold/warm parity: a cold launch is launch 0 of a pool built for it
+//! (`LaunchPlan::run`), a warm one is a later launch of a kept pool
+//! (`GridRuntime::run`), and both drive the same engine (`core::launch`).
+//! So for every method a pool supports, one kernel run cold and one run as
+//! launch 1 of a `GridRuntime` must produce **bit-identical results** and
+//! **structurally equal stats** — same round count, same method string,
+//! same telemetry shape (event and sample counts, one `Launch` event per
+//! block on both sides). The only permitted difference is the launch's
+//! place in its pool ([`KernelStats::pool`]).
 
 use blocksync::core::{
-    BlockCtx, GlobalBuffer, GridConfig, GridExecutor, GridRuntime, KernelStats, RoundKernel,
-    SyncMethod, TraceConfig, TraceEventKind, TreeLevels,
+    BlockCtx, GlobalBuffer, GridConfig, GridRuntime, KernelStats, LaunchPlan, RoundKernel,
+    SyncMethod, Telemetry, TraceConfig, TraceEventKind, TreeLevels,
 };
 use proptest::prelude::*;
 
@@ -30,7 +31,7 @@ const PARITY_METHODS: [SyncMethod; 7] = [
 /// neighbours' previous-generation values and mixes them into its own slot
 /// of the next generation. The result is deterministic **only** if the
 /// inter-block barrier actually separates generations, so bit-identical
-/// outputs across paths certify both strategies drive the same barrier.
+/// outputs across launches certify both drive the same barrier.
 struct RingStencil {
     gen: [GlobalBuffer<u64>; 2],
     n: usize,
@@ -73,27 +74,31 @@ impl RoundKernel for RingStencil {
     }
 }
 
-fn run_one(
-    method: SyncMethod,
-    pooled: bool,
-    blocks: usize,
-    rounds: usize,
-) -> (Vec<u64>, KernelStats) {
+/// The stencil once cold and once as launch 1 of a kept pool (launch 0
+/// pays the pool's spawns), each with its output.
+type Run = (Vec<u64>, KernelStats);
+
+fn cold_and_warm(method: SyncMethod, blocks: usize, rounds: usize) -> (Run, Run) {
     let cfg = GridConfig::new(blocks, 8).with_trace(TraceConfig::new());
     let k = RingStencil::new(blocks, rounds);
-    let stats = if pooled {
-        GridRuntime::new(cfg, method).unwrap().run(&k)
-    } else {
-        GridExecutor::new(cfg, method).run(&k)
-    };
-    (k.output(), stats.unwrap())
+    let cold = LaunchPlan::compile(cfg.clone(), method).and_then(|plan| plan.run(&k));
+    let cold = (k.output(), cold.unwrap());
+    let rt = GridRuntime::new(cfg, method).unwrap();
+    rt.run(&RingStencil::new(blocks, rounds)).unwrap();
+    let k = RingStencil::new(blocks, rounds);
+    let warm = rt.run(&k).unwrap();
+    (cold, (k.output(), warm))
+}
+
+fn launch_events(t: &Telemetry) -> usize {
+    t.count(TraceEventKind::Launch)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For every supported method and any small grid, scoped and pooled
-    /// runs agree bit-for-bit and stat-for-stat.
+    /// For every supported method and any small grid, a cold launch and a
+    /// warm one agree bit-for-bit and stat-for-stat.
     #[test]
     fn scoped_and_pooled_paths_agree(
         blocks in 2usize..=5,
@@ -101,51 +106,39 @@ proptest! {
         mi in 0usize..PARITY_METHODS.len(),
     ) {
         let method = PARITY_METHODS[mi];
-        let (scoped_out, scoped) = run_one(method, false, blocks, rounds);
-        let (pooled_out, pooled) = run_one(method, true, blocks, rounds);
+        let ((cold_out, cold), (warm_out, warm)) = cold_and_warm(method, blocks, rounds);
 
         // Bit-identical results.
-        prop_assert_eq!(&scoped_out, &pooled_out, "{method}: outputs diverge");
+        prop_assert_eq!(&cold_out, &warm_out, "{method}: outputs diverge");
 
-        // Structurally equal stats: one engine, two strategies.
-        prop_assert_eq!(&scoped.method, &pooled.method);
-        prop_assert_eq!(&scoped.method, &method.to_string());
-        prop_assert_eq!(scoped.rounds, rounds);
-        prop_assert_eq!(pooled.rounds, rounds);
-        prop_assert_eq!(scoped.n_blocks, pooled.n_blocks);
-        prop_assert_eq!(scoped.per_block.len(), pooled.per_block.len());
+        // Structurally equal stats: one engine, one strategy.
+        prop_assert_eq!(&cold.method, &warm.method);
+        prop_assert_eq!(&cold.method, &method.to_string());
+        prop_assert_eq!(cold.rounds, rounds);
+        prop_assert_eq!(warm.rounds, rounds);
+        prop_assert_eq!(cold.n_blocks, warm.n_blocks);
+        prop_assert_eq!(cold.per_block.len(), warm.per_block.len());
 
-        // Telemetry shape parity: both paths run the same drive_block, so
-        // both record the same event and sample counts.
-        let (st, pt) = (
-            scoped.telemetry.as_ref().expect("scoped telemetry"),
-            pooled.telemetry.as_ref().expect("pooled telemetry"),
+        // Telemetry shape parity: the same events and samples, including
+        // one `Launch` assembly event per block on both sides.
+        let (ct, wt) = (
+            cold.telemetry.as_ref().expect("cold telemetry"),
+            warm.telemetry.as_ref().expect("warm telemetry"),
         );
         let expected_sync = (blocks * rounds) as u64;
-        // The pooled path adds exactly one `Launch` assembly event per
-        // block; every round-loop event comes from the shared drive_block.
-        let round_events = |t: &blocksync::core::Telemetry| {
-            t.events
-                .iter()
-                .filter(|e| !matches!(e.kind, TraceEventKind::Launch))
-                .count()
-        };
-        prop_assert_eq!(round_events(st), round_events(pt), "{method}: event counts");
-        let launches = pt
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::Launch))
-            .count();
-        prop_assert_eq!(launches, blocks, "{method}: one Launch event per block");
-        prop_assert_eq!(st.sync_ns.count(), expected_sync);
-        prop_assert_eq!(pt.sync_ns.count(), expected_sync);
-        prop_assert_eq!(st.rounds.len(), pt.rounds.len(), "{method}: sampled rounds");
-        prop_assert_eq!(st.dropped, 0);
-        prop_assert_eq!(pt.dropped, 0);
+        prop_assert_eq!(ct.events.len(), wt.events.len(), "{method}: event counts");
+        prop_assert_eq!(launch_events(ct), blocks, "{method}: one Launch event per block");
+        prop_assert_eq!(launch_events(wt), blocks, "{method}: one Launch event per block");
+        prop_assert_eq!(ct.sync_ns.count(), expected_sync);
+        prop_assert_eq!(wt.sync_ns.count(), expected_sync);
+        prop_assert_eq!(ct.rounds.len(), wt.rounds.len(), "{method}: sampled rounds");
+        prop_assert_eq!(ct.dropped, 0);
+        prop_assert_eq!(wt.dropped, 0);
 
-        // The one permitted difference: pool bookkeeping.
-        prop_assert!(scoped.pool.is_none());
-        prop_assert!(pooled.pool.is_some());
+        // The one permitted difference: the launch's place in its pool.
+        let (cp, wp) = (cold.pool.as_deref().unwrap(), warm.pool.as_deref().unwrap());
+        prop_assert!(cp.cold && cp.launch_seq == 0, "{method}: {cp:?}");
+        prop_assert!(!wp.cold && wp.launch_seq == 1, "{method}: {wp:?}");
     }
 }
 
@@ -154,11 +147,17 @@ proptest! {
 #[test]
 fn parity_sweep_all_methods() {
     for method in PARITY_METHODS {
-        let (s_out, s) = run_one(method, false, 4, 5);
-        let (p_out, p) = run_one(method, true, 4, 5);
-        assert_eq!(s_out, p_out, "{method}");
-        assert_eq!(s.method, p.method, "{method}");
-        assert_eq!(s.rounds, p.rounds, "{method}");
-        assert!(s.pool.is_none() && p.pool.is_some(), "{method}");
+        let ((c_out, c), (w_out, w)) = cold_and_warm(method, 4, 5);
+        assert_eq!(c_out, w_out, "{method}");
+        assert_eq!(c.method, w.method, "{method}");
+        assert_eq!(c.rounds, w.rounds, "{method}");
+        let events = |s: &KernelStats| s.telemetry.as_deref().map(|t| t.events.len());
+        assert_eq!(events(&c), events(&w), "{method}");
+        let seq = |s: &KernelStats| s.pool.as_deref().map(|p| (p.cold, p.launch_seq));
+        assert_eq!(
+            (seq(&c), seq(&w)),
+            (Some((true, 0)), Some((false, 1))),
+            "{method}"
+        );
     }
 }

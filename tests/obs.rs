@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use blocksync::core::{
     BlockCtx, ChaosConfig, ExecError, Fault, FaultInjector, FaultKind, GlobalBuffer, GridConfig,
-    GridExecutor, GridRuntime, Histogram, LaunchRecord, MetricsSnapshot, Observer, PoolLaunchStats,
+    GridRuntime, Histogram, LaunchPlan, LaunchRecord, MetricsSnapshot, Observer, PoolLaunchStats,
     RoundKernel, StuckDiagnostic, StuckPhase, SyncMethod, SyncPolicy, TraceConfig,
 };
 use blocksync::device::json;
@@ -129,24 +129,24 @@ impl RoundKernel for PanicKernel {
 /// labeled counter with the error's stable class label.
 #[test]
 fn failures_are_counted_by_kind() {
-    let exec = GridExecutor::new(GridConfig::new(2, 8), SyncMethod::GpuLockFree);
-    exec.run(&PanicKernel).unwrap_err();
-    exec.run(&Bump(GlobalBuffer::new(2))).unwrap();
-    let snap = exec.observer().snapshot();
+    let plan = LaunchPlan::compile(GridConfig::new(2, 8), SyncMethod::GpuLockFree).unwrap();
+    plan.run(&PanicKernel).unwrap_err();
+    plan.run(&Bump(GlobalBuffer::new(2))).unwrap();
+    let snap = plan.observer().snapshot();
     assert_eq!(snap.counters["launches_total"], 2);
     assert_eq!(snap.counters["launches_failed_total"], 1);
     assert_eq!(snap.labeled["launch_failures_total"]["panic"], 1);
     // The flight recorder kept the failure.
-    let failure = exec.observer().last_failure().expect("recorded");
+    let failure = plan.observer().last_failure().expect("recorded");
     assert!(failure.error.is_some());
     assert_eq!(failure.method, "gpu-lock-free");
 }
 
 /// One producer, one record: the same faulty kernel launched cold
-/// (`GridExecutor`) and warm (`GridRuntime`) leaves the same failure
-/// record — the scheduled fault, the trace tails, the typed error — and
-/// the two postmortems differ only in what the pool adds. (The cold record
-/// used to carry neither the schedule nor the events.)
+/// (`LaunchPlan`, launch 0 of a pool of its own) and warm (launch 1 of a
+/// `GridRuntime`) leaves the same failure record — the scheduled fault,
+/// the trace tails, the typed error — and the two postmortems differ only
+/// in the launch's place in its pool and in what a clock reads.
 #[test]
 fn scoped_and_pooled_failures_leave_the_same_record() {
     let fault = Fault::in_round(1, 2, FaultKind::Panic);
@@ -154,16 +154,17 @@ fn scoped_and_pooled_failures_leave_the_same_record() {
     let cfg = GridConfig::new(3, 8)
         .with_policy(SyncPolicy::with_timeout(Duration::from_millis(200)))
         .with_trace(TraceConfig::default());
-    let exec = GridExecutor::new(cfg.clone(), SyncMethod::GpuLockFree);
-    exec.run(&kernel).unwrap_err();
+    let plan = LaunchPlan::compile(cfg.clone(), SyncMethod::GpuLockFree).unwrap();
+    plan.run(&kernel).unwrap_err();
     let rt = GridRuntime::new(cfg, SyncMethod::GpuLockFree).unwrap();
+    rt.run(&Bump(GlobalBuffer::new(3))).unwrap();
     rt.run(&kernel).unwrap_err();
-    let scoped = exec
+    let cold = plan
         .observer()
         .last_failure()
         .expect("cold failure recorded");
-    let pooled = rt.observer().last_failure().expect("warm failure recorded");
-    for (name, record) in [("scoped", &scoped), ("pooled", &pooled)] {
+    let warm = rt.observer().last_failure().expect("warm failure recorded");
+    for (name, record) in [("cold", &cold), ("warm", &warm)] {
         assert_eq!(record.faults, [fault], "{name}");
         assert!(!record.recent_events.is_empty(), "{name}");
         assert!(
@@ -179,26 +180,22 @@ fn scoped_and_pooled_failures_leave_the_same_record() {
             record.error
         );
     }
-    assert_eq!(scoped.pool, None);
-    assert!(pooled.pool.is_some_and(|p| p.cold));
-    // Same keys in the same order; values part ways only where the pool
-    // speaks, or where a clock does.
-    let (scoped, pooled) = (scoped.to_json(), pooled.to_json());
-    let (s, p) = (
-        scoped.as_obj("scoped").unwrap(),
-        pooled.as_obj("pooled").unwrap(),
-    );
+    assert!(cold.pool.is_some_and(|p| p.cold && p.launch_seq == 0));
+    assert!(warm.pool.is_some_and(|p| !p.cold && p.launch_seq == 1));
+    // Same keys in the same order; values part ways only where the launch's
+    // place in its pool speaks, or where a clock does.
+    let (cold, warm) = (cold.to_json(), warm.to_json());
+    let (s, p) = (cold.as_obj("cold").unwrap(), warm.as_obj("warm").unwrap());
     assert_eq!(s.len(), p.len());
     for ((sk, sv), (pk, pv)) in s.iter().zip(p) {
         assert_eq!(sk, pk);
-        let pool_derived = ["seq", "pooled", "queue_depth", "queued_ns", "cold"];
+        let pool_derived = ["seq", "queue_depth", "queued_ns", "cold"];
         let clocked = ["wall_ns", "recent_events"];
         if !pool_derived.contains(&sk.as_str()) && !clocked.contains(&sk.as_str()) {
             assert_eq!(sv, pv, "{sk}");
         }
     }
-    assert_eq!(pooled.get("pooled"), Some(&true.into()));
-    assert_eq!(scoped.get("pooled"), Some(&false.into()));
+    assert_eq!(cold.get("pooled"), Some(&true.into()));
 }
 
 /// An injected chaos failure yields a postmortem JSON artifact carrying
@@ -386,7 +383,7 @@ proptest! {
 
     /// The snapshot's JSON form is lossless: parsing the text of what
     /// `to_json` built reproduces the snapshot exactly, for any mix of
-    /// methods, outcomes, pooled and scoped records, and latencies.
+    /// methods, outcomes, pooled and unpooled (CPU-explicit) records, and latencies.
     #[test]
     fn metrics_snapshot_json_round_trips(
         records in proptest::collection::vec(

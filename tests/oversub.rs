@@ -1,7 +1,7 @@
 //! Oversubscription integration tests: every persistent-grid barrier
 //! method must complete — and compute bit-identical results — when the
-//! grid has more blocks than the host has cores (2x, 4x, 16x), under both
-//! the scoped executor and the pooled runtime, with no policy beyond a
+//! grid has more blocks than the host has cores (2x, 4x, 16x), launched
+//! both cold (`LaunchPlan`) and on a kept pool, with no policy beyond a
 //! timeout. A waiter that only ever spun would make this regime exactly
 //! the deadlock the paper's one-block-per-SM rule exists to avoid; every
 //! wait here ends up parked and bounded, so stalled waves yield the CPU
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use blocksync::core::{
-    BlockCtx, GlobalBuffer, GridConfig, GridExecutor, GridRuntime, RoundKernel, SyncMethod,
+    BlockCtx, GlobalBuffer, GridConfig, GridRuntime, LaunchPlan, RoundKernel, SyncMethod,
     SyncPolicy, TreeLevels,
 };
 
@@ -99,14 +99,14 @@ fn every_park_capable_method_is_bit_identical_oversubscribed_scoped() {
         for method in PARK_CAPABLE {
             let k = MinMix::new(n, logical);
             let cfg = GridConfig::new(n, 16).with_policy(bounded());
-            let stats = GridExecutor::new(cfg, method)
-                .run(&k)
-                .unwrap_or_else(|e| panic!("{method} at {n} blocks (scoped): {e}"));
+            let stats = LaunchPlan::compile(cfg, method)
+                .and_then(|plan| plan.run(&k))
+                .unwrap_or_else(|e| panic!("{method} at {n} blocks (cold): {e}"));
             assert_eq!(stats.n_blocks, n);
             assert_eq!(
                 k.slots.to_vec(),
                 expected,
-                "{method} at {n} blocks (scoped) diverged"
+                "{method} at {n} blocks (cold) diverged"
             );
         }
     }
@@ -115,8 +115,8 @@ fn every_park_capable_method_is_bit_identical_oversubscribed_scoped() {
 #[test]
 fn every_park_capable_method_is_bit_identical_oversubscribed_pooled() {
     let logical = 4;
-    // One (largest) count for the pooled lane: pool spin-up is costlier,
-    // and the scoped test already sweeps the full ladder.
+    // One (largest) count for the kept-pool lane: the cold test already
+    // sweeps the full ladder.
     let n = *oversub_counts().last().expect("non-empty ladder");
     let expected = minmix_reference(n, logical);
     for method in PARK_CAPABLE {
@@ -147,8 +147,8 @@ fn parking_lifts_the_device_ceiling_too() {
     let n = 64;
     let k = MinMix::new(n, logical);
     let cfg = GridConfig::new(n, 16).with_policy(bounded());
-    GridExecutor::new(cfg, SyncMethod::GpuLockFree)
-        .run(&k)
+    LaunchPlan::compile(cfg, SyncMethod::GpuLockFree)
+        .and_then(|plan| plan.run(&k))
         .expect("64 blocks on a 30-SM model complete");
     assert_eq!(k.slots.to_vec(), minmix_reference(n, logical));
 }
@@ -270,8 +270,8 @@ fn round_counts_are_exact_at_sixteen_x() {
         counter.fetch_add(1, Ordering::Relaxed);
     });
     let cfg = GridConfig::new(n, 16).with_policy(bounded());
-    GridExecutor::new(cfg, SyncMethod::GpuSimple)
-        .run(&k)
+    LaunchPlan::compile(cfg, SyncMethod::GpuSimple)
+        .and_then(|plan| plan.run(&k))
         .expect("parked grid completes");
     assert_eq!(counter.load(Ordering::Relaxed), (n * rounds) as u64);
 }

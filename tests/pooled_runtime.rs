@@ -3,13 +3,14 @@
 //! fault recovery that leaves the pool reusable, and the cross-method
 //! fault-injection matrix run through one pool per method.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blocksync::core::{
-    stall_duration, BlockCtx, ExecError, Fault, FaultInjector, FaultKind, FaultSchedule,
-    GlobalBuffer, GridConfig, GridExecutor, GridRuntime, RoundKernel, StuckPhase, SyncMethod,
-    SyncPolicy, TreeLevels,
+    stall_duration, AbortSignal, BlockCtx, ExecError, Fault, FaultInjector, FaultKind,
+    FaultSchedule, GlobalBuffer, GridConfig, GridRuntime, KernelStats, LaunchPlan, RoundKernel,
+    StuckPhase, SyncMethod, SyncPolicy, TreeLevels,
 };
 use proptest::prelude::*;
 
@@ -161,7 +162,7 @@ fn pooled_executor_survives_injected_panics_under_every_method() {
 }
 
 /// A pooled straggler trips the policy timeout with a diagnostic naming
-/// it, exactly like the scoped path — and the pool is usable afterwards.
+/// it, exactly like a cold launch — and the pool is usable afterwards.
 #[test]
 fn pooled_straggler_times_out_with_diagnostic() {
     let cfg =
@@ -309,8 +310,8 @@ fn multi_fault_schedule_reports_the_earliest_then_lowest_origin() {
             Fault::in_round(2, 1, FaultKind::Panic),
         ]),
     );
-    let err = GridExecutor::new(cfg.clone(), SyncMethod::GpuLockFree)
-        .run(&k)
+    let err = LaunchPlan::compile(cfg.clone(), SyncMethod::GpuLockFree)
+        .and_then(|plan| plan.run(&k))
         .unwrap_err();
     assert!(
         matches!(
@@ -331,8 +332,8 @@ fn multi_fault_schedule_reports_the_earliest_then_lowest_origin() {
             Fault::in_round(1, 2, FaultKind::Panic),
         ]),
     );
-    let err = GridExecutor::new(cfg, SyncMethod::GpuLockFree)
-        .run(&k)
+    let err = LaunchPlan::compile(cfg, SyncMethod::GpuLockFree)
+        .and_then(|plan| plan.run(&k))
         .unwrap_err();
     assert!(
         matches!(
@@ -345,4 +346,84 @@ fn multi_fault_schedule_reports_the_earliest_then_lowest_origin() {
         ),
         "lowest block should win the tie: {err:?}"
     );
+}
+
+/// Launch 0 of any pool — the one a cold `LaunchPlan::run` is, and the
+/// first of a kept `GridRuntime` — starts its clock at submit: `queued` is
+/// zero, and `launch` and `wall` include the worker spawns, inside what a
+/// stopwatch around the call reads. Launch 1 of a kept pool is warm.
+#[test]
+fn launch_zero_is_cold_and_its_clock_covers_the_spawns() {
+    let cfg = GridConfig::new(2, 8);
+    let empty = (1usize, |_: &BlockCtx, _: usize| {});
+    let check_cold = |what: &str, timed: Duration, stats: &KernelStats| {
+        let pool = stats.pool.as_deref().expect("every barrier method pools");
+        assert!(pool.cold, "{what}: {pool:?}");
+        assert_eq!(pool.launch_seq, 0, "{what}");
+        assert_eq!(pool.queued, Duration::ZERO, "{what}");
+        assert!(Duration::ZERO < stats.launch, "{what}: no t_O");
+        assert!(stats.launch <= stats.wall, "{what}: {stats}");
+        assert!(
+            stats.wall <= timed,
+            "{what}: wall {:?} > {timed:?}",
+            stats.wall
+        );
+    };
+    let plan = LaunchPlan::compile(cfg.clone(), SyncMethod::GpuLockFree).unwrap();
+    let started = Instant::now();
+    let stats = plan.run(&empty).unwrap();
+    check_cold("LaunchPlan::run", started.elapsed(), &stats);
+
+    let rt = GridRuntime::new(cfg, SyncMethod::GpuLockFree).unwrap();
+    let started = Instant::now();
+    let stats = rt.run(&empty).unwrap();
+    check_cold("GridRuntime launch 0", started.elapsed(), &stats);
+    let warm = rt.run(&empty).unwrap();
+    let pool = warm.pool.as_deref().unwrap();
+    assert!(!pool.cold && pool.launch_seq == 1, "{pool:?}");
+}
+
+/// `on_launch` takes its time; every round records whether it had
+/// returned yet.
+struct SlowOnLaunch {
+    launched: AtomicBool,
+    early: AtomicUsize,
+}
+
+impl RoundKernel for SlowOnLaunch {
+    fn rounds(&self) -> usize {
+        2
+    }
+    fn round(&self, _: &BlockCtx, _: usize) {
+        if !self.launched.load(Ordering::Acquire) {
+            self.early.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    fn on_launch(&self, _: &AbortSignal) {
+        std::thread::sleep(Duration::from_millis(20));
+        self.launched.store(true, Ordering::Release);
+    }
+}
+
+/// Regression: `RoundKernel::on_launch` runs before any block starts — a
+/// warm worker used to see the launch published first and run round 0
+/// while `on_launch` was still sleeping, on `submit` and `run` alike.
+#[test]
+fn on_launch_returns_before_a_warm_worker_starts_round_zero() {
+    let rt = GridRuntime::new(GridConfig::new(2, 8), SyncMethod::GpuLockFree).unwrap();
+    rt.run(&Increment::new(2, 1)).unwrap();
+    let fresh = || SlowOnLaunch {
+        launched: Default::default(),
+        early: Default::default(),
+    };
+    for i in 0..3 {
+        let k = Arc::new(fresh());
+        rt.submit(Arc::clone(&k)).unwrap().wait().unwrap();
+        let early = k.early.load(Ordering::Relaxed);
+        assert_eq!(early, 0, "submit {i}: rounds ran before on_launch returned");
+        let k = fresh();
+        rt.run(&k).unwrap();
+        let early = k.early.load(Ordering::Relaxed);
+        assert_eq!(early, 0, "run {i}: rounds ran before on_launch returned");
+    }
 }

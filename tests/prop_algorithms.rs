@@ -5,7 +5,7 @@
 use blocksync::algos::bitonic::GridBitonic;
 use blocksync::algos::fft::{dft_naive, kernel::Direction, reference::max_error, GridFft};
 use blocksync::algos::swat::{smith_waterman, GapPenalties, GridSwat, Scoring};
-use blocksync::core::{GridConfig, GridExecutor, RoundKernel, SyncMethod, TreeLevels};
+use blocksync::core::{GridConfig, LaunchPlan, RoundKernel, SyncMethod, TreeLevels};
 use proptest::prelude::*;
 
 fn method_strategy() -> impl Strategy<Value = SyncMethod> {
@@ -18,8 +18,8 @@ fn method_strategy() -> impl Strategy<Value = SyncMethod> {
 }
 
 fn execute<K: RoundKernel>(kernel: &K, n_blocks: usize, method: SyncMethod) {
-    GridExecutor::new(GridConfig::new(n_blocks, 32), method)
-        .run(kernel)
+    LaunchPlan::compile(GridConfig::new(n_blocks, 32), method)
+        .and_then(|plan| plan.run(kernel))
         .expect("valid configuration");
 }
 

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use blocksync::core::{
     stall_duration, BarrierShared, BlockCtx, ExecError, Fault, FaultInjector, FaultKind,
-    FaultPhase, FaultProfile, FaultSchedule, GlobalBuffer, GridConfig, GridExecutor, RoundKernel,
+    FaultPhase, FaultProfile, FaultSchedule, GlobalBuffer, GridConfig, LaunchPlan, RoundKernel,
     SyncMethod, SyncPolicy, TreeLevels,
 };
 use proptest::prelude::*;
@@ -193,7 +193,7 @@ proptest! {
         let k = FaultInjector::new(MixKernel::new(4, 5), Fault::in_round(block, step, FaultKind::Panic));
         let cfg = GridConfig::new(4, 8).with_policy(SyncPolicy::with_timeout(timeout));
         let started = Instant::now();
-        let err = GridExecutor::new(cfg, method).run(&k).unwrap_err();
+        let err = LaunchPlan::compile(cfg, method).and_then(|plan| plan.run(&k)).unwrap_err();
         prop_assert!(started.elapsed() < timeout, "detection exceeded the policy timeout");
         match err {
             ExecError::BlockPanicked { block: eb, round: er, message } => {
@@ -215,8 +215,7 @@ proptest! {
     ) {
         let run = |policy: SyncPolicy| {
             let k = MixKernel::new(n_blocks, steps);
-            GridExecutor::new(GridConfig::new(n_blocks, 8).with_policy(policy), method)
-                .run(&k)
+            LaunchPlan::compile(GridConfig::new(n_blocks, 8).with_policy(policy), method).and_then(|plan| plan.run(&k))
                 .expect("fault-free run must succeed");
             k.slots.to_vec()
         };
@@ -260,7 +259,7 @@ proptest! {
         );
         let cfg = GridConfig::new(4, 8).with_policy(SyncPolicy::with_timeout(timeout));
         let started = Instant::now();
-        let res = GridExecutor::new(cfg, method).run(&k);
+        let res = LaunchPlan::compile(cfg, method).and_then(|plan| plan.run(&k));
         prop_assert!(
             started.elapsed() < Duration::from_secs(10),
             "{method}/{kind:?}/{phase:?}: detection too slow"
@@ -278,8 +277,7 @@ proptest! {
             }
             (FaultKind::Delay(_), Ok(_)) => {
                 let clean = MixKernel::new(4, 5);
-                GridExecutor::new(GridConfig::new(4, 8), method)
-                    .run(&clean)
+                LaunchPlan::compile(GridConfig::new(4, 8), method).and_then(|plan| plan.run(&clean))
                     .expect("clean reference run");
                 prop_assert_eq!(
                     k.inner().slots.to_vec(),
@@ -293,10 +291,10 @@ proptest! {
         }
     }
 
-    /// Random multi-fault coverage of the scoped strategy: a seeded
-    /// schedule of up to two concurrent faults, of any kind, at round-body
-    /// or barrier-wait sites (assembly is a pooled-runtime phase, so it is
-    /// not drawn) either fails the run with an error naming a scheduled
+    /// Random multi-fault coverage of cold launches: a seeded schedule of
+    /// up to two concurrent faults, of any kind, at round-body or
+    /// barrier-wait sites (assembly faults are the pooled soak's to draw)
+    /// either fails the run with an error naming a scheduled
     /// site, or — delays only — leaves the output bit-identical to a clean
     /// run.
     #[test]
@@ -314,7 +312,7 @@ proptest! {
         let k = FaultInjector::with_schedule(MixKernel::new(4, 5), schedule.clone())
             .with_policy(policy);
         let cfg = GridConfig::new(4, 8).with_policy(policy);
-        match GridExecutor::new(cfg, method).run(&k) {
+        match LaunchPlan::compile(cfg, method).and_then(|plan| plan.run(&k)) {
             Err(e) => {
                 prop_assert!(
                     schedule.expects_failure(),
@@ -331,8 +329,7 @@ proptest! {
                     "{}: expected a failure but it succeeded: {:?}", method, schedule
                 );
                 let clean = MixKernel::new(4, 5);
-                GridExecutor::new(GridConfig::new(4, 8), method)
-                    .run(&clean)
+                LaunchPlan::compile(GridConfig::new(4, 8), method).and_then(|plan| plan.run(&clean))
                     .expect("clean reference run");
                 prop_assert_eq!(
                     k.inner().slots.to_vec(),

@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use blocksync::core::{
-    self, BlockCtx, ExecError, FaultInjector, FaultKind, GlobalBuffer, GridConfig, GridExecutor,
+    self, BlockCtx, ExecError, FaultInjector, FaultKind, GlobalBuffer, GridConfig, LaunchPlan,
     RoundKernel, SyncMethod, SyncPolicy, Telemetry, TraceConfig, TraceEventKind, TreeLevels,
 };
 use blocksync::microbench::run_host_traced;
@@ -142,13 +142,13 @@ proptest! {
         let cfg = GridConfig::new(n_blocks, 8)
             .with_policy(SyncPolicy::with_timeout(Duration::from_secs(30)))
             .with_trace(TraceConfig::new());
-        let exec = GridExecutor::new(cfg, method);
+        let plan = LaunchPlan::compile(cfg, method).unwrap();
         let base = StampKernel::new(n_blocks, rounds);
         match fault {
             Fault::Panic(b, r) => {
                 let (b, r) = (b % n_blocks, r % rounds);
                 let k = FaultInjector::new(base, core::Fault::in_round(b, r, FaultKind::Panic));
-                let err = exec.run(&k).unwrap_err();
+                let err = plan.run(&k).unwrap_err();
                 match err {
                     ExecError::BlockPanicked { block, round, .. } => {
                         prop_assert_eq!((block, round), (b, r));
@@ -163,7 +163,7 @@ proptest! {
                     _ => (0, 0, Duration::ZERO),
                 };
                 let k = FaultInjector::new(base, core::Fault::in_round(b, r, FaultKind::Delay(by)));
-                let stats = exec.run(&k).expect("delayed runs still complete");
+                let stats = plan.run(&k).expect("delayed runs still complete");
                 let t = stats.telemetry.as_ref().expect("tracing was configured");
                 prop_assert_eq!(t.dropped, 0, "auto capacity must fit the run");
                 check_well_nested(t, n_blocks);
@@ -190,7 +190,9 @@ proptest! {
 fn nosync_records_rounds_but_no_barrier_events() {
     let cfg = GridConfig::new(3, 8).with_trace(TraceConfig::new());
     let k = StampKernel::new(3, 10);
-    let stats = GridExecutor::new(cfg, SyncMethod::NoSync).run(&k).unwrap();
+    let stats = LaunchPlan::compile(cfg, SyncMethod::NoSync)
+        .and_then(|plan| plan.run(&k))
+        .unwrap();
     let t = stats.telemetry.as_ref().unwrap();
     assert_eq!(t.count(TraceEventKind::RoundStart), 30);
     assert_eq!(t.count(TraceEventKind::RoundEnd), 30);

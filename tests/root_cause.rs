@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blocksync::core::{
-    BlockCtx, ExecError, GridConfig, GridExecutor, GridRuntime, RoundKernel, SyncMethod, SyncPolicy,
+    BlockCtx, ExecError, GridConfig, GridRuntime, LaunchPlan, RoundKernel, SyncMethod, SyncPolicy,
 };
 
 /// Block 3 panics — a real `panic!`, through the hook — in round 1.
@@ -38,13 +38,15 @@ fn a_slow_panic_hook_does_not_turn_the_panic_into_a_peers_timeout() {
     let policy = SyncPolicy::with_timeout(Duration::from_millis(100));
     std::panic::set_hook(Box::new(|_| std::thread::sleep(Duration::from_millis(150))));
     let cfg = GridConfig::new(4, 8).with_policy(policy);
-    let scoped = GridExecutor::new(cfg.clone(), SyncMethod::GpuSimple).run(&PanicsInRoundOne);
-    let pooled = GridRuntime::new(cfg, SyncMethod::GpuSimple)
+    let run = LaunchPlan::compile(cfg.clone(), SyncMethod::GpuSimple)
+        .and_then(|plan| plan.run(&PanicsInRoundOne));
+    let submit = GridRuntime::new(cfg, SyncMethod::GpuSimple)
         .expect("a device-side method runs pooled")
         .submit(Arc::new(PanicsInRoundOne))
         .and_then(|launch| launch.wait());
     let _ = std::panic::take_hook();
-    for (path, result) in [("scoped", scoped), ("pooled", pooled)] {
+    // A borrowed kernel's launch is never abandoned, an owned one's may be.
+    for (path, result) in [("run", run), ("submit", submit)] {
         match result.unwrap_err() {
             ExecError::BlockPanicked {
                 block: 3,

@@ -70,6 +70,10 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
 fn idle_pool_parks_every_worker_and_the_next_submit_wakes_them() {
     let n = 4;
     let rt = GridRuntime::new(GridConfig::new(n, 8), SyncMethod::GpuLockFree).unwrap();
+    // A pool spawns its workers with its first launch: before it there is
+    // nobody to park.
+    assert_eq!(rt.parked_workers(), 0);
+    rt.submit(Bump::new(n, 1)).unwrap().wait().unwrap();
     for round in 0..3 {
         // Idle for 500 spin bounds: every worker must have left its
         // polling phase. The poll after the sleep only absorbs a worker
@@ -81,7 +85,7 @@ fn idle_pool_parks_every_worker_and_the_next_submit_wakes_them() {
         rt.submit(Arc::clone(&k)).unwrap().wait().unwrap();
         assert!(k.verify(), "launch {round} after a parked idle");
     }
-    assert_eq!(rt.launches(), 3);
+    assert_eq!(rt.launches(), 4);
 }
 
 #[test]
