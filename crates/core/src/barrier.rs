@@ -12,7 +12,7 @@
 //!   else; the launch engine's round loop passes the `r` it already has.
 //!   There are two implementors: one for every device-side method, which
 //!   executes [`crate::program`]'s op sequences on atomics, and the
-//!   CPU-implicit condvar rendezvous ([`crate::CpuImplicitSync`]).
+//!   CPU-implicit condvar rendezvous.
 //! * [`BarrierWaiter`] — the register the paper keeps `goalVal` in, for
 //!   callers without a round counter of their own: a block id and a count
 //!   of completed rounds over an `Arc<dyn BarrierShared>`, whose `wait`
@@ -66,10 +66,9 @@ pub struct SyncPolicy {
     /// The bound is a time, whatever the host's load: a wait reads the
     /// clock on every poll once past its 64-poll spin phase, so a stuck
     /// wait reports within `timeout` + 64 spin polls + one `yield_now`
-    /// while it yields, or within `timeout` +
-    /// [`BarrierControl::MAX_PARK`] once it parks. A wait that ends
-    /// inside the spin phase reads no clock, and without a timeout no wait
-    /// reads one at all.
+    /// while it yields, or within `timeout` + the 1 ms longest park once
+    /// it parks. A wait that ends inside the spin phase reads no clock, and
+    /// without a timeout no wait reads one at all.
     pub timeout: Option<Duration>,
 }
 
@@ -241,7 +240,7 @@ impl BarrierControl {
     /// progress (and timeout detection) is never suspended on a signal
     /// that may never come. Wakeups make the common case fast; the bound
     /// makes the worst case correct.
-    pub const MAX_PARK: Duration = Duration::from_millis(1);
+    pub(crate) const MAX_PARK: Duration = Duration::from_millis(1);
 
     /// Polls of the spin phase: a peer that is already running arrives
     /// within these, with no trip into the scheduler.
@@ -276,9 +275,9 @@ impl BarrierControl {
         &self.policy
     }
 
-    /// Attach the telemetry recorder (first caller wins; the executor does
-    /// this once before spawning block threads).
-    pub fn attach_recorder(&self, rec: Arc<EventRecorder>) {
+    /// Attach the telemetry recorder (first caller wins; the launch engine
+    /// does this once per launch, before any worker can see it).
+    pub(crate) fn attach_recorder(&self, rec: Arc<EventRecorder>) {
         let _ = self.recorder.set(rec);
     }
 
@@ -289,7 +288,7 @@ impl BarrierControl {
 
     /// Install the barrier-wait fault hook (first caller wins; the launch
     /// engine does this once per launch, before any block waits).
-    pub fn attach_wait_hook(&self, hook: Arc<dyn WaitFaultHook>) {
+    pub(crate) fn attach_wait_hook(&self, hook: Arc<dyn WaitFaultHook>) {
         let _ = self.wait_hook.set(hook);
     }
 
@@ -330,7 +329,7 @@ impl BarrierControl {
     /// wake delays the re-poll by at most [`BarrierControl::MAX_PARK`].
     /// With no one parked this is a single load.
     #[inline]
-    pub fn wake_parked(&self) {
+    pub(crate) fn wake_parked(&self) {
         if self.park.parked.load(Ordering::SeqCst) != 0 {
             // Lock-then-notify: a waiter that registered but has not yet
             // entered `wait_for` holds the mutex, so this notify cannot
@@ -396,7 +395,7 @@ impl BarrierControl {
 
     /// Wait until `cond()` holds — the one wait discipline every barrier
     /// shares: 64 busy polls, `yield_now` between polls up to poll 4096,
-    /// then [`Self::MAX_PARK`]-bounded parks in the lot (DESIGN.md §15).
+    /// then parks of at most 1 ms in the lot (DESIGN.md §15).
     /// The poison word is checked each poll (plain load); the deadline on
     /// every poll past the spin phase — a yield already costs more than a
     /// clock read, and on a loaded host it can cost a scheduler slice, so
@@ -592,7 +591,7 @@ pub trait BarrierShared: Send + Sync + 'static {
     /// waiter that sleeps instead of spinning*. The spin barriers inherit
     /// the default (the poison word is polled on every spin iteration);
     /// implementations whose waiters block on an OS primitive (e.g. the
-    /// condvar rendezvous of [`crate::CpuImplicitSync`]) must override
+    /// CPU-implicit condvar rendezvous) must override
     /// this to also signal that primitive, or poisoned sleepers would only
     /// notice at their next timeout tick. Every caller outside a barrier's
     /// own protocol goes through this hook, never

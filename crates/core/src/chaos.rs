@@ -62,10 +62,9 @@ pub struct ChaosConfig {
     /// soak.
     pub seed: u64,
     /// The shard shapes under test; one element soaks a single pool. Each
-    /// needs a barrier method the pooled runtime supports (not
-    /// `CpuExplicit`, `Auto`, or `NoSync` — chaos needs a barrier to
-    /// poison and peers to observe faults) and at least 2 blocks (a
-    /// healthy witness per fault).
+    /// needs a barrier method — not `CpuExplicit` or `NoSync`, which have
+    /// no wait phase to inject faults into, nor `Auto`, which may resolve
+    /// to one — and at least 2 blocks (a healthy witness per fault).
     pub shards: Vec<ShardKey>,
     /// Rounds per launch.
     pub rounds: usize,
@@ -437,19 +436,18 @@ impl ChaosConfig {
                 let (_, plan) = &plans[i];
                 let label = key.to_string();
                 let seq = h.seq();
-                let res = h.wait().map_err(|e| match e {
-                    ServiceError::Exec(e) => e,
-                    other => {
+                let res = match h.wait() {
+                    Ok(stats) => Ok(stats),
+                    Err(ServiceError::Exec(e)) => Err(e),
+                    Err(other) => {
                         // Admission errors cannot happen after admission;
                         // surfacing one here is itself a soak failure.
                         report.failures.push(format!(
                             "launch {i} (shard {label}): post-admission {other}"
                         ));
-                        ExecError::RuntimeUnsupported {
-                            method: other.to_string(),
-                        }
+                        return;
                     }
-                });
+                };
                 if res.is_err() {
                     let rec = service_flight_record(&svc.observer(), &label, seq);
                     self.dump_postmortem(report, i, rec);

@@ -15,15 +15,15 @@ use blocksync_device::DeviceError;
 
 /// Which phase of a launch a [`StuckDiagnostic`] was taken in.
 ///
-/// Almost every timeout is a [`StuckPhase::Barrier`] wait; the pooled
-/// runtime adds an earlier failure window — [`StuckPhase::Assembly`], the
-/// start gate where pinned workers rendezvous before round 0. Reporting
-/// the phase keeps an assembly-stuck worker from masquerading as a
-/// round-0 body fault.
+/// Almost every timeout is a [`StuckPhase::Barrier`] wait (or
+/// CPU-explicit sync's join of a round); the pool adds an earlier failure
+/// window — [`StuckPhase::Assembly`], the start gate where workers
+/// rendezvous before round 0. Reporting the phase keeps an assembly-stuck
+/// worker from masquerading as a round-0 body fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StuckPhase {
-    /// Stuck inside a barrier wait (the default, and the only phase the
-    /// relaunch strategy can report).
+    /// Stuck inside a barrier wait, or a CPU-explicit round's join (the
+    /// default).
     #[default]
     Barrier,
     /// Stuck assembling at the pooled runtime's launch gate, before any
@@ -148,19 +148,12 @@ pub enum ExecError {
         /// Panic payload, if it was a string.
         message: String,
     },
-    /// A barrier wait exceeded the configured [`crate::SyncPolicy`] timeout.
+    /// A barrier wait (or a CPU-explicit round's join) exceeded the
+    /// configured [`crate::SyncPolicy`] timeout.
     BarrierTimeout {
         /// Who was stuck, where, and which peers never arrived. Boxed to
         /// keep the `Result` the hot path returns a couple of words wide.
         diagnostic: Box<StuckDiagnostic>,
-    },
-    /// The method cannot run on the persistent pooled runtime
-    /// ([`crate::GridRuntime`]): CPU-side methods relaunch kernels per
-    /// round by definition, and `Auto` must resolve to a concrete method
-    /// first.
-    RuntimeUnsupported {
-        /// Display name of the offending method.
-        method: String,
     },
 }
 
@@ -174,7 +167,6 @@ impl ExecError {
             ExecError::Device(_) => "device",
             ExecError::BlockPanicked { .. } => "panic",
             ExecError::BarrierTimeout { .. } => "timeout",
-            ExecError::RuntimeUnsupported { .. } => "runtime-unsupported",
         }
     }
 }
@@ -198,14 +190,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::BarrierTimeout { diagnostic } => {
                 write!(f, "barrier timeout: {diagnostic}")
-            }
-            ExecError::RuntimeUnsupported { method } => {
-                write!(
-                    f,
-                    "method {method} cannot run on the pooled runtime \
-                     (CPU-side methods relaunch kernels per round; \
-                     auto must resolve first)"
-                )
             }
         }
     }
@@ -255,8 +239,7 @@ pub enum ServiceError {
         /// The configured maximum number of live shards.
         limit: usize,
     },
-    /// The submission was admitted but the underlying runtime refused or
-    /// failed it.
+    /// The key's grid is invalid, or the admitted launch failed.
     Exec(ExecError),
 }
 
@@ -367,16 +350,6 @@ mod tests {
         assert!(s.contains("block 2"), "{s}");
         assert!(s.contains("round 1"), "{s}");
         assert!(s.contains("kernel bug"), "{s}");
-    }
-
-    #[test]
-    fn runtime_unsupported_names_the_method() {
-        let s = ExecError::RuntimeUnsupported {
-            method: "cpu-explicit".into(),
-        }
-        .to_string();
-        assert!(s.contains("cpu-explicit"), "{s}");
-        assert!(s.contains("pooled"), "{s}");
     }
 
     #[test]

@@ -304,38 +304,16 @@ mod tests {
         assert!(stats.wall > Duration::ZERO);
     }
 
+    /// Every method, on the one strategy that runs them all: a correct
+    /// `MinPlusOne` needs every round's writes published before the next.
     #[test]
-    fn cpu_explicit_correct() {
-        check_method(SyncMethod::CpuExplicit, 6);
-    }
-
-    #[test]
-    fn cpu_implicit_correct() {
-        check_method(SyncMethod::CpuImplicit, 6);
-    }
-
-    #[test]
-    fn gpu_simple_correct() {
-        check_method(SyncMethod::GpuSimple, 6);
-    }
-
-    #[test]
-    fn gpu_tree2_correct() {
-        check_method(SyncMethod::GpuTree(TreeLevels::Two), 6);
-    }
-
-    #[test]
-    fn gpu_tree3_correct() {
-        check_method(SyncMethod::GpuTree(TreeLevels::Three), 6);
-    }
-
-    #[test]
-    fn gpu_lockfree_correct() {
-        check_method(SyncMethod::GpuLockFree, 6);
-    }
-
-    #[test]
-    fn gpu_tree_custom_group_correct() {
+    fn every_method_is_correct() {
+        for m in SyncMethod::PAPER_METHODS
+            .into_iter()
+            .chain(SyncMethod::EXTENSION_METHODS)
+        {
+            check_method(m, 6);
+        }
         check_method(SyncMethod::GpuTree(TreeLevels::Custom(2)), 6);
         check_method(SyncMethod::GpuTree(TreeLevels::Custom(5)), 7);
     }
@@ -382,11 +360,6 @@ mod tests {
             auto.chosen
         );
         assert_eq!(auto.table.len(), 8);
-    }
-
-    #[test]
-    fn sense_reversing_correct() {
-        check_method(SyncMethod::SenseReversing, 6);
     }
 
     #[test]
@@ -521,29 +494,15 @@ mod tests {
     }
 
     /// A panic in one block must surface as a structured error naming block
-    /// and round under a *device-side* barrier, with every peer unwound via
-    /// poisoning (no hang, no process abort).
+    /// and round, with every peer unwound (no hang, no process abort): by
+    /// poisoning under a barrier, and by the join under CPU-explicit sync.
     #[test]
-    fn kernel_panic_propagates_gpu_mode() {
-        let k = (3usize, |ctx: &BlockCtx, r: usize| {
-            if r == 1 && ctx.block_id == 2 {
-                panic!("kernel bug");
-            }
-        });
-        let err = run(GridConfig::new(4, 8), SyncMethod::GpuLockFree, &k).unwrap_err();
-        assert_eq!(
-            err,
-            ExecError::BlockPanicked {
-                block: 2,
-                round: 1,
-                message: "kernel bug".to_string()
-            }
-        );
-    }
-
-    #[test]
-    fn kernel_panic_propagates_cpu_modes() {
-        for method in [SyncMethod::CpuExplicit, SyncMethod::CpuImplicit] {
+    fn kernel_panic_propagates() {
+        for method in [
+            SyncMethod::GpuLockFree,
+            SyncMethod::CpuExplicit,
+            SyncMethod::CpuImplicit,
+        ] {
             let k = (3usize, |ctx: &BlockCtx, r: usize| {
                 if r == 1 && ctx.block_id == 2 {
                     panic!("kernel bug");
@@ -596,16 +555,10 @@ mod tests {
     fn traced_run_attaches_telemetry_everywhere() {
         use crate::trace::TraceEventKind;
         let rounds = 20;
-        for method in [
-            SyncMethod::CpuExplicit,
-            SyncMethod::CpuImplicit,
-            SyncMethod::GpuSimple,
-            SyncMethod::GpuTree(TreeLevels::Two),
-            SyncMethod::GpuTree(TreeLevels::Three),
-            SyncMethod::GpuLockFree,
-            SyncMethod::SenseReversing,
-            SyncMethod::Dissemination,
-        ] {
+        for method in SyncMethod::PAPER_METHODS
+            .into_iter()
+            .chain(SyncMethod::EXTENSION_METHODS)
+        {
             let k = (rounds, |_: &BlockCtx, _: usize| {});
             let cfg = GridConfig::new(3, 8).with_trace(crate::TraceConfig::default());
             let stats = run(cfg, method, &k).unwrap();
@@ -639,8 +592,8 @@ mod tests {
     fn launch_is_separated_from_in_round_time() {
         // Regression (launch/sync split): on a short run, per-round sync
         // must not absorb thread-startup overhead. The launch figure is
-        // nonzero (threads really are spawned) and the decomposition stays
-        // within wall time.
+        // nonzero (launch 0 spawns the pool's threads) and the
+        // decomposition stays within wall time.
         for method in [
             SyncMethod::CpuExplicit,
             SyncMethod::CpuImplicit,
@@ -657,13 +610,7 @@ mod tests {
                 .unwrap();
             // Launch + slowest in-round time can't exceed what the wall
             // clock saw (join noise only adds to wall).
-            let accounted = if method == SyncMethod::CpuExplicit {
-                // Explicit re-spawns per round; per-block launch already
-                // aggregates every round's spawn delay.
-                stats.avg_launch() + slowest
-            } else {
-                stats.launch + slowest
-            };
+            let accounted = stats.launch + slowest;
             assert!(
                 accounted <= stats.wall + Duration::from_millis(5),
                 "{method}: accounted {accounted:?} vs wall {:?}",

@@ -76,8 +76,8 @@ pub enum FaultPhase {
     BarrierWait,
     /// During pooled assembly: the block never checks in at the
     /// [`crate::GridRuntime`] launch gate, before any round runs. Every
-    /// launch but a CPU-explicit one runs on a pool and has this phase; the
-    /// relaunch strategy never arms it.
+    /// launch runs on a pool and has this phase — under CPU-explicit sync,
+    /// in its first round's launch only.
     Assembly,
 }
 
@@ -172,9 +172,7 @@ pub struct FaultProfile {
     /// capped at `n_blocks - 1` so a healthy peer always remains to
     /// observe and report the fault).
     pub max_faults: usize,
-    /// Whether [`FaultPhase::Assembly`] faults may be drawn — only
-    /// meaningful when the schedule will run on a pool (any method but
-    /// CPU-explicit).
+    /// Whether [`FaultPhase::Assembly`] faults may be drawn.
     pub allow_assembly: bool,
 }
 
@@ -721,7 +719,9 @@ mod tests {
             round: 2,
             message: String::new()
         }));
-        assert!(!s.matches_error(&ExecError::RuntimeUnsupported { method: "x".into() }));
+        assert!(!s.matches_error(&ExecError::Device(
+            blocksync_device::DeviceError::EmptyLaunch
+        )));
     }
 
     #[test]

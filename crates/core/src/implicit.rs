@@ -18,7 +18,7 @@
 //!
 //! The one structural difference from the spin barriers: waiters **sleep**
 //! on the condvar instead of polling, so the poison word alone cannot wake
-//! them. [`CpuImplicitSync`] therefore overrides [`BarrierShared::poison`]
+//! them. `CpuImplicitSync` therefore overrides [`BarrierShared::poison`]
 //! to also signal the condvar; see that hook's docs.
 
 use std::time::Instant;
@@ -41,7 +41,7 @@ struct DriverState {
 /// Shared state of the CPU-implicit rendezvous: the "driver" every block
 /// reports to at the end of each round, standing in for the device
 /// driver's pipelined launch queue.
-pub struct CpuImplicitSync {
+pub(crate) struct CpuImplicitSync {
     state: Mutex<DriverState>,
     cv: Condvar,
     n_blocks: usize,
@@ -54,7 +54,8 @@ impl CpuImplicitSync {
     ///
     /// # Panics
     /// Panics if `n_blocks == 0`.
-    pub fn new(n_blocks: usize) -> Self {
+    #[cfg(test)]
+    fn new(n_blocks: usize) -> Self {
         Self::with_policy(n_blocks, SyncPolicy::default())
     }
 
@@ -63,7 +64,7 @@ impl CpuImplicitSync {
     ///
     /// # Panics
     /// Panics if `n_blocks == 0`.
-    pub fn with_policy(n_blocks: usize, policy: SyncPolicy) -> Self {
+    pub(crate) fn with_policy(n_blocks: usize, policy: SyncPolicy) -> Self {
         assert!(n_blocks > 0, "barrier needs at least one block");
         CpuImplicitSync {
             state: Mutex::new(DriverState {

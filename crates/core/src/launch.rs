@@ -21,24 +21,19 @@
 //!   `catch_unwind`, poison + abort on panic, barrier-wait with bounded
 //!   waits, and per-round time/trace accounting.
 //!
-//! Two strategies spawn block threads, one per way the paper launches:
-//!
-//! | strategy | serves | shape |
-//! |---|---|---|
-//! | pool (`core::runtime`) | every method but `CpuExplicit` | one worker per block runs `drive_block` per launch; a cold [`LaunchPlan::run`] is launch 0 of a pool built for it and dropped after |
-//! | `run_relaunch` | `CpuExplicit` | spawn + watchdog-join per round |
-//!
-//! `CpuImplicit` needs no strategy of its own: its driver rendezvous is a
-//! [`crate::CpuImplicitSync`] barrier, so the pool runs it like any other
-//! barrier method.
+//! One strategy spawns block threads: the pool (`core::runtime`), one
+//! worker per block running `drive_block` once per log entry. A cold
+//! [`LaunchPlan::run`] is launch 0 of a pool built for it and dropped
+//! after. Every method is one log entry per kernel except `CpuExplicit`,
+//! which is one entry per round, the next published only once every block
+//! finished the last: the paper's relaunch + `cudaThreadSynchronize`
+//! (§4.1) as warm launches.
 
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::autotune::{AutoDecision, AutoTuner};
 use crate::barrier::{BarrierShared, PoisonCause, SyncFault, SyncPolicy};
@@ -181,19 +176,15 @@ pub(crate) fn gate_backoff(polls: &mut u32) {
 
 /// A launch's kernel as the threads that run it hold it: co-owned, or
 /// borrowed with the borrow's lifetime erased. The one lifetime-erasure
-/// device of the crate — the relaunch strategy and the pool's launch log
-/// both hand a caller's `&K` to threads `std::thread::scope` cannot
-/// bound — so the contract lives in one place,
-/// [`KernelRef::borrowed`], and the variants stay private to keep safe
-/// code from forging a borrowed pointer.
-#[derive(Clone)]
+/// device of the crate — the pool's launch log hands a caller's `&K` to
+/// workers `std::thread::scope` cannot bound — so the contract lives in
+/// one place, [`KernelRef::borrowed`], and the variants stay private to
+/// keep safe code from forging a borrowed pointer.
 pub(crate) struct KernelRef(KernelPtr);
 
-#[derive(Clone)]
 enum KernelPtr {
-    /// The launch co-owns the kernel, so a thread stuck in it can be
-    /// detached (relaunch) or abandoned and replaced (pool): it keeps its
-    /// own `Arc` alive.
+    /// The launch co-owns the kernel, so a worker stuck in it can be
+    /// abandoned and replaced: it keeps its own `Arc` alive.
     Owned(Arc<dyn RoundKernel + Send + Sync>),
     Borrowed(*const (dyn RoundKernel + 'static)),
 }
@@ -214,15 +205,13 @@ impl KernelRef {
     ///
     /// # Safety
     /// The call that borrows `kernel` must return only after every thread
-    /// holding the result, or a clone of it, is done calling
-    /// [`KernelRef::get`]. Both strategies that take one keep that by
-    /// never giving up on a borrowed launch: [`run_relaunch`] joins every
-    /// round thread instead of detaching stragglers, and the pool's
+    /// holding the result is done calling [`KernelRef::get`]. The pool
+    /// keeps that by never giving up on a borrowed launch: its
     /// `wait_launch(.., allow_abandon = false)` returns only once every
-    /// worker recorded its result for the launch, after which no worker
-    /// touches its kernel again. The value itself may outlive the borrow
-    /// (the launch log keeps its entry until every cursor has passed it);
-    /// only dereferences may not.
+    /// worker recorded its result for the launch's last log entry, after
+    /// which no worker touches its kernel again. The value itself may
+    /// outlive the borrow (the launch log keeps its entries until every
+    /// cursor has passed them); only dereferences may not.
     pub(crate) unsafe fn borrowed(kernel: &dyn RoundKernel) -> Self {
         // SAFETY: only the trait object's lifetime bound changes; the
         // pointer layout is the same.
@@ -234,7 +223,7 @@ impl KernelRef {
     }
 
     /// Whether the launch co-owns its kernel — the only kind whose
-    /// stragglers may be detached or abandoned.
+    /// stragglers may be abandoned.
     pub(crate) fn is_owned(&self) -> bool {
         matches!(self.0, KernelPtr::Owned(_))
     }
@@ -256,25 +245,27 @@ impl KernelRef {
 /// Compile once, launch many times — each [`LaunchPlan::run`] stamps out a
 /// fresh `LaunchSetup` (barrier, recorder, abort), so faults stay
 /// per-launch, and pays the full launch overhead `t_O` of Eq. 1: a launch
-/// under any method but `CpuExplicit` is launch 0 of a [`GridRuntime`]
-/// built from the plan and dropped after it, so its clock includes the
-/// worker spawns. Warm launches are a different type
-/// ([`GridRuntime`], [`crate::GridService`]), each holding a plan for its
-/// whole lifetime. Clones share the observer.
+/// is launch 0 of a [`GridRuntime`] built from the plan and dropped after
+/// it, so its clock includes the worker spawns. Warm launches are a
+/// different type ([`GridRuntime`], [`crate::GridService`]), each holding
+/// a plan for its whole lifetime. Clones share the observer.
 ///
 /// The engine inserts the inter-block barrier between rounds according to
 /// the method:
 ///
-/// * **GPU methods** — one persistent OS thread per block for the whole
-///   kernel; a device-side spin barrier between rounds ("launch the kernel
-///   only once", Section 4.3).
-/// * **CPU explicit** — block threads are spawned and joined *every
-///   round*, the host-runtime analogue of terminating and re-launching a
-///   kernel with `cudaThreadSynchronize()` in between (Section 4.1).
-/// * **CPU implicit** — persistent block threads, but every round ends in a
-///   centralized OS-assisted rendezvous ([`crate::CpuImplicitSync`], one
-///   mutex + condvar "driver") through which the next round is dispatched,
-///   the analogue of pipelined kernel relaunch (Section 4.2).
+/// * **GPU methods** — one pool launch for the whole kernel; a device-side
+///   spin barrier between rounds ("launch the kernel only once", Section
+///   4.3).
+/// * **CPU explicit** — one pool launch *per round*, the next dispatched
+///   only once every block finished the last: the host-runtime analogue of
+///   re-launching a kernel with `cudaThreadSynchronize()` in between
+///   (Section 4.1). A block's `sync` for a round runs from the end of its
+///   body to the start of its next one (the relaunch plus the wait for the
+///   slowest block), and the policy timeout bounds each round's join.
+/// * **CPU implicit** — one pool launch, but every round ends in a
+///   centralized OS-assisted rendezvous (one mutex + condvar "driver")
+///   through which the next round is dispatched, the analogue of pipelined
+///   kernel relaunch (Section 4.2).
 /// * **NoSync** — no barrier at all; pure computation time exactly as the
 ///   paper measures it in Section 7.3 ("with the synchronization function
 ///   `__gpu_sync()` removed"). Results of inter-block-dependent kernels are
@@ -336,8 +327,8 @@ impl LaunchPlan {
     /// (except for `CpuExplicit`, whose "barrier" is the host's join, and
     /// `NoSync`), a fresh trace recorder, an un-raised abort signal, and
     /// the kernel's fault schedule armed — then hand the kernel its abort
-    /// signal ([`RoundKernel::on_launch`]). Every strategy calls this
-    /// before any of its threads can see the launch.
+    /// signal ([`RoundKernel::on_launch`]). The pool calls this before any
+    /// worker can see the launch.
     pub(crate) fn setup(&self, kernel: &dyn RoundKernel) -> LaunchSetup {
         let n = self.cfg.n_blocks;
         let rounds = kernel.rounds();
@@ -384,20 +375,17 @@ impl LaunchPlan {
     /// ignores its [`AbortSignal`] holds this call; see
     /// [`LaunchPlan::run_owned`].
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
-        // SAFETY: `execute` returns only once no thread it started can
-        // call into a borrowed kernel: the relaunch strategy joins every
-        // round thread, and the pool waits a borrowed launch out instead of
+        // SAFETY: `launch` returns only once no worker can call into a
+        // borrowed kernel: the pool waits a borrowed launch out instead of
         // abandoning it.
-        self.execute(unsafe { KernelRef::borrowed(kernel) })
+        GridRuntime::from_plan(self.clone()).launch(unsafe { KernelRef::borrowed(kernel) })
     }
 
     /// [`LaunchPlan::run`] with an *owned* kernel, which bounds the call
     /// even for a block stuck in non-cooperative kernel code past the
     /// [`SyncPolicy`] timeout: because the launch co-owns the kernel, the
-    /// stuck thread is left behind — detached by the relaunch strategy's
-    /// watchdog join under `CpuExplicit`, abandoned by the pool under
-    /// every other method — and the call returns
-    /// [`ExecError::BarrierTimeout`].
+    /// pool abandons the stuck worker (and replaces it), and the call
+    /// returns [`ExecError::BarrierTimeout`].
     ///
     /// # Errors
     /// Same contract as [`LaunchPlan::run`].
@@ -405,27 +393,13 @@ impl LaunchPlan {
         &self,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<KernelStats, ExecError> {
-        self.execute(KernelRef::owned(kernel))
-    }
-
-    /// Dispatch one launch to the strategy serving this plan's method:
-    /// relaunch per round under `CpuExplicit`, launch 0 of a pool built
-    /// for it under every other method.
-    fn execute(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
-        if self.method != SyncMethod::CpuExplicit {
-            return GridRuntime::from_plan(self.clone()).launch(kernel);
-        }
-        let setup = self.setup(kernel.get());
-        let start = Instant::now();
-        let per_block = run_relaunch(&setup, &kernel);
-        let (result, record) = setup.finish(per_block, start.elapsed(), None);
-        self.obs.observe(record);
-        result
+        GridRuntime::from_plan(self.clone()).launch(KernelRef::owned(kernel))
     }
 }
 
 /// Per-launch state stamped out by [`LaunchPlan::setup`]: everything the
-/// strategies and [`drive_block`] share for exactly one launch.
+/// pool and [`drive_block`] share for exactly one launch — under
+/// `CpuExplicit`, for every one of its per-round log entries.
 pub(crate) struct LaunchSetup {
     pub(crate) method: SyncMethod,
     /// The plan's `Auto` verdict, completed and reported by `finish`.
@@ -440,12 +414,19 @@ pub(crate) struct LaunchSetup {
     pub(crate) abort: AbortSignal,
     pub(crate) recorder: Option<Arc<EventRecorder>>,
     /// The kernel's [`FaultSchedule`], if it carries one — read by the
-    /// pooled runtime to fire assembly-phase faults. Wait-phase faults are
-    /// already armed on the barrier by [`LaunchPlan::setup`].
+    /// pool to fire assembly-phase faults in the launch's first log entry.
+    /// Wait-phase faults are already armed on the barrier by
+    /// [`LaunchPlan::setup`].
     pub(crate) faults: Option<Arc<FaultSchedule>>,
 }
 
 impl LaunchSetup {
+    /// Whether the launch is one pool log entry per round (`CpuExplicit`)
+    /// rather than one for the whole kernel.
+    pub(crate) fn per_round(&self) -> bool {
+        self.method == SyncMethod::CpuExplicit
+    }
+
     pub(crate) fn ctx(&self, block_id: usize) -> BlockCtx {
         BlockCtx {
             block_id,
@@ -455,18 +436,17 @@ impl LaunchSetup {
     }
 
     /// Close the launch: from the merged per-block results, assemble the
-    /// uniform [`KernelStats`] every strategy reports (`launch` is the
-    /// slowest block's launch share, telemetry comes from this launch's
-    /// recorder, an `Auto` plan's decision gets this launch's measured
-    /// sync cost) and the launch's one [`LaunchRecord`], built from what
-    /// this setup owns — the scheduled faults, and for a failure the
-    /// recorder's per-block tails. Strategies add only what they alone
-    /// know (the pool: `replacements` and `shard`).
+    /// launch's [`KernelStats`] (`launch` is the slowest block's launch
+    /// share, telemetry comes from this launch's recorder, an `Auto`
+    /// plan's decision gets this launch's measured sync cost) and its one
+    /// [`LaunchRecord`], built from what this setup owns — the scheduled
+    /// faults, and for a failure the recorder's per-block tails. The pool
+    /// adds only what it alone knows (`replacements` and `shard`).
     pub(crate) fn finish(
         &self,
         result: Result<Vec<BlockTimes>, ExecError>,
         wall: Duration,
-        pool: Option<PoolLaunchStats>,
+        pool: PoolLaunchStats,
     ) -> (Result<KernelStats, ExecError>, LaunchRecord) {
         let method = match &self.auto {
             Some(decision) => format!("auto:{}", decision.chosen),
@@ -474,7 +454,7 @@ impl LaunchSetup {
         };
         let mut record = LaunchRecord {
             wall,
-            pool,
+            pool: Some(pool),
             faults: self
                 .faults
                 .as_deref()
@@ -501,7 +481,7 @@ impl LaunchSetup {
             per_block,
             telemetry: self.recorder.as_ref().map(|rec| Box::new(rec.finish())),
             auto: None,
-            pool: pool.map(Box::new),
+            pool: Some(Box::new(pool)),
         };
         stats.auto = self.auto.as_ref().map(|decision| {
             Box::new(AutoDecision {
@@ -525,25 +505,27 @@ impl LaunchSetup {
     }
 }
 
-/// The one true round loop, run once per block per launch by the pool's
-/// workers: for each round, execute the kernel body under `catch_unwind`
-/// (a panic poisons the barrier via [`BarrierShared::poison`], raises the
-/// abort signal, and surfaces as [`ExecError::BlockPanicked`]), then wait
-/// on the barrier (bounded by the [`SyncPolicy`]), accumulating
-/// compute/sync time and trace events into `t` as it goes. Without a
-/// barrier (`NoSync`) a round is compute only: `t.sync` stays zero and no
-/// sync sample is recorded, the paper's §7.3 "`__gpu_sync()` removed" run.
+/// The one true round loop, run once per block per log entry by the
+/// pool's workers: for each of the entry's `rounds`, execute the kernel
+/// body under `catch_unwind` (a panic poisons the barrier via
+/// [`BarrierShared::poison`], raises the abort signal, and surfaces as
+/// [`ExecError::BlockPanicked`]), then wait on the barrier (bounded by
+/// the [`SyncPolicy`]), accumulating compute/sync time and trace events
+/// into `t` as it goes. Without a barrier (`NoSync`) a round is compute
+/// only: `t.sync` stays zero and no sync sample is recorded, the paper's
+/// §7.3 "`__gpu_sync()` removed" run.
 /// `t.launch` is the caller's to fill — only the pool knows where its
-/// launch boundary is.
+/// launch boundary is — and so is `CpuExplicit`'s join between entries.
 pub(crate) fn drive_block(
     setup: &LaunchSetup,
     kernel: &dyn RoundKernel,
     block: usize,
+    rounds: Range<usize>,
     t: &mut BlockTimes,
 ) -> Result<(), ExecError> {
     let ctx = setup.ctx(block);
     let barrier = setup.barrier.as_deref();
-    for r in 0..setup.rounds {
+    for r in rounds {
         let t0 = Instant::now();
         if let Some(rec) = setup.recorder.as_deref() {
             rec.record(block, r, TraceEventKind::RoundStart);
@@ -604,246 +586,11 @@ pub(crate) fn drive_block(
     Ok(())
 }
 
-/// Relaunch strategy (CPU explicit synchronization): spawn + join every
-/// round. The "barrier" is the host's join, so the policy timeout bounds
-/// the host's wait for all blocks to finish each round.
-///
-/// Time attribution per block per round: spawn delay (thread creation
-/// until the kernel starts) goes to `launch`, the kernel body to
-/// `compute`, and finish-until-release (everyone joined) to `sync` — so
-/// `sync` measures the synchronizing wait itself and does not absorb
-/// thread-startup overhead on short runs.
-///
-/// When the policy deadline expires, the host raises the abort signal and
-/// then *watchdog-joins*: it grants cooperative stragglers a short grace
-/// period to observe the signal and exit, and — for an owned kernel only —
-/// detaches any thread still stuck in non-cooperative kernel code instead
-/// of joining it, so the run returns [`ExecError::BarrierTimeout`] within
-/// the bound rather than hanging. Detached threads co-own (via `Arc`)
-/// everything they can still touch. A borrowed kernel must outlive every
-/// thread (see [`KernelRef::borrowed`]), so there the join is
-/// unconditional and a non-cooperative kernel holds the host.
-pub(crate) fn run_relaunch(
-    setup: &LaunchSetup,
-    kernel: &KernelRef,
-) -> Result<Vec<BlockTimes>, ExecError> {
-    let detach_stragglers = kernel.is_owned();
-    struct RoundTracker {
-        state: Mutex<usize>, // blocks finished this round
-        cv: Condvar,
-    }
-    /// One block's successful round: spawn delay, kernel time, and the
-    /// instant it finished (arrived at the host-side join "barrier").
-    struct RoundDone {
-        spawn_delay: Duration,
-        compute: Duration,
-        arrived: Instant,
-    }
-
-    let n = setup.n;
-    let recorder = setup.recorder.as_ref();
-    let mut times = vec![BlockTimes::default(); n];
-    for r in 0..setup.rounds {
-        let round_start = Instant::now();
-        let tracker = Arc::new(RoundTracker {
-            state: Mutex::new(0),
-            cv: Condvar::new(),
-        });
-        let done: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-        // Per-block outcome slots; a detached straggler's slot stays
-        // `None` (only the slot's own thread ever writes it).
-        type Slot = Mutex<Option<Result<RoundDone, ExecError>>>;
-        let slots: Arc<Vec<Slot>> = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        // Completion states captured at the moment the deadline expired
-        // (the straggler may still finish between deadline and join).
-        let mut deadline_snapshot: Option<Vec<bool>> = None;
-        let handles: Vec<std::thread::JoinHandle<()>> = (0..n)
-            .map(|b| {
-                let ctx = setup.ctx(b);
-                let kernel = kernel.clone();
-                let tracker = Arc::clone(&tracker);
-                let done = Arc::clone(&done);
-                let slots = Arc::clone(&slots);
-                let recorder = recorder.cloned();
-                std::thread::spawn(move || {
-                    let t0 = Instant::now();
-                    // Round r's thread for block b is the ring's writer
-                    // this round; the host's join below and the next
-                    // spawn give the handoff edges.
-                    if let Some(rec) = recorder.as_deref() {
-                        rec.record(b, r, TraceEventKind::RoundStart);
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| kernel.get().round(&ctx, r)));
-                    let result = match outcome {
-                        Ok(()) => {
-                            let arrived = Instant::now();
-                            if let Some(rec) = recorder.as_deref() {
-                                rec.record(b, r, TraceEventKind::RoundEnd);
-                                rec.record(b, r, TraceEventKind::BarrierArrive);
-                            }
-                            Ok(RoundDone {
-                                spawn_delay: t0 - round_start,
-                                compute: arrived - t0,
-                                arrived,
-                            })
-                        }
-                        Err(payload) => {
-                            if let Some(rec) = recorder.as_deref() {
-                                rec.record(b, r, TraceEventKind::Abort);
-                            }
-                            Err(ExecError::BlockPanicked {
-                                block: b,
-                                round: r,
-                                message: payload_message(&*payload),
-                            })
-                        }
-                    };
-                    *slots[b].lock() = Some(result);
-                    done[b].store(true, Ordering::Release);
-                    let mut g = tracker.state.lock();
-                    *g += 1;
-                    tracker.cv.notify_all();
-                })
-            })
-            .collect();
-
-        // The host-side "cudaThreadSynchronize": wait for all blocks,
-        // bounded by the policy timeout.
-        if let Some(timeout) = setup.policy.timeout {
-            let deadline = Instant::now() + timeout;
-            let mut g = tracker.state.lock();
-            while *g < n {
-                let now = Instant::now();
-                if now >= deadline {
-                    deadline_snapshot =
-                        Some(done.iter().map(|d| d.load(Ordering::Acquire)).collect());
-                    // Ask cooperative stragglers to bail out so the join
-                    // below can complete.
-                    setup.abort.abort();
-                    break;
-                }
-                let _ = tracker.cv.wait_for(&mut g, deadline - now);
-            }
-            drop(g);
-        }
-        if deadline_snapshot.is_some() && detach_stragglers {
-            // Watchdog join: a grace period for cooperative stragglers to
-            // observe the abort, then detach whoever is still stuck in
-            // kernel code — the bounded-return half of the
-            // fault-tolerance contract for owned kernels.
-            let grace = setup
-                .policy
-                .timeout
-                .unwrap_or_default()
-                .clamp(Duration::from_millis(10), Duration::from_secs(1));
-            let watchdog_deadline = Instant::now() + grace;
-            let mut g = tracker.state.lock();
-            while *g < n {
-                let now = Instant::now();
-                if now >= watchdog_deadline {
-                    break;
-                }
-                let _ = tracker.cv.wait_for(&mut g, watchdog_deadline - now);
-            }
-            drop(g);
-            for h in handles {
-                if h.is_finished() {
-                    h.join().expect("engine block thread must not panic");
-                }
-                // else: detached. The thread co-owns (Arc) the kernel,
-                // tracker, slots, and recorder, so leaking it is sound;
-                // the deadline snapshot below reports it as stuck.
-            }
-        } else {
-            for h in handles {
-                h.join().expect("engine block thread must not panic");
-            }
-        }
-
-        // Every block is released the moment the last join completed.
-        let release = Instant::now();
-        let mut released: Vec<(usize, Instant)> = Vec::new();
-        let results = slots
-            .iter()
-            .enumerate()
-            .map(|(b, slot)| match slot.lock().take() {
-                Some(Ok(d)) => {
-                    released.push((b, d.arrived));
-                    Ok(BlockTimes {
-                        launch: d.spawn_delay,
-                        compute: d.compute,
-                        sync: release.saturating_duration_since(d.arrived),
-                    })
-                }
-                Some(Err(e)) => Err(e),
-                // A detached straggler never filled its slot; the deadline
-                // snapshot reports it.
-                None => Ok(BlockTimes::default()),
-            });
-        for (t, round) in times
-            .iter_mut()
-            .zip(collect_block_results(results.collect())?)
-        {
-            t.launch += round.launch;
-            t.compute += round.compute;
-            t.sync += round.sync;
-        }
-        if let Some(snapshot) = deadline_snapshot {
-            // Any block not done at the deadline was the straggler, even
-            // if it finished between deadline and join.
-            let arrivals: Vec<u64> = snapshot.iter().map(|&d| r as u64 + u64::from(d)).collect();
-            let waiting_block = arrivals.iter().position(|&a| a > r as u64).unwrap_or(0);
-            let straggler = arrivals
-                .iter()
-                .position(|&a| a <= r as u64)
-                .unwrap_or(waiting_block);
-            return Err(ExecError::BarrierTimeout {
-                diagnostic: Box::new(StuckDiagnostic {
-                    barrier: "cpu-explicit".to_string(),
-                    waiting_block,
-                    round: r,
-                    flag: format!("join of round {r}"),
-                    timeout: setup.policy.timeout.unwrap_or_default(),
-                    departures: arrivals.iter().map(|a| a.saturating_sub(1)).collect(),
-                    arrivals,
-                    recent_events: recorder
-                        .map(|rec| {
-                            rec.tail(straggler, 8)
-                                .iter()
-                                .map(|e| e.to_string())
-                                .collect()
-                        })
-                        .unwrap_or_default(),
-                    phase: StuckPhase::Barrier,
-                }),
-            });
-        }
-        // Host-stamped departures: every block leaves the join barrier at
-        // `release`, the same instant the sync accounting uses. Round r's
-        // thread has joined, so writing its ring here is the sequential
-        // half of the single-writer handoff.
-        if let Some(rec) = recorder {
-            let at = release.saturating_duration_since(rec.epoch());
-            for &(b, arrived) in &released {
-                rec.record_at(b, r, TraceEventKind::BarrierDepart, at);
-                if rec.sampled(r) {
-                    rec.record_sync(
-                        b,
-                        release.saturating_duration_since(arrived).as_nanos() as u64,
-                    );
-                }
-            }
-        }
-    }
-    Ok(times)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gmem::GlobalBuffer;
-    use crate::method::TreeLevels;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct Count {
         slots: GlobalBuffer<u64>,
@@ -916,29 +663,6 @@ mod tests {
             let stats = plan.run(&k).unwrap();
             assert_eq!(stats.rounds, 10);
             assert!(k.slots.to_vec().iter().all(|&v| v == 10));
-        }
-    }
-
-    #[test]
-    fn plan_runs_every_concrete_method() {
-        for method in [
-            SyncMethod::CpuExplicit,
-            SyncMethod::CpuImplicit,
-            SyncMethod::GpuSimple,
-            SyncMethod::GpuTree(TreeLevels::Two),
-            SyncMethod::GpuLockFree,
-            SyncMethod::SenseReversing,
-            SyncMethod::Dissemination,
-            SyncMethod::NoSync,
-        ] {
-            let plan = LaunchPlan::compile(GridConfig::new(3, 8), method).unwrap();
-            let k = Count {
-                slots: GlobalBuffer::new(3),
-                rounds: 7,
-            };
-            let stats = plan.run(&k).unwrap();
-            assert_eq!(stats.method, method.to_string());
-            assert!(k.slots.to_vec().iter().all(|&v| v == 7), "{method}");
         }
     }
 

@@ -24,7 +24,7 @@
 //! | `atomicAdd(&g_mutex, 1)` + spin          | [`SyncMethod::GpuSimple`]      |
 //! | per-group mutexes + root mutex           | [`SyncMethod::GpuTree`] over a [`TreeShape`] |
 //! | `Arrayin`/`Arrayout`, no atomics         | [`SyncMethod::GpuLockFree`]    |
-//! | kernel relaunch + `cudaThreadSynchronize`| [`SyncMethod::CpuExplicit`]    |
+//! | kernel relaunch + `cudaThreadSynchronize`| [`SyncMethod::CpuExplicit`]: one warm launch per round |
 //! | pipelined kernel relaunch                | [`SyncMethod::CpuImplicit`]    |
 //! | `__syncthreads()`                        | no-op (a block is sequential here) |
 //!
@@ -41,9 +41,8 @@
 //! (`Auto` resolves here), then every `run` pays the full launch overhead
 //! `t_O` of Eq. 1. A warm launch is a [`GridRuntime`] — workers spawned by
 //! its first launch and kept for the rest — or a [`GridService`] of them.
-//! Under every method but [`SyncMethod::CpuExplicit`], which relaunches
-//! its blocks every round, a cold launch *is* launch 0 of a pool built for
-//! it: one spawning strategy, two lifetimes.
+//! A cold launch *is* launch 0 of a pool built for it: one spawning
+//! strategy, two lifetimes, under every method.
 //!
 //! ## Quick start
 //!
@@ -85,7 +84,7 @@ pub mod error;
 pub mod executor;
 pub mod fault;
 pub mod gmem;
-pub mod implicit;
+mod implicit;
 mod interp;
 pub mod launch;
 pub mod method;
@@ -110,7 +109,6 @@ pub use fault::{
     stall_duration, Fault, FaultInjector, FaultKind, FaultPhase, FaultProfile, FaultSchedule,
 };
 pub use gmem::{GlobalBuffer, GlobalBuffer2d, Window};
-pub use implicit::CpuImplicitSync;
 pub use launch::LaunchPlan;
 pub use method::{SyncMethod, TreeLevels};
 pub use metrics::{BlockHistogram, Histogram};

@@ -42,12 +42,12 @@ impl TreeLevels {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncMethod {
     /// Kernel relaunch per round with `cudaThreadSynchronize()` between
-    /// launches (Section 4.1). Here: spawn worker threads each round and
-    /// join them.
+    /// launches (Section 4.1). Here: one warm pool launch per round, the
+    /// next dispatched once every block finished the last.
     CpuExplicit,
     /// Kernel relaunch per round, launches pipelined (Section 4.2). Here:
-    /// persistent block threads synchronized through the driver rendezvous
-    /// barrier ([`CpuImplicitSync`], one mutex + condvar).
+    /// one pool launch whose blocks synchronize through a driver
+    /// rendezvous barrier (one mutex + condvar).
     CpuImplicit,
     /// One global mutex + `atomicAdd` + spin (Section 5.1).
     GpuSimple,
@@ -117,10 +117,10 @@ impl SyncMethod {
 
     /// Build the shared barrier state for a barrier-backed method under a
     /// fault policy: the device-side protocol ([`crate::program`]) run on
-    /// host atomics, or the CPU-implicit driver rendezvous
-    /// ([`CpuImplicitSync`], a condvar barrier).
+    /// host atomics, or the CPU-implicit driver rendezvous (a condvar
+    /// barrier).
     ///
-    /// Returns `None` for `CpuExplicit` (its "barrier" is the host's
+    /// Returns `None` for `CpuExplicit` (its "barrier" is the pool's
     /// per-round join, not a shared object), `NoSync`, and `Auto` (which
     /// resolves to a concrete method first).
     pub fn build_barrier_with(

@@ -196,7 +196,7 @@ impl Histogram {
 /// load followed by a `Relaxed` store — **no atomic read-modify-write**,
 /// keeping the telemetry plane off the coherence fast path. Cross-thread
 /// visibility comes from the launch's completion edge (the pool's result
-/// lock, the relaunch strategy's join), after which
+/// lock), after which
 /// [`BlockHistogram::snapshot`] reads are exact.
 #[derive(Debug)]
 pub struct BlockHistogram {

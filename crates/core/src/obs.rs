@@ -77,10 +77,8 @@ pub struct LaunchRecord {
     pub method: String,
     /// Why the launch failed; `None` for a success.
     pub error: Option<ExecError>,
-    /// Submit → stats latency. For pooled launches this is measured from
-    /// submission (so it includes queueing, and for a pool's launch 0 the
-    /// worker spawns); for a CPU-explicit launch it is the execution wall
-    /// clock.
+    /// Submit → stats latency, measured from submission (so it includes
+    /// queueing, and for a pool's launch 0 the worker spawns).
     pub wall: Duration,
     /// Launch overhead `t_O` (max per-block assembly time).
     pub launch: Duration,
@@ -88,11 +86,10 @@ pub struct LaunchRecord {
     pub compute: Duration,
     /// Total synchronization time summed across blocks.
     pub sync: Duration,
-    /// The pool's accounting when the launch ran on a persistent
-    /// [`crate::GridRuntime`] — the same value as
-    /// [`crate::KernelStats::pool`] — every launch but a CPU-explicit one,
-    /// cold launches included (launch 0 of a pool built for them); `None`
-    /// for a CPU-explicit launch.
+    /// The pool's accounting — the same value as
+    /// [`crate::KernelStats::pool`]: every launch runs on a
+    /// [`crate::GridRuntime`], cold launches included (launch 0 of a pool
+    /// built for them). `None` only on a record built by hand.
     pub pool: Option<PoolLaunchStats>,
     /// Workers replaced while settling this launch (abandon-and-replace).
     pub replacements: usize,

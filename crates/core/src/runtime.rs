@@ -1,5 +1,5 @@
 //! Persistent grid runtime: pooled per-block workers with pipelined
-//! launches — the one strategy that spawns threads for a persistent grid.
+//! launches — the one strategy that spawns block threads.
 //!
 //! A pool spawns one worker per block when its first launch is enqueued;
 //! every later launch is a *warm* dispatch through a launch queue, the
@@ -28,9 +28,13 @@
 //! `k+1` the moment it finished its part of launch `k`, without a global
 //! drain barrier in between. [`LaunchHandle::wait`] resolves one launch to
 //! its [`crate::KernelStats`]. This in-order pipelined consumption is
-//! exactly the paper's implicit-sync launch queue, which is why
-//! `CpuImplicit` runs pooled natively: its driver rendezvous
-//! ([`crate::CpuImplicitSync`]) is just another barrier to the engine.
+//! exactly the paper's implicit-sync launch queue.
+//!
+//! A launch is one log entry, except under `CpuExplicit`: one per round,
+//! sharing the launch's `LaunchSetup`. Whichever worker records the last
+//! result of round `r`'s entry appends round `r + 1`'s, so explicit never
+//! pipelines its own rounds; the waiting host bounds each round's join by
+//! the policy timeout (DESIGN.md §10).
 //!
 //! ## Fault semantics
 //!
@@ -55,7 +59,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::barrier::PoisonCause;
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
@@ -70,18 +74,18 @@ use crate::obs::Observer;
 use crate::stats::{BlockTimes, KernelStats};
 use crate::trace::TraceEventKind;
 
-/// Pool-side launch accounting attached to [`KernelStats::pool`] for runs
-/// executed by a [`GridRuntime`], and only those. The warm `t_O` itself is
-/// [`KernelStats::launch`] (dispatch → all workers assembled); this struct
-/// carries the queueing context around it.
+/// Pool-side launch accounting attached to [`KernelStats::pool`]. The warm
+/// `t_O` itself is [`KernelStats::launch`] (dispatch → all workers
+/// assembled); this struct carries the queueing context around it, for
+/// the launch's first log entry (one per round under `CpuExplicit`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolLaunchStats {
     /// Zero-based sequence number of this launch on its pool. Sequence 0
     /// is the cold launch: it spawns the workers, and its `launch` and
     /// `wall` include the spawns.
     pub launch_seq: u64,
-    /// Launches still pending ahead of this one at submit time (pipelining
-    /// depth).
+    /// Log entries still pending ahead of this one at submit time
+    /// (pipelining depth).
     pub queue_depth: usize,
     /// Submit → first worker picked the launch up. Nonzero queueing delay
     /// means the pool was still busy with earlier launches; zero for the
@@ -93,54 +97,73 @@ pub struct PoolLaunchStats {
 
 /// Completion state of one launch.
 struct LaunchDone {
-    /// Per-block result slots; a slot is written exactly once (worker or
-    /// host-side abandonment, whichever comes first).
-    results: Vec<Option<Result<BlockTimes, ExecError>>>,
+    /// Per block, its times summed over the entries it finished, or its
+    /// error. Taken by `wait_launch` once settled.
+    results: Vec<Result<BlockTimes, ExecError>>,
+    /// Who reported for the current entry (its worker, or host-side
+    /// abandonment, whichever came first), and how many did.
+    reported: Vec<bool>,
     finished: usize,
-    /// When the first failed block reported, starting the abandonment
+    /// The launch's last entry is over: `results` is final.
+    settled: bool,
+    /// The current entry's first round and log sequence number.
+    base: usize,
+    entry_seq: u64,
+    /// `CpuExplicit`: when the waiting host saw every worker enter the
+    /// current round (its join deadline starts there, as the gate's
+    /// does), and the join's timeout once it expired.
+    join_since: Option<Instant>,
+    join_timeout: Option<ExecError>,
+    /// When the first failure was observed, starting the abandonment
     /// grace clock.
     first_failure: Option<Instant>,
     /// Whether the launch's waiter is asleep on `done_cv` (written only
-    /// under this lock): `record_result` notifies only then.
+    /// under this lock): settling notifies only then.
     waiter_parked: bool,
 }
 
-/// One entry of the launch log: the engine's per-launch state
-/// ([`LaunchSetup`]: fresh barrier, recorder, abort) plus the pool's
-/// queueing and completion bookkeeping.
+/// One launch: the engine's per-launch state ([`LaunchSetup`]: fresh
+/// barrier, recorder, abort) plus the pool's queueing and completion
+/// bookkeeping, shared by the launch's log entries.
 struct Launch {
+    /// Log sequence number of the launch's first entry.
     seq: u64,
     kernel: KernelRef,
     setup: LaunchSetup,
     queue_depth: usize,
     submitted: Instant,
-    /// When the first worker picked this launch up (end of queueing);
+    /// When the first worker picked the first entry up (end of queueing);
     /// launch 0's submit instant, so its `t_O` covers the spawns.
     activated: OnceLock<Instant>,
     /// Assembly gate: workers check in and spin until all peers of *this
-    /// launch* exist, pinning the launch boundary — time before the gate
+    /// entry* exist, pinning the launch boundary — time before the gate
     /// opens is `t_O`, time after is round time, so round-0 sync does not
     /// absorb the stagger of late workers — with an abort escape, since a
     /// pinned peer may never arrive once the launch has failed, and (with a
     /// policy timeout) a deadline of its own, so a worker stuck *before*
     /// the gate surfaces as an assembly-phase failure instead of hanging
-    /// its peers (see [`StuckPhase::Assembly`]).
+    /// its peers (see [`StuckPhase::Assembly`]). It counts over all the
+    /// launch's entries: the one at round `base` opens at `n * (base + 1)`.
     gate: AtomicUsize,
-    /// How many workers have *entered* this launch's assembly phase
-    /// (picked it up off the log). The gate deadline only runs once this
-    /// reaches `n`: a worker still busy on an earlier pipelined launch is
-    /// late, not stuck, and abandoning *that* launch is what unblocks it.
+    /// How many workers have *entered* the launch's entries (picked one
+    /// up off the log), counted like `gate`. The gate deadline only runs
+    /// once every worker entered the current entry: a worker still busy
+    /// on an earlier pipelined launch is late, not stuck, and abandoning
+    /// *that* launch is what unblocks it.
     entered: AtomicUsize,
-    /// Which blocks have checked in at the gate — the assembly-phase
-    /// progress table, feeding assembly diagnostics the way the barrier's
-    /// arrival counts feed round diagnostics.
-    checked_in: Vec<AtomicBool>,
+    /// Per block, how many entries it has checked in at the gate for —
+    /// the assembly-phase progress table, feeding assembly diagnostics the
+    /// way the barrier's arrival counts feed round diagnostics.
+    checked_in: Vec<AtomicUsize>,
+    /// `CpuExplicit`: when each block's latest round body ended, in ns
+    /// since `submitted` — where its join to the next round starts.
+    arrived: Vec<AtomicU64>,
     done: Mutex<LaunchDone>,
     done_cv: Condvar,
-    /// Mirror of `LaunchDone::finished`, stored (`Release`) under the
+    /// Mirror of `LaunchDone::settled`, stored (`Release`) under the
     /// `done` lock so the waiter's spin phase, `is_done` and `queue_depth`
     /// read completion (`Acquire`) without it.
-    finished: AtomicUsize,
+    settled: AtomicBool,
     /// Set by `abandon`; workers step over an abandoned launch.
     abandoned: AtomicBool,
 }
@@ -148,68 +171,197 @@ struct Launch {
 impl Launch {
     fn is_done(&self) -> bool {
         // Acquire pairs with the Release store under the `done` lock: a
-        // reader that sees `n` also sees every block's result slot.
-        self.finished.load(Ordering::Acquire) >= self.setup.n
+        // reader that sees it also sees every block's result.
+        self.settled.load(Ordering::Acquire)
     }
 
-    /// Assembly-phase progress snapshot: 1 for blocks that checked in at
-    /// the gate, 0 for those that never assembled — the round-0 analogue
-    /// of the barrier's arrival table.
-    fn assembly_arrivals(&self) -> Vec<u64> {
-        self.checked_in
-            .iter()
-            .map(|c| u64::from(c.load(Ordering::Acquire)))
-            .collect()
+    /// Whether `block` checked in at the gate of the entry at `base`.
+    fn assembled(&self, block: usize, base: usize) -> bool {
+        self.checked_in[block].load(Ordering::Acquire) > base
+    }
+
+    /// The `barrier` of a diagnostic the pool synthesizes.
+    fn label(&self) -> String {
+        match self.setup.barrier.as_deref() {
+            Some(sh) => format!("pooled:{}", sh.name()),
+            None => format!("pooled:{}", self.setup.method),
+        }
     }
 
     /// Diagnostic for a block stuck waiting at (or never reaching) the
-    /// assembly gate, reported in [`StuckPhase::Assembly`] so it cannot
-    /// masquerade as a round-0 body fault.
-    fn assembly_diagnostic(&self, waiting_block: usize, timeout: Duration) -> Box<StuckDiagnostic> {
-        let arrivals = self.assembly_arrivals();
+    /// gate of entry `seq` (first round `base`), reported in
+    /// [`StuckPhase::Assembly`] so it cannot masquerade as a round-0 body
+    /// fault; its progress table is 1 for blocks that checked in.
+    fn assembly_diagnostic(
+        &self,
+        seq: u64,
+        base: usize,
+        waiting_block: usize,
+        timeout: Duration,
+    ) -> Box<StuckDiagnostic> {
+        let n = self.setup.n;
         Box::new(StuckDiagnostic {
-            barrier: self
-                .setup
-                .barrier
-                .as_deref()
-                .map_or("pooled:no-sync".to_string(), |sh| {
-                    format!("pooled:{}", sh.name())
-                }),
+            barrier: self.label(),
             waiting_block,
             round: 0,
-            flag: format!("launch {} assembly gate", self.seq),
+            flag: format!("launch {seq} assembly gate"),
             timeout,
-            departures: vec![0; self.setup.n],
-            arrivals,
+            departures: vec![0; n],
+            arrivals: (0..n).map(|b| u64::from(self.assembled(b, base))).collect(),
             recent_events: Vec::new(),
             phase: StuckPhase::Assembly,
         })
     }
 
-    /// Store `res` for `block` unless the slot was already filled (e.g. by
-    /// host-side abandonment racing a late worker), or the launch was
-    /// already settled entirely (`wait_launch` takes the results vector
-    /// once finished — a replaced worker waking from a stall may report
-    /// long after; its report is dropped, never an index panic).
-    fn record_result(&self, block: usize, res: Result<BlockTimes, ExecError>) {
+    /// `CpuExplicit`: `block`'s body of `round` ended at `at`.
+    fn arrive(&self, block: usize, round: usize, at: Instant) {
+        let ns = at.saturating_duration_since(self.submitted).as_nanos();
+        // Relaxed: read back by this worker at the next round, and by the
+        // host only after the `done` lock that `record_result` releases.
+        self.arrived[block].store(ns as u64, Ordering::Relaxed);
+        if let Some(rec) = self.setup.recorder.as_deref() {
+            let since = at.saturating_duration_since(rec.epoch());
+            rec.record_at(block, round, TraceEventKind::BarrierArrive, since);
+        }
+    }
+
+    /// `CpuExplicit`: `block`'s join after `round` ended at `until`.
+    /// Returns the join's span, the round's `sync`, traced like a wait.
+    fn depart(&self, block: usize, round: usize, until: Instant) -> Duration {
+        let arrived =
+            self.submitted + Duration::from_nanos(self.arrived[block].load(Ordering::Relaxed));
+        let span = until.saturating_duration_since(arrived);
+        if let Some(rec) = self.setup.recorder.as_deref() {
+            let since = until.saturating_duration_since(rec.epoch());
+            rec.record_at(block, round, TraceEventKind::BarrierDepart, since);
+            if rec.sampled(round) {
+                rec.record_sync(block, span.as_nanos() as u64);
+            }
+        }
+        span
+    }
+
+    /// Store `res` as `block`'s report for the current entry unless it
+    /// already has one (host-side abandonment racing a late worker) or the
+    /// launch settled (a replaced worker waking from a stall may report
+    /// long after; its report is dropped). The last report ends the entry.
+    fn record_result(
+        self: &Arc<Self>,
+        shared: &Shared,
+        block: usize,
+        res: Result<BlockTimes, ExecError>,
+    ) {
         let mut g = self.done.lock();
-        match g.results.get(block) {
-            None | Some(Some(_)) => return,
-            Some(None) => {}
+        if g.settled || g.reported[block] {
+            return;
         }
-        if res.is_err() {
-            g.first_failure.get_or_insert_with(Instant::now);
-            self.setup.abort.abort();
-        }
-        g.results[block] = Some(res);
+        g.reported[block] = true;
         g.finished += 1;
-        self.finished.store(g.finished, Ordering::Release);
+        match res {
+            Ok(t) => {
+                if let Ok(sum) = &mut g.results[block] {
+                    sum.launch += t.launch;
+                    sum.compute += t.compute;
+                    sum.sync += t.sync;
+                }
+            }
+            Err(e) => {
+                g.first_failure.get_or_insert_with(Instant::now);
+                self.setup.abort.abort();
+                g.results[block] = Err(e);
+            }
+        }
+        if g.finished < self.setup.n || !self.end_entry(shared, &mut g) {
+            return;
+        }
         let wake = g.waiter_parked;
         drop(g);
         if wake {
             self.done_cv.notify_all();
         }
     }
+
+    /// Every block reported for the current entry: publish the next
+    /// round's (`CpuExplicit`, while rounds remain and nothing failed) or
+    /// settle the launch, returning whether it settled. Lock order:
+    /// `done`, then the pool's state.
+    fn end_entry(self: &Arc<Self>, shared: &Shared, g: &mut LaunchDone) -> bool {
+        let next = g.base + 1;
+        if self.setup.per_round() && next < self.setup.rounds && g.first_failure.is_none() {
+            g.base = next;
+            g.reported.fill(false);
+            g.finished = 0;
+            g.join_since = None;
+            let st = shared.state.lock();
+            g.entry_seq = st.next_seq;
+            shared.push(st, Arc::clone(self), next);
+            return false;
+        }
+        g.settled = true;
+        self.settled.store(true, Ordering::Release);
+        true
+    }
+
+    /// `CpuExplicit`, by the waiting host: once every worker entered the
+    /// current round, time its join; on expiry raise abort and record the
+    /// timeout, naming the blocks that have not reported (or, if one never
+    /// checked in at the gate, the assembly phase). Returns how long the
+    /// host may sleep.
+    fn watch_join(&self, g: &mut LaunchDone, timeout: Duration) -> Duration {
+        let r = g.base;
+        if g.join_timeout.is_some() || self.entered.load(Ordering::Acquire) < self.setup.n * (r + 1)
+        {
+            return timeout;
+        }
+        let since = *g.join_since.get_or_insert_with(Instant::now);
+        let left = timeout.saturating_sub(since.elapsed());
+        if !left.is_zero() {
+            return left;
+        }
+        let diagnostic = match (0..self.setup.n).find(|&b| !self.assembled(b, r)) {
+            Some(b) => self.assembly_diagnostic(g.entry_seq, r, b, timeout),
+            None => {
+                let (arrivals, departures) = join_progress(g);
+                let waiting_block = arrivals.iter().position(|&a| a > r as u64).unwrap_or(0);
+                let straggler = arrivals
+                    .iter()
+                    .position(|&a| a <= r as u64)
+                    .unwrap_or(waiting_block);
+                Box::new(StuckDiagnostic {
+                    barrier: self.setup.method.to_string(),
+                    waiting_block,
+                    round: r,
+                    flag: format!("join of round {r}"),
+                    timeout,
+                    arrivals,
+                    departures,
+                    recent_events: self.setup.recorder.as_deref().map_or_else(Vec::new, |rec| {
+                        rec.tail(straggler, 8)
+                            .iter()
+                            .map(|e| e.to_string())
+                            .collect()
+                    }),
+                    phase: StuckPhase::Barrier,
+                })
+            }
+        };
+        g.join_timeout = Some(ExecError::BarrierTimeout { diagnostic });
+        g.first_failure.get_or_insert_with(Instant::now);
+        self.setup.abort.abort();
+        timeout
+    }
+}
+
+/// The progress table of a launch without a barrier: a block has entered
+/// the current entry's rounds, and finished them if it reported.
+fn join_progress(g: &LaunchDone) -> (Vec<u64>, Vec<u64>) {
+    let arrivals: Vec<u64> = g
+        .reported
+        .iter()
+        .map(|&done| g.base as u64 + u64::from(done))
+        .collect();
+    let departures = arrivals.iter().map(|a| a.saturating_sub(1)).collect();
+    (arrivals, departures)
 }
 
 /// Shared pool state.
@@ -232,10 +384,29 @@ struct Shared {
     shard_label: Mutex<Option<String>>,
 }
 
+impl Shared {
+    /// Append the entry running `launch` from round `base` to the log,
+    /// publish it, release the lock and wake the parked workers.
+    fn push(&self, mut st: MutexGuard<'_, PoolState>, launch: Arc<Launch>, base: usize) {
+        st.queue.push_back((launch, base));
+        st.next_seq += 1;
+        self.next_seq.store(st.next_seq, Ordering::Release);
+        // Read after publishing, under the lock a worker holds from its
+        // last check of `next_seq` until it is inside `cv.wait`: zero
+        // means nobody can miss this entry, so the wake is skipped.
+        let wake = st.parked > 0;
+        drop(st);
+        if wake {
+            self.cv.notify_all();
+        }
+    }
+}
+
 struct PoolState {
-    /// Launch log: `queue[i]` has sequence `first_seq + i`. Entries are
-    /// pruned once every worker's cursor has passed them.
-    queue: VecDeque<Arc<Launch>>,
+    /// Launch log: `queue[i]` is the entry with sequence `first_seq + i`,
+    /// a launch and the first round it runs. Entries are pruned once every
+    /// worker's cursor has passed them.
+    queue: VecDeque<(Arc<Launch>, usize)>,
     first_seq: u64,
     next_seq: u64,
     /// Per-block worker generation; bumping it retires the incumbent
@@ -250,6 +421,7 @@ struct PoolState {
     parked: usize,
 }
 
+/// The only code that spawns a block thread.
 fn spawn_worker(shared: Arc<Shared>, block: usize, gen: u64, cursor: u64) {
     let builder = std::thread::Builder::new().name(format!("blocksync-pool-{block}"));
     builder
@@ -263,15 +435,15 @@ fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
         // the lock; shutdown and the generation are read only under it, so
         // a drop or a replacement is noticed one spin bound later at most.
         spin_then_yield(|| shared.next_seq.load(Ordering::Acquire) > cursor);
-        let launch = {
+        let (launch, base) = {
             let mut st = shared.state.lock();
             loop {
                 if st.shutdown || st.gens[block] != gen {
                     return;
                 }
                 if cursor < st.next_seq {
-                    let idx = (cursor - st.first_seq) as usize;
-                    break Arc::clone(&st.queue[idx]);
+                    let (launch, base) = &st.queue[(cursor - st.first_seq) as usize];
+                    break (Arc::clone(launch), *base);
                 }
                 st.parked += 1;
                 shared.cv.wait(&mut st);
@@ -283,7 +455,7 @@ fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
         // Release in `abandon`; a worker that misses the flag fails fast
         // on the poisoned barrier and its late report is dropped.
         if !launch.abandoned.load(Ordering::Acquire) {
-            run_launch(&launch, block);
+            run_launch(shared, &launch, cursor, base, block);
         }
         cursor += 1;
         let mut st = shared.state.lock();
@@ -299,24 +471,27 @@ fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
     }
 }
 
-/// Execute one launch for `block`: stamp the activation, fire any
-/// scheduled assembly-phase fault, assemble at the gate, then hand off to
-/// the engine's shared [`drive_block`] round loop — the pooled strategy
-/// contributes only the `t_O` accounting and the assembly phase here.
-fn run_launch(launch: &Arc<Launch>, block: usize) {
+/// Execute log entry `seq` — `launch` from round `base` — for `block`:
+/// stamp the activation, fire any scheduled assembly-phase fault (first
+/// entry only), assemble at the gate, then hand off to the engine's shared
+/// [`drive_block`] round loop — the pooled strategy contributes only the
+/// `t_O` accounting, the assembly phase and `CpuExplicit`'s join here.
+fn run_launch(shared: &Shared, launch: &Arc<Launch>, seq: u64, base: usize, block: usize) {
     // Alive for this whole function: an owned kernel by the launch log's
     // `Arc`, a borrowed one because the borrowing call (`GridRuntime::run`,
     // `LaunchPlan::run`) is still blocked on this worker's `record_result`
     // below (see `KernelRef::borrowed`).
     let kernel = launch.kernel.get();
-    let base = *launch.activated.get_or_init(Instant::now);
+    let setup = &launch.setup;
+    let n = setup.n;
+    let dispatched = (base == 0).then(|| *launch.activated.get_or_init(Instant::now));
     launch.entered.fetch_add(1, Ordering::AcqRel);
     // Scheduled assembly-phase fault: misbehave *before* checking in at
     // the gate, so peers observe this block as never-assembled.
-    if let Some(f) = launch
-        .setup
+    if let Some(f) = setup
         .faults
         .as_deref()
+        .filter(|_| base == 0)
         .and_then(|s| s.fault_at(block, 0, FaultPhase::Assembly))
     {
         match f.kind {
@@ -324,11 +499,12 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
                 // A worker thread must not unwind, so an assembly "panic"
                 // is reported directly: poison + abort so peers drain,
                 // and the origin error names the assembly site.
-                if let Some(sh) = launch.setup.barrier.as_deref() {
+                if let Some(sh) = setup.barrier.as_deref() {
                     sh.poison(block, 0, PoisonCause::Panic);
                 }
-                launch.setup.abort.abort();
+                setup.abort.abort();
                 launch.record_result(
+                    shared,
                     block,
                     Err(ExecError::BlockPanicked {
                         block,
@@ -344,30 +520,30 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
                 // deadline fails the launch (or the backstop trips), then
                 // report this block's own Assembly-phase origin error —
                 // never checking in, so peers see it as never-assembled.
-                let backstop = effective_backstop(&launch.setup.policy);
+                let backstop = effective_backstop(&setup.policy);
                 let start = Instant::now();
                 let poisoned = || {
-                    launch
-                        .setup
+                    setup
                         .barrier
                         .as_deref()
                         .is_some_and(|sh| sh.control().poisoned().is_some())
                 };
-                while !launch.setup.abort.is_aborted() && !poisoned() {
+                while !setup.abort.is_aborted() && !poisoned() {
                     if start.elapsed() >= backstop {
-                        if let Some(sh) = launch.setup.barrier.as_deref() {
+                        if let Some(sh) = setup.barrier.as_deref() {
                             sh.poison(block, 0, PoisonCause::Timeout);
                         }
-                        launch.setup.abort.abort();
+                        setup.abort.abort();
                         break;
                     }
                     std::thread::sleep(Duration::from_micros(200));
                 }
-                let timeout = launch.setup.policy.timeout.unwrap_or_default();
+                let timeout = setup.policy.timeout.unwrap_or_default();
                 launch.record_result(
+                    shared,
                     block,
                     Err(ExecError::BarrierTimeout {
-                        diagnostic: launch.assembly_diagnostic(block, timeout),
+                        diagnostic: launch.assembly_diagnostic(seq, base, block, timeout),
                     }),
                 );
                 return;
@@ -378,26 +554,25 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
     // launch don't spin forever waiting for a worker that will never
     // come, and — with a policy timeout — a deadline that converts a
     // peer stuck *before* the gate into an assembly-phase failure.
-    launch.checked_in[block].store(true, Ordering::Release);
+    let opens_at = n * (base + 1);
+    launch.checked_in[block].store(base + 1, Ordering::Release);
     launch.gate.fetch_add(1, Ordering::AcqRel);
-    let n = launch.setup.n;
     let mut stuck_since: Option<Instant> = None;
     let mut polls = 0u32;
-    while launch.gate.load(Ordering::Acquire) < n {
-        if launch.setup.abort.is_aborted() {
+    while launch.gate.load(Ordering::Acquire) < opens_at {
+        if setup.abort.is_aborted() {
             break;
         }
-        match launch.setup.policy.timeout {
+        match setup.policy.timeout {
             // The deadline only runs while every worker has entered this
-            // launch's assembly phase: a peer still draining an earlier
+            // entry's assembly phase: a peer still draining an earlier
             // pipelined launch is late, not stuck, and replacing *that*
             // launch's straggler (via its handle's abandonment) is what
             // frees it — failing this launch would be a false positive.
-            Some(timeout) if launch.entered.load(Ordering::Acquire) >= n => {
+            Some(timeout) if launch.entered.load(Ordering::Acquire) >= opens_at => {
                 let since = *stuck_since.get_or_insert_with(Instant::now);
                 if since.elapsed() >= timeout {
-                    let stuck = (0..n).find(|&b| !launch.checked_in[b].load(Ordering::Acquire));
-                    let Some(stuck) = stuck else {
+                    let Some(stuck) = (0..n).find(|&b| !launch.assembled(b, base)) else {
                         continue; // everyone checked in; the gate is about to open
                     };
                     // Poison + abort only: this observer (and every peer)
@@ -407,10 +582,10 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
                     // synthesizes the Assembly-phase origin error and
                     // replaces its worker — one self-heal path for stuck
                     // assembly and stuck rounds alike.
-                    if let Some(sh) = launch.setup.barrier.as_deref() {
+                    if let Some(sh) = setup.barrier.as_deref() {
                         sh.poison(stuck, 0, PoisonCause::Timeout);
                     }
-                    launch.setup.abort.abort();
+                    setup.abort.abort();
                     break;
                 }
             }
@@ -418,17 +593,27 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
         }
         gate_backoff(&mut polls);
     }
+    let start = Instant::now();
     let mut t = BlockTimes {
         // t_O: dispatch (first pickup; launch 0's submit) -> this worker
-        // assembled.
-        launch: Instant::now().saturating_duration_since(base),
+        // assembled, for the launch's first entry only.
+        launch: dispatched.map_or(Duration::ZERO, |at| start.saturating_duration_since(at)),
         ..BlockTimes::default()
     };
-    if let Some(rec) = launch.setup.recorder.as_deref() {
-        rec.record(block, 0, TraceEventKind::Launch);
+    if let Some(rec) = setup.recorder.as_deref() {
+        rec.record(block, base, TraceEventKind::Launch);
     }
-    let res = drive_block(&launch.setup, kernel, block, &mut t).map(|()| t);
-    launch.record_result(block, res);
+    if base > 0 {
+        // `CpuExplicit`'s join since the last round's body: the relaunch
+        // and the wait for the slowest block.
+        t.sync = launch.depart(block, base - 1, start);
+    }
+    let end = base + if setup.per_round() { 1 } else { setup.rounds };
+    let res = drive_block(setup, kernel, block, base..end.min(setup.rounds), &mut t);
+    if res.is_ok() && setup.per_round() && base < setup.rounds {
+        launch.arrive(block, base, Instant::now());
+    }
+    launch.record_result(shared, block, res.map(|()| t));
 }
 
 /// A pending pooled launch; resolves to the launch's [`KernelStats`].
@@ -436,6 +621,7 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
 /// Handles should be waited in submission order when pipelining — workers
 /// consume the launch log in order, so an abandoned early launch is only
 /// detected (and its stuck worker replaced) by waiting on *its* handle.
+/// A dropped handle's launch still runs to completion.
 #[must_use = "a LaunchHandle does nothing until waited"]
 pub struct LaunchHandle {
     shared: Arc<Shared>,
@@ -443,7 +629,7 @@ pub struct LaunchHandle {
 }
 
 impl LaunchHandle {
-    /// This launch's pool sequence number.
+    /// The pool sequence number of this launch's first log entry.
     pub fn seq(&self) -> u64 {
         self.launch.seq
     }
@@ -475,42 +661,63 @@ fn wait_launch(
     launch: &Arc<Launch>,
     allow_abandon: bool,
 ) -> Result<KernelStats, ExecError> {
-    let n = launch.setup.n;
+    let setup = &launch.setup;
     let mut replaced: Vec<usize> = Vec::new();
-    let results: Vec<Result<BlockTimes, ExecError>> = {
-        // Warm handoff, caller side: poll the completion mirror, then
-        // park on `done_cv` for whatever the bound did not cover.
-        spin_then_yield(|| launch.is_done());
-        let mut g = launch.done.lock();
-        while g.finished < n {
-            g.waiter_parked = true;
-            match launch.setup.policy.timeout.filter(|_| allow_abandon) {
-                None => launch.done_cv.wait(&mut g),
-                Some(timeout) => {
-                    // Grace past the first observed failure before the
-                    // launch is abandoned.
-                    let grace = launch.setup.policy.abandon_grace();
-                    let tick = grace.min(Duration::from_millis(20));
-                    let _ = launch.done_cv.wait_for(&mut g, tick);
-                    if g.finished >= n {
-                        break;
-                    }
-                    if let Some(first) = g.first_failure {
-                        if first.elapsed() > grace {
-                            abandon(launch, &mut g, timeout, &mut replaced);
-                            break;
-                        }
-                    }
-                }
+    // Warm handoff, caller side: poll the completion mirror, then park on
+    // `done_cv` for whatever the bound did not cover.
+    spin_then_yield(|| launch.is_done());
+    let mut g = launch.done.lock();
+    while !g.settled {
+        g.waiter_parked = true;
+        // The host watches a clock only with a timeout, and then only for
+        // `CpuExplicit`'s join or an owned launch's abandonment.
+        let timeout = setup
+            .policy
+            .timeout
+            .filter(|_| allow_abandon || setup.per_round());
+        let Some(timeout) = timeout else {
+            launch.done_cv.wait(&mut g);
+            continue;
+        };
+        // Grace past the first observed failure before the launch is
+        // abandoned.
+        let grace = setup.policy.abandon_grace();
+        let mut tick = grace.min(Duration::from_millis(20));
+        if setup.per_round() {
+            tick = tick.min(launch.watch_join(&mut g, timeout));
+        }
+        let _ = launch.done_cv.wait_for(&mut g, tick);
+        if g.settled {
+            break;
+        }
+        if let Some(first) = g.first_failure.filter(|_| allow_abandon) {
+            if first.elapsed() > grace {
+                abandon(shared, launch, &mut g, timeout, &mut replaced);
+                break;
             }
         }
-        std::mem::take(&mut g.results)
-            .into_iter()
-            .map(|r| r.expect("every slot is filled once finished == n"))
-            .collect()
-    };
+    }
+    let observed = Instant::now();
+    let mut merged = collect_block_results(std::mem::take(&mut g.results));
+    if let Some(e) = g.join_timeout.take() {
+        // A block's own panic is the root cause; any other error came from
+        // a straggler the host had already given up on.
+        if !matches!(merged, Err(ExecError::BlockPanicked { .. })) {
+            merged = Err(e);
+        }
+    }
+    let entry_seq = g.entry_seq;
+    drop(g);
     if !replaced.is_empty() {
-        replace_workers(shared, &replaced, launch.seq);
+        replace_workers(shared, &replaced, entry_seq);
+    }
+    if let Ok(per_block) = &mut merged {
+        if setup.per_round() && setup.rounds > 0 {
+            // The last round's join ends when the host observes it.
+            for (b, t) in per_block.iter_mut().enumerate() {
+                t.sync += launch.depart(b, setup.rounds - 1, observed);
+            }
+        }
     }
     let wall = launch.submitted.elapsed();
     let activated = *launch.activated.get().unwrap_or(&launch.submitted);
@@ -520,10 +727,7 @@ fn wait_launch(
         queued: activated.saturating_duration_since(launch.submitted),
         cold: launch.seq == 0,
     };
-    let (result, mut record) =
-        launch
-            .setup
-            .finish(collect_block_results(results), wall, Some(pool));
+    let (result, mut record) = setup.finish(merged, wall, pool);
     let obs = &shared.plan.obs;
     if obs.is_enabled() {
         record.replacements = replaced.len();
@@ -533,20 +737,27 @@ fn wait_launch(
     result
 }
 
-/// Give up on the blocks that never reported: synthesize their timeout
-/// diagnostics, poison the launch so stragglers that eventually wake fail
-/// fast, and note them for worker replacement. Poisoning goes through the
+/// Give up on the blocks that never reported for the current entry:
+/// synthesize their timeout diagnostics, poison the launch so stragglers
+/// that eventually wake fail fast, note them for worker replacement, and
+/// settle the launch. Poisoning goes through the
 /// [`crate::BarrierShared::poison`] hook so barriers whose waiters sleep
 /// (the CPU-implicit condvar rendezvous) are woken, not just flagged.
-fn abandon(launch: &Launch, g: &mut LaunchDone, timeout: Duration, replaced: &mut Vec<usize>) {
+fn abandon(
+    shared: &Shared,
+    launch: &Arc<Launch>,
+    g: &mut LaunchDone,
+    timeout: Duration,
+    replaced: &mut Vec<usize>,
+) {
     launch.abandoned.store(true, Ordering::Release);
     launch.setup.abort.abort();
     let (arrivals, departures) = match launch.setup.barrier.as_deref() {
         Some(sh) => sh.control().progress(),
-        None => (vec![0; launch.setup.n], vec![0; launch.setup.n]),
+        None => join_progress(g),
     };
     for b in 0..launch.setup.n {
-        if g.results[b].is_some() {
+        if g.reported[b] {
             continue;
         }
         let round = arrivals.get(b).copied().unwrap_or(0) as usize;
@@ -557,19 +768,12 @@ fn abandon(launch: &Launch, g: &mut LaunchDone, timeout: Duration, replaced: &mu
         // stuck *before* round 0 — report the assembly phase (with the
         // gate's check-in bits as its progress table) so the diagnostic
         // does not masquerade as a round-0 body fault.
-        let assembled = launch.checked_in[b].load(Ordering::Acquire);
-        let diagnostic = if assembled {
+        let diagnostic = if launch.assembled(b, g.base) {
             Box::new(StuckDiagnostic {
-                barrier: launch
-                    .setup
-                    .barrier
-                    .as_deref()
-                    .map_or("pooled:no-sync".to_string(), |sh| {
-                        format!("pooled:{}", sh.name())
-                    }),
+                barrier: launch.label(),
                 waiting_block: b,
                 round,
-                flag: format!("launch {} abandoned; worker replaced", launch.seq),
+                flag: format!("launch {} abandoned; worker replaced", g.entry_seq),
                 timeout,
                 arrivals: arrivals.clone(),
                 departures: departures.clone(),
@@ -582,22 +786,23 @@ fn abandon(launch: &Launch, g: &mut LaunchDone, timeout: Duration, replaced: &mu
                 phase: StuckPhase::Barrier,
             })
         } else {
-            let mut d = launch.assembly_diagnostic(b, timeout);
+            let mut d = launch.assembly_diagnostic(g.entry_seq, g.base, b, timeout);
             d.flag = format!(
                 "launch {} abandoned in assembly; worker replaced",
-                launch.seq
+                g.entry_seq
             );
             d
         };
-        g.results[b] = Some(Err(ExecError::BarrierTimeout { diagnostic }));
-        g.finished += 1;
+        g.results[b] = Err(ExecError::BarrierTimeout { diagnostic });
+        g.reported[b] = true;
         replaced.push(b);
     }
-    launch.finished.store(g.finished, Ordering::Release);
+    g.finished = launch.setup.n;
+    launch.end_entry(shared, g);
 }
 
 /// Retire the stuck workers and spawn fresh ones starting after the
-/// abandoned launch (its results were already synthesized).
+/// abandoned entry (its results were already synthesized).
 fn replace_workers(shared: &Arc<Shared>, blocks: &[usize], after_seq: u64) {
     let mut st = shared.state.lock();
     if st.shutdown {
@@ -630,22 +835,20 @@ impl std::fmt::Debug for GridRuntime {
 }
 
 impl GridRuntime {
-    /// Whether `method` can run on a persistent pool. Everything can
-    /// except `CpuExplicit` — whose whole point is relaunching from the
-    /// host every round — and `Auto`, which must resolve to a concrete
-    /// method first. `CpuImplicit` pools natively: the launch log's
-    /// in-order pipelined consumption *is* implicit sync, with the driver
-    /// rendezvous as its barrier.
-    pub fn supports(method: SyncMethod) -> bool {
-        !matches!(method, SyncMethod::CpuExplicit | SyncMethod::Auto)
+    // Shim for the frozen benchmark only: every method pools now. Caller:
+    // perf/src/workloads.rs (199); the next `benchmark` PR drops that call
+    // and deletes this.
+    #[doc(hidden)]
+    pub fn supports(_method: SyncMethod) -> bool {
+        true
     }
 
     /// Build the pool. Its workers, one per block, are spawned by its
-    /// first launch, whose stats include that cost.
+    /// first launch, whose stats include that cost. [`SyncMethod::Auto`]
+    /// resolves here, as in [`LaunchPlan::compile`].
     ///
     /// # Errors
-    /// [`ExecError::Device`] for an invalid grid shape;
-    /// [`ExecError::RuntimeUnsupported`] for `CpuExplicit` or `Auto`.
+    /// [`ExecError::Device`] for an invalid grid shape.
     pub fn new(cfg: GridConfig, method: SyncMethod) -> Result<GridRuntime, ExecError> {
         Self::new_with_observer(cfg, method, Observer::new())
     }
@@ -662,18 +865,12 @@ impl GridRuntime {
         method: SyncMethod,
         obs: Arc<Observer>,
     ) -> Result<GridRuntime, ExecError> {
-        if !Self::supports(method) {
-            return Err(ExecError::RuntimeUnsupported {
-                method: method.to_string(),
-            });
-        }
         let mut plan = LaunchPlan::compile(cfg, method)?;
         plan.obs = obs;
         Ok(Self::from_plan(plan))
     }
 
-    /// A pool for `plan`, which must not be `CpuExplicit`; [`LaunchPlan`]
-    /// builds one per cold launch.
+    /// A pool for `plan`; [`LaunchPlan`] builds one per cold launch.
     pub(crate) fn from_plan(plan: LaunchPlan) -> GridRuntime {
         let n = plan.config().n_blocks;
         GridRuntime {
@@ -719,7 +916,7 @@ impl GridRuntime {
         self.shared.plan.config()
     }
 
-    /// The pool's synchronization method.
+    /// The pool's synchronization method (never `Auto`: the resolved one).
     pub fn method(&self) -> SyncMethod {
         self.shared.plan.method()
     }
@@ -730,7 +927,16 @@ impl GridRuntime {
     /// launch's results.
     pub fn queue_depth(&self) -> usize {
         let st = self.shared.state.lock();
-        st.queue.iter().filter(|l| !l.is_done()).count()
+        // A `CpuExplicit` launch may hold several entries of the log.
+        let mut pending: Vec<*const Launch> = st
+            .queue
+            .iter()
+            .filter(|(l, _)| !l.is_done())
+            .map(|(l, _)| Arc::as_ptr(l))
+            .collect();
+        pending.sort_unstable();
+        pending.dedup();
+        pending.len()
     }
 
     /// Workers currently asleep on the pool's condvar (diagnostic, like
@@ -741,7 +947,8 @@ impl GridRuntime {
         self.shared.state.lock().parked
     }
 
-    /// Total launches submitted to this pool.
+    /// Log entries appended to this pool: one per launch, one per round
+    /// under `CpuExplicit`.
     pub fn launches(&self) -> u64 {
         self.shared.state.lock().next_seq
     }
@@ -761,9 +968,8 @@ impl GridRuntime {
     /// launch.
     ///
     /// # Errors
-    /// None: a pool accepts only methods that build their barrier for any
-    /// valid grid, so a launch's failures all surface from
-    /// [`LaunchHandle::wait`].
+    /// None: every method builds its barrier for any valid grid, so a
+    /// launch's failures all surface from [`LaunchHandle::wait`].
     pub fn submit<K: RoundKernel + Send + Sync + 'static>(
         &self,
         kernel: Arc<K>,
@@ -800,7 +1006,8 @@ impl GridRuntime {
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
         // SAFETY: `launch` waits a borrowed kernel's launch out without
         // abandoning it: it does not return until every worker recorded its
-        // result, and a worker is done with the kernel once it has.
+        // result for the launch's last entry, and a worker is done with the
+        // kernel once it has.
         self.launch(unsafe { KernelRef::borrowed(kernel) })
     }
 
@@ -812,11 +1019,13 @@ impl GridRuntime {
         wait_launch(&self.shared, &self.enqueue(kernel), allow_abandon)
     }
 
-    /// Stamp out the launch (running the kernel's `on_launch`), publish it
-    /// to the log, and wake or — for launch 0 — spawn the workers.
+    /// Stamp out the launch (running the kernel's `on_launch`), publish its
+    /// first entry to the log, and wake or — for launch 0 — spawn the
+    /// workers.
     fn enqueue(&self, kernel: KernelRef) -> Arc<Launch> {
         let setup = self.shared.plan.setup(kernel.get());
-        let mut st = self.shared.state.lock();
+        let n = setup.n;
+        let st = self.shared.state.lock();
         let seq = st.next_seq;
         let min = st.cursors.iter().copied().min().unwrap_or(seq);
         let submitted = Instant::now();
@@ -834,32 +1043,34 @@ impl GridRuntime {
             },
             gate: AtomicUsize::new(0),
             entered: AtomicUsize::new(0),
-            checked_in: (0..setup.n).map(|_| AtomicBool::new(false)).collect(),
+            checked_in: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            arrived: if setup.per_round() {
+                (0..n).map(|_| AtomicU64::new(0)).collect()
+            } else {
+                Vec::new()
+            },
             done: Mutex::new(LaunchDone {
-                results: vec![None; setup.n],
+                results: vec![Ok(BlockTimes::default()); n],
+                reported: vec![false; n],
                 finished: 0,
+                settled: false,
+                base: 0,
+                entry_seq: seq,
+                join_since: None,
+                join_timeout: None,
                 first_failure: None,
                 waiter_parked: false,
             }),
             done_cv: Condvar::new(),
-            finished: AtomicUsize::new(0),
+            settled: AtomicBool::new(false),
             abandoned: AtomicBool::new(false),
             setup,
         });
-        st.queue.push_back(Arc::clone(&launch));
-        st.next_seq += 1;
-        self.shared.next_seq.store(st.next_seq, Ordering::Release);
-        // Read after publishing, under the lock a worker holds from its
-        // last check of `next_seq` until it is inside `cv.wait`: zero
-        // means nobody can miss this entry, so the wake is skipped.
-        let wake = st.parked > 0;
-        drop(st);
+        self.shared.push(st, Arc::clone(&launch), 0);
         if seq == 0 {
-            for b in 0..launch.setup.n {
+            for b in 0..n {
                 spawn_worker(Arc::clone(&self.shared), b, 0, 0);
             }
-        } else if wake {
-            self.shared.cv.notify_all();
         }
         launch
     }
@@ -869,9 +1080,10 @@ impl Drop for GridRuntime {
     /// Signal shutdown; workers exit at their next dispatch point, and a
     /// worker still polling the log leaves at once: the mirror moves past
     /// every cursor, so its poll succeeds and it finds `shutdown` under the
-    /// lock. Workers stuck in non-cooperative kernel code are leaked rather
-    /// than joined (they hold only `Arc`s, so this is safe) — the same
-    /// trade the abandon path makes.
+    /// lock. Entries no worker picked up by then never run. Workers stuck
+    /// in non-cooperative kernel code are leaked rather than joined (they
+    /// hold only `Arc`s, so this is safe) — the same trade the abandon
+    /// path makes.
     fn drop(&mut self) {
         self.shared.state.lock().shutdown = true;
         self.shared.next_seq.store(u64::MAX, Ordering::Release);
@@ -922,16 +1134,41 @@ mod tests {
         }))
     }
 
+    /// Every method pools, `Auto` included: it resolves at construction,
+    /// as a cold plan's does.
     #[test]
-    fn rejects_cpu_explicit_and_auto_but_pools_cpu_implicit() {
-        for m in [SyncMethod::CpuExplicit, SyncMethod::Auto] {
-            assert!(!GridRuntime::supports(m));
-            let err = GridRuntime::new(GridConfig::new(2, 64), m).unwrap_err();
-            assert!(matches!(err, ExecError::RuntimeUnsupported { .. }), "{err}");
+    fn every_method_pools() {
+        let all = SyncMethod::PAPER_METHODS
+            .into_iter()
+            .chain(SyncMethod::EXTENSION_METHODS)
+            .chain([SyncMethod::NoSync, SyncMethod::Auto]);
+        for m in all {
+            let rt = GridRuntime::new(GridConfig::new(3, 8), m).unwrap();
+            assert_ne!(rt.method(), SyncMethod::Auto);
+            let kernel = CountKernel {
+                slots: GlobalBuffer::new(3),
+                rounds: 4,
+            };
+            let stats = rt.run(&kernel).unwrap();
+            assert!(kernel.slots.to_vec().iter().all(|&v| v == 4), "{m}");
+            assert_eq!(stats.auto.is_some(), m == SyncMethod::Auto, "{m}");
         }
-        assert!(GridRuntime::supports(SyncMethod::CpuImplicit));
-        assert!(GridRuntime::supports(SyncMethod::NoSync));
-        assert!(GridRuntime::supports(SyncMethod::GpuLockFree));
+    }
+
+    #[test]
+    fn dropped_cpu_explicit_handle_still_runs_every_round() {
+        let rt = pool(2, SyncMethod::CpuExplicit);
+        let k = Arc::new(CountKernel {
+            slots: GlobalBuffer::new(2),
+            rounds: 6,
+        });
+        drop(rt.submit(Arc::clone(&k)).unwrap());
+        // The chain's latest entry stays in the log until it settles.
+        while rt.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(k.slots.to_vec(), vec![6, 6]);
+        assert_eq!(rt.launches(), 6);
     }
 
     #[test]
@@ -952,56 +1189,41 @@ mod tests {
         assert_eq!(rt.queue_depth(), 0);
     }
 
-    #[test]
-    fn cpu_implicit_pools_with_pipelined_launches() {
-        // Satellite regression: `GridRuntime::submit` of a CpuImplicit
-        // kernel must succeed with pipelined launches — the launch log is
-        // implicit sync, with the driver rendezvous as its barrier.
-        let rt = pool(3, SyncMethod::CpuImplicit);
-        let kernels: Vec<Arc<CountKernel>> = (0..4)
-            .map(|_| {
-                Arc::new(CountKernel {
-                    slots: GlobalBuffer::new(3),
-                    rounds: 25,
-                })
-            })
-            .collect();
-        let handles: Vec<LaunchHandle> = kernels
-            .iter()
-            .map(|k| rt.submit(Arc::clone(k)).unwrap())
-            .collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            let stats = h.wait().unwrap();
-            assert_eq!(stats.method, "cpu-implicit");
-            let p = stats.pool.as_ref().unwrap();
-            assert_eq!(p.launch_seq, i as u64);
-            assert!(kernels[i].slots.to_vec().iter().all(|&v| v == 25));
-        }
-        assert_eq!(rt.launches(), 4);
-    }
-
+    /// Back-to-back submits pipeline through the launch log and each
+    /// resolves in order — under `CpuImplicit` the log *is* the paper's
+    /// implicit sync, and `CpuExplicit`'s later rounds interleave with the
+    /// other launches' entries.
     #[test]
     fn pipelined_submits_all_complete_in_order() {
-        let rt = pool(3, SyncMethod::GpuSimple);
-        let kernels: Vec<Arc<CountKernel>> = (0..4)
-            .map(|_| {
-                Arc::new(CountKernel {
-                    slots: GlobalBuffer::new(3),
-                    rounds: 20,
+        for method in [
+            SyncMethod::GpuSimple,
+            SyncMethod::CpuImplicit,
+            SyncMethod::CpuExplicit,
+        ] {
+            let rt = pool(3, method);
+            let kernels: Vec<Arc<CountKernel>> = (0..4)
+                .map(|_| {
+                    Arc::new(CountKernel {
+                        slots: GlobalBuffer::new(3),
+                        rounds: 20,
+                    })
                 })
-            })
-            .collect();
-        let handles: Vec<LaunchHandle> = kernels
-            .iter()
-            .map(|k| rt.submit(Arc::clone(k)).unwrap())
-            .collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.seq(), i as u64);
-            let stats = h.wait().unwrap();
-            let p = stats.pool.as_ref().unwrap();
-            assert_eq!(p.launch_seq, i as u64);
-            assert_eq!(p.cold, i == 0);
-            assert!(kernels[i].slots.to_vec().iter().all(|&v| v == 20));
+                .collect();
+            let handles: Vec<LaunchHandle> = kernels
+                .iter()
+                .map(|k| rt.submit(Arc::clone(k)).unwrap())
+                .collect();
+            let explicit = method == SyncMethod::CpuExplicit;
+            for (i, h) in handles.into_iter().enumerate() {
+                let seq = h.seq();
+                assert!(explicit || seq == i as u64, "{method}");
+                let stats = h.wait().unwrap();
+                assert_eq!(stats.method, method.to_string());
+                let p = stats.pool.as_ref().unwrap();
+                assert_eq!((p.launch_seq, p.cold), (seq, i == 0), "{method}");
+                assert!(kernels[i].slots.to_vec().iter().all(|&v| v == 20));
+            }
+            assert_eq!(rt.launches(), if explicit { 80 } else { 4 });
         }
     }
 

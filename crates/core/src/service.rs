@@ -68,9 +68,9 @@ pub struct ShardKey {
     pub blocks: usize,
     /// Threads per block of the shard's grid.
     pub threads_per_block: usize,
-    /// Barrier method the shard's pool runs. Must be pool-capable
-    /// ([`GridRuntime::supports`]); `CpuExplicit` and `Auto` shards are
-    /// refused at spin-up.
+    /// Barrier method the shard's pool runs. An `Auto` shard resolves it
+    /// when it spins up, through the host tuner (the first one at a new
+    /// block count measures the tuner's table under the service lock).
     pub method: SyncMethod,
 }
 
@@ -338,7 +338,7 @@ impl GridService {
     /// The admission rejections of the module docs
     /// ([`ServiceError::QuotaExceeded`] / [`ServiceError::ShardLimit`] /
     /// [`ServiceError::QueueFull`]), or [`ServiceError::Exec`] if the
-    /// shard's runtime refused the submission.
+    /// key's grid shape is invalid.
     pub fn submit(
         &self,
         tenant: &str,
@@ -484,17 +484,12 @@ impl GridService {
         // The runtime's launch log is unbounded; the bounded queue is the
         // admission count above it, so this enqueue cannot itself refuse
         // for capacity. Dropping the ticket on error rolls admission back.
-        match shard.runtime.submit_dyn(kernel) {
-            Ok(handle) => Ok(ServiceHandle {
-                handle,
-                shard_label: shard.label.clone(),
-                ticket,
-            }),
-            Err(e) => {
-                drop(ticket);
-                Err(ServiceError::Exec(e))
-            }
-        }
+        let handle = shard.runtime.submit_dyn(kernel)?;
+        Ok(ServiceHandle {
+            handle,
+            shard_label: shard.label.clone(),
+            ticket,
+        })
     }
 
     /// Count an admission rejection in the shared registry.
@@ -652,12 +647,20 @@ mod tests {
     }
 
     #[test]
-    fn unpoolable_methods_are_refused_at_spin_up() {
+    fn cpu_explicit_and_auto_shards_serve_correct_results() {
         let svc = GridService::new(ServiceConfig::default());
-        let key = ShardKey::new(2, 8, SyncMethod::CpuExplicit);
-        let err = svc.submit("t", key, count(2, 3)).unwrap_err();
-        assert!(matches!(err, ServiceError::Exec(_)), "{err}");
-        assert_eq!(svc.shards_live(), 0);
+        for (method, label) in [(SyncMethod::CpuExplicit, ""), (SyncMethod::Auto, "auto:")] {
+            let key = ShardKey::new(2, 8, method);
+            let k = Arc::new(CountKernel {
+                slots: GlobalBuffer::new(2),
+                rounds: 3,
+            });
+            let h = svc.submit("t", key, Arc::clone(&k) as _).unwrap();
+            let stats = h.wait().unwrap();
+            assert_eq!(k.slots.to_vec(), vec![3, 3], "{method}");
+            let resolved = svc.with_shard(key, GridRuntime::method).unwrap();
+            assert_eq!(stats.method, format!("{label}{resolved}"));
+        }
     }
 
     #[test]

@@ -14,16 +14,15 @@ use crate::trace::Telemetry;
 /// Per-block time decomposition for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockTimes {
-    /// Launch overhead attributed to the block (`t_O`): time from run start
-    /// until the block began its first round (persistent modes), or its
-    /// accumulated per-round spawn delays (CPU explicit).
+    /// Launch overhead attributed to the block (`t_O`): time from the
+    /// launch's dispatch until the block began its first round.
     pub launch: Duration,
     /// Time the block spent inside kernel rounds (`t_C` aggregate).
     pub compute: Duration,
     /// Time the block spent arriving at / waiting in barriers (`t_S`
-    /// aggregate). For CPU-synchronized runs, this is the per-round
-    /// dispatch/teardown overhead attributed to the block, *excluding* the
-    /// spawn delays accounted under `launch`.
+    /// aggregate). Under CPU-explicit sync, from the end of each round's
+    /// body to the start of the next (Eq. 3: the relaunch and the wait for
+    /// the slowest block), the last until the host observed the launch.
     pub sync: Duration,
 }
 
@@ -49,9 +48,10 @@ pub struct KernelStats {
     /// up to join/teardown noise).
     pub wall: Duration,
     /// The run's launch overhead (`t_O`): the largest per-block launch time
-    /// — the thread-startup "kernel launch" of the host runtime. Kept out
-    /// of the per-block `sync` figures so [`KernelStats::sync_per_round`]
-    /// measures barriers, not thread spawns, even on short runs.
+    /// — dispatch to assembly, including a pool's first-launch spawns.
+    /// Kept out of the per-block `sync` figures so
+    /// [`KernelStats::sync_per_round`] measures synchronization, not
+    /// thread spawns, even on short runs.
     pub launch: Duration,
     /// Per-block decomposition, indexed by block id.
     pub per_block: Vec<BlockTimes>,
@@ -64,20 +64,16 @@ pub struct KernelStats {
     /// per-method cost table, and the table's vs. this run's per-round sync
     /// cost. Boxed for the same reason as `telemetry`.
     pub auto: Option<Box<AutoDecision>>,
-    /// Pool-side launch accounting, `Some` exactly when the run executed on
-    /// a persistent [`crate::GridRuntime`]: launch sequence number, queue
-    /// depth at submit, queueing delay, and whether the launch was cold.
+    /// Pool-side launch accounting, `Some` for every run of the engine
+    /// (a cold launch is launch 0 of a pool): launch sequence number,
+    /// queue depth at submit, queueing delay, and whether the launch was
+    /// cold.
     /// The warm launch overhead itself is [`KernelStats::launch`]. Boxed
     /// for the same reason as `telemetry`.
     pub pool: Option<Box<crate::runtime::PoolLaunchStats>>,
 }
 
 impl KernelStats {
-    /// Mean per-block launch overhead.
-    pub fn avg_launch(&self) -> Duration {
-        mean(self.per_block.iter().map(|b| b.launch))
-    }
-
     /// Mean per-block computation time.
     pub fn avg_compute(&self) -> Duration {
         mean(self.per_block.iter().map(|b| b.compute))
@@ -198,7 +194,6 @@ mod tests {
             4,
         );
         assert_eq!(s.launch, Duration::from_millis(8));
-        assert_eq!(s.avg_launch(), Duration::from_millis(8));
         assert_eq!(s.sync_per_round(), Duration::from_millis(1));
         // sync_fraction considers only in-round time.
         assert!((s.sync_fraction() - 4.0 / 6.0).abs() < 1e-12);

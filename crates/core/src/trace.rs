@@ -19,8 +19,7 @@
 //! loops (spin-poll counts are recorded once per wait, after the loop
 //! exits). Rings are cache-line padded so telemetry writes never bounce a
 //! peer's line. Cross-thread visibility rides the launch's existing
-//! completion edges (the pool's result lock, the relaunch strategy's
-//! joins).
+//! completion edge, the pool's result lock.
 //!
 //! Events are sampled by **round stride**: with a stride of `s`, only
 //! rounds divisible by `s` are recorded (faults — aborts and poisonings —
@@ -57,8 +56,8 @@ pub enum TraceEventKind {
     Abort,
     /// The block poisoned the barrier (panic or timeout).
     Poison,
-    /// The block assembled for a (pooled) kernel launch — the end of the
-    /// warm `t_O` window for that block.
+    /// The block assembled for a pool launch — the end of the warm `t_O`
+    /// window for that block; once per round under CPU-explicit sync.
     Launch,
 }
 
@@ -88,13 +87,10 @@ impl TraceEventKind {
         })
     }
 
-    /// Whether round-stride sampling applies (faults and launches are
-    /// always recorded — they happen at most once per block per run).
+    /// Whether round-stride sampling applies (faults are always recorded
+    /// — they happen at most once per block per run).
     fn is_sampled(self) -> bool {
-        !matches!(
-            self,
-            TraceEventKind::Abort | TraceEventKind::Poison | TraceEventKind::Launch
-        )
+        !matches!(self, TraceEventKind::Abort | TraceEventKind::Poison)
     }
 
     /// Short display name (`"arrive"`, `"depart"`, ...).
@@ -283,9 +279,9 @@ impl EventRecorder {
             cfg.events_per_block
                 .clamp(8, TraceConfig::MAX_EVENTS_PER_BLOCK)
         } else {
-            // Four sampled events per round (start/end/arrive/depart) plus
-            // slack for faults.
-            (4 * rounds.div_ceil(stride) + 8).clamp(64, TraceConfig::MAX_EVENTS_PER_BLOCK)
+            // Five sampled events per round (start/end/arrive/depart, and a
+            // launch under CPU-explicit sync) plus slack for faults.
+            (5 * rounds.div_ceil(stride) + 8).clamp(64, TraceConfig::MAX_EVENTS_PER_BLOCK)
         };
         EventRecorder {
             epoch: Instant::now(),
@@ -303,7 +299,7 @@ impl EventRecorder {
     }
 
     /// The instant timestamps are measured from.
-    pub fn epoch(&self) -> Instant {
+    pub(crate) fn epoch(&self) -> Instant {
         self.epoch
     }
 
@@ -327,10 +323,10 @@ impl EventRecorder {
     }
 
     /// [`EventRecorder::record`] with an explicit timestamp (duration
-    /// since [`EventRecorder::epoch`]) so host-side bookkeeping can stamp
-    /// events with the same instants it uses for [`crate::KernelStats`].
+    /// since the recorder's epoch) so the pool can stamp CPU-explicit's
+    /// joins with the same instants it uses for [`crate::KernelStats`].
     #[inline]
-    pub fn record_at(&self, block: usize, round: usize, kind: TraceEventKind, at: Duration) {
+    pub(crate) fn record_at(&self, block: usize, round: usize, kind: TraceEventKind, at: Duration) {
         if kind.is_sampled() && !self.sampled(round) {
             return;
         }

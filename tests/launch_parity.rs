@@ -1,12 +1,12 @@
 //! Cold/warm parity: a cold launch is launch 0 of a pool built for it
 //! (`LaunchPlan::run`), a warm one is a later launch of a kept pool
 //! (`GridRuntime::run`), and both drive the same engine (`core::launch`).
-//! So for every method a pool supports, one kernel run cold and one run as
-//! launch 1 of a `GridRuntime` must produce **bit-identical results** and
+//! So for every method, one kernel run cold and one run as the second
+//! launch of a `GridRuntime` must produce **bit-identical results** and
 //! **structurally equal stats** — same round count, same method string,
 //! same telemetry shape (event and sample counts, one `Launch` event per
-//! block on both sides). The only permitted difference is the launch's
-//! place in its pool ([`KernelStats::pool`]).
+//! block per log entry on both sides). The only permitted difference is
+//! the launch's place in its pool ([`KernelStats::pool`]).
 
 use blocksync::core::{
     BlockCtx, GlobalBuffer, GridConfig, GridRuntime, KernelStats, LaunchPlan, RoundKernel,
@@ -14,10 +14,10 @@ use blocksync::core::{
 };
 use proptest::prelude::*;
 
-/// Every pool-eligible method. `CpuExplicit` and `Auto` are excluded by
-/// construction (`GridRuntime::supports` rejects them); `NoSync` is
-/// excluded because without a barrier the stencil below is racy.
-const PARITY_METHODS: [SyncMethod; 7] = [
+/// Every concrete method but `NoSync`, which is excluded because without
+/// a barrier the stencil below is racy.
+const PARITY_METHODS: [SyncMethod; 8] = [
+    SyncMethod::CpuExplicit,
     SyncMethod::GpuSimple,
     SyncMethod::GpuTree(TreeLevels::Two),
     SyncMethod::GpuTree(TreeLevels::Three),
@@ -74,8 +74,8 @@ impl RoundKernel for RingStencil {
     }
 }
 
-/// The stencil once cold and once as launch 1 of a kept pool (launch 0
-/// pays the pool's spawns), each with its output.
+/// The stencil once cold and once as the second launch of a kept pool
+/// (the first pays the pool's spawns), each with its output.
 type Run = (Vec<u64>, KernelStats);
 
 fn cold_and_warm(method: SyncMethod, blocks: usize, rounds: usize) -> (Run, Run) {
@@ -92,6 +92,16 @@ fn cold_and_warm(method: SyncMethod, blocks: usize, rounds: usize) -> (Run, Run)
 
 fn launch_events(t: &Telemetry) -> usize {
     t.count(TraceEventKind::Launch)
+}
+
+/// Log entries one launch of `rounds` rounds takes: one per round under
+/// `CpuExplicit`, one otherwise.
+fn entries(method: SyncMethod, rounds: usize) -> usize {
+    if method == SyncMethod::CpuExplicit {
+        rounds
+    } else {
+        1
+    }
 }
 
 proptest! {
@@ -120,25 +130,28 @@ proptest! {
         prop_assert_eq!(cold.per_block.len(), warm.per_block.len());
 
         // Telemetry shape parity: the same events and samples, including
-        // one `Launch` assembly event per block on both sides.
+        // one `Launch` assembly event per block per log entry on both sides.
         let (ct, wt) = (
             cold.telemetry.as_ref().expect("cold telemetry"),
             warm.telemetry.as_ref().expect("warm telemetry"),
         );
         let expected_sync = (blocks * rounds) as u64;
+        let launches = blocks * entries(method, rounds);
         prop_assert_eq!(ct.events.len(), wt.events.len(), "{method}: event counts");
-        prop_assert_eq!(launch_events(ct), blocks, "{method}: one Launch event per block");
-        prop_assert_eq!(launch_events(wt), blocks, "{method}: one Launch event per block");
+        prop_assert_eq!(launch_events(ct), launches, "{method}: Launch events");
+        prop_assert_eq!(launch_events(wt), launches, "{method}: Launch events");
         prop_assert_eq!(ct.sync_ns.count(), expected_sync);
         prop_assert_eq!(wt.sync_ns.count(), expected_sync);
         prop_assert_eq!(ct.rounds.len(), wt.rounds.len(), "{method}: sampled rounds");
         prop_assert_eq!(ct.dropped, 0);
         prop_assert_eq!(wt.dropped, 0);
 
-        // The one permitted difference: the launch's place in its pool.
+        // The one permitted difference: the launch's place in its pool,
+        // after the first launch's log entries.
         let (cp, wp) = (cold.pool.as_deref().unwrap(), warm.pool.as_deref().unwrap());
+        let after = entries(method, rounds) as u64;
         prop_assert!(cp.cold && cp.launch_seq == 0, "{method}: {cp:?}");
-        prop_assert!(!wp.cold && wp.launch_seq == 1, "{method}: {wp:?}");
+        prop_assert!(!wp.cold && wp.launch_seq == after, "{method}: {wp:?}");
     }
 }
 
@@ -154,10 +167,34 @@ fn parity_sweep_all_methods() {
         let events = |s: &KernelStats| s.telemetry.as_deref().map(|t| t.events.len());
         assert_eq!(events(&c), events(&w), "{method}");
         let seq = |s: &KernelStats| s.pool.as_deref().map(|p| (p.cold, p.launch_seq));
+        let after = entries(method, 5) as u64;
         assert_eq!(
             (seq(&c), seq(&w)),
-            (Some((true, 0)), Some((false, 1))),
+            (Some((true, 0)), Some((false, after))),
             "{method}"
         );
+    }
+}
+
+/// CPU-explicit on a warm pool is one log entry per round: the first
+/// launch took `rounds` sequence numbers, the second's pool stats are its
+/// round 0's, every round records a `Launch`, `BarrierArrive` and
+/// `BarrierDepart` per block, and the result is a barrier method's, bit
+/// for bit.
+#[test]
+fn cpu_explicit_is_one_warm_launch_per_round() {
+    let (blocks, rounds) = (3, 7);
+    let (_, (explicit, stats)) = cold_and_warm(SyncMethod::CpuExplicit, blocks, rounds);
+    let (_, (simple, _)) = cold_and_warm(SyncMethod::GpuSimple, blocks, rounds);
+    assert_eq!(explicit, simple);
+    let seq = stats.pool.as_deref().map(|p| p.launch_seq);
+    assert_eq!(seq, Some(rounds as u64));
+    let t = stats.telemetry.as_deref().unwrap();
+    for kind in [
+        TraceEventKind::Launch,
+        TraceEventKind::BarrierArrive,
+        TraceEventKind::BarrierDepart,
+    ] {
+        assert_eq!(t.count(kind), blocks * rounds, "{kind:?}");
     }
 }

@@ -16,8 +16,8 @@ use blocksync::core::{
 };
 
 /// The barrier methods that run a persistent grid (and therefore must
-/// park to survive oversubscription). CPU-side methods relaunch per round
-/// and are immune by construction.
+/// park to survive oversubscription). CPU-side methods meet between
+/// rounds on the host (a join, a condvar) and are immune by construction.
 const PARK_CAPABLE: [SyncMethod; 6] = [
     SyncMethod::GpuSimple,
     SyncMethod::GpuTree(TreeLevels::Two),

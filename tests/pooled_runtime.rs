@@ -14,10 +14,11 @@ use blocksync::core::{
 };
 use proptest::prelude::*;
 
-/// Every method the pooled runtime supports: the device-side barriers, the
-/// CPU-implicit driver rendezvous (the launch log *is* pipelined implicit
-/// sync), and the barrier-free control.
-const POOLED_METHODS: [SyncMethod; 8] = [
+/// Every concrete method: the device-side barriers, the CPU-implicit
+/// driver rendezvous, CPU-explicit's launch per round, and the
+/// barrier-free control.
+const POOLED_METHODS: [SyncMethod; 9] = [
+    SyncMethod::CpuExplicit,
     SyncMethod::GpuSimple,
     SyncMethod::GpuTree(TreeLevels::Two),
     SyncMethod::GpuTree(TreeLevels::Three),
@@ -145,7 +146,8 @@ fn pooled_executor_survives_injected_panics_under_every_method() {
             ),
             "{method}: got {err:?}"
         );
-        // Same pool: a clean kernel still runs correctly.
+        // Same pool: a clean kernel still runs correctly, right after the
+        // faulted launch's log entries (one, or one per round it reached).
         let clean = Increment::new(4, 4);
         let stats = rt.run(&clean).unwrap_or_else(|e| panic!("{method}: {e}"));
         assert_eq!(stats.rounds, 4, "{method}");
@@ -153,9 +155,14 @@ fn pooled_executor_survives_injected_panics_under_every_method() {
             clean.slots.to_vec().iter().all(|&v| v == 4),
             "{method}: lost work after pool recovery"
         );
+        let faulted_entries = if method == SyncMethod::CpuExplicit {
+            4
+        } else {
+            1
+        };
         assert_eq!(
             stats.pool.as_deref().map(|p| p.launch_seq),
-            Some(1),
+            Some(faulted_entries),
             "{method}: recovery run did not reuse the pool"
         );
     }

@@ -245,8 +245,8 @@ proptest! {
             2 => FaultKind::Delay(Duration::from_millis(15)),
             _ => FaultKind::Stall(stall_duration(timeout)),
         };
-        // CPU-explicit relaunches per round and has no poisonable barrier
-        // object, so barrier-wait injection sites do not exist for it.
+        // CPU-explicit has no barrier object (each round is a launch of
+        // its own), so barrier-wait injection sites do not exist for it.
         let phase = if in_wait && method != SyncMethod::CpuExplicit {
             FaultPhase::BarrierWait
         } else {
