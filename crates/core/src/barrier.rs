@@ -165,21 +165,6 @@ fn unpack_poison(word: u64) -> (usize, usize, PoisonCause) {
     )
 }
 
-/// Hook invoked at the top of every [`BarrierShared::sync`] — i.e. as a
-/// block *enters* its barrier wait, before the arrival is
-/// published. The fault-injection plane ([`crate::FaultSchedule`]) uses it
-/// to misbehave *inside* the wait path: a block that panics, delays, or
-/// straggles here correctly shows up in peers' diagnostics as
-/// never-arrived. Installed at most once per barrier (per launch, since
-/// barriers are fresh per launch); absent on fault-free launches, where
-/// the cost is one `OnceLock` load per wait.
-pub trait WaitFaultHook: Send + Sync + 'static {
-    /// Called by `sync`'s arrival record for (`block`, `round`) before the
-    /// arrival store. May sleep, spin, or poison the barrier; must not
-    /// panic (it runs outside the round body's `catch_unwind`).
-    fn on_arrive(&self, block: usize, round: u64);
-}
-
 /// Shared fault-control plane embedded in every barrier implementation:
 /// the poison word, the per-block progress table, and the [`SyncPolicy`].
 ///
@@ -196,15 +181,12 @@ pub struct BarrierControl {
     arrivals: Vec<CachePadded<AtomicU64>>,
     /// `departures[b]` = barrier rounds block `b` has completed.
     departures: Vec<CachePadded<AtomicU64>>,
-    /// Telemetry sink, attached by the executor when tracing is on. The
-    /// arrival/departure bookkeeping (called once per wait, outside the
-    /// spin loop) doubles as the event-emission point, so every barrier
-    /// implementation is traced without touching its spin code.
+    /// Telemetry sink, attached by the launch engine when tracing is on:
+    /// each wait's poll count (recorded once, after the spin loop exits),
+    /// the poison event, and the straggler trail of a timeout. The
+    /// arrive/depart events are the round loop's to record (`drive_block`),
+    /// since only it knows which blocks a participant stands for.
     recorder: OnceLock<Arc<EventRecorder>>,
-    /// Barrier-wait fault hook (see [`WaitFaultHook`]); installed by the
-    /// launch engine when a kernel carries a [`crate::FaultSchedule`] with
-    /// wait-phase faults, absent otherwise.
-    wait_hook: OnceLock<Arc<dyn WaitFaultHook>>,
     /// The parking lot waiters sleep in once a wait outlasts its spin and
     /// yield phases; while nobody is parked it costs one load per
     /// `record_*` call.
@@ -249,8 +231,10 @@ impl BarrierControl {
     /// Polls (spinning, then yielding) before the first park: one yield
     /// phase, enough for every same-core peer to run in between, so only a
     /// wait for a peer that cannot be scheduled at all reaches the lot.
-    /// Because a parked waiter releases its core, grids with more blocks
-    /// than cores drain in waves instead of deadlocking (DESIGN.md §15).
+    /// Because a parked waiter releases its core, more participants than
+    /// cores (a core taken by another process, or a bare barrier built
+    /// wider than the host) drain in waves instead of deadlocking
+    /// (DESIGN.md §15).
     const PARK_AFTER_POLLS: u32 = 4096;
 
     /// Control plane for `n_blocks` blocks under `policy`.
@@ -265,7 +249,6 @@ impl BarrierControl {
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
             recorder: OnceLock::new(),
-            wait_hook: OnceLock::new(),
             park: ParkLot::new(),
         }
     }
@@ -281,32 +264,14 @@ impl BarrierControl {
         let _ = self.recorder.set(rec);
     }
 
-    /// The attached telemetry recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<EventRecorder>> {
-        self.recorder.get()
-    }
-
-    /// Install the barrier-wait fault hook (first caller wins; the launch
-    /// engine does this once per launch, before any block waits).
-    pub(crate) fn attach_wait_hook(&self, hook: Arc<dyn WaitFaultHook>) {
-        let _ = self.wait_hook.set(hook);
-    }
-
     /// Record that `block` has entered its round-`round` (0-based) wait.
-    ///
-    /// Any installed [`WaitFaultHook`] runs *before* the arrival store, so
-    /// a block faulted in its wait phase is observed by peers as
-    /// never-arrived — exactly a straggler stuck between round body and
-    /// barrier.
+    /// A wait-phase fault fires before this (`drive_block` runs it just
+    /// ahead of [`BarrierShared::sync`]), so a block faulted there is
+    /// observed by peers as never-arrived — exactly a straggler stuck
+    /// between round body and barrier.
     #[inline]
     fn record_arrival(&self, block: usize, round: u64) {
-        if let Some(hook) = self.wait_hook.get() {
-            hook.on_arrive(block, round);
-        }
         self.arrivals[block].store(round + 1, Ordering::Relaxed);
-        if let Some(rec) = self.recorder.get() {
-            rec.record(block, round as usize, TraceEventKind::BarrierArrive);
-        }
         self.wake_parked();
     }
 
@@ -314,9 +279,6 @@ impl BarrierControl {
     #[inline]
     fn record_departure(&self, block: usize, round: u64) {
         self.departures[block].store(round + 1, Ordering::Relaxed);
-        if let Some(rec) = self.recorder.get() {
-            rec.record(block, round as usize, TraceEventKind::BarrierDepart);
-        }
         self.wake_parked();
     }
 
@@ -339,9 +301,9 @@ impl BarrierControl {
         }
     }
 
-    /// Waiters currently parked (diagnostic; used by tests to assert the
-    /// lot actually gets used under oversubscription).
-    pub fn parked_waiters(&self) -> u64 {
+    /// Waiters currently parked (lets a test force the park phase).
+    #[cfg(test)]
+    fn parked_waiters(&self) -> u64 {
         self.park.parked.load(Ordering::Relaxed)
     }
 
@@ -379,8 +341,10 @@ impl BarrierControl {
         (word != 0).then(|| unpack_poison(word))
     }
 
-    /// Snapshot the per-block progress table (arrivals, departures).
-    pub fn progress(&self) -> (Vec<u64>, Vec<u64>) {
+    /// Snapshot the per-participant progress table (arrivals,
+    /// departures); the launch engine translates it to logical blocks
+    /// (`LaunchSetup::progress`).
+    pub(crate) fn progress(&self) -> (Vec<u64>, Vec<u64>) {
         (
             self.arrivals
                 .iter()
@@ -410,7 +374,7 @@ impl BarrierControl {
     /// peer's victim.
     ///
     /// Telemetry never adds work *inside* the loop: the poll count is
-    /// recorded once, after it exits (see [`EventRecorder::record_spin`]).
+    /// recorded once, after it exits.
     #[inline]
     pub fn wait_until(
         &self,
@@ -519,9 +483,6 @@ impl BarrierControl {
         }
     }
 
-    /// Number of trace events attached to a timeout diagnostic.
-    const TRAIL_LEN: usize = 8;
-
     /// The recent trace events of the primary straggler of `round` — the
     /// first block whose arrival count is behind the waiting block — or of
     /// the waiting block itself when everyone arrived (lost release).
@@ -534,10 +495,7 @@ impl BarrierControl {
             .iter()
             .position(|a| a.load(Ordering::Relaxed) <= round)
             .unwrap_or(waiting);
-        rec.tail(straggler, Self::TRAIL_LEN)
-            .iter()
-            .map(|e| e.to_string())
-            .collect()
+        rec.trail(straggler)
     }
 }
 
@@ -562,8 +520,7 @@ pub trait BarrierShared: Send + Sync + 'static {
 
     /// Arrive at barrier number `round` as `block` and wait until all
     /// [`BarrierShared::num_blocks`] blocks have arrived: the protocol,
-    /// bracketed by the progress table's arrival and departure records
-    /// (and with them the wait-phase fault hook and the trace events).
+    /// bracketed by the progress table's arrival and departure records.
     /// Every block must pass `round = 0, 1, 2, ...` in order. Provided, so
     /// each implementor gets its own copy in which `control()` and the
     /// protocol are direct calls: through `dyn` a wait is this one virtual

@@ -42,7 +42,9 @@ use crate::trace::TraceConfig;
 /// Grid shape for a kernel execution.
 #[derive(Debug, Clone)]
 pub struct GridConfig {
-    /// Number of thread blocks (= worker threads).
+    /// Number of thread blocks. A pool runs them on one worker thread
+    /// each, up to the host's cores (at least two); past that, each worker
+    /// runs several in turn.
     pub n_blocks: usize,
     /// Threads per block. The host runtime executes a block sequentially,
     /// so this only affects work partitioning helpers and validation.
@@ -88,9 +90,9 @@ impl GridConfig {
     /// The block count is not held to the model's SM count under any
     /// method. That ceiling is the modelled GPU's, where a spinning block
     /// is never preempted (the simulator and
-    /// [`GpuSpec::validate_persistent_launch`] keep it); a host waiter
-    /// parks once its wait drags on, so a grid with more blocks than cores
-    /// drains in waves instead of deadlocking (DESIGN.md §15).
+    /// [`GpuSpec::validate_persistent_launch`] keep it); the host folds a
+    /// grid with more blocks than cores onto one worker per core, and a
+    /// waiter whose core is taken parks (DESIGN.md §10, §15).
     pub fn validate(&self) -> Result<(), blocksync_device::DeviceError> {
         self.spec
             .validate_block_shape(self.n_blocks, self.threads_per_block)
@@ -192,6 +194,13 @@ impl AbortSignal {
 /// `NoSync`: within one round, a block may read data written by *any* block
 /// in *previous* rounds, and write only locations no other block touches in
 /// the *same* round.
+///
+/// Blocks are independent within a round, as CUDA blocks are: a round body
+/// must never wait for another block — the barrier between rounds is the
+/// only inter-block wait. A grid of more blocks than the host has cores
+/// runs its blocks' bodies in turn on fewer threads (worker `w` of `W`
+/// runs blocks `w, w + W, …` in that order), so a body that waits on a
+/// block queued behind it on the same worker never returns.
 pub trait RoundKernel: Sync {
     /// Number of barrier-separated rounds.
     fn rounds(&self) -> usize;
@@ -208,8 +217,8 @@ pub trait RoundKernel: Sync {
 
     /// The fault schedule this kernel carries, if any. The launch engine
     /// reads it once per launch to arm injection sites *outside* the round
-    /// body — barrier-wait faults (via the barrier's
-    /// [`crate::barrier::WaitFaultHook`]) and pooled-assembly faults.
+    /// body — barrier-wait faults (fired by its round loop on the way into
+    /// the barrier) and pooled-assembly faults.
     /// Real kernels return `None` (the default);
     /// [`crate::FaultInjector`] overrides this with its schedule.
     fn fault_schedule(&self) -> Option<crate::fault::FaultSchedule> {

@@ -2,10 +2,10 @@
 //!
 //! The plane is a composable [`FaultSchedule`]: any number of concurrent
 //! [`Fault`]s, each naming a (block, round) site, a [`FaultKind`], and a
-//! [`FaultPhase`] — the round body, *inside the barrier wait* (between a
-//! block's arrival and its departure, via the
-//! [`crate::barrier::WaitFaultHook`] installed by the launch engine), or
-//! during pooled assembly at the [`crate::GridRuntime`] launch gate.
+//! [`FaultPhase`] — the round body, *inside the barrier wait* (after a
+//! block's round body, before its arrival is published, fired by the
+//! launch engine's round loop), or during pooled assembly at the
+//! [`crate::GridRuntime`] launch gate.
 //! Schedules can be built explicitly or generated reproducibly from a
 //! single `u64` seed ([`FaultSchedule::random`]), which is what the chaos
 //! soak harness ([`crate::chaos`]) logs so any red run replays with one
@@ -31,10 +31,10 @@
 //! [`FaultSchedule::matches_error`] accepts any scheduled site, so
 //! assertions stay stable under either winner.
 
-use std::sync::{Mutex, Weak};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::barrier::{BarrierShared, PoisonCause, SyncPolicy, WaitFaultHook};
+use crate::barrier::{BarrierShared, PoisonCause, SyncPolicy};
 use crate::error::{ExecError, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, RoundKernel};
 
@@ -69,15 +69,16 @@ pub enum FaultPhase {
     RoundBody,
     /// Inside the barrier wait, after the round body but before the
     /// block's arrival is published — peers observe the block as
-    /// never-arrived. Fires via the [`WaitFaultHook`] the launch engine
-    /// installs on the barrier; methods without a barrier
-    /// ([`crate::SyncMethod::CpuExplicit`], [`crate::SyncMethod::NoSync`])
-    /// cannot host this phase.
+    /// never-arrived. Fired by the launch engine's round loop; methods
+    /// without a barrier ([`crate::SyncMethod::CpuExplicit`],
+    /// [`crate::SyncMethod::NoSync`]) cannot host this phase.
     BarrierWait,
     /// During pooled assembly: the block never checks in at the
     /// [`crate::GridRuntime`] launch gate, before any round runs. Every
     /// launch runs on a pool and has this phase — under CPU-explicit sync,
-    /// in its first round's launch only.
+    /// in its first round's launch only. On a folded launch the block's
+    /// worker does not check in either: it fires the assembly faults of
+    /// the blocks it hosts in turn, before the gate.
     Assembly,
 }
 
@@ -450,92 +451,61 @@ impl<K: RoundKernel> RoundKernel for FaultInjector<K> {
     }
 }
 
-/// The [`WaitFaultHook`] arming a schedule's [`FaultPhase::BarrierWait`]
-/// faults: installed on the launch's fresh barrier by the engine, it runs
-/// at the top of every `record_arrival` — after the round body, before
-/// the arrival is published — so peers see the faulty block as
+/// A schedule's [`FaultPhase::BarrierWait`] faults, armed for one launch
+/// with a barrier: the round loop fires them after a block's round body
+/// and before its arrival is published, so peers see the faulty block as
 /// never-arrived.
-pub(crate) struct WaitFaultInjector {
+pub(crate) struct WaitFaults {
     faults: Vec<Fault>,
-    /// Weak to break the cycle barrier → control → hook → barrier; the
-    /// barrier outlives every wait, so upgrades only fail after the
-    /// launch is already torn down.
-    barrier: Weak<dyn BarrierShared>,
-    abort: AbortSignal,
     policy: SyncPolicy,
 }
 
-impl WaitFaultInjector {
-    /// Install the wait-phase faults of `schedule` onto `barrier`.
-    pub(crate) fn install(
-        schedule: &FaultSchedule,
-        barrier: &std::sync::Arc<dyn BarrierShared>,
-        abort: AbortSignal,
-        policy: SyncPolicy,
-    ) {
+impl WaitFaults {
+    /// The wait-phase faults of `schedule`, or `None` when it has none.
+    pub(crate) fn arm(schedule: &FaultSchedule, policy: SyncPolicy) -> Option<Self> {
         let faults: Vec<Fault> = schedule
             .faults()
             .iter()
             .filter(|f| f.phase == FaultPhase::BarrierWait)
             .copied()
             .collect();
-        if faults.is_empty() {
-            return;
-        }
-        barrier
-            .control()
-            .attach_wait_hook(std::sync::Arc::new(WaitFaultInjector {
-                faults,
-                barrier: std::sync::Arc::downgrade(barrier),
-                abort,
-                policy,
-            }));
+        (!faults.is_empty()).then_some(WaitFaults { faults, policy })
     }
 
-    fn poisoned(&self) -> bool {
-        self.barrier
-            .upgrade()
-            .is_some_and(|sh| sh.control().poisoned().is_some())
-    }
-
-    fn poison(&self, block: usize, round: usize, cause: PoisonCause) {
-        if let Some(sh) = self.barrier.upgrade() {
-            // Via the trait hook so sleeping waiters (the CPU-implicit
-            // condvar rendezvous) are woken, not just flagged.
-            sh.poison(block, round, cause);
-        }
-    }
-}
-
-impl WaitFaultHook for WaitFaultInjector {
-    fn on_arrive(&self, block: usize, round: u64) {
+    /// Misbehave as scheduled for (`block`, `round`) on the way into
+    /// `barrier`. Runs outside the round body's `catch_unwind`, so it does
+    /// not panic: an injected panic poisons instead, and the block's own
+    /// next look at the poison word unwinds it as `BlockPanicked` naming
+    /// this exact site, as it does every peer. Poisoning goes through
+    /// [`BarrierShared::poison`], so sleeping waiters (the CPU-implicit
+    /// condvar rendezvous) are woken, not just flagged.
+    pub(crate) fn on_arrive(
+        &self,
+        barrier: &dyn BarrierShared,
+        abort: &AbortSignal,
+        block: usize,
+        round: usize,
+    ) {
         let Some(f) = self
             .faults
             .iter()
-            .find(|f| f.block == block && f.round == round as usize)
+            .find(|f| f.block == block && f.round == round)
         else {
             return;
         };
         match f.kind {
-            FaultKind::Panic => {
-                // A hook must not unwind (it runs outside the round body's
-                // catch_unwind), so a "panic in the wait path" is modeled
-                // by poisoning directly: this block's own wait observes
-                // the poison and unwinds as BlockPanicked naming this
-                // exact site, and so do all peers.
-                self.poison(block, round as usize, PoisonCause::Panic);
-            }
+            FaultKind::Panic => barrier.poison(block, round, PoisonCause::Panic),
             FaultKind::Delay(by) | FaultKind::Stall(by) => std::thread::sleep(by),
             FaultKind::Straggler => {
                 // Cooperative: hold the arrival back until a peer's
                 // timeout poisons the barrier or the launch aborts.
                 let backstop = effective_backstop(&self.policy);
                 let start = Instant::now();
-                while !self.abort.is_aborted() && !self.poisoned() {
+                while !abort.is_aborted() && barrier.control().poisoned().is_none() {
                     if start.elapsed() >= backstop {
                         // Cannot assert here (no catch_unwind above us):
                         // poison instead, so the run still fails bounded.
-                        self.poison(block, round as usize, PoisonCause::Timeout);
+                        barrier.poison(block, round, PoisonCause::Timeout);
                         break;
                     }
                     std::thread::sleep(Duration::from_micros(200));

@@ -17,12 +17,20 @@
 //!   `finish` turns the per-block results into the launch's
 //!   [`KernelStats`] *and* its [`LaunchRecord`] — the one place a record
 //!   is built, for every strategy, success or failure.
-//! * `drive_block` — the one true round loop: run the round under
-//!   `catch_unwind`, poison + abort on panic, barrier-wait with bounded
-//!   waits, and per-round time/trace accounting.
+//! * `drive_block` — the round loop of a worker that hosts one block: run
+//!   the round under `catch_unwind`, poison + abort on panic, barrier-wait
+//!   with bounded waits, and per-round time/trace accounting; and
+//!   `drive_fold`, the same loop for a worker that hosts several (below).
 //!
-//! One strategy spawns block threads: the pool (`core::runtime`), one
-//! worker per block running `drive_block` once per log entry. A cold
+//! One strategy spawns block threads: the pool (`core::runtime`). It runs
+//! a grid of N blocks on W = `min(N, max(2, cores))` workers. At N ≤ W
+//! each worker hosts one block and runs `drive_block` once per log entry.
+//! Past that the grid *folds*, as the paper loops inside a block when
+//! there is more work than SMs (§5): worker `w` hosts blocks `w, w + W,
+//! …`, runs their round bodies in turn and then makes one wait on a
+//! barrier built for W. Each block keeps its own `catch_unwind`,
+//! [`BlockTimes`], trace events and fault sites, and every diagnostic
+//! names blocks, not workers (`Fold` translates). A cold
 //! [`LaunchPlan::run`] is launch 0 of a pool built for it and dropped
 //! after. Every method is one log entry per kernel except `CpuExplicit`,
 //! which is one entry per round, the next published only once every block
@@ -30,16 +38,20 @@
 //! (§4.1) as warm launches.
 
 use std::any::Any;
+use std::iter::StepBy;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crossbeam::utils::CachePadded;
 
 use crate::autotune::{AutoDecision, AutoTuner};
 use crate::barrier::{BarrierShared, PoisonCause, SyncFault, SyncPolicy};
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
-use crate::fault::{FaultSchedule, WaitFaultInjector};
+use crate::fault::{FaultSchedule, WaitFaults};
 use crate::method::SyncMethod;
 use crate::obs::{LaunchRecord, Observer};
 use crate::runtime::{GridRuntime, PoolLaunchStats};
@@ -90,43 +102,6 @@ pub(crate) fn collect_block_results(
     match root_cause {
         Some((_, e)) => Err(e),
         None => Ok(times),
-    }
-}
-
-/// Translate a barrier-level fault into the run-level error, rebuilding a
-/// progress snapshot for victims of a peer's timeout.
-pub(crate) fn fault_to_error(fault: SyncFault, barrier: &dyn BarrierShared) -> ExecError {
-    match fault {
-        SyncFault::TimedOut { diagnostic } => ExecError::BarrierTimeout { diagnostic },
-        SyncFault::Poisoned {
-            block,
-            round,
-            cause: PoisonCause::Panic,
-        } => ExecError::BlockPanicked {
-            block,
-            round,
-            message: "poisoned by peer panic".to_string(),
-        },
-        SyncFault::Poisoned {
-            block,
-            round,
-            cause: PoisonCause::Timeout,
-        } => {
-            let (arrivals, departures) = barrier.control().progress();
-            ExecError::BarrierTimeout {
-                diagnostic: Box::new(StuckDiagnostic {
-                    barrier: barrier.name().to_string(),
-                    waiting_block: block,
-                    round,
-                    flag: "poisoned by peer timeout".to_string(),
-                    timeout: barrier.control().policy().timeout.unwrap_or_default(),
-                    arrivals,
-                    departures,
-                    recent_events: barrier.control().straggler_trail(block, round as u64),
-                    phase: StuckPhase::Barrier,
-                }),
-            }
-        }
     }
 }
 
@@ -270,6 +245,12 @@ impl KernelRef {
 ///   paper measures it in Section 7.3 ("with the synchronization function
 ///   `__gpu_sync()` removed"). Results of inter-block-dependent kernels are
 ///   garbage in this mode; only the timing is meaningful.
+///
+/// Under every method a grid of more blocks than the host has cores (at
+/// least two) folds: it runs on one pool worker per core, each running the
+/// round bodies of its blocks in turn, and the barrier, rendezvous or join
+/// is among the workers. Blocks must therefore never wait on each other
+/// inside a round body (see [`RoundKernel`]).
 #[derive(Debug, Clone)]
 pub struct LaunchPlan {
     cfg: GridConfig,
@@ -323,16 +304,17 @@ impl LaunchPlan {
         Arc::clone(&self.obs)
     }
 
-    /// Stamp out the per-launch state for `kernel` — a fresh barrier
-    /// (except for `CpuExplicit`, whose "barrier" is the host's join, and
-    /// `NoSync`), a fresh trace recorder, an un-raised abort signal, and
-    /// the kernel's fault schedule armed — then hand the kernel its abort
+    /// Stamp out the per-launch state for `kernel` on `workers` pool
+    /// workers — a fresh barrier among the workers (except for
+    /// `CpuExplicit`, whose "barrier" is the host's join, and `NoSync`), a
+    /// fresh trace recorder per block, an un-raised abort signal, and the
+    /// kernel's fault schedule armed — then hand the kernel its abort
     /// signal ([`RoundKernel::on_launch`]). The pool calls this before any
     /// worker can see the launch.
-    pub(crate) fn setup(&self, kernel: &dyn RoundKernel) -> LaunchSetup {
+    pub(crate) fn setup(&self, kernel: &dyn RoundKernel, workers: usize) -> LaunchSetup {
         let n = self.cfg.n_blocks;
         let rounds = kernel.rounds();
-        let barrier = self.method.build_barrier_with(n, self.cfg.policy);
+        let barrier = self.method.build_barrier_with(workers, self.cfg.policy);
         let recorder = self
             .cfg
             .trace
@@ -341,20 +323,20 @@ impl LaunchPlan {
         if let (Some(sh), Some(rec)) = (barrier.as_deref(), recorder.as_ref()) {
             sh.control().attach_recorder(Arc::clone(rec));
         }
+        // Wait-phase faults are the round loop's to fire on the way into
+        // the barrier; the schedule itself is kept for the assembly phase.
+        let faults = kernel.fault_schedule().map(Arc::new);
+        let wait_faults = barrier
+            .as_ref()
+            .and(faults.as_deref())
+            .and_then(|schedule| WaitFaults::arm(schedule, self.cfg.policy));
         let abort = AbortSignal::new();
-        // Wait-phase faults get a hook on this launch's fresh barrier; the
-        // schedule itself is kept for the pool's assembly phase.
-        let faults = kernel.fault_schedule().map(|schedule| {
-            if let Some(sh) = barrier.as_ref() {
-                WaitFaultInjector::install(&schedule, sh, abort.clone(), self.cfg.policy);
-            }
-            Arc::new(schedule)
-        });
         kernel.on_launch(&abort);
         LaunchSetup {
             method: self.method,
             auto: self.auto.clone(),
             n,
+            workers,
             threads_per_block: self.cfg.threads_per_block,
             policy: self.cfg.policy,
             rounds,
@@ -362,6 +344,8 @@ impl LaunchPlan {
             abort,
             recorder,
             faults,
+            wait_faults,
+            fold: (workers < n).then(|| Fold::new(n, workers)),
         }
     }
 
@@ -398,26 +382,32 @@ impl LaunchPlan {
 }
 
 /// Per-launch state stamped out by [`LaunchPlan::setup`]: everything the
-/// pool and [`drive_block`] share for exactly one launch — under
+/// pool and the round loops share for exactly one launch — under
 /// `CpuExplicit`, for every one of its per-round log entries.
 pub(crate) struct LaunchSetup {
     pub(crate) method: SyncMethod,
     /// The plan's `Auto` verdict, completed and reported by `finish`.
     auto: Option<AutoDecision>,
+    /// Blocks in the grid.
     pub(crate) n: usize,
+    /// Pool workers the grid runs on: `n`, or fewer when it folds.
+    pub(crate) workers: usize,
     pub(crate) threads_per_block: usize,
     pub(crate) policy: SyncPolicy,
     pub(crate) rounds: usize,
-    /// Fresh per launch: poisoning is permanent, so reuse would leak one
-    /// launch's fault into the next.
+    /// Among the `workers`, fresh per launch: poisoning is permanent, so
+    /// reuse would leak one launch's fault into the next.
     pub(crate) barrier: Option<Arc<dyn BarrierShared>>,
     pub(crate) abort: AbortSignal,
+    /// One ring per block, not per worker.
     pub(crate) recorder: Option<Arc<EventRecorder>>,
     /// The kernel's [`FaultSchedule`], if it carries one — read by the
     /// pool to fire assembly-phase faults in the launch's first log entry.
-    /// Wait-phase faults are already armed on the barrier by
-    /// [`LaunchPlan::setup`].
     pub(crate) faults: Option<Arc<FaultSchedule>>,
+    /// The schedule's barrier-wait faults, fired by the round loops.
+    wait_faults: Option<WaitFaults>,
+    /// Where each worker is in its turn, when the grid folds.
+    pub(crate) fold: Option<Fold>,
 }
 
 impl LaunchSetup {
@@ -433,6 +423,113 @@ impl LaunchSetup {
             n_blocks: self.n,
             threads_per_block: self.threads_per_block,
         }
+    }
+
+    /// The blocks `worker` hosts, in the order it runs them: `worker`,
+    /// `worker + workers`, … — grid-stride, so worker `w` runs block `w`
+    /// first and a worker's id is the first block it hosts.
+    pub(crate) fn hosted(&self, worker: usize) -> StepBy<Range<usize>> {
+        (worker..self.n).step_by(self.workers)
+    }
+
+    /// The barrier's progress table in blocks: the barrier's own when
+    /// every worker hosts one block, else [`Fold::arrivals`], with each
+    /// block departed as far as its worker.
+    pub(crate) fn progress(&self, sh: &dyn BarrierShared) -> (Vec<u64>, Vec<u64>) {
+        let (arrivals, departures) = sh.control().progress();
+        match &self.fold {
+            None => (arrivals, departures),
+            Some(fold) => (
+                fold.arrivals(|w| departures[w]),
+                (0..self.n).map(|b| departures[b % self.workers]).collect(),
+            ),
+        }
+    }
+
+    /// Translate a barrier-level fault into the run-level error, in
+    /// blocks: a timeout's diagnostic, taken by the barrier over workers,
+    /// gets [`LaunchSetup::progress`] and the trail of the first block
+    /// behind its round (a worker's id is the first block it hosts, so
+    /// `waiting_block` stays), and a victim of a peer's timeout gets a
+    /// fresh snapshot.
+    fn fault_to_error(&self, sh: &dyn BarrierShared, fault: SyncFault) -> ExecError {
+        let mut diagnostic = match fault {
+            SyncFault::Poisoned {
+                block,
+                round,
+                cause: PoisonCause::Panic,
+            } => {
+                return ExecError::BlockPanicked {
+                    block,
+                    round,
+                    message: "poisoned by peer panic".to_string(),
+                }
+            }
+            SyncFault::TimedOut { diagnostic } => diagnostic,
+            SyncFault::Poisoned {
+                block,
+                round,
+                cause: PoisonCause::Timeout,
+            } => {
+                let (arrivals, departures) = sh.control().progress();
+                Box::new(StuckDiagnostic {
+                    barrier: sh.name().to_string(),
+                    waiting_block: block,
+                    round,
+                    flag: "poisoned by peer timeout".to_string(),
+                    timeout: sh.control().policy().timeout.unwrap_or_default(),
+                    arrivals,
+                    departures,
+                    recent_events: sh.control().straggler_trail(block, round as u64),
+                    phase: StuckPhase::Barrier,
+                })
+            }
+        };
+        if self.fold.is_some() {
+            (diagnostic.arrivals, diagnostic.departures) = self.progress(sh);
+            if let Some(rec) = self.recorder.as_deref() {
+                let straggler = diagnostic.stragglers().first().copied();
+                diagnostic.recent_events = rec.trail(straggler.unwrap_or(diagnostic.waiting_block));
+            }
+        }
+        ExecError::BarrierTimeout { diagnostic }
+    }
+
+    /// Run the body of round `r` of the block `ctx` describes under
+    /// `catch_unwind`. A panic poisons the barrier, raises abort and
+    /// surfaces as [`ExecError::BlockPanicked`] naming the block.
+    #[inline]
+    fn body(&self, kernel: &dyn RoundKernel, ctx: &BlockCtx, r: usize) -> Result<(), ExecError> {
+        catch_unwind(AssertUnwindSafe(|| kernel.round(ctx, r)))
+            .map_err(|payload| self.panicked(ctx.block_id, r, &*payload))
+    }
+
+    #[cold]
+    fn panicked(&self, block: usize, r: usize, payload: &(dyn Any + Send)) -> ExecError {
+        if let Some(rec) = self.recorder.as_deref() {
+            rec.record(block, r, TraceEventKind::Abort);
+        }
+        if let Some(sh) = self.barrier.as_deref() {
+            sh.poison(block, r, PoisonCause::Panic);
+        }
+        self.abort.abort();
+        ExecError::BlockPanicked {
+            block,
+            round: r,
+            message: payload_message(payload),
+        }
+    }
+
+    /// Fail with the poison word's fault if it is set: `sh` is poisoned
+    /// when a wait-phase fault poisoned it or released a straggler, or
+    /// after the last round when a wait that was already satisfied missed
+    /// a poison raised on the way into it.
+    fn check_poison(&self, sh: &dyn BarrierShared) -> Result<(), ExecError> {
+        if sh.control().poisoned().is_none() {
+            return Ok(());
+        }
+        self.abort.abort();
+        Err(self.fault_to_error(sh, sh.control().poisoned_fault()))
     }
 
     /// Close the launch: from the merged per-block results, assemble the
@@ -505,17 +602,19 @@ impl LaunchSetup {
     }
 }
 
-/// The one true round loop, run once per block per log entry by the
-/// pool's workers: for each of the entry's `rounds`, execute the kernel
-/// body under `catch_unwind` (a panic poisons the barrier via
+/// The round loop of a worker hosting one block, run once per log entry:
+/// for each of the entry's `rounds`, execute the kernel body under
+/// `catch_unwind` (a panic poisons the barrier via
 /// [`BarrierShared::poison`], raises the abort signal, and surfaces as
-/// [`ExecError::BlockPanicked`]), then wait on the barrier (bounded by
-/// the [`SyncPolicy`]), accumulating compute/sync time and trace events
-/// into `t` as it goes. Without a barrier (`NoSync`) a round is compute
-/// only: `t.sync` stays zero and no sync sample is recorded, the paper's
-/// §7.3 "`__gpu_sync()` removed" run.
+/// [`ExecError::BlockPanicked`]), fire the block's wait-phase fault, then
+/// wait on the barrier (bounded by the [`SyncPolicy`]), accumulating
+/// compute/sync time and trace events into `t` as it goes. Without a
+/// barrier (`NoSync`) a round is compute only: `t.sync` stays zero and no
+/// sync sample is recorded, the paper's §7.3 "`__gpu_sync()` removed" run.
 /// `t.launch` is the caller's to fill — only the pool knows where its
 /// launch boundary is — and so is `CpuExplicit`'s join between entries.
+/// A worker hosting several blocks runs [`drive_fold`] instead, or, with
+/// no barrier, this loop once per block.
 pub(crate) fn drive_block(
     setup: &LaunchSetup,
     kernel: &dyn RoundKernel,
@@ -525,42 +624,36 @@ pub(crate) fn drive_block(
 ) -> Result<(), ExecError> {
     let ctx = setup.ctx(block);
     let barrier = setup.barrier.as_deref();
+    let recorder = setup.recorder.as_deref();
     for r in rounds {
         let t0 = Instant::now();
-        if let Some(rec) = setup.recorder.as_deref() {
-            rec.record(block, r, TraceEventKind::RoundStart);
+        if let Some(rec) = recorder {
+            rec.record_instant(block, r, TraceEventKind::RoundStart, t0);
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| kernel.round(&ctx, r)));
-        if let Err(payload) = outcome {
-            if let Some(rec) = setup.recorder.as_deref() {
-                rec.record(block, r, TraceEventKind::Abort);
-            }
-            if let Some(sh) = barrier {
-                sh.poison(block, r, PoisonCause::Panic);
-            }
-            setup.abort.abort();
-            return Err(ExecError::BlockPanicked {
-                block,
-                round: r,
-                message: payload_message(&*payload),
-            });
-        }
+        setup.body(kernel, &ctx, r)?;
         let t1 = Instant::now();
-        if let Some(rec) = setup.recorder.as_deref() {
-            rec.record(block, r, TraceEventKind::RoundEnd);
+        if let Some(rec) = recorder {
+            rec.record_instant(block, r, TraceEventKind::RoundEnd, t1);
         }
         let Some(sh) = barrier else {
             t.compute += t1 - t0;
             continue;
         };
+        if let Some(faults) = &setup.wait_faults {
+            faults.on_arrive(sh, &setup.abort, block, r);
+        }
+        if let Some(rec) = recorder {
+            rec.record_instant(block, r, TraceEventKind::BarrierArrive, t1);
+        }
         if let Err(fault) = sh.sync(block, r as u64) {
             setup.abort.abort();
-            return Err(fault_to_error(fault, sh));
+            return Err(setup.fault_to_error(sh, fault));
         }
         let t2 = Instant::now();
         t.compute += t1 - t0;
         t.sync += t2 - t1;
-        if let Some(rec) = setup.recorder.as_deref() {
+        if let Some(rec) = recorder {
+            rec.record_instant(block, r, TraceEventKind::BarrierDepart, t2);
             if rec.sampled(r) {
                 rec.record_sync(block, (t2 - t1).as_nanos() as u64);
             }
@@ -572,18 +665,164 @@ pub(crate) fn drive_block(
     // the last round the next wait catches it; after it, this one look
     // per block per launch does, so a poisoned launch never reports
     // success.
-    if let Some(sh) = barrier {
-        if let Some((block, round, cause)) = sh.control().poisoned() {
+    barrier.map_or(Ok(()), |sh| setup.check_poison(sh))
+}
+
+/// The round loop of a worker hosting several blocks of a folded launch
+/// with a barrier: each round, every hosted block's body in turn (as
+/// `drive_block` runs it: own `catch_unwind`, trace events, wait-phase
+/// fault), then the worker's one wait on the barrier among workers. A
+/// block has arrived once its body returned and its wait-phase fault let
+/// it go, unless the barrier was poisoned meanwhile: then the worker fails
+/// before publishing the arrival, so a straggler that a peer's timeout
+/// released is still reported as one. A block's `sync` runs from the end
+/// of its body to the start of its next one — the other blocks' bodies and
+/// the wait, what a block queued on a busy core is charged — and after
+/// the last round to the worker's departure. Blocks after the first add a
+/// 0-poll spin sample a round (see [`crate::Telemetry::spin_polls`]). An
+/// error is the worker's, so every block it hosts reports it.
+pub(crate) fn drive_fold(
+    setup: &LaunchSetup,
+    kernel: &dyn RoundKernel,
+    worker: usize,
+    (sh, fold): (&dyn BarrierShared, &Fold),
+    rounds: Range<usize>,
+    times: &mut [BlockTimes],
+) -> Result<(), ExecError> {
+    let recorder = setup.recorder.as_deref();
+    let first = rounds.start;
+    // Per hosted block, in turn order: its context, and where its last
+    // body ended (its sync runs from there).
+    let now = Instant::now();
+    let mut hosted: Vec<(BlockCtx, Instant)> = setup
+        .hosted(worker)
+        .map(|block| (setup.ctx(block), now))
+        .collect();
+    let mut last = None;
+    for r in rounds {
+        for (j, ((ctx, ended), t)) in hosted.iter_mut().zip(times.iter_mut()).enumerate() {
+            let block = ctx.block_id;
+            let t0 = Instant::now();
+            if r > first {
+                let span = t0 - *ended;
+                t.sync += span;
+                if let Some(rec) = recorder {
+                    rec.record_instant(block, r - 1, TraceEventKind::BarrierDepart, t0);
+                    if rec.sampled(r - 1) {
+                        rec.record_sync(block, span.as_nanos() as u64);
+                    }
+                }
+            }
+            if let Some(rec) = recorder {
+                rec.record_instant(block, r, TraceEventKind::RoundStart, t0);
+            }
+            setup.body(kernel, ctx, r)?;
+            let t1 = Instant::now();
+            t.compute += t1 - t0;
+            if let Some(rec) = recorder {
+                rec.record_instant(block, r, TraceEventKind::RoundEnd, t1);
+            }
+            if let Some(faults) = &setup.wait_faults {
+                faults.on_arrive(sh, &setup.abort, block, r);
+            }
+            setup.check_poison(sh)?;
+            if let Some(rec) = recorder {
+                rec.record_instant(block, r, TraceEventKind::BarrierArrive, t1);
+                if j > 0 {
+                    rec.record_spin(block, 0);
+                }
+            }
+            *ended = t1;
+            fold.advance(worker);
+        }
+        if let Err(fault) = sh.sync(worker, r as u64) {
             setup.abort.abort();
-            let fault = SyncFault::Poisoned {
-                block,
-                round,
-                cause,
-            };
-            return Err(fault_to_error(fault, sh));
+            return Err(setup.fault_to_error(sh, fault));
+        }
+        last = Some(r);
+    }
+    let Some(last) = last else {
+        return Ok(());
+    };
+    let t2 = Instant::now();
+    for ((ctx, ended), t) in hosted.iter().zip(times) {
+        let span = t2 - *ended;
+        t.sync += span;
+        if let Some(rec) = recorder {
+            let block = ctx.block_id;
+            rec.record_instant(block, last, TraceEventKind::BarrierDepart, t2);
+            if rec.sampled(last) {
+                rec.record_sync(block, span.as_nanos() as u64);
+            }
         }
     }
-    Ok(())
+    setup.check_poison(sh)
+}
+
+/// Where each worker of a folded launch is in its turn. The grid's `n`
+/// blocks sit on `workers < n` pool workers, worker `w` hosting blocks
+/// `w, w + workers, …` and running their round bodies in that order
+/// before its one barrier wait (DESIGN.md §10). This is the one place a
+/// worker's progress is read as blocks'.
+pub(crate) struct Fold {
+    n: usize,
+    workers: usize,
+    /// Per worker, round bodies it has finished this launch, counted over
+    /// every block it hosts. Single writer (the worker); `Relaxed`, like
+    /// the barrier's progress table, since it is read only for
+    /// diagnostics.
+    done: Vec<CachePadded<AtomicU64>>,
+}
+
+impl Fold {
+    fn new(n: usize, workers: usize) -> Self {
+        Fold {
+            n,
+            workers,
+            done: (0..workers)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
+        }
+    }
+
+    /// One more of `worker`'s round bodies finished.
+    #[inline]
+    pub(crate) fn advance(&self, worker: usize) {
+        let done = &self.done[worker];
+        done.store(done.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// The round `worker` is in and the index, among the blocks it
+    /// hosts, of the body it is running or runs next.
+    fn turn(&self, worker: usize) -> (u64, usize) {
+        let hosts = (self.n - worker).div_ceil(self.workers) as u64;
+        let done = self.done[worker].load(Ordering::Relaxed);
+        (done / hosts, (done % hosts) as usize)
+    }
+
+    /// The block `worker` is running, or runs next.
+    pub(crate) fn current(&self, worker: usize) -> usize {
+        worker + self.turn(worker).1 * self.workers
+    }
+
+    /// Barrier rounds entered, per block, given how many barrier rounds
+    /// each worker has departed. A block has arrived for round r once its
+    /// round-r body returned. A block queued behind the one its worker is
+    /// running counts as arrived too: it waits on its worker, as an
+    /// arrived block waits on the barrier, so `stragglers()` names the
+    /// block a worker is stuck in, not the ones queued behind it. A worker
+    /// that has not departed the last round's barrier is between rounds,
+    /// and queues nobody.
+    pub(crate) fn arrivals(&self, departed: impl Fn(usize) -> u64) -> Vec<u64> {
+        (0..self.n)
+            .map(|b| {
+                let w = b % self.workers;
+                let (round, running) = self.turn(w);
+                let queued = b / self.workers > running && departed(w) >= round;
+                round + u64::from(b / self.workers < running || queued)
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

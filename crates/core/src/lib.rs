@@ -100,7 +100,7 @@ pub mod tree;
 
 pub use autotune::{AutoDecision, AutoTuner, MethodPrediction};
 pub use barrier::{
-    BarrierControl, BarrierShared, BarrierWaiter, PoisonCause, SyncFault, SyncPolicy, WaitFaultHook,
+    BarrierControl, BarrierShared, BarrierWaiter, PoisonCause, SyncFault, SyncPolicy,
 };
 pub use chaos::{ChaosConfig, ChaosLaunch, ChaosReport};
 pub use error::{ExecError, ServiceError, StuckDiagnostic, StuckPhase};

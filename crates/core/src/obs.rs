@@ -94,9 +94,8 @@ pub struct LaunchRecord {
     /// Workers replaced while settling this launch (abandon-and-replace).
     pub replacements: usize,
     /// Shard label when the launch was served by a [`crate::GridService`]
-    /// shard (or any runtime given a label via
-    /// [`crate::GridRuntime::set_shard_label`]). `None` for standalone
-    /// runtimes, whose gauge samples land under the `"default"` shard.
+    /// shard. `None` for standalone runtimes, whose gauge samples land
+    /// under the `"default"` shard.
     pub shard: Option<String>,
     /// Trailing trace events per block (`"b<block>: <event>"`), captured
     /// for failures of launches that ran with a [`crate::TraceConfig`].

@@ -1,7 +1,22 @@
-//! Persistent grid runtime: pooled per-block workers with pipelined
-//! launches — the one strategy that spawns block threads.
+//! Persistent grid runtime: pooled workers with pipelined launches — the
+//! one strategy that spawns block threads.
 //!
-//! A pool spawns one worker per block when its first launch is enqueued;
+//! A pool of `n` blocks runs on W = `min(n, max(2, cores))` workers, with
+//! `cores` read from [`std::thread::available_parallelism`] when the
+//! process builds its first pool. At `n ≤ W` each worker is one block.
+//! Past that the grid *folds*:
+//! worker `w` hosts blocks `w, w + W, …`, runs their round bodies in turn
+//! and makes one wait per round on a barrier among the W workers — the
+//! paper's loop inside a block when there is more work than SMs (§5),
+//! instead of `n` threads of which most must sleep and be woken twice a
+//! round. W is at least two so that a worker whose block straggles has a
+//! peer to time out on it. Parking stays, as the escalation for a core
+//! another process took. Blocks keep everything that is theirs — their
+//! `BlockCtx`, `catch_unwind`, [`BlockTimes`], trace events, fault sites
+//! and the blocks a diagnostic names — and the pool's own bookkeeping
+//! (generations, cursors, the assembly gate, who reported) is per worker.
+//!
+//! The pool spawns its W workers when its first launch is enqueued;
 //! every later launch is a *warm* dispatch through a launch queue, the
 //! pipelined-relaunch shape of the paper's CPU implicit sync
 //! (Section 4.2) applied to whole kernels instead of rounds — exactly the
@@ -15,7 +30,8 @@
 //!
 //! The pool is a *strategy* over the shared launch engine: it holds one
 //! [`LaunchPlan`], stamps a fresh `crate::launch::LaunchSetup` per
-//! submission, each worker runs the engine's `drive_block` round loop, and
+//! submission, each worker runs one of the engine's round loops
+//! (`drive_block`, or `drive_fold` for a worker of several blocks), and
 //! the setup's `finish` builds the launch's stats and its
 //! [`crate::LaunchRecord`] — the pool adds only the warm-launch accounting
 //! (the [`PoolLaunchStats`], worker replacements, the shard label).
@@ -24,7 +40,7 @@
 //!
 //! Submissions append to a monotonically numbered launch log; each worker
 //! consumes the log in order with a private cursor, so back-to-back
-//! [`GridRuntime::submit`] calls pipeline: block `b` can start launch
+//! [`GridRuntime::submit`] calls pipeline: a worker can start launch
 //! `k+1` the moment it finished its part of launch `k`, without a global
 //! drain barrier in between. [`LaunchHandle::wait`] resolves one launch to
 //! its [`crate::KernelStats`]. This in-order pipelined consumption is
@@ -45,16 +61,17 @@
 //! kernel code cannot be preempted; for launches that own their kernel
 //! ([`GridRuntime::submit`], [`LaunchPlan::run_owned`]), the host abandons
 //! the launch after a grace period past the policy timeout, synthesizes a
-//! [`crate::StuckDiagnostic`] for the missing block, and **replaces** the
-//! stuck worker with a fresh one so the pool stays usable — the stale
-//! thread parks itself permanently on the leaked kernel `Arc` and exits if
-//! it ever returns. Borrowed launches ([`GridRuntime::run`],
+//! [`crate::StuckDiagnostic`] naming the block the worker is stuck in, and
+//! **replaces** the stuck worker with a fresh one so the pool stays
+//! usable — the stale thread parks itself permanently on the leaked kernel
+//! `Arc` and exits if it ever returns. Borrowed launches ([`GridRuntime::run`],
 //! [`LaunchPlan::run`]) must instead wait for full completion before
 //! returning — the kernel is only guaranteed alive for the duration of the
 //! call — so they bound barrier waits (via [`crate::SyncPolicy`]) but not
 //! kernel code itself.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -66,8 +83,8 @@ use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{GridConfig, RoundKernel};
 use crate::fault::{effective_backstop, FaultKind, FaultPhase};
 use crate::launch::{
-    collect_block_results, drive_block, gate_backoff, spin_then_yield, KernelRef, LaunchPlan,
-    LaunchSetup,
+    collect_block_results, drive_block, drive_fold, gate_backoff, spin_then_yield, KernelRef,
+    LaunchPlan, LaunchSetup,
 };
 use crate::method::SyncMethod;
 use crate::obs::Observer;
@@ -100,8 +117,9 @@ struct LaunchDone {
     /// Per block, its times summed over the entries it finished, or its
     /// error. Taken by `wait_launch` once settled.
     results: Vec<Result<BlockTimes, ExecError>>,
-    /// Who reported for the current entry (its worker, or host-side
-    /// abandonment, whichever came first), and how many did.
+    /// Per worker, whether it reported for the current entry (the worker
+    /// itself, for every block it hosts, or host-side abandonment,
+    /// whichever came first), and how many workers did.
     reported: Vec<bool>,
     finished: usize,
     /// The launch's last entry is over: `results` is final.
@@ -142,8 +160,9 @@ struct Launch {
     /// pinned peer may never arrive once the launch has failed, and (with a
     /// policy timeout) a deadline of its own, so a worker stuck *before*
     /// the gate surfaces as an assembly-phase failure instead of hanging
-    /// its peers (see [`StuckPhase::Assembly`]). It counts over all the
-    /// launch's entries: the one at round `base` opens at `n * (base + 1)`.
+    /// its peers (see [`StuckPhase::Assembly`]). It counts workers over all
+    /// the launch's entries: the one at round `base` opens at
+    /// `workers * (base + 1)`.
     gate: AtomicUsize,
     /// How many workers have *entered* the launch's entries (picked one
     /// up off the log), counted like `gate`. The gate deadline only runs
@@ -151,7 +170,7 @@ struct Launch {
     /// on an earlier pipelined launch is late, not stuck, and abandoning
     /// *that* launch is what unblocks it.
     entered: AtomicUsize,
-    /// Per block, how many entries it has checked in at the gate for —
+    /// Per worker, how many entries it has checked in at the gate for —
     /// the assembly-phase progress table, feeding assembly diagnostics the
     /// way the barrier's arrival counts feed round diagnostics.
     checked_in: Vec<AtomicUsize>,
@@ -175,9 +194,24 @@ impl Launch {
         self.settled.load(Ordering::Acquire)
     }
 
-    /// Whether `block` checked in at the gate of the entry at `base`.
-    fn assembled(&self, block: usize, base: usize) -> bool {
-        self.checked_in[block].load(Ordering::Acquire) > base
+    /// Whether `worker` checked in at the gate of the entry at `base`.
+    fn assembled(&self, worker: usize, base: usize) -> bool {
+        self.checked_in[worker].load(Ordering::Acquire) > base
+    }
+
+    /// The block `worker` is held at before the gate: the first it hosts
+    /// with an assembly fault that holds a worker (a straggler or a
+    /// stall), since it fires them in turn — else the first it hosts.
+    fn assembling(&self, worker: usize) -> usize {
+        let setup = &self.setup;
+        let holds = |block: &usize| {
+            setup
+                .faults
+                .as_deref()
+                .and_then(|s| s.fault_at(*block, 0, FaultPhase::Assembly))
+                .is_some_and(|f| matches!(f.kind, FaultKind::Straggler | FaultKind::Stall(_)))
+        };
+        setup.hosted(worker).find(holds).unwrap_or(worker)
     }
 
     /// The `barrier` of a diagnostic the pool synthesizes.
@@ -191,7 +225,7 @@ impl Launch {
     /// Diagnostic for a block stuck waiting at (or never reaching) the
     /// gate of entry `seq` (first round `base`), reported in
     /// [`StuckPhase::Assembly`] so it cannot masquerade as a round-0 body
-    /// fault; its progress table is 1 for blocks that checked in.
+    /// fault; its progress table is 1 for blocks whose worker checked in.
     fn assembly_diagnostic(
         &self,
         seq: u64,
@@ -199,15 +233,17 @@ impl Launch {
         waiting_block: usize,
         timeout: Duration,
     ) -> Box<StuckDiagnostic> {
-        let n = self.setup.n;
+        let setup = &self.setup;
         Box::new(StuckDiagnostic {
             barrier: self.label(),
             waiting_block,
             round: 0,
             flag: format!("launch {seq} assembly gate"),
             timeout,
-            departures: vec![0; n],
-            arrivals: (0..n).map(|b| u64::from(self.assembled(b, base))).collect(),
+            departures: vec![0; setup.n],
+            arrivals: (0..setup.n)
+                .map(|b| u64::from(self.assembled(b % setup.workers, base)))
+                .collect(),
             recent_events: Vec::new(),
             phase: StuckPhase::Assembly,
         })
@@ -220,8 +256,7 @@ impl Launch {
         // host only after the `done` lock that `record_result` releases.
         self.arrived[block].store(ns as u64, Ordering::Relaxed);
         if let Some(rec) = self.setup.recorder.as_deref() {
-            let since = at.saturating_duration_since(rec.epoch());
-            rec.record_at(block, round, TraceEventKind::BarrierArrive, since);
+            rec.record_instant(block, round, TraceEventKind::BarrierArrive, at);
         }
     }
 
@@ -232,8 +267,7 @@ impl Launch {
             self.submitted + Duration::from_nanos(self.arrived[block].load(Ordering::Relaxed));
         let span = until.saturating_duration_since(arrived);
         if let Some(rec) = self.setup.recorder.as_deref() {
-            let since = until.saturating_duration_since(rec.epoch());
-            rec.record_at(block, round, TraceEventKind::BarrierDepart, since);
+            rec.record_instant(block, round, TraceEventKind::BarrierDepart, until);
             if rec.sampled(round) {
                 rec.record_sync(block, span.as_nanos() as u64);
             }
@@ -241,37 +275,42 @@ impl Launch {
         span
     }
 
-    /// Store `res` as `block`'s report for the current entry unless it
+    /// Store `worker`'s report for the current entry — per block it hosts,
+    /// in turn order, its times, or one error for all of them — unless it
     /// already has one (host-side abandonment racing a late worker) or the
     /// launch settled (a replaced worker waking from a stall may report
     /// long after; its report is dropped). The last report ends the entry.
     fn record_result(
         self: &Arc<Self>,
         shared: &Shared,
-        block: usize,
-        res: Result<BlockTimes, ExecError>,
+        worker: usize,
+        res: Result<&[BlockTimes], ExecError>,
     ) {
         let mut g = self.done.lock();
-        if g.settled || g.reported[block] {
+        if g.settled || g.reported[worker] {
             return;
         }
-        g.reported[block] = true;
+        g.reported[worker] = true;
         g.finished += 1;
         match res {
-            Ok(t) => {
-                if let Ok(sum) = &mut g.results[block] {
-                    sum.launch += t.launch;
-                    sum.compute += t.compute;
-                    sum.sync += t.sync;
+            Ok(times) => {
+                for (block, t) in self.setup.hosted(worker).zip(times) {
+                    if let Ok(sum) = &mut g.results[block] {
+                        sum.launch += t.launch;
+                        sum.compute += t.compute;
+                        sum.sync += t.sync;
+                    }
                 }
             }
             Err(e) => {
                 g.first_failure.get_or_insert_with(Instant::now);
                 self.setup.abort.abort();
-                g.results[block] = Err(e);
+                for block in self.setup.hosted(worker) {
+                    g.results[block] = Err(e.clone());
+                }
             }
         }
-        if g.finished < self.setup.n || !self.end_entry(shared, &mut g) {
+        if g.finished < self.setup.workers || !self.end_entry(shared, &mut g) {
             return;
         }
         let wake = g.waiter_parked;
@@ -281,7 +320,7 @@ impl Launch {
         }
     }
 
-    /// Every block reported for the current entry: publish the next
+    /// Every worker reported for the current entry: publish the next
     /// round's (`CpuExplicit`, while rounds remain and nothing failed) or
     /// settle the launch, returning whether it settled. Lock order:
     /// `done`, then the pool's state.
@@ -304,13 +343,13 @@ impl Launch {
 
     /// `CpuExplicit`, by the waiting host: once every worker entered the
     /// current round, time its join; on expiry raise abort and record the
-    /// timeout, naming the blocks that have not reported (or, if one never
-    /// checked in at the gate, the assembly phase). Returns how long the
-    /// host may sleep.
+    /// timeout, naming the blocks that have not finished the round (or, if
+    /// a worker never checked in at the gate, the assembly phase). Returns
+    /// how long the host may sleep.
     fn watch_join(&self, g: &mut LaunchDone, timeout: Duration) -> Duration {
         let r = g.base;
-        if g.join_timeout.is_some() || self.entered.load(Ordering::Acquire) < self.setup.n * (r + 1)
-        {
+        let workers = self.setup.workers;
+        if g.join_timeout.is_some() || self.entered.load(Ordering::Acquire) < workers * (r + 1) {
             return timeout;
         }
         let since = *g.join_since.get_or_insert_with(Instant::now);
@@ -318,10 +357,10 @@ impl Launch {
         if !left.is_zero() {
             return left;
         }
-        let diagnostic = match (0..self.setup.n).find(|&b| !self.assembled(b, r)) {
-            Some(b) => self.assembly_diagnostic(g.entry_seq, r, b, timeout),
+        let diagnostic = match (0..workers).find(|&w| !self.assembled(w, r)) {
+            Some(w) => self.assembly_diagnostic(g.entry_seq, r, self.assembling(w), timeout),
             None => {
-                let (arrivals, departures) = join_progress(g);
+                let (arrivals, departures) = self.progress(g);
                 let waiting_block = arrivals.iter().position(|&a| a > r as u64).unwrap_or(0);
                 let straggler = arrivals
                     .iter()
@@ -335,12 +374,11 @@ impl Launch {
                     timeout,
                     arrivals,
                     departures,
-                    recent_events: self.setup.recorder.as_deref().map_or_else(Vec::new, |rec| {
-                        rec.tail(straggler, 8)
-                            .iter()
-                            .map(|e| e.to_string())
-                            .collect()
-                    }),
+                    recent_events: self
+                        .setup
+                        .recorder
+                        .as_deref()
+                        .map_or_else(Vec::new, |rec| rec.trail(straggler)),
                     phase: StuckPhase::Barrier,
                 })
             }
@@ -350,18 +388,28 @@ impl Launch {
         self.setup.abort.abort();
         timeout
     }
-}
 
-/// The progress table of a launch without a barrier: a block has entered
-/// the current entry's rounds, and finished them if it reported.
-fn join_progress(g: &LaunchDone) -> (Vec<u64>, Vec<u64>) {
-    let arrivals: Vec<u64> = g
-        .reported
-        .iter()
-        .map(|&done| g.base as u64 + u64::from(done))
-        .collect();
-    let departures = arrivals.iter().map(|a| a.saturating_sub(1)).collect();
-    (arrivals, departures)
+    /// The launch's progress table in blocks: its barrier's, or without
+    /// one (`CpuExplicit`'s join) a block has entered the current entry's
+    /// round, and finished it once its body returned — unfolded, once its
+    /// worker reported.
+    fn progress(&self, g: &LaunchDone) -> (Vec<u64>, Vec<u64>) {
+        if let Some(sh) = self.setup.barrier.as_deref() {
+            return self.setup.progress(sh);
+        }
+        let base = g.base as u64;
+        let arrivals: Vec<u64> = match &self.setup.fold {
+            // Every worker has entered the entry, so departed round r - 1.
+            Some(fold) => fold.arrivals(|_| base),
+            None => g
+                .reported
+                .iter()
+                .map(|&done| base + u64::from(done))
+                .collect(),
+        };
+        let departures = arrivals.iter().map(|a| a.saturating_sub(1)).collect();
+        (arrivals, departures)
+    }
 }
 
 /// Shared pool state.
@@ -371,6 +419,8 @@ struct Shared {
     /// launch by the *host* thread resolving it (never by workers — spin
     /// loops stay free of registry traffic).
     plan: LaunchPlan,
+    /// The workers every launch runs on ([`fold_width`]).
+    workers: usize,
     state: Mutex<PoolState>,
     cv: Condvar,
     /// Mirror of `PoolState::next_seq`, stored (`Release`) under the state
@@ -409,11 +459,10 @@ struct PoolState {
     queue: VecDeque<(Arc<Launch>, usize)>,
     first_seq: u64,
     next_seq: u64,
-    /// Per-block worker generation; bumping it retires the incumbent
-    /// worker (it exits at its next dispatch point).
+    /// Per-worker generation; bumping it retires the incumbent thread (it
+    /// exits at its next dispatch point).
     gens: Vec<u64>,
-    /// Per-block launch cursor (next sequence the block's worker will
-    /// execute).
+    /// Per-worker launch cursor (next sequence the worker will execute).
     cursors: Vec<u64>,
     shutdown: bool,
     /// Workers asleep on `Shared::cv` (written only under this lock, so a
@@ -421,15 +470,31 @@ struct PoolState {
     parked: usize,
 }
 
+/// How many workers a pool of `n` blocks runs on: one per block up to the
+/// host's parallelism, and never fewer than two, so that a worker stuck in
+/// a straggling block always has a peer whose barrier wait times out on it
+/// (a lone worker would wait on its own straggler forever). The one read
+/// of the host's core count in the runtime, taken when the process builds
+/// its first pool: it honours the CPU affinity the process runs under
+/// (`taskset`), and later pools, a cold launch's included, do not pay the
+/// 15–20 µs the read costs on Linux (cgroup files).
+fn fold_width(n: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
+    n.min(cores.max(2))
+}
+
 /// The only code that spawns a block thread.
-fn spawn_worker(shared: Arc<Shared>, block: usize, gen: u64, cursor: u64) {
-    let builder = std::thread::Builder::new().name(format!("blocksync-pool-{block}"));
+fn spawn_worker(shared: Arc<Shared>, worker: usize, gen: u64, cursor: u64) {
+    let builder = std::thread::Builder::new().name(format!("blocksync-pool-{worker}"));
     builder
-        .spawn(move || worker_loop(&shared, block, gen, cursor))
+        .spawn(move || worker_loop(&shared, worker, gen, cursor))
         .expect("spawning a pool worker thread failed");
 }
 
-fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
+fn worker_loop(shared: &Arc<Shared>, worker: usize, gen: u64, mut cursor: u64) {
     loop {
         // Warm handoff: poll the published sequence number before taking
         // the lock; shutdown and the generation are read only under it, so
@@ -438,7 +503,7 @@ fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
         let (launch, base) = {
             let mut st = shared.state.lock();
             loop {
-                if st.shutdown || st.gens[block] != gen {
+                if st.shutdown || st.gens[worker] != gen {
                     return;
                 }
                 if cursor < st.next_seq {
@@ -455,14 +520,14 @@ fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
         // Release in `abandon`; a worker that misses the flag fails fast
         // on the poisoned barrier and its late report is dropped.
         if !launch.abandoned.load(Ordering::Acquire) {
-            run_launch(shared, &launch, cursor, base, block);
+            run_launch(shared, &launch, cursor, base, worker);
         }
         cursor += 1;
         let mut st = shared.state.lock();
-        if st.gens[block] != gen {
+        if st.gens[worker] != gen {
             return; // replaced while running: the successor owns the cursor
         }
-        st.cursors[block] = cursor;
+        st.cursors[worker] = cursor;
         let min = st.cursors.iter().copied().min().unwrap_or(cursor);
         while st.first_seq < min && !st.queue.is_empty() {
             st.queue.pop_front();
@@ -471,82 +536,90 @@ fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
     }
 }
 
-/// Execute log entry `seq` — `launch` from round `base` — for `block`:
-/// stamp the activation, fire any scheduled assembly-phase fault (first
-/// entry only), assemble at the gate, then hand off to the engine's shared
-/// [`drive_block`] round loop — the pooled strategy contributes only the
-/// `t_O` accounting, the assembly phase and `CpuExplicit`'s join here.
-fn run_launch(shared: &Shared, launch: &Arc<Launch>, seq: u64, base: usize, block: usize) {
+/// Fire `block`'s scheduled assembly-phase fault of `kind`, on its
+/// worker, *before* the worker checks in at the gate of entry `seq`, so
+/// peers observe it as never-assembled. An error is the launch's origin
+/// error, and ends the worker's part of the entry.
+fn assembly_fault(
+    launch: &Launch,
+    seq: u64,
+    block: usize,
+    kind: FaultKind,
+) -> Result<(), ExecError> {
+    let setup = &launch.setup;
+    match kind {
+        FaultKind::Panic => {
+            // A worker thread must not unwind, so an assembly "panic" is
+            // reported directly: poison + abort so peers drain, and the
+            // origin error names the assembly site.
+            if let Some(sh) = setup.barrier.as_deref() {
+                sh.poison(block, 0, PoisonCause::Panic);
+            }
+            setup.abort.abort();
+            Err(ExecError::BlockPanicked {
+                block,
+                round: 0,
+                message: format!("injected fault: block {block} during pooled assembly"),
+            })
+        }
+        FaultKind::Delay(by) | FaultKind::Stall(by) => {
+            std::thread::sleep(by);
+            Ok(())
+        }
+        FaultKind::Straggler => {
+            // Cooperative: hold off checking in until a peer's gate
+            // deadline fails the launch (or the backstop trips), then
+            // report this block's own Assembly-phase origin error.
+            let backstop = effective_backstop(&setup.policy);
+            let start = Instant::now();
+            let poisoned = || {
+                setup
+                    .barrier
+                    .as_deref()
+                    .is_some_and(|sh| sh.control().poisoned().is_some())
+            };
+            while !setup.abort.is_aborted() && !poisoned() {
+                if start.elapsed() >= backstop {
+                    if let Some(sh) = setup.barrier.as_deref() {
+                        sh.poison(block, 0, PoisonCause::Timeout);
+                    }
+                    setup.abort.abort();
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            let timeout = setup.policy.timeout.unwrap_or_default();
+            Err(ExecError::BarrierTimeout {
+                diagnostic: launch.assembly_diagnostic(seq, 0, block, timeout),
+            })
+        }
+    }
+}
+
+/// Execute log entry `seq` — `launch` from round `base` — as `worker`:
+/// stamp the activation, fire the scheduled assembly-phase faults of the
+/// blocks it hosts (first entry only), assemble at the gate, then hand
+/// off to the engine's round loop — [`drive_fold`] for a worker of a
+/// folded launch with a barrier, else [`drive_block`] per hosted block.
+/// The pooled strategy contributes only the `t_O` accounting, the
+/// assembly phase and `CpuExplicit`'s join here.
+fn run_launch(shared: &Shared, launch: &Arc<Launch>, seq: u64, base: usize, worker: usize) {
     // Alive for this whole function: an owned kernel by the launch log's
     // `Arc`, a borrowed one because the borrowing call (`GridRuntime::run`,
     // `LaunchPlan::run`) is still blocked on this worker's `record_result`
     // below (see `KernelRef::borrowed`).
     let kernel = launch.kernel.get();
     let setup = &launch.setup;
-    let n = setup.n;
+    let workers = setup.workers;
     let dispatched = (base == 0).then(|| *launch.activated.get_or_init(Instant::now));
     launch.entered.fetch_add(1, Ordering::AcqRel);
-    // Scheduled assembly-phase fault: misbehave *before* checking in at
-    // the gate, so peers observe this block as never-assembled.
-    if let Some(f) = setup
-        .faults
-        .as_deref()
-        .filter(|_| base == 0)
-        .and_then(|s| s.fault_at(block, 0, FaultPhase::Assembly))
-    {
-        match f.kind {
-            FaultKind::Panic => {
-                // A worker thread must not unwind, so an assembly "panic"
-                // is reported directly: poison + abort so peers drain,
-                // and the origin error names the assembly site.
-                if let Some(sh) = setup.barrier.as_deref() {
-                    sh.poison(block, 0, PoisonCause::Panic);
+    if let Some(faults) = setup.faults.as_deref().filter(|_| base == 0) {
+        for block in setup.hosted(worker) {
+            if let Some(f) = faults.fault_at(block, 0, FaultPhase::Assembly) {
+                if let Err(e) = assembly_fault(launch, seq, block, f.kind) {
+                    launch.record_result(shared, worker, Err(e));
+                    return;
                 }
-                setup.abort.abort();
-                launch.record_result(
-                    shared,
-                    block,
-                    Err(ExecError::BlockPanicked {
-                        block,
-                        round: 0,
-                        message: format!("injected fault: block {block} during pooled assembly"),
-                    }),
-                );
-                return;
-            }
-            FaultKind::Delay(by) | FaultKind::Stall(by) => std::thread::sleep(by),
-            FaultKind::Straggler => {
-                // Cooperative: hold off checking in until a peer's gate
-                // deadline fails the launch (or the backstop trips), then
-                // report this block's own Assembly-phase origin error —
-                // never checking in, so peers see it as never-assembled.
-                let backstop = effective_backstop(&setup.policy);
-                let start = Instant::now();
-                let poisoned = || {
-                    setup
-                        .barrier
-                        .as_deref()
-                        .is_some_and(|sh| sh.control().poisoned().is_some())
-                };
-                while !setup.abort.is_aborted() && !poisoned() {
-                    if start.elapsed() >= backstop {
-                        if let Some(sh) = setup.barrier.as_deref() {
-                            sh.poison(block, 0, PoisonCause::Timeout);
-                        }
-                        setup.abort.abort();
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                let timeout = setup.policy.timeout.unwrap_or_default();
-                launch.record_result(
-                    shared,
-                    block,
-                    Err(ExecError::BarrierTimeout {
-                        diagnostic: launch.assembly_diagnostic(seq, base, block, timeout),
-                    }),
-                );
-                return;
             }
         }
     }
@@ -554,8 +627,8 @@ fn run_launch(shared: &Shared, launch: &Arc<Launch>, seq: u64, base: usize, bloc
     // launch don't spin forever waiting for a worker that will never
     // come, and — with a policy timeout — a deadline that converts a
     // peer stuck *before* the gate into an assembly-phase failure.
-    let opens_at = n * (base + 1);
-    launch.checked_in[block].store(base + 1, Ordering::Release);
+    let opens_at = workers * (base + 1);
+    launch.checked_in[worker].store(base + 1, Ordering::Release);
     launch.gate.fetch_add(1, Ordering::AcqRel);
     let mut stuck_since: Option<Instant> = None;
     let mut polls = 0u32;
@@ -572,18 +645,18 @@ fn run_launch(shared: &Shared, launch: &Arc<Launch>, seq: u64, base: usize, bloc
             Some(timeout) if launch.entered.load(Ordering::Acquire) >= opens_at => {
                 let since = *stuck_since.get_or_insert_with(Instant::now);
                 if since.elapsed() >= timeout {
-                    let Some(stuck) = (0..n).find(|&b| !launch.assembled(b, base)) else {
+                    let Some(stuck) = (0..workers).find(|&w| !launch.assembled(w, base)) else {
                         continue; // everyone checked in; the gate is about to open
                     };
                     // Poison + abort only: this observer (and every peer)
-                    // falls through to drive_block and fails fast with a
-                    // derived error, setting `first_failure`; the stuck
-                    // block's slot stays empty so the handle's abandonment
-                    // synthesizes the Assembly-phase origin error and
-                    // replaces its worker — one self-heal path for stuck
-                    // assembly and stuck rounds alike.
+                    // falls through to its round loop and fails fast with
+                    // a derived error, setting `first_failure`; the stuck
+                    // worker's report stays missing so the handle's
+                    // abandonment synthesizes the Assembly-phase origin
+                    // error and replaces it — one self-heal path for
+                    // stuck assembly and stuck rounds alike.
                     if let Some(sh) = setup.barrier.as_deref() {
-                        sh.poison(stuck, 0, PoisonCause::Timeout);
+                        sh.poison(launch.assembling(stuck), 0, PoisonCause::Timeout);
                     }
                     setup.abort.abort();
                     break;
@@ -594,26 +667,69 @@ fn run_launch(shared: &Shared, launch: &Arc<Launch>, seq: u64, base: usize, bloc
         gate_backoff(&mut polls);
     }
     let start = Instant::now();
-    let mut t = BlockTimes {
+    let t = BlockTimes {
         // t_O: dispatch (first pickup; launch 0's submit) -> this worker
         // assembled, for the launch's first entry only.
         launch: dispatched.map_or(Duration::ZERO, |at| start.saturating_duration_since(at)),
         ..BlockTimes::default()
     };
     if let Some(rec) = setup.recorder.as_deref() {
-        rec.record(block, base, TraceEventKind::Launch);
+        for block in setup.hosted(worker) {
+            rec.record_instant(block, base, TraceEventKind::Launch, start);
+        }
     }
-    if base > 0 {
-        // `CpuExplicit`'s join since the last round's body: the relaunch
-        // and the wait for the slowest block.
-        t.sync = launch.depart(block, base - 1, start);
-    }
+    // One `BlockTimes` per hosted block, in turn order; no allocation for
+    // a worker hosting one.
+    let mut one = [t];
+    let mut many;
+    let times: &mut [BlockTimes] = match setup.hosted(worker).len() {
+        1 => &mut one,
+        k => {
+            many = vec![t; k];
+            &mut many
+        }
+    };
     let end = base + if setup.per_round() { 1 } else { setup.rounds };
-    let res = drive_block(setup, kernel, block, base..end.min(setup.rounds), &mut t);
-    if res.is_ok() && setup.per_round() && base < setup.rounds {
-        launch.arrive(block, base, Instant::now());
+    let rounds = base..end.min(setup.rounds);
+    let res = match (setup.barrier.as_deref(), setup.fold.as_ref()) {
+        (Some(sh), Some(fold)) => drive_fold(setup, kernel, worker, (sh, fold), rounds, times),
+        _ => run_in_turn(launch, kernel, worker, rounds, start, times),
+    };
+    launch.record_result(shared, worker, res.map(|()| &*times));
+}
+
+/// The entry's rounds of every block `worker` hosts, one block after the
+/// other, through [`drive_block`]: the one block of an unfolded launch's
+/// worker, or the blocks of a folded launch without a barrier, which
+/// never meet within an entry (`NoSync`; a `CpuExplicit` entry is one
+/// round). Under `CpuExplicit` a block's round also closes its join since
+/// the last round's body — the relaunch and the wait for the slowest
+/// block — at the start of its body (`start`, the gate's opening, for the
+/// first block).
+fn run_in_turn(
+    launch: &Launch,
+    kernel: &dyn RoundKernel,
+    worker: usize,
+    rounds: Range<usize>,
+    start: Instant,
+    times: &mut [BlockTimes],
+) -> Result<(), ExecError> {
+    let setup = &launch.setup;
+    let (base, explicit) = (rounds.start, setup.per_round());
+    for (j, (block, t)) in setup.hosted(worker).zip(times).enumerate() {
+        if explicit && base > 0 {
+            let at = if j == 0 { start } else { Instant::now() };
+            t.sync += launch.depart(block, base - 1, at);
+        }
+        drive_block(setup, kernel, block, rounds.clone(), t)?;
+        if explicit && !rounds.is_empty() {
+            launch.arrive(block, base, Instant::now());
+            if let Some(fold) = &setup.fold {
+                fold.advance(worker);
+            }
+        }
     }
-    launch.record_result(shared, block, res.map(|()| t));
+    Ok(())
 }
 
 /// A pending pooled launch; resolves to the launch's [`KernelStats`].
@@ -737,10 +853,11 @@ fn wait_launch(
     result
 }
 
-/// Give up on the blocks that never reported for the current entry:
-/// synthesize their timeout diagnostics, poison the launch so stragglers
-/// that eventually wake fail fast, note them for worker replacement, and
-/// settle the launch. Poisoning goes through the
+/// Give up on the workers that never reported for the current entry:
+/// synthesize a timeout diagnostic naming the block each is stuck in, and
+/// give it to every block the worker hosts; poison the launch so
+/// stragglers that eventually wake fail fast, note the workers for
+/// replacement, and settle the launch. Poisoning goes through the
 /// [`crate::BarrierShared::poison`] hook so barriers whose waiters sleep
 /// (the CPU-implicit condvar rendezvous) are woken, not just flagged.
 fn abandon(
@@ -750,25 +867,29 @@ fn abandon(
     timeout: Duration,
     replaced: &mut Vec<usize>,
 ) {
+    let setup = &launch.setup;
     launch.abandoned.store(true, Ordering::Release);
-    launch.setup.abort.abort();
-    let (arrivals, departures) = match launch.setup.barrier.as_deref() {
-        Some(sh) => sh.control().progress(),
-        None => join_progress(g),
-    };
-    for b in 0..launch.setup.n {
-        if g.reported[b] {
+    setup.abort.abort();
+    let (arrivals, departures) = launch.progress(g);
+    for w in 0..setup.workers {
+        if g.reported[w] {
             continue;
-        }
-        let round = arrivals.get(b).copied().unwrap_or(0) as usize;
-        if let Some(sh) = launch.setup.barrier.as_deref() {
-            sh.poison(b, round, PoisonCause::Timeout);
         }
         // A worker that never even checked in at the assembly gate was
         // stuck *before* round 0 — report the assembly phase (with the
         // gate's check-in bits as its progress table) so the diagnostic
         // does not masquerade as a round-0 body fault.
-        let diagnostic = if launch.assembled(b, g.base) {
+        let assembled = launch.assembled(w, g.base);
+        let b = match &setup.fold {
+            _ if !assembled => launch.assembling(w),
+            Some(fold) => fold.current(w),
+            None => w,
+        };
+        let round = if assembled { arrivals[b] as usize } else { 0 };
+        if let Some(sh) = setup.barrier.as_deref() {
+            sh.poison(b, round, PoisonCause::Timeout);
+        }
+        let diagnostic = if assembled {
             Box::new(StuckDiagnostic {
                 barrier: launch.label(),
                 waiting_block: b,
@@ -777,11 +898,10 @@ fn abandon(
                 timeout,
                 arrivals: arrivals.clone(),
                 departures: departures.clone(),
-                recent_events: launch
-                    .setup
+                recent_events: setup
                     .recorder
                     .as_deref()
-                    .map(|rec| rec.tail(b, 8).iter().map(|e| e.to_string()).collect())
+                    .map(|rec| rec.trail(b))
                     .unwrap_or_default(),
                 phase: StuckPhase::Barrier,
             })
@@ -793,31 +913,34 @@ fn abandon(
             );
             d
         };
-        g.results[b] = Err(ExecError::BarrierTimeout { diagnostic });
-        g.reported[b] = true;
-        replaced.push(b);
+        let err = ExecError::BarrierTimeout { diagnostic };
+        for block in setup.hosted(w) {
+            g.results[block] = Err(err.clone());
+        }
+        g.reported[w] = true;
+        replaced.push(w);
     }
-    g.finished = launch.setup.n;
+    g.finished = setup.workers;
     launch.end_entry(shared, g);
 }
 
 /// Retire the stuck workers and spawn fresh ones starting after the
 /// abandoned entry (its results were already synthesized).
-fn replace_workers(shared: &Arc<Shared>, blocks: &[usize], after_seq: u64) {
+fn replace_workers(shared: &Arc<Shared>, workers: &[usize], after_seq: u64) {
     let mut st = shared.state.lock();
     if st.shutdown {
         return;
     }
-    for &b in blocks {
-        st.gens[b] += 1;
-        st.cursors[b] = after_seq + 1;
-        spawn_worker(Arc::clone(shared), b, st.gens[b], after_seq + 1);
+    for &w in workers {
+        st.gens[w] += 1;
+        st.cursors[w] = after_seq + 1;
+        spawn_worker(Arc::clone(shared), w, st.gens[w], after_seq + 1);
     }
     drop(st);
     shared.cv.notify_all();
 }
 
-/// Persistent per-block worker pool with a pipelined launch queue — the
+/// Persistent worker pool with a pipelined launch queue — the
 /// host-runtime realization of the paper's "launch the kernel only once"
 /// persistence, extended across kernels. See the module docs for the
 /// launch-log and fault-recovery design.
@@ -843,9 +966,11 @@ impl GridRuntime {
         true
     }
 
-    /// Build the pool. Its workers, one per block, are spawned by its
-    /// first launch, whose stats include that cost. [`SyncMethod::Auto`]
-    /// resolves here, as in [`LaunchPlan::compile`].
+    /// Build the pool. Its workers — one per block up to the host's cores
+    /// (at least two), past that the grid folds onto them (see
+    /// the module docs) — are spawned by its first launch, whose stats
+    /// include that cost. [`SyncMethod::Auto`] resolves here, as in
+    /// [`LaunchPlan::compile`].
     ///
     /// # Errors
     /// [`ExecError::Device`] for an invalid grid shape.
@@ -872,16 +997,17 @@ impl GridRuntime {
 
     /// A pool for `plan`; [`LaunchPlan`] builds one per cold launch.
     pub(crate) fn from_plan(plan: LaunchPlan) -> GridRuntime {
-        let n = plan.config().n_blocks;
+        let workers = fold_width(plan.config().n_blocks);
         GridRuntime {
             shared: Arc::new(Shared {
                 plan,
+                workers,
                 state: Mutex::new(PoolState {
                     queue: VecDeque::new(),
                     first_seq: 0,
                     next_seq: 0,
-                    gens: vec![0; n],
-                    cursors: vec![0; n],
+                    gens: vec![0; workers],
+                    cursors: vec![0; workers],
                     shutdown: false,
                     parked: 0,
                 }),
@@ -902,13 +1028,8 @@ impl GridRuntime {
     /// name, so a multi-pool [`crate::GridService`] sharing one registry
     /// gets per-shard `queue_depth` gauges and `shard_launches_total`
     /// counters instead of aliased globals.
-    pub fn set_shard_label(&self, label: impl Into<String>) {
+    pub(crate) fn set_shard_label(&self, label: impl Into<String>) {
         *self.shared.shard_label.lock() = Some(label.into());
-    }
-
-    /// The shard label stamped into this pool's launch records, if any.
-    pub fn shard_label(&self) -> Option<String> {
-        self.shared.shard_label.lock().clone()
     }
 
     /// The pool's grid configuration.
@@ -939,10 +1060,11 @@ impl GridRuntime {
         pending.len()
     }
 
-    /// Workers currently asleep on the pool's condvar (diagnostic, like
-    /// [`crate::BarrierControl::parked_waiters`]): an idle pool reaches
-    /// `n_blocks` one spin bound after its last launch and burns no CPU
-    /// from then on (a pool that never launched has no workers yet).
+    /// Workers currently asleep on the pool's condvar (a diagnostic): an
+    /// idle pool reaches its worker count — `n_blocks`, or the host's
+    /// cores (at least two) when the grid folds — one spin bound after its
+    /// last launch and burns no CPU from then on (a pool that never
+    /// launched has no workers yet).
     pub fn parked_workers(&self) -> usize {
         self.shared.state.lock().parked
     }
@@ -953,12 +1075,15 @@ impl GridRuntime {
         self.shared.state.lock().next_seq
     }
 
-    /// Per-block worker generation counters. A block's counter advances
-    /// every time its stuck worker is abandoned and replaced, so a soak
-    /// harness can assert the pool self-healed (strictly increasing after
-    /// every abandoned launch) without reaching into pool internals.
+    /// Per-block worker generation counters: for each block, the
+    /// generation of the worker that hosts it. It advances every time that
+    /// worker is abandoned stuck and replaced, so a soak harness can
+    /// assert the pool self-healed (strictly increasing after every
+    /// abandoned launch) without reaching into pool internals.
     pub fn generations(&self) -> Vec<u64> {
-        self.shared.state.lock().gens.clone()
+        let st = self.shared.state.lock();
+        let n = self.config().n_blocks;
+        (0..n).map(|b| st.gens[b % self.shared.workers]).collect()
     }
 
     /// Append a launch to the log and return its handle. Back-to-back
@@ -1023,7 +1148,8 @@ impl GridRuntime {
     /// first entry to the log, and wake or — for launch 0 — spawn the
     /// workers.
     fn enqueue(&self, kernel: KernelRef) -> Arc<Launch> {
-        let setup = self.shared.plan.setup(kernel.get());
+        let workers = self.shared.workers;
+        let setup = self.shared.plan.setup(kernel.get(), workers);
         let n = setup.n;
         let st = self.shared.state.lock();
         let seq = st.next_seq;
@@ -1043,7 +1169,7 @@ impl GridRuntime {
             },
             gate: AtomicUsize::new(0),
             entered: AtomicUsize::new(0),
-            checked_in: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            checked_in: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
             arrived: if setup.per_round() {
                 (0..n).map(|_| AtomicU64::new(0)).collect()
             } else {
@@ -1051,7 +1177,7 @@ impl GridRuntime {
             },
             done: Mutex::new(LaunchDone {
                 results: vec![Ok(BlockTimes::default()); n],
-                reported: vec![false; n],
+                reported: vec![false; workers],
                 finished: 0,
                 settled: false,
                 base: 0,
@@ -1068,8 +1194,8 @@ impl GridRuntime {
         });
         self.shared.push(st, Arc::clone(&launch), 0);
         if seq == 0 {
-            for b in 0..n {
-                spawn_worker(Arc::clone(&self.shared), b, 0, 0);
+            for w in 0..workers {
+                spawn_worker(Arc::clone(&self.shared), w, 0, 0);
             }
         }
         launch

@@ -177,6 +177,9 @@ impl TraceConfig {
     }
 }
 
+/// Trace events a diagnostic carries per block it names.
+pub(crate) const TRAIL_LEN: usize = 8;
+
 // Packed event word: [60..64] kind, [40..60] round, [0..40] ns timestamp.
 const TS_BITS: u32 = 40;
 const ROUND_BITS: u32 = 20;
@@ -298,11 +301,6 @@ impl EventRecorder {
         }
     }
 
-    /// The instant timestamps are measured from.
-    pub(crate) fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
     /// The configured round stride.
     pub fn stride(&self) -> usize {
         self.stride
@@ -322,9 +320,22 @@ impl EventRecorder {
         self.record_at(block, round, kind, self.epoch.elapsed());
     }
 
+    /// [`EventRecorder::record`] at a given instant, so the round loop and
+    /// CPU-explicit's joins stamp events with the instants they charge to
+    /// [`crate::KernelStats`] (and read no clock of their own).
+    #[inline]
+    pub(crate) fn record_instant(
+        &self,
+        block: usize,
+        round: usize,
+        kind: TraceEventKind,
+        at: Instant,
+    ) {
+        self.record_at(block, round, kind, at.saturating_duration_since(self.epoch));
+    }
+
     /// [`EventRecorder::record`] with an explicit timestamp (duration
-    /// since the recorder's epoch) so the pool can stamp CPU-explicit's
-    /// joins with the same instants it uses for [`crate::KernelStats`].
+    /// since the recorder's epoch).
     #[inline]
     pub(crate) fn record_at(&self, block: usize, round: usize, kind: TraceEventKind, at: Duration) {
         if kind.is_sampled() && !self.sampled(round) {
@@ -336,13 +347,13 @@ impl EventRecorder {
     /// Record the poll count of one completed barrier wait. Called once
     /// per wait, *after* the spin loop exits — never inside it.
     #[inline]
-    pub fn record_spin(&self, block: usize, polls: u64) {
+    pub(crate) fn record_spin(&self, block: usize, polls: u64) {
         self.spin[block].record(polls);
     }
 
     /// Record one round's sync time (ns) for `block`.
     #[inline]
-    pub fn record_sync(&self, block: usize, ns: u64) {
+    pub(crate) fn record_sync(&self, block: usize, ns: u64) {
         self.sync_ns[block].record(ns);
     }
 
@@ -357,6 +368,15 @@ impl EventRecorder {
         let mut ev = self.rings[block].decode(block);
         let skip = ev.len().saturating_sub(k);
         ev.split_off(skip)
+    }
+
+    /// `block`'s last [`TRAIL_LEN`] events, rendered: the
+    /// `recent_events` of a diagnostic naming it.
+    pub(crate) fn trail(&self, block: usize) -> Vec<String> {
+        self.tail(block, TRAIL_LEN)
+            .iter()
+            .map(TraceEvent::to_string)
+            .collect()
     }
 
     /// All events of all blocks, sorted by time (ties: by block, then by
@@ -423,7 +443,10 @@ pub struct Telemetry {
     pub dropped: u64,
     /// Every retained event, time-sorted.
     pub events: Vec<TraceEvent>,
-    /// Spin polls per barrier wait (one sample per completed wait).
+    /// Spin polls per barrier wait (one sample per completed wait). On a
+    /// folded launch a worker's wait is sampled under the first block it
+    /// hosts, and every other block it hosts adds a 0-poll sample per
+    /// round: that block waited on its worker, not on a flag.
     pub spin_polls: Histogram,
     /// Per-round per-block sync time, ns (one sample per block per round).
     pub sync_ns: Histogram,
