@@ -96,13 +96,13 @@ COMMANDS:
              --launches N --fault-rate F --seed S --rounds R [--window W]
              [--sync-timeout SECS] [--json FILE] [--postmortem-dir DIR]
   serve      barrier-as-a-service demo: one GridService fronting several
-             shard shapes, hammered by concurrent client threads through
-             the bounded admission plane (per-shard queues, per-tenant
-             quotas, blocking submit with deadline); prints the per-shard
-             traffic table
+             shard shapes on one set of max(2, cores) workers, hammered by
+             concurrent client threads through the bounded admission plane
+             (per-shard queues, per-tenant quotas, blocking submit with
+             deadline); prints the per-shard traffic table
              --clients N --launches PER_CLIENT --rounds R
              [--shards BxT/METHOD,...] [--queue-capacity Q] [--quota K]
-             [--deadline SECS] [--idle-ttl-ms MS] [--metrics-out FILE]
+             [--deadline SECS] [--metrics-out FILE]
   metrics    exercise the observability plane: a window of pipelined
              pooled launches through one runtime, then the cross-launch
              metrics registry in Prometheus text format (per-method

@@ -14,22 +14,22 @@
 //!    ([`FaultSchedule::matches_error`]) — the right variant, block,
 //!    round, and phase (assembly faults must surface as assembly, not as
 //!    a round-0 body fault).
-//! 2. **The pool self-heals.** A launch whose faults are all
+//! 2. **The device self-heals.** A launch whose faults are all
 //!    non-cooperative stalls *must* leave abandoned stragglers replaced:
-//!    the per-block worker generation counters of *its own* shard
-//!    ([`crate::GridRuntime::generations`]) strictly advance across its
-//!    wait.
+//!    some per-worker generation counter of the service's device, which
+//!    every shard's launches run on, strictly advances across its wait.
 //! 3. **Fault-free launches stay bit-identical.** Every clean (and every
 //!    benign, delay-only) launch's output must equal the sequential
 //!    reference — a prior fault must not contaminate later launches.
 //! 4. **Every shard still serves.** After the barrage each shard runs one
 //!    more clean launch bit-identically — no shard is left wedged, and
-//!    healing one never paused or contaminated a sibling.
+//!    healing the device after one shard's fault never contaminated
+//!    another.
 //!
 //! Everything derives from one logged `u64` seed: a red soak anywhere
 //! reproduces locally with `blocksync chaos --seed <seed>`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -44,7 +44,7 @@ use crate::fault::{Fault, FaultInjector, FaultKind, FaultProfile, FaultSchedule,
 use crate::gmem::GlobalBuffer;
 use crate::method::SyncMethod;
 use crate::obs::{LaunchRecord, MetricsSnapshot, Observer};
-use crate::runtime::GridRuntime;
+use crate::runtime::fold_width;
 use crate::service::{GridService, ServiceConfig, ServiceHandle, ShardKey};
 use crate::trace::TraceConfig;
 
@@ -112,8 +112,8 @@ pub struct ChaosLaunch {
     pub error: Option<ExecError>,
     /// The scheduled faults (empty for clean launches).
     pub faults: Vec<Fault>,
-    /// Per-block worker generation counters of the serving shard after
-    /// this launch settled.
+    /// Per-worker generation counters of the service's device after this
+    /// launch settled.
     pub generations: Vec<u64>,
     /// Worker replacements this launch's settling caused (sum of
     /// generation advances since the previous settled launch).
@@ -135,8 +135,8 @@ pub struct ChaosReport {
     pub benign: usize,
     /// Fault-free launches (expected to succeed bit-identically).
     pub clean: usize,
-    /// Total worker replacements observed (sum of generation-counter
-    /// advances over all shards).
+    /// Total worker replacements observed (sum of the device's
+    /// generation-counter advances).
     pub replacements: u64,
     /// Invariant violations, one line each. Empty = passed.
     pub failures: Vec<String>,
@@ -374,14 +374,12 @@ impl ChaosConfig {
         // The bounded queues must admit the soak's own pipelining: the
         // global window bounds per-shard in-flight launches, so capacity
         // = window never rejects chaos traffic while still exercising the
-        // admission plane end-to-end. The idle TTL outlives the soak so
-        // no shard retires mid-run.
+        // admission plane end-to-end.
         let svc = GridService::new(
             ServiceConfig::default()
                 .with_max_shards(self.shards.len())
                 .with_queue_capacity(self.window.max(1))
                 .with_tenant_quota(self.window.max(1))
-                .with_idle_ttl(Duration::from_secs(3600))
                 .with_template(template),
         );
         let mut report = ChaosReport {
@@ -394,13 +392,9 @@ impl ChaosConfig {
             .iter()
             .map(|&k| (k, MixKernel::expected(k.blocks, self.rounds)))
             .collect();
-        // One tracker per shard so a sibling shard's healing can never
-        // satisfy — or mask — another shard's invariant 2.
-        let mut trackers: HashMap<ShardKey, GenTracker> = self
-            .shards
-            .iter()
-            .map(|&k| (k, GenTracker::default()))
-            .collect();
+        // Every shard's launches run on the service's one device, so one
+        // tracker, per worker of it.
+        let mut tracker = GenTracker::new(svc.generations().len());
         // Plan every launch up front from the seed: routing, class, and
         // schedule all derive from the one u64.
         let plans: Vec<(ShardKey, Planned)> = (0..self.launches)
@@ -416,7 +410,7 @@ impl ChaosConfig {
                     allow_assembly: true,
                 };
                 let plan = if faulty {
-                    let schedule = FaultSchedule::random(rng.next(), &profile);
+                    let schedule = witnessed_schedule(&mut rng, &profile);
                     Planned::Faulty {
                         schedule: schedule.clone(),
                         kernel: Arc::new(
@@ -449,19 +443,15 @@ impl ChaosConfig {
                     }
                 };
                 if res.is_err() {
-                    let rec = service_flight_record(&svc.observer(), &label, seq);
+                    let rec = service_flight_record(&svc.observer(), seq);
                     self.dump_postmortem(report, i, rec);
                 }
-                let tracker = trackers.get_mut(&key).expect("tracker per shard");
-                let gens = svc
-                    .with_shard(key, GridRuntime::generations)
-                    .unwrap_or_default();
                 settle(
                     report,
                     &expected[&key],
                     i,
                     plan,
-                    (tracker, gens),
+                    (&mut tracker, svc.generations()),
                     &label,
                     res,
                 );
@@ -508,11 +498,7 @@ impl ChaosConfig {
             }
         }
         report.launches = self.launches;
-        report.replacements = self
-            .shards
-            .iter()
-            .filter_map(|&k| svc.with_shard(k, |rt| rt.generations().iter().sum::<u64>()))
-            .sum();
+        report.replacements = svc.generations().iter().sum();
         report.metrics = Some(Box::new(svc.observer().snapshot()));
         Ok(report)
     }
@@ -541,36 +527,63 @@ impl ChaosConfig {
     }
 }
 
-/// Find the flight record of launch `seq` on shard `shard` in a service's
-/// shared flight recorder. Per-shard sequence numbers collide across
-/// shards, so the match needs both keys; the fallback is the most recent
-/// failure *on that shard* (other launches in the pipeline window may
-/// have failed since).
-fn service_flight_record(obs: &Observer, shard: &str, seq: u64) -> Option<LaunchRecord> {
-    let recent = obs.recent();
-    let failed_here = |r: &&LaunchRecord| r.shard.as_deref() == Some(shard) && r.error.is_some();
-    recent
-        .iter()
-        .rev()
-        .filter(failed_here)
-        .find(|r| r.pool.is_some_and(|p| p.launch_seq == seq))
-        .or_else(|| recent.iter().rev().find(failed_here))
-        .cloned()
+/// A random schedule whose worker-holding faults (stragglers and stalls)
+/// leave at least one of the launch's workers free. A launch of `n` blocks
+/// runs on `fold_width(n)` workers, and a fault that holds a block holds
+/// its worker and every block the worker hosts, so the healthy peer whose
+/// timeout reports the fault must be a worker: with every worker held in
+/// one round, nobody waits at the barrier, stalls end unobserved and
+/// stragglers wait out their backstop. [`FaultSchedule::random`] keeps a
+/// healthy *block*; this redraws, from the same seeded stream, until a
+/// worker stays healthy too.
+fn witnessed_schedule(rng: &mut SplitMix64, profile: &FaultProfile) -> FaultSchedule {
+    let workers = fold_width(profile.n_blocks);
+    loop {
+        let schedule = FaultSchedule::random(rng.next(), profile);
+        let held: HashSet<usize> = schedule
+            .faults()
+            .iter()
+            .filter(|f| matches!(f.kind, FaultKind::Straggler | FaultKind::Stall(_)))
+            .map(|f| f.block % workers)
+            .collect();
+        if held.len() < workers {
+            return schedule;
+        }
+    }
 }
 
-/// Per-shard generation bookkeeping across settles: `watermark` is the
-/// stall-self-heal threshold of invariant 2 (only advanced by all-stall
-/// schedules), `last_sum` the previous settled launch's generation sum
-/// (for per-launch replacement deltas).
-#[derive(Debug, Default)]
+/// Find the flight record of launch `seq` in a service's shared flight
+/// recorder. Sequence numbers are the device's, so one names one launch
+/// whichever shard served it.
+fn service_flight_record(obs: &Observer, seq: u64) -> Option<LaunchRecord> {
+    obs.recent()
+        .into_iter()
+        .rev()
+        .find(|r| r.pool.is_some_and(|p| p.launch_seq == seq))
+}
+
+/// Per-worker generation bookkeeping of the service's device across
+/// settles: `watermark` is the stall-self-heal threshold of invariant 2
+/// (only advanced by all-stall schedules), `last` the generations at the
+/// previous settle (for per-launch replacement deltas).
+#[derive(Debug)]
 struct GenTracker {
-    watermark: u64,
-    last_sum: u64,
+    watermark: Vec<u64>,
+    last: Vec<u64>,
+}
+
+impl GenTracker {
+    fn new(workers: usize) -> Self {
+        GenTracker {
+            watermark: vec![0; workers],
+            last: vec![0; workers],
+        }
+    }
 }
 
 /// Check one completed launch against the three per-launch invariants,
-/// folding violations into the report. `pool` is the serving shard's
-/// generation bookkeeping plus its current counters.
+/// folding violations into the report, with the device's generation
+/// bookkeeping and its current counters.
 fn settle(
     report: &mut ChaosReport,
     expected: &[u64],
@@ -636,26 +649,29 @@ fn settle(
     };
     // Invariant 2: a launch whose fatal faults are all non-cooperative
     // stalls must have forced abandon-and-replace — its wait strictly
-    // advances some generation counter of *its own* pool. (Mixed
-    // schedules may fail before any stall site is reached, so only
+    // advances some worker's generation past that worker's watermark.
+    // (Mixed schedules may fail before any stall site is reached, so only
     // all-stall schedules assert.)
-    let gens_sum: u64 = gens.iter().sum();
     if let Some(s) = schedule {
         let fatal: Vec<_> = s.faults().iter().filter(|f| f.is_fatal()).collect();
         let all_stalls =
             !fatal.is_empty() && fatal.iter().all(|f| matches!(f.kind, FaultKind::Stall(_)));
         if all_stalls {
-            if gens_sum <= tracker.watermark {
+            if gens.iter().zip(&tracker.watermark).all(|(g, w)| g <= w) {
                 report.failures.push(format!(
                     "launch {i} (shard {shard}): stall schedule did not advance any worker \
-                     generation (pool failed to self-heal): {s:?}"
+                     generation (device failed to self-heal): {s:?}"
                 ));
             }
-            tracker.watermark = gens_sum.max(tracker.watermark);
+            tracker.watermark.clone_from(&gens);
         }
     }
-    let generation_delta = gens_sum.saturating_sub(tracker.last_sum);
-    tracker.last_sum = gens_sum;
+    let generation_delta = gens
+        .iter()
+        .zip(&tracker.last)
+        .map(|(g, last)| g.saturating_sub(*last))
+        .sum();
+    tracker.last.clone_from(&gens);
     report.outcomes.push(ChaosLaunch {
         index: i,
         class: class.to_string(),
@@ -824,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn faulty_service_soak_heals_shards_without_pausing_siblings() {
+    fn faulty_service_soak_heals_the_device_and_every_shard_still_serves() {
         let report = ChaosConfig {
             launches: 24,
             fault_rate: 0.5,

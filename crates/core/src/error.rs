@@ -207,10 +207,11 @@ impl std::error::Error for ExecError {
 /// Why a [`crate::GridService`] refused or failed a submission.
 ///
 /// Admission failures ([`ServiceError::QueueFull`],
-/// [`ServiceError::QuotaExceeded`], [`ServiceError::Deadline`],
-/// [`ServiceError::ShardLimit`]) are *backpressure*: the work was never
-/// enqueued, and the caller may retry. [`ServiceError::Exec`] wraps a
-/// launch that was admitted but failed to execute.
+/// [`ServiceError::QuotaExceeded`], [`ServiceError::Deadline`]) are
+/// *backpressure*: the work was never enqueued, and the caller may retry.
+/// [`ServiceError::ShardLimit`] is final: the service has served its last
+/// new key, and a retry is refused the same way. [`ServiceError::Exec`]
+/// wraps a launch that was admitted but failed to execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// The target shard's bounded submission queue is at capacity.
@@ -234,9 +235,10 @@ pub enum ServiceError {
         /// How long the submitter waited before giving up.
         waited: Duration,
     },
-    /// A new shard was needed but the service is at its shard limit.
+    /// A new key needed a shard, but the service already serves its limit
+    /// of keys.
     ShardLimit {
-        /// The configured maximum number of live shards.
+        /// The configured maximum number of shards.
         limit: usize,
     },
     /// The key's grid is invalid, or the admitted launch failed.
@@ -256,10 +258,13 @@ impl ServiceError {
         }
     }
 
-    /// Whether this is an admission rejection (retryable backpressure)
-    /// rather than an execution failure.
+    /// Whether this is an admission rejection that a retry may pass
+    /// (backpressure), rather than a final refusal or an execution failure.
     pub fn is_backpressure(&self) -> bool {
-        !matches!(self, ServiceError::Exec(_))
+        !matches!(
+            self,
+            ServiceError::Exec(_) | ServiceError::ShardLimit { .. }
+        )
     }
 }
 

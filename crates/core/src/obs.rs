@@ -254,8 +254,8 @@ impl Observer {
     }
 
     /// Increment a plain counter — the service plane's hook for events
-    /// that are not launches (shard spin-up/retirement, admission
-    /// rejections). No-op when disabled.
+    /// that are not launches (shard set-up, admission rejections). No-op
+    /// when disabled.
     pub fn inc_counter(&self, name: &str, by: u64) {
         if self.enabled {
             self.inner.lock().registry.inc(name, by);

@@ -1,50 +1,78 @@
-//! Persistent grid runtime: pooled workers with pipelined launches — the
-//! one strategy that spawns block threads.
+//! Persistent grid runtime: a device of pooled workers with pipelined
+//! launches — the one strategy that spawns block threads.
 //!
-//! A pool of `n` blocks runs on W = `min(n, max(2, cores))` workers, with
-//! `cores` read from [`std::thread::available_parallelism`] when the
-//! process builds its first pool. At `n ≤ W` each worker is one block.
-//! Past that the grid *folds*:
-//! worker `w` hosts blocks `w, w + W, …`, runs their round bodies in turn
-//! and makes one wait per round on a barrier among the W workers — the
+//! A *device* is a set of W workers and the one launch log they consume.
+//! A [`GridRuntime`] is a grid on a device: a [`LaunchPlan`] (with its
+//! observer and, under a [`crate::GridService`], its shard label) plus an
+//! `Arc` of the device. [`GridRuntime::new`] builds a private device for
+//! its grid; a [`crate::GridService`] builds one device of W =
+//! `max(2, cores)` workers that every shard's launches run on, as a GPU
+//! runs many grids on one set of SMs.
+//!
+//! A launch of `n` blocks runs on W′ = `min(n, max(2, cores))` ≤ W of its
+//! device's workers, with `cores` read from
+//! [`std::thread::available_parallelism`] when the process builds its
+//! first grid; a private device has exactly W′ workers. At `n ≤ W′` each
+//! worker is one block. Past that the grid *folds*:
+//! worker `w` hosts blocks `w, w + W′, …`, runs their round bodies in turn
+//! and makes one wait per round on a barrier among the W′ workers — the
 //! paper's loop inside a block when there is more work than SMs (§5),
 //! instead of `n` threads of which most must sleep and be woken twice a
-//! round. W is at least two so that a worker whose block straggles has a
+//! round. W′ is at least two so that a worker whose block straggles has a
 //! peer to time out on it. Parking stays, as the escalation for a core
 //! another process took. Blocks keep everything that is theirs — their
 //! `BlockCtx`, `catch_unwind`, [`BlockTimes`], trace events, fault sites
-//! and the blocks a diagnostic names — and the pool's own bookkeeping
-//! (generations, cursors, the assembly gate, who reported) is per worker.
+//! and the blocks a diagnostic names — and the launch's own bookkeeping
+//! (the assembly gate, who reported) is per worker, as the device's
+//! (generations, cursors) is.
 //!
-//! The pool spawns its W workers when its first launch is enqueued;
-//! every later launch is a *warm* dispatch through a launch queue, the
+//! A device spawns its W workers when its first launch is enqueued;
+//! every later launch, whichever grid it belongs to, is a *warm* dispatch
+//! through the launch log, the
 //! pipelined-relaunch shape of the paper's CPU implicit sync
 //! (Section 4.2) applied to whole kernels instead of rounds — exactly the
 //! cost the paper's persistent-kernel design (Section 4.3) amortizes
-//! away. A cold [`LaunchPlan::run`] is launch 0 of a pool built from the
-//! plan and dropped after it, so launch 0 pays the full `t_O` of Eq. 1:
-//! its clock starts at submit, and `launch` and `wall` include the worker
-//! spawns (DESIGN.md §10). Which of the two a caller pays is the type it
-//! holds: a [`LaunchPlan`] launches cold every time, a [`GridRuntime`]
-//! (or a [`crate::GridService`] shard) only the first time.
+//! away. A cold [`LaunchPlan::run`] is launch 0 of a grid on a device
+//! built for it and dropped after it, so launch 0 pays the full `t_O` of
+//! Eq. 1: its clock starts at submit, and `launch` and `wall` include the
+//! worker spawns (DESIGN.md §10). Which of the two a caller pays is the
+//! type it holds: a [`LaunchPlan`] launches cold every time, a
+//! [`GridRuntime`] only the first time, and a [`crate::GridService`]
+//! shard only if it is the first grid its device ran.
 //!
-//! The pool is a *strategy* over the shared launch engine: it holds one
-//! [`LaunchPlan`], stamps a fresh `crate::launch::LaunchSetup` per
+//! The runtime is a *strategy* over the shared launch engine: a grid holds
+//! one [`LaunchPlan`], stamps a fresh `crate::launch::LaunchSetup` per
 //! submission, each worker runs one of the engine's round loops
 //! (`drive_block`, or `drive_fold` for a worker of several blocks), and
 //! the setup's `finish` builds the launch's stats and its
-//! [`crate::LaunchRecord`] — the pool adds only the warm-launch accounting
-//! (the [`PoolLaunchStats`], worker replacements, the shard label).
+//! [`crate::LaunchRecord`] — the runtime adds only the warm-launch
+//! accounting (the [`PoolLaunchStats`], worker replacements, the shard
+//! label).
 //!
 //! ## Launch log
 //!
-//! Submissions append to a monotonically numbered launch log; each worker
-//! consumes the log in order with a private cursor, so back-to-back
-//! [`GridRuntime::submit`] calls pipeline: a worker can start launch
-//! `k+1` the moment it finished its part of launch `k`, without a global
-//! drain barrier in between. [`LaunchHandle::wait`] resolves one launch to
-//! its [`crate::KernelStats`]. This in-order pipelined consumption is
-//! exactly the paper's implicit-sync launch queue.
+//! Submissions append to the device's monotonically numbered launch log;
+//! each worker consumes the log in order with a private cursor, so
+//! back-to-back [`GridRuntime::submit`] calls pipeline: a worker can start
+//! launch `k+1` the moment it finished its part of launch `k`, without a
+//! global drain barrier in between. [`LaunchHandle::wait`] resolves one
+//! launch to its [`crate::KernelStats`]. This in-order pipelined
+//! consumption is exactly the paper's implicit-sync launch queue.
+//!
+//! ## Placement
+//!
+//! A launch's W′ workers are a *window* of the device's W: contiguous
+//! modulo W, and starting where the previous launch's window ended
+//! (next-fit, one offset word under the device's state lock). A worker
+//! outside a launch's window only moves its cursor past the entry, so
+//! narrow launches of different grids run side by side, as concurrent
+//! grids do on disjoint SMs, and full-width launches queue in log order.
+//! Everything a launch keeps per worker is indexed by its *local* worker
+//! 0..W′; the offset is applied only where the device's workers are read
+//! or replaced. A launch of W′ = W leaves the offset where it was, so on a
+//! device whose launches are all full width — a private one, or a
+//! service's on a host of few cores — local worker `w` is device worker
+//! `w`.
 //!
 //! A launch is one log entry, except under `CpuExplicit`: one per round,
 //! sharing the launch's `LaunchSetup`. Whichever worker records the last
@@ -62,9 +90,13 @@
 //! ([`GridRuntime::submit`], [`LaunchPlan::run_owned`]), the host abandons
 //! the launch after a grace period past the policy timeout, synthesizes a
 //! [`crate::StuckDiagnostic`] naming the block the worker is stuck in, and
-//! **replaces** the stuck worker with a fresh one so the pool stays
+//! **replaces** the stuck worker with a fresh one so the device stays
 //! usable — the stale thread parks itself permanently on the leaked kernel
-//! `Arc` and exits if it ever returns. Borrowed launches ([`GridRuntime::run`],
+//! `Arc` and exits if it ever returns. The host that abandons is the one
+//! waiting on the launch, or on any later launch of the device: a stuck
+//! launch ahead in the log holds the workers every later launch needs,
+//! whichever grid it belongs to, so a dropped handle cannot wedge the
+//! device's other tenants (head-of-line abandonment). Borrowed launches ([`GridRuntime::run`],
 //! [`LaunchPlan::run`]) must instead wait for full completion before
 //! returning — the kernel is only guaranteed alive for the duration of the
 //! call — so they bound barrier waits (via [`crate::SyncPolicy`]) but not
@@ -97,18 +129,20 @@ use crate::trace::TraceEventKind;
 /// the launch's first log entry (one per round under `CpuExplicit`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolLaunchStats {
-    /// Zero-based sequence number of this launch on its pool. Sequence 0
-    /// is the cold launch: it spawns the workers, and its `launch` and
-    /// `wall` include the spawns.
+    /// Zero-based sequence number of this launch's first entry in its
+    /// device's log, whichever grid appended the entries before it.
+    /// Sequence 0 is the device's cold launch: it spawns the workers, and
+    /// its `launch` and `wall` include the spawns.
     pub launch_seq: u64,
-    /// Log entries still pending ahead of this one at submit time
-    /// (pipelining depth).
+    /// Log entries of the device still pending ahead of this one at submit
+    /// time (pipelining depth).
     pub queue_depth: usize,
     /// Submit → first worker picked the launch up. Nonzero queueing delay
-    /// means the pool was still busy with earlier launches; zero for the
+    /// means the device was still busy with earlier launches; zero for the
     /// cold launch, whose clock starts at submit.
     pub queued: Duration,
-    /// Whether this was the pool's cold (first) launch.
+    /// Whether this was the device's cold (first) launch. A grid's first
+    /// launch on a device that already ran is warm.
     pub cold: bool,
 }
 
@@ -135,17 +169,24 @@ struct LaunchDone {
     /// When the first failure was observed, starting the abandonment
     /// grace clock.
     first_failure: Option<Instant>,
+    /// Device workers replaced when the launch was abandoned.
+    replaced: usize,
     /// Whether the launch's waiter is asleep on `done_cv` (written only
     /// under this lock): settling notifies only then.
     waiter_parked: bool,
 }
 
 /// One launch: the engine's per-launch state ([`LaunchSetup`]: fresh
-/// barrier, recorder, abort) plus the pool's queueing and completion
+/// barrier, recorder, abort) plus the runtime's queueing and completion
 /// bookkeeping, shared by the launch's log entries.
 struct Launch {
     /// Log sequence number of the launch's first entry.
     seq: u64,
+    /// The grid that submitted it: where its record goes.
+    grid: Arc<Grid>,
+    /// The device worker its window starts at (see the module docs'
+    /// placement); `setup.workers` wide.
+    offset: usize,
     kernel: KernelRef,
     setup: LaunchSetup,
     queue_depth: usize,
@@ -192,6 +233,13 @@ impl Launch {
         // Acquire pairs with the Release store under the `done` lock: a
         // reader that sees it also sees every block's result.
         self.settled.load(Ordering::Acquire)
+    }
+
+    /// The local worker that device worker `d` of a `width`-worker device
+    /// is to this launch, if `d` is in its window.
+    fn local(&self, d: usize, width: usize) -> Option<usize> {
+        let w = (d + width - self.offset) % width;
+        (w < self.setup.workers).then_some(w)
     }
 
     /// Whether `worker` checked in at the gate of the entry at `base`.
@@ -282,7 +330,7 @@ impl Launch {
     /// long after; its report is dropped). The last report ends the entry.
     fn record_result(
         self: &Arc<Self>,
-        shared: &Shared,
+        device: &Device,
         worker: usize,
         res: Result<&[BlockTimes], ExecError>,
     ) {
@@ -310,9 +358,14 @@ impl Launch {
                 }
             }
         }
-        if g.finished < self.setup.workers || !self.end_entry(shared, &mut g) {
+        if g.finished < self.setup.workers || !self.end_entry(device, &mut g) {
             return;
         }
+        self.wake_waiter(g);
+    }
+
+    /// Notify the launch's waiter, if it is asleep, that it settled.
+    fn wake_waiter(&self, g: MutexGuard<'_, LaunchDone>) {
         let wake = g.waiter_parked;
         drop(g);
         if wake {
@@ -323,17 +376,18 @@ impl Launch {
     /// Every worker reported for the current entry: publish the next
     /// round's (`CpuExplicit`, while rounds remain and nothing failed) or
     /// settle the launch, returning whether it settled. Lock order:
-    /// `done`, then the pool's state.
-    fn end_entry(self: &Arc<Self>, shared: &Shared, g: &mut LaunchDone) -> bool {
+    /// `done`, then the device's state. The next round's entry runs on the
+    /// launch's own window.
+    fn end_entry(self: &Arc<Self>, device: &Device, g: &mut LaunchDone) -> bool {
         let next = g.base + 1;
         if self.setup.per_round() && next < self.setup.rounds && g.first_failure.is_none() {
             g.base = next;
             g.reported.fill(false);
             g.finished = 0;
             g.join_since = None;
-            let st = shared.state.lock();
+            let st = device.state.lock();
             g.entry_seq = st.next_seq;
-            shared.push(st, Arc::clone(self), next);
+            device.push(st, Arc::clone(self), next);
             return false;
         }
         g.settled = true;
@@ -412,32 +466,93 @@ impl Launch {
     }
 }
 
-/// Shared pool state.
-struct Shared {
+/// A grid on a device: what every launch of one [`GridRuntime`] is
+/// stamped from and reported to.
+struct Grid {
     /// The pipeline every launch is stamped from. Its observer is the
-    /// pool's cross-launch observability plane, fed once per completed
+    /// grid's cross-launch observability plane, fed once per completed
     /// launch by the *host* thread resolving it (never by workers — spin
     /// loops stay free of registry traffic).
     plan: LaunchPlan,
-    /// The workers every launch runs on ([`fold_width`]).
-    workers: usize,
-    state: Mutex<PoolState>,
-    cv: Condvar,
-    /// Mirror of `PoolState::next_seq`, stored (`Release`) under the state
-    /// lock: what an idle worker polls (`Acquire`) before it parks on `cv`.
-    /// `Drop` stores `u64::MAX` so a worker still polling leaves at once.
-    next_seq: AtomicU64,
-    /// Shard label stamped into every [`crate::LaunchRecord`] this pool emits.
-    /// `None` for standalone pools (their gauge samples land under the
-    /// registry's `"default"` shard slot); set by [`crate::GridService`]
-    /// so per-shard registry families never alias across shards.
-    shard_label: Mutex<Option<String>>,
+    /// Shard label stamped into every [`crate::LaunchRecord`] the grid
+    /// emits. `None` for standalone runtimes (their gauge samples land
+    /// under the registry's `"default"` shard slot); a
+    /// [`crate::GridService`] shard's key, so per-shard registry families
+    /// never alias across shards.
+    shard: Option<String>,
+    /// Log entries the grid appended: one per launch, one per round under
+    /// `CpuExplicit`.
+    entries: AtomicU64,
 }
 
-impl Shared {
+/// A device: the worker set every launch of its grids runs on, and the
+/// one launch log they consume. Workers hold an `Arc` of it, so it lives
+/// until the last of them exits; what stops them is [`Device::shutdown`],
+/// called when the device's one owner drops — a standalone
+/// [`GridRuntime`], or a [`crate::GridService`].
+pub(crate) struct Device {
+    /// W: how many workers the device has.
+    workers: usize,
+    state: Mutex<DeviceState>,
+    cv: Condvar,
+    /// Mirror of `DeviceState::next_seq`, stored (`Release`) under the
+    /// state lock: what an idle worker polls (`Acquire`) before it parks
+    /// on `cv`. `shutdown` stores `u64::MAX` so a worker still polling
+    /// leaves at once.
+    next_seq: AtomicU64,
+}
+
+struct DeviceState {
+    /// Launch log: `queue[i]` is the entry with sequence `first_seq + i`,
+    /// a launch and the first round it runs. Entries are pruned once every
+    /// worker's cursor has passed them.
+    queue: VecDeque<(Arc<Launch>, usize)>,
+    first_seq: u64,
+    next_seq: u64,
+    /// The device worker the next launch's window starts at (next-fit).
+    offset: usize,
+    /// Per-worker generation; bumping it retires the incumbent thread (it
+    /// exits at its next dispatch point).
+    gens: Vec<u64>,
+    /// Per-worker launch cursor (next sequence the worker will execute).
+    cursors: Vec<u64>,
+    shutdown: bool,
+    /// Workers asleep on `Device::cv` (written only under this lock, so a
+    /// notifier holding it knows whether anyone needs a wake).
+    parked: usize,
+}
+
+impl Device {
+    /// A device of `workers` workers, spawned by its first launch.
+    fn new(workers: usize) -> Arc<Device> {
+        Arc::new(Device {
+            workers,
+            state: Mutex::new(DeviceState {
+                queue: VecDeque::new(),
+                first_seq: 0,
+                next_seq: 0,
+                offset: 0,
+                gens: vec![0; workers],
+                cursors: vec![0; workers],
+                shutdown: false,
+                parked: 0,
+            }),
+            cv: Condvar::new(),
+            next_seq: AtomicU64::new(0),
+        })
+    }
+
+    /// A device as wide as the host: `max(2, cores)` workers, so any
+    /// launch runs on as many workers as it would on a device of its own.
+    pub(crate) fn for_host() -> Arc<Device> {
+        Device::new(fold_width(usize::MAX))
+    }
+
     /// Append the entry running `launch` from round `base` to the log,
     /// publish it, release the lock and wake the parked workers.
-    fn push(&self, mut st: MutexGuard<'_, PoolState>, launch: Arc<Launch>, base: usize) {
+    fn push(&self, mut st: MutexGuard<'_, DeviceState>, launch: Arc<Launch>, base: usize) {
+        // Relaxed: a count, read by `launches()` and ordering nothing.
+        launch.grid.entries.fetch_add(1, Ordering::Relaxed);
         st.queue.push_back((launch, base));
         st.next_seq += 1;
         self.next_seq.store(st.next_seq, Ordering::Release);
@@ -450,35 +565,108 @@ impl Shared {
             self.cv.notify_all();
         }
     }
+
+    /// Signal shutdown; workers exit at their next dispatch point, and a
+    /// worker still polling the log leaves at once: the mirror moves past
+    /// every cursor, so its poll succeeds and it finds `shutdown` under the
+    /// lock. Entries no worker picked up by then never run. Workers stuck
+    /// in non-cooperative kernel code are leaked rather than joined (they
+    /// hold only `Arc`s, so this is safe) — the same trade the abandon
+    /// path makes.
+    pub(crate) fn shutdown(&self) {
+        self.state.lock().shutdown = true;
+        self.next_seq.store(u64::MAX, Ordering::Release);
+        self.cv.notify_all();
+    }
+
+    /// The device's width W.
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// Workers asleep on the device's condvar.
+    pub(crate) fn parked(&self) -> usize {
+        self.state.lock().parked
+    }
+
+    /// Per device worker, its generation: it advances every time the
+    /// worker is abandoned stuck and replaced.
+    pub(crate) fn generations(&self) -> Vec<u64> {
+        self.state.lock().gens.clone()
+    }
+
+    /// Retire the device workers that `launch`'s local workers `stuck`
+    /// are, and spawn fresh ones that start after its abandoned entry
+    /// `seq`, whose results were synthesized. A worker whose cursor is not
+    /// at `seq` is still busy on an earlier entry, not stuck in this one:
+    /// it steps over the abandoned entry when it gets there, and a
+    /// successor would run the entries in between a second time. Returns
+    /// how many were replaced. Lock order: the launch's `done`, then the
+    /// device's state.
+    fn replace(self: &Arc<Self>, launch: &Launch, stuck: &[usize], seq: u64) -> usize {
+        let mut st = self.state.lock();
+        if st.shutdown {
+            return 0;
+        }
+        let mut replaced = 0;
+        for &w in stuck {
+            let d = (launch.offset + w) % self.workers;
+            if st.cursors[d] != seq {
+                continue;
+            }
+            st.gens[d] += 1;
+            st.cursors[d] = seq + 1;
+            spawn_worker(Arc::clone(self), d, st.gens[d], seq + 1);
+            replaced += 1;
+        }
+        drop(st);
+        self.cv.notify_all();
+        replaced
+    }
+
+    /// Head-of-line abandonment: abandon every owned launch that started
+    /// ahead of entry `seq`, failed more than its grace ago and is still
+    /// unsettled. Its stuck workers hold every later entry that needs
+    /// them, whichever grid it belongs to, and a dropped handle leaves
+    /// nobody else to give up on it. Takes the state lock, then each
+    /// candidate's `done` lock, never both at once.
+    fn abandon_stuck_before(self: &Arc<Self>, seq: u64) {
+        let ahead: Vec<Arc<Launch>> = self
+            .state
+            .lock()
+            .queue
+            .iter()
+            .map(|(launch, _)| launch)
+            .filter(|l| l.seq < seq && l.kernel.is_owned() && !l.is_done())
+            .cloned()
+            .collect();
+        for launch in ahead {
+            let policy = launch.setup.policy;
+            let Some(timeout) = policy.timeout else {
+                continue;
+            };
+            let mut g = launch.done.lock();
+            let overdue = g
+                .first_failure
+                .is_some_and(|first| first.elapsed() > policy.abandon_grace());
+            if g.settled || !overdue {
+                continue;
+            }
+            abandon(self, &launch, &mut g, timeout);
+            launch.wake_waiter(g);
+        }
+    }
 }
 
-struct PoolState {
-    /// Launch log: `queue[i]` is the entry with sequence `first_seq + i`,
-    /// a launch and the first round it runs. Entries are pruned once every
-    /// worker's cursor has passed them.
-    queue: VecDeque<(Arc<Launch>, usize)>,
-    first_seq: u64,
-    next_seq: u64,
-    /// Per-worker generation; bumping it retires the incumbent thread (it
-    /// exits at its next dispatch point).
-    gens: Vec<u64>,
-    /// Per-worker launch cursor (next sequence the worker will execute).
-    cursors: Vec<u64>,
-    shutdown: bool,
-    /// Workers asleep on `Shared::cv` (written only under this lock, so a
-    /// notifier holding it knows whether anyone needs a wake).
-    parked: usize,
-}
-
-/// How many workers a pool of `n` blocks runs on: one per block up to the
+/// How many workers a launch of `n` blocks runs on: one per block up to the
 /// host's parallelism, and never fewer than two, so that a worker stuck in
 /// a straggling block always has a peer whose barrier wait times out on it
 /// (a lone worker would wait on its own straggler forever). The one read
 /// of the host's core count in the runtime, taken when the process builds
-/// its first pool: it honours the CPU affinity the process runs under
-/// (`taskset`), and later pools, a cold launch's included, do not pay the
+/// its first grid: it honours the CPU affinity the process runs under
+/// (`taskset`), and later grids, a cold launch's included, do not pay the
 /// 15–20 µs the read costs on Linux (cgroup files).
-fn fold_width(n: usize) -> usize {
+pub(crate) fn fold_width(n: usize) -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores = *CORES.get_or_init(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -487,23 +675,25 @@ fn fold_width(n: usize) -> usize {
 }
 
 /// The only code that spawns a block thread.
-fn spawn_worker(shared: Arc<Shared>, worker: usize, gen: u64, cursor: u64) {
+fn spawn_worker(device: Arc<Device>, worker: usize, gen: u64, cursor: u64) {
     let builder = std::thread::Builder::new().name(format!("blocksync-pool-{worker}"));
     builder
-        .spawn(move || worker_loop(&shared, worker, gen, cursor))
+        .spawn(move || worker_loop(&device, worker, gen, cursor))
         .expect("spawning a pool worker thread failed");
 }
 
-fn worker_loop(shared: &Arc<Shared>, worker: usize, gen: u64, mut cursor: u64) {
+/// Device worker `d`: take the log's entries in order, run each whose
+/// window holds `d` as the launch's local worker, and step over the rest.
+fn worker_loop(device: &Arc<Device>, d: usize, gen: u64, mut cursor: u64) {
     loop {
         // Warm handoff: poll the published sequence number before taking
         // the lock; shutdown and the generation are read only under it, so
         // a drop or a replacement is noticed one spin bound later at most.
-        spin_then_yield(|| shared.next_seq.load(Ordering::Acquire) > cursor);
+        spin_then_yield(|| device.next_seq.load(Ordering::Acquire) > cursor);
         let (launch, base) = {
-            let mut st = shared.state.lock();
+            let mut st = device.state.lock();
             loop {
-                if st.shutdown || st.gens[worker] != gen {
+                if st.shutdown || st.gens[d] != gen {
                     return;
                 }
                 if cursor < st.next_seq {
@@ -511,23 +701,26 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize, gen: u64, mut cursor: u64) {
                     break (Arc::clone(launch), *base);
                 }
                 st.parked += 1;
-                shared.cv.wait(&mut st);
+                device.cv.wait(&mut st);
                 st.parked -= 1;
             }
         };
-        // A launch the host already gave up on: its results were
-        // synthesized, so just step over it. Acquire pairs with the
-        // Release in `abandon`; a worker that misses the flag fails fast
-        // on the poisoned barrier and its late report is dropped.
-        if !launch.abandoned.load(Ordering::Acquire) {
-            run_launch(shared, &launch, cursor, base, worker);
+        // Step over a launch whose window this worker is outside, and one
+        // the host already gave up on: its results were synthesized.
+        // Acquire pairs with the Release in `abandon`; a worker that
+        // misses the flag fails fast on the poisoned barrier and its late
+        // report is dropped.
+        if let Some(w) = launch.local(d, device.workers) {
+            if !launch.abandoned.load(Ordering::Acquire) {
+                run_launch(device, &launch, cursor, base, w);
+            }
         }
         cursor += 1;
-        let mut st = shared.state.lock();
-        if st.gens[worker] != gen {
+        let mut st = device.state.lock();
+        if st.gens[d] != gen {
             return; // replaced while running: the successor owns the cursor
         }
-        st.cursors[worker] = cursor;
+        st.cursors[d] = cursor;
         let min = st.cursors.iter().copied().min().unwrap_or(cursor);
         while st.first_seq < min && !st.queue.is_empty() {
             st.queue.pop_front();
@@ -603,7 +796,7 @@ fn assembly_fault(
 /// folded launch with a barrier, else [`drive_block`] per hosted block.
 /// The pooled strategy contributes only the `t_O` accounting, the
 /// assembly phase and `CpuExplicit`'s join here.
-fn run_launch(shared: &Shared, launch: &Arc<Launch>, seq: u64, base: usize, worker: usize) {
+fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, worker: usize) {
     // Alive for this whole function: an owned kernel by the launch log's
     // `Arc`, a borrowed one because the borrowing call (`GridRuntime::run`,
     // `LaunchPlan::run`) is still blocked on this worker's `record_result`
@@ -617,7 +810,7 @@ fn run_launch(shared: &Shared, launch: &Arc<Launch>, seq: u64, base: usize, work
         for block in setup.hosted(worker) {
             if let Some(f) = faults.fault_at(block, 0, FaultPhase::Assembly) {
                 if let Err(e) = assembly_fault(launch, seq, block, f.kind) {
-                    launch.record_result(shared, worker, Err(e));
+                    launch.record_result(device, worker, Err(e));
                     return;
                 }
             }
@@ -695,7 +888,7 @@ fn run_launch(shared: &Shared, launch: &Arc<Launch>, seq: u64, base: usize, work
         (Some(sh), Some(fold)) => drive_fold(setup, kernel, worker, (sh, fold), rounds, times),
         _ => run_in_turn(launch, kernel, worker, rounds, start, times),
     };
-    launch.record_result(shared, worker, res.map(|()| &*times));
+    launch.record_result(device, worker, res.map(|()| &*times));
 }
 
 /// The entry's rounds of every block `worker` hosts, one block after the
@@ -734,18 +927,21 @@ fn run_in_turn(
 
 /// A pending pooled launch; resolves to the launch's [`KernelStats`].
 ///
-/// Handles should be waited in submission order when pipelining — workers
-/// consume the launch log in order, so an abandoned early launch is only
-/// detected (and its stuck worker replaced) by waiting on *its* handle.
-/// A dropped handle's launch still runs to completion.
+/// Workers consume their device's launch log in order, so a launch stuck
+/// in non-cooperative kernel code holds every later one that needs its
+/// workers. With a [`crate::SyncPolicy`] timeout, waiting on its handle
+/// abandons it once its grace has passed — and so does waiting on any
+/// later launch of the device, whichever grid it belongs to, so a dropped
+/// handle cannot wedge the device. A dropped handle's launch still runs to
+/// completion.
 #[must_use = "a LaunchHandle does nothing until waited"]
 pub struct LaunchHandle {
-    shared: Arc<Shared>,
+    device: Arc<Device>,
     launch: Arc<Launch>,
 }
 
 impl LaunchHandle {
-    /// The pool sequence number of this launch's first log entry.
+    /// The device sequence number of this launch's first log entry.
     pub fn seq(&self) -> u64 {
         self.launch.seq
     }
@@ -761,37 +957,33 @@ impl LaunchHandle {
     /// non-cooperative kernel code is given a grace period past the first
     /// observed failure, then abandoned: the wait returns
     /// [`ExecError::BarrierTimeout`] with a synthesized
-    /// [`StuckDiagnostic`], and the stuck worker is replaced so the pool
-    /// stays usable.
+    /// [`StuckDiagnostic`], and the stuck worker is replaced so the device
+    /// stays usable. The wait does the same for a stuck launch ahead of
+    /// this one on the device.
     ///
     /// # Errors
     /// The merged per-block error of the launch, origin first — the same
     /// contract as [`LaunchPlan::run`].
     pub fn wait(self) -> Result<KernelStats, ExecError> {
-        wait_launch(&self.shared, &self.launch, true)
+        wait_launch(&self.device, &self.launch, true)
     }
 }
 
 fn wait_launch(
-    shared: &Arc<Shared>,
+    device: &Arc<Device>,
     launch: &Arc<Launch>,
     allow_abandon: bool,
 ) -> Result<KernelStats, ExecError> {
     let setup = &launch.setup;
-    let mut replaced: Vec<usize> = Vec::new();
     // Warm handoff, caller side: poll the completion mirror, then park on
     // `done_cv` for whatever the bound did not cover.
     spin_then_yield(|| launch.is_done());
     let mut g = launch.done.lock();
     while !g.settled {
         g.waiter_parked = true;
-        // The host watches a clock only with a timeout, and then only for
-        // `CpuExplicit`'s join or an owned launch's abandonment.
-        let timeout = setup
-            .policy
-            .timeout
-            .filter(|_| allow_abandon || setup.per_round());
-        let Some(timeout) = timeout else {
+        // The host watches a clock only with a timeout: for `CpuExplicit`'s
+        // join, and to abandon a stuck owned launch, this one or one ahead.
+        let Some(timeout) = setup.policy.timeout else {
             launch.done_cv.wait(&mut g);
             continue;
         };
@@ -808,10 +1000,16 @@ fn wait_launch(
         }
         if let Some(first) = g.first_failure.filter(|_| allow_abandon) {
             if first.elapsed() > grace {
-                abandon(shared, launch, &mut g, timeout, &mut replaced);
+                abandon(device, launch, &mut g, timeout);
                 break;
             }
         }
+        // Not yet ours to give up on: a stuck launch ahead of this entry
+        // may hold the workers it needs.
+        let entry_seq = g.entry_seq;
+        drop(g);
+        device.abandon_stuck_before(entry_seq);
+        g = launch.done.lock();
     }
     let observed = Instant::now();
     let mut merged = collect_block_results(std::mem::take(&mut g.results));
@@ -822,11 +1020,8 @@ fn wait_launch(
             merged = Err(e);
         }
     }
-    let entry_seq = g.entry_seq;
+    let replaced = g.replaced;
     drop(g);
-    if !replaced.is_empty() {
-        replace_workers(shared, &replaced, entry_seq);
-    }
     if let Ok(per_block) = &mut merged {
         if setup.per_round() && setup.rounds > 0 {
             // The last round's join ends when the host observes it.
@@ -844,10 +1039,10 @@ fn wait_launch(
         cold: launch.seq == 0,
     };
     let (result, mut record) = setup.finish(merged, wall, pool);
-    let obs = &shared.plan.obs;
+    let obs = &launch.grid.plan.obs;
     if obs.is_enabled() {
-        record.replacements = replaced.len();
-        record.shard = shared.shard_label.lock().clone();
+        record.replacements = replaced;
+        record.shard.clone_from(&launch.grid.shard);
         obs.observe(record);
     }
     result
@@ -856,21 +1051,16 @@ fn wait_launch(
 /// Give up on the workers that never reported for the current entry:
 /// synthesize a timeout diagnostic naming the block each is stuck in, and
 /// give it to every block the worker hosts; poison the launch so
-/// stragglers that eventually wake fail fast, note the workers for
-/// replacement, and settle the launch. Poisoning goes through the
+/// stragglers that eventually wake fail fast, settle the launch, and
+/// replace the workers stuck in it. Poisoning goes through the
 /// [`crate::BarrierShared::poison`] hook so barriers whose waiters sleep
 /// (the CPU-implicit condvar rendezvous) are woken, not just flagged.
-fn abandon(
-    shared: &Shared,
-    launch: &Arc<Launch>,
-    g: &mut LaunchDone,
-    timeout: Duration,
-    replaced: &mut Vec<usize>,
-) {
+fn abandon(device: &Arc<Device>, launch: &Arc<Launch>, g: &mut LaunchDone, timeout: Duration) {
     let setup = &launch.setup;
     launch.abandoned.store(true, Ordering::Release);
     setup.abort.abort();
     let (arrivals, departures) = launch.progress(g);
+    let mut stuck = Vec::new();
     for w in 0..setup.workers {
         if g.reported[w] {
             continue;
@@ -918,34 +1108,23 @@ fn abandon(
             g.results[block] = Err(err.clone());
         }
         g.reported[w] = true;
-        replaced.push(w);
+        stuck.push(w);
     }
     g.finished = setup.workers;
-    launch.end_entry(shared, g);
+    launch.end_entry(device, g);
+    g.replaced = device.replace(launch, &stuck, g.entry_seq);
 }
 
-/// Retire the stuck workers and spawn fresh ones starting after the
-/// abandoned entry (its results were already synthesized).
-fn replace_workers(shared: &Arc<Shared>, workers: &[usize], after_seq: u64) {
-    let mut st = shared.state.lock();
-    if st.shutdown {
-        return;
-    }
-    for &w in workers {
-        st.gens[w] += 1;
-        st.cursors[w] = after_seq + 1;
-        spawn_worker(Arc::clone(shared), w, st.gens[w], after_seq + 1);
-    }
-    drop(st);
-    shared.cv.notify_all();
-}
-
-/// Persistent worker pool with a pipelined launch queue — the
-/// host-runtime realization of the paper's "launch the kernel only once"
-/// persistence, extended across kernels. See the module docs for the
-/// launch-log and fault-recovery design.
+/// A grid on a device with a pipelined launch log — the host-runtime
+/// realization of the paper's "launch the kernel only once" persistence,
+/// extended across kernels. See the module docs for the device, placement
+/// and fault-recovery design.
 pub struct GridRuntime {
-    shared: Arc<Shared>,
+    grid: Arc<Grid>,
+    device: Arc<Device>,
+    /// Whether the runtime is its device's owner, and shuts it down when
+    /// dropped: a standalone runtime is, a service shard is not.
+    owns_device: bool,
 }
 
 impl std::fmt::Debug for GridRuntime {
@@ -966,11 +1145,11 @@ impl GridRuntime {
         true
     }
 
-    /// Build the pool. Its workers — one per block up to the host's cores
-    /// (at least two), past that the grid folds onto them (see
-    /// the module docs) — are spawned by its first launch, whose stats
-    /// include that cost. [`SyncMethod::Auto`] resolves here, as in
-    /// [`LaunchPlan::compile`].
+    /// Build the runtime on a device of its own. Its workers — one per
+    /// block up to the host's cores (at least two), past that the grid
+    /// folds onto them (see the module docs) — are spawned by its first
+    /// launch, whose stats include that cost. [`SyncMethod::Auto`]
+    /// resolves here, as in [`LaunchPlan::compile`].
     ///
     /// # Errors
     /// [`ExecError::Device`] for an invalid grid shape.
@@ -979,7 +1158,6 @@ impl GridRuntime {
     }
 
     /// [`GridRuntime::new`] sharing an existing [`Observer`] — used by
-    /// [`crate::GridService`] so every shard lands in one registry, and by
     /// the `obs_overhead` bench to pass a [`Observer::disabled`] control
     /// arm.
     ///
@@ -995,64 +1173,65 @@ impl GridRuntime {
         Ok(Self::from_plan(plan))
     }
 
-    /// A pool for `plan`; [`LaunchPlan`] builds one per cold launch.
+    /// A runtime for `plan` on a device of its own, as wide as its
+    /// launches; [`LaunchPlan`] builds one per cold launch.
     pub(crate) fn from_plan(plan: LaunchPlan) -> GridRuntime {
-        let workers = fold_width(plan.config().n_blocks);
         GridRuntime {
-            shared: Arc::new(Shared {
+            device: Device::new(fold_width(plan.config().n_blocks)),
+            grid: Arc::new(Grid {
                 plan,
-                workers,
-                state: Mutex::new(PoolState {
-                    queue: VecDeque::new(),
-                    first_seq: 0,
-                    next_seq: 0,
-                    gens: vec![0; workers],
-                    cursors: vec![0; workers],
-                    shutdown: false,
-                    parked: 0,
-                }),
-                cv: Condvar::new(),
-                next_seq: AtomicU64::new(0),
-                shard_label: Mutex::new(None),
+                shard: None,
+                entries: AtomicU64::new(0),
             }),
+            owns_device: true,
         }
     }
 
-    /// The pool's observability handle: cross-launch metrics registry
+    /// A runtime for `plan` on `device`, which someone else owns, labelling
+    /// every [`crate::LaunchRecord`] it emits with `shard` — so a
+    /// [`crate::GridService`] sharing one registry gets per-shard
+    /// `queue_depth` gauges and `shard_launches_total` counters instead of
+    /// aliased globals.
+    pub(crate) fn on_device(plan: LaunchPlan, device: &Arc<Device>, shard: String) -> GridRuntime {
+        GridRuntime {
+            grid: Arc::new(Grid {
+                plan,
+                shard: Some(shard),
+                entries: AtomicU64::new(0),
+            }),
+            device: Arc::clone(device),
+            owns_device: false,
+        }
+    }
+
+    /// The runtime's observability handle: cross-launch metrics registry
     /// plus flight recorder, fed on every launch completion.
     pub fn observer(&self) -> Arc<Observer> {
-        self.shared.plan.observer()
+        self.grid.plan.observer()
     }
 
-    /// Label every future [`crate::LaunchRecord`] this pool emits with a shard
-    /// name, so a multi-pool [`crate::GridService`] sharing one registry
-    /// gets per-shard `queue_depth` gauges and `shard_launches_total`
-    /// counters instead of aliased globals.
-    pub(crate) fn set_shard_label(&self, label: impl Into<String>) {
-        *self.shared.shard_label.lock() = Some(label.into());
-    }
-
-    /// The pool's grid configuration.
+    /// The runtime's grid configuration.
     pub fn config(&self) -> &GridConfig {
-        self.shared.plan.config()
+        self.grid.plan.config()
     }
 
-    /// The pool's synchronization method (never `Auto`: the resolved one).
+    /// The runtime's synchronization method (never `Auto`: the resolved
+    /// one).
     pub fn method(&self) -> SyncMethod {
-        self.shared.plan.method()
+        self.grid.plan.method()
     }
 
-    /// Launches still pending (submitted but not yet completed by every
-    /// block). Counted from completion state, not worker cursors — a
-    /// worker advances its cursor slightly after the host can observe the
-    /// launch's results.
+    /// This runtime's launches still pending (submitted but not yet
+    /// completed by every block). Counted from completion state, not
+    /// worker cursors — a worker advances its cursor slightly after the
+    /// host can observe the launch's results.
     pub fn queue_depth(&self) -> usize {
-        let st = self.shared.state.lock();
+        let st = self.device.state.lock();
         // A `CpuExplicit` launch may hold several entries of the log.
         let mut pending: Vec<*const Launch> = st
             .queue
             .iter()
-            .filter(|(l, _)| !l.is_done())
+            .filter(|(l, _)| Arc::ptr_eq(&l.grid, &self.grid) && !l.is_done())
             .map(|(l, _)| Arc::as_ptr(l))
             .collect();
         pending.sort_unstable();
@@ -1060,30 +1239,31 @@ impl GridRuntime {
         pending.len()
     }
 
-    /// Workers currently asleep on the pool's condvar (a diagnostic): an
-    /// idle pool reaches its worker count — `n_blocks`, or the host's
-    /// cores (at least two) when the grid folds — one spin bound after its
-    /// last launch and burns no CPU from then on (a pool that never
-    /// launched has no workers yet).
+    /// Workers of the runtime's device currently asleep on its condvar (a
+    /// diagnostic): an idle device reaches its worker count — `n_blocks`,
+    /// or the host's cores (at least two) when the grid folds — one spin
+    /// bound after its last launch and burns no CPU from then on (a device
+    /// that never launched has no workers yet).
     pub fn parked_workers(&self) -> usize {
-        self.shared.state.lock().parked
+        self.device.parked()
     }
 
-    /// Log entries appended to this pool: one per launch, one per round
+    /// Log entries this runtime appended: one per launch, one per round
     /// under `CpuExplicit`.
     pub fn launches(&self) -> u64 {
-        self.shared.state.lock().next_seq
+        self.grid.entries.load(Ordering::Relaxed)
     }
 
     /// Per-block worker generation counters: for each block, the
-    /// generation of the worker that hosts it. It advances every time that
-    /// worker is abandoned stuck and replaced, so a soak harness can
-    /// assert the pool self-healed (strictly increasing after every
-    /// abandoned launch) without reaching into pool internals.
+    /// generation of the worker that hosts it on the runtime's own device.
+    /// It advances every time that worker is abandoned stuck and replaced,
+    /// so a soak harness can assert the runtime self-healed (strictly
+    /// increasing after every abandoned launch) without reaching into its
+    /// internals.
     pub fn generations(&self) -> Vec<u64> {
-        let st = self.shared.state.lock();
+        let gens = self.device.generations();
         let n = self.config().n_blocks;
-        (0..n).map(|b| st.gens[b % self.shared.workers]).collect()
+        (0..n).map(|b| gens[b % fold_width(n)]).collect()
     }
 
     /// Append a launch to the log and return its handle. Back-to-back
@@ -1111,17 +1291,17 @@ impl GridRuntime {
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<LaunchHandle, ExecError> {
         Ok(LaunchHandle {
-            shared: Arc::clone(&self.shared),
+            device: Arc::clone(&self.device),
             launch: self.enqueue(KernelRef::owned(kernel)),
         })
     }
 
-    /// Run a borrowed kernel on the pool and block until it completes —
+    /// Run a borrowed kernel on the device and block until it completes —
     /// same signature as [`LaunchPlan::run`], warm `t_O` after the first
     /// launch.
     ///
     /// Because the kernel is only borrowed, this wait is *not* bounded for
-    /// blocks stuck inside non-cooperative kernel code (the pool may not
+    /// blocks stuck inside non-cooperative kernel code (the workers may not
     /// outlive the borrow); barrier waits are still bounded by the policy
     /// timeout. Use [`GridRuntime::submit`] for the abandon-and-replace
     /// watchdog.
@@ -1141,22 +1321,27 @@ impl GridRuntime {
     /// never are.
     pub(crate) fn launch(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
         let allow_abandon = kernel.is_owned();
-        wait_launch(&self.shared, &self.enqueue(kernel), allow_abandon)
+        wait_launch(&self.device, &self.enqueue(kernel), allow_abandon)
     }
 
-    /// Stamp out the launch (running the kernel's `on_launch`), publish its
-    /// first entry to the log, and wake or — for launch 0 — spawn the
-    /// workers.
+    /// Stamp out the launch (running the kernel's `on_launch`), place its
+    /// window, publish its first entry to the log, and wake or — for the
+    /// device's launch 0 — spawn the workers.
     fn enqueue(&self, kernel: KernelRef) -> Arc<Launch> {
-        let workers = self.shared.workers;
-        let setup = self.shared.plan.setup(kernel.get(), workers);
+        let device = &self.device;
+        let workers = fold_width(self.config().n_blocks);
+        let setup = self.grid.plan.setup(kernel.get(), workers);
         let n = setup.n;
-        let st = self.shared.state.lock();
+        let mut st = device.state.lock();
         let seq = st.next_seq;
         let min = st.cursors.iter().copied().min().unwrap_or(seq);
+        let offset = st.offset;
+        st.offset = (offset + workers) % device.workers;
         let submitted = Instant::now();
         let launch = Arc::new(Launch {
             seq,
+            grid: Arc::clone(&self.grid),
+            offset,
             kernel,
             queue_depth: (seq - min) as usize,
             submitted,
@@ -1185,6 +1370,7 @@ impl GridRuntime {
                 join_since: None,
                 join_timeout: None,
                 first_failure: None,
+                replaced: 0,
                 waiter_parked: false,
             }),
             done_cv: Condvar::new(),
@@ -1192,10 +1378,10 @@ impl GridRuntime {
             abandoned: AtomicBool::new(false),
             setup,
         });
-        self.shared.push(st, Arc::clone(&launch), 0);
+        device.push(st, Arc::clone(&launch), 0);
         if seq == 0 {
-            for w in 0..workers {
-                spawn_worker(Arc::clone(&self.shared), w, 0, 0);
+            for d in 0..device.workers {
+                spawn_worker(Arc::clone(device), d, 0, 0);
             }
         }
         launch
@@ -1203,17 +1389,14 @@ impl GridRuntime {
 }
 
 impl Drop for GridRuntime {
-    /// Signal shutdown; workers exit at their next dispatch point, and a
-    /// worker still polling the log leaves at once: the mirror moves past
-    /// every cursor, so its poll succeeds and it finds `shutdown` under the
-    /// lock. Entries no worker picked up by then never run. Workers stuck
-    /// in non-cooperative kernel code are leaked rather than joined (they
-    /// hold only `Arc`s, so this is safe) — the same trade the abandon
-    /// path makes.
+    /// A standalone runtime's device stops with it: workers exit at their
+    /// next dispatch point, entries none picked up never run, and a worker
+    /// stuck in non-cooperative kernel code is leaked, not joined. A
+    /// service shard's device stops with the service.
     fn drop(&mut self) {
-        self.shared.state.lock().shutdown = true;
-        self.shared.next_seq.store(u64::MAX, Ordering::Release);
-        self.shared.cv.notify_all();
+        if self.owns_device {
+            self.device.shutdown();
+        }
     }
 }
 
@@ -1428,7 +1611,7 @@ mod tests {
             let gate = Arc::new(AtomicBool::new(false));
             let waiter = rt.submit_dyn(held_until(&gate)).unwrap();
             let poller = LaunchHandle {
-                shared: Arc::clone(&waiter.shared),
+                device: Arc::clone(&waiter.device),
                 launch: Arc::clone(&waiter.launch),
             };
             std::thread::scope(|s| {

@@ -1,12 +1,16 @@
-//! Sharded barrier-as-a-service traffic plane: many grids, one front door.
+//! Sharded barrier-as-a-service traffic plane: many grids, one device,
+//! one front door.
 //!
-//! [`crate::GridRuntime`] pools workers for **one** grid shape; this module
-//! is the layer the ROADMAP's north star asks for above it. A
-//! [`GridService`] owns N runtime shards keyed by
-//! [`ShardKey`]`{blocks, threads_per_block, method}`, routes every
-//! submission to a matching shard (spinning shards up on first use and
-//! retiring them after an idle TTL), and enforces **admission control**
-//! in front of the launch log:
+//! [`crate::GridRuntime`] is one grid on a device; this module is the
+//! layer the ROADMAP's north star asks for above it. A [`GridService`]
+//! owns one device of W = `max(2, cores)` workers, spawned by its first
+//! launch, and serves every grid on it, keyed by
+//! [`ShardKey`]`{blocks, threads_per_block, method}`. A *shard* is a key,
+//! its compiled plan, a queue bound and a quota — not a thread set: every
+//! shard's launches go through the device's one launch log, each on
+//! `min(blocks, W)` of its workers (the runtime's placement, DESIGN.md
+//! §10), as a GPU runs many grids on one set of SMs. The service enforces
+//! **admission control** in front of the launch log:
 //!
 //! * **Bounded per-shard submission queues** — at most
 //!   [`ServiceConfig::queue_capacity`] launches admitted-but-unfinished
@@ -18,16 +22,14 @@
 //! * **Per-tenant in-flight quotas** — a tenant may hold at most
 //!   [`ServiceConfig::tenant_quota`] admitted launches across *all*
 //!   shards ([`ServiceError::QuotaExceeded`]), so one chatty client
-//!   cannot monopolize the fleet.
-//! * **Shard lifecycle** — at most [`ServiceConfig::max_shards`] live
-//!   shards ([`ServiceError::ShardLimit`]); idle shards are retired only
-//!   when fully **drained** (zero admitted launches *and* an empty
-//!   runtime queue), because dropping a [`crate::GridRuntime`] silently
-//!   abandons queued work — the drain-before-retire invariant the
-//!   `service` integration tests pin.
+//!   cannot monopolize the device.
+//! * **Bounded keys** — at most [`ServiceConfig::max_shards`] distinct
+//!   keys ([`ServiceError::ShardLimit`]): keys come from outside the
+//!   program. A shard is never retired, so this refusal is final, not
+//!   backpressure, and `submit_within` returns it at once.
 //!
 //! The service is a **routing and policy layer, not a fourth execution
-//! path**: every launch still flows through the PR-5 launch engine
+//! path**: every launch still flows through the launch engine
 //! ([`crate::LaunchPlan`] → launch log → `drive_block`), and all shards
 //! share one [`Observer`], with per-shard `queue_depth` gauges and
 //! `shard_launches_total` counters keyed by the shard's label (see
@@ -37,13 +39,13 @@
 //!
 //! ```text
 //! submit(tenant, key, kernel)
-//!   │ tenant in-flight == quota ──────────────► QuotaExceeded
-//!   │ no shard for key & shards == max_shards ► ShardLimit
-//!   │ shard in-flight == queue_capacity ──────► QueueFull
-//!   ▼                                           (submit_within: wait,
-//! admitted: tenant++, shard.in-flight++         then Deadline)
+//!   │ tenant in-flight == quota ──────────────► QuotaExceeded ┐ backpressure
+//!   │ new key & keys == max_shards ───────────► ShardLimit    │ (final)
+//!   │ shard in-flight == queue_capacity ──────► QueueFull     ┘ backpressure
+//!   ▼                                    (submit_within: wait for a release,
+//! admitted: tenant++, shard.in-flight++   then Deadline)
 //!   ▼
-//! runtime launch log ──► ServiceHandle::wait ──► release admission
+//! device launch log ──► ServiceHandle::wait ──► release admission
 //! ```
 
 use std::collections::HashMap;
@@ -55,22 +57,26 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::ServiceError;
 use crate::executor::{GridConfig, RoundKernel};
+use crate::launch::LaunchPlan;
 use crate::method::SyncMethod;
 use crate::obs::Observer;
-use crate::runtime::{GridRuntime, LaunchHandle};
+use crate::runtime::{Device, GridRuntime, LaunchHandle};
 use crate::stats::KernelStats;
 
 /// The routing key of one service shard: a grid shape plus the barrier
-/// method serving it. Two submissions with equal keys share a warm pool.
+/// method serving it. Two submissions with equal keys share a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardKey {
-    /// Thread blocks (= pinned pool workers) of the shard's grid.
+    /// Thread blocks of the shard's grid. A launch runs them on
+    /// `min(blocks, max(2, cores))` of the service's device workers,
+    /// folded past that (DESIGN.md §10).
     pub blocks: usize,
     /// Threads per block of the shard's grid.
     pub threads_per_block: usize,
-    /// Barrier method the shard's pool runs. An `Auto` shard resolves it
-    /// when it spins up, through the host tuner (the first one at a new
-    /// block count measures the tuner's table under the service lock).
+    /// Barrier method the shard's launches run. An `Auto` shard resolves
+    /// it on its first submission, through the host tuner (the first one
+    /// at a new block count measures the tuner's table under the service
+    /// lock).
     pub method: SyncMethod,
 }
 
@@ -100,19 +106,17 @@ impl std::fmt::Display for ShardKey {
 /// Policy knobs of a [`GridService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Most shards live at once; a submission needing one more is refused
-    /// with [`ServiceError::ShardLimit`].
+    /// Most distinct keys the service serves; a submission for one more is
+    /// refused with [`ServiceError::ShardLimit`], for good: shards are
+    /// never retired.
     pub max_shards: usize,
     /// Bounded per-shard submission queue: most launches admitted but not
     /// yet finished on one shard. Overflow is [`ServiceError::QueueFull`].
     pub queue_capacity: usize,
     /// Most launches one tenant may hold in flight across all shards.
     pub tenant_quota: usize,
-    /// How long a drained shard may sit idle before
-    /// [`GridService::reap_idle`] retires it.
-    pub idle_ttl: Duration,
-    /// Grid template applied to every shard the service spins up: the
-    /// key's `blocks`/`threads_per_block` replace the template's shape,
+    /// Grid template applied to every shard the service serves: the key's
+    /// `blocks`/`threads_per_block` replace the template's shape,
     /// everything else (policy, trace, spec) is inherited.
     pub template: GridConfig,
 }
@@ -123,7 +127,6 @@ impl Default for ServiceConfig {
             max_shards: 8,
             queue_capacity: 32,
             tenant_quota: 16,
-            idle_ttl: Duration::from_millis(500),
             template: GridConfig::new(1, 1),
         }
     }
@@ -148,9 +151,12 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the idle TTL after which drained shards are retired.
-    pub fn with_idle_ttl(mut self, ttl: Duration) -> Self {
-        self.idle_ttl = ttl;
+    // Shim for the frozen benchmark only: shards are never retired, so
+    // there is no idle TTL to set. Callers: perf/src/workloads.rs:478 and
+    // perf/src/ladder.rs:209; the next `benchmark` PR drops those calls
+    // and deletes this.
+    #[doc(hidden)]
+    pub fn with_idle_ttl(self, _ttl: Duration) -> Self {
         self
     }
 
@@ -169,9 +175,9 @@ impl ServiceConfig {
     }
 }
 
-/// One live shard: a warm pool plus its admission bookkeeping.
+/// One shard: its grid on the service's device plus its admission
+/// bookkeeping.
 struct Shard {
-    key: ShardKey,
     label: String,
     runtime: GridRuntime,
     /// Launches admitted (counted against the bounded queue) and not yet
@@ -179,11 +185,9 @@ struct Shard {
     /// happens under the service lock; the release decrement in
     /// `Ticket::drop`.
     inflight: AtomicUsize,
-    /// Last admission or release, driving the idle TTL.
-    last_used: Mutex<Instant>,
 }
 
-/// Lifecycle and quota state behind the service lock.
+/// Shard and quota state behind the service lock.
 struct ServiceState {
     shards: HashMap<ShardKey, Arc<Shard>>,
     /// Tenant → launches currently admitted. Entries are removed at zero
@@ -192,18 +196,25 @@ struct ServiceState {
     /// `submit_within` callers asleep on `ServiceShared::cv` (written only
     /// under this lock): a release notifies only when there is one.
     blocked: usize,
-    /// When a submit path last swept for idle shards (see
-    /// `GridService::sweep_if_due`).
-    last_sweep: Instant,
 }
 
 struct ServiceShared {
     cfg: ServiceConfig,
     obs: Arc<Observer>,
+    /// The one device every shard's launches run on. The service is its
+    /// owner: it shuts down when the last reference to the service goes
+    /// (the [`GridService`], or a [`ServiceHandle`] outliving it).
+    device: Arc<Device>,
     state: Mutex<ServiceState>,
     /// Signaled on an admission release when a `submit_within` caller is
     /// blocked, so it re-checks capacity.
     cv: Condvar,
+}
+
+impl Drop for ServiceShared {
+    fn drop(&mut self) {
+        self.device.shutdown();
+    }
 }
 
 /// RAII admission slot: holds the tenant's and shard's in-flight counts
@@ -225,7 +236,6 @@ impl Drop for Ticket {
                 st.tenants.remove(&self.tenant);
             }
         }
-        *self.shard.last_used.lock() = Instant::now();
         // A submitter decides to block and enters its wait without
         // releasing this lock, so zero here means nobody can miss the slot.
         let wake = st.blocked > 0;
@@ -236,9 +246,9 @@ impl Drop for Ticket {
     }
 }
 
-/// A pending service launch: a pool [`LaunchHandle`] plus the admission
+/// A pending service launch: a [`LaunchHandle`] plus the admission
 /// ticket it releases when settled. Dropping the handle unwaited still
-/// releases admission (the launch itself drains on its shard).
+/// releases admission (the launch itself drains on the device).
 #[must_use = "a ServiceHandle does nothing until waited"]
 pub struct ServiceHandle {
     handle: LaunchHandle,
@@ -261,7 +271,8 @@ impl ServiceHandle {
         &self.shard_label
     }
 
-    /// The launch's sequence number on its shard's pool.
+    /// The launch's sequence number on the service's device, unique
+    /// across shards.
     pub fn seq(&self) -> u64 {
         self.handle.seq()
     }
@@ -279,28 +290,34 @@ impl ServiceHandle {
     }
 }
 
-/// The sharded traffic plane: routes submissions to per-shape
-/// [`GridRuntime`] shards under admission control. See the module docs
-/// for the policy surface. All methods take `&self`, so client threads
-/// share one service behind an `Arc<GridService>`.
+/// The sharded traffic plane: routes submissions to per-shape grids on
+/// one device, under admission control. See the module docs for the
+/// policy surface. All methods take `&self`, so client threads share one
+/// service behind an `Arc<GridService>`.
 pub struct GridService {
     inner: Arc<ServiceShared>,
 }
 
 impl std::fmt::Debug for GridService {
+    /// Also the device's occupancy, a diagnostic: its width W and how many
+    /// of its workers are parked — all W, one spin bound after the last
+    /// launch, whatever the number of shards.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.inner.state.lock();
+        let device = &self.inner.device;
         f.debug_struct("GridService")
             .field("shards", &st.shards.len())
             .field("tenants", &st.tenants.len())
             .field("max_shards", &self.inner.cfg.max_shards)
+            .field("workers", &device.workers())
+            .field("parked_workers", &device.parked())
             .finish()
     }
 }
 
 impl GridService {
-    /// A service with its own live [`Observer`] — every shard it spins up
-    /// shares this registry, labeled by shard.
+    /// A service with its own live [`Observer`] — every shard it serves
+    /// shares this registry, labeled by shard — and its own device.
     pub fn new(cfg: ServiceConfig) -> GridService {
         let obs = Observer::new();
         obs.set_gauge("service_shards_live", 0);
@@ -308,11 +325,11 @@ impl GridService {
             inner: Arc::new(ServiceShared {
                 cfg,
                 obs,
+                device: Device::for_host(),
                 state: Mutex::new(ServiceState {
                     shards: HashMap::new(),
                     tenants: HashMap::new(),
                     blocked: 0,
-                    last_sweep: Instant::now(),
                 }),
                 cv: Condvar::new(),
             }),
@@ -330,9 +347,7 @@ impl GridService {
     }
 
     /// Try to admit and enqueue `kernel` on the shard for `key`, without
-    /// blocking. Sweeps expired idle shards first when that can matter
-    /// (see `sweep_if_due`), so a saturated shard map can make room for a
-    /// new shape.
+    /// blocking.
     ///
     /// # Errors
     /// The admission rejections of the module docs
@@ -345,11 +360,7 @@ impl GridService {
         key: ShardKey,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<ServiceHandle, ServiceError> {
-        let shard = {
-            let mut st = self.inner.state.lock();
-            self.sweep_if_due(&mut st, key);
-            self.admit(&mut st, tenant, key)?
-        };
+        let shard = self.admit(&mut self.inner.state.lock(), tenant, key)?;
         self.enqueue(shard, tenant, kernel)
     }
 
@@ -359,7 +370,9 @@ impl GridService {
     ///
     /// # Errors
     /// [`ServiceError::Deadline`] if no admission slot opened within
-    /// `deadline`; otherwise as [`GridService::submit`].
+    /// `deadline`; otherwise as [`GridService::submit`], whose final
+    /// refusals ([`ServiceError::ShardLimit`], an invalid shape) return at
+    /// once.
     pub fn submit_within(
         &self,
         tenant: &str,
@@ -369,12 +382,10 @@ impl GridService {
     ) -> Result<ServiceHandle, ServiceError> {
         // One clock for the whole call: every deadline check and the
         // reported `waited` derive from this entry instant, so spurious
-        // condvar wakeups (or the 5 ms wait slices) can neither restart
-        // nor inflate the accounting.
+        // condvar wakeups can neither restart nor inflate the accounting.
         let start = Instant::now();
         let mut st = self.inner.state.lock();
         let shard = loop {
-            self.sweep_if_due(&mut st, key);
             match self.admit(&mut st, tenant, key) {
                 Err(e) if e.is_backpressure() => {
                     let remaining = deadline.saturating_sub(start.elapsed());
@@ -387,15 +398,9 @@ impl GridService {
                         });
                     }
                     // Park until a release and retry, still under the lock
-                    // the rejection was decided under. The slice of the
-                    // remaining deadline is for a shard-limit rejection,
-                    // which clears when an idle TTL expires, not on a
-                    // release.
+                    // the rejection was decided under.
                     st.blocked += 1;
-                    let _ = self
-                        .inner
-                        .cv
-                        .wait_for(&mut st, remaining.min(Duration::from_millis(5)));
+                    let _ = self.inner.cv.wait_for(&mut st, remaining);
                     st.blocked -= 1;
                 }
                 other => break other?,
@@ -405,21 +410,9 @@ impl GridService {
         self.enqueue(shard, tenant, kernel)
     }
 
-    /// Sweep idle shards from a submit path only when it can change the
-    /// outcome: the key needs a new shard and the map is full, or an
-    /// `idle_ttl` has passed since the last sweep (no shard can have
-    /// expired sooner). The sweep takes every pool's state lock.
-    fn sweep_if_due(&self, st: &mut ServiceState, key: ShardKey) {
-        let cfg = &self.inner.cfg;
-        let needs_room = !st.shards.contains_key(&key) && st.shards.len() >= cfg.max_shards;
-        if needs_room || st.last_sweep.elapsed() >= cfg.idle_ttl {
-            self.reap(st);
-        }
-    }
-
     /// Admission control under the service lock: the shard for `key`
-    /// (spun up on first use) with one queue slot and one unit of the
-    /// tenant's quota reserved, or the rejection.
+    /// (set up on its first submission) with one queue slot and one unit
+    /// of the tenant's quota reserved, or the rejection.
     fn admit(
         &self,
         st: &mut ServiceState,
@@ -443,7 +436,7 @@ impl GridService {
                         limit: self.inner.cfg.max_shards,
                     });
                 }
-                let s = self.spin_up(key)?;
+                let s = self.shard_for(key)?;
                 st.shards.insert(key, Arc::clone(&s));
                 self.inner
                     .obs
@@ -465,11 +458,10 @@ impl GridService {
         // concurrent submitters see a consistent quota/queue state.
         shard.inflight.fetch_add(1, Ordering::AcqRel);
         *st.tenants.entry(tenant.to_string()).or_insert(0) += 1;
-        *shard.last_used.lock() = Instant::now();
         Ok(shard)
     }
 
-    /// Hand an admitted launch to its shard's launch log.
+    /// Hand an admitted launch to the device's launch log.
     fn enqueue(
         &self,
         shard: Arc<Shard>,
@@ -481,9 +473,9 @@ impl GridService {
             shard: Arc::clone(&shard),
             tenant: tenant.to_string(),
         };
-        // The runtime's launch log is unbounded; the bounded queue is the
-        // admission count above it, so this enqueue cannot itself refuse
-        // for capacity. Dropping the ticket on error rolls admission back.
+        // The launch log is unbounded; the bounded queue is the admission
+        // count above it, so this enqueue cannot itself refuse for
+        // capacity. Dropping the ticket on error rolls admission back.
         let handle = shard.runtime.submit_dyn(kernel)?;
         Ok(ServiceHandle {
             handle,
@@ -499,69 +491,22 @@ impl GridService {
             .inc_labeled("service_rejections_total", reason, 1);
     }
 
-    /// Build the pool behind a new shard, labeled for the registry.
-    fn spin_up(&self, key: ShardKey) -> Result<Arc<Shard>, ServiceError> {
+    /// Compile the plan behind a new shard: a grid on the service's
+    /// device, labeled for the registry.
+    fn shard_for(&self, key: ShardKey) -> Result<Arc<Shard>, ServiceError> {
         let label = key.to_string();
-        let runtime = GridRuntime::new_with_observer(
-            self.inner.cfg.grid_for(key),
-            key.method,
-            Arc::clone(&self.inner.obs),
-        )
-        .map_err(ServiceError::Exec)?;
-        runtime.set_shard_label(label.clone());
+        let mut plan = LaunchPlan::compile(self.inner.cfg.grid_for(key), key.method)?;
+        plan.obs = Arc::clone(&self.inner.obs);
         Ok(Arc::new(Shard {
-            key,
+            runtime: GridRuntime::on_device(plan, &self.inner.device, label.clone()),
             label,
-            runtime,
             inflight: AtomicUsize::new(0),
-            last_used: Mutex::new(Instant::now()),
         }))
     }
 
-    /// Retire every shard that is fully drained (zero admitted launches
-    /// *and* an empty runtime queue) and idle past the TTL; returns how
-    /// many were retired. Safe to call at any time — a shard with queued
-    /// or in-flight work is never dropped, so retirement cannot lose a
-    /// launch.
-    pub fn reap_idle(&self) -> usize {
-        self.reap(&mut self.inner.state.lock())
-    }
-
-    fn reap(&self, st: &mut ServiceState) -> usize {
-        st.last_sweep = Instant::now();
-        let ttl = self.inner.cfg.idle_ttl;
-        let expired: Vec<ShardKey> = st
-            .shards
-            .values()
-            .filter(|s| {
-                s.inflight.load(Ordering::Acquire) == 0
-                    && s.runtime.queue_depth() == 0
-                    && s.last_used.lock().elapsed() >= ttl
-            })
-            .map(|s| s.key)
-            .collect();
-        for key in &expired {
-            st.shards.remove(key);
-            self.inner
-                .obs
-                .inc_counter("service_shards_retired_total", 1);
-        }
-        if !expired.is_empty() {
-            self.inner
-                .obs
-                .set_gauge("service_shards_live", st.shards.len() as u64);
-        }
-        expired.len()
-    }
-
-    /// Number of live shards.
+    /// Number of shards (distinct keys served so far).
     pub fn shards_live(&self) -> usize {
         self.inner.state.lock().shards.len()
-    }
-
-    /// The routing keys of all live shards (unordered).
-    pub fn shard_keys(&self) -> Vec<ShardKey> {
-        self.inner.state.lock().shards.keys().copied().collect()
     }
 
     /// Launches a tenant currently holds admitted (0 if unknown).
@@ -586,10 +531,20 @@ impl GridService {
             .map(|s| s.inflight.load(Ordering::Acquire))
     }
 
-    /// Run `f` against the live shard runtime for `key`, if any — the
-    /// chaos harness uses this to read generation counters and queue
-    /// depths without the service exposing its shards.
-    pub fn with_shard<R>(&self, key: ShardKey, f: impl FnOnce(&GridRuntime) -> R) -> Option<R> {
+    /// Per worker of the service's device, its generation: it advances
+    /// every time the worker is abandoned stuck and replaced — what the
+    /// chaos harness checks self-healing against.
+    pub(crate) fn generations(&self) -> Vec<u64> {
+        self.inner.device.generations()
+    }
+
+    /// Run `f` against the shard runtime for `key`, if any.
+    #[cfg(test)]
+    pub(crate) fn with_shard<R>(
+        &self,
+        key: ShardKey,
+        f: impl FnOnce(&GridRuntime) -> R,
+    ) -> Option<R> {
         let shard = self.inner.state.lock().shards.get(&key).map(Arc::clone);
         shard.map(|s| f(&s.runtime))
     }
@@ -628,14 +583,22 @@ mod tests {
         let svc = GridService::new(ServiceConfig::default());
         let a = ShardKey::new(2, 8, SyncMethod::GpuLockFree);
         let b = ShardKey::new(3, 8, SyncMethod::GpuSimple);
+        let mut pools = Vec::new();
         for _ in 0..2 {
-            svc.submit("t", a, count(2, 5)).unwrap().wait().unwrap();
-            svc.submit("t", b, count(3, 5)).unwrap().wait().unwrap();
+            for (key, n) in [(a, 2), (b, 3)] {
+                let stats = svc.submit("t", key, count(n, 5)).unwrap().wait();
+                pools.push(*stats.unwrap().pool.unwrap());
+            }
         }
         assert_eq!(svc.shards_live(), 2);
-        // Each shard's pool served both of its launches (warm reuse).
+        // Each shard's grid served both of its launches...
         assert_eq!(svc.with_shard(a, |rt| rt.launches()), Some(2));
         assert_eq!(svc.with_shard(b, |rt| rt.launches()), Some(2));
+        // ...on one device: one log, and only its first launch was cold,
+        // the second shard's first included.
+        let seqs: Vec<u64> = pools.iter().map(|p| p.launch_seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3]);
+        assert!(pools.iter().skip(1).all(|p| !p.cold) && pools[0].cold);
         let snap = svc.observer().snapshot();
         assert_eq!(snap.counters["service_shards_spun_up_total"], 2);
         assert_eq!(snap.gauges["service_shards_live"], 2);
@@ -678,20 +641,26 @@ mod tests {
         assert_eq!(snap.labeled["service_rejections_total"]["shard-limit"], 1);
     }
 
+    /// A full key map never clears, so waiting cannot help: the blocking
+    /// submit refuses a new key at once instead of sleeping out its
+    /// deadline.
     #[test]
-    fn idle_shards_are_reaped_after_ttl() {
-        let svc = GridService::new(ServiceConfig::default().with_idle_ttl(Duration::ZERO));
-        let key = ShardKey::new(2, 8, SyncMethod::GpuLockFree);
-        svc.submit("t", key, count(2, 3)).unwrap().wait().unwrap();
-        assert_eq!(svc.shards_live(), 1);
-        assert_eq!(svc.reap_idle(), 1);
-        assert_eq!(svc.shards_live(), 0);
-        let snap = svc.observer().snapshot();
-        assert_eq!(snap.counters["service_shards_retired_total"], 1);
-        assert_eq!(snap.gauges["service_shards_live"], 0);
-        // The shape comes straight back on the next submission.
-        svc.submit("t", key, count(2, 3)).unwrap().wait().unwrap();
-        assert_eq!(svc.shards_live(), 1);
+    fn shard_limit_is_final_for_submit_within() {
+        let svc = GridService::new(ServiceConfig::default().with_max_shards(1));
+        let a = ShardKey::new(2, 8, SyncMethod::GpuLockFree);
+        let b = ShardKey::new(3, 8, SyncMethod::GpuLockFree);
+        svc.submit("t", a, count(2, 3)).unwrap().wait().unwrap();
+        let deadline = Duration::from_secs(2);
+        let t0 = Instant::now();
+        let err = svc
+            .submit_within("t", b, count(3, 3), deadline)
+            .unwrap_err();
+        assert!(
+            matches!(err, ServiceError::ShardLimit { limit: 1 }),
+            "{err}"
+        );
+        assert!(!err.is_backpressure());
+        assert!(t0.elapsed() < deadline / 4, "took {:?}", t0.elapsed());
     }
 
     #[test]
@@ -713,11 +682,11 @@ mod tests {
 
     #[test]
     fn deadline_accounting_spans_every_wake() {
-        // A 27 ms deadline forces several 5 ms wait slices (each wake is a
-        // fresh pass through the loop). The reported wait must be the
-        // total time since entry — a clock restarted per condvar wake
-        // would report under 5 ms, an accumulation bug could report far
-        // more than the wall time actually spent.
+        // Every wake — the deadline's, or a spurious one — is a fresh
+        // pass through the loop. The reported wait must be the total time
+        // since entry: a clock restarted per condvar wake could report
+        // less than the deadline, an accumulation bug far more than the
+        // wall time actually spent.
         let svc = GridService::new(ServiceConfig::default().with_tenant_quota(0));
         let key = ShardKey::new(2, 8, SyncMethod::GpuLockFree);
         let deadline = Duration::from_millis(27);

@@ -1,6 +1,6 @@
 //! Integration tests of the service plane (`blocksync_core::service`):
-//! the sharded barrier-as-a-service layer routing submissions to pooled
-//! runtimes behind bounded admission control.
+//! the sharded barrier-as-a-service layer routing submissions to grids on
+//! one device behind bounded admission control.
 //!
 //! The load-bearing properties are the admission invariants:
 //! - a tenant's in-flight quota is never exceeded, even under concurrent
@@ -8,24 +8,36 @@
 //! - `QueueFull` surfaces exactly at queue capacity — the capacity-th
 //!   submission is admitted, the capacity+1-th is rejected, and one
 //!   release reopens exactly one slot;
-//! - shard spin-down never drops queued or in-flight launches: a shard is
-//!   only retired once fully drained *and* idle past the TTL
-//!   (drain-before-retire).
+//!
+//! and the device's:
+//! - every shard's launches run on one set of W = `max(2, cores)` workers;
+//! - narrow launches of different shards run side by side on it;
+//! - a stuck launch whose handle was dropped does not wedge the other
+//!   tenants.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use blocksync::core::{
-    BlockCtx, GlobalBuffer, GridService, RoundKernel, ServiceConfig, ServiceError, ShardKey,
-    SyncMethod,
+    BlockCtx, GlobalBuffer, GridConfig, GridService, RoundKernel, ServiceConfig, ServiceError,
+    ShardKey, SyncMethod, SyncPolicy,
 };
 use proptest::prelude::*;
 
+/// Far beyond any scheduling delay on a loaded 2-core box; only turns a
+/// hang into a failure message.
+const HANG: Duration = Duration::from_secs(60);
+
 /// Each round every block bumps its slot; after R rounds with a correct
 /// grid barrier every slot holds R — cheap, verifiable service traffic.
+/// It also notes the threads its blocks ran on.
 struct Bump {
     slots: GlobalBuffer<u64>,
     rounds: usize,
+    threads: Mutex<HashSet<ThreadId>>,
 }
 
 impl Bump {
@@ -33,11 +45,16 @@ impl Bump {
         Arc::new(Bump {
             slots: GlobalBuffer::new(key.blocks),
             rounds,
+            threads: Mutex::new(HashSet::new()),
         })
     }
 
     fn verify(&self) -> bool {
         self.slots.to_vec().iter().all(|&v| v == self.rounds as u64)
+    }
+
+    fn threads(&self) -> HashSet<ThreadId> {
+        self.threads.lock().unwrap().clone()
     }
 }
 
@@ -48,15 +65,23 @@ impl RoundKernel for Bump {
     fn round(&self, ctx: &BlockCtx, _round: usize) {
         let b = ctx.block_id;
         self.slots.set(b, self.slots.get(b) + 1);
+        self.threads
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
     }
+}
+
+/// The service's device width: `max(2, cores)`, `cores` honouring the
+/// affinity mask as the runtime's read does.
+fn device_width() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |c| c.get())
+        .max(2)
 }
 
 fn shard_a() -> ShardKey {
     ShardKey::new(3, 8, SyncMethod::GpuLockFree)
-}
-
-fn shard_b() -> ShardKey {
-    ShardKey::new(2, 8, SyncMethod::GpuSimple)
 }
 
 proptest! {
@@ -79,8 +104,7 @@ proptest! {
                 .with_max_shards(1)
                 // Capacity can't interfere: only quota may reject.
                 .with_queue_capacity(threads * per_thread + 1)
-                .with_tenant_quota(quota)
-                .with_idle_ttl(Duration::from_secs(3600)),
+                .with_tenant_quota(quota),
         );
         let attempts = threads * per_thread;
         let (admitted, quota_rejections): (Vec<_>, usize) = std::thread::scope(|scope| {
@@ -136,8 +160,7 @@ proptest! {
             ServiceConfig::default()
                 .with_max_shards(1)
                 .with_queue_capacity(capacity)
-                .with_tenant_quota(1)
-                .with_idle_ttl(Duration::from_secs(3600)),
+                .with_tenant_quota(1),
         );
         let mut held = Vec::new();
         for i in 0..capacity {
@@ -172,60 +195,6 @@ proptest! {
             prop_assert!(kernel.verify());
         }
     }
-
-    /// Drain-before-retire: with a zero idle TTL (every shard is
-    /// retirement-eligible the moment it is idle) and a one-shard limit,
-    /// a busy shard is never reaped out from under its in-flight launches
-    /// — the slot only frees once the shard fully drains, after which the
-    /// next shape can spin up and every held launch still verifies.
-    #[test]
-    fn spin_down_never_drops_inflight_launches(inflight in 1usize..5) {
-        let a = shard_a();
-        let b = shard_b();
-        let svc = GridService::new(
-            ServiceConfig::default()
-                .with_max_shards(1)
-                .with_queue_capacity(8)
-                .with_tenant_quota(8)
-                .with_idle_ttl(Duration::ZERO),
-        );
-        let mut held = Vec::new();
-        for _ in 0..inflight {
-            let kernel = Bump::for_shard(a, 10);
-            let h = svc
-                .submit("tenant", a, Arc::clone(&kernel) as _)
-                .expect("clean launch");
-            held.push((kernel, h));
-        }
-        // Shard A holds launches, so the reap that runs inside this
-        // submit must NOT retire it to make room: the request is refused.
-        match svc.submit("tenant", b, Bump::for_shard(b, 10) as _) {
-            Err(ServiceError::ShardLimit { limit }) => prop_assert_eq!(limit, 1),
-            other => {
-                panic!("busy shard must not be reaped for a new shape: {other:?}")
-            }
-        }
-        prop_assert_eq!(svc.shard_keys(), vec![a]);
-        // Drain shard A completely; nothing was dropped.
-        for (kernel, h) in held.drain(..) {
-            h.wait().expect("clean launch");
-            prop_assert!(kernel.verify());
-        }
-        // Now A is drained and idle past the (zero) TTL: the same request
-        // retires it and spins up B in its place.
-        let kernel = Bump::for_shard(b, 10);
-        let h = svc
-            .submit("tenant", b, Arc::clone(&kernel) as _)
-            .unwrap_or_else(|e| panic!("drained shard must retire: {e}"));
-        prop_assert_eq!(svc.shard_keys(), vec![b]);
-        h.wait().expect("clean launch");
-        prop_assert!(kernel.verify());
-        // The lifecycle counters saw one retirement and two spin-ups.
-        let snap = svc.observer().snapshot();
-        prop_assert_eq!(snap.counters["service_shards_spun_up_total"], 2);
-        prop_assert_eq!(snap.counters["service_shards_retired_total"], 1);
-        prop_assert_eq!(snap.gauges["service_shards_live"], 1);
-    }
 }
 
 /// Blocking admission: a full queue delays `submit_within` rather than
@@ -239,8 +208,7 @@ fn submit_within_blocks_until_a_slot_frees() {
         ServiceConfig::default()
             .with_max_shards(1)
             .with_queue_capacity(1)
-            .with_tenant_quota(8)
-            .with_idle_ttl(Duration::from_secs(3600)),
+            .with_tenant_quota(8),
     ));
     let holder = Bump::for_shard(key, 10);
     let held = svc
@@ -275,4 +243,129 @@ fn submit_within_blocks_until_a_slot_frees() {
         assert!(holder.verify());
         blocked.join().expect("blocked submitter panicked");
     });
+}
+
+/// Three keys of different widths, one at least as wide as the device:
+/// each is served bit-identically, the device's log numbers their launches
+/// in one sequence with only the very first cold, every launch ran on the
+/// device's W worker threads, and once idle exactly those W park.
+#[test]
+fn one_device_runs_every_shard_on_w_workers() {
+    let w = device_width();
+    let keys = [
+        ShardKey::new(w, 8, SyncMethod::GpuLockFree),
+        ShardKey::new(w + 1, 8, SyncMethod::GpuSimple),
+        ShardKey::new(2, 8, SyncMethod::SenseReversing),
+    ];
+    let svc = GridService::new(ServiceConfig::default());
+    let mut threads = HashSet::new();
+    for (i, &key) in keys.iter().cycle().take(3 * keys.len()).enumerate() {
+        let kernel = Bump::for_shard(key, 5);
+        let stats = svc
+            .submit("tenant", key, Arc::clone(&kernel) as _)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(kernel.verify(), "{key}");
+        let pool = stats.pool.unwrap();
+        assert_eq!((pool.launch_seq, pool.cold), (i as u64, i == 0), "{key}");
+        threads.extend(kernel.threads());
+    }
+    assert_eq!(threads.len(), w, "threads that ran the three shards");
+    let idle = format!("workers: {w}, parked_workers: {w} ");
+    let t0 = Instant::now();
+    while !format!("{svc:?}").contains(&idle) {
+        assert!(t0.elapsed() < HANG, "never parked: {svc:?}");
+        std::thread::yield_now();
+    }
+}
+
+/// Two 1-block keys: each launch takes one worker, and the second is
+/// placed where the first one's window ended, so launch B runs while
+/// launch A still holds its worker. Were B placed on A's worker it would
+/// queue behind A, and A would give up waiting for it.
+#[test]
+fn narrow_launches_of_two_shards_run_side_by_side() {
+    let svc = GridService::new(ServiceConfig::default());
+    let a = ShardKey::new(1, 8, SyncMethod::GpuLockFree);
+    let b = ShardKey::new(1, 8, SyncMethod::GpuSimple);
+    let b_ran = Arc::new(AtomicBool::new(false));
+    let a_saw_b = Arc::new(AtomicBool::new(false));
+    let hold: Arc<dyn RoundKernel + Send + Sync> = {
+        let (b_ran, a_saw_b) = (Arc::clone(&b_ran), Arc::clone(&a_saw_b));
+        Arc::new((1usize, move |_: &BlockCtx, _: usize| {
+            let t0 = Instant::now();
+            while !b_ran.load(Ordering::Acquire) && t0.elapsed() < HANG {
+                std::thread::yield_now();
+            }
+            a_saw_b.store(b_ran.load(Ordering::Acquire), Ordering::Release);
+        }))
+    };
+    let mark: Arc<dyn RoundKernel + Send + Sync> = {
+        let b_ran = Arc::clone(&b_ran);
+        Arc::new((1usize, move |_: &BlockCtx, _: usize| {
+            b_ran.store(true, Ordering::Release);
+        }))
+    };
+    let held = svc.submit("tenant-a", a, hold).unwrap();
+    svc.submit("tenant-b", b, mark).unwrap().wait().unwrap();
+    held.wait().unwrap();
+    assert!(
+        a_saw_b.load(Ordering::Acquire),
+        "launch B waited for launch A's worker"
+    );
+}
+
+/// Tenant A submits an owned launch whose block 1 never returns and
+/// ignores its abort signal, then drops the handle: nobody will wait on
+/// it. Tenant B's next launch, on another key as wide as the device, needs
+/// the worker A is stuck on; its own wait must abandon A and replace that
+/// worker, then finish bit-identically on a fresh thread.
+#[test]
+fn a_dropped_stalled_launch_does_not_wedge_another_tenant() {
+    let w = device_width();
+    let policy = SyncPolicy::with_timeout(Duration::from_millis(50));
+    let svc = GridService::new(
+        ServiceConfig::default().with_template(GridConfig::new(1, 1).with_policy(policy)),
+    );
+    let a = ShardKey::new(w, 8, SyncMethod::GpuLockFree);
+    let b = ShardKey::new(w, 8, SyncMethod::GpuSimple);
+    let stuck_on = Arc::new(Mutex::new(None));
+    let stall: Arc<dyn RoundKernel + Send + Sync> = {
+        let stuck_on = Arc::clone(&stuck_on);
+        Arc::new((1usize, move |ctx: &BlockCtx, _: usize| {
+            if ctx.block_id == 1 {
+                *stuck_on.lock().unwrap() = Some(std::thread::current().id());
+                loop {
+                    std::thread::park();
+                }
+            }
+        }))
+    };
+    drop(svc.submit("tenant-a", a, stall).unwrap());
+    let kernel = Bump::for_shard(b, 5);
+    let t0 = Instant::now();
+    let held = svc.submit("tenant-b", b, Arc::clone(&kernel) as _).unwrap();
+    // Waited on a thread of its own, so that a wedged launch fails the
+    // test instead of hanging it.
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || tx.send(held.wait()).unwrap());
+    let waited = rx
+        .recv_timeout(HANG)
+        .expect("B is wedged behind the dropped launch");
+    let took = t0.elapsed();
+    waiter.join().unwrap();
+    waited.expect("B's launch is not A's failure");
+    assert!(kernel.verify());
+    // A's barrier timeout, its grace, and one tick of B's wait; the
+    // factor only absorbs scheduling on a loaded host.
+    let bound = (policy.timeout.unwrap() + policy.abandon_grace()) * 10;
+    assert!(took < bound, "B waited {took:?} behind the dropped launch");
+    let stuck = stuck_on.lock().unwrap().expect("A's block 1 ran");
+    let ran_b = kernel.threads();
+    assert_eq!(ran_b.len(), w);
+    assert!(
+        !ran_b.contains(&stuck),
+        "the worker stuck in A was not replaced"
+    );
 }

@@ -6,6 +6,7 @@
 //! papered over by a watchdog, and the deadlines below only turn such a
 //! hang into a failure message.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -127,15 +128,28 @@ fn alternating_pools_with_gaps_straddling_the_spin_bound_never_lose_a_wake() {
     assert_eq!(pools[0].launches() + pools[1].launches(), 20_000);
 }
 
+thread_local! {
+    /// A worker's clone of its test's witness, dropped when the thread
+    /// exits.
+    static WITNESS: RefCell<Option<Arc<()>>> = const { RefCell::new(None) };
+}
+
+/// A one-round kernel whose blocks leave a clone of `witness` in their
+/// thread's local storage: the count returns to the test's one reference
+/// only once every thread that ran a block has exited.
+fn witnessed(witness: &Arc<()>) -> Arc<dyn RoundKernel + Send + Sync> {
+    let witness = Arc::clone(witness);
+    Arc::new((1usize, move |_: &BlockCtx, _: usize| {
+        WITNESS.with(|w| *w.borrow_mut() = Some(Arc::clone(&witness)));
+    }))
+}
+
 #[test]
 fn dropping_a_pool_releases_its_workers_spinning_or_parked() {
-    // Every worker co-owns the pool's shared state, which holds the
-    // observer: the count returns to this test's one reference only when
-    // the pool is gone and all of its workers have exited.
     for parked in [false, true] {
         let rt = GridRuntime::new(GridConfig::new(3, 8), SyncMethod::GpuLockFree).unwrap();
-        let obs = rt.observer();
-        rt.submit(Bump::new(3, 2)).unwrap().wait().unwrap();
+        let witness = Arc::new(());
+        rt.submit_dyn(witnessed(&witness)).unwrap().wait().unwrap();
         if parked {
             wait_for("all workers parked", || rt.parked_workers() == workers(3));
         }
@@ -143,7 +157,7 @@ fn dropping_a_pool_releases_its_workers_spinning_or_parked() {
         // are inside the spin bound, where shutdown is not polled.
         drop(rt);
         wait_for("workers to exit after drop", || {
-            Arc::strong_count(&obs) == 1
+            Arc::strong_count(&witness) == 1
         });
     }
 }
@@ -152,9 +166,7 @@ fn dropping_a_pool_releases_its_workers_spinning_or_parked() {
 fn unwaited_service_handle_drop_wakes_a_submitter_blocked_on_quota() {
     let key = ShardKey::new(2, 8, SyncMethod::GpuLockFree);
     let svc = Arc::new(GridService::new(
-        ServiceConfig::default()
-            .with_tenant_quota(1)
-            .with_idle_ttl(Duration::from_secs(3600)),
+        ServiceConfig::default().with_tenant_quota(1),
     ));
     let open = Arc::new(AtomicBool::new(false));
     let held = svc.submit("tenant", key, gated(&open)).unwrap();
@@ -174,8 +186,8 @@ fn unwaited_service_handle_drop_wakes_a_submitter_blocked_on_quota() {
         // The quota rejection is counted under the service lock, which
         // the submitter keeps until it is inside its wait: once the count
         // is visible and `Ticket::drop` has that lock, the submitter is
-        // parked and only the drop's notify (or the 5 ms re-poll slice,
-        // hence the bound below is loose) can admit it.
+        // parked and only the drop's notify can admit it before its
+        // deadline, twice `HANG` away.
         wait_for("the submitter to be refused", || {
             svc.observer()
                 .snapshot()
