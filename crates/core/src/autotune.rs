@@ -16,7 +16,8 @@
 //! * [`AutoTuner::host`] — **the machine the process runs on**: the rows
 //!   are measured. An empty kernel runs once under each concrete method
 //!   through the very [`LaunchPlan`] path the `Auto` plan then launches,
-//!   and the row is that launch's [`crate::KernelStats::sync_per_round`].
+//!   and the row is that launch's in-round time per round, which for an
+//!   empty kernel is its sync cost.
 //!   One thing knows what a host barrier costs — the barrier.
 //!
 //! The decision — the chosen method, the full table, and (after the run)
@@ -154,11 +155,14 @@ fn host_table(n: usize) -> Vec<MethodPrediction> {
         .clone()
 }
 
-/// Time every concrete method once at `n` blocks: `t_S` per round of an
-/// empty kernel through [`LaunchPlan`] under the default policy, with no
-/// trace (each probe's plan observes into its own throwaway observer) —
-/// an unpinned cold launch, which is what the `Auto` caller about to run
-/// gets.
+/// Time every concrete method once at `n` blocks: the in-round time per
+/// round of an empty kernel — its `t_S` and the round loop's own few
+/// nanoseconds, the same under every method — through [`LaunchPlan`]
+/// under the default policy, with no trace (each probe's plan observes
+/// into its own throwaway observer): an unpinned cold launch, which is
+/// what the `Auto` caller about to run gets. Not `sync` alone: untraced,
+/// that is a sample (DESIGN.md §10), and a row that read low by chance
+/// would win the table; `compute + sync` is the entry's span, exact.
 fn time_host_rows(n: usize) -> Vec<MethodPrediction> {
     let kernel = (PROBE_ROUNDS, |_: &BlockCtx, _: usize| {});
     SyncMethod::PAPER_METHODS
@@ -168,9 +172,10 @@ fn time_host_rows(n: usize) -> Vec<MethodPrediction> {
             let stats = LaunchPlan::compile(GridConfig::new(n, 1), method)
                 .and_then(|plan| plan.run(&kernel))
                 .expect("an empty kernel under a concrete method and no timeout cannot fault");
+            let in_round = stats.avg_compute() + stats.avg_sync();
             MethodPrediction {
                 method,
-                predicted_sync_ns: stats.sync_per_round().as_secs_f64() * 1e9,
+                predicted_sync_ns: in_round.as_secs_f64() * 1e9 / PROBE_ROUNDS as f64,
             }
         })
         .collect()

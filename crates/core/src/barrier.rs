@@ -46,6 +46,8 @@
 //! the first two phases pays the pre-fault-tolerance spin loop — 64 busy
 //! polls, then yield — plus a single plain poison load per poll.
 
+#[cfg(test)]
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -56,6 +58,22 @@ use parking_lot::{Condvar, Mutex};
 use crate::error::{StuckDiagnostic, StuckPhase};
 use crate::trace::{EventRecorder, TraceEventKind};
 
+/// The clock every round loop and barrier wait reads (`Instant::now`):
+/// one place, so that tests can count the reads a launch makes
+/// (DESIGN.md §10).
+#[inline]
+pub(crate) fn now() -> Instant {
+    #[cfg(test)]
+    CLOCK_READS.with(|c| c.set(c.get() + 1));
+    Instant::now()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`now`] on this thread.
+    pub(crate) static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Fault-handling policy for barrier waits, carried by
 /// [`crate::GridConfig`] into every barrier the executor builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,12 +81,14 @@ pub struct SyncPolicy {
     /// Give up a barrier wait after this long (`None` = wait forever, the
     /// paper's semantics and the default).
     ///
-    /// The bound is a time, whatever the host's load: a wait reads the
-    /// clock on every poll once past its 64-poll spin phase, so a stuck
-    /// wait reports within `timeout` + 64 spin polls + one `yield_now`
-    /// while it yields, or within `timeout` + the 1 ms longest park once
-    /// it parks. A wait that ends inside the spin phase reads no clock, and
-    /// without a timeout no wait reads one at all.
+    /// The bound is a time, whatever the host's load: the deadline starts
+    /// when a wait leaves its 64-poll spin phase, and the wait reads the
+    /// clock on every poll after that, so a stuck wait reports within
+    /// `timeout` + 64 spin polls + one `yield_now` while it yields, or
+    /// within `timeout` + the 1 ms longest park once it parks. A wait that
+    /// ends inside the spin phase reads no clock; without a timeout a wait
+    /// reads it once, as it leaves the spin phase, for the round loop's
+    /// time accounting.
     pub timeout: Option<Duration>,
 }
 
@@ -360,11 +380,15 @@ impl BarrierControl {
     /// Wait until `cond()` holds — the one wait discipline every barrier
     /// shares: 64 busy polls, `yield_now` between polls up to poll 4096,
     /// then parks of at most 1 ms in the lot (DESIGN.md §15).
-    /// The poison word is checked each poll (plain load); the deadline on
-    /// every poll past the spin phase — a yield already costs more than a
-    /// clock read, and on a loaded host it can cost a scheduler slice, so
-    /// a deadline counted in yields is not a time (see
-    /// [`SyncPolicy::timeout`] for the bound).
+    /// The poison word is checked each poll (plain load). A wait that
+    /// leaves the spin phase reads the clock there, once, and returns that
+    /// instant (`Ok(Some(left))`): the round loop times such a wait
+    /// exactly from it, and the deadline starts from it. Under a timeout
+    /// the deadline is then checked on every poll — a yield already costs
+    /// more than a clock read, and on a loaded host it can cost a
+    /// scheduler slice, so a deadline counted in yields is not a time (see
+    /// [`SyncPolicy::timeout`] for the bound). A wait that ends in its
+    /// spin phase reads no clock and returns `Ok(None)`.
     ///
     /// On timeout the barrier is poisoned (cause `Timeout`) so peers unwind
     /// too, and the returned [`StuckDiagnostic`] names `block`, `round`,
@@ -383,59 +407,66 @@ impl BarrierControl {
         barrier: &str,
         flag: impl Fn() -> String,
         mut cond: impl FnMut() -> bool,
-    ) -> Result<(), SyncFault> {
-        let deadline = self.policy.timeout.map(|t| (Instant::now() + t, t));
+    ) -> Result<Option<Instant>, SyncFault> {
+        let timeout = self.policy.timeout;
         let mut polls = 0u32;
+        // Where the wait left its spin phase, once it has.
+        let mut left: Option<Instant> = None;
+        // What is left of the deadline as of this poll's clock read.
+        let mut remaining: Option<Duration> = None;
         loop {
             if cond() {
                 self.note_spin(block, polls);
-                return Ok(());
+                return Ok(left);
             }
             if self.poison.load(Ordering::Relaxed) != 0 {
                 self.note_spin(block, polls);
                 return Err(self.poisoned_fault());
             }
             let parking = polls >= Self::PARK_AFTER_POLLS;
-            if let Some((when, timeout)) = deadline {
-                if polls >= Self::SPIN_POLLS && Instant::now() >= when {
-                    // Snapshot progress *before* publishing the poison:
-                    // a cooperative straggler (e.g. an injected wait-phase
-                    // fault) is released by the poison itself and would
-                    // record its arrival before the snapshot, erasing the
-                    // very evidence — stragglers() — this diagnostic
-                    // exists to report.
-                    let (arrivals, departures) = self.progress();
-                    let won = self.poison(block, round as usize, PoisonCause::Timeout);
-                    self.note_spin(block, polls);
-                    if !won {
-                        // A peer's poison landed between this poll's check
-                        // and the CAS. Parked waiters wake *at* their
-                        // deadlines, so peers launched together expire
-                        // together; only the winner owns the diagnostic.
-                        return Err(self.poisoned_fault());
-                    }
-                    let diagnostic = StuckDiagnostic {
-                        barrier: barrier.to_string(),
-                        waiting_block: block,
-                        round: round as usize,
-                        flag: flag(),
-                        timeout,
-                        arrivals,
-                        departures,
-                        recent_events: self.straggler_trail(block, round),
-                        phase: StuckPhase::Barrier,
-                    };
-                    return Err(SyncFault::TimedOut {
-                        diagnostic: Box::new(diagnostic),
-                    });
+            if polls >= Self::SPIN_POLLS && (left.is_none() || timeout.is_some()) {
+                let at = now();
+                let since = *left.get_or_insert(at);
+                remaining = timeout.map(|t| t.saturating_sub(at - since));
+            }
+            if let (Some(timeout), Some(Duration::ZERO)) = (timeout, remaining) {
+                // Snapshot progress *before* publishing the poison:
+                // a cooperative straggler (e.g. an injected wait-phase
+                // fault) is released by the poison itself and would
+                // record its arrival before the snapshot, erasing the
+                // very evidence — stragglers() — this diagnostic
+                // exists to report.
+                let (arrivals, departures) = self.progress();
+                let won = self.poison(block, round as usize, PoisonCause::Timeout);
+                self.note_spin(block, polls);
+                if !won {
+                    // A peer's poison landed between this poll's check
+                    // and the CAS. Parked waiters wake *at* their
+                    // deadlines, so peers launched together expire
+                    // together; only the winner owns the diagnostic.
+                    return Err(self.poisoned_fault());
                 }
+                let diagnostic = StuckDiagnostic {
+                    barrier: barrier.to_string(),
+                    waiting_block: block,
+                    round: round as usize,
+                    flag: flag(),
+                    timeout,
+                    arrivals,
+                    departures,
+                    recent_events: self.straggler_trail(block, round),
+                    phase: StuckPhase::Barrier,
+                };
+                return Err(SyncFault::TimedOut {
+                    diagnostic: Box::new(diagnostic),
+                });
             }
             if polls < Self::SPIN_POLLS {
                 std::hint::spin_loop();
             } else if !parking {
                 std::thread::yield_now();
             } else {
-                self.park(&mut cond, deadline.map(|(when, _)| when));
+                self.park(&mut cond, remaining);
             }
             // Saturate rather than wrap: wrapping would bounce a parked
             // waiter back into the spin phase (and off the deadline check)
@@ -458,15 +489,15 @@ impl BarrierControl {
     /// One bounded park: register in the lot, re-check the release/poison
     /// conditions under the lock (closing the check-then-park race against
     /// [`BarrierControl::wake_parked`]'s lock-then-notify), then sleep
-    /// until a wake, the deadline, or [`Self::MAX_PARK`] — whichever is
-    /// first. The caller's loop re-polls on return.
-    fn park(&self, cond: &mut impl FnMut() -> bool, deadline: Option<Instant>) {
+    /// until a wake, the deadline (`remaining` of it as of the caller's
+    /// last clock read), or [`Self::MAX_PARK`] — whichever is first. The
+    /// caller's loop re-polls on return.
+    fn park(&self, cond: &mut impl FnMut() -> bool, remaining: Option<Duration>) {
         self.park.parked.fetch_add(1, Ordering::SeqCst);
         {
             let mut guard = self.park.mutex.lock();
             if !cond() && self.poison.load(Ordering::Relaxed) == 0 {
-                let bound = deadline
-                    .map(|when| when.saturating_duration_since(Instant::now()))
+                let bound = remaining
                     .unwrap_or(Self::MAX_PARK)
                     .clamp(Duration::from_micros(1), Self::MAX_PARK);
                 let _ = self.park.cv.wait_for(&mut guard, bound);
@@ -512,11 +543,12 @@ pub trait BarrierShared: Send + Sync + 'static {
     /// arrival, wait for the peers' through
     /// [`BarrierControl::wait_until`]. This is the body of the paper's
     /// `__gpu_sync(goalVal)` listings; the goal is derived from `round`,
-    /// which the caller keeps. Callers go through [`BarrierShared::sync`].
+    /// which the caller keeps. Callers go through [`BarrierShared::sync`],
+    /// which returns what this returns.
     ///
     /// # Errors
     /// As [`BarrierShared::sync`].
-    fn protocol(&self, block: usize, round: u64) -> Result<(), SyncFault>;
+    fn protocol(&self, block: usize, round: u64) -> Result<Option<Instant>, SyncFault>;
 
     /// Arrive at barrier number `round` as `block` and wait until all
     /// [`BarrierShared::num_blocks`] blocks have arrived: the protocol,
@@ -524,19 +556,22 @@ pub trait BarrierShared: Send + Sync + 'static {
     /// Every block must pass `round = 0, 1, 2, ...` in order. Provided, so
     /// each implementor gets its own copy in which `control()` and the
     /// protocol are direct calls: through `dyn` a wait is this one virtual
-    /// call.
+    /// call. Returns where the first of the protocol's waits to leave its
+    /// spin phase left it ([`BarrierControl::wait_until`]), or `None` when
+    /// every wait ended spinning — and under CPU-implicit, whose waits
+    /// sleep instead of spinning.
     ///
     /// # Errors
     /// [`SyncFault::Poisoned`] if a peer panicked or timed out;
     /// [`SyncFault::TimedOut`] if this block's own wait exceeded the
     /// [`SyncPolicy`] timeout. After an error the barrier is permanently
     /// poisoned; further waits fail too.
-    fn sync(&self, block: usize, round: u64) -> Result<(), SyncFault> {
+    fn sync(&self, block: usize, round: u64) -> Result<Option<Instant>, SyncFault> {
         let ctl = self.control();
         ctl.record_arrival(block, round);
-        self.protocol(block, round)?;
+        let left = self.protocol(block, round)?;
         ctl.record_departure(block, round);
-        Ok(())
+        Ok(left)
     }
 
     /// Number of blocks this barrier synchronizes.
@@ -628,7 +663,7 @@ pub(crate) mod harness {
                         counters[b].store(prev + 1, Ordering::Relaxed);
                         match waiter.as_mut() {
                             Some(w) => w.wait(),
-                            None => shared.sync(b, r as u64),
+                            None => shared.sync(b, r as u64).map(|_| ()),
                         }
                         .expect("fault-free barrier must not fail");
                         // After the barrier every block must observe every
@@ -774,6 +809,48 @@ mod tests {
         assert_eq!(ctl.poisoned(), Some((0, 0, PoisonCause::Timeout)));
     }
 
+    /// A wait that ends spinning reads no clock, even under a timeout;
+    /// one that leaves its spin phase without a timeout reads it once,
+    /// there, and returns that instant.
+    #[test]
+    fn a_wait_reads_the_clock_only_once_it_leaves_its_spin_phase() {
+        let reads = || CLOCK_READS.with(|c| c.get());
+        let timed = BarrierControl::new(2, SyncPolicy::with_timeout(Duration::from_secs(5)));
+        let before = reads();
+        let mut polls = 0;
+        let spun = timed.wait_until(
+            0,
+            0,
+            "test",
+            || "flag".into(),
+            || {
+                polls += 1;
+                polls > 10
+            },
+        );
+        assert_eq!((spun, reads() - before), (Ok(None), 0));
+
+        let untimed = BarrierControl::new(2, SyncPolicy::default());
+        let before = reads();
+        let t0 = Instant::now();
+        let mut polls = 0;
+        let left = untimed
+            .wait_until(
+                0,
+                0,
+                "test",
+                || "flag".into(),
+                || {
+                    polls += 1;
+                    polls > 100
+                },
+            )
+            .unwrap()
+            .expect("the wait left its spin phase");
+        assert_eq!(reads() - before, 1);
+        assert!(t0 <= left && left <= Instant::now());
+    }
+
     #[test]
     fn timeout_is_a_time_however_slow_a_poll_is() {
         // A 1 ms `cond` stands in for a yield that costs a scheduler slice
@@ -847,7 +924,7 @@ mod tests {
         s: &'s std::thread::Scope<'s, '_>,
         ctl: &'s BarrierControl,
         flag: &'s AtomicU64,
-    ) -> std::thread::ScopedJoinHandle<'s, Result<(), SyncFault>> {
+    ) -> std::thread::ScopedJoinHandle<'s, Result<Option<Instant>, SyncFault>> {
         let h = s.spawn(move || {
             ctl.wait_until(
                 0,

@@ -25,8 +25,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::barrier::SyncPolicy;
-use crate::barrier::{BarrierControl, BarrierShared, PoisonCause, SyncFault};
+use crate::barrier::{now, BarrierControl, BarrierShared, PoisonCause, SyncFault, SyncPolicy};
 use crate::error::{StuckDiagnostic, StuckPhase};
 
 /// Rendezvous state guarded by the driver mutex.
@@ -114,8 +113,11 @@ impl BarrierShared for CpuImplicitSync {
     }
 
     /// Check in with the driver for epoch `e` (the block's count of
-    /// completed rendezvous rounds) and sleep until it is dispatched.
-    fn protocol(&self, bid: usize, e: u64) -> Result<(), SyncFault> {
+    /// completed rendezvous rounds) and sleep until it is dispatched. A
+    /// sleep has no spin phase to leave, so this never returns an instant:
+    /// the round loop times these waits by its sample. The clock is read
+    /// only for a timeout's deadline.
+    fn protocol(&self, bid: usize, e: u64) -> Result<Option<Instant>, SyncFault> {
         let ctl = &self.control;
         let mut g = self.state.lock();
         if let Some((pb, pr, cause)) = ctl.poisoned() {
@@ -133,7 +135,7 @@ impl BarrierShared for CpuImplicitSync {
             g.epoch = e + 1;
             self.cv.notify_all();
         } else {
-            let start = Instant::now();
+            let mut start = None;
             while g.epoch <= e {
                 if let Some((pb, pr, cause)) = ctl.poisoned() {
                     return Err(SyncFault::Poisoned {
@@ -145,7 +147,9 @@ impl BarrierShared for CpuImplicitSync {
                 match ctl.policy().timeout {
                     None => self.cv.wait(&mut g),
                     Some(timeout) => {
-                        let Some(remaining) = timeout.checked_sub(start.elapsed()) else {
+                        let at = now();
+                        let since = *start.get_or_insert(at);
+                        let Some(remaining) = timeout.checked_sub(at - since) else {
                             // Own wait expired: poison (first caller wins)
                             // and wake peers so they unwind too. The lock
                             // is already held, so notify directly instead
@@ -171,7 +175,7 @@ impl BarrierShared for CpuImplicitSync {
                 }
             }
         }
-        Ok(())
+        Ok(None)
     }
 }
 

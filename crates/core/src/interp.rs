@@ -14,6 +14,7 @@
 //! arrival wrote — which is what makes `sync` a publication barrier.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use crossbeam::utils::CachePadded;
 
@@ -71,16 +72,27 @@ impl AtomicBarrier {
         self.word(word).fetch_add(1, Ordering::AcqRel) + 1
     }
 
+    /// Wait for `word >= goal`, noting in `left` where the wait left its
+    /// spin phase unless an earlier wait of the round already did.
     #[inline]
-    fn wait(&self, block: usize, round: u64, word: Word, goal: u64) -> Result<(), SyncFault> {
+    fn wait(
+        &self,
+        block: usize,
+        round: u64,
+        word: Word,
+        goal: u64,
+        left: &mut Option<Instant>,
+    ) -> Result<(), SyncFault> {
         let cell = self.word(word);
-        self.control.wait_until(
+        let at = self.control.wait_until(
             block,
             round,
             self.name(),
             || format!("{word} >= {goal}"),
             || cell.load(Ordering::Acquire) >= goal,
-        )
+        )?;
+        *left = left.or(at);
+        Ok(())
     }
 
     /// Run one op of `block`'s round-`round` protocol. Every write can be
@@ -89,7 +101,13 @@ impl AtomicBarrier {
     /// a constant the match folds away and what is left is the listing's
     /// own code.
     #[inline(always)]
-    fn execute(&self, block: usize, round: u64, op: Op) -> Result<(), SyncFault> {
+    fn execute(
+        &self,
+        block: usize,
+        round: u64,
+        op: Op,
+        left: &mut Option<Instant>,
+    ) -> Result<(), SyncFault> {
         let ctl = &self.control;
         match op {
             Op::AtomicAdd(word) => {
@@ -100,9 +118,9 @@ impl AtomicBarrier {
                 self.store(word, value);
                 ctl.wake_parked();
             }
-            Op::WaitGe(word, goal) => self.wait(block, round, word, goal)?,
+            Op::WaitGe(word, goal) => self.wait(block, round, word, goal, left)?,
             Op::WaitAllGe { base, count, goal } => {
-                (0..count).try_for_each(|i| self.wait(block, round, base.nth(i), goal))?
+                (0..count).try_for_each(|i| self.wait(block, round, base.nth(i), goal, left))?
             }
             Op::StoreRange { base, count, value } => {
                 for i in 0..count {
@@ -148,15 +166,17 @@ impl BarrierShared for AtomicBarrier {
         &self.control
     }
 
-    fn protocol(&self, block: usize, round: u64) -> Result<(), SyncFault> {
+    fn protocol(&self, block: usize, round: u64) -> Result<Option<Instant>, SyncFault> {
+        let mut left = None;
         // A protocol calls its visitor from several sites; inlined into
         // each, the op it is handed is a constant there.
         self.program.visit(
             block,
             round,
             #[inline(always)]
-            |op| self.execute(block, round, op),
-        )
+            |op| self.execute(block, round, op, &mut left),
+        )?;
+        Ok(left)
     }
 }
 
@@ -193,7 +213,7 @@ mod tests {
             // A single block never blocks.
             let alone = build(method, 1);
             assert_eq!((alone.name(), alone.num_blocks()), (name, 1));
-            (0..1000).for_each(|r| alone.sync(0, r).unwrap());
+            (0..1000).for_each(|r| assert_eq!(alone.sync(0, r), Ok(None)));
             for n in SIZES {
                 let rounds = if n <= 8 { 300 } else { 60 };
                 harness::exercise(Arc::new(build(method, n)), n, rounds);

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use crossbeam::utils::CachePadded;
 
 use crate::autotune::{AutoDecision, AutoTuner};
-use crate::barrier::{BarrierShared, PoisonCause, SyncFault, SyncPolicy};
+use crate::barrier::{now, BarrierShared, PoisonCause, SyncFault, SyncPolicy};
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultSchedule, WaitFaults};
@@ -602,84 +602,152 @@ impl LaunchSetup {
     }
 }
 
-/// The round loop of a worker hosting one block, run once per log entry:
-/// for each of the entry's `rounds`, execute the kernel body under
-/// `catch_unwind` (a panic poisons the barrier via
-/// [`BarrierShared::poison`], raises the abort signal, and surfaces as
-/// [`ExecError::BlockPanicked`]), fire the block's wait-phase fault, then
-/// wait on the barrier (bounded by the [`SyncPolicy`]), accumulating
-/// compute/sync time and trace events into `t` as it goes. Without a
-/// barrier (`NoSync`) a round is compute only: `t.sync` stays zero and no
-/// sync sample is recorded, the paper's §7.3 "`__gpu_sync()` removed" run.
-/// `t.launch` is the caller's to fill — only the pool knows where its
-/// launch boundary is — and so is `CpuExplicit`'s join between entries.
-/// A worker hosting several blocks runs [`drive_fold`] instead, or, with
-/// no barrier, this loop once per block.
+/// Rounds per stamped round of an untraced round loop: the loops read the
+/// clock at their entry's start and end, and inside only in stamped
+/// rounds and after a wait that left its spin phase (DESIGN.md §10). A
+/// traced loop stamps every round.
+const STAMP_STRIDE: usize = 16;
+
+/// Whether an untraced round loop stamps round `i` of an entry of `len`
+/// rounds: one in [`STAMP_STRIDE`], from the second round unless it is
+/// the only one. The first runs cold — first touch of the barrier's words
+/// and the kernel's data — and its short waits read 4–30× the rest's.
+fn stamped(i: usize, len: usize) -> bool {
+    i % STAMP_STRIDE == usize::from(len > 1)
+}
+
+/// An unfolded block's barrier waits in one entry, as its round loop saw
+/// them: `t_S` is the waits it timed — every one that left its spin
+/// phase, and the short ones of stamped rounds — plus the mean of the
+/// timed short waits for each short wait it did not time.
+#[derive(Default)]
+struct Waits {
+    timed: Duration,
+    /// The short ones among `timed`, and how many.
+    short: Duration,
+    shorts: u32,
+    /// Short waits of unstamped rounds.
+    untimed: u32,
+}
+
+impl Waits {
+    fn total(&self) -> Duration {
+        let est = self.short.as_nanos() * u128::from(self.untimed) / u128::from(self.shorts.max(1));
+        self.timed + Duration::from_nanos(est as u64)
+    }
+}
+
+/// The round loop of a worker hosting one block, run once per log entry
+/// from `start` (the caller's clock read): for each of the entry's
+/// `rounds`, execute the kernel body under `catch_unwind` (a panic poisons
+/// the barrier via [`BarrierShared::poison`], raises the abort signal, and
+/// surfaces as [`ExecError::BlockPanicked`]), fire the block's wait-phase
+/// fault, then wait on the barrier (bounded by the [`SyncPolicy`]), and
+/// return where the entry ended. The entry's span is split into `t.sync`,
+/// the barrier waits as [`Waits`] estimates them — exact when the launch
+/// is traced, since every round is stamped then — and `t.compute`, the
+/// rest. Without a barrier (`NoSync`) the span is all compute, the
+/// paper's §7.3 "`__gpu_sync()` removed" run, and no sync sample is
+/// recorded. `t.launch` is the caller's to fill — only the pool knows
+/// where its launch boundary is — and so is `CpuExplicit`'s join between
+/// entries. A worker hosting several blocks runs [`drive_fold`] instead,
+/// or, with no barrier, this loop once per block.
 pub(crate) fn drive_block(
     setup: &LaunchSetup,
     kernel: &dyn RoundKernel,
     block: usize,
     rounds: Range<usize>,
+    start: Instant,
     t: &mut BlockTimes,
-) -> Result<(), ExecError> {
+) -> Result<Instant, ExecError> {
     let ctx = setup.ctx(block);
     let barrier = setup.barrier.as_deref();
     let recorder = setup.recorder.as_deref();
-    for r in rounds {
-        let t0 = Instant::now();
+    let mut waits = Waits::default();
+    let len = rounds.len();
+    for (i, r) in rounds.enumerate() {
         if let Some(rec) = recorder {
-            rec.record_instant(block, r, TraceEventKind::RoundStart, t0);
+            rec.record_instant(block, r, TraceEventKind::RoundStart, now());
         }
         setup.body(kernel, &ctx, r)?;
-        let t1 = Instant::now();
-        if let Some(rec) = recorder {
+        let stamp = recorder.is_some() || (barrier.is_some() && stamped(i, len));
+        let t1 = stamp.then(now);
+        if let (Some(rec), Some(t1)) = (recorder, t1) {
             rec.record_instant(block, r, TraceEventKind::RoundEnd, t1);
         }
         let Some(sh) = barrier else {
-            t.compute += t1 - t0;
             continue;
         };
         if let Some(faults) = &setup.wait_faults {
             faults.on_arrive(sh, &setup.abort, block, r);
         }
-        if let Some(rec) = recorder {
+        if let (Some(rec), Some(t1)) = (recorder, t1) {
             rec.record_instant(block, r, TraceEventKind::BarrierArrive, t1);
         }
-        if let Err(fault) = sh.sync(block, r as u64) {
-            setup.abort.abort();
-            return Err(setup.fault_to_error(sh, fault));
-        }
-        let t2 = Instant::now();
-        t.compute += t1 - t0;
-        t.sync += t2 - t1;
-        if let Some(rec) = recorder {
-            rec.record_instant(block, r, TraceEventKind::BarrierDepart, t2);
-            if rec.sampled(r) {
-                rec.record_sync(block, (t2 - t1).as_nanos() as u64);
+        let left = match sh.sync(block, r as u64) {
+            Ok(left) => left,
+            Err(fault) => {
+                setup.abort.abort();
+                return Err(setup.fault_to_error(sh, fault));
             }
+        };
+        match (t1, left) {
+            (Some(t1), _) => {
+                let t2 = now();
+                let span = t2 - t1;
+                waits.timed += span;
+                if left.is_none() {
+                    waits.short += span;
+                    waits.shorts += 1;
+                }
+                if let Some(rec) = recorder {
+                    rec.record_instant(block, r, TraceEventKind::BarrierDepart, t2);
+                    if rec.sampled(r) {
+                        rec.record_sync(block, span.as_nanos() as u64);
+                    }
+                }
+            }
+            (None, Some(left)) => waits.timed += now() - left,
+            (None, None) => waits.untimed += 1,
         }
     }
+    let end = now();
+    let entry = end - start;
+    let sync = waits.total().min(entry);
+    t.sync += sync;
+    t.compute += entry - sync;
     // `wait_until` tests its condition before the poison word, so a wait
     // that is already satisfied never sees a poison raised on the way in —
     // an injected wait-phase panic on the block that arrives last. Before
     // the last round the next wait catches it; after it, this one look
     // per block per launch does, so a poisoned launch never reports
     // success.
-    barrier.map_or(Ok(()), |sh| setup.check_poison(sh))
+    barrier.map_or(Ok(end), |sh| setup.check_poison(sh).map(|()| end))
+}
+
+/// One block a folded worker hosts: its context, where its last body
+/// ended (traced launches only), and its stamped bodies' time and count.
+struct Hosted {
+    ctx: BlockCtx,
+    ended: Option<Instant>,
+    bodies: Duration,
+    stamped: u32,
 }
 
 /// The round loop of a worker hosting several blocks of a folded launch
-/// with a barrier: each round, every hosted block's body in turn (as
-/// `drive_block` runs it: own `catch_unwind`, trace events, wait-phase
-/// fault), then the worker's one wait on the barrier among workers. A
-/// block has arrived once its body returned and its wait-phase fault let
-/// it go, unless the barrier was poisoned meanwhile: then the worker fails
-/// before publishing the arrival, so a straggler that a peer's timeout
-/// released is still reported as one. A block's `sync` runs from the end
-/// of its body to the start of its next one — the other blocks' bodies and
-/// the wait, what a block queued on a busy core is charged — and after
-/// the last round to the worker's departure. Blocks after the first add a
-/// 0-poll spin sample a round (see [`crate::Telemetry::spin_polls`]). An
+/// with a barrier, from `start` (the caller's clock read): each round,
+/// every hosted block's body in turn (as `drive_block` runs it: own
+/// `catch_unwind`, trace events, wait-phase fault), then the worker's one
+/// wait on the barrier among workers. A block has arrived once its body
+/// returned and its wait-phase fault let it go, unless the barrier was
+/// poisoned meanwhile: then the worker fails before publishing the
+/// arrival, so a straggler that a peer's timeout released is still
+/// reported as one. A block's `compute` is its own bodies — timed in
+/// stamped rounds, every round when traced, and scaled to the entry's
+/// rounds — and its `sync` the rest of the entry: the other blocks'
+/// bodies and the waits, what a block queued on a busy core is charged.
+/// Blocks after the first add a 0-poll spin sample a round (see
+/// [`crate::Telemetry::spin_polls`]). Returns where the entry ended. An
 /// error is the worker's, so every block it hosts reports it.
 pub(crate) fn drive_fold(
     setup: &LaunchSetup,
@@ -687,52 +755,58 @@ pub(crate) fn drive_fold(
     worker: usize,
     (sh, fold): (&dyn BarrierShared, &Fold),
     rounds: Range<usize>,
+    start: Instant,
     times: &mut [BlockTimes],
-) -> Result<(), ExecError> {
+) -> Result<Instant, ExecError> {
     let recorder = setup.recorder.as_deref();
     let first = rounds.start;
-    // Per hosted block, in turn order: its context, and where its last
-    // body ended (its sync runs from there).
-    let now = Instant::now();
-    let mut hosted: Vec<(BlockCtx, Instant)> = setup
+    let mut hosted: Vec<Hosted> = setup
         .hosted(worker)
-        .map(|block| (setup.ctx(block), now))
+        .map(|block| Hosted {
+            ctx: setup.ctx(block),
+            ended: None,
+            bodies: Duration::ZERO,
+            stamped: 0,
+        })
         .collect();
+    let len = rounds.len();
     let mut last = None;
     for r in rounds {
-        for (j, ((ctx, ended), t)) in hosted.iter_mut().zip(times.iter_mut()).enumerate() {
-            let block = ctx.block_id;
-            let t0 = Instant::now();
-            if r > first {
-                let span = t0 - *ended;
-                t.sync += span;
-                if let Some(rec) = recorder {
+        let stamp = recorder.is_some() || stamped(r - first, len);
+        for (j, h) in hosted.iter_mut().enumerate() {
+            let block = h.ctx.block_id;
+            let t0 = stamp.then(now);
+            if let (Some(rec), Some(t0)) = (recorder, t0) {
+                if let Some(ended) = h.ended {
+                    let span = t0 - ended;
                     rec.record_instant(block, r - 1, TraceEventKind::BarrierDepart, t0);
                     if rec.sampled(r - 1) {
                         rec.record_sync(block, span.as_nanos() as u64);
                     }
                 }
-            }
-            if let Some(rec) = recorder {
                 rec.record_instant(block, r, TraceEventKind::RoundStart, t0);
             }
-            setup.body(kernel, ctx, r)?;
-            let t1 = Instant::now();
-            t.compute += t1 - t0;
-            if let Some(rec) = recorder {
+            setup.body(kernel, &h.ctx, r)?;
+            let t1 = t0.map(|t0| {
+                let t1 = now();
+                h.bodies += t1 - t0;
+                h.stamped += 1;
+                t1
+            });
+            if let (Some(rec), Some(t1)) = (recorder, t1) {
                 rec.record_instant(block, r, TraceEventKind::RoundEnd, t1);
             }
             if let Some(faults) = &setup.wait_faults {
                 faults.on_arrive(sh, &setup.abort, block, r);
             }
             setup.check_poison(sh)?;
-            if let Some(rec) = recorder {
+            if let (Some(rec), Some(t1)) = (recorder, t1) {
                 rec.record_instant(block, r, TraceEventKind::BarrierArrive, t1);
                 if j > 0 {
                     rec.record_spin(block, 0);
                 }
+                h.ended = Some(t1);
             }
-            *ended = t1;
             fold.advance(worker);
         }
         if let Err(fault) = sh.sync(worker, r as u64) {
@@ -742,21 +816,25 @@ pub(crate) fn drive_fold(
         last = Some(r);
     }
     let Some(last) = last else {
-        return Ok(());
+        return Ok(start);
     };
-    let t2 = Instant::now();
-    for ((ctx, ended), t) in hosted.iter().zip(times) {
-        let span = t2 - *ended;
-        t.sync += span;
-        if let Some(rec) = recorder {
-            let block = ctx.block_id;
-            rec.record_instant(block, last, TraceEventKind::BarrierDepart, t2);
+    let end = now();
+    let entry = end - start;
+    let ran = (last + 1 - first) as u128;
+    for (h, t) in hosted.iter().zip(times) {
+        let bodies = h.bodies.as_nanos() * ran / u128::from(h.stamped.max(1));
+        let compute = Duration::from_nanos(bodies as u64).min(entry);
+        t.compute += compute;
+        t.sync += entry - compute;
+        if let (Some(rec), Some(ended)) = (recorder, h.ended) {
+            let block = h.ctx.block_id;
+            rec.record_instant(block, last, TraceEventKind::BarrierDepart, end);
             if rec.sampled(last) {
-                rec.record_sync(block, span.as_nanos() as u64);
+                rec.record_sync(block, (end - ended).as_nanos() as u64);
             }
         }
     }
-    setup.check_poison(sh)
+    setup.check_poison(sh).map(|()| end)
 }
 
 /// Where each worker of a folded launch is in its turn. The grid's `n`
@@ -828,8 +906,10 @@ impl Fold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::barrier::CLOCK_READS;
     use crate::gmem::GlobalBuffer;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::trace::TraceConfig;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     struct Count {
         slots: GlobalBuffer<u64>,
@@ -976,5 +1056,134 @@ mod tests {
                 "{method}: {err}"
             );
         }
+    }
+
+    /// Run a launch of `cfg` under `method` on one worker, this thread, as
+    /// the pool does: through `drive_fold` when the grid folds onto it,
+    /// else `drive_block` per block in turn. Returns the blocks' times,
+    /// the entry's span and the clock reads it made.
+    fn drive_here(
+        cfg: GridConfig,
+        method: SyncMethod,
+        kernel: &dyn RoundKernel,
+    ) -> (Vec<BlockTimes>, Duration, u64) {
+        let setup = LaunchPlan::compile(cfg, method).unwrap().setup(kernel, 1);
+        let rounds = 0..setup.rounds;
+        let mut times = vec![BlockTimes::default(); setup.n];
+        let reads = CLOCK_READS.with(|c| c.get());
+        let start = now();
+        let end = match (setup.barrier.as_deref(), setup.fold.as_ref()) {
+            (Some(sh), Some(fold)) => {
+                drive_fold(&setup, kernel, 0, (sh, fold), rounds, start, &mut times).unwrap()
+            }
+            _ => times.iter_mut().enumerate().fold(start, |at, (b, t)| {
+                drive_block(&setup, kernel, b, rounds.clone(), at, t).unwrap()
+            }),
+        };
+        let reads = CLOCK_READS.with(|c| c.get()) - reads;
+        (times, end - start, reads)
+    }
+
+    fn count(n: usize, rounds: usize) -> Count {
+        Count {
+            slots: GlobalBuffer::new(n),
+            rounds,
+        }
+    }
+
+    /// An untraced round loop reads the clock at its entry's start and end
+    /// and twice in one round in 16 — the start and end of the one wait
+    /// it times — or, without a barrier, never inside the loop; a traced
+    /// one stamps every round.
+    #[test]
+    fn untraced_round_loops_read_the_clock_in_one_round_in_sixteen() {
+        const ROUNDS: usize = 1000;
+        let samples = ROUNDS.div_ceil(STAMP_STRIDE) as u64;
+        for (n, method, per_block) in [
+            (1, SyncMethod::NoSync, 2),
+            (4, SyncMethod::NoSync, 2),
+            (1, SyncMethod::GpuLockFree, 2 + 2 * samples),
+            (4, SyncMethod::GpuLockFree, 2 + 2 * samples),
+            (1, SyncMethod::CpuImplicit, 2 + 2 * samples),
+        ] {
+            let k = count(n, ROUNDS);
+            let (_, _, reads) = drive_here(GridConfig::new(n, 8), method, &k);
+            assert!(
+                reads <= n as u64 * per_block,
+                "{n} x {method}: {reads} clock reads for {ROUNDS} rounds"
+            );
+            assert!(k.slots.to_vec().iter().all(|&v| v == ROUNDS as u64));
+        }
+        let traced = GridConfig::new(1, 8).with_trace(TraceConfig::new());
+        let (_, _, reads) = drive_here(traced, SyncMethod::GpuLockFree, &count(1, ROUNDS));
+        assert!(reads >= 3 * ROUNDS as u64, "traced: {reads} clock reads");
+    }
+
+    /// Untraced, a block's `compute + sync` is its entry's span exactly
+    /// (the caller adds `launch`), and without a barrier it is all
+    /// compute.
+    #[test]
+    fn untraced_compute_and_sync_split_the_entry() {
+        for (n, method) in [
+            (1, SyncMethod::GpuLockFree),
+            (4, SyncMethod::GpuLockFree),
+            (1, SyncMethod::CpuImplicit),
+            (1, SyncMethod::NoSync),
+        ] {
+            let (times, entry, _) = drive_here(GridConfig::new(n, 8), method, &count(n, 100));
+            for t in &times {
+                assert_eq!(t.compute + t.sync, entry, "{n} x {method}: {t:?}");
+            }
+        }
+        let plan = LaunchPlan::compile(GridConfig::new(2, 8), SyncMethod::NoSync).unwrap();
+        let stats = plan.run(&count(2, 1000)).unwrap();
+        for t in &stats.per_block {
+            assert_eq!(t.sync, Duration::ZERO, "{t:?}");
+            assert!(
+                t.compute > Duration::ZERO && t.total() <= stats.wall,
+                "{t:?}"
+            );
+        }
+    }
+
+    /// A 5 ms straggler in an unstamped round is timed exactly on both
+    /// sides: its peer's wait left the spin phase, so it is the peer's
+    /// `sync`, and the straggler's own entry less its short waits is its
+    /// `compute`.
+    #[test]
+    fn a_straggler_in_an_unstamped_round_is_its_compute_and_its_peers_sync() {
+        const LATE: usize = 5;
+        const STALL: Duration = Duration::from_millis(5);
+        /// In round `LATE` block 1 sleeps once block 0 has left its body.
+        struct Straggler {
+            waiting: AtomicBool,
+        }
+        impl RoundKernel for Straggler {
+            fn rounds(&self) -> usize {
+                40
+            }
+            fn round(&self, ctx: &BlockCtx, round: usize) {
+                if round != LATE {
+                    return;
+                }
+                if ctx.block_id == 0 {
+                    self.waiting.store(true, Ordering::Release);
+                } else {
+                    while !self.waiting.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(STALL);
+                }
+            }
+        }
+        assert!(!stamped(LATE, 40));
+        let plan = LaunchPlan::compile(GridConfig::new(2, 8), SyncMethod::GpuLockFree).unwrap();
+        let k = Straggler {
+            waiting: AtomicBool::new(false),
+        };
+        let stats = plan.run(&k).unwrap();
+        let [waiter, late] = [stats.per_block[0], stats.per_block[1]];
+        assert!(waiter.sync >= STALL, "block 0: {waiter:?}");
+        assert!(late.compute >= STALL, "block 1: {late:?}");
     }
 }

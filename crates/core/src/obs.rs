@@ -203,6 +203,8 @@ struct Inner {
     /// [`Observer::snapshot`] clones it.
     registry: MetricsSnapshot,
     flight: Flight,
+    /// Scratch for [`MetricsSnapshot::apply`]'s composed key.
+    key: String,
 }
 
 impl std::fmt::Debug for Observer {
@@ -223,7 +225,7 @@ impl Observer {
             enabled: true,
             inner: Mutex::new(Inner {
                 registry: MetricsSnapshot::seeded(),
-                flight: Flight::default(),
+                ..Inner::default()
             }),
         })
     }
@@ -248,8 +250,8 @@ impl Observer {
         if !self.enabled {
             return;
         }
-        let mut g = self.inner.lock();
-        g.registry.apply(&record);
+        let g = &mut *self.inner.lock();
+        g.registry.apply(&record, &mut g.key);
         g.flight.push(record);
     }
 
@@ -362,40 +364,38 @@ impl MetricsSnapshot {
     }
 
     fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        update(&mut self.counters, name, |c| *c += by);
         self.ops += 1;
     }
 
     fn set_gauge(&mut self, name: &str, v: u64) {
-        self.gauges.insert(name.to_string(), v);
+        update(&mut self.gauges, name, |g| *g = v);
         self.ops += 1;
     }
 
     fn inc_labeled(&mut self, family: &str, label: &str, by: u64) {
-        *self
-            .labeled
-            .entry(family.to_string())
-            .or_default()
-            .entry(label.to_string())
-            .or_insert(0) += by;
+        update(&mut self.labeled, family, |f| {
+            update(f, label, |c| *c += by)
+        });
         self.ops += 1;
     }
 
     fn set_labeled_gauge(&mut self, family: &str, label: &str, v: u64) {
-        self.labeled_gauges
-            .entry(family.to_string())
-            .or_default()
-            .insert(label.to_string(), v);
+        update(&mut self.labeled_gauges, family, |f| {
+            update(f, label, |g| *g = v)
+        });
         self.ops += 1;
     }
 
-    fn record_hist(&mut self, key: String, v: u64) {
-        self.histograms.entry(key).or_default().record(v);
+    fn record_hist(&mut self, key: &str, v: u64) {
+        update(&mut self.histograms, key, |h| h.record(v));
         self.ops += 1;
     }
 
     /// The one mutation site: fold a completed launch into the registry.
-    fn apply(&mut self, r: &LaunchRecord) {
+    /// `key` is scratch space for the one composed key, so that a launch
+    /// allocates nothing here once its series exist.
+    fn apply(&mut self, r: &LaunchRecord, key: &mut String) {
         self.inc("launches_total", 1);
         if let Some(e) = &r.error {
             self.inc("launches_failed_total", 1);
@@ -418,8 +418,8 @@ impl MetricsSnapshot {
                 r.shard.as_deref().unwrap_or(DEFAULT_SHARD),
                 p.queue_depth as u64,
             );
-            self.record_hist("queued_ns".to_string(), dur_ns(p.queued));
-            self.record_hist("launch_ns".to_string(), dur_ns(r.launch));
+            self.record_hist("queued_ns", dur_ns(p.queued));
+            self.record_hist("launch_ns", dur_ns(r.launch));
         }
         // Shard-labeled launches (service traffic) additionally count into
         // a per-shard family; standalone runtimes skip this, keeping the
@@ -427,7 +427,19 @@ impl MetricsSnapshot {
         if let Some(shard) = r.shard.as_deref() {
             self.inc_labeled("shard_launches_total", shard, 1);
         }
-        self.record_hist(format!("submit_to_stats_ns/{}", r.method), dur_ns(r.wall));
+        key.clear();
+        key.push_str("submit_to_stats_ns/");
+        key.push_str(&r.method);
+        self.record_hist(key, dur_ns(r.wall));
+    }
+}
+
+/// Apply `f` to the value of `key` in `map`, inserting a default first if
+/// there is none: a lookup by `&str`, which allocates only on insert.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_string()).or_default()),
     }
 }
 

@@ -110,7 +110,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::barrier::PoisonCause;
+use crate::barrier::{now, PoisonCause};
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{GridConfig, RoundKernel};
 use crate::fault::{effective_backstop, FaultKind, FaultPhase};
@@ -859,7 +859,7 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
         }
         gate_backoff(&mut polls);
     }
-    let start = Instant::now();
+    let start = now();
     let t = BlockTimes {
         // t_O: dispatch (first pickup; launch 0's submit) -> this worker
         // assembled, for the launch's first entry only.
@@ -885,7 +885,9 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
     let end = base + if setup.per_round() { 1 } else { setup.rounds };
     let rounds = base..end.min(setup.rounds);
     let res = match (setup.barrier.as_deref(), setup.fold.as_ref()) {
-        (Some(sh), Some(fold)) => drive_fold(setup, kernel, worker, (sh, fold), rounds, times),
+        (Some(sh), Some(fold)) => {
+            drive_fold(setup, kernel, worker, (sh, fold), rounds, start, times).map(|_| ())
+        }
         _ => run_in_turn(launch, kernel, worker, rounds, start, times),
     };
     launch.record_result(device, worker, res.map(|()| &*times));
@@ -897,8 +899,8 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
 /// never meet within an entry (`NoSync`; a `CpuExplicit` entry is one
 /// round). Under `CpuExplicit` a block's round also closes its join since
 /// the last round's body — the relaunch and the wait for the slowest
-/// block — at the start of its body (`start`, the gate's opening, for the
-/// first block).
+/// block — at the start of its body: `start`, the gate's opening, for the
+/// first block, and where the block before it ended for the rest.
 fn run_in_turn(
     launch: &Launch,
     kernel: &dyn RoundKernel,
@@ -909,14 +911,14 @@ fn run_in_turn(
 ) -> Result<(), ExecError> {
     let setup = &launch.setup;
     let (base, explicit) = (rounds.start, setup.per_round());
-    for (j, (block, t)) in setup.hosted(worker).zip(times).enumerate() {
+    let mut at = start;
+    for (block, t) in setup.hosted(worker).zip(times) {
         if explicit && base > 0 {
-            let at = if j == 0 { start } else { Instant::now() };
             t.sync += launch.depart(block, base - 1, at);
         }
-        drive_block(setup, kernel, block, rounds.clone(), t)?;
+        at = drive_block(setup, kernel, block, rounds.clone(), at, t)?;
         if explicit && !rounds.is_empty() {
-            launch.arrive(block, base, Instant::now());
+            launch.arrive(block, base, at);
             if let Some(fold) = &setup.fold {
                 fold.advance(worker);
             }

@@ -12,17 +12,28 @@ use crate::autotune::AutoDecision;
 use crate::trace::Telemetry;
 
 /// Per-block time decomposition for one run.
+///
+/// A traced launch stamps every round, so its split is exact. An untraced
+/// one reads the clock in one round in 16 and after every wait that
+/// outlasted its 64-poll spin phase, so its split is that sample plus
+/// those exact long waits (DESIGN.md §10); a straggler is attributed
+/// exactly either way. CPU-explicit's join is always exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockTimes {
     /// Launch overhead attributed to the block (`t_O`): time from the
     /// launch's dispatch until the block began its first round.
     pub launch: Duration,
-    /// Time the block spent inside kernel rounds (`t_C` aggregate).
+    /// Time the block spent inside kernel rounds (`t_C` aggregate): what
+    /// is not `sync`, or, for a block sharing its worker with others, its
+    /// own round bodies (untraced, the timed ones scaled to every round).
     pub compute: Duration,
     /// Time the block spent arriving at / waiting in barriers (`t_S`
-    /// aggregate). Under CPU-explicit sync, from the end of each round's
-    /// body to the start of the next (Eq. 3: the relaunch and the wait for
-    /// the slowest block), the last until the host observed the launch.
+    /// aggregate). Untraced, the waits timed exactly plus the mean timed
+    /// short wait for each short one not timed; for a block sharing its
+    /// worker, everything but its own bodies. Under CPU-explicit sync,
+    /// from the end of each round's body to the start of the next
+    /// (Eq. 3: the relaunch and the wait for the slowest block), the last
+    /// until the host observed the launch.
     pub sync: Duration,
 }
 
@@ -53,7 +64,9 @@ pub struct KernelStats {
     /// [`KernelStats::sync_per_round`] measures synchronization, not
     /// thread spawns, even on short runs.
     pub launch: Duration,
-    /// Per-block decomposition, indexed by block id.
+    /// Per-block decomposition, indexed by block id: exact for a traced
+    /// launch, a 1-in-16 sample of rounds plus every long wait for an
+    /// untraced one (see [`BlockTimes`]).
     pub per_block: Vec<BlockTimes>,
     /// Aggregated trace telemetry, present when the run was configured with
     /// a [`crate::TraceConfig`]. Boxed: it is large and most runs do not
