@@ -41,7 +41,7 @@
 //!   was stuck, at which round, on which flag, and which peers never
 //!   arrived.
 //!
-//! Every wait runs the one discipline of [`BarrierControl::wait_until`]:
+//! Every wait runs the one discipline of `BarrierControl::wait_until`:
 //! spin, then yield, then park (DESIGN.md §15). A wait that ends inside
 //! the first two phases pays the pre-fault-tolerance spin loop — 64 busy
 //! polls, then yield — plus a single plain poison load per poll.
@@ -72,6 +72,46 @@ pub(crate) fn now() -> Instant {
 thread_local! {
     /// Calls of [`now`] on this thread.
     pub(crate) static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+    /// Calls of [`note_pause`] on this thread, by kind.
+    pub(crate) static PAUSES: Cell<Pauses> = const {
+        Cell::new(Pauses { spins: 0, yields: 0, parks: 0 })
+    };
+}
+
+/// The pauses a thread's waits made, by kind (test-only).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pauses {
+    /// `spin_loop` polls.
+    pub(crate) spins: u64,
+    /// `yield_now` polls.
+    pub(crate) yields: u64,
+    /// Polls past the yield phase, each one park on the wait's primitive.
+    pub(crate) parks: u64,
+}
+
+/// What a launch-path wait did after a poll that failed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Pause {
+    Spin,
+    Yield,
+    Park,
+}
+
+/// Every launch-path wait reports its pauses here, so that tests can count
+/// them per thread (DESIGN.md §15); a no-op outside tests.
+#[inline]
+pub(crate) fn note_pause(_pause: Pause) {
+    #[cfg(test)]
+    PAUSES.with(|c| {
+        let mut n = c.get();
+        *match _pause {
+            Pause::Spin => &mut n.spins,
+            Pause::Yield => &mut n.yields,
+            Pause::Park => &mut n.parks,
+        } += 1;
+        c.set(n);
+    });
 }
 
 /// Fault-handling policy for barrier waits, carried by
@@ -246,7 +286,7 @@ impl BarrierControl {
 
     /// Polls of the spin phase: a peer that is already running arrives
     /// within these, with no trip into the scheduler.
-    const SPIN_POLLS: u32 = 64;
+    pub(crate) const SPIN_POLLS: u32 = 64;
 
     /// Polls (spinning, then yielding) before the first park: one yield
     /// phase, enough for every same-core peer to run in between, so only a
@@ -255,7 +295,7 @@ impl BarrierControl {
     /// cores (a core taken by another process, or a bare barrier built
     /// wider than the host) drain in waves instead of deadlocking
     /// (DESIGN.md §15).
-    const PARK_AFTER_POLLS: u32 = 4096;
+    pub(crate) const PARK_AFTER_POLLS: u32 = 4096;
 
     /// Control plane for `n_blocks` blocks under `policy`.
     pub fn new(n_blocks: usize, policy: SyncPolicy) -> Self {
@@ -356,7 +396,7 @@ impl BarrierControl {
     }
 
     /// Whether the barrier is poisoned, and by whom.
-    pub fn poisoned(&self) -> Option<(usize, usize, PoisonCause)> {
+    pub(crate) fn poisoned(&self) -> Option<(usize, usize, PoisonCause)> {
         let word = self.poison.load(Ordering::Acquire);
         (word != 0).then(|| unpack_poison(word))
     }
@@ -400,7 +440,7 @@ impl BarrierControl {
     /// Telemetry never adds work *inside* the loop: the poll count is
     /// recorded once, after it exits.
     #[inline]
-    pub fn wait_until(
+    pub(crate) fn wait_until(
         &self,
         block: usize,
         round: u64,
@@ -462,10 +502,13 @@ impl BarrierControl {
                 });
             }
             if polls < Self::SPIN_POLLS {
+                note_pause(Pause::Spin);
                 std::hint::spin_loop();
             } else if !parking {
+                note_pause(Pause::Yield);
                 std::thread::yield_now();
             } else {
+                note_pause(Pause::Park);
                 self.park(&mut cond, remaining);
             }
             // Saturate rather than wrap: wrapping would bounce a parked
@@ -541,7 +584,7 @@ pub trait BarrierShared: Send + Sync + 'static {
 
     /// `block`'s part of barrier number `round` (0-based): publish the
     /// arrival, wait for the peers' through
-    /// [`BarrierControl::wait_until`]. This is the body of the paper's
+    /// `BarrierControl::wait_until`. This is the body of the paper's
     /// `__gpu_sync(goalVal)` listings; the goal is derived from `round`,
     /// which the caller keeps. Callers go through [`BarrierShared::sync`],
     /// which returns what this returns.
@@ -557,7 +600,7 @@ pub trait BarrierShared: Send + Sync + 'static {
     /// each implementor gets its own copy in which `control()` and the
     /// protocol are direct calls: through `dyn` a wait is this one virtual
     /// call. Returns where the first of the protocol's waits to leave its
-    /// spin phase left it ([`BarrierControl::wait_until`]), or `None` when
+    /// spin phase left it (`BarrierControl::wait_until`), or `None` when
     /// every wait ended spinning — and under CPU-implicit, whose waits
     /// sleep instead of spinning.
     ///
@@ -809,14 +852,15 @@ mod tests {
         assert_eq!(ctl.poisoned(), Some((0, 0, PoisonCause::Timeout)));
     }
 
-    /// A wait that ends spinning reads no clock, even under a timeout;
-    /// one that leaves its spin phase without a timeout reads it once,
-    /// there, and returns that instant.
+    /// A wait that ends spinning reads no clock, even under a timeout,
+    /// and neither yields nor parks; one that leaves its spin phase
+    /// without a timeout reads it once, there, and returns that instant.
     #[test]
     fn a_wait_reads_the_clock_only_once_it_leaves_its_spin_phase() {
         let reads = || CLOCK_READS.with(|c| c.get());
         let timed = BarrierControl::new(2, SyncPolicy::with_timeout(Duration::from_secs(5)));
         let before = reads();
+        let pauses = PAUSES.with(Cell::get);
         let mut polls = 0;
         let spun = timed.wait_until(
             0,
@@ -829,6 +873,9 @@ mod tests {
             },
         );
         assert_eq!((spun, reads() - before), (Ok(None), 0));
+        let spins = pauses.spins + 10;
+        let expected = Pauses { spins, ..pauses };
+        assert_eq!(PAUSES.with(Cell::get), expected);
 
         let untimed = BarrierControl::new(2, SyncPolicy::default());
         let before = reads();

@@ -48,7 +48,9 @@ use std::time::{Duration, Instant};
 use crossbeam::utils::CachePadded;
 
 use crate::autotune::{AutoDecision, AutoTuner};
-use crate::barrier::{now, BarrierShared, PoisonCause, SyncFault, SyncPolicy};
+use crate::barrier::{
+    note_pause, now, BarrierControl, BarrierShared, Pause, PoisonCause, SyncFault, SyncPolicy,
+};
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultSchedule, WaitFaults};
@@ -105,46 +107,52 @@ pub(crate) fn collect_block_results(
     }
 }
 
-/// Polls of the warm handoff's spin phase: enough for a peer that is
-/// already running, with no clock read and no trip into the scheduler.
-const WARM_SPIN_POLLS: u32 = 64;
-
-/// How long the warm handoff polls (spin, then yield) before it parks.
+/// How long a wait across the launch boundary yields before it parks.
 /// About two park/wake round trips as `runtime.wait_us` measures them
 /// (≈ 55 µs each on the reference host) — the competitive-spinning bound:
 /// polling for what sleeping would have cost wastes at most 2× the optimum
 /// however long the wait turns out to be. It is a time, not a poll count,
 /// because a yield costs microseconds on an oversubscribed core: a
 /// 4096-yield budget let idle sibling pools tax a parked 8-on-2 grid.
-const WARM_SPIN_BOUND: Duration = Duration::from_micros(100);
+const WARM_YIELD_BOUND: Duration = Duration::from_micros(100);
 
-/// The spinning and yielding states of the warm handoff (DESIGN.md §10):
-/// poll `ready` [`WARM_SPIN_POLLS`] times, then yield between polls until
-/// [`WARM_SPIN_BOUND`] has passed. Decides nothing: whatever it saw, the
-/// caller re-checks under its lock, and parks there if the wait goes on.
-pub(crate) fn spin_then_yield(ready: impl Fn() -> bool) {
-    for _ in 0..WARM_SPIN_POLLS {
-        if ready() {
+/// The yielding state of the warm handoff (DESIGN.md §10, §15): poll
+/// `ready`, yielding between polls, until [`WARM_YIELD_BOUND`] has passed.
+/// It never spins: the host and a device's workers share the host's cores,
+/// so a spin here would only delay the thread that ends the wait. Decides
+/// nothing: whatever it saw, the caller re-checks under its lock, and parks
+/// there if the wait goes on.
+pub(crate) fn yield_until(ready: impl Fn() -> bool) {
+    let mut since = None;
+    while !ready() {
+        let at = now();
+        if at - *since.get_or_insert(at) >= WARM_YIELD_BOUND {
+            note_pause(Pause::Park);
             return;
         }
-        std::hint::spin_loop();
-    }
-    let start = Instant::now();
-    while !ready() && start.elapsed() < WARM_SPIN_BOUND {
+        note_pause(Pause::Yield);
         std::thread::yield_now();
     }
 }
 
-/// One back-off step of the pool's assembly-gate wait: yield while the
-/// wait is fresh — peers arrive within microseconds and a sleep would
-/// inflate `t_O` — then short sleeps: on an oversubscribed host the last
-/// peers cannot even be scheduled until earlier arrivals stop burning
-/// their timeslices.
+/// One back-off step of the pool's assembly-gate wait, a wait for peer
+/// workers on the barrier's schedule (`BarrierControl::wait_until`): spin
+/// while the wait is fresh — a peer on another core checks in within
+/// microseconds, and a yield or a sleep would inflate `t_O` — then yield,
+/// then short sleeps: on an oversubscribed host the last peers cannot
+/// even be scheduled until earlier arrivals stop burning their
+/// timeslices.
 pub(crate) fn gate_backoff(polls: &mut u32) {
-    *polls = polls.saturating_add(1);
-    if *polls < 4096 {
+    let poll = *polls;
+    *polls = poll.saturating_add(1);
+    if poll < BarrierControl::SPIN_POLLS {
+        note_pause(Pause::Spin);
+        std::hint::spin_loop();
+    } else if poll < BarrierControl::PARK_AFTER_POLLS {
+        note_pause(Pause::Yield);
         std::thread::yield_now();
     } else {
+        note_pause(Pause::Park);
         std::thread::sleep(Duration::from_micros(50));
     }
 }

@@ -115,7 +115,7 @@ use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{GridConfig, RoundKernel};
 use crate::fault::{effective_backstop, FaultKind, FaultPhase};
 use crate::launch::{
-    collect_block_results, drive_block, drive_fold, gate_backoff, spin_then_yield, KernelRef,
+    collect_block_results, drive_block, drive_fold, gate_backoff, yield_until, KernelRef,
     LaunchPlan, LaunchSetup,
 };
 use crate::method::SyncMethod;
@@ -221,7 +221,7 @@ struct Launch {
     done: Mutex<LaunchDone>,
     done_cv: Condvar,
     /// Mirror of `LaunchDone::settled`, stored (`Release`) under the
-    /// `done` lock so the waiter's spin phase, `is_done` and `queue_depth`
+    /// `done` lock so the waiter's yield phase, `is_done` and `queue_depth`
     /// read completion (`Acquire`) without it.
     settled: AtomicBool,
     /// Set by `abandon`; workers step over an abandoned launch.
@@ -688,8 +688,8 @@ fn worker_loop(device: &Arc<Device>, d: usize, gen: u64, mut cursor: u64) {
     loop {
         // Warm handoff: poll the published sequence number before taking
         // the lock; shutdown and the generation are read only under it, so
-        // a drop or a replacement is noticed one spin bound later at most.
-        spin_then_yield(|| device.next_seq.load(Ordering::Acquire) > cursor);
+        // a drop or a replacement is noticed one yield bound later at most.
+        yield_until(|| device.next_seq.load(Ordering::Acquire) > cursor);
         let (launch, base) = {
             let mut st = device.state.lock();
             loop {
@@ -804,7 +804,7 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
     let kernel = launch.kernel.get();
     let setup = &launch.setup;
     let workers = setup.workers;
-    let dispatched = (base == 0).then(|| *launch.activated.get_or_init(Instant::now));
+    let dispatched = (base == 0).then(|| *launch.activated.get_or_init(now));
     launch.entered.fetch_add(1, Ordering::AcqRel);
     if let Some(faults) = setup.faults.as_deref().filter(|_| base == 0) {
         for block in setup.hosted(worker) {
@@ -836,8 +836,8 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
             // launch's straggler (via its handle's abandonment) is what
             // frees it — failing this launch would be a false positive.
             Some(timeout) if launch.entered.load(Ordering::Acquire) >= opens_at => {
-                let since = *stuck_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= timeout {
+                let at = now();
+                if at - *stuck_since.get_or_insert(at) >= timeout {
                     let Some(stuck) = (0..workers).find(|&w| !launch.assembled(w, base)) else {
                         continue; // everyone checked in; the gate is about to open
                     };
@@ -979,7 +979,7 @@ fn wait_launch(
     let setup = &launch.setup;
     // Warm handoff, caller side: poll the completion mirror, then park on
     // `done_cv` for whatever the bound did not cover.
-    spin_then_yield(|| launch.is_done());
+    yield_until(|| launch.is_done());
     let mut g = launch.done.lock();
     while !g.settled {
         g.waiter_parked = true;
@@ -1013,7 +1013,7 @@ fn wait_launch(
         device.abandon_stuck_before(entry_seq);
         g = launch.done.lock();
     }
-    let observed = Instant::now();
+    let observed = now();
     let mut merged = collect_block_results(std::mem::take(&mut g.results));
     if let Some(e) = g.join_timeout.take() {
         // A block's own panic is the root cause; any other error came from
@@ -1032,7 +1032,7 @@ fn wait_launch(
             }
         }
     }
-    let wall = launch.submitted.elapsed();
+    let wall = now().saturating_duration_since(launch.submitted);
     let activated = *launch.activated.get().unwrap_or(&launch.submitted);
     let pool = PoolLaunchStats {
         launch_seq: launch.seq,
@@ -1243,7 +1243,7 @@ impl GridRuntime {
 
     /// Workers of the runtime's device currently asleep on its condvar (a
     /// diagnostic): an idle device reaches its worker count — `n_blocks`,
-    /// or the host's cores (at least two) when the grid folds — one spin
+    /// or the host's cores (at least two) when the grid folds — one yield
     /// bound after its last launch and burns no CPU from then on (a device
     /// that never launched has no workers yet).
     pub fn parked_workers(&self) -> usize {
@@ -1339,7 +1339,7 @@ impl GridRuntime {
         let min = st.cursors.iter().copied().min().unwrap_or(seq);
         let offset = st.offset;
         st.offset = (offset + workers) % device.workers;
-        let submitted = Instant::now();
+        let submitted = now();
         let launch = Arc::new(Launch {
             seq,
             grid: Arc::clone(&self.grid),
@@ -1405,7 +1405,7 @@ impl Drop for GridRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::barrier::SyncPolicy;
+    use crate::barrier::{BarrierControl, Pauses, SyncPolicy, CLOCK_READS, PAUSES};
     use crate::executor::BlockCtx;
     use crate::gmem::GlobalBuffer;
     use crate::trace::TraceConfig;
@@ -1443,6 +1443,112 @@ mod tests {
                 gate_backoff(&mut polls);
             }
         }))
+    }
+
+    /// This thread's clock reads and wait pauses so far.
+    fn counters() -> (u64, Pauses) {
+        (CLOCK_READS.with(|c| c.get()), PAUSES.with(|w| w.get()))
+    }
+
+    /// A waiter at the launch boundary shares the host's cores with the
+    /// device's workers, so neither the host's wait for its launch nor an
+    /// idle worker's wait for the next entry spins. One-block launches keep
+    /// the gate and barrier out of it: each runs on one worker, the window
+    /// moves round the device, and the other workers idle through the
+    /// entry.
+    #[test]
+    fn waits_across_the_launch_boundary_do_not_spin() {
+        let device = Device::for_host();
+        let plan = LaunchPlan::compile(GridConfig::new(1, 8), SyncMethod::NoSync).unwrap();
+        let rt = GridRuntime::on_device(plan, &device, "wide".to_string());
+        let ran = Mutex::new(Vec::new());
+        let kernel = (1usize, |_: &BlockCtx, _: usize| {
+            ran.lock().push((std::thread::current().id(), counters().1));
+        });
+        let host = counters().1;
+        for _ in 0..4 * device.workers() {
+            rt.run(&kernel).unwrap();
+        }
+        assert_eq!(counters().1.spins, host.spins, "the host's waits spun");
+        let ran = ran.into_inner();
+        let threads: std::collections::HashSet<_> = ran.iter().map(|(t, _)| *t).collect();
+        assert_eq!(threads.len(), device.workers());
+        // Device threads are fresh: every pause they made is counted here.
+        assert!(ran.iter().all(|(_, w)| w.spins == 0), "{ran:?}");
+        device.shutdown();
+    }
+
+    /// The assembly gate is a wait for peer workers, which usually have
+    /// cores of their own, so it spins before its first yield. Worker 1 of a cold
+    /// launch holds off the gate for 20 ms; worker 0, a fresh thread,
+    /// waits for it there before its first round.
+    #[test]
+    fn the_assembly_gate_spins_before_it_yields() {
+        use crate::fault::{Fault, FaultInjector, FaultKind, FaultPhase, FaultSchedule};
+        let at_gate = Mutex::new(None);
+        let kernel = FaultInjector::with_schedule(
+            (1usize, |ctx: &BlockCtx, _: usize| {
+                if ctx.block_id == 0 {
+                    *at_gate.lock() = Some(counters().1);
+                }
+            }),
+            FaultSchedule::new(vec![Fault {
+                block: 1,
+                round: 0,
+                phase: FaultPhase::Assembly,
+                kind: FaultKind::Delay(Duration::from_millis(20)),
+            }]),
+        );
+        let plan = LaunchPlan::compile(GridConfig::new(2, 8), SyncMethod::GpuLockFree).unwrap();
+        plan.run(&kernel).unwrap();
+        let w = at_gate.into_inner().expect("block 0 ran");
+        assert!(w.spins >= 1, "{w:?}");
+        assert!(
+            w.yields == 0 || w.spins == u64::from(BarrierControl::SPIN_POLLS),
+            "{w:?}"
+        );
+    }
+
+    /// A warm untraced launch reads the clock a few times on each thread
+    /// it runs on, whatever its rounds, plus once per pause of a wait
+    /// across the launch boundary, whose yield bound is a time.
+    /// `NoSync` keeps the barrier's own reads (DESIGN.md §10) out of it.
+    /// Each worker's share is what it reads from one launch's first round
+    /// to the next's.
+    #[test]
+    fn a_warm_launch_reads_the_clock_a_few_times_per_thread() {
+        const FEW: u64 = 4;
+        let rt = pool(2, SyncMethod::NoSync);
+        let ran = Mutex::new(Vec::new());
+        let kernel = (64usize, |ctx: &BlockCtx, round: usize| {
+            if round == 0 {
+                ran.lock().push((ctx.block_id, counters()));
+            }
+        });
+        rt.run(&kernel).unwrap();
+        let before = counters();
+        rt.run(&kernel).unwrap();
+        let after = counters();
+        rt.run(&kernel).unwrap();
+        let within = |(r0, w0): (u64, Pauses), (r1, w1): (u64, Pauses)| {
+            let allowed = FEW + (w1.yields - w0.yields) + (w1.parks - w0.parks);
+            assert!(
+                r1 - r0 <= allowed,
+                "{} clock reads, {allowed} allowed",
+                r1 - r0
+            );
+        };
+        within(before, after);
+        let ran = ran.into_inner();
+        for b in 0..2 {
+            let per_launch: Vec<_> = ran
+                .iter()
+                .filter(|(k, _)| *k == b)
+                .map(|(_, c)| *c)
+                .collect();
+            assert_eq!(per_launch.len(), 3);
+            within(per_launch[1], per_launch[2]);
+        }
     }
 
     /// Every method pools, `Auto` included: it resolves at construction,
@@ -1606,7 +1712,7 @@ mod tests {
     #[test]
     fn is_done_and_wait_agree() {
         // One thread polls the `finished` mirror, one waits under the
-        // `done` lock (spinning, yielding or parked, as the gate's hold
+        // `done` lock (yielding or parked, as the gate's hold
         // time falls): neither may see completion the other cannot.
         let rt = pool(2, SyncMethod::GpuLockFree);
         for hold_us in [0u64, 20, 150, 2_000].repeat(25) {

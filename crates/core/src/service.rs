@@ -300,7 +300,7 @@ pub struct GridService {
 
 impl std::fmt::Debug for GridService {
     /// Also the device's occupancy, a diagnostic: its width W and how many
-    /// of its workers are parked — all W, one spin bound after the last
+    /// of its workers are parked — all W, one yield bound after the last
     /// launch, whatever the number of shards.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.inner.state.lock();

@@ -1,10 +1,13 @@
 //! The warm handoff between the host and a [`GridRuntime`] pool
-//! (DESIGN.md §10): idle workers and waiting callers spin, then yield,
-//! then park, and every notify on the path is skipped when nobody is
-//! parked. These tests pin the handshake's liveness from outside — none
-//! sets a `SyncPolicy` timeout, so a lost wake-up hangs instead of being
-//! papered over by a watchdog, and the deadlines below only turn such a
-//! hang into a failure message.
+//! (DESIGN.md §10): idle workers and waiting callers yield, then park —
+//! they never spin, since the host shares its cores with the workers
+//! (DESIGN.md §15) — and every notify on the path is skipped when nobody
+//! is parked. These tests pin the handshake's liveness from outside —
+//! none sets a `SyncPolicy` timeout, so a lost wake-up hangs instead of
+//! being papered over by a watchdog, and the deadlines below only turn
+//! such a hang into a failure message. CI also runs them on one CPU
+//! (`taskset -c 0`), where the host and both workers share it and a
+//! waiter that did not yield would starve its peer.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,7 +86,7 @@ fn idle_pool_parks_every_worker_and_the_next_submit_wakes_them() {
     assert_eq!(rt.parked_workers(), 0);
     rt.submit(Bump::new(n, 1)).unwrap().wait().unwrap();
     for round in 0..3 {
-        // Idle for 500 spin bounds: every worker must have left its
+        // Idle for 500 yield bounds: every worker must have left its
         // polling phase. The poll after the sleep only absorbs a worker
         // the scheduler kept off the CPU that long; a worker that never
         // parks (or a count that leaks) fails it.
@@ -154,7 +157,7 @@ fn dropping_a_pool_releases_its_workers_spinning_or_parked() {
             wait_for("all workers parked", || rt.parked_workers() == workers(3));
         }
         // Not parked: the workers finished a launch microseconds ago and
-        // are inside the spin bound, where shutdown is not polled.
+        // are inside the yield bound, where shutdown is not polled.
         drop(rt);
         wait_for("workers to exit after drop", || {
             Arc::strong_count(&witness) == 1
