@@ -12,7 +12,8 @@
 //!   else; the launch engine's round loop passes the `r` it already has.
 //!   There are two implementors: one for every device-side method, which
 //!   executes [`crate::program`]'s op sequences on atomics, and the
-//!   CPU-implicit condvar rendezvous.
+//!   CPU-implicit condvar rendezvous, which no launch builds any more
+//!   (only the [`crate::SyncMethod::build_barrier_with`] shim does).
 //! * [`BarrierWaiter`] — the register the paper keeps `goalVal` in, for
 //!   callers without a round counter of their own: a block id and a count
 //!   of completed rounds over an `Arc<dyn BarrierShared>`, whose `wait`
@@ -626,7 +627,8 @@ pub trait BarrierShared: Send + Sync + 'static {
     /// waiter that sleeps instead of spinning*. The spin barriers inherit
     /// the default (the poison word is polled on every spin iteration);
     /// implementations whose waiters block on an OS primitive (e.g. the
-    /// CPU-implicit condvar rendezvous) must override
+    /// CPU-implicit condvar rendezvous of the `build_barrier_with` shim)
+    /// must override
     /// this to also signal that primitive, or poisoned sleepers would only
     /// notice at their next timeout tick. Every caller outside a barrier's
     /// own protocol goes through this hook, never

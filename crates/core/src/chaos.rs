@@ -62,9 +62,10 @@ pub struct ChaosConfig {
     /// soak.
     pub seed: u64,
     /// The shard shapes under test; one element soaks a single pool. Each
-    /// needs a barrier method — not `CpuExplicit` or `NoSync`, which have
-    /// no wait phase to inject faults into, nor `Auto`, which may resolve
-    /// to one — and at least 2 blocks (a healthy witness per fault).
+    /// needs a method with a wait phase — a barrier method or
+    /// `CpuImplicit`, not `CpuExplicit` or `NoSync`, which have no wait
+    /// phase to inject faults into, nor `Auto`, which may resolve to one —
+    /// and at least 2 blocks (a healthy witness per fault).
     pub shards: Vec<ShardKey>,
     /// Rounds per launch.
     pub rounds: usize,
@@ -314,7 +315,7 @@ impl ChaosConfig {
     ///
     /// # Errors
     /// A human-readable reason when the configuration cannot host a chaos
-    /// soak (no shards, a method without a poisonable barrier, too few
+    /// soak (no shards, a method without a wait phase, too few
     /// blocks, ...).
     pub fn validate(&self) -> Result<(), String> {
         if self.shards.is_empty() {
@@ -332,7 +333,7 @@ impl ChaosConfig {
                 SyncMethod::CpuExplicit | SyncMethod::Auto | SyncMethod::NoSync
             ) {
                 return Err(format!(
-                    "shard {key}: chaos needs a poisonable barrier method; {} cannot host \
+                    "shard {key}: chaos needs a method with a wait phase; {} cannot host \
                      fault schedules (pick e.g. gpu-lock-free)",
                     key.method
                 ));

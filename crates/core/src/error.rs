@@ -15,19 +15,21 @@ use blocksync_device::DeviceError;
 
 /// Which phase of a launch a [`StuckDiagnostic`] was taken in.
 ///
-/// Almost every timeout is a [`StuckPhase::Barrier`] wait (or
-/// CPU-explicit sync's join of a round); the pool adds an earlier failure
-/// window — [`StuckPhase::Assembly`], the start gate where workers
-/// rendezvous before round 0. Reporting the phase keeps an assembly-stuck
-/// worker from masquerading as a round-0 body fault.
+/// Almost every timeout is a [`StuckPhase::Barrier`] wait (or a CPU
+/// method's join of a round); the pool adds the launch boundaries —
+/// [`StuckPhase::Assembly`], the gate where workers rendezvous before a
+/// log entry's rounds, and under CPU-implicit the way into the next
+/// round's gate, its kernel boundary. Reporting the phase keeps an
+/// assembly-stuck worker from masquerading as a body fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StuckPhase {
-    /// Stuck inside a barrier wait, or a CPU-explicit round's join (the
+    /// Stuck inside a barrier wait, or a CPU method's join of a round (the
     /// default).
     #[default]
     Barrier,
-    /// Stuck assembling at the pooled runtime's launch gate, before any
-    /// round of the launch ran.
+    /// Stuck on a launch boundary of the pooled runtime: assembling at a
+    /// log entry's gate before its rounds ran, or under CPU-implicit on the
+    /// way into the next round's gate after a round.
     Assembly,
 }
 
@@ -113,9 +115,11 @@ impl fmt::Display for StuckDiagnostic {
                 "block {} stuck at {} barrier round {} (spinning on {}) after {:?}; ",
                 self.waiting_block, self.barrier, self.round, self.flag, self.timeout
             )?,
+            // The flag names the site: a gate before a round, or a kernel
+            // boundary after one.
             StuckPhase::Assembly => write!(
                 f,
-                "block {} stuck in {} pooled assembly (before round 0, on {}) after {:?}; ",
+                "block {} stuck in {} pooled assembly ({}) after {:?}; ",
                 self.waiting_block, self.barrier, self.flag, self.timeout
             )?,
         }
@@ -383,8 +387,7 @@ mod tests {
         d.phase = StuckPhase::Assembly;
         d.round = 0;
         let s = d.to_string();
-        assert!(s.contains("pooled assembly"), "{s}");
-        assert!(s.contains("before round 0"), "{s}");
+        assert!(s.contains("pooled assembly (g_mutex >= 8)"), "{s}");
         assert!(!s.contains("barrier round"), "{s}");
     }
 

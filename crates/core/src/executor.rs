@@ -51,7 +51,7 @@ pub struct GridConfig {
     pub threads_per_block: usize,
     /// Device model used for validation (defaults to the GTX 280).
     pub spec: GpuSpec,
-    /// Fault policy for barrier waits and CPU-mode rendezvous (defaults to
+    /// Fault policy for barrier waits and CPU methods' joins (defaults to
     /// unbounded waits).
     pub policy: SyncPolicy,
     /// Telemetry configuration, the plane's one switch. `None` (the

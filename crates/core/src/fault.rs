@@ -4,7 +4,8 @@
 //! [`Fault`]s, each naming a (block, round) site, a [`FaultKind`], and a
 //! [`FaultPhase`] — the round body, *inside the barrier wait* (after a
 //! block's round body, before its arrival is published, fired by the
-//! launch engine's round loop), or during pooled assembly at the
+//! launch engine's round loop; under CPU-implicit, on the way into the
+//! kernel boundary), or during pooled assembly at the
 //! [`crate::GridRuntime`] launch gate.
 //! Schedules can be built explicitly or generated reproducibly from a
 //! single `u64` seed ([`FaultSchedule::random`]), which is what the chaos
@@ -69,13 +70,18 @@ pub enum FaultPhase {
     RoundBody,
     /// Inside the barrier wait, after the round body but before the
     /// block's arrival is published — peers observe the block as
-    /// never-arrived. Fired by the launch engine's round loop; methods
-    /// without a barrier ([`crate::SyncMethod::CpuExplicit`],
-    /// [`crate::SyncMethod::NoSync`]) cannot host this phase.
+    /// never-arrived. Fired by the launch engine's round loop. Under
+    /// [`crate::SyncMethod::CpuImplicit`], whose rounds meet at the pool's
+    /// kernel boundary, it fires on the block's worker after the round's
+    /// bodies and before the worker checks in at the next round's gate (in
+    /// the last round, before the host's join sees it), so a straggler or
+    /// stall there is named in [`StuckPhase::Assembly`].
+    /// [`crate::SyncMethod::CpuExplicit`] and
+    /// [`crate::SyncMethod::NoSync`] cannot host this phase.
     BarrierWait,
     /// During pooled assembly: the block never checks in at the
     /// [`crate::GridRuntime`] launch gate, before any round runs. Every
-    /// launch runs on a pool and has this phase — under CPU-explicit sync,
+    /// launch runs on a pool and has this phase — under the CPU methods,
     /// in its first round's launch only. On a folded launch the block's
     /// worker does not check in either: it fires the assembly faults of
     /// the blocks it hosts in turn, before the gate.
@@ -477,8 +483,8 @@ impl WaitFaults {
     /// not panic: an injected panic poisons instead, and the block's own
     /// next look at the poison word unwinds it as `BlockPanicked` naming
     /// this exact site, as it does every peer. Poisoning goes through
-    /// [`BarrierShared::poison`], so sleeping waiters (the CPU-implicit
-    /// condvar rendezvous) are woken, not just flagged.
+    /// [`BarrierShared::poison`], the hook every caller outside a
+    /// barrier's protocol uses.
     pub(crate) fn on_arrive(
         &self,
         barrier: &dyn BarrierShared,

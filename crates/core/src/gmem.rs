@@ -8,10 +8,21 @@
 //! does around `__threadfence()`/barrier points.
 //!
 //! Cloning a `GlobalBuffer` is shallow (like copying a device pointer).
+//!
+//! Like a `cudaMalloc`'d array, every buffer's first element sits on a
+//! 256-byte boundary (`ALIGN`), so a block's chunk of a
+//! buffer shares no cache line with its neighbour's unless the chunk
+//! itself is not a multiple of the line: the block boundaries of a grid of
+//! 64-thread blocks over 4-byte elements fall on line boundaries.
 
+use std::mem::size_of;
 use std::sync::Arc;
 
 use crate::scalar::DeviceScalar;
+
+/// Where every buffer's first element sits: on a multiple of 256 bytes,
+/// the alignment `cudaMalloc` guarantees.
+const ALIGN: usize = 256;
 
 /// A shared, block-addressable array in "global memory".
 ///
@@ -24,41 +35,72 @@ use crate::scalar::DeviceScalar;
 /// assert_eq!(buf.to_vec(), vec![1.0, 20.0, 3.0]);
 /// ```
 pub struct GlobalBuffer<T: DeviceScalar> {
-    cells: Arc<[T::Atom]>,
+    /// The allocation: the elements, and `ALIGN` bytes of atoms around
+    /// them that are never read or written after they are made.
+    storage: Arc<[T::Atom]>,
+    /// Where the elements start in `storage`: its first atom on an
+    /// `ALIGN` boundary.
+    start: usize,
+    len: usize,
 }
 
 impl<T: DeviceScalar> Clone for GlobalBuffer<T> {
     fn clone(&self) -> Self {
         GlobalBuffer {
-            cells: Arc::clone(&self.cells),
+            storage: Arc::clone(&self.storage),
+            start: self.start,
+            len: self.len,
         }
     }
 }
 
 impl<T: DeviceScalar> GlobalBuffer<T> {
     /// Allocate `len` elements, default-initialized (zero for all supported
-    /// scalars).
+    /// scalars): one allocation, `ALIGN` bytes longer than the elements so
+    /// that one of its first `ALIGN` bytes is on the boundary.
     pub fn new(len: usize) -> Self {
+        let size = size_of::<T::Atom>();
+        let storage: Arc<[T::Atom]> = (0..len + ALIGN / size)
+            .map(|_| T::atom_new(T::default()))
+            .collect();
+        // An atom's size is its alignment, so the distance to the boundary
+        // is whole atoms, fewer than the `ALIGN / size` of padding.
+        let at = storage.as_ptr().addr();
+        let start = (at.next_multiple_of(ALIGN) - at) / size;
         GlobalBuffer {
-            cells: (0..len).map(|_| T::atom_new(T::default())).collect(),
+            storage,
+            start,
+            len,
         }
     }
 
     /// Allocate and copy from host data.
     pub fn from_slice(data: &[T]) -> Self {
-        GlobalBuffer {
-            cells: data.iter().map(|&v| T::atom_new(v)).collect(),
+        let mut buf = Self::new(data.len());
+        let (start, len) = (buf.start, buf.len);
+        // Plain writes through the still-unique allocation: atomic stores
+        // would not vectorize.
+        let cells = Arc::get_mut(&mut buf.storage).expect("a buffer just built is unshared");
+        for (cell, &v) in cells[start..start + len].iter_mut().zip(data) {
+            *cell = T::atom_new(v);
         }
+        buf
+    }
+
+    /// The elements.
+    #[inline]
+    fn cells(&self) -> &[T::Atom] {
+        &self.storage[self.start..self.start + self.len]
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.len
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.len == 0
     }
 
     /// Read element `i` (relaxed).
@@ -67,7 +109,7 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     /// Panics if `i` is out of bounds, like slice indexing.
     #[inline]
     pub fn get(&self, i: usize) -> T {
-        T::atom_load(&self.cells[i])
+        T::atom_load(&self.cells()[i])
     }
 
     /// Write element `i` (relaxed).
@@ -76,17 +118,17 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     /// Panics if `i` is out of bounds.
     #[inline]
     pub fn set(&self, i: usize, v: T) {
-        T::atom_store(&self.cells[i], v)
+        T::atom_store(&self.cells()[i], v)
     }
 
     /// Copy the whole buffer back to the host.
     pub fn to_vec(&self) -> Vec<T> {
-        self.cells.iter().map(|a| T::atom_load(a)).collect()
+        self.cells().iter().map(|a| T::atom_load(a)).collect()
     }
 
     /// Overwrite every element with `v`.
     pub fn fill(&self, v: T) {
-        for a in self.cells.iter() {
+        for a in self.cells() {
             T::atom_store(a, v);
         }
     }
@@ -97,7 +139,7 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     /// Panics if `data.len() != self.len()`.
     pub fn copy_from_slice(&self, data: &[T]) {
         assert_eq!(data.len(), self.len(), "copy_from_slice: length mismatch");
-        for (a, &v) in self.cells.iter().zip(data) {
+        for (a, &v) in self.cells().iter().zip(data) {
             T::atom_store(a, v);
         }
     }
@@ -108,7 +150,7 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     /// # Panics
     /// Panics if the range is out of bounds.
     pub fn read_range(&self, start: usize, len: usize) -> Vec<T> {
-        self.cells[start..start + len]
+        self.cells()[start..start + len]
             .iter()
             .map(|a| T::atom_load(a))
             .collect()
@@ -123,7 +165,7 @@ impl<T: DeviceScalar> GlobalBuffer<T> {
     #[inline]
     pub fn window(&self, start: usize, len: usize) -> Window<'_, T> {
         Window {
-            cells: &self.cells[start..start + len],
+            cells: &self.cells()[start..start + len],
         }
     }
 }
@@ -392,6 +434,40 @@ mod tests {
     fn buffer2d_bounds_checked() {
         let m: GlobalBuffer2d<u8> = GlobalBuffer2d::new(2, 2);
         let _ = m.get(0, 2);
+    }
+
+    /// Every buffer starts on a 256-byte boundary, as a `cudaMalloc`'d one
+    /// does, and none of its padding shows.
+    #[test]
+    fn buffers_start_on_a_256_byte_boundary() {
+        fn check<T: DeviceScalar + PartialEq + std::fmt::Debug>(len: usize, v: T) {
+            let data = vec![v; len];
+            for b in [GlobalBuffer::new(len), GlobalBuffer::from_slice(&data)] {
+                let at = b.cells().as_ptr().addr();
+                assert_eq!(at % ALIGN, 0, "{len} x {}", std::any::type_name::<T>());
+                assert_eq!(b.len(), len);
+                assert_eq!(b.to_vec().len(), len);
+                assert_eq!(b.clone().cells().as_ptr().addr(), at);
+                let _whole = b.window(0, len);
+            }
+            assert_eq!(GlobalBuffer::from_slice(&data).to_vec(), data);
+            assert!(GlobalBuffer::<T>::new(len)
+                .to_vec()
+                .iter()
+                .all(|x| *x == T::default()));
+        }
+        for len in [0, 1, 63, 64, 1000] {
+            check(len, 1.5f32);
+            check(len, u64::MAX);
+            check(len, 7u8);
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn the_padding_is_out_of_range() {
+        let b: GlobalBuffer<u8> = GlobalBuffer::new(1);
+        let _ = b.get(1);
     }
 
     #[test]

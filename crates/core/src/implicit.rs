@@ -1,25 +1,24 @@
-//! CPU implicit synchronization (paper Section 4.2) as a host-side
-//! barrier.
+//! The mutex + condvar rendezvous CPU implicit synchronization (paper
+//! Section 4.2) used to run on — kept only for the
+//! [`crate::SyncMethod::build_barrier_with`] shim.
 //!
 //! The paper's implicit mode relaunches the kernel every round but lets
 //! the driver *pipeline* the launches: no `cudaThreadSynchronize()`, the
-//! queue itself orders round `r+1` after round `r`. On the host runtime
-//! that pipelined handoff is a centralized OS-assisted rendezvous: every
-//! block checks in with a "driver" (one mutex + condvar), and the last
-//! arrival of a round dispatches the next epoch to all sleepers.
+//! queue itself orders round `r+1` after round `r`. The host runtime now
+//! runs it that way (`core::runtime`): a launch of R rounds is R log
+//! entries published at submit, and each round's assembly gate is the
+//! kernel boundary. No launch builds this rendezvous any more. Its one
+//! caller is the frozen benchmark's bare CPU-implicit rung
+//! (`perf/src/ladder.rs`, `bare_barrier_ns`) through
+//! `build_barrier_with`. Once the benchmark's next revision drops that
+//! call, this file, the shim's arm and the [`BarrierShared::poison`]
+//! override go.
 //!
-//! Historically this rendezvous lived as a private `Dispatcher` struct
-//! inside the executor's CPU-implicit code path, duplicating the poison /
-//! timeout / diagnostic machinery every spin barrier already gets from
-//! [`BarrierControl`]. It is, however, *exactly* a barrier — arrive, wait
-//! for peers, depart — so it now implements [`BarrierShared`] like every
-//! GPU-side method and runs under the one shared launch engine
-//! (`core::launch`), on a pool like every other barrier method.
-//!
-//! The one structural difference from the spin barriers: waiters **sleep**
-//! on the condvar instead of polling, so the poison word alone cannot wake
-//! them. `CpuImplicitSync` therefore overrides [`BarrierShared::poison`]
-//! to also signal the condvar; see that hook's docs.
+//! It is a barrier — arrive, wait for peers, depart — whose waiters
+//! **sleep** on the condvar instead of polling, so the poison word alone
+//! cannot wake them. `CpuImplicitSync` therefore overrides
+//! [`BarrierShared::poison`] to also signal the condvar; see that hook's
+//! docs.
 
 use std::time::Instant;
 

@@ -32,10 +32,13 @@
 //! [`BlockTimes`], trace events and fault sites, and every diagnostic
 //! names blocks, not workers (`Fold` translates). A cold
 //! [`LaunchPlan::run`] is launch 0 of a pool built for it and dropped
-//! after. Every method is one log entry per kernel except `CpuExplicit`,
-//! which is one entry per round, the next published only once every block
-//! finished the last: the paper's relaunch + `cudaThreadSynchronize`
-//! (§4.1) as warm launches.
+//! after. Every method is one log entry per kernel except the two CPU
+//! methods, which are one entry per round with no barrier: `CpuExplicit`
+//! publishes the next only once every block finished the last, the
+//! paper's relaunch + `cudaThreadSynchronize` (§4.1), and `CpuImplicit`
+//! publishes them all at submit, so the next entry's assembly gate is the
+//! kernel boundary, the paper's pipelined relaunch (§4.2), as warm
+//! launches.
 
 use std::any::Any;
 use std::iter::StepBy;
@@ -245,10 +248,13 @@ impl KernelRef {
 ///   (Section 4.1). A block's `sync` for a round runs from the end of its
 ///   body to the start of its next one (the relaunch plus the wait for the
 ///   slowest block), and the policy timeout bounds each round's join.
-/// * **CPU implicit** — one pool launch, but every round ends in a
-///   centralized OS-assisted rendezvous (one mutex + condvar "driver")
-///   through which the next round is dispatched, the analogue of pipelined
-///   kernel relaunch (Section 4.2).
+/// * **CPU implicit** — one pool launch *per round* as well, but all of
+///   them queued at submit: the analogue of pipelined kernel relaunch
+///   (Section 4.2), where the driver's in-order queue runs round `r + 1`
+///   after round `r` and the host waits once. A worker checks in at round
+///   `r + 1`'s assembly gate only after it finished round `r`, so the gate
+///   is the kernel boundary; a block's `sync` is again the span from the
+///   end of its body to the start of its next one.
 /// * **NoSync** — no barrier at all; pure computation time exactly as the
 ///   paper measures it in Section 7.3 ("with the synchronization function
 ///   `__gpu_sync()` removed"). Results of inter-block-dependent kernels are
@@ -256,8 +262,8 @@ impl KernelRef {
 ///
 /// Under every method a grid of more blocks than the host has cores (at
 /// least two) folds: it runs on one pool worker per core, each running the
-/// round bodies of its blocks in turn, and the barrier, rendezvous or join
-/// is among the workers. Blocks must therefore never wait on each other
+/// round bodies of its blocks in turn, and the barrier, kernel boundary or
+/// join is among the workers. Blocks must therefore never wait on each other
 /// inside a round body (see [`RoundKernel`]).
 #[derive(Debug, Clone)]
 pub struct LaunchPlan {
@@ -313,16 +319,16 @@ impl LaunchPlan {
     }
 
     /// Stamp out the per-launch state for `kernel` on `workers` pool
-    /// workers — a fresh barrier among the workers (except for
-    /// `CpuExplicit`, whose "barrier" is the host's join, and `NoSync`), a
-    /// fresh trace recorder per block, an un-raised abort signal, and the
-    /// kernel's fault schedule armed — then hand the kernel its abort
-    /// signal ([`RoundKernel::on_launch`]). The pool calls this before any
-    /// worker can see the launch.
+    /// workers — a fresh barrier among the workers (except under the CPU
+    /// methods, whose rounds meet at the pool's kernel boundary, and
+    /// `NoSync`), a fresh trace recorder per block, an un-raised abort
+    /// signal, and the kernel's fault schedule armed — then hand the kernel
+    /// its abort signal ([`RoundKernel::on_launch`]). The pool calls this
+    /// before any worker can see the launch.
     pub(crate) fn setup(&self, kernel: &dyn RoundKernel, workers: usize) -> LaunchSetup {
         let n = self.cfg.n_blocks;
         let rounds = kernel.rounds();
-        let barrier = self.method.build_barrier_with(workers, self.cfg.policy);
+        let barrier = self.method.device_barrier(workers, self.cfg.policy);
         let recorder = self
             .cfg
             .trace
@@ -353,7 +359,7 @@ impl LaunchPlan {
             recorder,
             faults,
             wait_faults,
-            fold: (workers < n).then(|| Fold::new(n, workers)),
+            fold: (workers < n || self.method.is_cpu_side()).then(|| Fold::new(n, workers)),
         }
     }
 
@@ -361,8 +367,8 @@ impl LaunchPlan {
     ///
     /// # Errors
     /// [`ExecError::BlockPanicked`] if any block's kernel code panicked;
-    /// [`ExecError::BarrierTimeout`] if a barrier wait (or CPU-mode
-    /// rendezvous) exceeded the [`SyncPolicy`] timeout. A block stuck
+    /// [`ExecError::BarrierTimeout`] if a barrier wait (or a CPU method's
+    /// join of a round) exceeded the [`SyncPolicy`] timeout. A block stuck
     /// *inside kernel code* cannot be preempted, so a borrowed kernel that
     /// ignores its [`AbortSignal`] holds this call; see
     /// [`LaunchPlan::run_owned`].
@@ -390,8 +396,8 @@ impl LaunchPlan {
 }
 
 /// Per-launch state stamped out by [`LaunchPlan::setup`]: everything the
-/// pool and the round loops share for exactly one launch — under
-/// `CpuExplicit`, for every one of its per-round log entries.
+/// pool and the round loops share for exactly one launch — under the CPU
+/// methods, for every one of its per-round log entries.
 pub(crate) struct LaunchSetup {
     pub(crate) method: SyncMethod,
     /// The plan's `Auto` verdict, completed and reported by `finish`.
@@ -410,19 +416,29 @@ pub(crate) struct LaunchSetup {
     /// One ring per block, not per worker.
     pub(crate) recorder: Option<Arc<EventRecorder>>,
     /// The kernel's [`FaultSchedule`], if it carries one — read by the
-    /// pool to fire assembly-phase faults in the launch's first log entry.
+    /// pool to fire assembly-phase faults in the launch's first log entry,
+    /// and `CpuImplicit`'s wait-phase faults at its kernel boundary.
     pub(crate) faults: Option<Arc<FaultSchedule>>,
     /// The schedule's barrier-wait faults, fired by the round loops.
     wait_faults: Option<WaitFaults>,
-    /// Where each worker is in its turn, when the grid folds.
+    /// Where each worker is in its turn, when the grid folds; under the CPU
+    /// methods always, as their progress table.
     pub(crate) fold: Option<Fold>,
 }
 
 impl LaunchSetup {
-    /// Whether the launch is one pool log entry per round (`CpuExplicit`)
-    /// rather than one for the whole kernel.
+    /// Whether the launch is one pool log entry per round — under both CPU
+    /// methods, whose rounds meet at the pool's kernel boundary instead of
+    /// a barrier — rather than one for the whole kernel.
     pub(crate) fn per_round(&self) -> bool {
-        self.method == SyncMethod::CpuExplicit
+        self.method.is_cpu_side()
+    }
+
+    /// Whether the launch's per-round entries are all published at submit
+    /// (`CpuImplicit`) rather than each by the last reporter of the one
+    /// before (`CpuExplicit`).
+    pub(crate) fn pipelined(&self) -> bool {
+        self.method == SyncMethod::CpuImplicit
     }
 
     pub(crate) fn ctx(&self, block_id: usize) -> BlockCtx {
@@ -657,7 +673,7 @@ impl Waits {
 /// rest. Without a barrier (`NoSync`) the span is all compute, the
 /// paper's §7.3 "`__gpu_sync()` removed" run, and no sync sample is
 /// recorded. `t.launch` is the caller's to fill — only the pool knows
-/// where its launch boundary is — and so is `CpuExplicit`'s join between
+/// where its launch boundary is — and so is a CPU method's join between
 /// entries. A worker hosting several blocks runs [`drive_fold`] instead,
 /// or, with no barrier, this loop once per block.
 pub(crate) fn drive_block(
@@ -849,7 +865,8 @@ pub(crate) fn drive_fold(
 /// blocks sit on `workers < n` pool workers, worker `w` hosting blocks
 /// `w, w + workers, …` and running their round bodies in that order
 /// before its one barrier wait (DESIGN.md §10). This is the one place a
-/// worker's progress is read as blocks'.
+/// worker's progress is read as blocks'. The CPU methods keep one at any
+/// width (`workers ≤ n`): it is their progress table.
 pub(crate) struct Fold {
     n: usize,
     workers: usize,
@@ -876,6 +893,11 @@ impl Fold {
     pub(crate) fn advance(&self, worker: usize) {
         let done = &self.done[worker];
         done.store(done.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// Rounds every block `worker` hosts has finished the body of.
+    pub(crate) fn rounds_done(&self, worker: usize) -> u64 {
+        self.turn(worker).0
     }
 
     /// The round `worker` is in and the index, among the blocks it

@@ -25,7 +25,7 @@
 //! | per-group mutexes + root mutex           | [`SyncMethod::GpuTree`] over a [`TreeShape`] |
 //! | `Arrayin`/`Arrayout`, no atomics         | [`SyncMethod::GpuLockFree`]    |
 //! | kernel relaunch + `cudaThreadSynchronize`| [`SyncMethod::CpuExplicit`]: one warm launch per round |
-//! | pipelined kernel relaunch                | [`SyncMethod::CpuImplicit`]    |
+//! | pipelined kernel relaunch                | [`SyncMethod::CpuImplicit`]: one warm launch per round, all queued at submit |
 //! | `__syncthreads()`                        | no-op (a block is sequential here) |
 //!
 //! The barrier *algorithms* are machine-independent shared-memory protocols;

@@ -46,8 +46,8 @@ pub enum SyncMethod {
     /// next dispatched once every block finished the last.
     CpuExplicit,
     /// Kernel relaunch per round, launches pipelined (Section 4.2). Here:
-    /// one pool launch whose blocks synchronize through a driver
-    /// rendezvous barrier (one mutex + condvar).
+    /// one warm pool launch per round, every round's published at submit;
+    /// the next round's assembly gate is the kernel boundary.
     CpuImplicit,
     /// One global mutex + `atomicAdd` + spin (Section 5.1).
     GpuSimple,
@@ -115,10 +115,31 @@ impl SyncMethod {
         matches!(self, SyncMethod::CpuExplicit | SyncMethod::CpuImplicit)
     }
 
-    /// Build the shared barrier state for a barrier-backed method under a
-    /// fault policy: the device-side protocol ([`crate::program`]) run on
-    /// host atomics, or the CPU-implicit driver rendezvous (a condvar
-    /// barrier).
+    /// The device-side barrier a launch of this method runs its rounds
+    /// through: the method's protocol ([`crate::program`]) on host atomics,
+    /// for `workers` pool workers. `None` for both CPU methods, whose rounds
+    /// meet at the pool's kernel boundary instead (`CpuExplicit`: the
+    /// host's join; `CpuImplicit`: the next round's assembly gate), for
+    /// `NoSync` and for `Auto`, which resolves to a concrete method first.
+    pub(crate) fn device_barrier(
+        self,
+        workers: usize,
+        policy: SyncPolicy,
+    ) -> Option<Arc<dyn BarrierShared>> {
+        self.is_gpu_side()
+            .then(|| Arc::new(AtomicBarrier::new(self, workers, policy)) as _)
+    }
+
+    /// Build the shared barrier state of a barrier-backed method under a
+    /// fault policy, for callers that drive the barrier themselves: the
+    /// device-side protocol ([`crate::program`]) run on host atomics.
+    ///
+    /// Under `CpuImplicit` this is a shim: it returns the mutex + condvar
+    /// rendezvous the method ran on before its rounds became launches, which
+    /// no launch path builds any more. Its one caller is the frozen
+    /// benchmark's bare CPU-implicit rung (`perf/src/ladder.rs`,
+    /// `bare_barrier_ns`); once the benchmark's next revision drops that
+    /// call, the rendezvous goes with this arm.
     ///
     /// Returns `None` for `CpuExplicit` (its "barrier" is the pool's
     /// per-round join, not a shared object), `NoSync`, and `Auto` (which
@@ -132,8 +153,7 @@ impl SyncMethod {
             SyncMethod::CpuImplicit => {
                 Some(Arc::new(CpuImplicitSync::with_policy(n_blocks, policy)))
             }
-            SyncMethod::CpuExplicit | SyncMethod::NoSync | SyncMethod::Auto => None,
-            device_side => Some(Arc::new(AtomicBarrier::new(device_side, n_blocks, policy))),
+            _ => self.device_barrier(n_blocks, policy),
         }
     }
 }
@@ -213,10 +233,14 @@ mod tests {
             let b = build(m).expect("gpu method builds a barrier");
             assert_eq!(b.num_blocks(), 8);
         }
-        // CPU-implicit's driver rendezvous is a real barrier object.
+        // The shim still hands out CPU-implicit's old rendezvous; no launch
+        // builds it: both CPU methods meet at the pool's kernel boundary.
         let implicit = build(SyncMethod::CpuImplicit).expect("cpu-implicit builds its rendezvous");
         assert_eq!(implicit.num_blocks(), 8);
         assert_eq!(implicit.name(), "cpu-implicit");
+        for m in [SyncMethod::CpuImplicit, SyncMethod::CpuExplicit] {
+            assert!(m.device_barrier(8, SyncPolicy::default()).is_none(), "{m}");
+        }
         // CpuExplicit's barrier is the host's join, NoSync has none, and
         // Auto has none of its own: `LaunchPlan::compile` resolves it.
         for m in [

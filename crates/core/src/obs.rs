@@ -258,7 +258,7 @@ impl Observer {
     /// Increment a plain counter — the service plane's hook for events
     /// that are not launches (shard set-up, admission rejections). No-op
     /// when disabled.
-    pub fn inc_counter(&self, name: &str, by: u64) {
+    pub(crate) fn inc_counter(&self, name: &str, by: u64) {
         if self.enabled {
             self.inner.lock().registry.inc(name, by);
         }
@@ -266,7 +266,7 @@ impl Observer {
 
     /// Set a plain gauge (e.g. `service_shards_live`). No-op when
     /// disabled.
-    pub fn set_gauge(&self, name: &str, v: u64) {
+    pub(crate) fn set_gauge(&self, name: &str, v: u64) {
         if self.enabled {
             self.inner.lock().registry.set_gauge(name, v);
         }
@@ -274,7 +274,7 @@ impl Observer {
 
     /// Increment one label of a counter family (e.g.
     /// `service_rejections_total` by reason). No-op when disabled.
-    pub fn inc_labeled(&self, family: &str, label: &str, by: u64) {
+    pub(crate) fn inc_labeled(&self, family: &str, label: &str, by: u64) {
         if self.enabled {
             self.inner.lock().registry.inc_labeled(family, label, by);
         }

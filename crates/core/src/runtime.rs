@@ -74,11 +74,16 @@
 //! service's on a host of few cores — local worker `w` is device worker
 //! `w`.
 //!
-//! A launch is one log entry, except under `CpuExplicit`: one per round,
-//! sharing the launch's `LaunchSetup`. Whichever worker records the last
-//! result of round `r`'s entry appends round `r + 1`'s, so explicit never
-//! pipelines its own rounds; the waiting host bounds each round's join by
-//! the policy timeout (DESIGN.md §10).
+//! A launch is one log entry, except under the two CPU methods: one per
+//! round, sharing the launch's `LaunchSetup`. Under `CpuExplicit`
+//! whichever worker records the last result of round `r`'s entry appends
+//! round `r + 1`'s, so explicit never pipelines its own rounds. Under
+//! `CpuImplicit` all R entries are published at submit, R consecutive
+//! sequence numbers held by one log element, and the assembly gate of
+//! entry `r + 1` is the kernel boundary: no worker passes it before every
+//! worker finished entry `r`, the order the paper's driver queue gives.
+//! Under both the waiting host bounds each round's join by the policy
+//! timeout (DESIGN.md §10).
 //!
 //! ## Fault semantics
 //!
@@ -126,7 +131,7 @@ use crate::trace::TraceEventKind;
 /// Pool-side launch accounting attached to [`KernelStats::pool`]. The warm
 /// `t_O` itself is [`KernelStats::launch`] (dispatch → all workers
 /// assembled); this struct carries the queueing context around it, for
-/// the launch's first log entry (one per round under `CpuExplicit`).
+/// the launch's first log entry (one per round under the CPU methods).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolLaunchStats {
     /// Zero-based sequence number of this launch's first entry in its
@@ -135,7 +140,8 @@ pub struct PoolLaunchStats {
     /// its `launch` and `wall` include the spawns.
     pub launch_seq: u64,
     /// Log entries of the device still pending ahead of this one at submit
-    /// time (pipelining depth).
+    /// time (pipelining depth). A CPU-implicit launch ahead counts all its
+    /// rounds until the last of its workers has left them.
     pub queue_depth: usize,
     /// Submit → first worker picked the launch up. Nonzero queueing delay
     /// means the device was still busy with earlier launches; zero for the
@@ -161,7 +167,7 @@ struct LaunchDone {
     /// The current entry's first round and log sequence number.
     base: usize,
     entry_seq: u64,
-    /// `CpuExplicit`: when the waiting host saw every worker enter the
+    /// CPU methods: when the waiting host saw every worker enter the
     /// current round (its join deadline starts there, as the gate's
     /// does), and the join's timeout once it expired.
     join_since: Option<Instant>,
@@ -174,6 +180,17 @@ struct LaunchDone {
     /// Whether the launch's waiter is asleep on `done_cv` (written only
     /// under this lock): settling notifies only then.
     waiter_parked: bool,
+}
+
+/// A word of one worker's or one block's, 128 bytes from its neighbours'
+/// as `CachePadded` keeps them, in an ordinary allocation: a `Vec` of
+/// `CachePadded`'s 128-byte-aligned words is an aligned allocation, which
+/// cost about 150 ns more per launch.
+#[derive(Default)]
+#[repr(C)]
+struct Spaced<A> {
+    word: A,
+    _pad: [u64; 15],
 }
 
 /// One launch: the engine's per-launch state ([`LaunchSetup`]: fresh
@@ -213,11 +230,13 @@ struct Launch {
     entered: AtomicUsize,
     /// Per worker, how many entries it has checked in at the gate for —
     /// the assembly-phase progress table, feeding assembly diagnostics the
-    /// way the barrier's arrival counts feed round diagnostics.
-    checked_in: Vec<AtomicUsize>,
-    /// `CpuExplicit`: when each block's latest round body ended, in ns
-    /// since `submitted` — where its join to the next round starts.
-    arrived: Vec<AtomicU64>,
+    /// way the barrier's arrival counts feed round diagnostics. Padded:
+    /// under the CPU methods every worker writes its own every round.
+    checked_in: Vec<Spaced<AtomicUsize>>,
+    /// CPU methods: when each block's latest round body ended, in ns since
+    /// `submitted` — where its join to the next round starts. Padded like
+    /// `checked_in`, since the blocks' workers write them every round.
+    arrived: Vec<Spaced<AtomicU64>>,
     done: Mutex<LaunchDone>,
     done_cv: Condvar,
     /// Mirror of `LaunchDone::settled`, stored (`Release`) under the
@@ -244,22 +263,29 @@ impl Launch {
 
     /// Whether `worker` checked in at the gate of the entry at `base`.
     fn assembled(&self, worker: usize, base: usize) -> bool {
-        self.checked_in[worker].load(Ordering::Acquire) > base
+        self.checked_in[worker].word.load(Ordering::Acquire) > base
     }
 
-    /// The block `worker` is held at before the gate: the first it hosts
-    /// with an assembly fault that holds a worker (a straggler or a
-    /// stall), since it fires them in turn — else the first it hosts.
-    fn assembling(&self, worker: usize) -> usize {
+    /// The block `worker` is held at on a launch boundary: the first it
+    /// hosts with a fault at (`round`, `phase`) that holds a worker (a
+    /// straggler or a stall), since it fires them in turn — else the first
+    /// it hosts.
+    fn held(&self, worker: usize, round: usize, phase: FaultPhase) -> usize {
         let setup = &self.setup;
         let holds = |block: &usize| {
             setup
                 .faults
                 .as_deref()
-                .and_then(|s| s.fault_at(*block, 0, FaultPhase::Assembly))
+                .and_then(|s| s.fault_at(*block, round, phase))
                 .is_some_and(|f| matches!(f.kind, FaultKind::Straggler | FaultKind::Stall(_)))
         };
         setup.hosted(worker).find(holds).unwrap_or(worker)
+    }
+
+    /// The block `worker` is held at before the gate of the launch's first
+    /// entry, by an assembly fault.
+    fn assembling(&self, worker: usize) -> usize {
+        self.held(worker, 0, FaultPhase::Assembly)
     }
 
     /// The `barrier` of a diagnostic the pool synthesizes.
@@ -270,49 +296,123 @@ impl Launch {
         }
     }
 
-    /// Diagnostic for a block stuck waiting at (or never reaching) the
-    /// gate of entry `seq` (first round `base`), reported in
-    /// [`StuckPhase::Assembly`] so it cannot masquerade as a round-0 body
-    /// fault; its progress table is 1 for blocks whose worker checked in.
+    /// Diagnostic for a block stuck on a launch boundary in round `round`
+    /// — at (or never reaching) an entry's assembly gate, or under
+    /// CPU-implicit on its way into the kernel boundary after the round —
+    /// reported in [`StuckPhase::Assembly`] so it cannot masquerade as a
+    /// body fault. Its progress table is `round` for the block each worker
+    /// not `through` is `held` at, and one past it for every other block —
+    /// through, or queued behind its worker's held block, which it waits
+    /// on as an arrived block waits on a barrier — so `stragglers()` names
+    /// the held blocks.
     fn assembly_diagnostic(
         &self,
-        seq: u64,
-        base: usize,
+        flag: String,
+        round: usize,
         waiting_block: usize,
         timeout: Duration,
+        held: impl Fn(usize) -> usize,
+        through: impl Fn(usize) -> bool,
     ) -> Box<StuckDiagnostic> {
         let setup = &self.setup;
+        let r = round as u64;
+        let stuck: Vec<usize> = (0..setup.workers)
+            .filter(|&w| !through(w))
+            .map(held)
+            .collect();
         Box::new(StuckDiagnostic {
             barrier: self.label(),
             waiting_block,
-            round: 0,
-            flag: format!("launch {seq} assembly gate"),
+            round,
+            flag,
             timeout,
-            departures: vec![0; setup.n],
+            departures: vec![r; setup.n],
             arrivals: (0..setup.n)
-                .map(|b| u64::from(self.assembled(b % setup.workers, base)))
+                .map(|b| r + u64::from(!stuck.contains(&b)))
                 .collect(),
             recent_events: Vec::new(),
             phase: StuckPhase::Assembly,
         })
     }
 
-    /// `CpuExplicit`: `block`'s body of `round` ended at `at`.
+    /// [`Launch::assembly_diagnostic`] for the gate of entry `seq` at
+    /// round `base`: through are the workers that checked in.
+    fn gate_diagnostic(
+        &self,
+        seq: u64,
+        base: usize,
+        waiting_block: usize,
+        timeout: Duration,
+    ) -> Box<StuckDiagnostic> {
+        let flag = format!("before round {base}, on launch {seq}'s assembly gate");
+        let held = |w| self.assembling(w);
+        self.assembly_diagnostic(flag, base, waiting_block, timeout, held, |w| {
+            self.assembled(w, base)
+        })
+    }
+
+    /// [`Launch::assembly_diagnostic`] for the kernel boundary after round
+    /// `r`, entry `seq`: through are the workers that reported the entry.
+    fn boundary_diagnostic(
+        &self,
+        seq: u64,
+        r: usize,
+        waiting_block: usize,
+        timeout: Duration,
+        reported: &[bool],
+    ) -> Box<StuckDiagnostic> {
+        let flag = format!("after round {r}, on launch {seq}'s kernel boundary");
+        let held = |w| self.held(w, r, FaultPhase::BarrierWait);
+        self.assembly_diagnostic(flag, r, waiting_block, timeout, held, |w| reported[w])
+    }
+
+    /// Why `worker`, which has not reported the current entry, is held on
+    /// a launch boundary, if it is: it never checked in at the entry's
+    /// gate, or — under a CPU method — every block it hosts finished the
+    /// entry's round, so it is on its way into the kernel boundary (where
+    /// CPU-implicit fires its wait-phase faults). `None` while one of its
+    /// blocks is still in a round body or a barrier wait.
+    fn held_diagnostic(
+        &self,
+        g: &LaunchDone,
+        worker: usize,
+        timeout: Duration,
+    ) -> Option<Box<StuckDiagnostic>> {
+        let (seq, r) = (g.entry_seq, g.base);
+        if !self.assembled(worker, r) {
+            let block = self.assembling(worker);
+            return Some(self.gate_diagnostic(seq, r, block, timeout));
+        }
+        let fold = self
+            .setup
+            .fold
+            .as_ref()
+            .filter(|_| self.setup.per_round())?;
+        if fold.rounds_done(worker) <= r as u64 {
+            return None;
+        }
+        let block = self.held(worker, r, FaultPhase::BarrierWait);
+        Some(self.boundary_diagnostic(seq, r, block, timeout, &g.reported))
+    }
+
+    /// CPU methods: `block`'s body of `round` ended at `at`.
     fn arrive(&self, block: usize, round: usize, at: Instant) {
         let ns = at.saturating_duration_since(self.submitted).as_nanos();
         // Relaxed: read back by this worker at the next round, and by the
         // host only after the `done` lock that `record_result` releases.
-        self.arrived[block].store(ns as u64, Ordering::Relaxed);
+        self.arrived[block].word.store(ns as u64, Ordering::Relaxed);
         if let Some(rec) = self.setup.recorder.as_deref() {
             rec.record_instant(block, round, TraceEventKind::BarrierArrive, at);
         }
     }
 
-    /// `CpuExplicit`: `block`'s join after `round` ended at `until`.
-    /// Returns the join's span, the round's `sync`, traced like a wait.
+    /// CPU methods: `block`'s join after `round` ended at `until` — the
+    /// relaunch and the wait for the slowest block, or for CPU-implicit the
+    /// pipelined entry's gate. Returns the join's span, the round's
+    /// `sync`, traced like a wait.
     fn depart(&self, block: usize, round: usize, until: Instant) -> Duration {
         let arrived =
-            self.submitted + Duration::from_nanos(self.arrived[block].load(Ordering::Relaxed));
+            self.submitted + Duration::from_nanos(self.arrived[block].word.load(Ordering::Relaxed));
         let span = until.saturating_duration_since(arrived);
         if let Some(rec) = self.setup.recorder.as_deref() {
             rec.record_instant(block, round, TraceEventKind::BarrierDepart, until);
@@ -373,11 +473,12 @@ impl Launch {
         }
     }
 
-    /// Every worker reported for the current entry: publish the next
-    /// round's (`CpuExplicit`, while rounds remain and nothing failed) or
-    /// settle the launch, returning whether it settled. Lock order:
-    /// `done`, then the device's state. The next round's entry runs on the
-    /// launch's own window.
+    /// Every worker reported for the current entry: move on to the next
+    /// round's (CPU methods, while rounds remain and nothing failed) or
+    /// settle the launch, returning whether it settled. `CpuImplicit`
+    /// published its entries at submit; `CpuExplicit`'s is appended here.
+    /// Lock order: `done`, then the device's state. The next round's entry
+    /// runs on the launch's own window.
     fn end_entry(self: &Arc<Self>, device: &Device, g: &mut LaunchDone) -> bool {
         let next = g.base + 1;
         if self.setup.per_round() && next < self.setup.rounds && g.first_failure.is_none() {
@@ -385,9 +486,13 @@ impl Launch {
             g.reported.fill(false);
             g.finished = 0;
             g.join_since = None;
-            let st = device.state.lock();
-            g.entry_seq = st.next_seq;
-            device.push(st, Arc::clone(self), next);
+            if self.setup.pipelined() {
+                g.entry_seq += 1;
+            } else {
+                let st = device.state.lock();
+                g.entry_seq = st.next_seq;
+                device.push(st, Arc::clone(self), next, 1);
+            }
             return false;
         }
         g.settled = true;
@@ -395,11 +500,12 @@ impl Launch {
         true
     }
 
-    /// `CpuExplicit`, by the waiting host: once every worker entered the
+    /// CPU methods, by the waiting host: once every worker entered the
     /// current round, time its join; on expiry raise abort and record the
-    /// timeout, naming the blocks that have not finished the round (or, if
-    /// a worker never checked in at the gate, the assembly phase). Returns
-    /// how long the host may sleep.
+    /// timeout, naming the blocks that have not finished the round — or,
+    /// if a worker is held on a launch boundary (it never checked in at
+    /// the gate, or it is on its way into the kernel boundary), the
+    /// assembly phase. Returns how long the host may sleep.
     fn watch_join(&self, g: &mut LaunchDone, timeout: Duration) -> Duration {
         let r = g.base;
         let workers = self.setup.workers;
@@ -411,8 +517,11 @@ impl Launch {
         if !left.is_zero() {
             return left;
         }
-        let diagnostic = match (0..workers).find(|&w| !self.assembled(w, r)) {
-            Some(w) => self.assembly_diagnostic(g.entry_seq, r, self.assembling(w), timeout),
+        let held = (0..workers)
+            .filter(|&w| !g.reported[w])
+            .find_map(|w| self.held_diagnostic(g, w, timeout));
+        let diagnostic = match held {
+            Some(diagnostic) => diagnostic,
             None => {
                 let (arrivals, departures) = self.progress(g);
                 let waiting_block = arrivals.iter().position(|&a| a > r as u64).unwrap_or(0);
@@ -444,8 +553,9 @@ impl Launch {
     }
 
     /// The launch's progress table in blocks: its barrier's, or without
-    /// one (`CpuExplicit`'s join) a block has entered the current entry's
-    /// round, and finished it once its body returned — unfolded, once its
+    /// one (a CPU method's join) a block has entered the current entry's
+    /// round, and finished it once its body returned (`Fold` tracks it
+    /// under both CPU methods) — without a fold (`NoSync`), once its
     /// worker reported.
     fn progress(&self, g: &LaunchDone) -> (Vec<u64>, Vec<u64>) {
         if let Some(sh) = self.setup.barrier.as_deref() {
@@ -481,7 +591,7 @@ struct Grid {
     /// never alias across shards.
     shard: Option<String>,
     /// Log entries the grid appended: one per launch, one per round under
-    /// `CpuExplicit`.
+    /// the CPU methods.
     entries: AtomicU64,
 }
 
@@ -502,12 +612,23 @@ pub(crate) struct Device {
     next_seq: AtomicU64,
 }
 
+/// Consecutive entries `first..first + len` of a device's launch log, all
+/// of one launch. A run of one entry runs the launch from round `base`: a
+/// whole launch, or one `CpuExplicit` round. A `CpuImplicit` launch is one
+/// run of all its rounds, entry `first + i` running round `base + i`: one
+/// element however many rounds, so a long implicit launch holds one `Arc`
+/// in the log, not one per round.
+struct Run {
+    first: u64,
+    len: u64,
+    launch: Arc<Launch>,
+    base: usize,
+}
+
 struct DeviceState {
-    /// Launch log: `queue[i]` is the entry with sequence `first_seq + i`,
-    /// a launch and the first round it runs. Entries are pruned once every
-    /// worker's cursor has passed them.
-    queue: VecDeque<(Arc<Launch>, usize)>,
-    first_seq: u64,
+    /// Launch log, in runs; a run is pruned once every worker's cursor has
+    /// passed its last entry.
+    queue: VecDeque<Run>,
     next_seq: u64,
     /// The device worker the next launch's window starts at (next-fit).
     offset: usize,
@@ -522,6 +643,31 @@ struct DeviceState {
     parked: usize,
 }
 
+impl DeviceState {
+    /// Published entry `seq`: its launch, the round it runs from, and the
+    /// end of its run.
+    fn entry(&self, seq: u64) -> (Arc<Launch>, usize, u64) {
+        let i = self.queue.partition_point(|run| run.first + run.len <= seq);
+        let run = &self.queue[i];
+        let base = run.base + (seq - run.first) as usize;
+        (Arc::clone(&run.launch), base, run.first + run.len)
+    }
+
+    /// Drop the runs every worker's cursor has passed.
+    fn prune(&mut self) {
+        let Some(min) = self.cursors.iter().copied().min() else {
+            return;
+        };
+        while self
+            .queue
+            .front()
+            .is_some_and(|run| run.first + run.len <= min)
+        {
+            self.queue.pop_front();
+        }
+    }
+}
+
 impl Device {
     /// A device of `workers` workers, spawned by its first launch.
     fn new(workers: usize) -> Arc<Device> {
@@ -529,7 +675,6 @@ impl Device {
             workers,
             state: Mutex::new(DeviceState {
                 queue: VecDeque::new(),
-                first_seq: 0,
                 next_seq: 0,
                 offset: 0,
                 gens: vec![0; workers],
@@ -548,13 +693,26 @@ impl Device {
         Device::new(fold_width(usize::MAX))
     }
 
-    /// Append the entry running `launch` from round `base` to the log,
-    /// publish it, release the lock and wake the parked workers.
-    fn push(&self, mut st: MutexGuard<'_, DeviceState>, launch: Arc<Launch>, base: usize) {
+    /// Append `len` entries running `launch` from round `base` to the log
+    /// as one [`Run`], publish them, release the lock and wake the parked
+    /// workers.
+    fn push(
+        &self,
+        mut st: MutexGuard<'_, DeviceState>,
+        launch: Arc<Launch>,
+        base: usize,
+        len: u64,
+    ) {
         // Relaxed: a count, read by `launches()` and ordering nothing.
-        launch.grid.entries.fetch_add(1, Ordering::Relaxed);
-        st.queue.push_back((launch, base));
-        st.next_seq += 1;
+        launch.grid.entries.fetch_add(len, Ordering::Relaxed);
+        let first = st.next_seq;
+        st.queue.push_back(Run {
+            first,
+            len,
+            launch,
+            base,
+        });
+        st.next_seq += len;
         self.next_seq.store(st.next_seq, Ordering::Release);
         // Read after publishing, under the lock a worker holds from its
         // last check of `next_seq` until it is inside `cv.wait`: zero
@@ -566,7 +724,8 @@ impl Device {
         }
     }
 
-    /// Signal shutdown; workers exit at their next dispatch point, and a
+    /// Signal shutdown; workers exit at their next dispatch point (a
+    /// worker in a CPU-implicit launch's run, at the run's end), and a
     /// worker still polling the log leaves at once: the mirror moves past
     /// every cursor, so its poll succeeds and it finds `shutdown` under the
     /// lock. Entries no worker picked up by then never run. Workers stuck
@@ -597,21 +756,28 @@ impl Device {
 
     /// Retire the device workers that `launch`'s local workers `stuck`
     /// are, and spawn fresh ones that start after its abandoned entry
-    /// `seq`, whose results were synthesized. A worker whose cursor is not
-    /// at `seq` is still busy on an earlier entry, not stuck in this one:
-    /// it steps over the abandoned entry when it gets there, and a
-    /// successor would run the entries in between a second time. Returns
-    /// how many were replaced. Lock order: the launch's `done`, then the
-    /// device's state.
+    /// `seq`, whose results were synthesized. A worker whose cursor is
+    /// not in the run that holds `seq` — at `seq` itself, or for a
+    /// CPU-implicit launch, whose run a worker goes through without moving
+    /// its cursor, anywhere from the run's first entry to `seq` — is still
+    /// busy on an earlier entry, not stuck in this one: it steps over the
+    /// abandoned entry when it gets there, and a successor would run the
+    /// entries in between a second time. Returns how many were replaced.
+    /// Lock order: the launch's `done`, then the device's state.
     fn replace(self: &Arc<Self>, launch: &Launch, stuck: &[usize], seq: u64) -> usize {
         let mut st = self.state.lock();
         if st.shutdown {
             return 0;
         }
+        let first = if launch.setup.pipelined() {
+            launch.seq
+        } else {
+            seq
+        };
         let mut replaced = 0;
         for &w in stuck {
             let d = (launch.offset + w) % self.workers;
-            if st.cursors[d] != seq {
+            if !(first..=seq).contains(&st.cursors[d]) {
                 continue;
             }
             st.gens[d] += 1;
@@ -636,7 +802,7 @@ impl Device {
             .lock()
             .queue
             .iter()
-            .map(|(launch, _)| launch)
+            .map(|run| &run.launch)
             .filter(|l| l.seq < seq && l.kernel.is_owned() && !l.is_done())
             .cloned()
             .collect();
@@ -683,76 +849,116 @@ fn spawn_worker(device: Arc<Device>, worker: usize, gen: u64, cursor: u64) {
 }
 
 /// Device worker `d`: take the log's entries in order, run each whose
-/// window holds `d` as the launch's local worker, and step over the rest.
+/// window holds `d` as the launch's local worker, and step over the rest —
+/// a whole run at a time where none of it is this worker's to run.
 fn worker_loop(device: &Arc<Device>, d: usize, gen: u64, mut cursor: u64) {
+    let mut st = device.state.lock();
     loop {
-        // Warm handoff: poll the published sequence number before taking
-        // the lock; shutdown and the generation are read only under it, so
-        // a drop or a replacement is noticed one yield bound later at most.
-        yield_until(|| device.next_seq.load(Ordering::Acquire) > cursor);
-        let (launch, base) = {
-            let mut st = device.state.lock();
-            loop {
-                if st.shutdown || st.gens[d] != gen {
-                    return;
-                }
-                if cursor < st.next_seq {
-                    let (launch, base) = &st.queue[(cursor - st.first_seq) as usize];
-                    break (Arc::clone(launch), *base);
-                }
+        if st.shutdown || st.gens[d] != gen {
+            return;
+        }
+        if cursor >= st.next_seq {
+            // Warm handoff: poll the published sequence number without the
+            // lock; shutdown and the generation are read only under it, so
+            // a drop or a replacement is noticed one yield bound later at
+            // most.
+            drop(st);
+            yield_until(|| device.next_seq.load(Ordering::Acquire) > cursor);
+            st = device.state.lock();
+            if cursor >= st.next_seq && !st.shutdown && st.gens[d] == gen {
                 st.parked += 1;
                 device.cv.wait(&mut st);
                 st.parked -= 1;
             }
-        };
-        // Step over a launch whose window this worker is outside, and one
-        // the host already gave up on: its results were synthesized.
-        // Acquire pairs with the Release in `abandon`; a worker that
-        // misses the flag fails fast on the poisoned barrier and its late
-        // report is dropped.
+            continue;
+        }
+        let (launch, mut base, run_end) = st.entry(cursor);
+        drop(st);
+        // Run the rest of the entry's run — one entry, or the remaining
+        // rounds of a CPU-implicit launch, back to back without the lock:
+        // the next entry's gate orders them — and step over it where it is
+        // not this worker's to run: outside the launch's window, or once
+        // the launch is over. It is over when the host gave up on it (its
+        // results were synthesized) or it settled, or — past the first
+        // entry of this pass — a CPU-implicit launch failed before its
+        // last round. A failed launch never moves past the entry it waits
+        // on, and a worker leaves it only once it has reported that entry
+        // (`run_launch` reports every entry it is handed, a failed one at
+        // its gate): a worker that reaches the run late, after a peer's
+        // assembly fault, still owes the first entry, and every later
+        // entry's gate needs this worker's check-in to open. Acquire pairs
+        // with the Release in `abandon`; a worker that misses the flag
+        // fails fast on the poisoned barrier and its late report is
+        // dropped.
+        let settled = || launch.abandoned.load(Ordering::Acquire) || launch.is_done();
+        let failed = || launch.setup.pipelined() && launch.setup.abort.is_aborted();
         if let Some(w) = launch.local(d, device.workers) {
-            if !launch.abandoned.load(Ordering::Acquire) {
-                run_launch(device, &launch, cursor, base, w);
+            for seq in cursor..run_end {
+                if settled() || (seq > cursor && failed()) {
+                    break;
+                }
+                run_launch(device, &launch, seq, base, w);
+                base += 1;
             }
         }
-        cursor += 1;
-        let mut st = device.state.lock();
+        st = device.state.lock();
         if st.gens[d] != gen {
             return; // replaced while running: the successor owns the cursor
         }
+        cursor = run_end;
         st.cursors[d] = cursor;
-        let min = st.cursors.iter().copied().min().unwrap_or(cursor);
-        while st.first_seq < min && !st.queue.is_empty() {
-            st.queue.pop_front();
-            st.first_seq += 1;
-        }
+        st.prune();
     }
 }
 
-/// Fire `block`'s scheduled assembly-phase fault of `kind`, on its
-/// worker, *before* the worker checks in at the gate of entry `seq`, so
-/// peers observe it as never-assembled. An error is the launch's origin
-/// error, and ends the worker's part of the entry.
-fn assembly_fault(
+/// Where on a launch boundary a fault fires, on its block's worker.
+#[derive(Clone, Copy)]
+enum Boundary {
+    /// Before the worker checks in at the gate of the launch's first
+    /// entry, `seq`: an assembly-phase fault.
+    Gate { seq: u64 },
+    /// Under CPU-implicit, after the bodies of round `round` (entry `seq`)
+    /// and before the worker reports the entry, on the way into the kernel
+    /// boundary — the next entry's gate, or in the last round the host's
+    /// join: a wait-phase fault.
+    After { seq: u64, round: usize },
+}
+
+/// Fire `block`'s scheduled fault of `kind` at `at`, on its worker, so
+/// peers observe the worker as never through the boundary. An error is the
+/// launch's origin error, and ends the worker's part of the entry.
+fn boundary_fault(
     launch: &Launch,
-    seq: u64,
+    at: Boundary,
     block: usize,
     kind: FaultKind,
 ) -> Result<(), ExecError> {
     let setup = &launch.setup;
+    let round = match at {
+        Boundary::Gate { .. } => 0,
+        Boundary::After { round, .. } => round,
+    };
     match kind {
         FaultKind::Panic => {
-            // A worker thread must not unwind, so an assembly "panic" is
+            // A worker thread must not unwind, so a boundary "panic" is
             // reported directly: poison + abort so peers drain, and the
-            // origin error names the assembly site.
+            // origin error names the site.
             if let Some(sh) = setup.barrier.as_deref() {
-                sh.poison(block, 0, PoisonCause::Panic);
+                sh.poison(block, round, PoisonCause::Panic);
             }
             setup.abort.abort();
+            let message = match at {
+                Boundary::Gate { .. } => {
+                    format!("injected fault: block {block} during pooled assembly")
+                }
+                Boundary::After { .. } => {
+                    format!("injected fault: block {block} entering the kernel boundary")
+                }
+            };
             Err(ExecError::BlockPanicked {
                 block,
-                round: 0,
-                message: format!("injected fault: block {block} during pooled assembly"),
+                round,
+                message,
             })
         }
         FaultKind::Delay(by) | FaultKind::Stall(by) => {
@@ -760,8 +966,8 @@ fn assembly_fault(
             Ok(())
         }
         FaultKind::Straggler => {
-            // Cooperative: hold off checking in until a peer's gate
-            // deadline fails the launch (or the backstop trips), then
+            // Cooperative: hold off until a peer's gate deadline or the
+            // host's join fails the launch (or the backstop trips), then
             // report this block's own Assembly-phase origin error.
             let backstop = effective_backstop(&setup.policy);
             let start = Instant::now();
@@ -774,7 +980,7 @@ fn assembly_fault(
             while !setup.abort.is_aborted() && !poisoned() {
                 if start.elapsed() >= backstop {
                     if let Some(sh) = setup.barrier.as_deref() {
-                        sh.poison(block, 0, PoisonCause::Timeout);
+                        sh.poison(block, round, PoisonCause::Timeout);
                     }
                     setup.abort.abort();
                     break;
@@ -782,9 +988,14 @@ fn assembly_fault(
                 std::thread::sleep(Duration::from_micros(200));
             }
             let timeout = setup.policy.timeout.unwrap_or_default();
-            Err(ExecError::BarrierTimeout {
-                diagnostic: launch.assembly_diagnostic(seq, 0, block, timeout),
-            })
+            let diagnostic = match at {
+                Boundary::Gate { seq } => launch.gate_diagnostic(seq, 0, block, timeout),
+                Boundary::After { seq, round } => {
+                    let reported = launch.done.lock().reported.clone();
+                    launch.boundary_diagnostic(seq, round, block, timeout, &reported)
+                }
+            };
+            Err(ExecError::BarrierTimeout { diagnostic })
         }
     }
 }
@@ -795,7 +1006,8 @@ fn assembly_fault(
 /// off to the engine's round loop — [`drive_fold`] for a worker of a
 /// folded launch with a barrier, else [`drive_block`] per hosted block.
 /// The pooled strategy contributes only the `t_O` accounting, the
-/// assembly phase and `CpuExplicit`'s join here.
+/// assembly phase and the CPU methods' kernel boundary here. Every path
+/// reports the entry.
 fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, worker: usize) {
     // Alive for this whole function: an owned kernel by the launch log's
     // `Arc`, a borrowed one because the borrowing call (`GridRuntime::run`,
@@ -809,7 +1021,7 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
     if let Some(faults) = setup.faults.as_deref().filter(|_| base == 0) {
         for block in setup.hosted(worker) {
             if let Some(f) = faults.fault_at(block, 0, FaultPhase::Assembly) {
-                if let Err(e) = assembly_fault(launch, seq, block, f.kind) {
+                if let Err(e) = boundary_fault(launch, Boundary::Gate { seq }, block, f.kind) {
                     launch.record_result(device, worker, Err(e));
                     return;
                 }
@@ -819,11 +1031,15 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
     // Assembly gate with an abort escape so peers of an already-failed
     // launch don't spin forever waiting for a worker that will never
     // come, and — with a policy timeout — a deadline that converts a
-    // peer stuck *before* the gate into an assembly-phase failure.
+    // peer stuck *before* the gate into an assembly-phase failure. Under
+    // the CPU methods the gate of entry r + 1 is the kernel boundary.
     let opens_at = workers * (base + 1);
-    launch.checked_in[worker].store(base + 1, Ordering::Release);
+    launch.checked_in[worker]
+        .word
+        .store(base + 1, Ordering::Release);
     launch.gate.fetch_add(1, Ordering::AcqRel);
     let mut stuck_since: Option<Instant> = None;
+    let mut expired = None;
     let mut polls = 0u32;
     while launch.gate.load(Ordering::Acquire) < opens_at {
         if setup.abort.is_aborted() {
@@ -841,16 +1057,19 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
                     let Some(stuck) = (0..workers).find(|&w| !launch.assembled(w, base)) else {
                         continue; // everyone checked in; the gate is about to open
                     };
+                    let block = launch.assembling(stuck);
                     // Poison + abort only: this observer (and every peer)
                     // falls through to its round loop and fails fast with
-                    // a derived error, setting `first_failure`; the stuck
-                    // worker's report stays missing so the handle's
+                    // a derived error, setting `first_failure` — without a
+                    // barrier, it reports the gate's timeout instead; the
+                    // stuck worker's report stays missing so the handle's
                     // abandonment synthesizes the Assembly-phase origin
                     // error and replaces it — one self-heal path for
                     // stuck assembly and stuck rounds alike.
                     if let Some(sh) = setup.barrier.as_deref() {
-                        sh.poison(launch.assembling(stuck), 0, PoisonCause::Timeout);
+                        sh.poison(block, 0, PoisonCause::Timeout);
                     }
+                    expired = Some((block, timeout));
                     setup.abort.abort();
                     break;
                 }
@@ -858,6 +1077,19 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
             _ => stuck_since = None,
         }
         gate_backoff(&mut polls);
+    }
+    if setup.per_round() && setup.abort.is_aborted() {
+        // The launch failed: no round of it runs past a gate that did not
+        // open. Whoever raised the abort reports the failure; the gate's
+        // own deadline is this worker's to report.
+        let res = match expired {
+            Some((block, timeout)) => Err(ExecError::BarrierTimeout {
+                diagnostic: launch.gate_diagnostic(seq, base, block, timeout),
+            }),
+            None => Ok(&[][..]),
+        };
+        launch.record_result(device, worker, res);
+        return;
     }
     let start = now();
     let t = BlockTimes {
@@ -888,7 +1120,7 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
         (Some(sh), Some(fold)) => {
             drive_fold(setup, kernel, worker, (sh, fold), rounds, start, times).map(|_| ())
         }
-        _ => run_in_turn(launch, kernel, worker, rounds, start, times),
+        _ => run_in_turn(launch, kernel, worker, seq, rounds, start, times),
     };
     launch.record_result(device, worker, res.map(|()| &*times));
 }
@@ -896,31 +1128,43 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
 /// The entry's rounds of every block `worker` hosts, one block after the
 /// other, through [`drive_block`]: the one block of an unfolded launch's
 /// worker, or the blocks of a folded launch without a barrier, which
-/// never meet within an entry (`NoSync`; a `CpuExplicit` entry is one
-/// round). Under `CpuExplicit` a block's round also closes its join since
-/// the last round's body — the relaunch and the wait for the slowest
-/// block — at the start of its body: `start`, the gate's opening, for the
-/// first block, and where the block before it ended for the rest.
+/// never meet within an entry (`NoSync`; a CPU method's entry is one
+/// round). Under the CPU methods a block's round also closes its join
+/// since the last round's body — the relaunch and the wait for the
+/// slowest block — at the start of its body: `start`, the gate's opening,
+/// for the first block, and where the block before it ended for the rest.
+/// Under `CpuImplicit` the blocks' wait-phase faults then fire in turn, on
+/// the way into the kernel boundary.
 fn run_in_turn(
     launch: &Launch,
     kernel: &dyn RoundKernel,
     worker: usize,
+    seq: u64,
     rounds: Range<usize>,
     start: Instant,
     times: &mut [BlockTimes],
 ) -> Result<(), ExecError> {
     let setup = &launch.setup;
-    let (base, explicit) = (rounds.start, setup.per_round());
+    let (base, per_round) = (rounds.start, setup.per_round());
     let mut at = start;
     for (block, t) in setup.hosted(worker).zip(times) {
-        if explicit && base > 0 {
+        if per_round && base > 0 {
             t.sync += launch.depart(block, base - 1, at);
         }
         at = drive_block(setup, kernel, block, rounds.clone(), at, t)?;
-        if explicit && !rounds.is_empty() {
+        if per_round && !rounds.is_empty() {
             launch.arrive(block, base, at);
             if let Some(fold) = &setup.fold {
                 fold.advance(worker);
+            }
+        }
+    }
+    let wait_faults = setup.pipelined() && !rounds.is_empty();
+    if let Some(faults) = setup.faults.as_deref().filter(|_| wait_faults) {
+        let at = Boundary::After { seq, round: base };
+        for block in setup.hosted(worker) {
+            if let Some(f) = faults.fault_at(block, base, FaultPhase::BarrierWait) {
+                boundary_fault(launch, at, block, f.kind)?;
             }
         }
     }
@@ -983,7 +1227,7 @@ fn wait_launch(
     let mut g = launch.done.lock();
     while !g.settled {
         g.waiter_parked = true;
-        // The host watches a clock only with a timeout: for `CpuExplicit`'s
+        // The host watches a clock only with a timeout: for a CPU method's
         // join, and to abandon a stuck owned launch, this one or one ahead.
         let Some(timeout) = setup.policy.timeout else {
             launch.done_cv.wait(&mut g);
@@ -1054,9 +1298,9 @@ fn wait_launch(
 /// synthesize a timeout diagnostic naming the block each is stuck in, and
 /// give it to every block the worker hosts; poison the launch so
 /// stragglers that eventually wake fail fast, settle the launch, and
-/// replace the workers stuck in it. Poisoning goes through the
-/// [`crate::BarrierShared::poison`] hook so barriers whose waiters sleep
-/// (the CPU-implicit condvar rendezvous) are woken, not just flagged.
+/// replace the workers stuck in it. A worker held on a launch boundary
+/// (before the gate, or on its way into a CPU method's kernel boundary)
+/// is reported in the assembly phase.
 fn abandon(device: &Arc<Device>, launch: &Arc<Launch>, g: &mut LaunchDone, timeout: Duration) {
     let setup = &launch.setup;
     launch.abandoned.store(true, Ordering::Release);
@@ -1067,21 +1311,22 @@ fn abandon(device: &Arc<Device>, launch: &Arc<Launch>, g: &mut LaunchDone, timeo
         if g.reported[w] {
             continue;
         }
-        // A worker that never even checked in at the assembly gate was
-        // stuck *before* round 0 — report the assembly phase (with the
-        // gate's check-in bits as its progress table) so the diagnostic
-        // does not masquerade as a round-0 body fault.
-        let assembled = launch.assembled(w, g.base);
-        let b = match &setup.fold {
-            _ if !assembled => launch.assembling(w),
-            Some(fold) => fold.current(w),
-            None => w,
-        };
-        let round = if assembled { arrivals[b] as usize } else { 0 };
-        if let Some(sh) = setup.barrier.as_deref() {
-            sh.poison(b, round, PoisonCause::Timeout);
-        }
-        let diagnostic = if assembled {
+        // A worker held on a launch boundary — it never even checked in
+        // at the assembly gate, or it is on its way into the kernel
+        // boundary — is reported in the assembly phase, so the diagnostic
+        // does not masquerade as a body fault.
+        let diagnostic = if let Some(mut d) = launch.held_diagnostic(g, w, timeout) {
+            if let Some(sh) = setup.barrier.as_deref() {
+                sh.poison(d.waiting_block, d.round, PoisonCause::Timeout);
+            }
+            d.flag = format!("{}: abandoned; worker replaced", d.flag);
+            d
+        } else {
+            let b = setup.fold.as_ref().map_or(w, |fold| fold.current(w));
+            let round = arrivals[b] as usize;
+            if let Some(sh) = setup.barrier.as_deref() {
+                sh.poison(b, round, PoisonCause::Timeout);
+            }
             Box::new(StuckDiagnostic {
                 barrier: launch.label(),
                 waiting_block: b,
@@ -1097,13 +1342,6 @@ fn abandon(device: &Arc<Device>, launch: &Arc<Launch>, g: &mut LaunchDone, timeo
                     .unwrap_or_default(),
                 phase: StuckPhase::Barrier,
             })
-        } else {
-            let mut d = launch.assembly_diagnostic(g.entry_seq, g.base, b, timeout);
-            d.flag = format!(
-                "launch {} abandoned in assembly; worker replaced",
-                g.entry_seq
-            );
-            d
         };
         let err = ExecError::BarrierTimeout { diagnostic };
         for block in setup.hosted(w) {
@@ -1224,17 +1462,19 @@ impl GridRuntime {
     }
 
     /// This runtime's launches still pending (submitted but not yet
-    /// completed by every block). Counted from completion state, not
-    /// worker cursors — a worker advances its cursor slightly after the
-    /// host can observe the launch's results.
+    /// completed by every block) — launches, not log entries, whatever the
+    /// method: a CPU-method launch of R rounds counts once. Counted from
+    /// completion state, not worker cursors — a worker advances its cursor
+    /// slightly after the host can observe the launch's results.
     pub fn queue_depth(&self) -> usize {
         let st = self.device.state.lock();
-        // A `CpuExplicit` launch may hold several entries of the log.
+        // A `CpuExplicit` launch may hold several runs of the log.
         let mut pending: Vec<*const Launch> = st
             .queue
             .iter()
-            .filter(|(l, _)| Arc::ptr_eq(&l.grid, &self.grid) && !l.is_done())
-            .map(|(l, _)| Arc::as_ptr(l))
+            .map(|run| &run.launch)
+            .filter(|l| Arc::ptr_eq(&l.grid, &self.grid) && !l.is_done())
+            .map(Arc::as_ptr)
             .collect();
         pending.sort_unstable();
         pending.dedup();
@@ -1251,7 +1491,10 @@ impl GridRuntime {
     }
 
     /// Log entries this runtime appended: one per launch, one per round
-    /// under `CpuExplicit`.
+    /// under the CPU methods. A `CpuImplicit` launch of R rounds counts R
+    /// as soon as it is submitted (its entries are published at submit); a
+    /// `CpuExplicit` one counts each round's entry when the round before
+    /// it finished.
     pub fn launches(&self) -> u64 {
         self.grid.entries.load(Ordering::Relaxed)
     }
@@ -1327,13 +1570,19 @@ impl GridRuntime {
     }
 
     /// Stamp out the launch (running the kernel's `on_launch`), place its
-    /// window, publish its first entry to the log, and wake or — for the
-    /// device's launch 0 — spawn the workers.
+    /// window, publish its first entry to the log — every round's under
+    /// `CpuImplicit` — and wake or, for the device's launch 0, spawn the
+    /// workers.
     fn enqueue(&self, kernel: KernelRef) -> Arc<Launch> {
         let device = &self.device;
         let workers = fold_width(self.config().n_blocks);
         let setup = self.grid.plan.setup(kernel.get(), workers);
         let n = setup.n;
+        let entries = if setup.pipelined() {
+            setup.rounds.max(1) as u64
+        } else {
+            1
+        };
         let mut st = device.state.lock();
         let seq = st.next_seq;
         let min = st.cursors.iter().copied().min().unwrap_or(seq);
@@ -1356,9 +1605,9 @@ impl GridRuntime {
             },
             gate: AtomicUsize::new(0),
             entered: AtomicUsize::new(0),
-            checked_in: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
+            checked_in: (0..workers).map(|_| Spaced::default()).collect(),
             arrived: if setup.per_round() {
-                (0..n).map(|_| AtomicU64::new(0)).collect()
+                (0..n).map(|_| Spaced::default()).collect()
             } else {
                 Vec::new()
             },
@@ -1380,7 +1629,7 @@ impl GridRuntime {
             abandoned: AtomicBool::new(false),
             setup,
         });
-        device.push(st, Arc::clone(&launch), 0);
+        device.push(st, Arc::clone(&launch), 0, entries);
         if seq == 0 {
             for d in 0..device.workers {
                 spawn_worker(Arc::clone(device), d, 0, 0);
@@ -1608,8 +1857,9 @@ mod tests {
 
     /// Back-to-back submits pipeline through the launch log and each
     /// resolves in order — under `CpuImplicit` the log *is* the paper's
-    /// implicit sync, and `CpuExplicit`'s later rounds interleave with the
-    /// other launches' entries.
+    /// implicit sync, every launch's rounds published at submit, and
+    /// `CpuExplicit`'s later rounds interleave with the other launches'
+    /// entries.
     #[test]
     fn pipelined_submits_all_complete_in_order() {
         for method in [
@@ -1631,16 +1881,17 @@ mod tests {
                 .map(|k| rt.submit(Arc::clone(k)).unwrap())
                 .collect();
             let explicit = method == SyncMethod::CpuExplicit;
+            let entries = if method.is_cpu_side() { 20 } else { 1 };
             for (i, h) in handles.into_iter().enumerate() {
                 let seq = h.seq();
-                assert!(explicit || seq == i as u64, "{method}");
+                assert!(explicit || seq == i as u64 * entries, "{method}");
                 let stats = h.wait().unwrap();
                 assert_eq!(stats.method, method.to_string());
                 let p = stats.pool.as_ref().unwrap();
                 assert_eq!((p.launch_seq, p.cold), (seq, i == 0), "{method}");
                 assert!(kernels[i].slots.to_vec().iter().all(|&v| v == 20));
             }
-            assert_eq!(rt.launches(), if explicit { 80 } else { 4 });
+            assert_eq!(rt.launches(), 4 * entries, "{method}");
         }
     }
 

@@ -30,10 +30,10 @@ pub struct BlockTimes {
     /// Time the block spent arriving at / waiting in barriers (`t_S`
     /// aggregate). Untraced, the waits timed exactly plus the mean timed
     /// short wait for each short one not timed; for a block sharing its
-    /// worker, everything but its own bodies. Under CPU-explicit sync,
-    /// from the end of each round's body to the start of the next
-    /// (Eq. 3: the relaunch and the wait for the slowest block), the last
-    /// until the host observed the launch.
+    /// worker, everything but its own bodies. Under the CPU methods, from
+    /// the end of each round's body to the start of the next (Eqs. 3–4:
+    /// the relaunch and the wait for the slowest block), the last until
+    /// the host observed the launch.
     pub sync: Duration,
 }
 

@@ -57,7 +57,7 @@ pub enum TraceEventKind {
     /// The block poisoned the barrier (panic or timeout).
     Poison,
     /// The block assembled for a pool launch — the end of the warm `t_O`
-    /// window for that block; once per round under CPU-explicit sync.
+    /// window for that block; once per round under the CPU methods.
     Launch,
 }
 
@@ -283,7 +283,7 @@ impl EventRecorder {
                 .clamp(8, TraceConfig::MAX_EVENTS_PER_BLOCK)
         } else {
             // Five sampled events per round (start/end/arrive/depart, and a
-            // launch under CPU-explicit sync) plus slack for faults.
+            // launch under the CPU methods) plus slack for faults.
             (5 * rounds.div_ceil(stride) + 8).clamp(64, TraceConfig::MAX_EVENTS_PER_BLOCK)
         };
         EventRecorder {

@@ -101,7 +101,7 @@ fn panic_in_round_zero_and_last_round_are_both_caught() {
 
 /// A straggler (cooperatively-infinite loop) must trip the timeout with a
 /// diagnostic naming it — for every method. This is the test that proves
-/// the CPU-implicit condvar rendezvous also honours the deadline, not just
+/// the CPU methods' kernel boundaries also honour the deadline, not just
 /// the device-side spin barriers.
 #[test]
 fn injected_straggler_times_out_under_every_method() {

@@ -95,9 +95,9 @@ fn launch_events(t: &Telemetry) -> usize {
 }
 
 /// Log entries one launch of `rounds` rounds takes: one per round under
-/// `CpuExplicit`, one otherwise.
+/// the CPU methods, one otherwise.
 fn entries(method: SyncMethod, rounds: usize) -> usize {
-    if method == SyncMethod::CpuExplicit {
+    if method.is_cpu_side() {
         rounds
     } else {
         1

@@ -278,8 +278,8 @@ fn round_counts_are_exact_at_sixteen_x() {
     assert_eq!(counter.load(Ordering::Relaxed), (n * rounds) as u64);
 }
 
-/// Every method with inter-block ordering: the device-side barriers, the
-/// CPU-implicit rendezvous and CPU-explicit's launch per round.
+/// Every method with inter-block ordering: the device-side barriers and
+/// the CPU methods' launches per round.
 const SYNC_METHODS: [SyncMethod; 8] = [
     SyncMethod::CpuExplicit,
     SyncMethod::CpuImplicit,
@@ -380,11 +380,7 @@ fn a_folded_launch_keeps_every_block_and_runs_on_one_thread_per_worker() {
         let threads = k.threads.lock().unwrap().len();
         assert_eq!(threads, workers(n), "{method}: threads that ran a block");
         let t = stats.telemetry.as_deref().expect("tracing was configured");
-        let entries = if method == SyncMethod::CpuExplicit {
-            rounds
-        } else {
-            1
-        };
+        let entries = if method.is_cpu_side() { rounds } else { 1 };
         let waits = if method == SyncMethod::NoSync {
             0
         } else {

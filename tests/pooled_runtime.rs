@@ -14,9 +14,9 @@ use blocksync::core::{
 };
 use proptest::prelude::*;
 
-/// Every concrete method: the device-side barriers, the CPU-implicit
-/// driver rendezvous, CPU-explicit's launch per round, and the
-/// barrier-free control.
+/// Every concrete method: the device-side barriers, the CPU methods'
+/// launches per round (explicit's one at a time, implicit's all queued at
+/// submit), and the barrier-free control.
 const POOLED_METHODS: [SyncMethod; 9] = [
     SyncMethod::CpuExplicit,
     SyncMethod::GpuSimple,
@@ -155,10 +155,10 @@ fn pooled_executor_survives_injected_panics_under_every_method() {
             clean.slots.to_vec().iter().all(|&v| v == 4),
             "{method}: lost work after pool recovery"
         );
-        let faulted_entries = if method == SyncMethod::CpuExplicit {
-            4
-        } else {
-            1
+        let faulted_entries = match method {
+            SyncMethod::CpuExplicit => 4,
+            SyncMethod::CpuImplicit => 6,
+            _ => 1,
         };
         assert_eq!(
             stats.pool.as_deref().map(|p| p.launch_seq),
@@ -265,6 +265,8 @@ fn assembly_phase_fault_is_reported_as_assembly_not_round_zero() {
             assert_eq!(diagnostic.waiting_block, 2, "{diagnostic}");
             let msg = diagnostic.to_string();
             assert!(msg.contains("assembly"), "{msg}");
+            assert!(msg.contains("before round 0"), "{msg}");
+            assert!(msg.contains("assembly gate"), "{msg}");
             assert!(
                 !msg.contains("barrier round"),
                 "looks like a round wait: {msg}"
@@ -287,6 +289,10 @@ fn assembly_phase_fault_is_reported_as_assembly_not_round_zero() {
         ExecError::BarrierTimeout { diagnostic } => {
             assert_eq!(diagnostic.phase, StuckPhase::Assembly, "{diagnostic}");
             assert_eq!(diagnostic.waiting_block, 0, "{diagnostic}");
+            let msg = diagnostic.to_string();
+            assert!(msg.contains("before round 0"), "{msg}");
+            assert!(msg.contains("assembly gate"), "{msg}");
+            assert!(msg.contains("abandoned"), "{msg}");
         }
         other => panic!("expected BarrierTimeout, got {other:?}"),
     }
@@ -432,5 +438,184 @@ fn on_launch_returns_before_a_warm_worker_starts_round_zero() {
         rt.run(&k).unwrap();
         let early = k.early.load(Ordering::Relaxed);
         assert_eq!(early, 0, "run {i}: rounds ran before on_launch returned");
+    }
+}
+
+/// The workers a pool of `n` blocks runs on: one per block up to the
+/// host's cores, and at least two.
+fn workers(n: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    n.min(cores.max(2))
+}
+
+/// Per block, how many of its round bodies have returned; every body
+/// checks on entry that every block has finished the round before.
+struct Boundary {
+    done: Vec<AtomicUsize>,
+    rounds: usize,
+    /// Bodies that started while a block was not exactly one round behind
+    /// or level with them.
+    early: AtomicUsize,
+}
+
+impl RoundKernel for Boundary {
+    fn rounds(&self) -> usize {
+        self.rounds
+    }
+    fn round(&self, ctx: &BlockCtx, round: usize) {
+        // Acquire pairs with the Release below: a body that sees a peer's
+        // count sees that body's writes too.
+        let behind = self
+            .done
+            .iter()
+            .map(|d| d.load(Ordering::Acquire))
+            .any(|d| d < round || d > round + 1);
+        if behind {
+            self.early.fetch_add(1, Ordering::Relaxed);
+        }
+        self.done[ctx.block_id].store(round + 1, Ordering::Release);
+    }
+}
+
+/// CPU-implicit's kernel boundary is the next round's assembly gate: no
+/// block's round r + 1 body starts before every block's round-r body has
+/// returned — one block per worker, and folded four blocks per worker.
+#[test]
+fn cpu_implicit_never_starts_a_round_before_the_last_one_finished() {
+    let w = workers(usize::MAX);
+    for n in [w, 4 * w] {
+        let rt = GridRuntime::new(GridConfig::new(n, 8), SyncMethod::CpuImplicit).unwrap();
+        for _ in 0..3 {
+            let k = Boundary {
+                done: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+                rounds: 500,
+                early: AtomicUsize::new(0),
+            };
+            rt.run(&k).unwrap();
+            assert_eq!(k.early.load(Ordering::Relaxed), 0, "{n} blocks");
+            assert!(k.done.iter().all(|d| d.load(Ordering::Relaxed) == 500));
+        }
+    }
+}
+
+/// All R log entries of a CPU-implicit launch are published at submit:
+/// `launches()` counts them before the launch's first round has returned.
+#[test]
+fn cpu_implicit_publishes_every_round_at_submit() {
+    const R: usize = 40;
+    let rt = GridRuntime::new(GridConfig::new(2, 8), SyncMethod::CpuImplicit).unwrap();
+    let release = Arc::new(AtomicBool::new(false));
+    let held = Arc::clone(&release);
+    let kernel = Arc::new((R, move |_: &BlockCtx, round: usize| {
+        while round == 0 && !held.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }));
+    let handle = rt.submit(kernel).unwrap();
+    assert_eq!(rt.launches(), R as u64);
+    assert!(!handle.is_done());
+    release.store(true, Ordering::Release);
+    let stats = handle.wait().unwrap();
+    assert_eq!(stats.rounds, R);
+    assert_eq!(rt.launches(), R as u64);
+    assert_eq!(rt.queue_depth(), 0);
+}
+
+/// A CPU-implicit wait-phase fault fires on the way into the kernel
+/// boundary: a panic there names its block and round; a straggler or a
+/// stall there times out in the assembly phase naming the same block and
+/// round — in a middle round at the next round's gate, in the last at the
+/// host's join — and the pool serves on.
+#[test]
+fn cpu_implicit_wait_phase_faults_surface_at_the_kernel_boundary() {
+    let timeout = Duration::from_millis(80);
+    let cfg = GridConfig::new(4, 8).with_policy(SyncPolicy::with_timeout(timeout));
+    let rt = GridRuntime::new(cfg, SyncMethod::CpuImplicit).unwrap();
+    let serves = |what: &str| {
+        let clean = Arc::new(Increment::new(4, 3));
+        rt.submit(Arc::clone(&clean))
+            .and_then(|h| h.wait())
+            .unwrap_or_else(|e| panic!("{what}: clean launch after the fault: {e}"));
+        assert!(clean.slots.to_vec().iter().all(|&v| v == 3), "{what}");
+    };
+    for (block, round) in [(1, 2), (3, 5)] {
+        let faulty = |kind| {
+            Arc::new(
+                FaultInjector::new(Increment::new(4, 6), Fault::in_wait(block, round, kind))
+                    .with_policy(SyncPolicy::with_timeout(timeout)),
+            )
+        };
+        let what = format!("panic at block {block} after round {round}");
+        match rt.submit(faulty(FaultKind::Panic)).unwrap().wait() {
+            Err(ExecError::BlockPanicked {
+                block: b, round: r, ..
+            }) => {
+                assert_eq!((b, r), (block, round), "{what}");
+            }
+            other => panic!("{what}: expected BlockPanicked, got {other:?}"),
+        }
+        serves(&what);
+        for kind in [
+            FaultKind::Straggler,
+            FaultKind::Stall(stall_duration(timeout)),
+        ] {
+            let what = format!("{kind:?} at block {block} after round {round}");
+            match rt.submit(faulty(kind)).unwrap().wait() {
+                Err(ExecError::BarrierTimeout { diagnostic }) => {
+                    assert_eq!(
+                        diagnostic.phase,
+                        StuckPhase::Assembly,
+                        "{what}: {diagnostic}"
+                    );
+                    assert_eq!(diagnostic.waiting_block, block, "{what}: {diagnostic}");
+                    assert_eq!(diagnostic.round, round, "{what}: {diagnostic}");
+                    assert_eq!(diagnostic.stragglers(), vec![block], "{what}: {diagnostic}");
+                    let msg = diagnostic.to_string();
+                    assert!(
+                        msg.contains(&format!("after round {round}")),
+                        "{what}: {msg}"
+                    );
+                    assert!(msg.contains("kernel boundary"), "{what}: {msg}");
+                }
+                other => panic!("{what}: expected BarrierTimeout, got {other:?}"),
+            }
+            serves(&what);
+        }
+    }
+}
+
+/// A worker still busy on an earlier CPU-implicit launch reaches the next
+/// one only after a peer's assembly panic failed it. It still reports the
+/// launch's first entry, so with no policy timeout the launch settles and
+/// names the panicking block instead of leaving its waiter asleep.
+#[test]
+fn cpu_implicit_launch_failed_before_a_late_worker_arrives_still_settles() {
+    const R: usize = 4;
+    let rt = GridRuntime::new(GridConfig::new(2, 8), SyncMethod::CpuImplicit).unwrap();
+    for i in 0..3 {
+        // Block 1's last round holds its worker while block 0's worker
+        // moves on to the next launch and panics in its assembly.
+        let slow = Arc::new((R, |ctx: &BlockCtx, round: usize| {
+            if ctx.block_id == 1 && round == R - 1 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }));
+        let first = rt.submit(slow).unwrap();
+        let faulty = Arc::new(FaultInjector::new(
+            Increment::new(2, 3),
+            Fault::in_assembly(0, FaultKind::Panic),
+        ));
+        let second = rt.submit(faulty).unwrap();
+        first.wait().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(second.wait()).unwrap());
+        match rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(Err(ExecError::BlockPanicked { block: 0, .. })) => {}
+            Ok(other) => panic!("run {i}: expected BlockPanicked on block 0, got {other:?}"),
+            Err(_) => panic!("run {i}: the failed launch never settled"),
+        }
+        let clean = Arc::new(Increment::new(2, 3));
+        rt.submit(Arc::clone(&clean)).unwrap().wait().unwrap();
+        assert!(clean.slots.to_vec().iter().all(|&v| v == 3), "run {i}");
     }
 }
