@@ -37,17 +37,18 @@ fn sync_policy(a: &Args) -> Result<SyncPolicy, String> {
     })
 }
 
-/// `--runtime` is gone: which launch cost a run pays is the command, not
-/// a flag. `Args` ignores unknown flags silently, so the host-runtime
+/// `--runtime` is gone: every launch runs on the process's one device,
+/// and whether a grid is kept for many launches is the command, not a
+/// flag. `Args` ignores unknown flags silently, so the host-runtime
 /// commands that used to read it refuse it by name instead of quietly
-/// running cold.
+/// ignoring it.
 fn reject_runtime_flag(a: &Args) -> Result<(), String> {
     if a.has("runtime") {
         return Err(
-            "--runtime was removed: this command always launches cold (fresh block threads \
-             per run); warm launches live in `blocksync metrics`, `blocksync serve` and the \
-             `GridRuntime` API"
-                .into(),
+            "--runtime was removed: this command launches one kernel through `LaunchPlan`; \
+             kept grids live in `blocksync metrics`, `blocksync serve` and the `GridRuntime` \
+             API"
+            .into(),
         );
     }
     Ok(())

@@ -143,8 +143,10 @@ METHODS:
   `auto` times every method once per block count per process and runs the
   cheapest one (see `blocksync tune`).
 
-  sort/align/fft/scan/micro/trace launch cold: fresh block threads per run,
-  the full t_O every time. Warm launches (resident workers, t_O paid once)
-  are `metrics` and `serve`, or `GridRuntime`/`GridService` in code."
+  Every launch in a process runs on its one device of max(2, cores)
+  workers, which its first launch spawns: only that launch's t_O includes
+  the spawns. sort/align/fft/scan/micro/trace launch one kernel through
+  `LaunchPlan`; `metrics` and `serve` keep grids for many launches, as
+  `GridRuntime`/`GridService` do in code."
     );
 }

@@ -159,8 +159,8 @@ fn host_table(n: usize) -> Vec<MethodPrediction> {
 /// round of an empty kernel — its `t_S` and the round loop's own few
 /// nanoseconds, the same under every method — through [`LaunchPlan`]
 /// under the default policy, with no trace (each probe's plan observes
-/// into its own throwaway observer): an unpinned cold launch, which is
-/// what the `Auto` caller about to run gets. Not `sync` alone: untraced,
+/// into its own throwaway observer): an unpinned plan launch on the
+/// process device, which is what the `Auto` caller about to run gets. Not `sync` alone: untraced,
 /// that is a sample (DESIGN.md §10), and a row that read low by chance
 /// would win the table; `compute + sync` is the entry's span, exact.
 fn time_host_rows(n: usize) -> Vec<MethodPrediction> {

@@ -77,6 +77,8 @@ thread_local! {
     pub(crate) static PAUSES: Cell<Pauses> = const {
         Cell::new(Pauses { spins: 0, yields: 0, parks: 0 })
     };
+    /// Device worker threads this thread spawned (`runtime::spawn_worker`).
+    pub(crate) static SPAWNS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The pauses a thread's waits made, by kind (test-only).

@@ -44,7 +44,7 @@ use crate::fault::{Fault, FaultInjector, FaultKind, FaultProfile, FaultSchedule,
 use crate::gmem::GlobalBuffer;
 use crate::method::SyncMethod;
 use crate::obs::{LaunchRecord, MetricsSnapshot, Observer};
-use crate::runtime::fold_width;
+use crate::runtime::{fold_width, Device};
 use crate::service::{GridService, ServiceConfig, ServiceHandle, ShardKey};
 use crate::trace::TraceConfig;
 
@@ -113,7 +113,7 @@ pub struct ChaosLaunch {
     pub error: Option<ExecError>,
     /// The scheduled faults (empty for clean launches).
     pub faults: Vec<Fault>,
-    /// Per-worker generation counters of the service's device after this
+    /// Per-worker generation counters of the process device after this
     /// launch settled.
     pub generations: Vec<u64>,
     /// Worker replacements this launch's settling caused (sum of
@@ -137,7 +137,7 @@ pub struct ChaosReport {
     /// Fault-free launches (expected to succeed bit-identically).
     pub clean: usize,
     /// Total worker replacements observed (sum of the device's
-    /// generation-counter advances).
+    /// generation-counter advances during the soak).
     pub replacements: u64,
     /// Invariant violations, one line each. Empty = passed.
     pub failures: Vec<String>,
@@ -393,9 +393,10 @@ impl ChaosConfig {
             .iter()
             .map(|&k| (k, MixKernel::expected(k.blocks, self.rounds)))
             .collect();
-        // Every shard's launches run on the service's one device, so one
-        // tracker, per worker of it.
-        let mut tracker = GenTracker::new(svc.generations().len());
+        // Every shard's launches run on the process's one device, so one
+        // tracker, per worker of it, from where earlier launches left it.
+        let mut tracker = GenTracker::new(Device::for_host().generations());
+        let replaced_before: u64 = tracker.last.iter().sum();
         // Plan every launch up front from the seed: routing, class, and
         // schedule all derive from the one u64.
         let plans: Vec<(ShardKey, Planned)> = (0..self.launches)
@@ -452,7 +453,7 @@ impl ChaosConfig {
                     &expected[&key],
                     i,
                     plan,
-                    (&mut tracker, svc.generations()),
+                    (&mut tracker, Device::for_host().generations()),
                     &label,
                     res,
                 );
@@ -499,7 +500,8 @@ impl ChaosConfig {
             }
         }
         report.launches = self.launches;
-        report.replacements = svc.generations().iter().sum();
+        report.replacements =
+            Device::for_host().generations().iter().sum::<u64>() - replaced_before;
         report.metrics = Some(Box::new(svc.observer().snapshot()));
         Ok(report)
     }
@@ -574,10 +576,10 @@ struct GenTracker {
 }
 
 impl GenTracker {
-    fn new(workers: usize) -> Self {
+    fn new(gens: Vec<u64>) -> Self {
         GenTracker {
-            watermark: vec![0; workers],
-            last: vec![0; workers],
+            watermark: gens.clone(),
+            last: gens,
         }
     }
 }

@@ -289,7 +289,7 @@ mod tests {
         }
     }
 
-    /// One cold launch: compile, then run.
+    /// One plan launch: compile, then run.
     fn run<K: RoundKernel>(
         cfg: GridConfig,
         method: SyncMethod,

@@ -137,7 +137,7 @@ impl Fault {
     /// Whether this fault alone must fail the launch. A [`FaultKind::Delay`]
     /// is benign (absorbed, as long as it stays under the policy timeout);
     /// everything else kills the launch.
-    pub fn is_fatal(&self) -> bool {
+    pub(crate) fn is_fatal(&self) -> bool {
         !matches!(self.kind, FaultKind::Delay(_))
     }
 }
@@ -215,17 +215,12 @@ impl FaultSchedule {
     }
 
     /// The first fault scheduled for (`block`, `round`) in `phase`.
-    pub fn fault_at(&self, block: usize, round: usize, phase: FaultPhase) -> Option<&Fault> {
+    pub(crate) fn fault_at(&self, block: usize, round: usize, phase: FaultPhase) -> Option<&Fault> {
         self.faults.iter().find(|f| {
             f.block == block
                 && f.phase == phase
                 && (f.round == round || f.phase == FaultPhase::Assembly)
         })
-    }
-
-    /// Whether any scheduled fault fires in `phase`.
-    pub fn has_phase(&self, phase: FaultPhase) -> bool {
-        self.faults.iter().any(|f| f.phase == phase)
     }
 
     /// Whether this schedule must fail the launch (any fault other than a
@@ -562,8 +557,9 @@ mod tests {
             Fault::in_wait(1, 2, FaultKind::Delay(Duration::from_millis(1))),
         ]);
         assert!(!s.expects_failure());
-        assert!(s.has_phase(FaultPhase::BarrierWait));
-        assert!(!s.has_phase(FaultPhase::Assembly));
+        let has_phase = |phase| s.faults().iter().any(|f| f.phase == phase);
+        assert!(has_phase(FaultPhase::BarrierWait));
+        assert!(!has_phase(FaultPhase::Assembly));
     }
 
     #[test]

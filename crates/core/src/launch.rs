@@ -30,9 +30,9 @@
 //! …`, runs their round bodies in turn and then makes one wait on a
 //! barrier built for W. Each block keeps its own `catch_unwind`,
 //! [`BlockTimes`], trace events and fault sites, and every diagnostic
-//! names blocks, not workers (`Fold` translates). A cold
-//! [`LaunchPlan::run`] is launch 0 of a pool built for it and dropped
-//! after. Every method is one log entry per kernel except the two CPU
+//! names blocks, not workers (`Fold` translates). Every pool is the
+//! process's one device, and a [`LaunchPlan::run`] is a fresh grid on it
+//! for one kernel. Every method is one log entry per kernel except the two CPU
 //! methods, which are one entry per round with no barrier: `CpuExplicit`
 //! publishes the next only once every block finished the last, the
 //! paper's relaunch + `cudaThreadSynchronize` (§4.1), and `CpuImplicit`
@@ -59,7 +59,7 @@ use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultSchedule, WaitFaults};
 use crate::method::SyncMethod;
 use crate::obs::{LaunchRecord, Observer};
-use crate::runtime::{GridRuntime, PoolLaunchStats};
+use crate::runtime::{Device, GridRuntime, PoolLaunchStats};
 use crate::stats::{BlockTimes, KernelStats};
 use crate::trace::{EventRecorder, TraceEventKind};
 
@@ -230,11 +230,11 @@ impl KernelRef {
 ///
 /// Compile once, launch many times — each [`LaunchPlan::run`] stamps out a
 /// fresh `LaunchSetup` (barrier, recorder, abort), so faults stay
-/// per-launch, and pays the full launch overhead `t_O` of Eq. 1: a launch
-/// is launch 0 of a [`GridRuntime`] built from the plan and dropped after
-/// it, so its clock includes the worker spawns. Warm launches are a
-/// different type ([`GridRuntime`], [`crate::GridService`]), each holding
-/// a plan for its whole lifetime. Clones share the observer.
+/// per-launch, on a fresh grid on the process's one device: a warm
+/// dispatch, except the process's first launch, whose `t_O` includes the
+/// workers' spawns (DESIGN.md §10). [`GridRuntime`] and
+/// [`crate::GridService`] keep their grids for their whole lifetime.
+/// Clones share the observer.
 ///
 /// The engine inserts the inter-block barrier between rounds according to
 /// the method:
@@ -370,13 +370,15 @@ impl LaunchPlan {
     /// [`ExecError::BarrierTimeout`] if a barrier wait (or a CPU method's
     /// join of a round) exceeded the [`SyncPolicy`] timeout. A block stuck
     /// *inside kernel code* cannot be preempted, so a borrowed kernel that
-    /// ignores its [`AbortSignal`] holds this call; see
-    /// [`LaunchPlan::run_owned`].
+    /// ignores its [`AbortSignal`] holds this call and every later launch
+    /// in the process that needs its worker (they share one device);
+    /// [`LaunchPlan::run_owned`] is the bounded path.
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
         // SAFETY: `launch` returns only once no worker can call into a
         // borrowed kernel: the pool waits a borrowed launch out instead of
         // abandoning it.
-        GridRuntime::from_plan(self.clone()).launch(unsafe { KernelRef::borrowed(kernel) })
+        GridRuntime::on_device(self.clone(), Device::for_host(), None)
+            .launch(unsafe { KernelRef::borrowed(kernel) })
     }
 
     /// [`LaunchPlan::run`] with an *owned* kernel, which bounds the call
@@ -391,7 +393,8 @@ impl LaunchPlan {
         &self,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<KernelStats, ExecError> {
-        GridRuntime::from_plan(self.clone()).launch(KernelRef::owned(kernel))
+        GridRuntime::on_device(self.clone(), Device::for_host(), None)
+            .launch(KernelRef::owned(kernel))
     }
 }
 

@@ -37,12 +37,12 @@
 //!
 //! ## Launching
 //!
-//! A cold launch is a [`LaunchPlan`]: compile a grid and a method once
-//! (`Auto` resolves here), then every `run` pays the full launch overhead
-//! `t_O` of Eq. 1. A warm launch is a [`GridRuntime`] — workers spawned by
-//! its first launch and kept for the rest — or a [`GridService`] of them.
-//! A cold launch *is* launch 0 of a pool built for it: one spawning
-//! strategy, two lifetimes, under every method.
+//! Every launch in a process runs on its one device of `max(2, cores)`
+//! workers, as a CUDA process has one context on its GPU: only the
+//! process's first launch pays their spawns in its `t_O` (Eq. 1). A
+//! [`LaunchPlan`] compiles a grid and a method once (`Auto` resolves
+//! here), and each `run` is a fresh grid on the device; a [`GridRuntime`]
+//! keeps one grid for many launches, a [`GridService`] keeps many.
 //!
 //! ## Quick start
 //!

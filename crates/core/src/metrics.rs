@@ -112,7 +112,7 @@ impl Histogram {
     /// The raw `min` field: `u64::MAX` when empty (unlike
     /// [`Histogram::min`], which reports 0 for an empty histogram). Used
     /// for lossless export/import via [`Histogram::from_parts`].
-    pub fn raw_min(&self) -> u64 {
+    pub(crate) fn raw_min(&self) -> u64 {
         self.min
     }
 

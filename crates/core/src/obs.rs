@@ -88,8 +88,8 @@ pub struct LaunchRecord {
     pub sync: Duration,
     /// The pool's accounting — the same value as
     /// [`crate::KernelStats::pool`]: every launch runs on a
-    /// [`crate::GridRuntime`], cold launches included (launch 0 of a pool
-    /// built for them). `None` only on a record built by hand.
+    /// [`crate::GridRuntime`], a [`crate::LaunchPlan::run`]'s included (a
+    /// fresh grid for the call). `None` only on a record built by hand.
     pub pool: Option<PoolLaunchStats>,
     /// Workers replaced while settling this launch (abandon-and-replace).
     pub replacements: usize,
@@ -169,7 +169,6 @@ impl LaunchRecord {
 struct Flight {
     ring: VecDeque<LaunchRecord>,
     last_failure: Option<LaunchRecord>,
-    evicted: u64,
 }
 
 impl Flight {
@@ -179,7 +178,6 @@ impl Flight {
         }
         if self.ring.len() == FLIGHT_RECORDER_CAPACITY {
             self.ring.pop_front();
-            self.evicted += 1;
         }
         self.ring.push_back(r);
     }
@@ -294,11 +292,6 @@ impl Observer {
     /// The flight recorder's current contents, oldest first.
     pub fn recent(&self) -> Vec<LaunchRecord> {
         self.inner.lock().flight.ring.iter().cloned().collect()
-    }
-
-    /// Records evicted from the bounded ring so far.
-    pub fn evicted(&self) -> u64 {
-        self.inner.lock().flight.evicted
     }
 
     /// The most recent failed launch, kept even after ring eviction.
@@ -727,8 +720,11 @@ mod tests {
         for i in 0..(FLIGHT_RECORDER_CAPACITY + 8) {
             obs.observe(pooled_record("no-sync", 100 + i as u64, false));
         }
-        assert_eq!(obs.recent().len(), FLIGHT_RECORDER_CAPACITY);
-        assert_eq!(obs.evicted(), 9);
+        // The ring holds the newest records: the failure and the first 8
+        // pooled ones were evicted.
+        let recent = obs.recent();
+        assert_eq!(recent.len(), FLIGHT_RECORDER_CAPACITY);
+        assert_eq!(recent[0].wall, Duration::from_nanos(100 + 8));
         // The failure was evicted from the ring but survives separately.
         assert!(obs.recent().iter().all(|r| r.error.is_none()));
         assert!(obs.last_failure().is_some());

@@ -1,24 +1,22 @@
-//! Persistent grid runtime: a device of pooled workers with pipelined
-//! launches — the one strategy that spawns block threads.
+//! Persistent grid runtime: the process's one device of pooled workers,
+//! with pipelined launches — the one strategy that spawns block threads.
 //!
-//! A *device* is a set of W workers and the one launch log they consume.
-//! A [`GridRuntime`] is a grid on a device: a [`LaunchPlan`] (with its
-//! observer and, under a [`crate::GridService`], its shard label) plus an
-//! `Arc` of the device. [`GridRuntime::new`] builds a private device for
-//! its grid; a [`crate::GridService`] builds one device of W =
-//! `max(2, cores)` workers that every shard's launches run on, as a GPU
-//! runs many grids on one set of SMs.
+//! A *device* is W = `max(2, cores)` workers and the one launch log they
+//! consume; a process has one (`Device::for_host`), as a CUDA process has
+//! one context on its GPU. Its first launch spawns the workers, and it is
+//! never shut down: idle workers park, and the process exits when `main`
+//! returns. A [`GridRuntime`] is a grid on it — a [`LaunchPlan`] (with its
+//! observer and, under a [`crate::GridService`], its shard label) and a
+//! window of the device's workers — and every [`LaunchPlan::run`] is a
+//! fresh grid on it, as a GPU runs many grids on one set of SMs.
 //!
-//! A launch of `n` blocks runs on W′ = `min(n, max(2, cores))` ≤ W of its
-//! device's workers, with `cores` read from
-//! [`std::thread::available_parallelism`] when the process builds its
-//! first grid; a private device has exactly W′ workers. At `n ≤ W′` each
-//! worker is one block. Past that the grid *folds*:
-//! worker `w` hosts blocks `w, w + W′, …`, runs their round bodies in turn
+//! A grid of `n` blocks runs on W′ = `min(n, W)` workers (`cores` is read
+//! from [`std::thread::available_parallelism`] once). At `n ≤ W′` each
+//! worker is one block. Past that the grid *folds*: worker `w` hosts blocks `w, w + W′, …`, runs their round bodies in turn
 //! and makes one wait per round on a barrier among the W′ workers — the
 //! paper's loop inside a block when there is more work than SMs (§5),
 //! instead of `n` threads of which most must sleep and be woken twice a
-//! round. W′ is at least two so that a worker whose block straggles has a
+//! round. W is at least two so that a worker whose block straggles has a
 //! peer to time out on it. Parking stays, as the escalation for a core
 //! another process took. Blocks keep everything that is theirs — their
 //! `BlockCtx`, `catch_unwind`, [`BlockTimes`], trace events, fault sites
@@ -26,19 +24,12 @@
 //! (the assembly gate, who reported) is per worker, as the device's
 //! (generations, cursors) is.
 //!
-//! A device spawns its W workers when its first launch is enqueued;
-//! every later launch, whichever grid it belongs to, is a *warm* dispatch
-//! through the launch log, the
-//! pipelined-relaunch shape of the paper's CPU implicit sync
-//! (Section 4.2) applied to whole kernels instead of rounds — exactly the
-//! cost the paper's persistent-kernel design (Section 4.3) amortizes
-//! away. A cold [`LaunchPlan::run`] is launch 0 of a grid on a device
-//! built for it and dropped after it, so launch 0 pays the full `t_O` of
-//! Eq. 1: its clock starts at submit, and `launch` and `wall` include the
-//! worker spawns (DESIGN.md §10). Which of the two a caller pays is the
-//! type it holds: a [`LaunchPlan`] launches cold every time, a
-//! [`GridRuntime`] only the first time, and a [`crate::GridService`]
-//! shard only if it is the first grid its device ran.
+//! Only the process's first launch pays the spawns, inside its `t_O` of
+//! Eq. 1 (its clock starts at submit; DESIGN.md §10). Every other launch,
+//! whichever grid it belongs to, is a *warm* dispatch through the launch
+//! log — the pipelined-relaunch shape of the paper's CPU implicit sync
+//! (Section 4.2) applied to whole kernels instead of rounds, exactly the
+//! cost the paper's persistent-kernel design (Section 4.3) amortizes away.
 //!
 //! The runtime is a *strategy* over the shared launch engine: a grid holds
 //! one [`LaunchPlan`], stamps a fresh `crate::launch::LaunchSetup` per
@@ -61,18 +52,17 @@
 //!
 //! ## Placement
 //!
-//! A launch's W′ workers are a *window* of the device's W: contiguous
-//! modulo W, and starting where the previous launch's window ended
-//! (next-fit, one offset word under the device's state lock). A worker
-//! outside a launch's window only moves its cursor past the entry, so
-//! narrow launches of different grids run side by side, as concurrent
-//! grids do on disjoint SMs, and full-width launches queue in log order.
-//! Everything a launch keeps per worker is indexed by its *local* worker
-//! 0..W′; the offset is applied only where the device's workers are read
-//! or replaced. A launch of W′ = W leaves the offset where it was, so on a
-//! device whose launches are all full width — a private one, or a
-//! service's on a host of few cores — local worker `w` is device worker
-//! `w`.
+//! A grid's W′ workers are a *window* of the device's W: contiguous
+//! modulo W, starting where the previous grid's window ended (next-fit,
+//! one offset word under the device's state lock), placed when the grid is
+//! built. Every launch of the grid runs on it, so one grid's launches run
+//! in log order, as the kernels of one stream do. A worker outside a
+//! launch's window only moves its cursor past the entry, so narrow grids
+//! with disjoint windows run side by side, as concurrent grids do on
+//! disjoint SMs, and full-width launches queue in log order. Everything a
+//! launch keeps per worker is indexed by its *local* worker 0..W′; the
+//! offset is applied only where the device's workers are read or
+//! replaced. A grid of W′ = W leaves the offset where it was.
 //!
 //! A launch is one log entry, except under the two CPU methods: one per
 //! round, sharing the launch's `LaunchSetup`. Under `CpuExplicit`
@@ -105,7 +95,9 @@
 //! [`LaunchPlan::run`]) must instead wait for full completion before
 //! returning — the kernel is only guaranteed alive for the duration of the
 //! call — so they bound barrier waits (via [`crate::SyncPolicy`]) but not
-//! kernel code itself.
+//! kernel code itself. A borrowed kernel stuck in non-cooperative code
+//! therefore holds every later launch in the process that needs its
+//! worker; the owned paths are the bounded ones.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -132,23 +124,25 @@ use crate::trace::TraceEventKind;
 /// `t_O` itself is [`KernelStats::launch`] (dispatch → all workers
 /// assembled); this struct carries the queueing context around it, for
 /// the launch's first log entry (one per round under the CPU methods).
+/// The log and its sequence numbers are the process device's, shared by
+/// every grid in the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolLaunchStats {
-    /// Zero-based sequence number of this launch's first entry in its
+    /// Zero-based sequence number of this launch's first entry in the
     /// device's log, whichever grid appended the entries before it.
-    /// Sequence 0 is the device's cold launch: it spawns the workers, and
+    /// Sequence 0 is the process's cold launch: it spawns the workers, and
     /// its `launch` and `wall` include the spawns.
     pub launch_seq: u64,
-    /// Log entries of the device still pending ahead of this one at submit
-    /// time (pipelining depth). A CPU-implicit launch ahead counts all its
-    /// rounds until the last of its workers has left them.
+    /// Log entries ahead of this one at submit time whose launches had not
+    /// settled (pipelining depth), whichever grid they belong to. A
+    /// CPU-method launch ahead counts the rounds it has in the log.
     pub queue_depth: usize,
     /// Submit → first worker picked the launch up. Nonzero queueing delay
     /// means the device was still busy with earlier launches; zero for the
     /// cold launch, whose clock starts at submit.
     pub queued: Duration,
-    /// Whether this was the device's cold (first) launch. A grid's first
-    /// launch on a device that already ran is warm.
+    /// Whether this was the process's cold (first) launch. Every other
+    /// launch is warm, a grid's first included.
     pub cold: bool,
 }
 
@@ -199,11 +193,9 @@ struct Spaced<A> {
 struct Launch {
     /// Log sequence number of the launch's first entry.
     seq: u64,
-    /// The grid that submitted it: where its record goes.
+    /// The grid that submitted it: its device, its window, and where its
+    /// record goes.
     grid: Arc<Grid>,
-    /// The device worker its window starts at (see the module docs'
-    /// placement); `setup.workers` wide.
-    offset: usize,
     kernel: KernelRef,
     setup: LaunchSetup,
     queue_depth: usize,
@@ -254,10 +246,11 @@ impl Launch {
         self.settled.load(Ordering::Acquire)
     }
 
-    /// The local worker that device worker `d` of a `width`-worker device
-    /// is to this launch, if `d` is in its window.
-    fn local(&self, d: usize, width: usize) -> Option<usize> {
-        let w = (d + width - self.offset) % width;
+    /// The local worker that device worker `d` is to this launch, if `d`
+    /// is in its grid's window.
+    fn local(&self, d: usize) -> Option<usize> {
+        let width = self.grid.device.workers;
+        let w = (d + width - self.grid.offset) % width;
         (w < self.setup.workers).then_some(w)
     }
 
@@ -428,12 +421,7 @@ impl Launch {
     /// already has one (host-side abandonment racing a late worker) or the
     /// launch settled (a replaced worker waking from a stall may report
     /// long after; its report is dropped). The last report ends the entry.
-    fn record_result(
-        self: &Arc<Self>,
-        device: &Device,
-        worker: usize,
-        res: Result<&[BlockTimes], ExecError>,
-    ) {
+    fn record_result(self: &Arc<Self>, worker: usize, res: Result<&[BlockTimes], ExecError>) {
         let mut g = self.done.lock();
         if g.settled || g.reported[worker] {
             return;
@@ -458,7 +446,7 @@ impl Launch {
                 }
             }
         }
-        if g.finished < self.setup.workers || !self.end_entry(device, &mut g) {
+        if g.finished < self.setup.workers || !self.end_entry(&mut g) {
             return;
         }
         self.wake_waiter(g);
@@ -478,8 +466,8 @@ impl Launch {
     /// settle the launch, returning whether it settled. `CpuImplicit`
     /// published its entries at submit; `CpuExplicit`'s is appended here.
     /// Lock order: `done`, then the device's state. The next round's entry
-    /// runs on the launch's own window.
-    fn end_entry(self: &Arc<Self>, device: &Device, g: &mut LaunchDone) -> bool {
+    /// runs on the grid's window, as every entry of the grid does.
+    fn end_entry(self: &Arc<Self>, g: &mut LaunchDone) -> bool {
         let next = g.base + 1;
         if self.setup.per_round() && next < self.setup.rounds && g.first_failure.is_none() {
             g.base = next;
@@ -489,6 +477,7 @@ impl Launch {
             if self.setup.pipelined() {
                 g.entry_seq += 1;
             } else {
+                let device = self.grid.device;
                 let st = device.state.lock();
                 g.entry_seq = st.next_seq;
                 device.push(st, Arc::clone(self), next, 1);
@@ -577,8 +566,14 @@ impl Launch {
 }
 
 /// A grid on a device: what every launch of one [`GridRuntime`] is
-/// stamped from and reported to.
+/// stamped from, where it runs and what it is reported to.
 struct Grid {
+    /// The process device ([`Device::for_host`]); a private one only in
+    /// core's unit tests.
+    device: &'static Device,
+    /// The device worker the grid's window starts at, placed when the grid
+    /// was built (see the module docs' placement); `fold_width(n)` wide.
+    offset: usize,
     /// The pipeline every launch is stamped from. Its observer is the
     /// grid's cross-launch observability plane, fed once per completed
     /// launch by the *host* thread resolving it (never by workers — spin
@@ -596,19 +591,16 @@ struct Grid {
 }
 
 /// A device: the worker set every launch of its grids runs on, and the
-/// one launch log they consume. Workers hold an `Arc` of it, so it lives
-/// until the last of them exits; what stops them is [`Device::shutdown`],
-/// called when the device's one owner drops — a standalone
-/// [`GridRuntime`], or a [`crate::GridService`].
+/// one launch log they consume. It lives as long as the process, and so
+/// do its workers: nothing shuts it down.
 pub(crate) struct Device {
     /// W: how many workers the device has.
-    workers: usize,
+    pub(crate) workers: usize,
     state: Mutex<DeviceState>,
     cv: Condvar,
     /// Mirror of `DeviceState::next_seq`, stored (`Release`) under the
     /// state lock: what an idle worker polls (`Acquire`) before it parks
-    /// on `cv`. `shutdown` stores `u64::MAX` so a worker still polling
-    /// leaves at once.
+    /// on `cv`.
     next_seq: AtomicU64,
 }
 
@@ -630,14 +622,13 @@ struct DeviceState {
     /// passed its last entry.
     queue: VecDeque<Run>,
     next_seq: u64,
-    /// The device worker the next launch's window starts at (next-fit).
+    /// The device worker the next grid's window starts at (next-fit).
     offset: usize,
     /// Per-worker generation; bumping it retires the incumbent thread (it
     /// exits at its next dispatch point).
     gens: Vec<u64>,
     /// Per-worker launch cursor (next sequence the worker will execute).
     cursors: Vec<u64>,
-    shutdown: bool,
     /// Workers asleep on `Device::cv` (written only under this lock, so a
     /// notifier holding it knows whether anyone needs a wake).
     parked: usize,
@@ -670,8 +661,8 @@ impl DeviceState {
 
 impl Device {
     /// A device of `workers` workers, spawned by its first launch.
-    fn new(workers: usize) -> Arc<Device> {
-        Arc::new(Device {
+    fn new(workers: usize) -> Device {
+        Device {
             workers,
             state: Mutex::new(DeviceState {
                 queue: VecDeque::new(),
@@ -679,18 +670,29 @@ impl Device {
                 offset: 0,
                 gens: vec![0; workers],
                 cursors: vec![0; workers],
-                shutdown: false,
                 parked: 0,
             }),
             cv: Condvar::new(),
             next_seq: AtomicU64::new(0),
-        })
+        }
     }
 
-    /// A device as wide as the host: `max(2, cores)` workers, so any
-    /// launch runs on as many workers as it would on a device of its own.
-    pub(crate) fn for_host() -> Arc<Device> {
-        Device::new(fold_width(usize::MAX))
+    /// The process device, as wide as the host: `max(2, cores)` workers,
+    /// so any grid runs on as many workers as it would on a device of its
+    /// own. Every launch in the process runs on it; its first launch
+    /// spawns the workers.
+    pub(crate) fn for_host() -> &'static Device {
+        static HOST: OnceLock<Device> = OnceLock::new();
+        HOST.get_or_init(|| Device::new(fold_width(usize::MAX)))
+    }
+
+    /// A device as wide as the process's, of a unit test's own: no other
+    /// test moves its device-wide numbers (sequence, queue depth, parked
+    /// workers, generations, its threads' pause counts). Leaked, as the
+    /// process device lives forever.
+    #[cfg(test)]
+    pub(crate) fn private() -> &'static Device {
+        Box::leak(Box::new(Device::new(fold_width(usize::MAX))))
     }
 
     /// Append `len` entries running `launch` from round `base` to the log
@@ -724,25 +726,6 @@ impl Device {
         }
     }
 
-    /// Signal shutdown; workers exit at their next dispatch point (a
-    /// worker in a CPU-implicit launch's run, at the run's end), and a
-    /// worker still polling the log leaves at once: the mirror moves past
-    /// every cursor, so its poll succeeds and it finds `shutdown` under the
-    /// lock. Entries no worker picked up by then never run. Workers stuck
-    /// in non-cooperative kernel code are leaked rather than joined (they
-    /// hold only `Arc`s, so this is safe) — the same trade the abandon
-    /// path makes.
-    pub(crate) fn shutdown(&self) {
-        self.state.lock().shutdown = true;
-        self.next_seq.store(u64::MAX, Ordering::Release);
-        self.cv.notify_all();
-    }
-
-    /// The device's width W.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Workers asleep on the device's condvar.
     pub(crate) fn parked(&self) -> usize {
         self.state.lock().parked
@@ -764,11 +747,8 @@ impl Device {
     /// abandoned entry when it gets there, and a successor would run the
     /// entries in between a second time. Returns how many were replaced.
     /// Lock order: the launch's `done`, then the device's state.
-    fn replace(self: &Arc<Self>, launch: &Launch, stuck: &[usize], seq: u64) -> usize {
+    fn replace(&'static self, launch: &Launch, stuck: &[usize], seq: u64) -> usize {
         let mut st = self.state.lock();
-        if st.shutdown {
-            return 0;
-        }
         let first = if launch.setup.pipelined() {
             launch.seq
         } else {
@@ -776,13 +756,13 @@ impl Device {
         };
         let mut replaced = 0;
         for &w in stuck {
-            let d = (launch.offset + w) % self.workers;
+            let d = (launch.grid.offset + w) % self.workers;
             if !(first..=seq).contains(&st.cursors[d]) {
                 continue;
             }
             st.gens[d] += 1;
             st.cursors[d] = seq + 1;
-            spawn_worker(Arc::clone(self), d, st.gens[d], seq + 1);
+            spawn_worker(self, d, st.gens[d], seq + 1);
             replaced += 1;
         }
         drop(st);
@@ -796,7 +776,7 @@ impl Device {
     /// them, whichever grid it belongs to, and a dropped handle leaves
     /// nobody else to give up on it. Takes the state lock, then each
     /// candidate's `done` lock, never both at once.
-    fn abandon_stuck_before(self: &Arc<Self>, seq: u64) {
+    fn abandon_stuck_before(&self, seq: u64) {
         let ahead: Vec<Arc<Launch>> = self
             .state
             .lock()
@@ -818,7 +798,7 @@ impl Device {
             if g.settled || !overdue {
                 continue;
             }
-            abandon(self, &launch, &mut g, timeout);
+            abandon(&launch, &mut g, timeout);
             launch.wake_waiter(g);
         }
     }
@@ -830,8 +810,8 @@ impl Device {
 /// (a lone worker would wait on its own straggler forever). The one read
 /// of the host's core count in the runtime, taken when the process builds
 /// its first grid: it honours the CPU affinity the process runs under
-/// (`taskset`), and later grids, a cold launch's included, do not pay the
-/// 15–20 µs the read costs on Linux (cgroup files).
+/// (`taskset`), and later grids do not pay the 15–20 µs the read costs on
+/// Linux (cgroup files).
 pub(crate) fn fold_width(n: usize) -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores = *CORES.get_or_init(|| {
@@ -841,31 +821,32 @@ pub(crate) fn fold_width(n: usize) -> usize {
 }
 
 /// The only code that spawns a block thread.
-fn spawn_worker(device: Arc<Device>, worker: usize, gen: u64, cursor: u64) {
+fn spawn_worker(device: &'static Device, worker: usize, gen: u64, cursor: u64) {
+    #[cfg(test)]
+    crate::barrier::SPAWNS.with(|c| c.set(c.get() + 1));
     let builder = std::thread::Builder::new().name(format!("blocksync-pool-{worker}"));
     builder
-        .spawn(move || worker_loop(&device, worker, gen, cursor))
+        .spawn(move || worker_loop(device, worker, gen, cursor))
         .expect("spawning a pool worker thread failed");
 }
 
 /// Device worker `d`: take the log's entries in order, run each whose
 /// window holds `d` as the launch's local worker, and step over the rest —
 /// a whole run at a time where none of it is this worker's to run.
-fn worker_loop(device: &Arc<Device>, d: usize, gen: u64, mut cursor: u64) {
+fn worker_loop(device: &Device, d: usize, gen: u64, mut cursor: u64) {
     let mut st = device.state.lock();
     loop {
-        if st.shutdown || st.gens[d] != gen {
+        if st.gens[d] != gen {
             return;
         }
         if cursor >= st.next_seq {
             // Warm handoff: poll the published sequence number without the
-            // lock; shutdown and the generation are read only under it, so
-            // a drop or a replacement is noticed one yield bound later at
-            // most.
+            // lock; the generation is read only under it, so a replacement
+            // is noticed one yield bound later at most.
             drop(st);
             yield_until(|| device.next_seq.load(Ordering::Acquire) > cursor);
             st = device.state.lock();
-            if cursor >= st.next_seq && !st.shutdown && st.gens[d] == gen {
+            if cursor >= st.next_seq && st.gens[d] == gen {
                 st.parked += 1;
                 device.cv.wait(&mut st);
                 st.parked -= 1;
@@ -892,12 +873,12 @@ fn worker_loop(device: &Arc<Device>, d: usize, gen: u64, mut cursor: u64) {
         // dropped.
         let settled = || launch.abandoned.load(Ordering::Acquire) || launch.is_done();
         let failed = || launch.setup.pipelined() && launch.setup.abort.is_aborted();
-        if let Some(w) = launch.local(d, device.workers) {
+        if let Some(w) = launch.local(d) {
             for seq in cursor..run_end {
                 if settled() || (seq > cursor && failed()) {
                     break;
                 }
-                run_launch(device, &launch, seq, base, w);
+                run_launch(&launch, seq, base, w);
                 base += 1;
             }
         }
@@ -1008,7 +989,7 @@ fn boundary_fault(
 /// The pooled strategy contributes only the `t_O` accounting, the
 /// assembly phase and the CPU methods' kernel boundary here. Every path
 /// reports the entry.
-fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, worker: usize) {
+fn run_launch(launch: &Arc<Launch>, seq: u64, base: usize, worker: usize) {
     // Alive for this whole function: an owned kernel by the launch log's
     // `Arc`, a borrowed one because the borrowing call (`GridRuntime::run`,
     // `LaunchPlan::run`) is still blocked on this worker's `record_result`
@@ -1022,7 +1003,7 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
         for block in setup.hosted(worker) {
             if let Some(f) = faults.fault_at(block, 0, FaultPhase::Assembly) {
                 if let Err(e) = boundary_fault(launch, Boundary::Gate { seq }, block, f.kind) {
-                    launch.record_result(device, worker, Err(e));
+                    launch.record_result(worker, Err(e));
                     return;
                 }
             }
@@ -1088,7 +1069,7 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
             }),
             None => Ok(&[][..]),
         };
-        launch.record_result(device, worker, res);
+        launch.record_result(worker, res);
         return;
     }
     let start = now();
@@ -1122,7 +1103,7 @@ fn run_launch(device: &Device, launch: &Arc<Launch>, seq: u64, base: usize, work
         }
         _ => run_in_turn(launch, kernel, worker, seq, rounds, start, times),
     };
-    launch.record_result(device, worker, res.map(|()| &*times));
+    launch.record_result(worker, res.map(|()| &*times));
 }
 
 /// The entry's rounds of every block `worker` hosts, one block after the
@@ -1182,7 +1163,6 @@ fn run_in_turn(
 /// completion.
 #[must_use = "a LaunchHandle does nothing until waited"]
 pub struct LaunchHandle {
-    device: Arc<Device>,
     launch: Arc<Launch>,
 }
 
@@ -1211,15 +1191,11 @@ impl LaunchHandle {
     /// The merged per-block error of the launch, origin first — the same
     /// contract as [`LaunchPlan::run`].
     pub fn wait(self) -> Result<KernelStats, ExecError> {
-        wait_launch(&self.device, &self.launch, true)
+        wait_launch(&self.launch, true)
     }
 }
 
-fn wait_launch(
-    device: &Arc<Device>,
-    launch: &Arc<Launch>,
-    allow_abandon: bool,
-) -> Result<KernelStats, ExecError> {
+fn wait_launch(launch: &Arc<Launch>, allow_abandon: bool) -> Result<KernelStats, ExecError> {
     let setup = &launch.setup;
     // Warm handoff, caller side: poll the completion mirror, then park on
     // `done_cv` for whatever the bound did not cover.
@@ -1246,7 +1222,7 @@ fn wait_launch(
         }
         if let Some(first) = g.first_failure.filter(|_| allow_abandon) {
             if first.elapsed() > grace {
-                abandon(device, launch, &mut g, timeout);
+                abandon(launch, &mut g, timeout);
                 break;
             }
         }
@@ -1254,7 +1230,7 @@ fn wait_launch(
         // may hold the workers it needs.
         let entry_seq = g.entry_seq;
         drop(g);
-        device.abandon_stuck_before(entry_seq);
+        launch.grid.device.abandon_stuck_before(entry_seq);
         g = launch.done.lock();
     }
     let observed = now();
@@ -1301,7 +1277,7 @@ fn wait_launch(
 /// replace the workers stuck in it. A worker held on a launch boundary
 /// (before the gate, or on its way into a CPU method's kernel boundary)
 /// is reported in the assembly phase.
-fn abandon(device: &Arc<Device>, launch: &Arc<Launch>, g: &mut LaunchDone, timeout: Duration) {
+fn abandon(launch: &Arc<Launch>, g: &mut LaunchDone, timeout: Duration) {
     let setup = &launch.setup;
     launch.abandoned.store(true, Ordering::Release);
     setup.abort.abort();
@@ -1351,20 +1327,16 @@ fn abandon(device: &Arc<Device>, launch: &Arc<Launch>, g: &mut LaunchDone, timeo
         stuck.push(w);
     }
     g.finished = setup.workers;
-    launch.end_entry(device, g);
-    g.replaced = device.replace(launch, &stuck, g.entry_seq);
+    launch.end_entry(g);
+    g.replaced = launch.grid.device.replace(launch, &stuck, g.entry_seq);
 }
 
-/// A grid on a device with a pipelined launch log — the host-runtime
-/// realization of the paper's "launch the kernel only once" persistence,
-/// extended across kernels. See the module docs for the device, placement
-/// and fault-recovery design.
+/// A grid on the process device with its pipelined launch log — the
+/// host-runtime realization of the paper's "launch the kernel only once"
+/// persistence, extended across kernels. See the module docs for the
+/// device, placement and fault-recovery design.
 pub struct GridRuntime {
     grid: Arc<Grid>,
-    device: Arc<Device>,
-    /// Whether the runtime is its device's owner, and shuts it down when
-    /// dropped: a standalone runtime is, a service shard is not.
-    owns_device: bool,
 }
 
 impl std::fmt::Debug for GridRuntime {
@@ -1385,11 +1357,13 @@ impl GridRuntime {
         true
     }
 
-    /// Build the runtime on a device of its own. Its workers — one per
-    /// block up to the host's cores (at least two), past that the grid
-    /// folds onto them (see the module docs) — are spawned by its first
-    /// launch, whose stats include that cost. [`SyncMethod::Auto`]
-    /// resolves here, as in [`LaunchPlan::compile`].
+    /// Build the runtime: a grid on the process device, with its window of
+    /// the device's workers — one per block up to the host's cores (at
+    /// least two), past that the grid folds onto them (see the module
+    /// docs). Building it spawns no thread: the process's first launch,
+    /// whichever grid makes it, spawns the device's workers, and only that
+    /// launch's stats include the cost. [`SyncMethod::Auto`] resolves
+    /// here, as in [`LaunchPlan::compile`].
     ///
     /// # Errors
     /// [`ExecError::Device`] for an invalid grid shape.
@@ -1410,37 +1384,33 @@ impl GridRuntime {
     ) -> Result<GridRuntime, ExecError> {
         let mut plan = LaunchPlan::compile(cfg, method)?;
         plan.obs = obs;
-        Ok(Self::from_plan(plan))
+        Ok(Self::on_device(plan, Device::for_host(), None))
     }
 
-    /// A runtime for `plan` on a device of its own, as wide as its
-    /// launches; [`LaunchPlan`] builds one per cold launch.
-    pub(crate) fn from_plan(plan: LaunchPlan) -> GridRuntime {
-        GridRuntime {
-            device: Device::new(fold_width(plan.config().n_blocks)),
-            grid: Arc::new(Grid {
-                plan,
-                shard: None,
-                entries: AtomicU64::new(0),
-            }),
-            owns_device: true,
-        }
-    }
-
-    /// A runtime for `plan` on `device`, which someone else owns, labelling
-    /// every [`crate::LaunchRecord`] it emits with `shard` — so a
-    /// [`crate::GridService`] sharing one registry gets per-shard
+    /// A runtime for `plan` on `device`, its window placed next-fit,
+    /// labelling every [`crate::LaunchRecord`] it emits with `shard` — so
+    /// a [`crate::GridService`] sharing one registry gets per-shard
     /// `queue_depth` gauges and `shard_launches_total` counters instead of
-    /// aliased globals.
-    pub(crate) fn on_device(plan: LaunchPlan, device: &Arc<Device>, shard: String) -> GridRuntime {
+    /// aliased globals. `device` is the process device except in core's
+    /// unit tests.
+    pub(crate) fn on_device(
+        plan: LaunchPlan,
+        device: &'static Device,
+        shard: Option<String>,
+    ) -> GridRuntime {
+        // Next-fit: the window starts where the previous grid's ended.
+        let mut st = device.state.lock();
+        let offset = st.offset;
+        st.offset = (offset + fold_width(plan.config().n_blocks)) % device.workers;
+        drop(st);
         GridRuntime {
             grid: Arc::new(Grid {
+                device,
+                offset,
                 plan,
-                shard: Some(shard),
+                shard,
                 entries: AtomicU64::new(0),
             }),
-            device: Arc::clone(device),
-            owns_device: false,
         }
     }
 
@@ -1467,7 +1437,7 @@ impl GridRuntime {
     /// completion state, not worker cursors — a worker advances its cursor
     /// slightly after the host can observe the launch's results.
     pub fn queue_depth(&self) -> usize {
-        let st = self.device.state.lock();
+        let st = self.grid.device.state.lock();
         // A `CpuExplicit` launch may hold several runs of the log.
         let mut pending: Vec<*const Launch> = st
             .queue
@@ -1481,13 +1451,13 @@ impl GridRuntime {
         pending.len()
     }
 
-    /// Workers of the runtime's device currently asleep on its condvar (a
-    /// diagnostic): an idle device reaches its worker count — `n_blocks`,
-    /// or the host's cores (at least two) when the grid folds — one yield
-    /// bound after its last launch and burns no CPU from then on (a device
-    /// that never launched has no workers yet).
+    /// Workers of the process device currently asleep on its condvar (a
+    /// diagnostic): a count of the whole device, not of this grid. An idle
+    /// device reaches its worker count, `max(2, cores)`, one yield bound
+    /// after its last launch and burns no CPU from then on (before the
+    /// process's first launch it has no workers yet).
     pub fn parked_workers(&self) -> usize {
-        self.device.parked()
+        self.grid.device.parked()
     }
 
     /// Log entries this runtime appended: one per launch, one per round
@@ -1500,15 +1470,18 @@ impl GridRuntime {
     }
 
     /// Per-block worker generation counters: for each block, the
-    /// generation of the worker that hosts it on the runtime's own device.
-    /// It advances every time that worker is abandoned stuck and replaced,
-    /// so a soak harness can assert the runtime self-healed (strictly
-    /// increasing after every abandoned launch) without reaching into its
-    /// internals.
+    /// generation of the device worker that hosts it, in the grid's
+    /// window. It advances every time that worker is abandoned stuck and
+    /// replaced — by this grid's launches or another's — so a soak harness
+    /// can assert the runtime self-healed (increasing after every abandoned
+    /// launch) without reaching into its internals.
     pub fn generations(&self) -> Vec<u64> {
-        let gens = self.device.generations();
+        let Grid { device, offset, .. } = *self.grid;
+        let gens = device.generations();
         let n = self.config().n_blocks;
-        (0..n).map(|b| gens[b % fold_width(n)]).collect()
+        (0..n)
+            .map(|b| gens[(offset + b % fold_width(n)) % device.workers])
+            .collect()
     }
 
     /// Append a launch to the log and return its handle. Back-to-back
@@ -1536,20 +1509,21 @@ impl GridRuntime {
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<LaunchHandle, ExecError> {
         Ok(LaunchHandle {
-            device: Arc::clone(&self.device),
             launch: self.enqueue(KernelRef::owned(kernel)),
         })
     }
 
     /// Run a borrowed kernel on the device and block until it completes —
-    /// same signature as [`LaunchPlan::run`], warm `t_O` after the first
-    /// launch.
+    /// same signature as [`LaunchPlan::run`], warm `t_O` unless it is the
+    /// process's first launch.
     ///
     /// Because the kernel is only borrowed, this wait is *not* bounded for
     /// blocks stuck inside non-cooperative kernel code (the workers may not
     /// outlive the borrow); barrier waits are still bounded by the policy
-    /// timeout. Use [`GridRuntime::submit`] for the abandon-and-replace
-    /// watchdog.
+    /// timeout. Such a block is waited out, never abandoned, and since
+    /// every grid in the process shares the device, it holds every later
+    /// launch in the process that needs its worker. Use
+    /// [`GridRuntime::submit`] for the abandon-and-replace watchdog.
     ///
     /// # Errors
     /// Same contract as [`LaunchPlan::run`].
@@ -1566,15 +1540,14 @@ impl GridRuntime {
     /// never are.
     pub(crate) fn launch(&self, kernel: KernelRef) -> Result<KernelStats, ExecError> {
         let allow_abandon = kernel.is_owned();
-        wait_launch(&self.device, &self.enqueue(kernel), allow_abandon)
+        wait_launch(&self.enqueue(kernel), allow_abandon)
     }
 
-    /// Stamp out the launch (running the kernel's `on_launch`), place its
-    /// window, publish its first entry to the log — every round's under
-    /// `CpuImplicit` — and wake or, for the device's launch 0, spawn the
-    /// workers.
+    /// Stamp out the launch (running the kernel's `on_launch`), publish
+    /// its first entry to the log — every round's under `CpuImplicit` —
+    /// and wake or, for the device's launch 0, spawn the workers.
     fn enqueue(&self, kernel: KernelRef) -> Arc<Launch> {
-        let device = &self.device;
+        let device = self.grid.device;
         let workers = fold_width(self.config().n_blocks);
         let setup = self.grid.plan.setup(kernel.get(), workers);
         let n = setup.n;
@@ -1583,18 +1556,22 @@ impl GridRuntime {
         } else {
             1
         };
-        let mut st = device.state.lock();
+        let st = device.state.lock();
         let seq = st.next_seq;
-        let min = st.cursors.iter().copied().min().unwrap_or(seq);
-        let offset = st.offset;
-        st.offset = (offset + workers) % device.workers;
+        // Not `seq` minus the slowest cursor: a worker moves its cursor
+        // only after the host may have seen the entry's launch settle.
+        let queue_depth = st
+            .queue
+            .iter()
+            .filter(|run| !run.launch.is_done())
+            .map(|run| run.len as usize)
+            .sum();
         let submitted = now();
         let launch = Arc::new(Launch {
             seq,
             grid: Arc::clone(&self.grid),
-            offset,
             kernel,
-            queue_depth: (seq - min) as usize,
+            queue_depth,
             submitted,
             // Launch 0 spawns the workers that run it: its clock starts at
             // submit, so `queued` is zero and `launch` includes the spawns.
@@ -1632,31 +1609,20 @@ impl GridRuntime {
         device.push(st, Arc::clone(&launch), 0, entries);
         if seq == 0 {
             for d in 0..device.workers {
-                spawn_worker(Arc::clone(device), d, 0, 0);
+                spawn_worker(device, d, 0, 0);
             }
         }
         launch
     }
 }
 
-impl Drop for GridRuntime {
-    /// A standalone runtime's device stops with it: workers exit at their
-    /// next dispatch point, entries none picked up never run, and a worker
-    /// stuck in non-cooperative kernel code is leaked, not joined. A
-    /// service shard's device stops with the service.
-    fn drop(&mut self) {
-        if self.owns_device {
-            self.device.shutdown();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::barrier::{BarrierControl, Pauses, SyncPolicy, CLOCK_READS, PAUSES};
+    use crate::barrier::{BarrierControl, Pauses, SyncPolicy, CLOCK_READS, PAUSES, SPAWNS};
     use crate::executor::BlockCtx;
     use crate::gmem::GlobalBuffer;
+    use crate::service::{GridService, ServiceConfig, ShardKey};
     use crate::trace::TraceConfig;
     use std::sync::atomic::AtomicBool;
 
@@ -1677,8 +1643,21 @@ mod tests {
         }
     }
 
+    fn count(n: usize, rounds: usize) -> Arc<CountKernel> {
+        Arc::new(CountKernel {
+            slots: GlobalBuffer::new(n),
+            rounds,
+        })
+    }
+
     fn pool(n: usize, method: SyncMethod) -> GridRuntime {
         GridRuntime::new(GridConfig::new(n, 64), method).unwrap()
+    }
+
+    /// [`pool`] on `device`.
+    fn pool_on(device: &'static Device, n: usize, method: SyncMethod) -> GridRuntime {
+        let plan = LaunchPlan::compile(GridConfig::new(n, 64), method).unwrap();
+        GridRuntime::on_device(plan, device, None)
     }
 
     /// A one-round kernel whose blocks hold until `gate` is raised. The
@@ -1702,35 +1681,33 @@ mod tests {
     /// A waiter at the launch boundary shares the host's cores with the
     /// device's workers, so neither the host's wait for its launch nor an
     /// idle worker's wait for the next entry spins. One-block launches keep
-    /// the gate and barrier out of it: each runs on one worker, the window
-    /// moves round the device, and the other workers idle through the
-    /// entry.
+    /// the gate and barrier out of it: each runs on one worker, each
+    /// launch's fresh grid places its window where the last one's ended,
+    /// so the window moves round the device, and the other workers idle
+    /// through the entry.
     #[test]
     fn waits_across_the_launch_boundary_do_not_spin() {
-        let device = Device::for_host();
-        let plan = LaunchPlan::compile(GridConfig::new(1, 8), SyncMethod::NoSync).unwrap();
-        let rt = GridRuntime::on_device(plan, &device, "wide".to_string());
+        let device = Device::private();
         let ran = Mutex::new(Vec::new());
         let kernel = (1usize, |_: &BlockCtx, _: usize| {
             ran.lock().push((std::thread::current().id(), counters().1));
         });
         let host = counters().1;
-        for _ in 0..4 * device.workers() {
-            rt.run(&kernel).unwrap();
+        for _ in 0..4 * device.workers {
+            pool_on(device, 1, SyncMethod::NoSync).run(&kernel).unwrap();
         }
         assert_eq!(counters().1.spins, host.spins, "the host's waits spun");
         let ran = ran.into_inner();
         let threads: std::collections::HashSet<_> = ran.iter().map(|(t, _)| *t).collect();
-        assert_eq!(threads.len(), device.workers());
+        assert_eq!(threads.len(), device.workers);
         // Device threads are fresh: every pause they made is counted here.
         assert!(ran.iter().all(|(_, w)| w.spins == 0), "{ran:?}");
-        device.shutdown();
     }
 
     /// The assembly gate is a wait for peer workers, which usually have
-    /// cores of their own, so it spins before its first yield. Worker 1 of a cold
-    /// launch holds off the gate for 20 ms; worker 0, a fresh thread,
-    /// waits for it there before its first round.
+    /// cores of their own, so it spins before its first yield. Worker 1 of
+    /// a private device's cold launch holds off the gate for 20 ms; worker
+    /// 0, a fresh thread, waits for it there before its first round.
     #[test]
     fn the_assembly_gate_spins_before_it_yields() {
         use crate::fault::{Fault, FaultInjector, FaultKind, FaultPhase, FaultSchedule};
@@ -1749,7 +1726,9 @@ mod tests {
             }]),
         );
         let plan = LaunchPlan::compile(GridConfig::new(2, 8), SyncMethod::GpuLockFree).unwrap();
-        plan.run(&kernel).unwrap();
+        GridRuntime::on_device(plan, Device::private(), None)
+            .run(&kernel)
+            .unwrap();
         let w = at_gate.into_inner().expect("block 0 ran");
         assert!(w.spins >= 1, "{w:?}");
         assert!(
@@ -1767,7 +1746,7 @@ mod tests {
     #[test]
     fn a_warm_launch_reads_the_clock_a_few_times_per_thread() {
         const FEW: u64 = 4;
-        let rt = pool(2, SyncMethod::NoSync);
+        let rt = pool_on(Device::private(), 2, SyncMethod::NoSync);
         let ran = Mutex::new(Vec::new());
         let kernel = (64usize, |ctx: &BlockCtx, round: usize| {
             if round == 0 {
@@ -1859,7 +1838,8 @@ mod tests {
     /// resolves in order — under `CpuImplicit` the log *is* the paper's
     /// implicit sync, every launch's rounds published at submit, and
     /// `CpuExplicit`'s later rounds interleave with the other launches'
-    /// entries.
+    /// entries. A private device per method, so sequence numbers start at
+    /// its cold launch.
     #[test]
     fn pipelined_submits_all_complete_in_order() {
         for method in [
@@ -1867,7 +1847,7 @@ mod tests {
             SyncMethod::CpuImplicit,
             SyncMethod::CpuExplicit,
         ] {
-            let rt = pool(3, method);
+            let rt = pool_on(Device::private(), 3, method);
             let kernels: Vec<Arc<CountKernel>> = (0..4)
                 .map(|_| {
                     Arc::new(CountKernel {
@@ -1970,7 +1950,6 @@ mod tests {
             let gate = Arc::new(AtomicBool::new(false));
             let waiter = rt.submit_dyn(held_until(&gate)).unwrap();
             let poller = LaunchHandle {
-                device: Arc::clone(&waiter.device),
                 launch: Arc::clone(&waiter.launch),
             };
             std::thread::scope(|s| {
@@ -2009,22 +1988,57 @@ mod tests {
         assert_eq!(launches, 2);
     }
 
+    /// A launch's `queue_depth` counts the log entries of unsettled
+    /// launches ahead of it. Back-to-back blocking runs on an idle device
+    /// read 0 under every method — counted from the workers' cursors they
+    /// read 1, since a worker moves its cursor only after the host may
+    /// have seen the launch settle — and pipelined submits behind a held
+    /// launch read the entries ahead of them.
     #[test]
     fn queue_depth_reflects_pipelining() {
-        let rt = pool(2, SyncMethod::NoSync);
-        let gate = Arc::new(AtomicBool::new(false));
-        let h1 = rt.submit_dyn(held_until(&gate)).unwrap();
-        let h2 = rt
-            .submit(Arc::new(CountKernel {
-                slots: GlobalBuffer::new(2),
-                rounds: 1,
-            }))
-            .unwrap();
-        assert!(rt.queue_depth() >= 1);
-        gate.store(true, Ordering::Release);
-        h1.wait().unwrap();
-        let stats = h2.wait().unwrap();
-        assert_eq!(stats.pool.as_ref().unwrap().queue_depth, 1);
-        assert_eq!(rt.queue_depth(), 0);
+        let all = SyncMethod::PAPER_METHODS
+            .into_iter()
+            .chain(SyncMethod::EXTENSION_METHODS)
+            .chain([SyncMethod::NoSync]);
+        for m in all {
+            let rt = pool_on(Device::private(), 2, m);
+            let depth = |h: LaunchHandle| h.wait().unwrap().pool.unwrap().queue_depth;
+            let runs: Vec<usize> = (0..10)
+                .map(|_| rt.run(&*count(2, 3)).unwrap().pool.unwrap().queue_depth)
+                .collect();
+            assert_eq!(runs, vec![0; 10], "{m}");
+            let gate = Arc::new(AtomicBool::new(false));
+            let held = rt.submit_dyn(held_until(&gate)).unwrap();
+            let behind = [(); 2].map(|()| rt.submit(count(2, 1)).unwrap());
+            assert_eq!(rt.queue_depth(), 3, "{m}");
+            gate.store(true, Ordering::Release);
+            assert_eq!(depth(held), 0, "{m}");
+            assert_eq!(behind.map(depth), [1, 2], "{m}");
+            assert_eq!(rt.queue_depth(), 0, "{m}");
+        }
+    }
+
+    /// Once the process device is up, no launch spawns a thread: not a
+    /// plan's, not a new runtime's, not a new service shard's. (Replacing
+    /// a worker stuck in an abandoned launch is the one spawn after it.)
+    #[test]
+    fn no_thread_is_spawned_after_bring_up() {
+        let plan = LaunchPlan::compile(GridConfig::new(3, 8), SyncMethod::GpuSimple).unwrap();
+        plan.run(&*count(3, 4)).unwrap(); // brings the process device up
+        let spawns = || SPAWNS.with(std::cell::Cell::get);
+        let up = spawns();
+        plan.run(&*count(3, 4)).unwrap();
+        plan.run_owned(count(3, 4)).unwrap();
+        for m in [SyncMethod::GpuLockFree, SyncMethod::CpuImplicit] {
+            let rt = GridRuntime::new(GridConfig::new(5, 8), m).unwrap();
+            rt.run(&*count(5, 4)).unwrap();
+            rt.submit(count(5, 4)).unwrap().wait().unwrap();
+        }
+        let svc = GridService::new(ServiceConfig::default());
+        for n in [1, 2, 7] {
+            let key = ShardKey::new(n, 8, SyncMethod::CpuExplicit);
+            svc.submit("t", key, count(n, 3)).unwrap().wait().unwrap();
+        }
+        assert_eq!(spawns(), up);
     }
 }

@@ -1,16 +1,16 @@
 //! Sharded barrier-as-a-service traffic plane: many grids, one device,
 //! one front door.
 //!
-//! [`crate::GridRuntime`] is one grid on a device; this module is the
-//! layer the ROADMAP's north star asks for above it. A [`GridService`]
-//! owns one device of W = `max(2, cores)` workers, spawned by its first
-//! launch, and serves every grid on it, keyed by
+//! [`crate::GridRuntime`] is one grid on the process's one device; this
+//! module is the layer the ROADMAP's north star asks for above it. A
+//! [`GridService`] serves many grids on that device of W =
+//! `max(2, cores)` workers, keyed by
 //! [`ShardKey`]`{blocks, threads_per_block, method}`. A *shard* is a key,
 //! its compiled plan, a queue bound and a quota — not a thread set: every
-//! shard's launches go through the device's one launch log, each on
-//! `min(blocks, W)` of its workers (the runtime's placement, DESIGN.md
-//! §10), as a GPU runs many grids on one set of SMs. The service enforces
-//! **admission control** in front of the launch log:
+//! shard's launches go through the device's one launch log, each on the
+//! shard's window of `min(blocks, W)` of its workers (the runtime's
+//! placement, DESIGN.md §10), as a GPU runs many grids on one set of SMs.
+//! The service enforces **admission control** in front of the launch log:
 //!
 //! * **Bounded per-shard submission queues** — at most
 //!   [`ServiceConfig::queue_capacity`] launches admitted-but-unfinished
@@ -201,20 +201,10 @@ struct ServiceState {
 struct ServiceShared {
     cfg: ServiceConfig,
     obs: Arc<Observer>,
-    /// The one device every shard's launches run on. The service is its
-    /// owner: it shuts down when the last reference to the service goes
-    /// (the [`GridService`], or a [`ServiceHandle`] outliving it).
-    device: Arc<Device>,
     state: Mutex<ServiceState>,
     /// Signaled on an admission release when a `submit_within` caller is
     /// blocked, so it re-checks capacity.
     cv: Condvar,
-}
-
-impl Drop for ServiceShared {
-    fn drop(&mut self) {
-        self.device.shutdown();
-    }
 }
 
 /// RAII admission slot: holds the tenant's and shard's in-flight counts
@@ -299,17 +289,17 @@ pub struct GridService {
 }
 
 impl std::fmt::Debug for GridService {
-    /// Also the device's occupancy, a diagnostic: its width W and how many
-    /// of its workers are parked — all W, one yield bound after the last
-    /// launch, whatever the number of shards.
+    /// Also the process device's occupancy, a diagnostic: its width W and
+    /// how many of its workers are parked — all W, one yield bound after
+    /// the process's last launch, whatever the number of shards.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.inner.state.lock();
-        let device = &self.inner.device;
+        let device = Device::for_host();
         f.debug_struct("GridService")
             .field("shards", &st.shards.len())
             .field("tenants", &st.tenants.len())
             .field("max_shards", &self.inner.cfg.max_shards)
-            .field("workers", &device.workers())
+            .field("workers", &device.workers)
             .field("parked_workers", &device.parked())
             .finish()
     }
@@ -317,7 +307,7 @@ impl std::fmt::Debug for GridService {
 
 impl GridService {
     /// A service with its own live [`Observer`] — every shard it serves
-    /// shares this registry, labeled by shard — and its own device.
+    /// shares this registry, labeled by shard — on the process device.
     pub fn new(cfg: ServiceConfig) -> GridService {
         let obs = Observer::new();
         obs.set_gauge("service_shards_live", 0);
@@ -325,7 +315,6 @@ impl GridService {
             inner: Arc::new(ServiceShared {
                 cfg,
                 obs,
-                device: Device::for_host(),
                 state: Mutex::new(ServiceState {
                     shards: HashMap::new(),
                     tenants: HashMap::new(),
@@ -498,7 +487,7 @@ impl GridService {
         let mut plan = LaunchPlan::compile(self.inner.cfg.grid_for(key), key.method)?;
         plan.obs = Arc::clone(&self.inner.obs);
         Ok(Arc::new(Shard {
-            runtime: GridRuntime::on_device(plan, &self.inner.device, label.clone()),
+            runtime: GridRuntime::on_device(plan, Device::for_host(), Some(label.clone())),
             label,
             inflight: AtomicUsize::new(0),
         }))
@@ -529,13 +518,6 @@ impl GridService {
             .shards
             .get(&key)
             .map(|s| s.inflight.load(Ordering::Acquire))
-    }
-
-    /// Per worker of the service's device, its generation: it advances
-    /// every time the worker is abandoned stuck and replaced — what the
-    /// chaos harness checks self-healing against.
-    pub(crate) fn generations(&self) -> Vec<u64> {
-        self.inner.device.generations()
     }
 
     /// Run `f` against the shard runtime for `key`, if any.
@@ -594,11 +576,10 @@ mod tests {
         // Each shard's grid served both of its launches...
         assert_eq!(svc.with_shard(a, |rt| rt.launches()), Some(2));
         assert_eq!(svc.with_shard(b, |rt| rt.launches()), Some(2));
-        // ...on one device: one log, and only its first launch was cold,
-        // the second shard's first included.
-        let seqs: Vec<u64> = pools.iter().map(|p| p.launch_seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3]);
-        assert!(pools.iter().skip(1).all(|p| !p.cold) && pools[0].cold);
+        // ...on one device: one log, in submission order, and no launch
+        // was cold but the process's first — a shard's first is warm.
+        assert!(pools.windows(2).all(|w| w[0].launch_seq < w[1].launch_seq));
+        assert!(pools.iter().all(|p| p.cold == (p.launch_seq == 0)));
         let snap = svc.observer().snapshot();
         assert_eq!(snap.counters["service_shards_spun_up_total"], 2);
         assert_eq!(snap.gauges["service_shards_live"], 2);

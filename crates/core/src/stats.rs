@@ -78,9 +78,9 @@ pub struct KernelStats {
     /// cost. Boxed for the same reason as `telemetry`.
     pub auto: Option<Box<AutoDecision>>,
     /// Pool-side launch accounting, `Some` for every run of the engine
-    /// (a cold launch is launch 0 of a pool): launch sequence number,
-    /// queue depth at submit, queueing delay, and whether the launch was
-    /// cold.
+    /// (every launch runs on the process's one device): launch sequence
+    /// number, queue depth at submit, queueing delay, and whether the
+    /// launch was the process's cold one.
     /// The warm launch overhead itself is [`KernelStats::launch`]. Boxed
     /// for the same reason as `telemetry`.
     pub pool: Option<Box<crate::runtime::PoolLaunchStats>>,

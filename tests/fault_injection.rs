@@ -250,9 +250,9 @@ fn cpu_explicit_noncooperative_straggler_does_not_hang() {
     assert_eq!(diagnostic.stragglers(), vec![1], "{diagnostic}");
 }
 
-/// The same bound under a device-side barrier: a cold launch is launch 0
-/// of a pool, so an owned kernel's stuck block is abandoned (and its
-/// worker left behind) like any pooled launch's.
+/// The same bound under a device-side barrier: a plan launch is a launch
+/// of a grid on the process device, so an owned kernel's stuck block is
+/// abandoned (and its worker left behind) like any pooled launch's.
 #[test]
 fn owned_noncooperative_straggler_does_not_hang_a_barrier_method() {
     owned_straggler_is_left_behind(SyncMethod::GpuLockFree);

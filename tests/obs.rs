@@ -58,12 +58,18 @@ fn pooled_registry_matches_per_launch_stats_ground_truth() {
     let (stats, snap) = pooled_soak(launches, 3, SyncMethod::GpuLockFree);
     assert_eq!(stats.len(), launches);
 
-    // Counters against ground truth: every launch succeeded, exactly one
-    // (the first) was cold.
+    // Counters against ground truth: every launch succeeded, and the cold
+    // ones are those the stats call cold — at most the first, if it was
+    // the process's first launch.
+    let cold = stats
+        .iter()
+        .filter(|s| s.pool.as_ref().unwrap().cold)
+        .count() as u64;
+    assert!(stats.iter().skip(1).all(|s| !s.pool.as_ref().unwrap().cold));
     assert_eq!(snap.counters["launches_total"], launches as u64);
     assert_eq!(snap.counters["launches_failed_total"], 0);
-    assert_eq!(snap.counters["launches_cold_total"], 1);
-    assert_eq!(snap.counters["launches_warm_total"], launches as u64 - 1);
+    assert_eq!(snap.counters["launches_cold_total"], cold);
+    assert_eq!(snap.counters["launches_warm_total"], launches as u64 - cold);
     assert!(!snap.labeled.contains_key("launch_failures_total"));
     // queue_depth is a labeled gauge family keyed by shard; a standalone
     // runtime reports under the reserved "default" shard label.
@@ -142,11 +148,11 @@ fn failures_are_counted_by_kind() {
     assert_eq!(failure.method, "gpu-lock-free");
 }
 
-/// One producer, one record: the same faulty kernel launched cold
-/// (`LaunchPlan`, launch 0 of a pool of its own) and warm (launch 1 of a
-/// `GridRuntime`) leaves the same failure record — the scheduled fault,
+/// One producer, one record: the same faulty kernel launched through a
+/// `LaunchPlan` (a fresh grid for the call) and as launch 1 of a
+/// `GridRuntime` leaves the same failure record — the scheduled fault,
 /// the trace tails, the typed error — and the two postmortems differ only
-/// in the launch's place in its pool and in what a clock reads.
+/// in the launch's place in the device's log and in what a clock reads.
 #[test]
 fn scoped_and_pooled_failures_leave_the_same_record() {
     let fault = Fault::in_round(1, 2, FaultKind::Panic);
@@ -180,8 +186,9 @@ fn scoped_and_pooled_failures_leave_the_same_record() {
             record.error
         );
     }
-    assert!(cold.pool.is_some_and(|p| p.cold && p.launch_seq == 0));
-    assert!(warm.pool.is_some_and(|p| !p.cold && p.launch_seq == 1));
+    let (cp, wp) = (cold.pool.unwrap(), warm.pool.unwrap());
+    assert_eq!(cp.cold, cp.launch_seq == 0, "{cp:?}");
+    assert!(!wp.cold && wp.launch_seq >= cp.launch_seq + 2, "{wp:?}");
     // Same keys in the same order; values part ways only where the launch's
     // place in its pool speaks, or where a clock does.
     let (cold, warm) = (cold.to_json(), warm.to_json());

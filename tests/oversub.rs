@@ -247,8 +247,8 @@ fn pooled_fault_matrix_at_four_x_oversubscription() {
             .run(&clean)
             .unwrap_or_else(|e| panic!("{method} post-fault at {n} blocks: {e}"));
         assert_eq!(
-            stats.pool.as_deref().map(|p| p.launch_seq),
-            Some(1),
+            (stats.n_blocks, rt.launches()),
+            (n, 2),
             "{method}: recovery run did not reuse the pool"
         );
         assert_eq!(
@@ -352,7 +352,9 @@ impl RoundKernel for Noted {
 /// At four blocks per core, under every method: every block keeps its
 /// own `BlockTimes` and trace — one `Launch` per block per log entry,
 /// one round start, arrival and departure per block per round — while
-/// the blocks run on exactly W threads, all of which an idle pool parks.
+/// the blocks run on exactly W threads, one per worker of the grid's
+/// window, plus one for each of those workers that a concurrent test's
+/// abandoned launch replaced between two of this launch's entries.
 #[test]
 fn a_folded_launch_keeps_every_block_and_runs_on_one_thread_per_worker() {
     let n = 4 * cores();
@@ -362,6 +364,9 @@ fn a_folded_launch_keeps_every_block_and_runs_on_one_thread_per_worker() {
             .with_policy(bounded())
             .with_trace(TraceConfig::new());
         let rt = GridRuntime::new(cfg, method).unwrap();
+        // Blocks 0..W are hosted by the window's W workers, one each.
+        let replaced = || rt.generations()[..workers(n)].iter().sum::<u64>() as usize;
+        let before = replaced();
         let k = Noted {
             kernel: MinMix::new(n, logical),
             threads: Mutex::new(HashSet::new()),
@@ -378,7 +383,12 @@ fn a_folded_launch_keeps_every_block_and_runs_on_one_thread_per_worker() {
             );
         }
         let threads = k.threads.lock().unwrap().len();
-        assert_eq!(threads, workers(n), "{method}: threads that ran a block");
+        let most = workers(n) + replaced() - before;
+        assert!(
+            (workers(n)..=most).contains(&threads),
+            "{method}: {threads} threads ran a block, {} workers",
+            workers(n)
+        );
         let t = stats.telemetry.as_deref().expect("tracing was configured");
         let entries = if method.is_cpu_side() { rounds } else { 1 };
         let waits = if method == SyncMethod::NoSync {
@@ -390,17 +400,6 @@ fn a_folded_launch_keeps_every_block_and_runs_on_one_thread_per_worker() {
         assert_eq!(t.count(TraceEventKind::RoundStart), n * rounds, "{method}");
         assert_eq!(t.count(TraceEventKind::BarrierArrive), waits, "{method}");
         assert_eq!(t.count(TraceEventKind::BarrierDepart), waits, "{method}");
-        // Idle, the pool's threads park: W of them, not one per block.
-        let since = Instant::now();
-        while rt.parked_workers() != workers(n) {
-            assert!(
-                since.elapsed() < Duration::from_secs(60),
-                "{method}: {} of {} workers parked",
-                rt.parked_workers(),
-                workers(n)
-            );
-            std::thread::yield_now();
-        }
     }
 }
 
@@ -483,7 +482,9 @@ fn a_folded_stall_replaces_its_worker() {
                 matches!(err, ExecError::BarrierTimeout { .. }),
                 "{what}: {err}"
             );
-            assert_eq!(rt.generations()[b], before + 1, "{what}");
+            // Rises: a concurrent test's abandonment may replace the same
+            // worker of the process device too.
+            assert!(rt.generations()[b] > before, "{what}");
             assert_serves(&rt, n, &what);
         }
     }

@@ -291,7 +291,7 @@ proptest! {
         }
     }
 
-    /// Random multi-fault coverage of cold launches: a seeded schedule of
+    /// Random multi-fault coverage of plan launches: a seeded schedule of
     /// up to two concurrent faults, of any kind, at round-body or
     /// barrier-wait sites (assembly faults are the pooled soak's to draw)
     /// either fails the run with an error naming a scheduled

@@ -9,7 +9,6 @@
 //! (`taskset -c 0`), where the host and both workers share it and a
 //! waiter that did not yield would starve its peer.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -18,6 +17,8 @@ use blocksync::core::{
     BlockCtx, GlobalBuffer, GridConfig, GridRuntime, GridService, RoundKernel, ServiceConfig,
     ShardKey, SyncMethod,
 };
+
+mod common;
 
 /// Far beyond any scheduling delay on a loaded 2-core box.
 const HANG: Duration = Duration::from_secs(60);
@@ -62,13 +63,6 @@ fn gated(open: &Arc<AtomicBool>) -> Arc<dyn RoundKernel + Send + Sync> {
     }))
 }
 
-/// The workers a pool of `n` blocks runs on: one per block up to the
-/// host's cores, and at least two; past that the grid folds onto them.
-fn workers(n: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    n.min(cores.max(2))
-}
-
 fn wait_for(what: &str, cond: impl Fn() -> bool) {
     let t0 = Instant::now();
     while !cond() {
@@ -77,26 +71,44 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
+/// The workers of the process device: as many as the host's cores, and
+/// at least two.
+fn device_workers() -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    cores.max(2)
+}
+
+/// An idle device parks every one of its workers, whatever the width of
+/// the grid that ran last, and the next submit wakes them. The parked count
+/// is the whole process device's, so the test runs in a process of its
+/// own, where no other test's launch keeps a worker awake.
 #[test]
 fn idle_pool_parks_every_worker_and_the_next_submit_wakes_them() {
-    let n = 4;
-    let rt = GridRuntime::new(GridConfig::new(n, 8), SyncMethod::GpuLockFree).unwrap();
-    // A pool spawns its workers with its first launch: before it there is
-    // nobody to park.
-    assert_eq!(rt.parked_workers(), 0);
-    rt.submit(Bump::new(n, 1)).unwrap().wait().unwrap();
-    for round in 0..3 {
-        // Idle for 500 yield bounds: every worker must have left its
-        // polling phase. The poll after the sleep only absorbs a worker
-        // the scheduler kept off the CPU that long; a worker that never
-        // parks (or a count that leaks) fails it.
-        std::thread::sleep(Duration::from_millis(50));
-        wait_for("all workers parked", || rt.parked_workers() == workers(n));
-        let k = Bump::new(n, 5);
-        rt.submit(Arc::clone(&k)).unwrap().wait().unwrap();
-        assert!(k.verify(), "launch {round} after a parked idle");
-    }
-    assert_eq!(rt.launches(), 4);
+    common::in_fresh_process(
+        "idle_pool_parks_every_worker_and_the_next_submit_wakes_them",
+        || {
+            let n = 4;
+            let rt = GridRuntime::new(GridConfig::new(n, 8), SyncMethod::GpuLockFree).unwrap();
+            // The process's first launch spawns the device's workers:
+            // before it there is nobody to park.
+            assert_eq!(rt.parked_workers(), 0);
+            rt.submit(Bump::new(n, 1)).unwrap().wait().unwrap();
+            for round in 0..3 {
+                // Idle for 500 yield bounds: every worker must have left
+                // its polling phase. The poll after the sleep only absorbs
+                // a worker the scheduler kept off the CPU that long; a
+                // worker that never parks (or a count that leaks) fails it.
+                std::thread::sleep(Duration::from_millis(50));
+                wait_for("all workers parked", || {
+                    rt.parked_workers() == device_workers()
+                });
+                let k = Bump::new(n, 5);
+                rt.submit(Arc::clone(&k)).unwrap().wait().unwrap();
+                assert!(k.verify(), "launch {round} after a parked idle");
+            }
+            assert_eq!(rt.launches(), 4);
+        },
+    );
 }
 
 #[test]
@@ -129,40 +141,6 @@ fn alternating_pools_with_gaps_straddling_the_spin_bound_never_lose_a_wake() {
         assert!(k.verify(), "launch {i}");
     }
     assert_eq!(pools[0].launches() + pools[1].launches(), 20_000);
-}
-
-thread_local! {
-    /// A worker's clone of its test's witness, dropped when the thread
-    /// exits.
-    static WITNESS: RefCell<Option<Arc<()>>> = const { RefCell::new(None) };
-}
-
-/// A one-round kernel whose blocks leave a clone of `witness` in their
-/// thread's local storage: the count returns to the test's one reference
-/// only once every thread that ran a block has exited.
-fn witnessed(witness: &Arc<()>) -> Arc<dyn RoundKernel + Send + Sync> {
-    let witness = Arc::clone(witness);
-    Arc::new((1usize, move |_: &BlockCtx, _: usize| {
-        WITNESS.with(|w| *w.borrow_mut() = Some(Arc::clone(&witness)));
-    }))
-}
-
-#[test]
-fn dropping_a_pool_releases_its_workers_spinning_or_parked() {
-    for parked in [false, true] {
-        let rt = GridRuntime::new(GridConfig::new(3, 8), SyncMethod::GpuLockFree).unwrap();
-        let witness = Arc::new(());
-        rt.submit_dyn(witnessed(&witness)).unwrap().wait().unwrap();
-        if parked {
-            wait_for("all workers parked", || rt.parked_workers() == workers(3));
-        }
-        // Not parked: the workers finished a launch microseconds ago and
-        // are inside the yield bound, where shutdown is not polled.
-        drop(rt);
-        wait_for("workers to exit after drop", || {
-            Arc::strong_count(&witness) == 1
-        });
-    }
 }
 
 #[test]
