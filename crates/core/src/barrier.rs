@@ -321,6 +321,17 @@ impl BarrierControl {
         &self.policy
     }
 
+    /// Back to the state [`BarrierControl::new`] builds, for the next
+    /// launch of the grid: unpoisoned, nobody arrived, no recorder. The
+    /// `&mut` is the proof that no waiter is left, so nobody is parked.
+    pub(crate) fn reset(&mut self) {
+        *self.poison.get_mut() = 0;
+        for word in self.arrivals.iter_mut().chain(&mut self.departures) {
+            *word.get_mut() = 0;
+        }
+        self.recorder.take();
+    }
+
     /// Attach the telemetry recorder (first caller wins; the launch engine
     /// does this once per launch, before any worker can see it).
     pub(crate) fn attach_recorder(&self, rec: Arc<EventRecorder>) {

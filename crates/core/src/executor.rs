@@ -186,6 +186,16 @@ impl AbortSignal {
     pub fn is_aborted(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
+
+    /// Lower the signal for the next launch of its grid, if this is its
+    /// only handle: a kernel that kept a clone from
+    /// [`RoundKernel::on_launch`] must never see a later launch un-raise
+    /// it. Returns whether it was lowered.
+    pub(crate) fn reset(&mut self) -> bool {
+        Arc::get_mut(&mut self.0)
+            .map(|raised| *raised.get_mut() = false)
+            .is_some()
+    }
 }
 
 /// A kernel structured as barrier-separated rounds.

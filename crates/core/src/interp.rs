@@ -46,6 +46,18 @@ impl AtomicBarrier {
         }
     }
 
+    /// Reset in place for the next launch of the grid, as
+    /// [`AtomicBarrier::new`] built it: every word zero, and the control
+    /// plane unpoisoned, with no arrivals and no recorder
+    /// ([`BarrierControl::reset`]). The caller's `&mut` proves no block is
+    /// inside; a poisoned barrier is never reset (its launch failed).
+    pub(crate) fn reset(&mut self) {
+        for word in &mut self.words {
+            *word.get_mut() = 0;
+        }
+        self.control.reset();
+    }
+
     /// Where `word` lives. Only one method's words exist in one barrier,
     /// so different methods' words may share a slot.
     #[inline]

@@ -11,10 +11,10 @@
 //!   and the [`Observer`] every launch through it reports to. Compile
 //!   once, launch many times; the pooled runtime and the `perf/` benchmark
 //!   keep one alive and launch through it repeatedly.
-//! * `LaunchSetup` — the per-launch state a plan stamps out: a **fresh**
-//!   barrier (poisoning is permanent, so barriers are never reused across
-//!   launches), the trace recorder, and the abort signal. Its
-//!   `finish` turns the per-block results into the launch's
+//! * `LaunchSetup` — the per-launch state a plan stamps out: the barrier
+//!   and the abort signal — a reset one from the plan's last launch, never
+//!   a poisoned or abandoned one (`SetupSlot`) — and the trace recorder.
+//!   Its `finish` turns the per-block results into the launch's
 //!   [`KernelStats`] *and* its [`LaunchRecord`] — the one place a record
 //!   is built, for every strategy, success or failure.
 //! * `drive_block` — the round loop of a worker that hosts one block: run
@@ -57,9 +57,10 @@ use crate::barrier::{
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultSchedule, WaitFaults};
+use crate::interp::AtomicBarrier;
 use crate::method::SyncMethod;
 use crate::obs::{LaunchRecord, Observer};
-use crate::runtime::{Device, GridRuntime, PoolLaunchStats};
+use crate::runtime::{Device, GridRuntime, PoolLaunchStats, Slots};
 use crate::stats::{BlockTimes, KernelStats};
 use crate::trace::{EventRecorder, TraceEventKind};
 
@@ -83,11 +84,11 @@ pub(crate) fn payload_message(payload: &(dyn Any + Send)) -> String {
 /// takes to run — which wins over any error derived from a peer's poison.
 /// Within a class the lowest block id is reported.
 pub(crate) fn collect_block_results(
-    results: Vec<Result<BlockTimes, ExecError>>,
+    results: impl ExactSizeIterator<Item = Result<BlockTimes, ExecError>>,
 ) -> Result<Vec<BlockTimes>, ExecError> {
     let mut times = Vec::with_capacity(results.len());
     let mut root_cause: Option<(u8, ExecError)> = None;
-    for (b, result) in results.into_iter().enumerate() {
+    for (b, result) in results.enumerate() {
         match result {
             Ok(t) => times.push(t),
             Err(e) => {
@@ -229,12 +230,13 @@ impl KernelRef {
 /// launch through the plan reports to.
 ///
 /// Compile once, launch many times — each [`LaunchPlan::run`] stamps out a
-/// fresh `LaunchSetup` (barrier, recorder, abort), so faults stay
-/// per-launch, on a fresh grid on the process's one device: a warm
+/// `LaunchSetup` on a fresh grid on the process's one device: a warm
 /// dispatch, except the process's first launch, whose `t_O` includes the
-/// workers' spawns (DESIGN.md §10). [`GridRuntime`] and
-/// [`crate::GridService`] keep their grids for their whole lifetime.
-/// Clones share the observer.
+/// workers' spawns (DESIGN.md §10). Its barrier and abort signal are the
+/// plan's last launch's, reset — never a failed or abandoned launch's, so
+/// faults stay per-launch. [`GridRuntime`] and [`crate::GridService`] keep
+/// their grids for their whole lifetime. Clones share the observer and
+/// the reusable launch state.
 ///
 /// The engine inserts the inter-block barrier between rounds according to
 /// the method:
@@ -273,6 +275,8 @@ pub struct LaunchPlan {
     /// [`SyncMethod::Auto`]; `method` is its `chosen`.
     auto: Option<AutoDecision>,
     pub(crate) obs: Arc<Observer>,
+    /// The launch state the plan's settled launches gave back for reuse.
+    pub(crate) slots: Arc<Slots>,
 }
 
 impl LaunchPlan {
@@ -298,6 +302,7 @@ impl LaunchPlan {
             cfg,
             auto,
             obs: Observer::new(),
+            slots: Arc::default(),
         })
     }
 
@@ -318,17 +323,35 @@ impl LaunchPlan {
         Arc::clone(&self.obs)
     }
 
-    /// Stamp out the per-launch state for `kernel` on `workers` pool
-    /// workers — a fresh barrier among the workers (except under the CPU
-    /// methods, whose rounds meet at the pool's kernel boundary, and
-    /// `NoSync`), a fresh trace recorder per block, an un-raised abort
-    /// signal, and the kernel's fault schedule armed — then hand the kernel
-    /// its abort signal ([`RoundKernel::on_launch`]). The pool calls this
-    /// before any worker can see the launch.
-    pub(crate) fn setup(&self, kernel: &dyn RoundKernel, workers: usize) -> LaunchSetup {
+    /// Build the reusable part of a launch of this plan on `workers` pool
+    /// workers, for when none is free: a barrier among the workers (except
+    /// under the CPU methods, whose rounds meet at the pool's kernel
+    /// boundary, and `NoSync`), an un-raised abort signal, and the fold's
+    /// progress table when there is one.
+    pub(crate) fn setup_slot(&self, workers: usize) -> SetupSlot {
+        let n = self.cfg.n_blocks;
+        SetupSlot {
+            workers,
+            barrier: self.method.device_barrier(workers, self.cfg.policy),
+            abort: AbortSignal::new(),
+            fold: (workers < n || self.method.is_cpu_side()).then(|| Fold::new(n, workers)),
+        }
+    }
+
+    /// Stamp out the per-launch state for `kernel` on `slot` — a fresh
+    /// trace recorder per block, attached to the slot's barrier, and the
+    /// kernel's fault schedule armed — then hand the kernel its abort
+    /// signal ([`RoundKernel::on_launch`]). The pool calls this before any
+    /// worker can see the launch.
+    pub(crate) fn setup(&self, kernel: &dyn RoundKernel, slot: SetupSlot) -> LaunchSetup {
+        let SetupSlot {
+            workers,
+            barrier,
+            abort,
+            fold,
+        } = slot;
         let n = self.cfg.n_blocks;
         let rounds = kernel.rounds();
-        let barrier = self.method.device_barrier(workers, self.cfg.policy);
         let recorder = self
             .cfg
             .trace
@@ -344,7 +367,6 @@ impl LaunchPlan {
             .as_ref()
             .and(faults.as_deref())
             .and_then(|schedule| WaitFaults::arm(schedule, self.cfg.policy));
-        let abort = AbortSignal::new();
         kernel.on_launch(&abort);
         LaunchSetup {
             method: self.method,
@@ -359,7 +381,7 @@ impl LaunchPlan {
             recorder,
             faults,
             wait_faults,
-            fold: (workers < n || self.method.is_cpu_side()).then(|| Fold::new(n, workers)),
+            fold,
         }
     }
 
@@ -398,6 +420,18 @@ impl LaunchPlan {
     }
 }
 
+/// The part of a [`LaunchSetup`] a plan keeps across its launches, as the
+/// paper's barrier variables are `__device__` globals that exist before a
+/// kernel launches: built by [`LaunchPlan::setup_slot`] when no launch of
+/// the plan has given one back, else reset in place by
+/// [`LaunchSetup::reclaim`].
+pub(crate) struct SetupSlot {
+    workers: usize,
+    barrier: Option<Arc<AtomicBarrier>>,
+    abort: AbortSignal,
+    fold: Option<Fold>,
+}
+
 /// Per-launch state stamped out by [`LaunchPlan::setup`]: everything the
 /// pool and the round loops share for exactly one launch — under the CPU
 /// methods, for every one of its per-round log entries.
@@ -412,9 +446,10 @@ pub(crate) struct LaunchSetup {
     pub(crate) threads_per_block: usize,
     pub(crate) policy: SyncPolicy,
     pub(crate) rounds: usize,
-    /// Among the `workers`, fresh per launch: poisoning is permanent, so
-    /// reuse would leak one launch's fault into the next.
-    pub(crate) barrier: Option<Arc<dyn BarrierShared>>,
+    /// Among the `workers`: a reset one, never a poisoned or abandoned
+    /// one — poisoning is permanent, so reusing a failed launch's would
+    /// leak its fault into the next.
+    pub(crate) barrier: Option<Arc<AtomicBarrier>>,
     pub(crate) abort: AbortSignal,
     /// One ring per block, not per worker.
     pub(crate) recorder: Option<Arc<EventRecorder>>,
@@ -430,6 +465,47 @@ pub(crate) struct LaunchSetup {
 }
 
 impl LaunchSetup {
+    /// Take back the part of the launch's state its plan reuses, reset in
+    /// place for the plan's next launch. The caller vouches that the launch
+    /// settled and was not abandoned; this checks the rest. `None` when the
+    /// launch failed — its abort raised, its barrier poisoned: a failed
+    /// launch's barrier is never reused — or something else still holds
+    /// the barrier. An abort signal a kernel kept a clone of is replaced,
+    /// not lowered.
+    pub(crate) fn reclaim(&mut self) -> Option<SetupSlot> {
+        if self.abort.is_aborted() {
+            return None;
+        }
+        let barrier = match self.barrier.take() {
+            Some(mut shared) => {
+                let sh = Arc::get_mut(&mut shared)?;
+                if sh.control().poisoned().is_some() {
+                    return None;
+                }
+                sh.reset();
+                Some(shared)
+            }
+            None => None,
+        };
+        // The launch's handle drops with it, so a lowered signal has one
+        // handle again: the slot's.
+        let abort = if self.abort.reset() {
+            self.abort.clone()
+        } else {
+            AbortSignal::new()
+        };
+        let fold = self.fold.take().map(|mut fold| {
+            fold.reset();
+            fold
+        });
+        Some(SetupSlot {
+            workers: self.workers,
+            barrier,
+            abort,
+            fold,
+        })
+    }
+
     /// Whether the launch is one pool log entry per round — under both CPU
     /// methods, whose rounds meet at the pool's kernel boundary instead of
     /// a barrier — rather than one for the whole kernel.
@@ -462,7 +538,7 @@ impl LaunchSetup {
     /// The barrier's progress table in blocks: the barrier's own when
     /// every worker hosts one block, else [`Fold::arrivals`], with each
     /// block departed as far as its worker.
-    pub(crate) fn progress(&self, sh: &dyn BarrierShared) -> (Vec<u64>, Vec<u64>) {
+    pub(crate) fn progress(&self, sh: &AtomicBarrier) -> (Vec<u64>, Vec<u64>) {
         let (arrivals, departures) = sh.control().progress();
         match &self.fold {
             None => (arrivals, departures),
@@ -479,7 +555,7 @@ impl LaunchSetup {
     /// behind its round (a worker's id is the first block it hosts, so
     /// `waiting_block` stays), and a victim of a peer's timeout gets a
     /// fresh snapshot.
-    fn fault_to_error(&self, sh: &dyn BarrierShared, fault: SyncFault) -> ExecError {
+    fn fault_to_error(&self, sh: &AtomicBarrier, fault: SyncFault) -> ExecError {
         let mut diagnostic = match fault {
             SyncFault::Poisoned {
                 block,
@@ -551,7 +627,7 @@ impl LaunchSetup {
     /// when a wait-phase fault poisoned it or released a straggler, or
     /// after the last round when a wait that was already satisfied missed
     /// a poison raised on the way into it.
-    fn check_poison(&self, sh: &dyn BarrierShared) -> Result<(), ExecError> {
+    fn check_poison(&self, sh: &AtomicBarrier) -> Result<(), ExecError> {
         if sh.control().poisoned().is_none() {
             return Ok(());
         }
@@ -780,7 +856,7 @@ pub(crate) fn drive_fold(
     setup: &LaunchSetup,
     kernel: &dyn RoundKernel,
     worker: usize,
-    (sh, fold): (&dyn BarrierShared, &Fold),
+    (sh, fold): (&AtomicBarrier, &Fold),
     rounds: Range<usize>,
     start: Instant,
     times: &mut [BlockTimes],
@@ -891,6 +967,13 @@ impl Fold {
         }
     }
 
+    /// Back to no round body finished, for the plan's next launch.
+    fn reset(&mut self) {
+        for done in &mut self.done {
+            *done.get_mut() = 0;
+        }
+    }
+
     /// One more of `worker`'s round bodies finished.
     #[inline]
     pub(crate) fn advance(&self, worker: usize) {
@@ -980,7 +1063,7 @@ mod tests {
             message: "boom".to_string(),
         };
         let merged = |results: Vec<ExecError>| {
-            collect_block_results(results.into_iter().map(Err).collect()).unwrap_err()
+            collect_block_results(results.into_iter().map(Err)).unwrap_err()
         };
         // Block 1 timed out before block 3's poison landed; blocks 0 and 2
         // unwound on block 1's poison.
@@ -1100,7 +1183,8 @@ mod tests {
         method: SyncMethod,
         kernel: &dyn RoundKernel,
     ) -> (Vec<BlockTimes>, Duration, u64) {
-        let setup = LaunchPlan::compile(cfg, method).unwrap().setup(kernel, 1);
+        let plan = LaunchPlan::compile(cfg, method).unwrap();
+        let setup = plan.setup(kernel, plan.setup_slot(1));
         let rounds = 0..setup.rounds;
         let mut times = vec![BlockTimes::default(); setup.n];
         let reads = CLOCK_READS.with(|c| c.get());

@@ -125,9 +125,9 @@ impl SyncMethod {
         self,
         workers: usize,
         policy: SyncPolicy,
-    ) -> Option<Arc<dyn BarrierShared>> {
+    ) -> Option<Arc<AtomicBarrier>> {
         self.is_gpu_side()
-            .then(|| Arc::new(AtomicBarrier::new(self, workers, policy)) as _)
+            .then(|| Arc::new(AtomicBarrier::new(self, workers, policy)))
     }
 
     /// Build the shared barrier state of a barrier-backed method under a
@@ -153,7 +153,9 @@ impl SyncMethod {
             SyncMethod::CpuImplicit => {
                 Some(Arc::new(CpuImplicitSync::with_policy(n_blocks, policy)))
             }
-            _ => self.device_barrier(n_blocks, policy),
+            _ => self
+                .device_barrier(n_blocks, policy)
+                .map(|b| b as Arc<dyn BarrierShared>),
         }
     }
 }

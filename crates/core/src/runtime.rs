@@ -32,9 +32,10 @@
 //! cost the paper's persistent-kernel design (Section 4.3) amortizes away.
 //!
 //! The runtime is a *strategy* over the shared launch engine: a grid holds
-//! one [`LaunchPlan`], stamps a fresh `crate::launch::LaunchSetup` per
-//! submission, each worker runs one of the engine's round loops
-//! (`drive_block`, or `drive_fold` for a worker of several blocks), and
+//! one [`LaunchPlan`], stamps a `crate::launch::LaunchSetup` per
+//! submission on a reusable slot, each worker runs one of the engine's
+//! round loops (`drive_block`, or `drive_fold` for a worker of several
+//! blocks), and
 //! the setup's `finish` builds the launch's stats and its
 //! [`crate::LaunchRecord`] — the runtime adds only the warm-launch
 //! accounting (the [`PoolLaunchStats`], worker replacements, the shard
@@ -75,11 +76,31 @@
 //! Under both the waiting host bounds each round's join by the policy
 //! timeout (DESIGN.md §10).
 //!
+//! ## Launch slots
+//!
+//! What a launch needs per worker and per block — its barrier, abort
+//! signal and fold table (`crate::launch::SetupSlot`), the assembly gate's
+//! check-in table, the CPU methods' arrival stamps, the per-block results
+//! and who reported — is a `Slot`, built once and reused: the paper's
+//! barrier variables are `__device__` globals that exist before a kernel
+//! launches, and its `t_O` (Eq. 1) is the dispatch alone. A plan keeps a
+//! small free list of them (clones of a plan share it, so repeated
+//! [`LaunchPlan::run`] calls do too); a launch takes one at submit and
+//! builds one only if none is free, since a grid has several launches in
+//! flight. When the launch's last reference drops, its slot is reset in
+//! place and given back — only if the launch settled, was not abandoned
+//! and did not fail, and `Arc::get_mut` proves nobody else holds its
+//! barrier. That drop never happens under the device's state lock: an
+//! owned kernel goes with it, and its `Drop` may read its grid.
+//!
 //! ## Fault semantics
 //!
-//! Barrier poisoning is permanent, so every launch gets a **fresh
-//! barrier**; a panicked or timed-out launch therefore cannot contaminate
-//! the next one. Workers survive kernel panics (the round body is run
+//! Barrier poisoning is permanent, so every launch gets a **reset
+//! barrier, never a poisoned or abandoned one**: a failed launch's slot
+//! is dropped, not reused, and a worker replaced while stuck in an
+//! abandoned launch keeps that launch, and its barrier, to itself. A
+//! panicked or timed-out launch therefore cannot contaminate the next one.
+//! Workers survive kernel panics (the round body is run
 //! under `catch_unwind`). A worker that is stuck *inside* non-cooperative
 //! kernel code cannot be preempted; for launches that own their kernel
 //! ([`GridRuntime::submit`], [`LaunchPlan::run_owned`]), the host abandons
@@ -107,13 +128,13 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::barrier::{now, PoisonCause};
+use crate::barrier::{now, BarrierShared, PoisonCause};
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{GridConfig, RoundKernel};
 use crate::fault::{effective_backstop, FaultKind, FaultPhase};
 use crate::launch::{
     collect_block_results, drive_block, drive_fold, gate_backoff, yield_until, KernelRef,
-    LaunchPlan, LaunchSetup,
+    LaunchPlan, LaunchSetup, SetupSlot,
 };
 use crate::method::SyncMethod;
 use crate::obs::Observer;
@@ -187,8 +208,79 @@ struct Spaced<A> {
     _pad: [u64; 15],
 }
 
-/// One launch: the engine's per-launch state ([`LaunchSetup`]: fresh
-/// barrier, recorder, abort) plus the runtime's queueing and completion
+/// A launch's state that the next launch of its plan reuses (see the
+/// module docs' launch slots): the engine's part, and the runtime's
+/// per-worker and per-block bookkeeping.
+struct Slot {
+    setup: SetupSlot,
+    checked_in: Vec<Spaced<AtomicUsize>>,
+    arrived: Vec<Spaced<AtomicU64>>,
+    results: Vec<Result<BlockTimes, ExecError>>,
+    reported: Vec<bool>,
+}
+
+impl Slot {
+    /// A slot for a launch of `plan` on `workers` pool workers.
+    fn new(plan: &LaunchPlan, workers: usize) -> Slot {
+        let n = plan.config().n_blocks;
+        let per_round = plan.method().is_cpu_side();
+        Slot {
+            setup: plan.setup_slot(workers),
+            checked_in: (0..workers).map(|_| Spaced::default()).collect(),
+            arrived: (0..if per_round { n } else { 0 })
+                .map(|_| Spaced::default())
+                .collect(),
+            results: vec![Ok(BlockTimes::default()); n],
+            reported: vec![false; workers],
+        }
+    }
+
+    /// Reset the runtime's part in place for a launch of `n` blocks, as
+    /// [`Slot::new`] built it: nobody checked in, arrived or reported.
+    fn reset(&mut self, n: usize) {
+        for word in &mut self.checked_in {
+            *word.word.get_mut() = 0;
+        }
+        for word in &mut self.arrived {
+            *word.word.get_mut() = 0;
+        }
+        self.results.clear();
+        self.results.resize(n, Ok(BlockTimes::default()));
+        self.reported.fill(false);
+    }
+}
+
+/// Free slots a plan keeps for its next launches: as many as
+/// [`Slots::KEPT`], since a grid has several launches in flight.
+#[derive(Default)]
+pub(crate) struct Slots(Mutex<Vec<Slot>>);
+
+impl Slots {
+    /// Most free slots kept; a slot given back past them is dropped.
+    const KEPT: usize = 8;
+
+    fn take(&self) -> Option<Slot> {
+        self.0.lock().pop()
+    }
+
+    fn give_back(&self, slot: Slot) {
+        let mut free = self.0.lock();
+        if free.len() < Self::KEPT {
+            free.push(slot);
+        }
+    }
+}
+
+impl std::fmt::Debug for Slots {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Slots")
+            .field("free", &self.0.lock().len())
+            .finish()
+    }
+}
+
+/// One launch: the engine's per-launch state ([`LaunchSetup`]: barrier,
+/// recorder, abort) plus the runtime's queueing and completion
 /// bookkeeping, shared by the launch's log entries.
 struct Launch {
     /// Log sequence number of the launch's first entry.
@@ -237,6 +329,32 @@ struct Launch {
     settled: AtomicBool,
     /// Set by `abandon`; workers step over an abandoned launch.
     abandoned: AtomicBool,
+}
+
+impl Drop for Launch {
+    /// Give the launch's slot back to its plan, reset in place, if the
+    /// launch settled and was not abandoned — and, as
+    /// [`LaunchSetup::reclaim`] checks, did not fail and nothing else
+    /// holds its barrier. A stale worker of an abandoned launch holds the
+    /// launch itself, so this never runs while one can still reach it.
+    fn drop(&mut self) {
+        let done = self.done.get_mut();
+        if !done.settled || *self.abandoned.get_mut() {
+            return;
+        }
+        let Some(setup) = self.setup.reclaim() else {
+            return;
+        };
+        let mut slot = Slot {
+            setup,
+            checked_in: std::mem::take(&mut self.checked_in),
+            arrived: std::mem::take(&mut self.arrived),
+            results: std::mem::take(&mut done.results),
+            reported: std::mem::take(&mut done.reported),
+        };
+        slot.reset(self.setup.n);
+        self.grid.plan.slots.give_back(slot);
+    }
 }
 
 impl Launch {
@@ -644,8 +762,11 @@ impl DeviceState {
         (Arc::clone(&run.launch), base, run.first + run.len)
     }
 
-    /// Drop the runs every worker's cursor has passed.
-    fn prune(&mut self) {
+    /// Move the runs every worker's cursor has passed into `passed`, for
+    /// the caller to drop once it has released the lock: a run may hold
+    /// its launch's last reference, and dropping that runs an owned
+    /// kernel's `Drop`.
+    fn prune(&mut self, passed: &mut Vec<Run>) {
         let Some(min) = self.cursors.iter().copied().min() else {
             return;
         };
@@ -654,7 +775,7 @@ impl DeviceState {
             .front()
             .is_some_and(|run| run.first + run.len <= min)
         {
-            self.queue.pop_front();
+            passed.extend(self.queue.pop_front());
         }
     }
 }
@@ -834,6 +955,9 @@ fn spawn_worker(device: &'static Device, worker: usize, gen: u64, cursor: u64) {
 /// window holds `d` as the launch's local worker, and step over the rest —
 /// a whole run at a time where none of it is this worker's to run.
 fn worker_loop(device: &Device, d: usize, gen: u64, mut cursor: u64) {
+    // Runs this worker pruned from the log, dropped at its next release
+    // of the lock, which follows at once (see `prune`).
+    let mut passed = Vec::new();
     let mut st = device.state.lock();
     loop {
         if st.gens[d] != gen {
@@ -844,6 +968,7 @@ fn worker_loop(device: &Device, d: usize, gen: u64, mut cursor: u64) {
             // lock; the generation is read only under it, so a replacement
             // is noticed one yield bound later at most.
             drop(st);
+            passed.clear();
             yield_until(|| device.next_seq.load(Ordering::Acquire) > cursor);
             st = device.state.lock();
             if cursor >= st.next_seq && st.gens[d] == gen {
@@ -855,6 +980,7 @@ fn worker_loop(device: &Device, d: usize, gen: u64, mut cursor: u64) {
         }
         let (launch, mut base, run_end) = st.entry(cursor);
         drop(st);
+        passed.clear();
         // Run the rest of the entry's run — one entry, or the remaining
         // rounds of a CPU-implicit launch, back to back without the lock:
         // the next entry's gate orders them — and step over it where it is
@@ -882,13 +1008,18 @@ fn worker_loop(device: &Device, d: usize, gen: u64, mut cursor: u64) {
                 base += 1;
             }
         }
+        // Before the lock: the run keeps the launch alive until this
+        // worker's cursor passes it, but a replaced worker's reference may
+        // be the last, and dropping that drops an owned kernel, whose
+        // `Drop` may read its grid (and so take the lock).
+        drop(launch);
         st = device.state.lock();
         if st.gens[d] != gen {
             return; // replaced while running: the successor owns the cursor
         }
         cursor = run_end;
         st.cursors[d] = cursor;
-        st.prune();
+        st.prune(&mut passed);
     }
 }
 
@@ -1234,7 +1365,8 @@ fn wait_launch(launch: &Arc<Launch>, allow_abandon: bool) -> Result<KernelStats,
         g = launch.done.lock();
     }
     let observed = now();
-    let mut merged = collect_block_results(std::mem::take(&mut g.results));
+    // Drained, not taken: the vector stays with the launch's slot.
+    let mut merged = collect_block_results(g.results.drain(..));
     if let Some(e) = g.join_timeout.take() {
         // A block's own panic is the root cause; any other error came from
         // a straggler the host had already given up on.
@@ -1543,14 +1675,24 @@ impl GridRuntime {
         wait_launch(&self.enqueue(kernel), allow_abandon)
     }
 
-    /// Stamp out the launch (running the kernel's `on_launch`), publish
-    /// its first entry to the log — every round's under `CpuImplicit` —
-    /// and wake or, for the device's launch 0, spawn the workers.
+    /// Stamp out the launch (running the kernel's `on_launch`) on a free
+    /// slot of the plan, or a new one if none is free, publish its first
+    /// entry to the log — every round's under `CpuImplicit` — and wake or,
+    /// for the device's launch 0, spawn the workers.
     fn enqueue(&self, kernel: KernelRef) -> Arc<Launch> {
         let device = self.grid.device;
-        let workers = fold_width(self.config().n_blocks);
-        let setup = self.grid.plan.setup(kernel.get(), workers);
-        let n = setup.n;
+        let plan = &self.grid.plan;
+        let Slot {
+            setup,
+            checked_in,
+            arrived,
+            results,
+            reported,
+        } = plan
+            .slots
+            .take()
+            .unwrap_or_else(|| Slot::new(plan, fold_width(self.config().n_blocks)));
+        let setup = plan.setup(kernel.get(), setup);
         let entries = if setup.pipelined() {
             setup.rounds.max(1) as u64
         } else {
@@ -1582,15 +1724,11 @@ impl GridRuntime {
             },
             gate: AtomicUsize::new(0),
             entered: AtomicUsize::new(0),
-            checked_in: (0..workers).map(|_| Spaced::default()).collect(),
-            arrived: if setup.per_round() {
-                (0..n).map(|_| Spaced::default()).collect()
-            } else {
-                Vec::new()
-            },
+            checked_in,
+            arrived,
             done: Mutex::new(LaunchDone {
-                results: vec![Ok(BlockTimes::default()); n],
-                reported: vec![false; workers],
+                results,
+                reported,
                 finished: 0,
                 settled: false,
                 base: 0,
@@ -1891,7 +2029,8 @@ mod tests {
             }
             other => panic!("expected BlockPanicked, got {other}"),
         }
-        // Fresh barrier per launch: the next submit is unaffected.
+        // A failed launch's barrier is never reused: the next submit is
+        // unaffected.
         let good = Arc::new(CountKernel {
             slots: GlobalBuffer::new(3),
             rounds: 10,
@@ -2016,6 +2155,78 @@ mod tests {
             assert_eq!(behind.map(depth), [1, 2], "{m}");
             assert_eq!(rt.queue_depth(), 0, "{m}");
         }
+    }
+
+    /// Wait `h` out, then for every other holder of its launch to let go,
+    /// so that its slot is back (or dropped) when this returns.
+    fn settle(h: LaunchHandle) -> Result<KernelStats, ExecError> {
+        let launch = h.launch;
+        let res = wait_launch(&launch, true);
+        while Arc::strong_count(&launch) > 1 {
+            std::thread::yield_now();
+        }
+        res
+    }
+
+    /// Free slots `rt`'s plan holds.
+    fn free(rt: &GridRuntime) -> usize {
+        rt.grid.plan.slots.0.lock().len()
+    }
+
+    /// A launch gives its slot back only if it settled without failing; a
+    /// failed launch's, with its poisoned barrier and raised abort, is
+    /// dropped. Launches in flight together take a slot each, and every
+    /// one comes back.
+    #[test]
+    fn only_a_launch_that_did_not_fail_gives_its_slot_back() {
+        let rt = pool_on(Device::private(), 2, SyncMethod::GpuLockFree);
+        settle(rt.submit(count(2, 3)).unwrap()).unwrap();
+        assert_eq!(free(&rt), 1);
+        let bad: Arc<dyn RoundKernel + Send + Sync> =
+            Arc::new((3usize, |ctx: &BlockCtx, r: usize| {
+                if ctx.block_id == 1 && r == 1 {
+                    panic!("injected");
+                }
+            }));
+        settle(rt.submit_dyn(bad).unwrap()).unwrap_err();
+        assert_eq!(free(&rt), 0);
+        let gate = Arc::new(AtomicBool::new(false));
+        let held = rt.submit_dyn(held_until(&gate)).unwrap();
+        let behind = rt.submit(count(2, 3)).unwrap();
+        gate.store(true, Ordering::Release);
+        settle(held).unwrap();
+        settle(behind).unwrap();
+        assert_eq!(free(&rt), 2);
+    }
+
+    /// A slot carries no telemetry from one launch to the next: a traced
+    /// and an untraced grid of one shape share a free list, so every launch
+    /// runs on the slot the other grid's last launch gave back. A traced
+    /// launch after an untraced one, and after a traced one, records one
+    /// spin sample per barrier wait it made, as its first did on a new slot.
+    #[test]
+    fn a_reused_slot_carries_no_telemetry_across_launches() {
+        let device = Device::private();
+        let cfg = GridConfig::new(2, 8);
+        let plain = LaunchPlan::compile(cfg.clone(), SyncMethod::GpuLockFree).unwrap();
+        let mut traced =
+            LaunchPlan::compile(cfg.with_trace(TraceConfig::new()), plain.method()).unwrap();
+        traced.slots = Arc::clone(&plain.slots);
+        let plain = GridRuntime::on_device(plain, device, None);
+        let traced = GridRuntime::on_device(traced, device, None);
+        let k = count(2, 10);
+        let spins = |rt: &GridRuntime| {
+            let stats = settle(rt.submit(Arc::clone(&k)).unwrap()).unwrap();
+            stats.telemetry.map(|t| t.spin_polls.count())
+        };
+        let first = spins(&traced).expect("traced");
+        assert!(first >= 20, "{first} spin samples for 2 x 10 waits");
+        for _ in 0..5 {
+            assert_eq!(spins(&plain), None);
+            assert_eq!(spins(&traced), Some(first));
+            assert_eq!(spins(&traced), Some(first));
+        }
+        assert_eq!(free(&plain), 1);
     }
 
     /// Once the process device is up, no launch spawns a thread: not a

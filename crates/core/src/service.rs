@@ -191,8 +191,10 @@ struct Shard {
 struct ServiceState {
     shards: HashMap<ShardKey, Arc<Shard>>,
     /// Tenant → launches currently admitted. Entries are removed at zero
-    /// so the map stays bounded by live tenants.
-    tenants: HashMap<String, usize>,
+    /// so the map stays bounded by live tenants. Each ticket shares its
+    /// tenant's name, so an admission allocates it only for a tenant with
+    /// nothing in flight.
+    tenants: HashMap<Arc<str>, usize>,
     /// `submit_within` callers asleep on `ServiceShared::cv` (written only
     /// under this lock): a release notifies only when there is one.
     blocked: usize,
@@ -213,17 +215,17 @@ struct ServiceShared {
 struct Ticket {
     svc: Arc<ServiceShared>,
     shard: Arc<Shard>,
-    tenant: String,
+    tenant: Arc<str>,
 }
 
 impl Drop for Ticket {
     fn drop(&mut self) {
         let mut st = self.svc.state.lock();
         self.shard.inflight.fetch_sub(1, Ordering::AcqRel);
-        if let Some(c) = st.tenants.get_mut(&self.tenant) {
+        if let Some(c) = st.tenants.get_mut(&*self.tenant) {
             *c = c.saturating_sub(1);
             if *c == 0 {
-                st.tenants.remove(&self.tenant);
+                st.tenants.remove(&*self.tenant);
             }
         }
         // A submitter decides to block and enters its wait without
@@ -242,14 +244,13 @@ impl Drop for Ticket {
 #[must_use = "a ServiceHandle does nothing until waited"]
 pub struct ServiceHandle {
     handle: LaunchHandle,
-    shard_label: String,
     ticket: Ticket,
 }
 
 impl std::fmt::Debug for ServiceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceHandle")
-            .field("shard", &self.shard_label)
+            .field("shard", &self.shard())
             .field("seq", &self.handle.seq())
             .finish()
     }
@@ -258,7 +259,7 @@ impl std::fmt::Debug for ServiceHandle {
 impl ServiceHandle {
     /// The shard that admitted this launch (the registry's `shard` label).
     pub fn shard(&self) -> &str {
-        &self.shard_label
+        &self.ticket.shard.label
     }
 
     /// The launch's sequence number on the service's device, unique
@@ -349,8 +350,8 @@ impl GridService {
         key: ShardKey,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<ServiceHandle, ServiceError> {
-        let shard = self.admit(&mut self.inner.state.lock(), tenant, key)?;
-        self.enqueue(shard, tenant, kernel)
+        let ticket = self.admit(&mut self.inner.state.lock(), tenant, key)?;
+        Self::enqueue(ticket, kernel)
     }
 
     /// [`GridService::submit`], but block for admission for up to
@@ -374,7 +375,7 @@ impl GridService {
         // condvar wakeups can neither restart nor inflate the accounting.
         let start = Instant::now();
         let mut st = self.inner.state.lock();
-        let shard = loop {
+        let ticket = loop {
             match self.admit(&mut st, tenant, key) {
                 Err(e) if e.is_backpressure() => {
                     let remaining = deadline.saturating_sub(start.elapsed());
@@ -396,19 +397,23 @@ impl GridService {
             }
         };
         drop(st);
-        self.enqueue(shard, tenant, kernel)
+        Self::enqueue(ticket, kernel)
     }
 
-    /// Admission control under the service lock: the shard for `key`
-    /// (set up on its first submission) with one queue slot and one unit
-    /// of the tenant's quota reserved, or the rejection.
+    /// Admission control under the service lock: a ticket for the shard
+    /// for `key` (set up on its first submission) holding one queue slot
+    /// and one unit of the tenant's quota, or the rejection. The ticket
+    /// must be dropped without the lock, which its release takes.
     fn admit(
         &self,
         st: &mut ServiceState,
         tenant: &str,
         key: ShardKey,
-    ) -> Result<Arc<Shard>, ServiceError> {
-        let used = st.tenants.get(tenant).copied().unwrap_or(0);
+    ) -> Result<Ticket, ServiceError> {
+        let (name, used) = match st.tenants.get_key_value(tenant) {
+            Some((name, &used)) => (Some(Arc::clone(name)), used),
+            None => (None, 0),
+        };
         if used >= self.inner.cfg.tenant_quota {
             self.reject("quota");
             return Err(ServiceError::QuotaExceeded {
@@ -446,31 +451,25 @@ impl GridService {
         // Admitted: reserve the slots before releasing the lock so
         // concurrent submitters see a consistent quota/queue state.
         shard.inflight.fetch_add(1, Ordering::AcqRel);
-        *st.tenants.entry(tenant.to_string()).or_insert(0) += 1;
-        Ok(shard)
+        let tenant = name.unwrap_or_else(|| Arc::from(tenant));
+        *st.tenants.entry(Arc::clone(&tenant)).or_insert(0) += 1;
+        Ok(Ticket {
+            svc: Arc::clone(&self.inner),
+            shard,
+            tenant,
+        })
     }
 
     /// Hand an admitted launch to the device's launch log.
     fn enqueue(
-        &self,
-        shard: Arc<Shard>,
-        tenant: &str,
+        ticket: Ticket,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<ServiceHandle, ServiceError> {
-        let ticket = Ticket {
-            svc: Arc::clone(&self.inner),
-            shard: Arc::clone(&shard),
-            tenant: tenant.to_string(),
-        };
         // The launch log is unbounded; the bounded queue is the admission
         // count above it, so this enqueue cannot itself refuse for
         // capacity. Dropping the ticket on error rolls admission back.
-        let handle = shard.runtime.submit_dyn(kernel)?;
-        Ok(ServiceHandle {
-            handle,
-            shard_label: shard.label.clone(),
-            ticket,
-        })
+        let handle = ticket.shard.runtime.submit_dyn(kernel)?;
+        Ok(ServiceHandle { handle, ticket })
     }
 
     /// Count an admission rejection in the shared registry.

@@ -1,0 +1,126 @@
+//! Heap allocations per warm launch (ROADMAP item 4), counted by this
+//! binary's global allocator: every thread's, the device workers' included.
+//!
+//! Each test runs alone in a fresh process of this binary, so nothing but
+//! its own launches allocates while it counts. It warms its grid until the
+//! observer's flight recorder is full and the grid's launch slots exist,
+//! then pins the exact count of a steady-state launch: a new allocation on
+//! the launch path fails here. What is left is what the caller gets back
+//! and the launch itself: the `Arc` of the launch, the stats' method name,
+//! per-block times and pool box, and the flight recorder's copy of the
+//! method name.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use blocksync::core::{
+    BlockCtx, GridConfig, GridRuntime, GridService, RoundKernel, ServiceConfig, ShardKey,
+    SyncMethod, FLIGHT_RECORDER_CAPACITY,
+};
+
+mod common;
+
+struct Counting;
+
+/// Allocations (and reallocations) made so far, by every thread.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is the only addition.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The shape of the benchmark's short service launches: two blocks of 64
+/// threads, eight lock-free rounds.
+const BLOCKS: usize = 2;
+const TPB: usize = 64;
+const ROUNDS: usize = 8;
+
+/// Launches timed one by one once warm.
+const SAMPLES: usize = 200;
+
+/// Allocations of one steady-state launch: run `launch` until the flight
+/// recorder is full, then once per sample, and return the count every
+/// sample but a stray few made (the median), after checking that none made
+/// fewer.
+fn steady_allocs(mut launch: impl FnMut()) -> u64 {
+    for _ in 0..2 * FLIGHT_RECORDER_CAPACITY {
+        launch();
+    }
+    let mut per: Vec<u64> = Vec::with_capacity(SAMPLES);
+    for _ in 0..SAMPLES {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        launch();
+        per.push(ALLOCS.load(Ordering::Relaxed) - before);
+    }
+    per.sort_unstable();
+    let median = per[SAMPLES / 2];
+    assert_eq!(per[0], median, "allocations per launch: {per:?}");
+    median
+}
+
+/// A kernel whose rounds do nothing.
+type Idle = (usize, fn(&BlockCtx, usize));
+
+fn kernel() -> Idle {
+    (ROUNDS, |_, _| {})
+}
+
+/// `GridRuntime::run` of a borrowed kernel.
+#[test]
+fn a_warm_grid_run_allocates_five_times() {
+    common::in_fresh_process("a_warm_grid_run_allocates_five_times", || {
+        let rt = GridRuntime::new(GridConfig::new(BLOCKS, TPB), SyncMethod::GpuLockFree).unwrap();
+        let kernel = kernel();
+        let allocs = steady_allocs(|| {
+            rt.run(&kernel).unwrap();
+        });
+        assert_eq!(allocs, 5);
+    });
+}
+
+/// `GridService::submit_within` → `ServiceHandle::wait`, one tenant with
+/// one launch in flight, as the benchmark's short service client runs.
+#[test]
+fn a_warm_service_launch_allocates_seven_times() {
+    common::in_fresh_process("a_warm_service_launch_allocates_seven_times", || {
+        let svc = GridService::new(ServiceConfig::default());
+        let key = ShardKey::new(BLOCKS, TPB, SyncMethod::GpuLockFree);
+        let kernel: Arc<dyn RoundKernel + Send + Sync> = Arc::new(kernel());
+        let allocs = steady_allocs(|| {
+            svc.submit_within(
+                "client-0",
+                key,
+                Arc::clone(&kernel),
+                Duration::from_secs(10),
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        });
+        assert_eq!(allocs, 7);
+    });
+}
