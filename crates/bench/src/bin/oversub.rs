@@ -10,8 +10,8 @@
 //!
 //! That is the whole rule on the modelled GPU: past the resident ceiling a
 //! device-side barrier is not a candidate — stay at 30 blocks or
-//! synchronize from the CPU. (The host runtime has no such ceiling: its
-//! blocks are OS threads whose waits park, DESIGN.md §15.)
+//! synchronize from the CPU. (The host runtime has no such ceiling: it
+//! folds a grid onto its cores, and its waits yield, DESIGN.md §15.)
 //!
 //! Emits `BENCH_oversub.json` baseline records
 //! `sim:oversub/cpu_implicit_{30,31,45,60,90,120}` — simulated ns per

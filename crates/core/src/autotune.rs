@@ -99,9 +99,9 @@ impl AutoTuner {
     /// `max_gpu_blocks` is a modelled device's resident-block ceiling: a
     /// grid beyond it has no GPU-side rows (paper §5 — a device-side
     /// barrier among more blocks than fit resident deadlocks), so the pick
-    /// is a CPU-side method. A host tuner ignores it: host waiters park,
-    /// and what that costs past the core count is already in the
-    /// measurement.
+    /// is a CPU-side method. A host tuner ignores it: host grids fold onto
+    /// the cores and host waiters yield, and what that costs past the core
+    /// count is already in the measurement.
     ///
     /// # Panics
     /// Panics if `n_blocks == 0`.

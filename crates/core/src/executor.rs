@@ -92,7 +92,7 @@ impl GridConfig {
     /// is never preempted (the simulator and
     /// [`GpuSpec::validate_persistent_launch`] keep it); the host folds a
     /// grid with more blocks than cores onto one worker per core, and a
-    /// waiter whose core is taken parks (DESIGN.md §10, §15).
+    /// waiter whose peer is off its core yields to it (DESIGN.md §10, §15).
     pub fn validate(&self) -> Result<(), blocksync_device::DeviceError> {
         self.spec
             .validate_block_shape(self.n_blocks, self.threads_per_block)
@@ -409,8 +409,9 @@ mod tests {
     #[test]
     fn gpu_method_runs_more_blocks_than_sms() {
         // 31 blocks: one past the model's SM count, the grid the paper's
-        // non-preemptive GPU deadlocks on. Host waiters park, so under the
-        // default policy it drains in waves — same result as a CPU method.
+        // non-preemptive GPU deadlocks on. The host folds it onto its
+        // cores and its waiters yield, so under the default policy it
+        // completes — same result as a CPU method.
         for method in [SyncMethod::GpuSimple, SyncMethod::CpuImplicit] {
             let k = MinPlusOne::new(31, 2);
             let stats = run(GridConfig::new(31, 32), method, &k).unwrap();

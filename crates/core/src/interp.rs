@@ -107,11 +107,9 @@ impl AtomicBarrier {
         Ok(())
     }
 
-    /// Run one op of `block`'s round-`round` protocol. Every write can be
-    /// the one a parked peer is waiting for, so each is followed by a wake
-    /// (one load while nobody is parked). Inlined, so that where the op is
-    /// a constant the match folds away and what is left is the listing's
-    /// own code.
+    /// Run one op of `block`'s round-`round` protocol. Inlined, so that
+    /// where the op is a constant the match folds away and what is left is
+    /// the listing's own code.
     #[inline(always)]
     fn execute(
         &self,
@@ -120,16 +118,11 @@ impl AtomicBarrier {
         op: Op,
         left: &mut Option<Instant>,
     ) -> Result<(), SyncFault> {
-        let ctl = &self.control;
         match op {
             Op::AtomicAdd(word) => {
                 self.add(word);
-                ctl.wake_parked();
             }
-            Op::Store(word, value) => {
-                self.store(word, value);
-                ctl.wake_parked();
-            }
+            Op::Store(word, value) => self.store(word, value),
             Op::WaitGe(word, goal) => self.wait(block, round, word, goal, left)?,
             Op::WaitAllGe { base, count, goal } => {
                 (0..count).try_for_each(|i| self.wait(block, round, base.nth(i), goal, left))?
@@ -138,7 +131,6 @@ impl AtomicBarrier {
                 for i in 0..count {
                     self.store(base.nth(i), value);
                 }
-                ctl.wake_parked();
             }
             // Orders a block's threads; a block is one thread here.
             Op::SyncThreads => {}
@@ -148,11 +140,8 @@ impl AtomicBarrier {
                 release_at,
                 flag_value,
             } => {
-                // Nobody waits on the counter, so only the flag store
-                // needs a wake.
                 if self.add(counter) == release_at {
                     self.store(flag, flag_value);
-                    ctl.wake_parked();
                 }
             }
         }

@@ -51,9 +51,7 @@ use std::time::{Duration, Instant};
 use crossbeam::utils::CachePadded;
 
 use crate::autotune::{AutoDecision, AutoTuner};
-use crate::barrier::{
-    note_pause, now, BarrierControl, BarrierShared, Pause, PoisonCause, SyncFault, SyncPolicy,
-};
+use crate::barrier::{note_pause, now, BarrierShared, Pause, PoisonCause, SyncFault, SyncPolicy};
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultSchedule, WaitFaults};
@@ -136,28 +134,6 @@ pub(crate) fn yield_until(ready: impl Fn() -> bool) {
         }
         note_pause(Pause::Yield);
         std::thread::yield_now();
-    }
-}
-
-/// One back-off step of the pool's assembly-gate wait, a wait for peer
-/// workers on the barrier's schedule (`BarrierControl::wait_until`): spin
-/// while the wait is fresh — a peer on another core checks in within
-/// microseconds, and a yield or a sleep would inflate `t_O` — then yield,
-/// then short sleeps: on an oversubscribed host the last peers cannot
-/// even be scheduled until earlier arrivals stop burning their
-/// timeslices.
-pub(crate) fn gate_backoff(polls: &mut u32) {
-    let poll = *polls;
-    *polls = poll.saturating_add(1);
-    if poll < BarrierControl::SPIN_POLLS {
-        note_pause(Pause::Spin);
-        std::hint::spin_loop();
-    } else if poll < BarrierControl::PARK_AFTER_POLLS {
-        note_pause(Pause::Yield);
-        std::thread::yield_now();
-    } else {
-        note_pause(Pause::Park);
-        std::thread::sleep(Duration::from_micros(50));
     }
 }
 

@@ -17,12 +17,12 @@
 //! paper's loop inside a block when there is more work than SMs (§5),
 //! instead of `n` threads of which most must sleep and be woken twice a
 //! round. W is at least two so that a worker whose block straggles has a
-//! peer to time out on it. Parking stays, as the escalation for a core
-//! another process took. Blocks keep everything that is theirs — their
-//! `BlockCtx`, `catch_unwind`, [`BlockTimes`], trace events, fault sites
-//! and the blocks a diagnostic names — and the launch's own bookkeeping
-//! (the assembly gate, who reported) is per worker, as the device's
-//! (generations, cursors) is.
+//! peer to time out on it. A waiter whose peer lost its core to another
+//! process yields until the peer runs again; it never parks. Blocks keep
+//! everything that is theirs — their `BlockCtx`, `catch_unwind`,
+//! [`BlockTimes`], trace events, fault sites and the blocks a diagnostic
+//! names — and the launch's own bookkeeping (the assembly gate, who
+//! reported) is per worker, as the device's (generations, cursors) is.
 //!
 //! Only the process's first launch pays the spawns, inside its `t_O` of
 //! Eq. 1 (its clock starts at submit; DESIGN.md §10). Every other launch,
@@ -128,13 +128,13 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::barrier::{now, BarrierShared, PoisonCause};
+use crate::barrier::{now, pause, BarrierShared, PoisonCause};
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{GridConfig, RoundKernel};
 use crate::fault::{effective_backstop, FaultKind, FaultPhase};
 use crate::launch::{
-    collect_block_results, drive_block, drive_fold, gate_backoff, yield_until, KernelRef,
-    LaunchPlan, LaunchSetup, SetupSlot,
+    collect_block_results, drive_block, drive_fold, yield_until, KernelRef, LaunchPlan,
+    LaunchSetup, SetupSlot,
 };
 use crate::method::SyncMethod;
 use crate::obs::Observer;
@@ -1144,7 +1144,8 @@ fn run_launch(launch: &Arc<Launch>, seq: u64, base: usize, worker: usize) {
     // launch don't spin forever waiting for a worker that will never
     // come, and — with a policy timeout — a deadline that converts a
     // peer stuck *before* the gate into an assembly-phase failure. Under
-    // the CPU methods the gate of entry r + 1 is the kernel boundary.
+    // the CPU methods the gate of entry r + 1 is the kernel boundary. A
+    // wait for peer workers, it pauses as a barrier wait does.
     let opens_at = workers * (base + 1);
     launch.checked_in[worker]
         .word
@@ -1188,7 +1189,7 @@ fn run_launch(launch: &Arc<Launch>, seq: u64, base: usize, worker: usize) {
             }
             _ => stuck_since = None,
         }
-        gate_backoff(&mut polls);
+        pause(&mut polls);
     }
     if setup.per_round() && setup.abort.is_aborted() {
         // The launch failed: no round of it runs past a gate that did not
@@ -1757,7 +1758,7 @@ impl GridRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::barrier::{BarrierControl, Pauses, SyncPolicy, CLOCK_READS, PAUSES, SPAWNS};
+    use crate::barrier::{Pauses, SyncPolicy, CLOCK_READS, PAUSES, SPAWNS, SPIN_POLLS};
     use crate::executor::BlockCtx;
     use crate::gmem::GlobalBuffer;
     use crate::service::{GridService, ServiceConfig, ShardKey};
@@ -1799,14 +1800,13 @@ mod tests {
     }
 
     /// A one-round kernel whose blocks hold until `gate` is raised. The
-    /// gate is held across assertions, so a bare yield loop would
-    /// busy-burn a core.
+    /// gate is held across assertions, so the blocks sleep between polls:
+    /// a yield loop would busy-burn a core.
     fn held_until(gate: &Arc<AtomicBool>) -> Arc<dyn RoundKernel + Send + Sync> {
         let gate = Arc::clone(gate);
         Arc::new((1usize, move |_: &BlockCtx, _: usize| {
-            let mut polls = 0u32;
             while !gate.load(Ordering::Acquire) {
-                gate_backoff(&mut polls);
+                std::thread::sleep(Duration::from_micros(50));
             }
         }))
     }
@@ -1842,12 +1842,10 @@ mod tests {
         assert!(ran.iter().all(|(_, w)| w.spins == 0), "{ran:?}");
     }
 
-    /// The assembly gate is a wait for peer workers, which usually have
-    /// cores of their own, so it spins before its first yield. Worker 1 of
-    /// a private device's cold launch holds off the gate for 20 ms; worker
-    /// 0, a fresh thread, waits for it there before its first round.
-    #[test]
-    fn the_assembly_gate_spins_before_it_yields() {
+    /// The pauses worker 0, a fresh thread, made at the assembly gate of a
+    /// private device's cold launch whose worker 1 holds off the gate for
+    /// `hold`: its counts are the gate wait's alone.
+    fn gate_wait_pauses(hold: Duration) -> Pauses {
         use crate::fault::{Fault, FaultInjector, FaultKind, FaultPhase, FaultSchedule};
         let at_gate = Mutex::new(None);
         let kernel = FaultInjector::with_schedule(
@@ -1860,19 +1858,43 @@ mod tests {
                 block: 1,
                 round: 0,
                 phase: FaultPhase::Assembly,
-                kind: FaultKind::Delay(Duration::from_millis(20)),
+                kind: FaultKind::Delay(hold),
             }]),
         );
         let plan = LaunchPlan::compile(GridConfig::new(2, 8), SyncMethod::GpuLockFree).unwrap();
         GridRuntime::on_device(plan, Device::private(), None)
             .run(&kernel)
             .unwrap();
-        let w = at_gate.into_inner().expect("block 0 ran");
+        at_gate.into_inner().expect("block 0 ran")
+    }
+
+    /// The assembly gate is a wait for peer workers, which usually have
+    /// cores of their own, so it spins before its first yield.
+    #[test]
+    fn the_assembly_gate_spins_before_it_yields() {
+        let w = gate_wait_pauses(Duration::from_millis(20));
         assert!(w.spins >= 1, "{w:?}");
-        assert!(
-            w.yields == 0 || w.spins == u64::from(BarrierControl::SPIN_POLLS),
-            "{w:?}"
-        );
+        assert!(w.yields == 0 || w.spins == u64::from(SPIN_POLLS), "{w:?}");
+    }
+
+    /// Peer waits spin, then yield, and never park, however long they
+    /// last: a barrier wait and an assembly-gate wait of 50 ms each add
+    /// yields to their thread's pause counts, and no park.
+    #[test]
+    fn peer_waits_never_park() {
+        const HOLD: Duration = Duration::from_millis(50);
+        let before = counters().1;
+        let ctl = crate::barrier::BarrierControl::new(2, SyncPolicy::default());
+        let t0 = Instant::now();
+        ctl.wait_until(0, 0, "test", || "flag".into(), || t0.elapsed() >= HOLD)
+            .unwrap();
+        let after = counters().1;
+        assert_eq!(after.parks, before.parks, "the barrier wait parked");
+        assert!(after.yields > before.yields, "{after:?}");
+
+        let w = gate_wait_pauses(HOLD);
+        assert_eq!(w.parks, 0, "the gate wait parked: {w:?}");
+        assert!(w.yields > 0, "{w:?}");
     }
 
     /// A warm untraced launch reads the clock a few times on each thread

@@ -10,8 +10,9 @@ use crate::error::DeviceError;
 /// GPU synchronization approaches means `num_sms` is the maximum number of
 /// blocks a persistent kernel may use (see
 /// [`GpuSpec::max_persistent_blocks`]). The simulator, which models the
-/// non-preemptive GPU, enforces that ceiling; the host runtime's waiters
-/// are OS threads that park, so it never consults it.
+/// non-preemptive GPU, enforces that ceiling; the host runtime folds a
+/// grid onto its cores and its waiters are OS threads that yield, so it
+/// never consults it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing / model name, e.g. `"GeForce GTX 280"`.

@@ -99,8 +99,9 @@ fn one_block_per_sm_rule_binds_the_simulated_gpu_not_the_host() {
     let r =
         std::panic::catch_unwind(|| simulate(&SimConfig::new(31, 64, SyncMethod::GpuLockFree), &w));
     assert!(r.is_err(), "simulator must reject 31 persistent blocks");
-    // Host runtime: waiters park, so the same grid sorts correctly — under
-    // a GPU-side barrier as under CPU sync, which has no limit in either.
+    // Host runtime: the grid folds onto the cores and waiters yield, so
+    // the same grid sorts correctly — under a GPU-side barrier as under
+    // CPU sync, which has no limit in either.
     let keys = random_keys(64, 0);
     let mut sorted = keys.clone();
     bitonic_sort(&mut sorted);

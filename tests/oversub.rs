@@ -10,8 +10,9 @@
 //! of more resident blocks than the barrier can afford. What stays per
 //! block is checked here: `per_block`, the trace, and which block a fault
 //! names, also when that block is not the first its worker runs. None of
-//! these tests sleeps; parking is left for a core another process takes,
-//! and the bare barrier below still exercises it.
+//! these tests sleeps. No waiter parks either: the bare barrier below is
+//! wider than the host, and its waiters stay live by yielding, as they do
+//! when another process takes a core.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +88,7 @@ fn minmix_reference(n: usize, logical: usize) -> Vec<u64> {
 
 fn bounded() -> SyncPolicy {
     // A generous timeout keeps a genuine deadlock from hanging CI while
-    // staying far above any legitimate parked wait.
+    // staying far above any legitimate yielding wait.
     SyncPolicy::with_timeout(Duration::from_secs(60))
 }
 
@@ -170,8 +171,8 @@ fn parking_lifts_the_device_ceiling_too() {
 fn faults_at_oversubscription_still_produce_stuck_diagnostics() {
     // A bare barrier of 2x-cores threads, where no fold applies: an
     // absent block must surface the same structured timeout diagnostic a
-    // resident grid produces — parking must not swallow poisoning or the
-    // straggler analysis.
+    // resident grid produces — yielding past the cores must not swallow
+    // poisoning or the straggler analysis.
     use blocksync::core::SyncFault;
     let cores = cores();
     let n = 2 * cores;
@@ -209,7 +210,7 @@ fn faults_at_oversubscription_still_produce_stuck_diagnostics() {
 }
 
 /// The pooled fault matrix at 4x oversubscription (run as its own tier-1
-/// CI step): every park-capable method converts an injected panic in a
+/// CI step): every device-side barrier method converts an injected panic in a
 /// folded pooled grid into a structured error naming the block and round,
 /// and the same pool then runs a clean kernel correctly.
 #[test]
