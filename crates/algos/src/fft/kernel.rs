@@ -12,9 +12,20 @@
 //!
 //! Butterfly `t` of the stage with span `2^s` is the pair `(i, i + 2^s)`
 //! with `k = t mod 2^s` and `i = 2(t - k) + k` (a mask and a shift), and
-//! its twiddle `e^(±iπk/2^s)` is entry `k · (n/2 >> s)` of one table of the
-//! `n/2` roots `e^(±2πik/n)`, computed once at construction in `f64` — a
-//! launch evaluates no `sin` or `cos`.
+//! its twiddle is `e^(±iπk/2^s)`. The table keeps each stage's `2^s`
+//! twiddles contiguous, from index `2^s − 1` (`n − 1` entries in all), so a
+//! run of consecutive `k` reads consecutive entries. It is gathered at
+//! construction from the `n/2` roots `e^(±2πik/n)` computed in `f64` —
+//! stage `s`'s entry `k` is root `k · (n/2 >> s)` — so neither building
+//! the kernel nor a launch evaluates more `sin` or `cos` than those `n/2`.
+//!
+//! A block walks its chunk of butterflies in runs of consecutive `k`,
+//! each one loop over four [`Window`]s (the two legs' `re` and `im`). Below
+//! a span of 16 the runs are too short to pay for their windows, so when
+//! the chunk is whole groups of `2^s` butterflies — keys `2·start ..
+//! 2·end`, nothing else — one window pair over those keys serves the
+//! whole chunk, walked group by group with the span a compile-time
+//! constant; any other chunk keeps the run loop.
 //!
 //! This is precisely the structure whose barrier the paper replaces: with
 //! CPU synchronization every stage is a separate kernel launch; with GPU
@@ -24,6 +35,11 @@ use blocksync_core::{BlockCtx, GlobalBuffer, RoundKernel, Window};
 
 use super::reference::bit_reverse;
 use crate::complex::Complex32;
+
+/// Spans below this take one window pair per chunk (when the chunk is
+/// whole groups) instead of four windows per run: 1, 2, 4 and 8, each a
+/// monomorphized [`groups`].
+const SHORT_SPAN: usize = 16;
 
 /// Direction of the transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +56,8 @@ pub struct GridFft {
     input_im: GlobalBuffer<f32>,
     work_re: GlobalBuffer<f32>,
     work_im: GlobalBuffer<f32>,
-    /// `e^(±2πik/n)` for `k < n/2` (constant, so plain host memory).
+    /// Stage `s`'s twiddles `e^(±iπk/2^s)` for `k < 2^s`, from index
+    /// `2^s − 1` (constant, so plain host memory).
     twiddles: Vec<Complex32>,
     n: usize,
     log_n: u32,
@@ -65,12 +82,22 @@ impl GridFft {
             Direction::Forward => -std::f64::consts::TAU,
             Direction::Inverse => std::f64::consts::TAU,
         } / n as f64;
-        let twiddles = (0..n / 2)
-            .map(|k| {
-                let (sin, cos) = (step * k as f64).sin_cos();
-                Complex32::new(cos as f32, sin as f32)
-            })
-            .collect();
+        // The last stage's twiddles are the n/2 roots themselves; every
+        // earlier stage's are a stride through them.
+        let half = n / 2;
+        let mut twiddles = vec![Complex32::default(); n - 1];
+        let (earlier, roots) = twiddles.split_at_mut(half.saturating_sub(1));
+        for (k, root) in roots.iter_mut().enumerate() {
+            let (sin, cos) = (step * k as f64).sin_cos();
+            *root = Complex32::new(cos as f32, sin as f32);
+        }
+        let log_n = n.trailing_zeros();
+        for s in 0..log_n.saturating_sub(1) {
+            let stage = &mut earlier[(1 << s) - 1..(2 << s) - 1];
+            for (w, root) in stage.iter_mut().zip(roots.iter().step_by(half >> s)) {
+                *w = *root;
+            }
+        }
         GridFft {
             input_re: GlobalBuffer::from_slice(&re),
             input_im: GlobalBuffer::from_slice(&im),
@@ -78,7 +105,7 @@ impl GridFft {
             work_im: GlobalBuffer::new(n),
             twiddles,
             n,
-            log_n: n.trailing_zeros(),
+            log_n,
             direction,
         }
     }
@@ -124,10 +151,11 @@ impl RoundKernel for GridFft {
             // Bit-reversal gather into the working buffer.
             let chunk = ctx.chunk(n);
             let (re, im) = self.work(chunk.start, chunk.len());
+            let (in_re, in_im) = (self.input_re.window(0, n), self.input_im.window(0, n));
             for k in 0..chunk.len() {
                 let src = bit_reverse(chunk.start + k, self.log_n);
-                re.set(k, self.input_re.get(src));
-                im.set(k, self.input_im.get(src));
+                re.set(k, in_re.get(src));
+                im.set(k, in_im.get(src));
             }
             return;
         }
@@ -144,11 +172,23 @@ impl RoundKernel for GridFft {
             return;
         }
         let span = 1usize << stage;
-        let stride = (n / 2) >> stage;
-        // The chunk's butterflies, one run of consecutive `k` at a time:
-        // within a run the two legs and the twiddles each advance by a
-        // fixed step.
+        let twiddles = &self.twiddles[span - 1..2 * span - 1];
         let chunk = ctx.chunk(n / 2);
+        if span < SHORT_SPAN && (chunk.start | chunk.len()) & (span - 1) == 0 {
+            // Whole groups: the chunk's butterflies are exactly keys
+            // 2·start .. 2·end, group after group of 2·span.
+            let len = 2 * chunk.len();
+            let (re, im) = self.work(2 * chunk.start, len);
+            match span {
+                1 => groups::<1>(&re, &im, len, twiddles),
+                2 => groups::<2>(&re, &im, len, twiddles),
+                4 => groups::<4>(&re, &im, len, twiddles),
+                _ => groups::<8>(&re, &im, len, twiddles),
+            }
+            return;
+        }
+        // The chunk's butterflies, one run of consecutive `k` at a time:
+        // within a run the two legs and the twiddles each advance by one.
         let mut t = chunk.start;
         while t < chunk.end {
             let k0 = t & (span - 1);
@@ -156,9 +196,7 @@ impl RoundKernel for GridFft {
             let i0 = ((t - k0) << 1) | k0;
             let (lo_re, lo_im) = self.work(i0, run);
             let (hi_re, hi_im) = self.work(i0 + span, run);
-            let twiddles = &self.twiddles[k0 * stride..];
-            for m in 0..run {
-                let w = twiddles[m * stride];
+            for (m, &w) in twiddles[k0..k0 + run].iter().enumerate() {
                 let a = Complex32::new(lo_re.get(m), lo_im.get(m));
                 let b = Complex32::new(hi_re.get(m), hi_im.get(m)) * w;
                 let (sum, diff) = (a + b, a - b);
@@ -169,6 +207,35 @@ impl RoundKernel for GridFft {
             }
             t += run;
         }
+    }
+}
+
+/// The butterflies of `len` keys of the working buffer (`re`, `im`) that
+/// are whole groups of `2·S`: each group's key `k` with its key `S + k`,
+/// under twiddle `k` of `twiddles`. `S` is a constant, so every index is at
+/// most the loop's `last` and needs no check of its own.
+#[inline(always)]
+fn groups<const S: usize>(
+    re: &Window<'_, f32>,
+    im: &Window<'_, f32>,
+    len: usize,
+    twiddles: &[Complex32],
+) {
+    let twiddles: &[Complex32; S] = twiddles.try_into().expect("one stage's twiddles");
+    let mut last = 2 * S - 1;
+    while last < len {
+        let g = last + 1 - 2 * S;
+        for (k, &w) in twiddles.iter().enumerate() {
+            let (lo, hi) = (g + k, g + S + k);
+            let a = Complex32::new(re.get(lo), im.get(lo));
+            let b = Complex32::new(re.get(hi), im.get(hi)) * w;
+            let (sum, diff) = (a + b, a - b);
+            re.set(lo, sum.re);
+            im.set(lo, sum.im);
+            re.set(hi, diff.re);
+            im.set(hi, diff.im);
+        }
+        last += 2 * S;
     }
 }
 
@@ -261,6 +328,57 @@ mod tests {
         let a = run_grid_fft(&input, Direction::Forward, 1, SyncMethod::GpuSimple);
         let b = run_grid_fft(&input, Direction::Forward, 13, SyncMethod::GpuSimple);
         assert!(max_error(&a, &b) < 1e-6);
+    }
+
+    /// Every element takes the same butterflies with the same twiddles at
+    /// any block count, so the output is bit-identical to one block's. On
+    /// 2 and 8 blocks the short spans take one window pair wherever a
+    /// chunk is whole groups; on 3, 5 and 13 they mostly take the runs.
+    #[test]
+    fn every_block_count_is_bit_identical_to_one() {
+        let bits = |v: Vec<Complex32>| -> Vec<(u32, u32)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for log_n in 0..=12 {
+            let n = 1usize << log_n;
+            let input = complex_signal(n, 40 + log_n);
+            for direction in [Direction::Forward, Direction::Inverse] {
+                let run = |n_blocks| {
+                    bits(run_grid_fft(
+                        &input,
+                        direction,
+                        n_blocks,
+                        SyncMethod::GpuLockFree,
+                    ))
+                };
+                let one = run(1);
+                for n_blocks in [2, 3, 5, 8, 13] {
+                    assert!(run(n_blocks) == one, "n={n} {direction:?} on {n_blocks}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_twiddle_table_is_each_stage_contiguous() {
+        // Stage s's twiddle k is e^(-iπk/2^s), at 2^s - 1 + k.
+        let k = GridFft::new(&complex_signal(64, 0), Direction::Forward);
+        assert_eq!(k.twiddles.len(), 63);
+        for s in 0..6 {
+            let span = 1usize << s;
+            for j in 0..span {
+                let angle = -std::f64::consts::PI * j as f64 / span as f64;
+                let w = k.twiddles[span - 1 + j];
+                assert!(
+                    (f64::from(w.re) - angle.cos()).abs() < 1e-6,
+                    "stage {s}, {j}"
+                );
+                assert!(
+                    (f64::from(w.im) - angle.sin()).abs() < 1e-6,
+                    "stage {s}, {j}"
+                );
+            }
+        }
     }
 
     #[test]

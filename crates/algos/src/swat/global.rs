@@ -18,6 +18,13 @@ const NEG: i32 = i32::MIN / 2;
 
 /// Sequential Needleman-Wunsch reference (affine gaps).
 pub fn needleman_wunsch(a: &[u8], b: &[u8], scoring: Scoring, gaps: GapPenalties) -> i32 {
+    *h_row_major(a, b, scoring, gaps)
+        .last()
+        .expect("H has its corner")
+}
+
+/// The reference's `H`, row-major, `(la+1) x (lb+1)`.
+fn h_row_major(a: &[u8], b: &[u8], scoring: Scoring, gaps: GapPenalties) -> Vec<i32> {
     let (la, lb) = (a.len(), b.len());
     let w = lb + 1;
     let mut h = vec![NEG; (la + 1) * w];
@@ -41,7 +48,7 @@ pub fn needleman_wunsch(a: &[u8], b: &[u8], scoring: Scoring, gaps: GapPenalties
             h[idx] = diag.max(e[idx]).max(f[idx]);
         }
     }
-    h[la * w + lb]
+    h
 }
 
 /// Needleman-Wunsch as a wavefront grid kernel: [`super::GridSwat`]'s
@@ -142,6 +149,30 @@ mod tests {
             let b = dna_sequence(80 - seed as usize * 7, seed + 100);
             let expected = needleman_wunsch(&a, &b, s, g);
             assert_eq!(run_grid(&a, &b, 5), expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn h_matrix_matches_reference_everywhere() {
+        // The diagonal-major store, re-assembled, against the row-major
+        // reference, with its negative cells and gap-penalty edges.
+        let (s, g) = dna();
+        for (la, lb) in [(1, 1), (1, 40), (40, 1), (17, 301), (64, 64), (40, 30)] {
+            let a = dna_sequence(la, 21);
+            let b = dna_sequence(lb, 22);
+            let expected = h_row_major(&a, &b, s, g);
+            for n_blocks in [1, 2, 3, 5, 8] {
+                let k = GridNw::new(&a, &b, s, g);
+                LaunchPlan::compile(GridConfig::new(n_blocks, 64), SyncMethod::GpuLockFree)
+                    .and_then(|plan| plan.run(&k))
+                    .unwrap();
+                let h: Vec<i32> = (0..=la)
+                    .flat_map(|i| (0..=lb).map(move |j| (i, j)))
+                    .map(|(i, j)| k.wave.h_at(i, j))
+                    .collect();
+                assert_eq!(h, expected, "{la}x{lb} on {n_blocks}");
+                assert_eq!(k.score(), needleman_wunsch(&a, &b, s, g));
+            }
         }
     }
 

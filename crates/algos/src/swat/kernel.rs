@@ -164,15 +164,32 @@ mod tests {
         h_ref
     }
 
+    /// A low-complexity sequence over two letters, `A` at every
+    /// `period`-th base: many cells share the best score.
+    fn periodic(len: usize, period: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| if i % period == 0 { b'A' } else { b'T' })
+            .collect()
+    }
+
     #[test]
     fn h_matrix_matches_reference_everywhere() {
         // The diagonal-major store, re-assembled, against the row-major
-        // fill: single rows and columns, lb >> la, and square.
-        for (la, lb) in [(1, 1), (1, 40), (40, 1), (17, 301), (64, 64), (40, 30)] {
-            let a = dna_sequence(la, 11);
-            let b = dna_sequence(lb, 12);
-            for n_blocks in [1, 3] {
-                let kernel = GridSwat::new(&a, &b, Scoring::dna(), GapPenalties::dna(), n_blocks);
+        // fill: single rows and columns, lb >> la, square, and tied best
+        // scores; `result()` against the sequential reference's.
+        let mut shapes: Vec<(Vec<u8>, Vec<u8>)> =
+            [(1, 1), (1, 40), (40, 1), (17, 301), (64, 64), (40, 30)]
+                .into_iter()
+                .map(|(la, lb)| (dna_sequence(la, 11), dna_sequence(lb, 12)))
+                .collect();
+        shapes.push((periodic(45, 3), periodic(38, 4)));
+        shapes.push((periodic(24, 4), periodic(60, 4)));
+        let mut ties = 0;
+        for (a, b) in &shapes {
+            let (la, lb) = (a.len(), b.len());
+            let expected = smith_waterman(a, b, Scoring::dna(), GapPenalties::dna());
+            for n_blocks in [1, 2, 3, 5, 8] {
+                let kernel = GridSwat::new(a, b, Scoring::dna(), GapPenalties::dna(), n_blocks);
                 LaunchPlan::compile(
                     GridConfig::new(n_blocks, 32),
                     SyncMethod::GpuTree(blocksync_core::TreeLevels::Two),
@@ -180,7 +197,7 @@ mod tests {
                 .and_then(|plan| plan.run(&kernel))
                 .unwrap();
                 let h = kernel.h_matrix();
-                assert_eq!(h, h_reference(&a, &b), "{la}x{lb} on {n_blocks}");
+                assert_eq!(h, h_reference(a, b), "{la}x{lb} on {n_blocks}");
                 // The first row-major occurrence of the maximum.
                 let w = lb + 1;
                 let score = *h.iter().max().unwrap();
@@ -191,8 +208,17 @@ mod tests {
                     (0, 0)
                 };
                 assert_eq!(kernel.result(), SwScore { score, end }, "{la}x{lb}");
+                assert_eq!(kernel.result(), expected, "{la}x{lb} on {n_blocks}");
             }
+            ties += usize::from(
+                h_reference(a, b)
+                    .iter()
+                    .filter(|&&v| v == expected.score)
+                    .count()
+                    > 1,
+            );
         }
+        assert!(ties >= 2, "only {ties} shapes have a tied best score");
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! (`d % 2`) indexed by row. `b` is stored reversed: `b[j-1]` then also
 //! advances with `i`. A round is therefore one loop over a handful of
 //! [`blocksync_core::Window`]s, each range-checked once.
+//!
+//! The north of row `i` is the west of row `i-1`, so the loop carries it,
+//! and its gap-open term, from one cell to the next. It tracks its best as
+//! `(H, first k)` with a strict `>` — the earliest row of the chunk, which
+//! on one anti-diagonal is the earliest row-major cell — and packs
+//! `(H << 32) | !pos` once, after the loop.
 
 use blocksync_core::{BlockCtx, GlobalBuffer};
 
@@ -172,20 +178,27 @@ impl Wavefront {
         let h_out = self.h.window(self.base[d] + r0, len);
         let e_out = self.e[d % 2].window(r0, len);
         let f_out = self.f[d % 2].window(r0, len);
-        let mut best = i64::MIN;
-        // Row-major index of (i, d - i) in a matrix lb + 1 wide.
-        let mut pos = r0 * lb + d;
+        // North of row r0 + k is west of row r0 + k - 1: one load a cell,
+        // and its gap-open term is carried with it.
+        let mut north_open = prev.get(0) - open;
+        let (mut best_h, mut best_k) = (i32::MIN, 0);
         for k in 0..len {
-            let e = (prev.get(k + 1) - open).max(e_west.get(k) - extend);
-            let f = (prev.get(k) - open).max(f_north.get(k) - extend);
+            let west_open = prev.get(k + 1) - open;
+            let e = west_open.max(e_west.get(k) - extend);
+            let f = north_open.max(f_north.get(k) - extend);
             let diag = north_west.get(k) + score(a.get(k), b.get(k));
             let h = floor.max(diag).max(e).max(f);
             e_out.set(k, e);
             f_out.set(k, f);
             h_out.set(k, h);
-            best = best.max((i64::from(h) << 32) | i64::from(!(pos as u32)));
-            pos += lb;
+            // Strictly greater: a tie keeps the earlier row.
+            if h > best_h {
+                (best_h, best_k) = (h, k);
+            }
+            north_open = west_open;
         }
-        best
+        // Row-major index of (i, d - i) in a matrix lb + 1 wide.
+        let pos = (r0 + best_k) * lb + d;
+        (i64::from(best_h) << 32) | i64::from(!(pos as u32))
     }
 }

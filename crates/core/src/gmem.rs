@@ -197,87 +197,6 @@ impl<T: DeviceScalar> Window<'_, T> {
     }
 }
 
-/// A row-major 2-D view over a [`GlobalBuffer`] — the shape of the SWat
-/// matrices and 2-D FFT planes. Cloning is shallow, like the underlying
-/// buffer.
-pub struct GlobalBuffer2d<T: DeviceScalar> {
-    buf: GlobalBuffer<T>,
-    rows: usize,
-    cols: usize,
-}
-
-impl<T: DeviceScalar> Clone for GlobalBuffer2d<T> {
-    fn clone(&self) -> Self {
-        GlobalBuffer2d {
-            buf: self.buf.clone(),
-            rows: self.rows,
-            cols: self.cols,
-        }
-    }
-}
-
-impl<T: DeviceScalar> GlobalBuffer2d<T> {
-    /// Allocate a zeroed `rows x cols` matrix.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        GlobalBuffer2d {
-            buf: GlobalBuffer::new(rows * cols),
-            rows,
-            cols,
-        }
-    }
-
-    /// Wrap an existing buffer (`buf.len()` must equal `rows * cols`).
-    ///
-    /// # Panics
-    /// Panics on a shape mismatch.
-    pub fn from_buffer(buf: GlobalBuffer<T>, rows: usize, cols: usize) -> Self {
-        assert_eq!(buf.len(), rows * cols, "shape mismatch");
-        GlobalBuffer2d { buf, rows, cols }
-    }
-
-    /// `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Read element `(r, c)`.
-    ///
-    /// # Panics
-    /// Panics when out of bounds (both axes checked).
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> T {
-        assert!(
-            r < self.rows && c < self.cols,
-            "index ({r},{c}) out of bounds"
-        );
-        self.buf.get(r * self.cols + c)
-    }
-
-    /// Write element `(r, c)`.
-    ///
-    /// # Panics
-    /// Panics when out of bounds.
-    #[inline]
-    pub fn set(&self, r: usize, c: usize, v: T) {
-        assert!(
-            r < self.rows && c < self.cols,
-            "index ({r},{c}) out of bounds"
-        );
-        self.buf.set(r * self.cols + c, v)
-    }
-
-    /// One row as a host vector.
-    pub fn row(&self, r: usize) -> Vec<T> {
-        assert!(r < self.rows);
-        self.buf.read_range(r * self.cols, self.cols)
-    }
-
-    /// The flat underlying buffer.
-    pub fn flat(&self) -> &GlobalBuffer<T> {
-        &self.buf
-    }
-}
-
 impl<T: DeviceScalar + std::fmt::Debug> std::fmt::Debug for GlobalBuffer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GlobalBuffer")
@@ -397,43 +316,6 @@ mod tests {
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i as u64 + 1);
         }
-    }
-
-    #[test]
-    fn buffer2d_round_trips() {
-        let m: GlobalBuffer2d<i32> = GlobalBuffer2d::new(3, 4);
-        assert_eq!(m.shape(), (3, 4));
-        m.set(2, 3, 42);
-        m.set(0, 0, -1);
-        assert_eq!(m.get(2, 3), 42);
-        assert_eq!(m.get(0, 0), -1);
-        assert_eq!(m.row(2), vec![0, 0, 0, 42]);
-        assert_eq!(m.flat().len(), 12);
-        // Shallow clone aliases storage.
-        let alias = m.clone();
-        alias.set(1, 1, 7);
-        assert_eq!(m.get(1, 1), 7);
-    }
-
-    #[test]
-    fn buffer2d_wraps_flat_buffer() {
-        let flat = GlobalBuffer::from_slice(&[1u32, 2, 3, 4, 5, 6]);
-        let m = GlobalBuffer2d::from_buffer(flat, 2, 3);
-        assert_eq!(m.get(1, 2), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn buffer2d_shape_checked() {
-        let flat: GlobalBuffer<u8> = GlobalBuffer::new(5);
-        let _ = GlobalBuffer2d::from_buffer(flat, 2, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn buffer2d_bounds_checked() {
-        let m: GlobalBuffer2d<u8> = GlobalBuffer2d::new(2, 2);
-        let _ = m.get(0, 2);
     }
 
     /// Every buffer starts on a 256-byte boundary, as a `cudaMalloc`'d one

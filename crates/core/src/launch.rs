@@ -804,6 +804,17 @@ pub(crate) fn drive_block(
     barrier.map_or(Ok(end), |sh| setup.check_poison(sh).map(|()| end))
 }
 
+/// A pool worker's per-entry buffers, kept across its entries (see
+/// `runtime::worker_loop`), so that a folded worker allocates nothing per
+/// entry: under the CPU methods an entry is a round.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// One `BlockTimes` per block the worker hosts, in turn order.
+    pub(crate) times: Vec<BlockTimes>,
+    /// [`drive_fold`]'s hosted blocks.
+    hosted: Vec<Hosted>,
+}
+
 /// One block a folded worker hosts: its context, where its last body
 /// ended (traced launches only), and its stamped bodies' time and count.
 struct Hosted {
@@ -826,8 +837,10 @@ struct Hosted {
 /// rounds — and its `sync` the rest of the entry: the other blocks'
 /// bodies and the waits, what a block queued on a busy core is charged.
 /// Blocks after the first add a 0-poll spin sample a round (see
-/// [`crate::Telemetry::spin_polls`]). Returns where the entry ended. An
-/// error is the worker's, so every block it hosts reports it.
+/// [`crate::Telemetry::spin_polls`]). The blocks' times go to
+/// `scratch.times`, which the caller has filled with one entry per hosted
+/// block. Returns where the entry ended. An error is the worker's, so
+/// every block it hosts reports it.
 pub(crate) fn drive_fold(
     setup: &LaunchSetup,
     kernel: &dyn RoundKernel,
@@ -835,19 +848,18 @@ pub(crate) fn drive_fold(
     (sh, fold): (&AtomicBarrier, &Fold),
     rounds: Range<usize>,
     start: Instant,
-    times: &mut [BlockTimes],
+    scratch: &mut Scratch,
 ) -> Result<Instant, ExecError> {
     let recorder = setup.recorder.as_deref();
     let first = rounds.start;
-    let mut hosted: Vec<Hosted> = setup
-        .hosted(worker)
-        .map(|block| Hosted {
-            ctx: setup.ctx(block),
-            ended: None,
-            bodies: Duration::ZERO,
-            stamped: 0,
-        })
-        .collect();
+    let Scratch { times, hosted } = scratch;
+    hosted.clear();
+    hosted.extend(setup.hosted(worker).map(|block| Hosted {
+        ctx: setup.ctx(block),
+        ended: None,
+        bodies: Duration::ZERO,
+        stamped: 0,
+    }));
     let len = rounds.len();
     let mut last = None;
     for r in rounds {
@@ -900,7 +912,7 @@ pub(crate) fn drive_fold(
     let end = now();
     let entry = end - start;
     let ran = (last + 1 - first) as u128;
-    for (h, t) in hosted.iter().zip(times) {
+    for (h, t) in hosted.iter().zip(times.iter_mut()) {
         let bodies = h.bodies.as_nanos() * ran / u128::from(h.stamped.max(1));
         let compute = Duration::from_nanos(bodies as u64).min(entry);
         t.compute += compute;
@@ -1162,19 +1174,26 @@ mod tests {
         let plan = LaunchPlan::compile(cfg, method).unwrap();
         let setup = plan.setup(kernel, plan.setup_slot(1));
         let rounds = 0..setup.rounds;
-        let mut times = vec![BlockTimes::default(); setup.n];
+        let mut scratch = Scratch {
+            times: vec![BlockTimes::default(); setup.n],
+            ..Scratch::default()
+        };
         let reads = CLOCK_READS.with(|c| c.get());
         let start = now();
         let end = match (setup.barrier.as_deref(), setup.fold.as_ref()) {
             (Some(sh), Some(fold)) => {
-                drive_fold(&setup, kernel, 0, (sh, fold), rounds, start, &mut times).unwrap()
+                drive_fold(&setup, kernel, 0, (sh, fold), rounds, start, &mut scratch).unwrap()
             }
-            _ => times.iter_mut().enumerate().fold(start, |at, (b, t)| {
-                drive_block(&setup, kernel, b, rounds.clone(), at, t).unwrap()
-            }),
+            _ => scratch
+                .times
+                .iter_mut()
+                .enumerate()
+                .fold(start, |at, (b, t)| {
+                    drive_block(&setup, kernel, b, rounds.clone(), at, t).unwrap()
+                }),
         };
         let reads = CLOCK_READS.with(|c| c.get()) - reads;
-        (times, end - start, reads)
+        (scratch.times, end - start, reads)
     }
 
     fn count(n: usize, rounds: usize) -> Count {

@@ -108,7 +108,7 @@ pub use executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 pub use fault::{
     stall_duration, Fault, FaultInjector, FaultKind, FaultPhase, FaultProfile, FaultSchedule,
 };
-pub use gmem::{GlobalBuffer, GlobalBuffer2d, Window};
+pub use gmem::{GlobalBuffer, Window};
 pub use launch::LaunchPlan;
 pub use method::{SyncMethod, TreeLevels};
 pub use metrics::{BlockHistogram, Histogram};

@@ -134,7 +134,7 @@ use crate::executor::{GridConfig, RoundKernel};
 use crate::fault::{effective_backstop, FaultKind, FaultPhase};
 use crate::launch::{
     collect_block_results, drive_block, drive_fold, yield_until, KernelRef, LaunchPlan,
-    LaunchSetup, SetupSlot,
+    LaunchSetup, Scratch, SetupSlot,
 };
 use crate::method::SyncMethod;
 use crate::obs::Observer;
@@ -958,6 +958,8 @@ fn worker_loop(device: &Device, d: usize, gen: u64, mut cursor: u64) {
     // Runs this worker pruned from the log, dropped at its next release
     // of the lock, which follows at once (see `prune`).
     let mut passed = Vec::new();
+    // Its entries' per-block buffers, reused by every entry it runs.
+    let mut scratch = Scratch::default();
     let mut st = device.state.lock();
     loop {
         if st.gens[d] != gen {
@@ -1004,7 +1006,7 @@ fn worker_loop(device: &Device, d: usize, gen: u64, mut cursor: u64) {
                 if settled() || (seq > cursor && failed()) {
                     break;
                 }
-                run_launch(&launch, seq, base, w);
+                run_launch(&launch, seq, base, w, &mut scratch);
                 base += 1;
             }
         }
@@ -1119,8 +1121,8 @@ fn boundary_fault(
 /// folded launch with a barrier, else [`drive_block`] per hosted block.
 /// The pooled strategy contributes only the `t_O` accounting, the
 /// assembly phase and the CPU methods' kernel boundary here. Every path
-/// reports the entry.
-fn run_launch(launch: &Arc<Launch>, seq: u64, base: usize, worker: usize) {
+/// reports the entry. `scratch` is the worker's, kept across entries.
+fn run_launch(launch: &Arc<Launch>, seq: u64, base: usize, worker: usize, scratch: &mut Scratch) {
     // Alive for this whole function: an owned kernel by the launch log's
     // `Arc`, a borrowed one because the borrowing call (`GridRuntime::run`,
     // `LaunchPlan::run`) is still blocked on this worker's `record_result`
@@ -1216,26 +1218,27 @@ fn run_launch(launch: &Arc<Launch>, seq: u64, base: usize, worker: usize) {
             rec.record_instant(block, base, TraceEventKind::Launch, start);
         }
     }
-    // One `BlockTimes` per hosted block, in turn order; no allocation for
-    // a worker hosting one.
-    let mut one = [t];
-    let mut many;
-    let times: &mut [BlockTimes] = match setup.hosted(worker).len() {
-        1 => &mut one,
-        k => {
-            many = vec![t; k];
-            &mut many
-        }
-    };
+    // One `BlockTimes` per hosted block, in turn order, in the worker's
+    // buffer: no allocation once it has hosted as many.
+    scratch.times.clear();
+    scratch.times.resize(setup.hosted(worker).len(), t);
     let end = base + if setup.per_round() { 1 } else { setup.rounds };
     let rounds = base..end.min(setup.rounds);
     let res = match (setup.barrier.as_deref(), setup.fold.as_ref()) {
         (Some(sh), Some(fold)) => {
-            drive_fold(setup, kernel, worker, (sh, fold), rounds, start, times).map(|_| ())
+            drive_fold(setup, kernel, worker, (sh, fold), rounds, start, scratch).map(|_| ())
         }
-        _ => run_in_turn(launch, kernel, worker, seq, rounds, start, times),
+        _ => run_in_turn(
+            launch,
+            kernel,
+            worker,
+            seq,
+            rounds,
+            start,
+            &mut scratch.times,
+        ),
     };
-    launch.record_result(worker, res.map(|()| &*times));
+    launch.record_result(worker, res.map(|()| &*scratch.times));
 }
 
 /// The entry's rounds of every block `worker` hosts, one block after the

@@ -5,7 +5,9 @@
 //! its own launches allocates while it counts. It warms its grid until the
 //! observer's flight recorder is full and the grid's launch slots exist,
 //! then pins the exact count of a steady-state launch: a new allocation on
-//! the launch path fails here. What is left is what the caller gets back
+//! the launch path fails here. A folded grid's workers keep their per-entry
+//! buffers, so its launches allocate as an unfolded grid's do, however many
+//! rounds they run. What is left is what the caller gets back
 //! and the launch itself: the `Arc` of the launch, the stats' method name,
 //! per-block times and pool box, and the flight recorder's copy of the
 //! method name.
@@ -99,6 +101,45 @@ fn a_warm_grid_run_allocates_five_times() {
             rt.run(&kernel).unwrap();
         });
         assert_eq!(allocs, 5);
+    });
+}
+
+/// Allocations of a warm `GridRuntime::run` of an idle `rounds`-round
+/// kernel on `blocks` blocks under `method`.
+fn grid_allocs(blocks: usize, method: SyncMethod, rounds: usize) -> u64 {
+    let rt = GridRuntime::new(GridConfig::new(blocks, TPB), method).unwrap();
+    let kernel: Idle = (rounds, |_, _| {});
+    steady_allocs(|| {
+        rt.run(&kernel).unwrap();
+    })
+}
+
+/// Four blocks per worker of the process device, which has one worker per
+/// core and at least two: the grid folds on any host.
+fn folded_blocks() -> usize {
+    4 * std::thread::available_parallelism().map_or(2, |c| c.get().max(2))
+}
+
+/// A folded grid's workers run its entries out of buffers they keep: a
+/// CPU-method launch, one entry per round, allocates the same at R and 2R
+/// rounds, and a folded GPU-method launch as often as an unfolded one.
+#[test]
+fn a_folded_launch_allocates_nothing_per_round() {
+    common::in_fresh_process("a_folded_launch_allocates_nothing_per_round", || {
+        let n = folded_blocks();
+        for method in [SyncMethod::CpuImplicit, SyncMethod::CpuExplicit] {
+            let (short, long) = (
+                grid_allocs(n, method, ROUNDS),
+                grid_allocs(n, method, 2 * ROUNDS),
+            );
+            assert_eq!(short, long, "{method}: {ROUNDS} and {} rounds", 2 * ROUNDS);
+        }
+        let method = SyncMethod::GpuLockFree;
+        assert_eq!(
+            grid_allocs(n, method, ROUNDS),
+            grid_allocs(BLOCKS, method, ROUNDS),
+            "{n} blocks folded and {BLOCKS} unfolded"
+        );
     });
 }
 
