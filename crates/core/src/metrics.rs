@@ -87,7 +87,7 @@ impl Histogram {
     /// bracketing the samples); this constructor does not re-derive them.
     /// Note `min` here is the *raw* field: `u64::MAX` for an empty
     /// histogram, as produced by serializing [`Histogram::new`].
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         buckets: [u64; NUM_BUCKETS],
         count: u64,
         sum: u64,

@@ -239,7 +239,7 @@ impl Observer {
     }
 
     /// Whether this observer records anything.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -297,11 +297,6 @@ impl Observer {
     /// The most recent failed launch, kept even after ring eviction.
     pub fn last_failure(&self) -> Option<LaunchRecord> {
         self.inner.lock().flight.last_failure.clone()
-    }
-
-    /// JSON postmortem of the most recent failure, if any.
-    pub fn postmortem_json(&self) -> Option<Json> {
-        self.last_failure().map(|r| r.to_json())
     }
 }
 
@@ -728,7 +723,7 @@ mod tests {
         // The failure was evicted from the ring but survives separately.
         assert!(obs.recent().iter().all(|r| r.error.is_none()));
         assert!(obs.last_failure().is_some());
-        let postmortem = obs.postmortem_json().unwrap();
+        let postmortem = obs.last_failure().unwrap().to_json();
         assert_eq!(postmortem.get("error_kind"), Some(&"panic".into()));
     }
 

@@ -395,7 +395,7 @@ impl EventRecorder {
     }
 
     /// Merged spin-polls-per-wait histogram.
-    pub fn spin_histogram(&self) -> Histogram {
+    pub(crate) fn spin_histogram(&self) -> Histogram {
         let mut h = Histogram::new();
         for b in &self.spin {
             h.merge(&b.snapshot());
@@ -404,7 +404,7 @@ impl EventRecorder {
     }
 
     /// Merged per-round sync-time histogram (ns).
-    pub fn sync_histogram(&self) -> Histogram {
+    pub(crate) fn sync_histogram(&self) -> Histogram {
         let mut h = Histogram::new();
         for b in &self.sync_ns {
             h.merge(&b.snapshot());

@@ -10,7 +10,11 @@
 //! Two harnesses:
 //!
 //! * [`MeanKernel`] — the kernel on the persistent-kernel host runtime
-//!   (`blocksync-core`), measured with wall clocks.
+//!   (`blocksync-core`), measured with wall clocks. A round takes its
+//!   block's chunk once, as one `Window` of each buffer, and loops over
+//!   the three by index: the range is checked once per round, not once
+//!   per access, so a round costs its relaxed loads and stores and the
+//!   barrier around it (DESIGN.md §3).
 //! * [`micro_workload`] / [`simulate_micro`] — the same shape on the
 //!   GTX 280 simulator (`blocksync-sim`), which regenerates Figure 11.
 
@@ -76,8 +80,12 @@ impl RoundKernel for MeanKernel {
     }
 
     fn round(&self, ctx: &BlockCtx, _round: usize) {
-        for i in ctx.chunk(self.out.len()) {
-            self.out.set(i, (self.a.get(i) + self.b.get(i)) / 2.0);
+        let chunk = ctx.chunk(self.out.len());
+        let (start, len) = (chunk.start, chunk.len());
+        let (a, b) = (self.a.window(start, len), self.b.window(start, len));
+        let out = self.out.window(start, len);
+        for k in 0..len {
+            out.set(k, (a.get(k) + b.get(k)) / 2.0);
         }
     }
 }
@@ -166,6 +174,67 @@ mod tests {
             let (stats, ok) = run_host(4, 16, 50, method).unwrap();
             assert!(ok, "{method}: wrong means");
             assert_eq!(stats.rounds, 50);
+        }
+    }
+
+    /// The per-element loop the windowed round replaced, over host data.
+    fn reference_means(elements: usize) -> Vec<f32> {
+        (0..elements)
+            .map(|i| (i as f32 + (i as f32 + 2.0)) / 2.0)
+            .collect()
+    }
+
+    #[test]
+    fn windowed_round_matches_the_per_element_loop() {
+        for elements in [1, 63, 64, 65, 1000, 30 * 448] {
+            let want: Vec<u32> = reference_means(elements)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            for n_blocks in [1, 2, 3, 5, 8, 13] {
+                for method in [SyncMethod::GpuSimple, SyncMethod::CpuImplicit] {
+                    let k = MeanKernel::new(elements, 3);
+                    let stats = LaunchPlan::compile(GridConfig::new(n_blocks, 64), method)
+                        .and_then(|plan| plan.run(&k))
+                        .unwrap();
+                    assert_eq!(stats.rounds, 3);
+                    let got: Vec<u32> = k.output().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        got, want,
+                        "{elements} elements, {n_blocks} blocks, {method}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_writes_only_its_own_chunk() {
+        for elements in [1, 63, 64, 65, 1000] {
+            for n_blocks in [1, 2, 3, 5, 8, 13] {
+                for block_id in 0..n_blocks {
+                    let k = MeanKernel::new(elements, 1);
+                    let ctx = BlockCtx {
+                        block_id,
+                        n_blocks,
+                        threads_per_block: 64,
+                    };
+                    k.round(&ctx, 0);
+                    let mine = ctx.chunk(elements);
+                    for (i, v) in k.output().into_iter().enumerate() {
+                        let want = if mine.contains(&i) {
+                            i as f32 + 1.0
+                        } else {
+                            0.0
+                        };
+                        assert_eq!(
+                            v.to_bits(),
+                            want.to_bits(),
+                            "element {i} of {elements}, block {block_id} of {n_blocks}"
+                        );
+                    }
+                }
+            }
         }
     }
 
