@@ -18,6 +18,9 @@
 //! construction from the `n/2` roots `e^(±2πik/n)` computed in `f64` —
 //! stage `s`'s entry `k` is root `k · (n/2 >> s)` — so neither building
 //! the kernel nor a launch evaluates more `sin` or `cos` than those `n/2`.
+//! Kernels of the same length and direction share one table: the process
+//! keeps the latest tables, up to 2^21 entries (16 MiB) in all, so a
+//! second transform of a length builds with no `sin` or `cos` at all.
 //!
 //! A block walks its chunk of butterflies in runs of consecutive `k`,
 //! each one loop over four [`Window`]s (the two legs' `re` and `im`). Below
@@ -31,6 +34,8 @@
 //! CPU synchronization every stage is a separate kernel launch; with GPU
 //! synchronization the whole transform is one persistent kernel.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use blocksync_core::{BlockCtx, GlobalBuffer, RoundKernel, Window};
 
 use super::reference::bit_reverse;
@@ -40,6 +45,10 @@ use crate::complex::Complex32;
 /// whole groups) instead of four windows per run: 1, 2, 4 and 8, each a
 /// monomorphized [`groups`].
 const SHORT_SPAN: usize = 16;
+
+/// Twiddles the process keeps for later kernels, in table entries (16 MiB):
+/// a 2^21-point table, or many smaller ones.
+const TWIDDLE_CACHE_ENTRIES: usize = 1 << 21;
 
 /// Direction of the transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +66,9 @@ pub struct GridFft {
     work_re: GlobalBuffer<f32>,
     work_im: GlobalBuffer<f32>,
     /// Stage `s`'s twiddles `e^(±iπk/2^s)` for `k < 2^s`, from index
-    /// `2^s − 1` (constant, so plain host memory).
-    twiddles: Vec<Complex32>,
+    /// `2^s − 1` (constant, so plain host memory, shared by every kernel
+    /// of this length and direction).
+    twiddles: Arc<[Complex32]>,
     n: usize,
     log_n: u32,
     direction: Direction,
@@ -78,34 +88,14 @@ impl GridFft {
         );
         let re: Vec<f32> = input.iter().map(|z| z.re).collect();
         let im: Vec<f32> = input.iter().map(|z| z.im).collect();
-        let step = match direction {
-            Direction::Forward => -std::f64::consts::TAU,
-            Direction::Inverse => std::f64::consts::TAU,
-        } / n as f64;
-        // The last stage's twiddles are the n/2 roots themselves; every
-        // earlier stage's are a stride through them.
-        let half = n / 2;
-        let mut twiddles = vec![Complex32::default(); n - 1];
-        let (earlier, roots) = twiddles.split_at_mut(half.saturating_sub(1));
-        for (k, root) in roots.iter_mut().enumerate() {
-            let (sin, cos) = (step * k as f64).sin_cos();
-            *root = Complex32::new(cos as f32, sin as f32);
-        }
-        let log_n = n.trailing_zeros();
-        for s in 0..log_n.saturating_sub(1) {
-            let stage = &mut earlier[(1 << s) - 1..(2 << s) - 1];
-            for (w, root) in stage.iter_mut().zip(roots.iter().step_by(half >> s)) {
-                *w = *root;
-            }
-        }
         GridFft {
             input_re: GlobalBuffer::from_slice(&re),
             input_im: GlobalBuffer::from_slice(&im),
             work_re: GlobalBuffer::new(n),
             work_im: GlobalBuffer::new(n),
-            twiddles,
+            twiddles: shared_twiddles(n, direction),
             n,
-            log_n,
+            log_n: n.trailing_zeros(),
             direction,
         }
     }
@@ -208,6 +198,52 @@ impl RoundKernel for GridFft {
             t += run;
         }
     }
+}
+
+/// The twiddle table of an `n`-point transform in `direction`, from the
+/// process's cache, built and kept on a miss. The cache keeps the latest
+/// tables up to `TWIDDLE_CACHE_ENTRIES` entries; a larger table is built
+/// and not kept.
+fn shared_twiddles(n: usize, direction: Direction) -> Arc<[Complex32]> {
+    type Tables = Vec<(usize, Direction, Arc<[Complex32]>)>;
+    static CACHE: Mutex<Tables> = Mutex::new(Vec::new());
+    // Every update is one push or one remove, so a panic under the lock
+    // (building a table) leaves the list whole.
+    let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((.., table)) = cache.iter().find(|(m, d, _)| (*m, *d) == (n, direction)) {
+        return Arc::clone(table);
+    }
+    let table = twiddles(n, direction);
+    cache.push((n, direction, Arc::clone(&table)));
+    while cache.iter().map(|(.., t)| t.len()).sum::<usize>() > TWIDDLE_CACHE_ENTRIES {
+        cache.remove(0);
+    }
+    table
+}
+
+/// Stage `s`'s twiddles `e^(±iπk/2^s)` for `k < 2^s`, from index `2^s − 1`,
+/// from `n/2` evaluations of `sin_cos`.
+fn twiddles(n: usize, direction: Direction) -> Arc<[Complex32]> {
+    let step = match direction {
+        Direction::Forward => -std::f64::consts::TAU,
+        Direction::Inverse => std::f64::consts::TAU,
+    } / n as f64;
+    // The last stage's twiddles are the n/2 roots themselves; every
+    // earlier stage's are a stride through them.
+    let half = n / 2;
+    let mut twiddles = vec![Complex32::default(); n - 1];
+    let (earlier, roots) = twiddles.split_at_mut(half.saturating_sub(1));
+    for (k, root) in roots.iter_mut().enumerate() {
+        let (sin, cos) = (step * k as f64).sin_cos();
+        *root = Complex32::new(cos as f32, sin as f32);
+    }
+    for s in 0..n.trailing_zeros().saturating_sub(1) {
+        let stage = &mut earlier[(1 << s) - 1..(2 << s) - 1];
+        for (w, root) in stage.iter_mut().zip(roots.iter().step_by(half >> s)) {
+            *w = *root;
+        }
+    }
+    twiddles.into()
 }
 
 /// The butterflies of `len` keys of the working buffer (`re`, `im`) that
@@ -379,6 +415,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Kernels of one length and direction share their table; the other
+    /// direction or another length gets its own.
+    #[test]
+    fn kernels_of_one_length_and_direction_share_a_twiddle_table() {
+        let build = |n, direction| GridFft::new(&complex_signal(n, 1), direction).twiddles;
+        let forward = build(128, Direction::Forward);
+        assert!(Arc::ptr_eq(&forward, &build(128, Direction::Forward)));
+        assert!(!Arc::ptr_eq(&forward, &build(128, Direction::Inverse)));
+        assert_eq!(build(256, Direction::Forward).len(), 255);
+        assert_eq!(*forward, *twiddles(128, Direction::Forward));
     }
 
     #[test]

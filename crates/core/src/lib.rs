@@ -111,14 +111,13 @@ pub use fault::{
 pub use gmem::{GlobalBuffer, Window};
 pub use launch::LaunchPlan;
 pub use method::{SyncMethod, TreeLevels};
-pub use metrics::{BlockHistogram, Histogram};
+pub use metrics::Histogram;
 pub use obs::{LaunchRecord, MetricsSnapshot, Observer, DEFAULT_SHARD, FLIGHT_RECORDER_CAPACITY};
 pub use runtime::{GridRuntime, LaunchHandle, PoolLaunchStats};
 pub use scalar::DeviceScalar;
 pub use service::{GridService, ServiceConfig, ServiceHandle, ShardKey};
 pub use stats::{BlockTimes, KernelStats};
 pub use trace::{
-    ChromeTraceBuilder, EventRecorder, RoundTelemetry, Telemetry, TraceConfig, TraceEvent,
-    TraceEventKind,
+    ChromeTraceBuilder, RoundTelemetry, Telemetry, TraceConfig, TraceEvent, TraceEventKind,
 };
 pub use tree::TreeShape;

@@ -6,11 +6,11 @@
 //! * [`Histogram`] — a plain (non-atomic) histogram used for aggregation
 //!   and reporting. Supports merging, so per-block histograms can be
 //!   combined into one run-level view.
-//! * [`BlockHistogram`] — a **single-writer** atomic histogram, one per
+//! * `BlockHistogram` — a **single-writer** atomic histogram, one per
 //!   block. The owning block updates it with plain `Relaxed` load + store
 //!   pairs (never an atomic read-modify-write): each bucket, the count,
 //!   and the sum have exactly one writer, so a load followed by a store
-//!   cannot lose updates. Readers take a [`BlockHistogram::snapshot`]
+//!   cannot lose updates. Readers take a `BlockHistogram::snapshot`
 //!   after the run's threads have joined (the join edge publishes the
 //!   relaxed stores).
 //!
@@ -199,7 +199,7 @@ impl Histogram {
 /// lock), after which
 /// [`BlockHistogram::snapshot`] reads are exact.
 #[derive(Debug)]
-pub struct BlockHistogram {
+pub(crate) struct BlockHistogram {
     buckets: [AtomicU64; NUM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -207,15 +207,9 @@ pub struct BlockHistogram {
     max: AtomicU64,
 }
 
-impl Default for BlockHistogram {
-    fn default() -> Self {
-        BlockHistogram::new()
-    }
-}
-
 impl BlockHistogram {
     /// Empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BlockHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
@@ -228,7 +222,7 @@ impl BlockHistogram {
     /// Record one sample. Must only ever be called from the owning
     /// block's thread (single-writer contract).
     #[inline]
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         let b = &self.buckets[bucket_of(v)];
         b.store(b.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         self.count
@@ -247,13 +241,8 @@ impl BlockHistogram {
         }
     }
 
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Copy into a plain [`Histogram`] for merging/reporting.
-    pub fn snapshot(&self) -> Histogram {
+    pub(crate) fn snapshot(&self) -> Histogram {
         let mut h = Histogram::new();
         for (dst, src) in h.buckets.iter_mut().zip(self.buckets.iter()) {
             *dst = src.load(Ordering::Relaxed);

@@ -33,7 +33,7 @@
 //! Workers never touch this plane: there are **no registry loads or
 //! stores — and in particular no atomic read-modify-writes — inside
 //! barrier spin loops** (the same guarantee the single-writer
-//! [`crate::BlockHistogram`] telemetry makes). All mutation happens on
+//! `BlockHistogram` telemetry makes). All mutation happens on
 //! the *host* thread that resolves a launch (`wait_launch`, or
 //! `LaunchPlan::run` under CPU-explicit sync), exactly once per launch,
 //! under a short

@@ -11,7 +11,7 @@
 //!
 //! ## Hot-path discipline
 //!
-//! The [`EventRecorder`] keeps one fixed-capacity ring per block. Each
+//! The `EventRecorder` keeps one fixed-capacity ring per block. Each
 //! block is the **single writer** of its own ring, so appending an event
 //! is: one `Relaxed` load of the cursor, one `Relaxed` store of the packed
 //! event word, one `Relaxed` store of the cursor — *no atomic
@@ -257,7 +257,7 @@ impl Ring {
 /// Created for every launch when [`crate::GridConfig`]
 /// carries a [`TraceConfig`], attached to the run's barrier control, and
 /// aggregated into a [`Telemetry`] at run end.
-pub struct EventRecorder {
+pub(crate) struct EventRecorder {
     epoch: Instant,
     stride: usize,
     rings: Vec<CachePadded<Ring>>,
@@ -276,7 +276,7 @@ impl std::fmt::Debug for EventRecorder {
 
 impl EventRecorder {
     /// Recorder for `n_blocks` blocks of a `rounds`-round kernel.
-    pub fn new(n_blocks: usize, rounds: usize, cfg: &TraceConfig) -> Self {
+    pub(crate) fn new(n_blocks: usize, rounds: usize, cfg: &TraceConfig) -> Self {
         let stride = cfg.stride.max(1);
         let cap = if cfg.events_per_block > 0 {
             cfg.events_per_block
@@ -302,13 +302,13 @@ impl EventRecorder {
     }
 
     /// The configured round stride.
-    pub fn stride(&self) -> usize {
+    pub(crate) fn stride(&self) -> usize {
         self.stride
     }
 
     /// Whether `round`'s timeline events are recorded under the stride.
     #[inline]
-    pub fn sampled(&self, round: usize) -> bool {
+    pub(crate) fn sampled(&self, round: usize) -> bool {
         round.is_multiple_of(self.stride)
     }
 
@@ -316,7 +316,7 @@ impl EventRecorder {
     /// from the thread owning `block`'s ring (or with an external
     /// happens-before edge to it, as a launch's completion provides).
     #[inline]
-    pub fn record(&self, block: usize, round: usize, kind: TraceEventKind) {
+    pub(crate) fn record(&self, block: usize, round: usize, kind: TraceEventKind) {
         self.record_at(block, round, kind, self.epoch.elapsed());
     }
 
@@ -358,13 +358,14 @@ impl EventRecorder {
     }
 
     /// Events recorded for `block`, oldest retained first.
-    pub fn block_events(&self, block: usize) -> Vec<TraceEvent> {
+    #[cfg(test)]
+    fn block_events(&self, block: usize) -> Vec<TraceEvent> {
         self.rings[block].decode(block)
     }
 
     /// The last `k` events of `block`, oldest first — the "what was it
     /// doing" tail attached to timeout diagnostics.
-    pub fn tail(&self, block: usize, k: usize) -> Vec<TraceEvent> {
+    pub(crate) fn tail(&self, block: usize, k: usize) -> Vec<TraceEvent> {
         let mut ev = self.rings[block].decode(block);
         let skip = ev.len().saturating_sub(k);
         ev.split_off(skip)
@@ -381,7 +382,7 @@ impl EventRecorder {
 
     /// All events of all blocks, sorted by time (ties: by block, then by
     /// per-block order).
-    pub fn events(&self) -> Vec<TraceEvent> {
+    pub(crate) fn events(&self) -> Vec<TraceEvent> {
         let mut all: Vec<TraceEvent> = (0..self.rings.len())
             .flat_map(|b| self.rings[b].decode(b))
             .collect();
@@ -390,7 +391,7 @@ impl EventRecorder {
     }
 
     /// Events lost to ring overflow, across all blocks.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.rings.iter().map(|r| r.dropped()).sum()
     }
 
@@ -413,7 +414,7 @@ impl EventRecorder {
     }
 
     /// Aggregate everything recorded so far into a [`Telemetry`].
-    pub fn finish(&self) -> Telemetry {
+    pub(crate) fn finish(&self) -> Telemetry {
         Telemetry::from_recorder(self)
     }
 }

@@ -11,12 +11,19 @@
 //! and the launch itself: the `Arc` of the launch, the stats' method name,
 //! per-block times and pool box, and the flight recorder's copy of the
 //! method name.
+//!
+//! The allocator also counts allocations of 64 KiB or more: a kernel
+//! built again after an identical one was dropped takes its large buffers
+//! from the storage the dropped one gave back, and makes none.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use blocksync::algos::scan::GridScan;
+use blocksync::algos::seqgen::dna_sequence;
+use blocksync::algos::swat::{GapPenalties, GridSwat, Scoring};
 use blocksync::core::{
     BlockCtx, GridConfig, GridRuntime, GridService, RoundKernel, ServiceConfig, ShardKey,
     SyncMethod, FLIGHT_RECORDER_CAPACITY,
@@ -29,21 +36,34 @@ struct Counting;
 /// Allocations (and reallocations) made so far, by every thread.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// Those of them of at least `LARGE_BYTES`.
+static LARGE: AtomicU64 = AtomicU64::new(0);
+
+/// The smallest buffer storage the process keeps for reuse.
+const LARGE_BYTES: usize = 64 << 10;
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if bytes >= LARGE_BYTES {
+        LARGE.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is the only addition.
+// counters are the only addition.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -163,5 +183,31 @@ fn a_warm_service_launch_allocates_seven_times() {
             .unwrap();
         });
         assert_eq!(allocs, 7);
+    });
+}
+
+/// Allocations of `LARGE_BYTES` or more that `build` makes.
+fn large_allocs<K>(build: impl FnOnce() -> K) -> u64 {
+    let before = LARGE.load(Ordering::Relaxed);
+    let kernel = build();
+    let made = LARGE.load(Ordering::Relaxed) - before;
+    drop(kernel);
+    made
+}
+
+/// The `algos` benchmark's Smith-Waterman and scan shapes: the first build
+/// allocates each large buffer (`H`; the input and the sums), and a
+/// rebuild after the drop allocates none.
+#[test]
+fn a_rebuilt_kernel_makes_no_large_allocation() {
+    common::in_fresh_process("a_rebuilt_kernel_makes_no_large_allocation", || {
+        let (a, b) = (dna_sequence(1024, 1), dna_sequence(1024, 2));
+        let swat = || GridSwat::new(&a, &b, Scoring::dna(), GapPenalties::dna(), BLOCKS);
+        let values: Vec<u64> = (0..1 << 18).collect();
+        let scan = || GridScan::new(&values);
+        assert_eq!(large_allocs(swat), 1, "first GridSwat");
+        assert_eq!(large_allocs(swat), 0, "rebuilt GridSwat");
+        assert_eq!(large_allocs(scan), 2, "first GridScan");
+        assert_eq!(large_allocs(scan), 0, "rebuilt GridScan");
     });
 }
