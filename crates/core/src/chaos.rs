@@ -562,7 +562,7 @@ fn service_flight_record(obs: &Observer, seq: u64) -> Option<LaunchRecord> {
     obs.recent()
         .into_iter()
         .rev()
-        .find(|r| r.pool.is_some_and(|p| p.launch_seq == seq))
+        .find(|r| r.stats.pool.as_ref().is_some_and(|p| p.launch_seq == seq))
 }
 
 /// Per-worker generation bookkeeping of the service's device across

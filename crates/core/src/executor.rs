@@ -128,36 +128,6 @@ impl BlockCtx {
         let n = self.n_blocks;
         (self.block_id..total).step_by(n.max(1))
     }
-
-    /// Total threads in the grid (`n_blocks * threads_per_block`).
-    pub fn total_threads(&self) -> usize {
-        self.n_blocks * self.threads_per_block
-    }
-
-    /// This block's thread ids (`0..threads_per_block`). The host runtime
-    /// executes a block's threads sequentially, so kernels that want to
-    /// mirror CUDA per-thread code iterate these and call
-    /// [`BlockCtx::thread_items`] for each — `__syncthreads()` between
-    /// per-thread phases is then implicit in the loop boundary.
-    pub fn thread_ids(&self) -> Range<usize> {
-        0..self.threads_per_block
-    }
-
-    /// Flat grid-wide id of this block's thread `tid`
-    /// (`block_id * blockDim + tid`, CUDA's `blockIdx.x * blockDim.x +
-    /// threadIdx.x`).
-    pub fn global_thread_id(&self, tid: usize) -> usize {
-        debug_assert!(tid < self.threads_per_block);
-        self.block_id * self.threads_per_block + tid
-    }
-
-    /// CUDA grid-stride loop for one thread: the items of `0..total`
-    /// visited by this block's thread `tid` when every grid thread strides
-    /// by the total thread count.
-    pub fn thread_items(&self, tid: usize, total: usize) -> impl Iterator<Item = usize> {
-        let stride = self.total_threads().max(1);
-        (self.global_thread_id(tid)..total).step_by(stride)
-    }
 }
 
 /// Cooperative-cancellation handle handed to kernels at launch.
@@ -349,9 +319,9 @@ mod tests {
         let stats = plan.run(&k).unwrap();
         let auto = stats.auto.as_ref().expect("auto run records a decision");
         assert_eq!(plan.method(), auto.chosen, "compile resolves Auto");
-        assert_eq!(stats.method, format!("auto:{}", auto.chosen));
+        assert_eq!(&*stats.method, format!("auto:{}", auto.chosen));
         // The observed record carries the same label as the stats.
-        assert_eq!(plan.observer().recent()[0].method, stats.method);
+        assert_eq!(plan.observer().recent()[0].stats.method, stats.method);
         assert!(auto.predicted_sync_ns > 0.0);
         assert!(auto.measured_sync_ns.is_some(), "loop closed after run");
         assert!(auto.misprediction_ratio().is_some());
@@ -637,45 +607,5 @@ mod tests {
                 stats.wall
             );
         }
-    }
-
-    #[test]
-    fn block_ctx_total_threads() {
-        let ctx = BlockCtx {
-            block_id: 0,
-            n_blocks: 30,
-            threads_per_block: 448,
-        };
-        assert_eq!(ctx.total_threads(), 13_440);
-        assert_eq!(ctx.thread_ids(), 0..448);
-        assert_eq!(ctx.global_thread_id(7), 7);
-        let ctx = BlockCtx {
-            block_id: 2,
-            n_blocks: 30,
-            threads_per_block: 448,
-        };
-        assert_eq!(ctx.global_thread_id(7), 2 * 448 + 7);
-    }
-
-    #[test]
-    fn thread_items_partition_exactly() {
-        let n_blocks = 3;
-        let tpb = 4;
-        let total = 50;
-        let mut covered = vec![false; total];
-        for b in 0..n_blocks {
-            let ctx = BlockCtx {
-                block_id: b,
-                n_blocks,
-                threads_per_block: tpb,
-            };
-            for tid in ctx.thread_ids() {
-                for i in ctx.thread_items(tid, total) {
-                    assert!(!covered[i], "item {i} visited twice");
-                    covered[i] = true;
-                }
-            }
-        }
-        assert!(covered.iter().all(|&c| c));
     }
 }

@@ -14,9 +14,9 @@
 //! * `LaunchSetup` — the per-launch state a plan stamps out: the barrier
 //!   and the abort signal — a reset one from the plan's last launch, never
 //!   a poisoned or abandoned one (`SetupSlot`) — and the trace recorder.
-//!   Its `finish` turns the per-block results into the launch's
-//!   [`KernelStats`] *and* its [`LaunchRecord`] — the one place a record
-//!   is built, for every strategy, success or failure.
+//!   Its `finish` turns the per-block results into the launch's one
+//!   [`KernelStats`] and the [`LaunchRecord`] that holds them — the one
+//!   place either is built, for every strategy, success or failure.
 //! * `drive_block` — the round loop of a worker that hosts one block: run
 //!   the round under `catch_unwind`, poison + abort on panic, barrier-wait
 //!   with bounded waits, and per-round time/trace accounting; and
@@ -250,6 +250,9 @@ pub struct LaunchPlan {
     /// The host tuner's verdict when the plan was compiled from
     /// [`SyncMethod::Auto`]; `method` is its `chosen`.
     auto: Option<AutoDecision>,
+    /// The [`KernelStats::method`] of every launch through the plan:
+    /// `method`'s name, or `auto:<method>` for an `Auto` plan.
+    label: Arc<str>,
     pub(crate) obs: Arc<Observer>,
     /// The launch state the plan's settled launches gave back for reuse.
     pub(crate) slots: Arc<Slots>,
@@ -273,10 +276,16 @@ impl LaunchPlan {
         // resident ceiling, so the grid's own size stands in.
         let n = cfg.n_blocks;
         let auto = (method == SyncMethod::Auto).then(|| AutoTuner::host().decide(n, n));
+        let method = auto.as_ref().map_or(method, |d| d.chosen);
+        let label = match &auto {
+            Some(_) => format!("auto:{method}"),
+            None => method.to_string(),
+        };
         Ok(LaunchPlan {
-            method: auto.as_ref().map_or(method, |d| d.chosen),
+            method,
             cfg,
             auto,
+            label: label.into(),
             obs: Observer::new(),
             slots: Arc::default(),
         })
@@ -346,6 +355,7 @@ impl LaunchPlan {
         kernel.on_launch(&abort);
         LaunchSetup {
             method: self.method,
+            label: Arc::clone(&self.label),
             auto: self.auto.clone(),
             n,
             workers,
@@ -413,6 +423,8 @@ pub(crate) struct SetupSlot {
 /// methods, for every one of its per-round log entries.
 pub(crate) struct LaunchSetup {
     pub(crate) method: SyncMethod,
+    /// The plan's method label.
+    label: Arc<str>,
     /// The plan's `Auto` verdict, completed and reported by `finish`.
     auto: Option<AutoDecision>,
     /// Blocks in the grid.
@@ -612,53 +624,54 @@ impl LaunchSetup {
     }
 
     /// Close the launch: from the merged per-block results, assemble the
-    /// launch's [`KernelStats`] (`launch` is the slowest block's launch
-    /// share, telemetry comes from this launch's recorder, an `Auto`
-    /// plan's decision gets this launch's measured sync cost) and its one
-    /// [`LaunchRecord`], built from what this setup owns — the scheduled
-    /// faults, and for a failure the recorder's per-block tails. The pool
-    /// adds only what it alone knows (`replacements` and `shard`).
+    /// launch's one [`KernelStats`] (`launch` is the slowest block's launch
+    /// share, telemetry comes from this launch's recorder, an `Auto` plan's
+    /// decision gets this launch's measured sync cost) and its
+    /// [`LaunchRecord`]: a copy of those stats without `telemetry` and
+    /// `auto`, next to what this setup owns — the scheduled faults, and
+    /// for a failure the error and the recorder's per-block tails. A
+    /// failure's stats are partial: no per-block times, and no launch
+    /// share. The pool adds only what it alone knows (`replacements` and
+    /// `shard`).
     pub(crate) fn finish(
         &self,
         result: Result<Vec<BlockTimes>, ExecError>,
         wall: Duration,
         pool: PoolLaunchStats,
     ) -> (Result<KernelStats, ExecError>, LaunchRecord) {
-        let method = match &self.auto {
-            Some(decision) => format!("auto:{}", decision.chosen),
-            None => self.method.to_string(),
-        };
-        let mut record = LaunchRecord {
+        let mut stats = KernelStats {
+            method: Arc::clone(&self.label),
+            n_blocks: self.n,
+            rounds: self.rounds,
             wall,
-            pool: Some(pool),
+            launch: Duration::ZERO,
+            per_block: Vec::new(),
+            telemetry: None,
+            auto: None,
+            pool: Some(Box::new(pool)),
+        };
+        let record = |stats, error, recent_events| LaunchRecord {
+            stats,
+            error,
+            replacements: 0,
+            shard: None,
+            recent_events,
             faults: self
                 .faults
                 .as_deref()
                 .map_or_else(Vec::new, |s| s.faults().to_vec()),
-            ..LaunchRecord::new(method)
         };
         let per_block = match result {
             Ok(per_block) => per_block,
             Err(e) => {
-                record.error = Some(e.clone());
-                record.recent_events = self.recent_events();
+                let record = record(stats, Some(e.clone()), self.recent_events());
                 return (Err(e), record);
             }
         };
-        record.launch = per_block.iter().map(|b| b.launch).max().unwrap_or_default();
-        record.compute = per_block.iter().map(|b| b.compute).sum();
-        record.sync = per_block.iter().map(|b| b.sync).sum();
-        let mut stats = KernelStats {
-            method: record.method.clone(),
-            n_blocks: self.n,
-            rounds: self.rounds,
-            wall,
-            launch: record.launch,
-            per_block,
-            telemetry: self.recorder.as_ref().map(|rec| Box::new(rec.finish())),
-            auto: None,
-            pool: Some(Box::new(pool)),
-        };
+        stats.launch = per_block.iter().map(|b| b.launch).max().unwrap_or_default();
+        stats.per_block = per_block;
+        let record = record(stats.clone(), None, Vec::new());
+        stats.telemetry = self.recorder.as_ref().map(|rec| Box::new(rec.finish()));
         stats.auto = self.auto.as_ref().map(|decision| {
             Box::new(AutoDecision {
                 measured_sync_ns: Some(stats.sync_per_round().as_secs_f64() * 1e9),

@@ -2,17 +2,18 @@
 //! flight recorder, fed once per **launch completion**.
 //!
 //! Telemetry is one flow. The per-block recorder of `crate::trace` feeds a
-//! launch's [`crate::KernelStats`]; the launch engine folds that launch —
-//! success or failure, cold or warm — into one typed [`LaunchRecord`]
-//! (`LaunchSetup::finish` in `crate::launch` is its only producer); and
-//! this module keeps the records: nothing else survives across the
-//! pipelined launches a pooled [`crate::GridRuntime`] serves.
+//! launch's [`KernelStats`]; the launch engine folds that launch — success
+//! or failure, cold or warm — into one typed [`LaunchRecord`] around those
+//! same stats (`LaunchSetup::finish` in `crate::launch` is its only
+//! producer); and this module keeps the records: nothing else survives
+//! across the pipelined launches a pooled [`crate::GridRuntime`] serves.
 //!
-//! * [`LaunchRecord`] — what one launch was and how it ended, holding the
-//!   things themselves rather than copies: the [`PoolLaunchStats`] of a
-//!   warm launch, the [`ExecError`] of a failed one (with its
-//!   [`crate::StuckDiagnostic`]), the [`Fault`]s that were scheduled, and
-//!   the trailing trace events.
+//! * [`LaunchRecord`] — what one launch was and how it ended: its
+//!   [`KernelStats`] (method, Eq. 1 split, [`crate::PoolLaunchStats`];
+//!   partial for a failure), and only what those cannot know — the
+//!   [`ExecError`] of a failed launch (with its
+//!   [`crate::StuckDiagnostic`]), the [`Fault`]s that were scheduled, the
+//!   trailing trace events, the workers replaced and the shard label.
 //! * [`Observer`] — an `Arc`-shared handle combining a **metrics
 //!   registry** (named counters, gauges, labeled counters, and cumulative
 //!   merged [`Histogram`]s) with a **flight recorder** (a bounded ring of
@@ -51,7 +52,7 @@ use parking_lot::Mutex;
 use crate::error::ExecError;
 use crate::fault::Fault;
 use crate::metrics::{Histogram, NUM_BUCKETS};
-use crate::runtime::PoolLaunchStats;
+use crate::stats::{BlockTimes, KernelStats};
 
 /// How many [`LaunchRecord`]s the flight recorder retains.
 pub const FLIGHT_RECORDER_CAPACITY: usize = 64;
@@ -66,37 +67,30 @@ pub(crate) fn dur_ns(d: Duration) -> u64 {
 }
 
 /// One entry of the flight recorder: everything worth keeping about a
-/// completed launch, success or failure. For failures this preserves the
-/// context a bare `Err` return loses — the trailing trace events and the
-/// fault schedule that was active, next to the error and its diagnostic —
-/// so a postmortem is replayable without re-running the soak.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// completed launch, success or failure. It holds the launch's
+/// [`KernelStats`] and only what those cannot know. For failures this
+/// preserves the context a bare `Err` return loses — the trailing trace
+/// events and the fault schedule that was active, next to the error and
+/// its diagnostic — so a postmortem is replayable without re-running the
+/// soak.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LaunchRecord {
-    /// Sync method that served the launch (e.g. `"gpu-lock-free"`, or
-    /// `"auto:gpu-lock-free"` for resolved auto launches).
-    pub method: String,
+    /// The stats the launch's caller got, without `telemetry` and `auto`
+    /// (the caller's trace is the caller's; a failure's tail is in
+    /// `recent_events`). A failed launch's are partial: its method, block
+    /// and round counts, `wall` (submit → stats, so it includes queueing,
+    /// and for the process's launch 0 the worker spawns) and `pool` are
+    /// set, its `per_block` is empty and its `launch` zero. `pool` is
+    /// `None` only on a record built by hand.
+    pub stats: KernelStats,
     /// Why the launch failed; `None` for a success.
     pub error: Option<ExecError>,
-    /// Submit → stats latency, measured from submission (so it includes
-    /// queueing, and for a pool's launch 0 the worker spawns).
-    pub wall: Duration,
-    /// Launch overhead `t_O` (max per-block assembly time).
-    pub launch: Duration,
-    /// Total compute time summed across blocks.
-    pub compute: Duration,
-    /// Total synchronization time summed across blocks.
-    pub sync: Duration,
-    /// The pool's accounting — the same value as
-    /// [`crate::KernelStats::pool`]: every launch runs on a
-    /// [`crate::GridRuntime`], a [`crate::LaunchPlan::run`]'s included (a
-    /// fresh grid for the call). `None` only on a record built by hand.
-    pub pool: Option<PoolLaunchStats>,
     /// Workers replaced while settling this launch (abandon-and-replace).
     pub replacements: usize,
     /// Shard label when the launch was served by a [`crate::GridService`]
     /// shard. `None` for standalone runtimes, whose gauge samples land
     /// under the `"default"` shard.
-    pub shard: Option<String>,
+    pub shard: Option<Arc<str>>,
     /// Trailing trace events per block (`"b<block>: <event>"`), captured
     /// for failures of launches that ran with a [`crate::TraceConfig`].
     pub recent_events: Vec<String>,
@@ -106,22 +100,24 @@ pub struct LaunchRecord {
 
 impl LaunchRecord {
     /// A blank record for `method`; callers fill in what they know.
-    pub fn new(method: impl Into<String>) -> Self {
-        LaunchRecord {
-            method: method.into(),
-            ..LaunchRecord::default()
-        }
+    pub fn new(method: impl Into<Arc<str>>) -> Self {
+        let mut r = LaunchRecord::default();
+        r.stats.method = method.into();
+        r
     }
 
     /// A self-contained JSON postmortem for this launch: outcome, timing
-    /// split, pool context, the full [`crate::StuckDiagnostic`] of a
-    /// timeout, trailing trace events, and the active fault schedule.
+    /// split (`compute_ns` and `sync_ns` summed over blocks), pool context,
+    /// the full [`crate::StuckDiagnostic`] of a timeout, trailing trace
+    /// events, and the active fault schedule.
     pub fn to_json(&self) -> Json {
-        // A CPU-explicit launch renders the pool keys at their zero values.
-        let pool = self.pool.unwrap_or_default();
+        let s = &self.stats;
+        // A record without pool accounting renders the pool keys at their
+        // zero values.
+        let pool = s.pool.as_deref().copied().unwrap_or_default();
         let mut o: Vec<(&str, Json)> = vec![
             ("seq", pool.launch_seq.into()),
-            ("method", self.method.as_str().into()),
+            ("method", (&*s.method).into()),
         ];
         match &self.error {
             None => o.push(("outcome", "success".into())),
@@ -142,15 +138,17 @@ impl LaunchRecord {
                 ("kind", format!("{:?}", f.kind).into()),
             ])
         };
+        let sum =
+            |part: fn(&BlockTimes) -> Duration| -> Duration { s.per_block.iter().map(part).sum() };
         o.extend([
-            ("wall_ns", dur_ns(self.wall).into()),
-            ("launch_ns", dur_ns(self.launch).into()),
-            ("compute_ns", dur_ns(self.compute).into()),
-            ("sync_ns", dur_ns(self.sync).into()),
-            ("pooled", self.pool.is_some().into()),
+            ("wall_ns", dur_ns(s.wall).into()),
+            ("launch_ns", dur_ns(s.launch).into()),
+            ("compute_ns", dur_ns(sum(|b| b.compute)).into()),
+            ("sync_ns", dur_ns(sum(|b| b.sync)).into()),
+            ("pooled", s.pool.is_some().into()),
             ("queue_depth", pool.queue_depth.into()),
             ("queued_ns", dur_ns(pool.queued).into()),
-            ("cold", pool.cold.into()),
+            ("cold", s.pool.as_ref().is_some_and(|p| p.is_cold()).into()),
             ("replacements", self.replacements.into()),
             ("shard", self.shard.as_deref().into()),
             (
@@ -384,6 +382,7 @@ impl MetricsSnapshot {
     /// `key` is scratch space for the one composed key, so that a launch
     /// allocates nothing here once its series exist.
     fn apply(&mut self, r: &LaunchRecord, key: &mut String) {
+        let s = &r.stats;
         self.inc("launches_total", 1);
         if let Some(e) = &r.error {
             self.inc("launches_failed_total", 1);
@@ -392,9 +391,9 @@ impl MetricsSnapshot {
         if r.replacements > 0 {
             self.inc("worker_replacements_total", r.replacements as u64);
         }
-        if let Some(p) = &r.pool {
+        if let Some(p) = &s.pool {
             self.inc(
-                if p.cold {
+                if p.is_cold() {
                     "launches_cold_total"
                 } else {
                     "launches_warm_total"
@@ -407,7 +406,7 @@ impl MetricsSnapshot {
                 p.queue_depth as u64,
             );
             self.record_hist("queued_ns", dur_ns(p.queued));
-            self.record_hist("launch_ns", dur_ns(r.launch));
+            self.record_hist("launch_ns", dur_ns(s.launch));
         }
         // Shard-labeled launches (service traffic) additionally count into
         // a per-shard family; standalone runtimes skip this, keeping the
@@ -417,8 +416,8 @@ impl MetricsSnapshot {
         }
         key.clear();
         key.push_str("submit_to_stats_ns/");
-        key.push_str(&r.method);
-        self.record_hist(key, dur_ns(r.wall));
+        key.push_str(&s.method);
+        self.record_hist(key, dur_ns(s.wall));
     }
 }
 
@@ -630,24 +629,24 @@ mod tests {
     use super::*;
     use crate::error::{StuckDiagnostic, StuckPhase};
     use crate::fault::FaultKind;
+    use crate::runtime::PoolLaunchStats;
 
     fn pooled_record(method: &str, wall_ns: u64, cold: bool) -> LaunchRecord {
         let mut r = LaunchRecord::new(method);
-        r.pool = Some(PoolLaunchStats {
+        r.stats.pool = Some(Box::new(PoolLaunchStats {
             launch_seq: u64::from(!cold),
             queue_depth: 0,
             queued: Duration::from_nanos(wall_ns / 10),
-            cold,
-        });
-        r.wall = Duration::from_nanos(wall_ns);
-        r.launch = Duration::from_nanos(wall_ns / 20);
+        }));
+        r.stats.wall = Duration::from_nanos(wall_ns);
+        r.stats.launch = Duration::from_nanos(wall_ns / 20);
         r
     }
 
     fn failed_record(method: &str, error: ExecError, wall: Duration) -> LaunchRecord {
         let mut r = LaunchRecord::new(method);
         r.error = Some(error);
-        r.wall = wall;
+        r.stats.wall = wall;
         r
     }
 
@@ -719,7 +718,7 @@ mod tests {
         // pooled ones were evicted.
         let recent = obs.recent();
         assert_eq!(recent.len(), FLIGHT_RECORDER_CAPACITY);
-        assert_eq!(recent[0].wall, Duration::from_nanos(100 + 8));
+        assert_eq!(recent[0].stats.wall, Duration::from_nanos(100 + 8));
         // The failure was evicted from the ring but survives separately.
         assert!(obs.recent().iter().all(|r| r.error.is_none()));
         assert!(obs.last_failure().is_some());

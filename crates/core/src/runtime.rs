@@ -162,9 +162,14 @@ pub struct PoolLaunchStats {
     /// means the device was still busy with earlier launches; zero for the
     /// cold launch, whose clock starts at submit.
     pub queued: Duration,
-    /// Whether this was the process's cold (first) launch. Every other
-    /// launch is warm, a grid's first included.
-    pub cold: bool,
+}
+
+impl PoolLaunchStats {
+    /// Whether this was the process's cold (first) launch, sequence 0.
+    /// Every other launch is warm, a grid's first included.
+    pub fn is_cold(&self) -> bool {
+        self.launch_seq == 0
+    }
 }
 
 /// Completion state of one launch.
@@ -701,8 +706,9 @@ struct Grid {
     /// emits. `None` for standalone runtimes (their gauge samples land
     /// under the registry's `"default"` shard slot); a
     /// [`crate::GridService`] shard's key, so per-shard registry families
-    /// never alias across shards.
-    shard: Option<String>,
+    /// never alias across shards. Shared, so a launch's record takes it
+    /// by a reference-count bump.
+    shard: Option<Arc<str>>,
     /// Log entries the grid appended: one per launch, one per round under
     /// the CPU methods.
     entries: AtomicU64,
@@ -1394,13 +1400,12 @@ fn wait_launch(launch: &Arc<Launch>, allow_abandon: bool) -> Result<KernelStats,
         launch_seq: launch.seq,
         queue_depth: launch.queue_depth,
         queued: activated.saturating_duration_since(launch.submitted),
-        cold: launch.seq == 0,
     };
     let (result, mut record) = setup.finish(merged, wall, pool);
     let obs = &launch.grid.plan.obs;
     if obs.is_enabled() {
         record.replacements = replaced;
-        record.shard.clone_from(&launch.grid.shard);
+        record.shard = launch.grid.shard.clone();
         obs.observe(record);
     }
     result
@@ -1532,7 +1537,7 @@ impl GridRuntime {
     pub(crate) fn on_device(
         plan: LaunchPlan,
         device: &'static Device,
-        shard: Option<String>,
+        shard: Option<Arc<str>>,
     ) -> GridRuntime {
         // Next-fit: the window starts where the previous grid's ended.
         let mut st = device.state.lock();
@@ -2029,9 +2034,9 @@ mod tests {
                 let seq = h.seq();
                 assert!(explicit || seq == i as u64 * entries, "{method}");
                 let stats = h.wait().unwrap();
-                assert_eq!(stats.method, method.to_string());
+                assert_eq!(&*stats.method, method.to_string());
                 let p = stats.pool.as_ref().unwrap();
-                assert_eq!((p.launch_seq, p.cold), (seq, i == 0), "{method}");
+                assert_eq!((p.launch_seq, p.is_cold()), (seq, i == 0), "{method}");
                 assert!(kernels[i].slots.to_vec().iter().all(|&v| v == 20));
             }
             assert_eq!(rt.launches(), 4 * entries, "{method}");

@@ -6,6 +6,7 @@
 //! per-block computation and synchronization times, plus total wall time.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::autotune::AutoDecision;
@@ -46,10 +47,12 @@ impl BlockTimes {
 }
 
 /// Statistics of one kernel execution under one synchronization method.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelStats {
-    /// Human-readable method name (`SyncMethod` display form).
-    pub method: String,
+    /// Human-readable method name (`SyncMethod` display form, or
+    /// `auto:<method>` for a plan compiled from [`crate::SyncMethod::Auto`]).
+    /// Computed once per plan and shared by every launch through it.
+    pub method: Arc<str>,
     /// Number of blocks in the grid.
     pub n_blocks: usize,
     /// Barrier rounds executed.
@@ -79,8 +82,8 @@ pub struct KernelStats {
     pub auto: Option<Box<AutoDecision>>,
     /// Pool-side launch accounting, `Some` for every run of the engine
     /// (every launch runs on the process's one device): launch sequence
-    /// number, queue depth at submit, queueing delay, and whether the
-    /// launch was the process's cold one.
+    /// number (whence [`crate::PoolLaunchStats::is_cold`]), queue depth at
+    /// submit and queueing delay.
     /// The warm launch overhead itself is [`KernelStats::launch`]. Boxed
     /// for the same reason as `telemetry`.
     pub pool: Option<Box<crate::runtime::PoolLaunchStats>>,

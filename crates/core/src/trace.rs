@@ -133,14 +133,12 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
-/// Telemetry configuration carried by [`crate::GridConfig`].
+/// Telemetry configuration carried by [`crate::GridConfig`]. Each block's
+/// event ring is sized to hold every sampled event of the run, capped at
+/// 2^20 events (8 MiB); overflow wraps, keeping the most recent events and
+/// counting the rest as dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Ring capacity per block, in events. `0` (the default) sizes the
-    /// ring to hold every sampled event of the run, capped at
-    /// [`TraceConfig::MAX_EVENTS_PER_BLOCK`]; overflow wraps, keeping the
-    /// most recent events and counting the rest as dropped.
-    pub events_per_block: usize,
     /// Round-stride sampling: record timeline events only for rounds
     /// divisible by this. `1` (the default) records every round.
     pub stride: usize,
@@ -148,18 +146,12 @@ pub struct TraceConfig {
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            events_per_block: 0,
-            stride: 1,
-        }
+        TraceConfig { stride: 1 }
     }
 }
 
 impl TraceConfig {
-    /// Hard cap on the auto-sized per-block ring (8 MiB of events/block).
-    pub const MAX_EVENTS_PER_BLOCK: usize = 1 << 20;
-
-    /// Default config: every round, auto-sized rings.
+    /// Default config: every round.
     pub fn new() -> Self {
         TraceConfig::default()
     }
@@ -169,13 +161,10 @@ impl TraceConfig {
         self.stride = stride.max(1);
         self
     }
-
-    /// Fix the per-block ring capacity (min 8 events).
-    pub fn with_events_per_block(mut self, cap: usize) -> Self {
-        self.events_per_block = cap.clamp(8, Self::MAX_EVENTS_PER_BLOCK);
-        self
-    }
 }
+
+/// Hard cap on a block's event ring (8 MiB of events per block).
+const MAX_EVENTS_PER_BLOCK: usize = 1 << 20;
 
 /// Trace events a diagnostic carries per block it names.
 pub(crate) const TRAIL_LEN: usize = 8;
@@ -278,14 +267,14 @@ impl EventRecorder {
     /// Recorder for `n_blocks` blocks of a `rounds`-round kernel.
     pub(crate) fn new(n_blocks: usize, rounds: usize, cfg: &TraceConfig) -> Self {
         let stride = cfg.stride.max(1);
-        let cap = if cfg.events_per_block > 0 {
-            cfg.events_per_block
-                .clamp(8, TraceConfig::MAX_EVENTS_PER_BLOCK)
-        } else {
-            // Five sampled events per round (start/end/arrive/depart, and a
-            // launch under the CPU methods) plus slack for faults.
-            (5 * rounds.div_ceil(stride) + 8).clamp(64, TraceConfig::MAX_EVENTS_PER_BLOCK)
-        };
+        // Five sampled events per round (start/end/arrive/depart, and a
+        // launch under the CPU methods) plus slack for faults.
+        let cap = (5 * rounds.div_ceil(stride) + 8).clamp(64, MAX_EVENTS_PER_BLOCK);
+        Self::with_capacity(n_blocks, stride, cap)
+    }
+
+    /// Recorder for `n_blocks` blocks whose rings hold `cap` events each.
+    pub(crate) fn with_capacity(n_blocks: usize, stride: usize, cap: usize) -> Self {
         EventRecorder {
             epoch: Instant::now(),
             stride,
@@ -749,8 +738,7 @@ mod tests {
 
         #[test]
         fn ring_wraps_keeping_the_most_recent() {
-            let cfg = TraceConfig::default().with_events_per_block(8);
-            let rec = EventRecorder::new(1, 100, &cfg);
+            let rec = EventRecorder::with_capacity(1, 1, 8);
             for r in 0..20usize {
                 rec.record(0, r, TraceEventKind::RoundStart);
             }

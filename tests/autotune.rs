@@ -212,7 +212,7 @@ fn auto_executes_correctly_and_records_the_decision() {
         .unwrap();
     assert!(kernel.slots.to_vec().iter().all(|&v| v == rounds as u32));
     let decision = stats.auto.as_ref().expect("auto run records its decision");
-    assert_eq!(stats.method, format!("auto:{}", decision.chosen));
+    assert_eq!(&*stats.method, format!("auto:{}", decision.chosen));
     assert!(decision.predicted_sync_ns > 0.0);
     let chosen_row = decision
         .table

@@ -15,8 +15,9 @@ use std::time::Duration;
 
 use blocksync::core::{
     BlockCtx, ChaosConfig, ExecError, Fault, FaultInjector, FaultKind, GlobalBuffer, GridConfig,
-    GridRuntime, Histogram, LaunchPlan, LaunchRecord, MetricsSnapshot, Observer, PoolLaunchStats,
-    RoundKernel, StuckDiagnostic, StuckPhase, SyncMethod, SyncPolicy, TraceConfig,
+    GridRuntime, GridService, Histogram, KernelStats, LaunchPlan, LaunchRecord, MetricsSnapshot,
+    Observer, PoolLaunchStats, RoundKernel, ServiceConfig, ShardKey, StuckDiagnostic, StuckPhase,
+    SyncMethod, SyncPolicy, TraceConfig,
 };
 use blocksync::device::json;
 use blocksync::device::DeviceError;
@@ -29,7 +30,7 @@ fn pooled_soak(
     launches: usize,
     window: usize,
     method: SyncMethod,
-) -> (Vec<blocksync::core::KernelStats>, MetricsSnapshot) {
+) -> (Vec<KernelStats>, MetricsSnapshot) {
     let (blocks, tpb, rounds) = (4, 16, 60);
     let rt = GridRuntime::new(GridConfig::new(blocks, tpb), method).expect("pool-capable method");
     let mut inflight = VecDeque::new();
@@ -63,9 +64,12 @@ fn pooled_registry_matches_per_launch_stats_ground_truth() {
     // the process's first launch.
     let cold = stats
         .iter()
-        .filter(|s| s.pool.as_ref().unwrap().cold)
+        .filter(|s| s.pool.as_ref().unwrap().is_cold())
         .count() as u64;
-    assert!(stats.iter().skip(1).all(|s| !s.pool.as_ref().unwrap().cold));
+    assert!(stats
+        .iter()
+        .skip(1)
+        .all(|s| !s.pool.as_ref().unwrap().is_cold()));
     assert_eq!(snap.counters["launches_total"], launches as u64);
     assert_eq!(snap.counters["launches_failed_total"], 0);
     assert_eq!(snap.counters["launches_cold_total"], cold);
@@ -145,7 +149,7 @@ fn failures_are_counted_by_kind() {
     // The flight recorder kept the failure.
     let failure = plan.observer().last_failure().expect("recorded");
     assert!(failure.error.is_some());
-    assert_eq!(failure.method, "gpu-lock-free");
+    assert_eq!(&*failure.stats.method, "gpu-lock-free");
 }
 
 /// One producer, one record: the same faulty kernel launched through a
@@ -186,9 +190,14 @@ fn scoped_and_pooled_failures_leave_the_same_record() {
             record.error
         );
     }
-    let (cp, wp) = (cold.pool.unwrap(), warm.pool.unwrap());
-    assert_eq!(cp.cold, cp.launch_seq == 0, "{cp:?}");
-    assert!(!wp.cold && wp.launch_seq >= cp.launch_seq + 2, "{wp:?}");
+    let (cp, wp) = (
+        cold.stats.pool.clone().unwrap(),
+        warm.stats.pool.clone().unwrap(),
+    );
+    assert!(
+        !wp.is_cold() && wp.launch_seq >= cp.launch_seq + 2,
+        "{wp:?}"
+    );
     // Same keys in the same order; values part ways only where the launch's
     // place in its pool speaks, or where a clock does.
     let (cold, warm) = (cold.to_json(), warm.to_json());
@@ -203,6 +212,132 @@ fn scoped_and_pooled_failures_leave_the_same_record() {
         }
     }
     assert_eq!(cold.get("pooled"), Some(&true.into()));
+}
+
+/// The flight record holds the stats the caller got, not a second copy
+/// assembled apart from them: through `LaunchPlan::run`, a warm
+/// `GridRuntime::run` and a `GridService` submit → wait, the record's
+/// `stats` are the returned ones without `telemetry` and `auto`.
+#[test]
+fn flight_record_holds_the_stats_the_caller_got() {
+    let cfg = GridConfig::new(3, 8).with_trace(TraceConfig::default());
+    let kernel = || Bump(GlobalBuffer::new(3));
+    let as_recorded = |stats: &KernelStats| KernelStats {
+        telemetry: None,
+        auto: None,
+        ..stats.clone()
+    };
+    let record_of = |obs: &Observer, stats: &KernelStats| {
+        let seq = stats.pool.as_ref().expect("pooled").launch_seq;
+        obs.recent()
+            .into_iter()
+            .find(|r| r.stats.pool.as_ref().is_some_and(|p| p.launch_seq == seq))
+            .unwrap_or_else(|| panic!("no flight record of launch {seq}"))
+    };
+    for method in [SyncMethod::GpuLockFree, SyncMethod::Auto] {
+        let plan = LaunchPlan::compile(cfg.clone(), method).unwrap();
+        let stats = plan.run(&kernel()).unwrap();
+        assert!(stats.telemetry.is_some(), "{method}");
+        assert_eq!(stats.auto.is_some(), method == SyncMethod::Auto);
+        let record = record_of(&plan.observer(), &stats);
+        assert_eq!(
+            record.stats,
+            as_recorded(&stats),
+            "{method}: LaunchPlan::run"
+        );
+        assert!(record.error.is_none() && record.shard.is_none());
+
+        let rt = GridRuntime::new(cfg.clone(), method).unwrap();
+        rt.run(&kernel()).unwrap();
+        let stats = rt.run(&kernel()).unwrap();
+        let record = record_of(&rt.observer(), &stats);
+        assert_eq!(
+            record.stats,
+            as_recorded(&stats),
+            "{method}: GridRuntime::run"
+        );
+    }
+    let svc = GridService::new(ServiceConfig::default().with_template(cfg));
+    let key = ShardKey::new(3, 8, SyncMethod::GpuLockFree);
+    let stats = svc
+        .submit("t", key, Arc::new(kernel()))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(stats.telemetry.is_some());
+    let record = record_of(&svc.observer(), &stats);
+    assert_eq!(record.stats, as_recorded(&stats), "GridService");
+    assert_eq!(record.shard.as_deref(), Some(key.to_string().as_str()));
+}
+
+/// The postmortem's top-level keys, in order, for a success and for a
+/// timeout failure; `compute_ns` and `sync_ns` are the per-block sums.
+#[test]
+fn postmortem_keys_are_pinned() {
+    const TAIL: [&str; 12] = [
+        "wall_ns",
+        "launch_ns",
+        "compute_ns",
+        "sync_ns",
+        "pooled",
+        "queue_depth",
+        "queued_ns",
+        "cold",
+        "replacements",
+        "shard",
+        "recent_events",
+        "fault_schedule",
+    ];
+    let keys = |doc: &json::Json| -> Vec<String> {
+        let obj = doc.as_obj("postmortem").unwrap();
+        obj.iter().map(|(k, _)| k.clone()).collect()
+    };
+    let expected = |head: &[&str]| -> Vec<String> {
+        head.iter().chain(&TAIL).map(|k| k.to_string()).collect()
+    };
+
+    let cfg = GridConfig::new(3, 8)
+        .with_policy(SyncPolicy::with_timeout(Duration::from_millis(200)))
+        .with_trace(TraceConfig::default());
+    let plan = LaunchPlan::compile(cfg, SyncMethod::GpuLockFree).unwrap();
+    let stats = plan.run(&Bump(GlobalBuffer::new(3))).unwrap();
+    let success = plan.observer().recent().pop().unwrap().to_json();
+    assert_eq!(
+        keys(&success),
+        expected(&["seq", "method", "outcome"]),
+        "{success}"
+    );
+    let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap();
+    let sum = |part: fn(&blocksync::core::BlockTimes) -> Duration| {
+        ns(stats.per_block.iter().map(part).sum())
+    };
+    assert_eq!(success.get("compute_ns"), Some(&sum(|b| b.compute).into()));
+    assert_eq!(success.get("sync_ns"), Some(&sum(|b| b.sync).into()));
+    assert_eq!(success.get("launch_ns"), Some(&ns(stats.launch).into()));
+
+    let straggler = Fault::in_round(1, 1, FaultKind::Straggler);
+    let err = plan
+        .run(&FaultInjector::new(Bump(GlobalBuffer::new(3)), straggler))
+        .unwrap_err();
+    assert!(matches!(err, ExecError::BarrierTimeout { .. }), "{err:?}");
+    let failure = plan.observer().last_failure().unwrap().to_json();
+    assert_eq!(
+        keys(&failure),
+        expected(&[
+            "seq",
+            "method",
+            "outcome",
+            "error",
+            "error_kind",
+            "diagnostic"
+        ]),
+        "{failure}"
+    );
+    // A failure's stats are partial: no per-block times, no launch share.
+    for key in ["launch_ns", "compute_ns", "sync_ns"] {
+        assert_eq!(failure.get(key), Some(&0u64.into()), "{key}");
+    }
+    assert_eq!(failure.get("pooled"), Some(&true.into()));
 }
 
 /// An injected chaos failure yields a postmortem JSON artifact carrying
@@ -283,13 +418,12 @@ fn queue_depth_is_a_per_shard_gauge_family() {
         (Some("4x8/gpu-lock-free"), 3),
     ] {
         let mut r = LaunchRecord::new("gpu-lock-free");
-        r.pool = Some(PoolLaunchStats {
+        r.stats.pool = Some(Box::new(PoolLaunchStats {
             launch_seq: 1,
             queue_depth: depth,
             queued: Duration::ZERO,
-            cold: false,
-        });
-        r.shard = shard.map(str::to_string);
+        }));
+        r.shard = shard.map(Arc::from);
         obs.observe(r);
     }
     let snap = obs.snapshot();
@@ -351,13 +485,14 @@ fn observe_all(records: &[(usize, u64, bool, bool)]) -> MetricsSnapshot {
     let obs = Observer::new();
     for (i, &(sel, wall_ns, failed, pooled)) in records.iter().enumerate() {
         let mut r = LaunchRecord::new(METHODS[sel % METHODS.len()]);
-        r.pool = pooled.then_some(PoolLaunchStats {
-            launch_seq: i as u64,
-            queue_depth: sel,
-            queued: Duration::from_nanos(wall_ns / 3),
-            cold: i == 0,
+        r.stats.pool = pooled.then(|| {
+            Box::new(PoolLaunchStats {
+                launch_seq: i as u64,
+                queue_depth: sel,
+                queued: Duration::from_nanos(wall_ns / 3),
+            })
         });
-        r.wall = Duration::from_nanos(wall_ns);
+        r.stats.wall = Duration::from_nanos(wall_ns);
         r.error = failed.then(|| errors[sel % errors.len()].clone());
         obs.observe(r);
     }

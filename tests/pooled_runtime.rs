@@ -79,7 +79,6 @@ proptest! {
             let stats = rt.submit(Arc::clone(&k)).unwrap().wait().unwrap();
             let pool = stats.pool.as_ref().expect("pooled run carries pool stats");
             prop_assert!(last < Some(pool.launch_seq), "launch {}: {:?}", i, pool);
-            prop_assert_eq!(pool.cold, pool.launch_seq == 0);
             last = Some(pool.launch_seq);
             prop_assert!(k.slots.to_vec().iter().all(|&v| v == rounds as u64));
         }
@@ -391,7 +390,7 @@ fn launch_zero_is_cold_and_its_clock_covers_the_spawns() {
             let empty = (1usize, |_: &BlockCtx, _: usize| {});
             let check_cold = |what: &str, timed: Duration, stats: &KernelStats| {
                 let pool = stats.pool.as_deref().expect("every barrier method pools");
-                assert!(pool.cold, "{what}: {pool:?}");
+                assert!(pool.is_cold(), "{what}: {pool:?}");
                 assert_eq!(pool.launch_seq, 0, "{what}");
                 assert_eq!(pool.queued, Duration::ZERO, "{what}");
                 assert!(Duration::ZERO < stats.launch, "{what}: no t_O");
@@ -411,7 +410,7 @@ fn launch_zero_is_cold_and_its_clock_covers_the_spawns() {
             for seq in 1..=2 {
                 let warm = rt.run(&empty).unwrap();
                 let pool = warm.pool.as_deref().unwrap();
-                assert!(!pool.cold && pool.launch_seq == seq, "{pool:?}");
+                assert!(!pool.is_cold() && pool.launch_seq == seq, "{pool:?}");
             }
         },
     );

@@ -273,7 +273,6 @@ fn one_device_runs_every_shard_on_w_workers() {
         assert!(kernel.verify(), "{key}");
         let pool = stats.pool.unwrap();
         assert!(last < Some(pool.launch_seq), "{key}: {pool:?}");
-        assert_eq!(pool.cold, pool.launch_seq == 0, "{key}");
         last = Some(pool.launch_seq);
         assert_eq!(kernel.threads().len(), key.blocks.min(w), "{key}");
     }
